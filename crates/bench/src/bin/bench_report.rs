@@ -9,8 +9,8 @@
 //! - the **many-core scaling study** (`experiments::scaling`): speedup
 //!   stacks across a 1→128-core sweep of weak-scaling workloads and a
 //!   multi-program rate mix on a 4 MiB 32-way LLC — the sweep that
-//!   exercises the spilled (>64-core) coherence directory and the wide
-//!   (>16-way) LRU encoding end to end;
+//!   exercises multi-word (>64-core) sharer masks and the wide (>16-way)
+//!   LRU encoding end to end;
 //! - the **studyd service** (`service_fig6`): the Figure 6 grid submitted
 //!   to an in-process `studyd` over loopback — cold submission, cache-
 //!   served submission, first-frame latency and a 10-request cached burst;
@@ -18,21 +18,12 @@
 //!   fleet by the coordinator — cold 1-backend vs 2-backend runs, and
 //!   kill-one-mid-sweep failover against a chaos-killed child backend.
 //!
-//! The figure grids are measured under three in-binary configurations:
+//! The figure grids and the scaling study are each measured with the
+//! `parallel` and the `serial` sweep driver (one engine; results are
+//! bit-identical across drivers).
 //!
-//! - `timingwheel-parallel` — the shipped defaults (indexed timing wheel,
-//!   flat sync/coherence tables, parallel driver);
-//! - `timingwheel-serial`   — same engine, serial driver;
-//! - `binaryheap-serial`    — the original `BinaryHeap` event queue with
-//!   the serial driver (results are bit-identical across queues).
-//!
-//! The scaling study is measured with the parallel and serial drivers
-//! (the seed engine cannot run it at all: it capped the directory at 64
-//! cores and the caches at 16 ways).
-//!
-//! `--baseline-repro PATH` points at a `repro` binary built from the
-//! seed data structures (`BinaryHeap` + `std` SipHash `HashMap`s, serial
-//! driver); its `fig4`/`fig6` sweeps are then timed **interleaved** with
+//! `--baseline-repro PATH` points at a `repro` binary built from another
+//! commit; its `fig4`/`fig6` sweeps are then timed **interleaved** with
 //! this binary's sweeps, so host-speed drift hits both sides equally.
 //!
 //! ```text
@@ -42,7 +33,6 @@
 use std::time::Instant;
 
 use bench_support::report::{Entry, PerfReport};
-use cmpsim::EventQueueKind;
 use experiments::{run_grid, scaled_profile, Parallelism, RunOptions};
 
 /// The two figure sweeps: the Figure 4 validation grid and the Figure 6
@@ -52,26 +42,19 @@ const SWEEPS: [(&str, &str, &[usize]); 2] = [
     ("fig6_grid", "fig6", &[16]),
 ];
 
-fn sweep(
-    scale: f64,
-    counts: &[usize],
-    queue: EventQueueKind,
-    mode: Parallelism,
-) -> (f64, u64, u64) {
+/// The sweep drivers every simulator workload is timed under.
+const DRIVERS: [(&str, Parallelism); 2] = [
+    ("parallel", Parallelism::Auto),
+    ("serial", Parallelism::Serial),
+];
+
+fn sweep(scale: f64, counts: &[usize], mode: Parallelism) -> (f64, u64, u64) {
     let profiles: Vec<workloads::WorkloadProfile> = workloads::paper_suite()
         .iter()
         .map(|p| scaled_profile(p, scale))
         .collect();
     let t0 = Instant::now();
-    let grid = run_grid(
-        &profiles,
-        counts,
-        &|_, n| RunOptions {
-            queue,
-            ..RunOptions::symmetric(n)
-        },
-        mode,
-    );
+    let grid = run_grid(&profiles, counts, &|_, n| RunOptions::symmetric(n), mode);
     let wall = t0.elapsed().as_secs_f64();
     let events: u64 = grid.iter().flatten().map(|o| o.mt.events).sum();
     let points = (profiles.len() * (counts.len() + 1)) as u64;
@@ -408,7 +391,7 @@ fn federation_bench(scale: f64, samples: usize, report: &mut PerfReport) {
 }
 
 fn main() {
-    let mut out = String::from("BENCH_PR10.json");
+    let mut out = String::from("BENCH_PR12.json");
     let mut scale = 1.0f64;
     let mut samples = 3usize;
     let mut baseline_repro: Option<String> = None;
@@ -430,26 +413,8 @@ fn main() {
         }
     }
 
-    let configs: [(&str, EventQueueKind, Parallelism); 3] = [
-        (
-            "timingwheel-parallel",
-            EventQueueKind::TimingWheel,
-            Parallelism::Auto,
-        ),
-        (
-            "timingwheel-serial",
-            EventQueueKind::TimingWheel,
-            Parallelism::Serial,
-        ),
-        (
-            "binaryheap-serial",
-            EventQueueKind::BinaryHeap,
-            Parallelism::Serial,
-        ),
-    ];
-
     let mut report = PerfReport::default();
-    report.meta("report", "speedup-stacks simulator perf trajectory, PR 10");
+    report.meta("report", "speedup-stacks simulator perf trajectory, PR 12");
     report.meta(
         "workload",
         format!(
@@ -479,31 +444,29 @@ fn main() {
     );
     report.meta(
         "note",
-        "all in-binary configs produce bit-identical figures; the scaling study has no \
-         seed-baseline entry because the seed engine hard-capped the coherence directory at \
-         64 cores and the packed LRU at 16 ways — the 128-core points are new capability, \
-         not a speedup over the seed",
+        "both drivers produce bit-identical figures; the baseline repro is timed on fig4 and \
+         fig6 only",
     );
 
     for (entry_name, fig, counts) in SWEEPS {
-        let mut best: Vec<f64> = vec![f64::MAX; configs.len()];
+        let mut best = [f64::MAX; DRIVERS.len()];
         let mut best_baseline = f64::MAX;
         let mut events = 0u64;
         let mut points = 0u64;
         for _ in 0..samples.max(1) {
-            // Interleave the baseline with every config so host-speed
+            // Interleave the baseline with every driver so host-speed
             // drift cancels.
             if let Some(repro) = &baseline_repro {
                 best_baseline = best_baseline.min(time_external(repro, fig, scale));
             }
-            for (i, (_, queue, mode)) in configs.iter().enumerate() {
-                let (wall, ev, pts) = sweep(scale, counts, *queue, *mode);
+            for (i, (_, mode)) in DRIVERS.iter().enumerate() {
+                let (wall, ev, pts) = sweep(scale, counts, *mode);
                 best[i] = best[i].min(wall);
                 events = ev;
                 points = pts;
             }
         }
-        for (i, (name, _, _)) in configs.iter().enumerate() {
+        for (i, (name, _)) in DRIVERS.iter().enumerate() {
             eprintln!("{entry_name}/{name}: {:.3} s, {events} events", best[i]);
             report.push(Entry {
                 name: entry_name.into(),
@@ -514,40 +477,32 @@ fn main() {
             });
         }
         if baseline_repro.is_some() {
-            eprintln!("{entry_name}/seed-baseline: {best_baseline:.3} s");
+            eprintln!("{entry_name}/baseline-repro: {best_baseline:.3} s");
             report.push(Entry {
                 name: entry_name.into(),
-                config: "seed-binaryheap-hashmap-serial".into(),
+                config: "baseline-repro".into(),
                 wall_s: best_baseline,
-                // The seed engine predates the event counter *and* used
-                // `rand`-generated op streams, so its event count is
-                // neither recorded nor equal to the new engine's — wall
-                // time over the same figure points is the comparison.
+                // An external process reports no event count: wall time
+                // over the same figure points is the comparison.
                 events: 0,
                 points,
             });
         }
     }
 
-    // The many-core scaling study: 1→128 cores, parallel and serial
-    // drivers (queue differences are covered by the figure grids above;
-    // the study runs the default timing wheel).
-    let scaling_modes: [(&str, Parallelism); 2] = [
-        ("timingwheel-parallel", Parallelism::Auto),
-        ("timingwheel-serial", Parallelism::Serial),
-    ];
-    let mut best = [f64::MAX; 2];
+    // The many-core scaling study: 1→128 cores.
+    let mut best = [f64::MAX; DRIVERS.len()];
     let mut events = 0u64;
     let mut points = 0u64;
     for _ in 0..samples.max(1) {
-        for (i, (_, mode)) in scaling_modes.iter().enumerate() {
+        for (i, (_, mode)) in DRIVERS.iter().enumerate() {
             let (wall, ev, pts) = scaling_sweep(scale, *mode);
             best[i] = best[i].min(wall);
             events = ev;
             points = pts;
         }
     }
-    for (i, (name, _)) in scaling_modes.iter().enumerate() {
+    for (i, (name, _)) in DRIVERS.iter().enumerate() {
         eprintln!("scaling_1_to_128/{name}: {:.3} s, {events} events", best[i]);
         report.push(Entry {
             name: "scaling_1_to_128".into(),

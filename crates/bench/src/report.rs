@@ -14,7 +14,7 @@ use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 pub struct Entry {
     /// Entry name (e.g. `fig1_sweep`).
     pub name: String,
-    /// Configuration label (e.g. `wheel+parallel`).
+    /// Configuration label (e.g. `parallel`, `cold-submit`).
     pub config: String,
     /// Wall time in seconds.
     pub wall_s: f64,

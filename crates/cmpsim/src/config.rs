@@ -77,23 +77,6 @@ impl Default for SchedConfig {
     }
 }
 
-/// Which event-queue implementation drives the engine.
-///
-/// The timing wheel is the production queue; the binary heap is the
-/// original implementation, kept as a reference for equivalence testing
-/// and baseline benchmarking. Both implement the identical `(time, seq)`
-/// total order, so simulation results are bit-identical across the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum EventQueueKind {
-    /// Indexed calendar/timing wheel with an overflow heap
-    /// ([`TimingWheel`](crate::event_queue::TimingWheel)).
-    #[default]
-    TimingWheel,
-    /// Global binary heap ([`HeapQueue`](crate::event_queue::HeapQueue)).
-    BinaryHeap,
-}
-
 /// Which spin-detection mechanism feeds the accounting (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -128,10 +111,9 @@ impl Default for SpinDetectorKind {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Number of hardware cores. Any non-zero count is supported: the
-    /// memory hierarchy's coherence directory keeps an inline one-word
-    /// sharer mask up to 64 cores and spills to compact multi-word masks
-    /// above (`memsim::Directory`), so 128-core (and larger) machines
-    /// simulate without configuration changes.
+    /// memory hierarchy keeps `ceil(n_cores / 64)` sharer-mask words per
+    /// LLC line, so 128-core (and larger) machines simulate without
+    /// configuration changes.
     pub n_cores: usize,
     /// Memory hierarchy parameters.
     pub mem: MemConfig,
@@ -143,9 +125,6 @@ pub struct MachineConfig {
     pub sched: SchedConfig,
     /// Spin detector used by the accounting.
     pub spin_detector: SpinDetectorKind,
-    /// Event-queue implementation (timing wheel by default; the binary
-    /// heap reference is for equivalence tests and baselines).
-    pub event_queue: EventQueueKind,
     /// Record per-thread accounting snapshots at every barrier release,
     /// enabling per-region speedup stacks (§4.6: the imbalance before
     /// each barrier then quantifies barrier overhead).
@@ -163,7 +142,6 @@ impl Default for MachineConfig {
             sync: SyncConfig::default(),
             sched: SchedConfig::default(),
             spin_detector: SpinDetectorKind::default(),
-            event_queue: EventQueueKind::default(),
             record_regions: false,
             max_cycles: 50_000_000_000,
         }
@@ -172,8 +150,8 @@ impl Default for MachineConfig {
 
 impl MachineConfig {
     /// A machine with `n_cores` cores and default parameters otherwise.
-    /// There is no upper core-count limit; counts above 64 switch the
-    /// coherence directory to its spilled multi-word sharer masks.
+    /// There is no upper core-count limit; counts above 64 only widen
+    /// the per-line sharer masks.
     ///
     /// ```
     /// let m = cmpsim::MachineConfig::with_cores(4);

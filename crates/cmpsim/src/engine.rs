@@ -8,14 +8,12 @@
 //!
 //! ## Hot-path data structures
 //!
-//! Events flow through an **indexed timing wheel**
-//! ([`event_queue::TimingWheel`](crate::event_queue::TimingWheel)): a
-//! calendar ring of single-cycle slots with a bitmap index, sized for the
-//! engine's near-monotonic event horizon, with an overflow heap for the
-//! rare far-future event. The original `BinaryHeap` remains available as
-//! [`EventQueueKind::BinaryHeap`](crate::config::EventQueueKind) — both
-//! implement the same `(time, seq)` total order, so results are
-//! bit-identical (asserted by the equivalence test-suite).
+//! Events flow through one binary heap ordered by `(time, seq)`
+//! ([`HeapQueue`]). A thread that runs ahead of every queued event
+//! continues inline without touching the queue; otherwise its `Run`
+//! handler hands the continuation back to the run loop, which swaps it
+//! for the next event in a single heap operation
+//! ([`HeapQueue::push_pop`]).
 //!
 //! Lock and barrier state lives in **dense `Vec`-indexed tables**: sync
 //! ids are small integers minted by the workload generator, so resolving
@@ -42,8 +40,8 @@ use std::fmt;
 use memsim::{FxHashMap, LineAddr, MemoryHierarchy, ServedBy};
 use speedup_stacks::{AccountingConfig, SpeedupStack, StackError, ThreadCounters};
 
-use crate::config::{EventQueueKind, MachineConfig};
-use crate::event_queue::{HeapQueue, TimingWheel};
+use crate::config::MachineConfig;
+use crate::event_queue::HeapQueue;
 use crate::ops::{Op, OpStream};
 use crate::spin::{build_detector, SpinDetector, SpinEpisode};
 
@@ -224,49 +222,6 @@ enum EventKind {
     Wakeup { thread: u32 },
 }
 
-/// The engine's event queue: the timing wheel in production, the original
-/// binary heap as the equivalence/baseline reference (selected by
-/// [`EventQueueKind`]). Both implement the identical `(time, seq)` order.
-#[derive(Debug)]
-enum EventQueue {
-    Wheel(TimingWheel<EventKind>),
-    Heap(HeapQueue<EventKind>),
-}
-
-impl EventQueue {
-    fn new(kind: EventQueueKind) -> Self {
-        match kind {
-            EventQueueKind::TimingWheel => EventQueue::Wheel(TimingWheel::new()),
-            EventQueueKind::BinaryHeap => EventQueue::Heap(HeapQueue::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, time: u64, seq: u64, kind: EventKind) {
-        match self {
-            EventQueue::Wheel(q) => q.push(time, seq, kind),
-            EventQueue::Heap(q) => q.push(time, seq, kind),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, u64, EventKind)> {
-        match self {
-            EventQueue::Wheel(q) => q.pop(),
-            EventQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Time of the earliest queued event, if any.
-    #[inline]
-    fn peek_time(&mut self) -> Option<u64> {
-        match self {
-            EventQueue::Wheel(q) => q.peek_time(),
-            EventQueue::Heap(q) => q.peek_time(),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TState {
     /// Running (or actively spinning) on a core.
@@ -378,7 +333,7 @@ pub struct Simulation {
     barriers: Vec<BarrierState>,
     cores: Vec<Option<ThreadId>>,
     ready: VecDeque<ThreadId>,
-    queue: EventQueue,
+    queue: HeapQueue<EventKind>,
     seq: u64,
     /// Events processed so far (exposed in [`SimResult::events`]).
     events: u64,
@@ -446,7 +401,7 @@ impl Simulation {
             barriers: Vec::new(),
             cores: vec![None; cfg.n_cores],
             ready: VecDeque::new(),
-            queue: EventQueue::new(cfg.event_queue),
+            queue: HeapQueue::new(),
             seq: 0,
             events: 0,
             finished: 0,
@@ -552,7 +507,8 @@ impl Simulation {
             }
         }
 
-        while let Some((time, _seq, kind)) = self.queue.pop() {
+        let mut next = self.queue.pop();
+        while let Some((time, _seq, kind)) = next {
             if time > self.cfg.max_cycles {
                 return Err(SimError::CycleLimitExceeded { at: time });
             }
@@ -560,18 +516,32 @@ impl Simulation {
                 return Err(SimError::DeadlineExceeded { at: time });
             }
             self.events += 1;
-            match kind {
+            let resume = match kind {
                 EventKind::Run { core, thread } => {
                     self.on_run(core as usize, thread as usize, time)?
                 }
                 EventKind::YieldDeadline { thread, token } => {
-                    self.on_yield_deadline(thread as usize, token, time)
+                    self.on_yield_deadline(thread as usize, token, time);
+                    None
                 }
-                EventKind::Wakeup { thread } => self.on_wakeup(thread as usize, time),
-            }
+                EventKind::Wakeup { thread } => {
+                    self.on_wakeup(thread as usize, time);
+                    None
+                }
+            };
             if self.finished == n_threads {
                 break;
             }
+            next = match resume {
+                // The handled thread resumes at `t`, behind at least one
+                // queued event: schedule it and take the next event in
+                // one heap operation.
+                Some((t, kind)) => {
+                    self.seq += 1;
+                    Some(self.queue.push_pop(t, self.seq, kind))
+                }
+                None => self.queue.pop(),
+            };
         }
 
         let unfinished: Vec<usize> = self
@@ -614,10 +584,19 @@ impl Simulation {
     /// would be the queue minimum regardless of its sequence number, and
     /// no other handler can run in between to change the shared state the
     /// checks below observe (`ready`, doomed flags, lock holders). On a
-    /// strict tie the event is pushed so the lower-seq queued event keeps
-    /// its turn. This removes the queue round-trip from the common case —
-    /// a single-threaded run needs almost no queue traffic at all.
-    fn on_run(&mut self, core: usize, thread: ThreadId, mut now: u64) -> Result<(), SimError> {
+    /// tie the event is queued so the lower-seq queued event keeps its
+    /// turn. This removes the queue round-trip from the common case — a
+    /// single-threaded run needs almost no queue traffic at all.
+    ///
+    /// Returns the thread's continuation `(time, Run)` when it must be
+    /// queued; it is the last thing the handler would have pushed, so
+    /// the run loop fuses that push with its next pop.
+    fn on_run(
+        &mut self,
+        core: usize,
+        thread: ThreadId,
+        mut now: u64,
+    ) -> Result<Option<(u64, EventKind)>, SimError> {
         loop {
             debug_assert_eq!(self.threads[thread].state, TState::Running { core });
 
@@ -629,7 +608,7 @@ impl Simulation {
                 self.ready.push_back(thread);
                 self.cores[core] = None;
                 self.dispatch(now);
-                return Ok(());
+                return Ok(None);
             }
 
             // A thread woken to retry a lock acquisition does so before
@@ -669,7 +648,7 @@ impl Simulation {
                     self.finished += 1;
                     self.cores[core] = None;
                     self.dispatch(now);
-                    return Ok(());
+                    return Ok(None);
                 };
                 self.execute_op(op, core, thread, now)?
             };
@@ -677,7 +656,7 @@ impl Simulation {
             // `Some(t)`: the thread resumes at `t`; `None`: it waits and
             // its continuation is already scheduled (or state-driven).
             let Some(mut t) = next else {
-                return Ok(());
+                return Ok(None);
             };
 
             // Compute fusion: a `Compute` op touches only thread-local
@@ -727,14 +706,13 @@ impl Simulation {
                 self.events += 1;
                 now = t;
             } else {
-                self.push(
+                return Ok(Some((
                     t,
                     EventKind::Run {
                         core: core as u32,
                         thread: thread as u32,
                     },
-                );
-                return Ok(());
+                )));
             }
         }
     }

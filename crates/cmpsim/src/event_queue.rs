@@ -1,30 +1,14 @@
-//! Event queues for the engine's near-monotonic event horizon.
+//! The engine's event queue: one binary heap ordered by `(time, seq)`.
 //!
-//! The engine pops events in `(time, seq)` order and only ever pushes
-//! events at or after the last popped time, with the overwhelming
-//! majority landing within a few thousand cycles (memory latencies, spin
-//! thresholds, wake-ups). [`TimingWheel`] exploits that shape: a calendar
-//! ring of single-cycle slots covering a sliding window ahead of the
-//! cursor, with a 64-bit occupancy bitmap to skip empty slots in word
-//! steps, and a small overflow heap for the rare far-future event
-//! (scheduler quanta, transaction back-offs, multi-thousand-cycle compute
-//! blocks). Push and pop are O(1) for in-window events.
-//!
-//! [`HeapQueue`] is the original `BinaryHeap` implementation, kept as the
-//! reference: both queues implement the identical total order, which the
-//! randomized tests in `tests/queue_equivalence.rs` and this module
-//! verify. The engine selects the implementation through
-//! [`EventQueueKind`](crate::config::EventQueueKind), so whole-simulation
-//! equivalence can be asserted too.
+//! The engine pops events in `(time, seq)` order, `seq` being a counter
+//! taken at push time, so equal-time events leave in the order they were
+//! scheduled and every run is deterministic. Almost every handled event
+//! schedules exactly one successor (a thread's next op) and then asks for
+//! the next event; [`HeapQueue::push_pop`] does both with a single
+//! sift-down by overwriting the root in place.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Number of single-cycle slots in the wheel window. Covers every
-/// latency the machine model produces on its hot paths (DRAM round
-/// trips, spin thresholds, lock hand-offs, wake latencies) — only
-/// scheduler quanta and large compute blocks overflow.
-const WHEEL_SLOTS: usize = 16_384;
 
 /// A timestamped entry: `(time, seq, payload)`. Ordering ignores the
 /// payload.
@@ -55,8 +39,7 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// The reference event queue: a global binary heap (the original engine
-/// representation).
+/// Min-queue of `(time, seq, payload)` events.
 #[derive(Debug)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
@@ -81,9 +64,21 @@ impl<T: Copy> HeapQueue<T> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.payload))
     }
 
+    /// `push(time, seq, payload)` followed by `pop()`, with one sift
+    /// instead of two: unless the new event is itself the minimum, it
+    /// replaces the root and sinks from there.
+    pub fn push_pop(&mut self, time: u64, seq: u64, payload: T) -> (u64, u64, T) {
+        let new = Entry { time, seq, payload };
+        let first = match self.heap.peek_mut() {
+            Some(mut root) if root.0 < new => std::mem::replace(&mut root.0, new),
+            _ => new,
+        };
+        (first.time, first.seq, first.payload)
+    }
+
     /// Time of the earliest queued event without dequeuing it.
     #[must_use]
-    pub fn peek_time(&mut self) -> Option<u64> {
+    pub fn peek_time(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
 
@@ -106,430 +101,40 @@ impl<T: Copy> Default for HeapQueue<T> {
     }
 }
 
-/// Index of "no node" in the wheel's node pool.
-const NIL: u32 = u32::MAX;
-
-/// A pooled event node: slot chains are intrusive singly-linked lists
-/// through a contiguous arena, so steady-state pushes and pops allocate
-/// nothing (freed nodes go on a free list).
-#[derive(Debug, Clone, Copy)]
-struct Node<T> {
-    seq: u64,
-    payload: T,
-    next: u32,
-}
-
-/// Indexed calendar/timing-wheel queue (see module docs).
-///
-/// # Monotonicity contract
-///
-/// `push(time, ..)` requires `time >=` the time of the last popped event
-/// (debug-asserted). The engine satisfies this by construction: handlers
-/// only schedule at or after `now`.
-#[derive(Debug)]
-pub struct TimingWheel<T> {
-    /// Head node of `slots[t & (WHEEL_SLOTS-1)]`: the events for time `t`
-    /// within the window `[cursor, cursor + WHEEL_SLOTS)`, chained in
-    /// `seq` order.
-    heads: Vec<u32>,
-    /// Tail node per slot (O(1) append for the common increasing-seq
-    /// push).
-    tails: Vec<u32>,
-    /// One bit per slot: slot non-empty.
-    occupied: Vec<u64>,
-    /// Node arena plus free list. In-flight events are bounded by the
-    /// thread count, so this stays tiny and hot.
-    pool: Vec<Node<T>>,
-    free: u32,
-    /// Time of the earliest event the window can currently hold; always
-    /// `>=` the last popped time.
-    cursor: u64,
-    /// Far-future events (`time >= cursor + WHEEL_SLOTS` at push time).
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
-    len: usize,
-    /// Exact time of the earliest queued event, when known. Maintained by
-    /// `peek_time`/`pop`/`push` so that the engine's inline-continuation
-    /// peeks cost O(1): a peek computes it once, pushes lower it, a pop
-    /// either keeps it (slot still has same-time events) or clears it.
-    cached_next: Option<u64>,
-}
-
-impl<T: Copy> TimingWheel<T> {
-    /// Creates an empty wheel with its window starting at time 0.
-    #[must_use]
-    pub fn new() -> Self {
-        TimingWheel {
-            heads: vec![NIL; WHEEL_SLOTS],
-            tails: vec![NIL; WHEEL_SLOTS],
-            occupied: vec![0; WHEEL_SLOTS / 64],
-            pool: Vec::new(),
-            free: NIL,
-            cursor: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
-            cached_next: None,
-        }
-    }
-
-    /// Takes a node from the free list (or grows the pool).
-    #[inline]
-    fn alloc_node(&mut self, seq: u64, payload: T) -> u32 {
-        if self.free != NIL {
-            let i = self.free;
-            self.free = self.pool[i as usize].next;
-            self.pool[i as usize] = Node {
-                seq,
-                payload,
-                next: NIL,
-            };
-            i
-        } else {
-            self.pool.push(Node {
-                seq,
-                payload,
-                next: NIL,
-            });
-            (self.pool.len() - 1) as u32
-        }
-    }
-
-    /// Returns a node to the free list.
-    #[inline]
-    fn free_node(&mut self, i: u32) {
-        self.pool[i as usize].next = self.free;
-        self.free = i;
-    }
-
-    /// Number of queued events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn mark(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-    }
-
-    #[inline]
-    fn unmark(&mut self, slot: usize) {
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-    }
-
-    /// Inserts into a window slot keeping the slot's `seq` order (slots
-    /// hold only same-time events, so `seq` alone orders them; drained
-    /// overflow events may carry smaller seqs than direct pushes).
-    #[inline]
-    fn insert_slot(&mut self, time: u64, seq: u64, payload: T) {
-        debug_assert!(time >= self.cursor && time - self.cursor < WHEEL_SLOTS as u64);
-        let slot = (time as usize) & (WHEEL_SLOTS - 1);
-        let node = self.alloc_node(seq, payload);
-        let tail = self.tails[slot];
-        if tail == NIL {
-            // Empty slot.
-            self.heads[slot] = node;
-            self.tails[slot] = node;
-            self.mark(slot);
-        } else if self.pool[tail as usize].seq < seq {
-            // Common case: appended seqs are increasing.
-            self.pool[tail as usize].next = node;
-            self.tails[slot] = node;
-        } else {
-            // Rare: a drained overflow event with an older seq. Walk the
-            // (tiny) chain to its ordered position.
-            let head = self.heads[slot];
-            if seq < self.pool[head as usize].seq {
-                self.pool[node as usize].next = head;
-                self.heads[slot] = node;
-            } else {
-                let mut prev = head;
-                loop {
-                    let next = self.pool[prev as usize].next;
-                    if next == NIL || seq < self.pool[next as usize].seq {
-                        self.pool[node as usize].next = next;
-                        self.pool[prev as usize].next = node;
-                        if next == NIL {
-                            self.tails[slot] = node;
-                        }
-                        break;
-                    }
-                    prev = next;
-                }
-            }
-        }
-    }
-
-    /// Enqueues `payload` at `(time, seq)`.
-    ///
-    /// `seq` must be unique per queue lifetime (the engine's event
-    /// counter); `time` must be at or after the last popped time.
-    pub fn push(&mut self, time: u64, seq: u64, payload: T) {
-        debug_assert!(
-            time >= self.cursor,
-            "push at {time} before cursor {}",
-            self.cursor
-        );
-        self.len += 1;
-        if time - self.cursor < WHEEL_SLOTS as u64 {
-            self.insert_slot(time, seq, payload);
-        } else {
-            self.overflow.push(Reverse(Entry { time, seq, payload }));
-        }
-        if self.cached_next.is_some_and(|m| time < m) {
-            self.cached_next = Some(time);
-        }
-    }
-
-    /// Moves every overflow event that now fits the window into slots.
-    fn drain_overflow(&mut self) {
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.time - self.cursor >= WHEEL_SLOTS as u64 {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("peeked");
-            self.insert_slot(e.time, e.seq, e.payload);
-        }
-    }
-
-    /// Time of the earliest queued event without dequeuing it. Does not
-    /// move the window (safe to call between engine pushes).
-    pub fn peek_time(&mut self) -> Option<u64> {
-        if self.cached_next.is_some() {
-            return self.cached_next;
-        }
-        if self.len == 0 {
-            return None;
-        }
-        // Everything within the window lives in slots; overflow events
-        // beyond the window are never smaller than any slotted event.
-        self.drain_overflow();
-        let start = (self.cursor as usize) & (WHEEL_SLOTS - 1);
-        let time = match self.find_occupied_from(start) {
-            Some(slot) => {
-                // Ring distance start -> slot gives the event time.
-                let dist = slot.wrapping_sub(start) & (WHEEL_SLOTS - 1);
-                self.cursor + dist as u64
-            }
-            // Window empty: the overflow head is the global minimum.
-            None => self
-                .overflow
-                .peek()
-                .map(|Reverse(e)| e.time)
-                .expect("non-empty queue with empty window has overflow events"),
-        };
-        self.cached_next = Some(time);
-        Some(time)
-    }
-
-    /// Dequeues the `(time, seq)`-minimal event.
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        let time = self.peek_time()?;
-        // Advance the window to the event (a jump past the old window end
-        // re-homes pending overflow events first).
-        self.cursor = time;
-        self.drain_overflow();
-        let slot = (time as usize) & (WHEEL_SLOTS - 1);
-        let head = self.heads[slot];
-        debug_assert!(head != NIL, "cached/scanned slot must be occupied");
-        let Node { seq, payload, next } = self.pool[head as usize];
-        self.heads[slot] = next;
-        if next == NIL {
-            self.tails[slot] = NIL;
-            self.unmark(slot);
-            // Opportunistic refresh: if another occupied slot lies in the
-            // same bitmap word at or after this one, it is the exact next
-            // minimum (later words hold later times within the window,
-            // and all overflow events lie beyond the window after the
-            // drain above). Saves the full scan on the next peek.
-            self.cached_next = if self.len > 1 {
-                let rest = self.occupied[slot / 64] & (!0u64 << (slot % 64));
-                (rest != 0).then(|| {
-                    let next_slot = (slot / 64) * 64 + rest.trailing_zeros() as usize;
-                    time + (next_slot - slot) as u64
-                })
-            } else {
-                None
-            };
-        } else {
-            // Same-time events remain: the minimum is unchanged.
-            self.cached_next = Some(time);
-        }
-        self.free_node(head);
-        self.len -= 1;
-        Some((time, seq, payload))
-    }
-
-    /// First occupied slot in ring order starting at `start`, or `None`
-    /// if the whole ring is empty.
-    fn find_occupied_from(&self, start: usize) -> Option<usize> {
-        let words = self.occupied.len();
-        let start_word = start / 64;
-        // First word: mask off bits before `start`.
-        let first = self.occupied[start_word] & (!0u64 << (start % 64));
-        if first != 0 {
-            return Some(start_word * 64 + first.trailing_zeros() as usize);
-        }
-        // Remaining words in ring order, including the wrapped-around
-        // low bits of the start word.
-        for k in 1..=words {
-            let w = (start_word + k) % words;
-            let mut bits = self.occupied[w];
-            if w == start_word {
-                bits &= !(!0u64 << (start % 64));
-            }
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-}
-
-impl<T: Copy> Default for TimingWheel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn fifo_within_a_cycle() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(5, 1, 10);
+    fn pops_in_time_then_seq_order() {
+        let mut q: HeapQueue<u32> = HeapQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(100, 1, 1);
         q.push(5, 2, 20);
         q.push(5, 3, 30);
-        assert_eq!(q.pop(), Some((5, 1, 10)));
+        q.push(7, 4, 4);
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(5));
         assert_eq!(q.pop(), Some((5, 2, 20)));
         assert_eq!(q.pop(), Some((5, 3, 30)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn time_order_across_slots() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(100, 1, 1);
-        q.push(7, 2, 2);
-        q.push(5000, 3, 3);
-        assert_eq!(q.pop(), Some((7, 2, 2)));
+        assert_eq!(q.pop(), Some((7, 4, 4)));
         assert_eq!(q.pop(), Some((100, 1, 1)));
-        assert_eq!(q.pop(), Some((5000, 3, 3)));
-    }
-
-    #[test]
-    fn far_future_overflow_roundtrip() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(1_000_000, 1, 1); // overflow
-        q.push(10, 2, 2);
-        assert_eq!(q.pop(), Some((10, 2, 2)));
-        // Push into the (still old) window, beyond it, and pop across the
-        // jump.
-        q.push(200_000, 3, 3); // also overflow
-        assert_eq!(q.pop(), Some((200_000, 3, 3)));
-        assert_eq!(q.pop(), Some((1_000_000, 1, 1)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn overflow_drained_before_window_events() {
-        // An event pushed to the overflow must not be overtaken by a
-        // later direct push at a smaller time after the window advances.
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(WHEEL_SLOTS as u64 + 100, 1, 1); // overflow at push time
-        q.push(0, 2, 2);
-        assert_eq!(q.pop(), Some((0, 2, 2)));
-        // Window now covers the overflow event's time; push a later-seq
-        // event at a *later* time that is in-window.
-        q.push(WHEEL_SLOTS as u64 + 200, 3, 3);
-        assert_eq!(q.pop(), Some((WHEEL_SLOTS as u64 + 100, 1, 1)));
-        assert_eq!(q.pop(), Some((WHEEL_SLOTS as u64 + 200, 3, 3)));
-    }
-
-    #[test]
-    fn same_time_overflow_and_direct_push_order_by_seq() {
-        let t = WHEEL_SLOTS as u64 + 50;
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(t, 1, 1); // overflow (window starts at 0)
-        q.push(100, 2, 2);
-        assert_eq!(q.pop(), Some((100, 2, 2)));
-        // Window now includes t; direct push with a higher seq at the
-        // same time must pop *after* the drained overflow event.
-        q.push(t, 3, 3);
-        assert_eq!(q.pop(), Some((t, 1, 1)));
-        assert_eq!(q.pop(), Some((t, 3, 3)));
-    }
-
-    #[test]
-    fn overflow_not_overtaken_by_later_slotted_event() {
-        // cursor 0: events at 10 (slot), 16000 (slot), 17000 (overflow).
-        // After popping 16000 the window covers both 17000 and a newly
-        // pushed 18000; the drained overflow event must come first.
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(10, 1, 1);
-        q.push(16_000, 2, 2);
-        q.push(17_000, 3, 3); // beyond [0, 16384): overflow
-        assert_eq!(q.pop(), Some((10, 1, 1)));
-        assert_eq!(q.pop(), Some((16_000, 2, 2)));
-        q.push(18_000, 4, 4); // in-window now
-        assert_eq!(q.pop(), Some((17_000, 3, 3)));
-        assert_eq!(q.pop(), Some((18_000, 4, 4)));
-    }
-
-    #[test]
-    fn peek_time_is_stable_and_matches_pop() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(50, 1, 1);
-        q.push(40_000, 2, 2);
-        assert_eq!(q.peek_time(), Some(50));
-        // A smaller push lowers the cached minimum.
-        q.push(20, 3, 3);
-        assert_eq!(q.peek_time(), Some(20));
-        assert_eq!(q.pop(), Some((20, 3, 3)));
-        assert_eq!(q.peek_time(), Some(50));
-        assert_eq!(q.pop(), Some((50, 1, 1)));
-        // Window-empty case: the overflow head is the minimum.
-        assert_eq!(q.peek_time(), Some(40_000));
-        assert_eq!(q.pop(), Some((40_000, 2, 2)));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn push_at_current_time_is_poppable() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        q.push(10, 1, 1);
-        assert_eq!(q.pop(), Some((10, 1, 1)));
-        q.push(10, 2, 2); // same cycle as the cursor
-        assert_eq!(q.pop(), Some((10, 2, 2)));
-    }
-
-    #[test]
-    fn len_tracks_both_regions() {
-        let mut q: TimingWheel<u32> = TimingWheel::new();
-        assert!(q.is_empty());
-        q.push(1, 1, 1);
-        q.push(100_000_000, 2, 2);
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
-    /// Randomized equivalence against the reference heap under an
-    /// engine-shaped (monotonic `now`, bursty deltas) workload.
     #[test]
-    fn wheel_equals_heap_on_random_streams() {
-        let mut state = 0x8badf00d_u64;
+    fn push_pop_on_empty_queue_returns_the_event() {
+        let mut q: HeapQueue<u32> = HeapQueue::new();
+        assert_eq!(q.push_pop(9, 1, 7), (9, 1, 7));
+        assert!(q.is_empty());
+    }
+
+    /// `push_pop` ≡ `push; pop` on engine-shaped random schedules
+    /// (monotonic `now`, bursty deltas, many equal-time ties).
+    #[test]
+    fn push_pop_equals_push_then_pop() {
+        let mut state = 0x8bad_f00d_u64;
         let mut rnd = move || {
             state ^= state << 13;
             state ^= state >> 7;
@@ -537,46 +142,44 @@ mod tests {
             state
         };
         for round in 0..20 {
-            let mut wheel: TimingWheel<u64> = TimingWheel::new();
-            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut fused: HeapQueue<u64> = HeapQueue::new();
+            let mut plain: HeapQueue<u64> = HeapQueue::new();
             let mut seq = 0u64;
             let mut now = 0u64;
             for step in 0..5_000 {
-                let pushes = rnd() % 3;
-                for _ in 0..pushes {
-                    seq += 1;
-                    // Engine-shaped deltas: mostly short, sometimes a
-                    // quantum-or-backoff scale jump.
-                    let delta = match rnd() % 10 {
-                        0 => rnd() % 200_000,   // quantum / far future
-                        1..=3 => rnd() % 8_000, // sync latencies
-                        _ => rnd() % 400,       // compute / memory
-                    };
-                    wheel.push(now + delta, seq, seq);
-                    heap.push(now + delta, seq, seq);
-                }
-                if rnd() % 4 == 0 {
-                    assert_eq!(
-                        wheel.peek_time(),
-                        heap.peek_time(),
-                        "round {round} step {step} peek"
-                    );
-                }
-                if rnd() % 3 != 0 {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "round {round} step {step}");
-                    if let Some((t, _, _)) = a {
-                        now = t;
+                seq += 1;
+                // Deltas from a handful of values, so ties are common;
+                // sometimes a quantum-scale jump.
+                let delta = match rnd() % 10 {
+                    0 => rnd() % 200_000,
+                    1..=3 => (rnd() % 4) * 50,
+                    _ => rnd() % 3,
+                };
+                match rnd() % 4 {
+                    0 => {
+                        fused.push(now + delta, seq, seq);
+                        plain.push(now + delta, seq, seq);
+                    }
+                    1 => {
+                        let a = fused.pop();
+                        assert_eq!(a, plain.pop(), "round {round} step {step}");
+                        if let Some((t, _, _)) = a {
+                            now = t;
+                        }
+                    }
+                    _ => {
+                        let a = fused.push_pop(now + delta, seq, seq);
+                        plain.push(now + delta, seq, seq);
+                        assert_eq!(Some(a), plain.pop(), "round {round} step {step}");
+                        now = a.0;
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(fused.len(), plain.len());
+                assert_eq!(fused.peek_time(), plain.peek_time());
             }
-            // Drain fully.
             loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b);
+                let a = fused.pop();
+                assert_eq!(a, plain.pop());
                 if a.is_none() {
                     break;
                 }

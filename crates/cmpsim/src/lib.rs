@@ -21,8 +21,10 @@
 //!
 //! Workloads are streams of abstract operations ([`Op`]) — compute, loads,
 //! stores, lock acquire/release and barriers — one stream per thread.
-//! Executions are **deterministic**: the same configuration and streams
-//! produce bit-identical results.
+//! Executions are **deterministic**: events leave one binary heap in
+//! `(time, seq)` order ([`event_queue`]), `seq` being taken when an event
+//! is scheduled, so the same configuration and streams produce
+//! bit-identical results.
 //!
 //! ## Example: measuring a speedup stack
 //!
@@ -50,9 +52,7 @@ pub mod ops;
 pub mod regions;
 pub mod spin;
 
-pub use config::{
-    CoreModelConfig, EventQueueKind, MachineConfig, SchedConfig, SpinDetectorKind, SyncConfig,
-};
+pub use config::{CoreModelConfig, MachineConfig, SchedConfig, SpinDetectorKind, SyncConfig};
 pub use engine::{simulate, RegionSnapshot, SimError, SimResult, Simulation, ThreadTruth};
 pub use ops::{BarrierId, LockId, Op, OpStream, VecStream};
 pub use regions::{region_counters, region_stacks, Region};

@@ -56,10 +56,6 @@ pub struct RunOptions {
     pub detector: cmpsim::SpinDetectorKind,
     /// Accounting post-processing options.
     pub accounting: AccountingConfig,
-    /// Engine event-queue implementation (results are bit-identical
-    /// across queues; the binary heap exists for baseline benchmarks and
-    /// equivalence tests).
-    pub queue: cmpsim::EventQueueKind,
     /// Cooperative per-run deadline in simulated cycles: the engine
     /// aborts the run with a typed error once simulated time passes this
     /// budget. Deterministic (simulated time, not wall-clock). `None`
@@ -77,7 +73,6 @@ impl RunOptions {
             threads: n,
             detector: cmpsim::SpinDetectorKind::default(),
             accounting: AccountingConfig::default(),
-            queue: cmpsim::EventQueueKind::default(),
             deadline_cycles: None,
         }
     }
@@ -90,7 +85,6 @@ impl RunOptions {
             n_cores: cores,
             mem: self.mem,
             spin_detector: self.detector,
-            event_queue: self.queue,
             ..MachineConfig::default()
         }
     }

@@ -13,8 +13,8 @@
 //!   independent single-threaded programs contending only through the
 //!   shared LLC and DRAM — the pure-interference end of the spectrum;
 //! - a **many-core memory system**: a 4 MiB, 32-way LLC, exercising the
-//!   wide (byte-ranked) LRU encoding, with the coherence directory in
-//!   its spilled multi-word sharer representation above 64 cores.
+//!   wide (byte-ranked) LRU encoding, with two words of sharer mask
+//!   per LLC line above 64 cores.
 //!
 //! Weak-scaling points report the *scaled speedup* `n · Ts / Tp` (the MT
 //! run does `n` times the ST reference work); the rate mix reports the

@@ -183,6 +183,11 @@ impl LruOrder {
         if (self.0 & 0xF) as usize == way {
             return self;
         }
+        // Promoting the least recent way (every refill of a full set) is
+        // a rotate: the shift drops its nibble off the top.
+        if self.lru(ways) == way {
+            return LruOrder(((self.0 << 4) | way as u64) & mask_nibbles(ways));
+        }
         let r = self.rank_of(way, ways);
         let below = self.0 & ((1u64 << (4 * r)) - 1);
         // Two-step shift: `4 * (r + 1)` is 64 when promoting rank 15.
@@ -372,17 +377,20 @@ impl<M: Copy + Default> Cache<M> {
     }
 
     /// Bitmask of ways whose tag equals `tag` (valid or not). The scan is
-    /// branchless over the contiguous per-set tag slice, so it
-    /// vectorizes; combined with the per-set status masks every lookup
-    /// below is O(1) bit arithmetic on top of this.
+    /// branchless over the contiguous per-set tag slice; the common
+    /// associativities get a loop of compile-time width, which the
+    /// compiler unrolls and vectorizes outright. Combined with the
+    /// per-set status masks every lookup below is O(1) bit arithmetic on
+    /// top of this.
     #[inline]
     fn tag_matches(&self, base: usize, tag: u32) -> u64 {
         let tags = &self.tags[base..base + self.cfg.ways];
-        let mut eq = 0u64;
-        for (w, &t) in tags.iter().enumerate() {
-            eq |= u64::from(t == tag) << w;
+        match self.cfg.ways {
+            8 => scan_fixed::<8>(tags, tag),
+            16 => scan_fixed::<16>(tags, tag),
+            32 => scan_fixed::<32>(tags, tag),
+            _ => scan(tags, tag),
         }
-        eq
     }
 
     /// Index of the valid way holding `line`, if any.
@@ -529,6 +537,23 @@ impl<M: Copy + Default> Cache<M> {
     pub fn occupancy(&self) -> usize {
         self.valid.iter().map(|v| v.count_ones() as usize).sum()
     }
+}
+
+/// Bitmask of the positions in `tags` equal to `tag`.
+#[inline]
+fn scan(tags: &[u32], tag: u32) -> u64 {
+    let mut eq = 0u64;
+    for (w, &t) in tags.iter().enumerate() {
+        eq |= u64::from(t == tag) << w;
+    }
+    eq
+}
+
+/// [`scan`] over exactly `N` tags.
+#[inline]
+fn scan_fixed<const N: usize>(tags: &[u32], tag: u32) -> u64 {
+    let tags: &[u32; N] = tags.try_into().expect("one set of N ways");
+    scan(tags, tag)
 }
 
 /// Bitmask selecting the low `ways` bits.

@@ -99,8 +99,7 @@ mod tests {
             f.finish()
         };
         assert_eq!(h(42), h(42));
-        // Sequential keys must not collide in the high bits (used by the
-        // open-addressing directory).
+        // Sequential keys must not collide in the high bits.
         let mut tops: Vec<u64> = (0..64).map(|i| h(i) >> 58).collect();
         tops.sort_unstable();
         tops.dedup();

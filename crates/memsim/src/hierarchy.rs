@@ -1,9 +1,15 @@
 //! The full memory hierarchy: private L1s → shared inclusive LLC → DRAM,
 //! with coherence, ATD classification and interference attribution.
+//!
+//! Coherence (§3.2, §4.5) is MESI-style invalidation: a store invalidates
+//! every remote L1 copy, and a re-reference of an invalidated line is a
+//! *coherency miss*. The set of L1s holding a line is a bitmask stored
+//! with the line's LLC slot — the LLC is inclusive and every L1 line
+//! remembers its LLC way, so the mask is reached by `(set, way)` with no
+//! lookup structure of its own.
 
 use crate::atd::Atd;
 use crate::cache::{Cache, CacheConfig};
-use crate::coherence::Directory;
 use crate::dram::{Dram, DramConfig};
 use crate::llc::SharedLlc;
 use crate::{CoreId, LineAddr};
@@ -122,18 +128,25 @@ pub struct MemoryHierarchy {
     cfg: MemConfig,
     /// Private L1s. Each line's metadata is the LLC way holding the line
     /// (stable under inclusion until back-invalidation), so dirty
-    /// writebacks set the LLC dirty bit without a probe.
+    /// writebacks and sharer-mask updates address the LLC slot without a
+    /// probe.
     l1s: Vec<Cache<u8>>,
     llc: SharedLlc,
     atds: Vec<Atd>,
-    dir: Directory,
+    /// Which L1s hold each LLC line: `mask_words` words per LLC slot,
+    /// addressed by `(set, way)`; bit `c % 64` of word `c / 64` is core
+    /// `c`. The LLC is inclusive, so every L1 line has an LLC slot and
+    /// the mask lives and dies with it. Empty on a single-core machine.
+    sharers: Vec<u64>,
+    /// `ceil(n_cores / 64)`.
+    mask_words: usize,
     dram: Dram,
 }
 
 impl MemoryHierarchy {
     /// Creates the hierarchy for `n_cores` cores. Any non-zero core count
-    /// is supported: the coherence directory switches to multi-word
-    /// sharer masks above 64 cores ([`Directory`]).
+    /// is supported: each LLC line carries `ceil(n_cores / 64)` words of
+    /// sharer mask.
     ///
     /// # Panics
     ///
@@ -142,6 +155,9 @@ impl MemoryHierarchy {
     #[must_use]
     pub fn new(cfg: &MemConfig, n_cores: usize) -> Self {
         assert!(n_cores > 0, "at least one core required");
+        let mask_words = n_cores.div_ceil(64);
+        // A single core has no remote sharers to track.
+        let tracked_slots = if n_cores == 1 { 0 } else { cfg.llc.lines() };
         MemoryHierarchy {
             cfg: *cfg,
             l1s: (0..n_cores).map(|_| Cache::new(cfg.l1)).collect(),
@@ -149,7 +165,8 @@ impl MemoryHierarchy {
             atds: (0..n_cores)
                 .map(|_| Atd::new(cfg.llc, cfg.atd_sample_period))
                 .collect(),
-            dir: Directory::new(n_cores),
+            sharers: vec![0; tracked_slots * mask_words],
+            mask_words,
             dram: Dram::new(cfg.dram, n_cores),
         }
     }
@@ -166,6 +183,57 @@ impl MemoryHierarchy {
         self.l1s.len()
     }
 
+    /// Index of the first sharer-mask word of the LLC slot holding `line`
+    /// in `llc_way`.
+    #[inline]
+    fn mask_base(&self, line: LineAddr, llc_way: u8) -> usize {
+        (self.cfg.llc.set_of(line) * self.cfg.llc.ways() + usize::from(llc_way)) * self.mask_words
+    }
+
+    /// A store by `core`: invalidates every other L1 copy of `line`,
+    /// leaving only `core`'s own bit in the mask at `base`. Returns the
+    /// number of copies invalidated.
+    fn invalidate_others(&mut self, core: CoreId, line: LineAddr, base: usize) -> u32 {
+        let mut sent = 0;
+        for w in 0..self.mask_words {
+            let own = if w == core / 64 {
+                1u64 << (core % 64)
+            } else {
+                0
+            };
+            let others = self.sharers[base + w] & !own;
+            self.sharers[base + w] &= own;
+            for target in cores_in(w, others) {
+                if let Some((dirty, way)) = self.l1s[target].invalidate_coherence(line) {
+                    sent += 1;
+                    if dirty {
+                        self.llc.writeback_at(line, way);
+                    }
+                }
+            }
+        }
+        sent
+    }
+
+    /// Inclusion: removes `victim` from every L1 named by the mask at
+    /// `base` (the slot the LLC just evicted it from) and zeroes the
+    /// mask.
+    fn back_invalidate(&mut self, victim: LineAddr, base: usize) {
+        #[cfg(debug_assertions)]
+        for (c, l1) in self.l1s.iter().enumerate() {
+            debug_assert_eq!(
+                self.sharers[base + c / 64] >> (c % 64) & 1 == 1,
+                l1.contains(victim),
+                "sharer mask out of sync: core {c}, line {victim}"
+            );
+        }
+        for w in 0..self.mask_words {
+            for c in cores_in(w, std::mem::take(&mut self.sharers[base + w])) {
+                self.l1s[c].remove(victim);
+            }
+        }
+    }
+
     /// Performs one load (`write == false`) or store (`write == true`) by
     /// `core` to `line` at cycle `now`.
     ///
@@ -174,72 +242,59 @@ impl MemoryHierarchy {
     /// Panics if `core` is out of range.
     pub fn access(&mut self, core: CoreId, line: LineAddr, write: bool, now: u64) -> AccessEvent {
         assert!(core < self.l1s.len(), "core {core} out of range");
-        // A single-core hierarchy has no remote sharers: every directory
-        // probe would be a no-op, so skip the bookkeeping wholesale (the
-        // single-threaded reference runs of every figure take this path).
+        // A single-core hierarchy has no remote sharers: skip the mask
+        // bookkeeping wholesale (the single-threaded reference runs of
+        // every figure take this path).
         let single_core = self.l1s.len() == 1;
+        let own_word = core / 64;
+        let own_bit = 1u64 << (core % 64);
 
-        // 1. Coherence: a store invalidates all remote L1 copies. The
-        // directory names exactly the sharing cores, so this walks only
-        // genuine sharers (no allocation: the sharer set is a bitmask).
-        let mut invalidations_sent = 0;
-        if write && !single_core {
-            for target in self.dir.sharers_other_than(core, line).iter() {
-                if let Some((dirty, llc_way)) = self.l1s[target].invalidate_coherence(line) {
-                    invalidations_sent += 1;
-                    if dirty {
-                        self.llc.writeback_at(line, llc_way);
-                    }
-                }
-                self.dir.remove_sharer(target, line);
-            }
-        }
-
-        // 2. Private L1.
+        // 1. Private L1. A store that hits still has to invalidate the
+        // remote copies; the line's L1 metadata names its LLC slot.
         let l1_out = self.l1s[core].access(line, write, 0);
         if l1_out.hit {
             let mut ev = AccessEvent::l1_hit();
-            ev.invalidations_sent = invalidations_sent;
+            if write && !single_core {
+                let llc_way = l1_out.hit_meta.expect("an L1 hit carries the LLC way");
+                let slot = self.mask_base(line, llc_way);
+                ev.invalidations_sent = self.invalidate_others(core, line, slot);
+            }
             return ev;
         }
         if let Some((evicted, dirty, llc_way)) = l1_out.evicted {
             if !single_core {
-                self.dir.remove_sharer(core, evicted);
+                let base = self.mask_base(evicted, llc_way);
+                self.sharers[base + own_word] &= !own_bit;
             }
             if dirty {
                 self.llc.writeback_at(evicted, llc_way);
             }
         }
-        if !single_core {
-            self.dir.add_sharer(core, line);
-        }
 
-        // 3. ATD probe (every LLC access, sampled sets only).
+        // 2. ATD probe (every LLC access, sampled sets only).
         let atd_out = self.atds[core].access(line, write);
 
-        // 4. Shared LLC.
+        // 3. Shared LLC.
         let llc_out = self.llc.access(core, line, write);
         // Remember the line's LLC way in the just-filled L1 way (a direct
         // store — both ways are known from the two access outcomes).
         self.l1s[core].set_meta_at(line, l1_out.way, llc_out.way);
+        let slot = self.mask_base(line, llc_out.way);
+
+        // 4. Coherence. Remote invalidation runs after the local L1/LLC
+        // steps: it touches other cores' L1s and the dirty bit of `line`
+        // only (which this store sets anyway), while the steps above
+        // touched this core's L1, a different victim line and the LRU —
+        // so the order is unobservable. An LLC miss means no L1 held the
+        // line (inclusion), so eviction and invalidation exclude each
+        // other.
+        let mut invalidations_sent = 0;
         if let Some((evicted, dirty)) = llc_out.evicted {
-            // Inclusion: back-invalidate every L1 copy. The directory is
-            // kept in sync with the L1 contents, so only actual holders
-            // are walked (checked against all L1s under debug asserts).
             if single_core {
                 self.l1s[0].remove(evicted);
             } else {
-                let holders = self.dir.take_line(evicted);
-                for c in holders.iter() {
-                    self.l1s[c].remove(evicted);
-                }
-                #[cfg(debug_assertions)]
-                for (c, l1) in self.l1s.iter().enumerate() {
-                    debug_assert!(
-                        holders.contains(c) || !l1.contains(evicted),
-                        "directory out of sync: core {c} holds line {evicted} untracked"
-                    );
-                }
+                // The new line took the victim's slot, mask included.
+                self.back_invalidate(evicted, slot);
             }
             if dirty {
                 // Writeback occupies a bank and the bus; nobody stalls on it.
@@ -247,6 +302,18 @@ impl MemoryHierarchy {
                     .dram
                     .access(core, evicted, now + self.cfg.llc_hit_latency);
             }
+        } else if write && llc_out.hit && !single_core {
+            invalidations_sent = self.invalidate_others(core, line, slot);
+        }
+        if !single_core {
+            debug_assert!(
+                llc_out.hit
+                    || self.sharers[slot..slot + self.mask_words]
+                        .iter()
+                        .all(|&w| w == 0),
+                "fresh LLC slot with a stale sharer mask"
+            );
+            self.sharers[slot + own_word] |= own_bit;
         }
 
         let (interthread_miss_sampled, interthread_hit_sampled) = match atd_out {
@@ -286,6 +353,17 @@ impl MemoryHierarchy {
             invalidations_sent,
         }
     }
+}
+
+/// The cores named by the set bits of mask word `w`, ascending.
+fn cores_in(w: usize, mut bits: u64) -> impl Iterator<Item = CoreId> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let core = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            core
+        })
+    })
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! paper's accounting architecture observes:
 //!
 //! - per-core private L1 data caches with MESI-style invalidation
-//!   ([`cache`], [`coherence`]),
-//! - a shared, inclusive last-level cache ([`llc`]),
+//!   ([`cache`], [`hierarchy`]),
+//! - a shared, inclusive last-level cache ([`llc`]) whose slots carry the
+//!   sharer mask of each line,
 //! - per-core **auxiliary tag directories** with set sampling, which
 //!   classify inter-thread misses (negative interference) and inter-thread
 //!   hits (positive interference) ([`atd`]),
@@ -30,12 +31,11 @@
 //! structure-of-arrays tables with compact 32-bit tags, per-set status
 //! bitmasks and per-set LRU orderings — nibble-packed up to 16 ways,
 //! byte-ranked up to 64 ways, selected per config ([`cache`]); the
-//! coherence directory is a contiguous open-addressing table returning
-//! sharer bitmasks instead of allocating vectors, one word per slot up
-//! to 64 cores and spilling to multi-word masks above ([`coherence`]);
-//! the maps that must stay sparse hash with the multiply-rotate [`fx`]
-//! hasher instead of SipHash. For machines of up to 64 cores an access
-//! allocates nothing.
+//! sharers of a line are `ceil(n_cores / 64)` mask words stored with its
+//! LLC slot and addressed by `(set, way)`, so coherence needs no lookup
+//! structure ([`hierarchy`]); the maps that must stay sparse hash with
+//! the multiply-rotate [`fx`] hasher instead of SipHash. An access
+//! allocates nothing at any core count.
 //!
 //! ## Example
 //!
@@ -57,7 +57,6 @@
 
 pub mod atd;
 pub mod cache;
-pub mod coherence;
 pub mod dram;
 pub mod fx;
 pub mod hierarchy;
@@ -65,7 +64,6 @@ pub mod llc;
 
 pub use atd::Atd;
 pub use cache::{Cache, CacheConfig, CacheOutcome};
-pub use coherence::{Directory, SharerIter, SharerSet};
 pub use dram::{Dram, DramAccess, DramConfig};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hierarchy::{AccessEvent, MemConfig, MemoryHierarchy, ServedBy};

@@ -9,8 +9,8 @@ use crate::cache::{Cache, CacheConfig};
 use crate::{CoreId, LineAddr};
 
 /// Per-line LLC metadata: the inserting core (kept at 16 bits to bound
-/// the metadata array; caps the simulator at 65 536 cores, far above the
-/// directory's practical range).
+/// the metadata array; caps the simulator at 65 536 cores, far above any
+/// practical sharer-mask width).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct LlcMeta {
     inserter: u16,

@@ -1,8 +1,8 @@
 //! Boundary-configuration coverage for the many-core representations,
 //! exercised through the full hierarchy rather than unit tables:
 //!
-//! - core counts 63/64/65/128 straddle the inline→spilled switch of the
-//!   coherence directory's sharer masks (one `u64` word up to 64 cores);
+//! - core counts 63/64/65/128 straddle the step from one to two words
+//!   of sharer mask per LLC line (one `u64` word covers 64 cores);
 //! - associativities 15/16/17/32 straddle the packed→wide switch of the
 //!   per-set LRU encoding (nibble-packed up to 16 ways).
 //!
@@ -13,7 +13,7 @@
 
 use memsim::{CacheConfig, MemConfig, MemoryHierarchy, ServedBy};
 
-/// The boundary core counts around the 64-core inline-mask limit.
+/// The boundary core counts around the 64-core one-word mask limit.
 const CORE_BOUNDARIES: [usize; 4] = [63, 64, 65, 128];
 
 /// The boundary associativities around the 16-way packed-LRU limit.
@@ -56,7 +56,7 @@ fn store_invalidates_all_remote_sharers_at_core_boundaries() {
 fn inclusion_back_invalidation_reaches_high_cores() {
     // LLC with one tiny set per boundary count: force an eviction of a
     // line shared by the highest-numbered cores and verify their L1
-    // copies die with it (directory take_line walks spilled masks).
+    // copies die with it (back-invalidation walks both mask words).
     for n in CORE_BOUNDARIES {
         let cfg = MemConfig {
             l1: CacheConfig::new(4, 2),
@@ -172,7 +172,7 @@ fn deterministic_replay_across_boundary_grid() {
 fn full_default_hierarchy_at_128_cores() {
     // The paper-default memory system, 128 cores: a mixed read/write
     // stream touching shared and private lines runs without violating
-    // any debug invariant (directory sync asserts run in debug builds).
+    // any debug invariant (sharer-mask sync asserts run in debug builds).
     let mut m = MemoryHierarchy::new(&MemConfig::default(), 128);
     for i in 0..20_000u64 {
         let core = (i % 128) as usize;

@@ -90,7 +90,10 @@ impl ProfileStream {
                 AccessPattern::Random => self.slice_start + self.rng.gen_range(0..self.slice_len),
                 AccessPattern::Streaming => {
                     let line = self.slice_start + self.cursor;
-                    self.cursor = (self.cursor + 1) % self.slice_len;
+                    self.cursor += 1;
+                    if self.cursor == self.slice_len {
+                        self.cursor = 0;
+                    }
                     line
                 }
             }

@@ -90,7 +90,9 @@ fn bounded_u64(rng: &mut SmallRng, bound: u64) -> u64 {
         let x = rng.next_u64();
         let m = u128::from(x) * u128::from(bound);
         let low = m as u64;
-        if low >= bound.wrapping_neg() % bound {
+        // The rejection threshold `2^64 mod bound` is below `bound`, so
+        // `low >= bound` accepts without paying for the division.
+        if low >= bound || low >= bound.wrapping_neg() % bound {
             return (m >> 64) as u64;
         }
     }
@@ -157,6 +159,32 @@ mod tests {
             seen[r.gen_range(0usize..8)] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    /// The short-circuit in `bounded_u64` must not change a single draw:
+    /// compare against the plain Lemire formula.
+    #[test]
+    fn bounded_draws_equal_the_plain_lemire_formula() {
+        fn plain(rng: &mut SmallRng, bound: u64) -> u64 {
+            loop {
+                let m = u128::from(rng.next_u64()) * u128::from(bound);
+                if (m as u64) >= bound.wrapping_neg() % bound {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        for bound in [1, 3, (1u64 << 32) + 1, u64::MAX] {
+            let mut a = SmallRng::seed_from_u64(bound);
+            let mut b = a.clone();
+            for i in 0..10_000 {
+                assert_eq!(
+                    bounded_u64(&mut a, bound),
+                    plain(&mut b, bound),
+                    "bound {bound}, draw {i}"
+                );
+            }
+            assert_eq!(a, b, "bound {bound}: same number of raw draws consumed");
+        }
     }
 
     #[test]

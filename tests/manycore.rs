@@ -1,7 +1,7 @@
 //! End-to-end many-core coverage: a 128-core machine with a 32-way LLC
 //! runs a weak-scaling workload through the whole pipeline — engine,
-//! spilled coherence directory, wide-LRU LLC, accounting — and produces
-//! a rendered speedup stack.
+//! two-word sharer masks, wide-LRU LLC, accounting — and produces a
+//! rendered speedup stack.
 
 use cmpsim::{simulate, MachineConfig};
 use experiments::scaling::manycore_mem;
@@ -73,7 +73,7 @@ fn manycore_run_is_deterministic() {
 
 #[test]
 fn rate_mix_at_65_cores_crosses_the_spill_boundary() {
-    // 65 members: the first mix size whose directory uses spilled masks.
+    // 65 members: the first mix size that needs a second sharer-mask word.
     let mut quick: Vec<WorkloadProfile> = workloads::default_rate_mix();
     for p in &mut quick {
         p.total_items = (p.total_items / 100).max(u64::from(p.phases) * 4);
