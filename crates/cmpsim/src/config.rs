@@ -11,7 +11,6 @@ use speedup_stacks::error::ConfigError;
 /// interference when the miss blocks the ROB head" rule (§4.1): short LLC
 /// hits are fully hidden, DRAM accesses are mostly exposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreModelConfig {
     /// Cycles of memory latency the out-of-order window can hide per load.
     /// Set to 0 for an in-order-style core (then coherency misses become
@@ -27,7 +26,6 @@ impl Default for CoreModelConfig {
 
 /// Synchronization substrate parameters (spin-then-yield policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SyncConfig {
     /// Cycles a waiter spins before the OS schedules it out (adaptive
     /// mutex / futex behaviour).
@@ -59,7 +57,6 @@ impl Default for SyncConfig {
 
 /// OS scheduler parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedConfig {
     /// Context-switch cost in cycles (charged to the incoming thread's
     /// scheduled-out time).
@@ -79,7 +76,6 @@ impl Default for SchedConfig {
 
 /// Which spin-detection mechanism feeds the accounting (§4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum SpinDetectorKind {
     /// Tian et al.: a load table marks loads that reload identical data
@@ -108,7 +104,6 @@ impl Default for SpinDetectorKind {
 
 /// Full machine configuration for a simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MachineConfig {
     /// Number of hardware cores. Any non-zero count is supported: the
     /// memory hierarchy keeps `ceil(n_cores / 64)` sharer-mask words per

@@ -61,6 +61,17 @@ fn loads_stall_and_are_counted() {
     assert_eq!(r.counters[0].llc_load_misses, 1);
     assert!(r.counters[0].llc_load_miss_stall_cycles > 0.0);
     assert!(r.tp_cycles > 50, "DRAM latency must be visible");
+    // An in-order core (no overlap window) exposes the whole latency of
+    // both loads: at most one default window more per load.
+    let mut in_order = small_machine(1);
+    let window = std::mem::take(&mut in_order.core.overlap_window);
+    let exposed = simulate(
+        in_order,
+        vec![boxed(vec![Op::Load(100), Op::Load(100), Op::Compute(10)])],
+    )
+    .unwrap();
+    assert!(exposed.tp_cycles > r.tp_cycles);
+    assert!(exposed.tp_cycles <= r.tp_cycles + 2 * window);
 }
 
 #[test]

@@ -26,7 +26,6 @@ use crate::error::StackError;
 /// assert!(cfg.charge_coherency);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccountingConfig {
     /// Charge coherency-miss cycles as a [`Component::CacheCoherency`]
     /// overhead. The paper's default is `false`: a balanced out-of-order
@@ -53,7 +52,6 @@ impl Default for AccountingConfig {
 /// measured per-thread time minus all overhead components plus positive
 /// interference.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThreadBreakdown {
     /// Overhead components, in cycles.
     pub overheads: Breakdown,

@@ -11,7 +11,6 @@ use std::fmt::Write as _;
 
 /// Scaling class of a benchmark at a given thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ScalingClass {
     /// Speedup of at least the "good" threshold (10× for 16 threads).
     Good,
@@ -33,7 +32,6 @@ impl std::fmt::Display for ScalingClass {
 
 /// Thresholds and cutoffs for classification.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassificationConfig {
     /// Speedup at or above which scaling is "good" (paper: 10× at 16
     /// threads).
@@ -74,7 +72,6 @@ impl ClassificationConfig {
 
 /// One benchmark's classification entry (a leaf row of Figure 6).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassifiedBenchmark {
     /// Benchmark name (with input size suffix where applicable).
     pub name: String,
@@ -129,7 +126,6 @@ impl ClassifiedBenchmark {
 /// The full classification tree (Figure 6): benchmarks grouped by scaling
 /// class and ordered by their top components.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassificationTree {
     entries: Vec<ClassifiedBenchmark>,
 }

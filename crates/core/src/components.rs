@@ -26,7 +26,6 @@ use core::ops::{Add, AddAssign, Index, IndexMut};
 /// assert_eq!(Component::ALL.len(), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Component {
     /// Negative interference in the shared LLC: additional misses caused by
@@ -156,7 +155,6 @@ impl fmt::Display for Component {
 /// assert_eq!(b.largest(), Some((Component::Spinning, 120.0)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Breakdown {
     values: [f64; Component::COUNT],
 }

@@ -26,7 +26,6 @@
 /// assert_eq!(c.spin_cycles, 1_500.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThreadCounters {
     /// Cycle at which this thread finished its share of the parallel
     /// section. The slowest thread defines `Tp`; the gap to `Tp` for the

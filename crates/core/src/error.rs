@@ -130,7 +130,8 @@ pub enum JournalError {
         /// The underlying error message.
         message: String,
     },
-    /// The journal has no header line.
+    /// The journal has no complete header line: the file is empty, or
+    /// its writer died inside the header write.
     MissingHeader,
     /// The header line is present but malformed or fails its checksum.
     BadHeader {

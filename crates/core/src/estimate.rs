@@ -49,7 +49,6 @@ pub fn speedup_error(estimated: f64, actual: f64, n: usize) -> f64 {
 
 /// One benchmark's validation data point (a bar pair in Figure 4).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ValidationPoint {
     /// Benchmark name (with input size suffix where applicable).
     pub name: String,

@@ -20,7 +20,6 @@
 /// assert_eq!(m.total_bytes(16), 18704);       // ≈ 18 KB
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HardwareCostModel {
     /// Number of LLC sets monitored by each core's ATD.
     pub atd_sampled_sets: u32,

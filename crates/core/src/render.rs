@@ -17,7 +17,6 @@ use std::fmt::Write as _;
 
 /// Options controlling stack rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RenderOptions {
     /// Total bar width in characters (the full width represents `N`).
     pub width: usize,

@@ -1,9 +1,9 @@
 //! JSON emission and validation for [`Report`].
 //!
-//! The build is fully self-contained (no serde offline — the `serde`
-//! feature remains a cfg-gated second path), so this module hand-writes
-//! the JSON and ships a small recursive-descent parser used by the tests
-//! and the `jsoncheck` smoke binary to validate emitted documents.
+//! The build is fully self-contained (no `serde` offline), so this
+//! module hand-writes the JSON and ships a small recursive-descent
+//! parser used by the tests and the `jsoncheck` smoke binary to validate
+//! emitted documents.
 //!
 //! Non-finite numbers (`NaN`, `±inf`) have no JSON representation and
 //! are emitted as `null`; [`Value::Missing`]

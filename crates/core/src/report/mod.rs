@@ -52,7 +52,6 @@ use crate::stack::SpeedupStack;
 
 /// The unit of a scalar metric or table column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Unit {
     /// Speedup units (fractions of the ideal speedup `N`).
     Speedup,
@@ -89,7 +88,6 @@ impl Unit {
 
 /// One typed cell value.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// A floating-point number.
     F64(f64),
@@ -152,7 +150,6 @@ impl From<String> for Value {
 
 /// Horizontal alignment of a text-rendered cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Align {
     /// Left-aligned (labels).
     Left,
@@ -170,7 +167,6 @@ pub enum Align {
 /// pre-padded `header` chunks. The JSON and CSV emitters use only
 /// `name`, `unit` and the typed cell values.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Column {
     /// Machine name (JSON object key / CSV header).
     pub name: String,
@@ -305,7 +301,6 @@ impl Column {
 
 /// A table of typed cells.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Table {
     /// Machine name of the table.
     pub name: String,
@@ -370,7 +365,6 @@ impl Table {
 
 /// A named scalar metric with a unit and its exact text rendering.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Scalar {
     /// Machine name.
     pub name: String,
@@ -402,7 +396,6 @@ impl Scalar {
 
 /// One point that ultimately failed in a degraded run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DegradedPoint {
     /// Human-readable point label (e.g. `"cholesky 16t"`).
     pub label: String,
@@ -418,7 +411,6 @@ pub struct DegradedPoint {
 /// reasons. Rendered by all three emitters so degradation is never
 /// silent.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Degraded {
     /// Total points in the sweep grid.
     pub total_points: usize,
@@ -471,7 +463,6 @@ impl Degraded {
 /// Replayed runs deliberately attach **no** provenance block: a replay
 /// must be byte-identical to the generated original in every emitter.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Provenance {
     /// Path of the captured trace file.
     pub path: String,
@@ -492,7 +483,6 @@ impl Provenance {
 
 /// One block of a report.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Block {
     /// Free text, rendered verbatim by the text emitter (include your own
     /// trailing newline, or build with [`Block::line`]).
@@ -606,7 +596,6 @@ impl Block {
 /// assert!(r.to_csv().starts_with("study,hwcost\n"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Report {
     /// Machine name of the study (registry key, e.g. `fig4`).
     pub study: String,

@@ -37,7 +37,6 @@ use crate::error::StackError;
 /// # Ok::<(), speedup_stacks::StackError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpeedupStack {
     n: usize,
     tp_cycles: u64,

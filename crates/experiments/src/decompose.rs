@@ -1,18 +1,18 @@
-//! Per-point decomposition of the grid studies — the unit of work the
-//! study service shards across its worker pool.
+//! The grid studies as work units and their fold — shared by the local
+//! sweep, the study service's worker pool and the federation.
 //!
 //! The four grid studies (`fig1`, `fig4`, `fig5`, `fig6`) all reduce to
 //! the same sweep shape: a (benchmark × thread-count) grid of
 //! independent points, each computed as one [`crate::runner`] recipe
 //! run, folded into a figure-specific [`Report`]. [`decompose`] exposes
-//! that shape directly: the exact profile list and count list the
-//! study's own [`run_grid_ft`](crate::runner::run_grid_ft) sweep would
-//! use, per-point compute entry points that replicate the sweep's
-//! closures bit for bit, and [`GridStudy::assemble`], which folds a set
-//! of completed [`PointSummary`] values back into a report
-//! **byte-identical** to the one [`crate::study::Study::run`] produces
-//! locally — the fig modules route their own sweeps through the same
-//! fold functions, so the two paths cannot drift.
+//! that shape: the profile list and count list, the two unit bodies
+//! ([`GridStudy::compute_reference`], [`GridStudy::compute_point`] — the
+//! same functions the local sweep's closures call), the local sweep
+//! itself ([`GridStudy::sweep`]), and the fold: every path resolves its
+//! units into a [`GridFold`], which decides failure order, the `retried`
+//! count and the `Degraded` totals once, and [`GridStudy::assemble`]
+//! turns the slots into a report **byte-identical** across local,
+//! resumed, replayed, served and federated runs.
 //!
 //! Point indices are row-major in the same deterministic order the
 //! sweep uses: `index = profile_index * counts.len() + count_index`.
@@ -30,45 +30,102 @@
 //! assert!(decompose("hwcost", &params).is_none());
 //! ```
 
-use speedup_stacks::report::{Block, Degraded, Provenance, Report};
+use speedup_stacks::report::{Block, Degraded, DegradedPoint, Provenance, Report};
 use speedup_stacks::SimError;
 use workloads::{display_name, Suite, WorkloadProfile};
 
 use crate::runner::{
-    run_profile, scaled_profile, single_thread_reference, PointSummary, RunOptions,
+    point_label, point_unit, reference_unit, run_grid_ft, scaled_profile, GridReport, PointSummary,
+    RunOptions, SweepOptions,
 };
 use crate::study::StudyParams;
 
 /// The run options every grid study uses for an `n`-thread point: the
 /// default symmetric machine with the parameters' memory hierarchy.
-#[must_use]
-pub fn options(params: &StudyParams, n: usize) -> RunOptions {
+fn options(params: &StudyParams, n: usize) -> RunOptions {
     RunOptions {
         mem: params.mem(),
         ..RunOptions::symmetric(n)
     }
 }
 
-/// Finalizes a figure report the way every grid [`crate::study::Study`]
-/// does: a `Degraded` block only when something actually degraded (so
-/// clean, resumed and remotely-assembled reports stay byte-identical),
-/// the capture provenance when a trace was written, then the echoed
-/// parameters.
+/// The reason every point of a profile fails with when its single-thread
+/// reference failed with `reason`.
 #[must_use]
-pub fn finish(
-    mut report: Report,
-    params: &StudyParams,
-    degraded: Degraded,
-    provenance: Option<Provenance>,
-) -> Report {
-    if degraded.is_degraded() {
-        report.push(Block::Degraded(degraded));
+pub fn reference_failed(reason: &str) -> String {
+    format!("single-thread reference failed: {reason}")
+}
+
+/// Accumulates resolved grid units, in any completion order, into the
+/// per-index slots and the `Degraded` accounting of a report. The local
+/// sweep, the service client's stream reassembly and the federation's
+/// all fold through this, so the same outcomes give the same bytes.
+#[derive(Debug)]
+pub struct GridFold {
+    points: Vec<Option<PointSummary>>,
+    failures: Vec<(usize, DegradedPoint)>,
+    retried: usize,
+}
+
+impl GridFold {
+    /// An empty fold over a grid of `n_points` points.
+    #[must_use]
+    pub fn new(n_points: usize) -> GridFold {
+        GridFold {
+            points: (0..n_points).map(|_| None).collect(),
+            failures: Vec::new(),
+            retried: 0,
+        }
     }
-    if let Some(p) = provenance {
-        report.push(Block::Provenance(p));
+
+    /// Point `index` completed after `attempts` fault-domain attempts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is outside the grid.
+    pub fn point(&mut self, index: usize, summary: PointSummary, attempts: u32) {
+        if attempts > 1 {
+            self.retried += 1;
+        }
+        self.points[index] = Some(summary);
     }
-    params.record(&mut report);
-    report
+
+    /// Point `index` failed every attempt (or its reference did: see
+    /// [`reference_failed`]).
+    pub fn failed(&mut self, index: usize, label: String, reason: String, attempts: u32) {
+        self.failures.push((
+            index,
+            DegradedPoint {
+                label,
+                reason,
+                attempts,
+            },
+        ));
+    }
+
+    /// The per-index slots and the degradation accounting: failures in
+    /// point-index order whatever order they arrived in, `quarantined`
+    /// journal records as counted by the caller.
+    #[must_use]
+    pub fn into_parts(mut self, quarantined: usize) -> (Vec<Option<PointSummary>>, Degraded) {
+        self.failures.sort_by_key(|(index, _)| *index);
+        let degraded = Degraded {
+            total_points: self.points.len(),
+            completed: self.points.iter().flatten().count(),
+            retried: self.retried,
+            quarantined,
+            failed: self.failures.into_iter().map(|(_, p)| p).collect(),
+        };
+        (self.points, degraded)
+    }
+
+    /// Folds everything into `grid`'s report (no journal, no trace — the
+    /// served paths' ending).
+    #[must_use]
+    pub fn finish(self, grid: &GridStudy, params: &StudyParams) -> Report {
+        let (points, degraded) = self.into_parts(0);
+        grid.assemble(params, points, degraded, None)
+    }
 }
 
 /// A grid study decomposed into its independent per-point work units.
@@ -140,6 +197,11 @@ pub fn decompose(study: &str, params: &StudyParams) -> Option<GridStudy> {
     })
 }
 
+/// [`decompose`] for a study known to be a grid study.
+pub(crate) fn grid_study(study: &str, params: &StudyParams) -> GridStudy {
+    decompose(study, params).unwrap_or_else(|| panic!("{study} is a grid study"))
+}
+
 impl GridStudy {
     /// The registry key this grid belongs to.
     #[must_use]
@@ -185,14 +247,7 @@ impl GridStudy {
     #[must_use]
     pub fn label(&self, index: usize) -> String {
         let (pi, n) = self.point(index);
-        format!("{} x{}", display_name(&self.profiles[pi]), n)
-    }
-
-    /// The display name of a profile (the key single-thread references
-    /// are shared under).
-    #[must_use]
-    pub fn profile_name(&self, pi: usize) -> String {
-        display_name(&self.profiles[pi])
+        point_label(&display_name(&self.profiles[pi]), n)
     }
 
     /// Validates every profile up front, the way the sweep does:
@@ -233,21 +288,19 @@ impl GridStudy {
     }
 
     /// Computes one profile's single-thread reference `(Ts, instructions)`
-    /// with the identical options the sweep uses (including the fault
-    /// policy's cooperative deadline).
+    /// — the unit body the local sweep runs (fault policy's cooperative
+    /// deadline included).
     ///
     /// # Errors
     ///
     /// The engine error rendered as a string (the caller's fault domain
     /// treats it like a point failure).
     pub fn compute_reference(&self, params: &StudyParams, pi: usize) -> Result<(u64, u64), String> {
-        let mut opts = options(params, 1);
-        opts.deadline_cycles = opts.deadline_cycles.or(params.faults.deadline_cycles);
-        single_thread_reference(&self.profiles[pi], &opts).map_err(|e| e.to_string())
+        reference_unit(&self.profiles[pi], options(params, 1), params.faults, None)
     }
 
-    /// Computes one grid point given its profile's reference, with the
-    /// identical options the sweep uses.
+    /// Computes one grid point given its profile's reference — the unit
+    /// body the local sweep runs.
     ///
     /// # Errors
     ///
@@ -259,18 +312,89 @@ impl GridStudy {
         st: (u64, u64),
     ) -> Result<PointSummary, String> {
         let (pi, n) = self.point(index);
-        let mut opts = options(params, n);
-        opts.deadline_cycles = opts.deadline_cycles.or(params.faults.deadline_cycles);
-        run_profile(&self.profiles[pi], &opts, Some(st))
-            .map(PointSummary::from)
-            .map_err(|e| e.to_string())
+        point_unit(
+            &self.profiles[pi],
+            options(params, n),
+            params.faults,
+            st,
+            None,
+        )
+    }
+
+    /// Sweeps the grid locally under `params` (parallelism, fault policy,
+    /// journal, budget, trace): the one production caller of
+    /// [`run_grid_ft`].
+    ///
+    /// # Errors
+    ///
+    /// See [`run_grid_ft`].
+    pub fn sweep(&self, params: &StudyParams) -> Result<GridReport, SimError> {
+        let sweep = SweepOptions {
+            mode: params.parallelism,
+            faults: params.faults,
+            journal: params.journal.as_ref(),
+            study: self.study,
+            fingerprint: &crate::journal::fingerprint(self.study, params),
+            max_points: params.max_points,
+            trace: params.trace.as_ref(),
+        };
+        run_grid_ft(
+            &self.profiles,
+            &self.counts,
+            &|_, n| options(params, n),
+            &sweep,
+        )
+    }
+
+    /// Sweeps locally and folds the outcome into the study's report: the
+    /// body of every grid [`crate::study::Study::run`].
+    ///
+    /// # Errors
+    ///
+    /// See [`run_grid_ft`].
+    pub fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
+        let swept = self.sweep(params)?;
+        Ok(self.assemble(params, swept.points, swept.degraded, swept.provenance))
+    }
+
+    /// The rows of a local sweep that must complete cleanly — the input
+    /// of the typed figure functions (`fig1::run`, `fig45::run`, …).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sweep fails or any point degrades.
+    pub(crate) fn clean_rows(&self, params: &StudyParams) -> Vec<Vec<Option<PointSummary>>> {
+        let swept = self
+            .sweep(params)
+            .unwrap_or_else(|e| panic!("{} sweep: {e}", self.study));
+        assert!(
+            !swept.degraded.is_degraded(),
+            "{} sweep degraded: {:?}",
+            self.study,
+            swept.degraded
+        );
+        self.rows(swept.points)
+    }
+
+    /// Splits per-index slots into one row per profile.
+    fn rows(&self, points: Vec<Option<PointSummary>>) -> Vec<Vec<Option<PointSummary>>> {
+        assert_eq!(points.len(), self.n_points(), "one slot per grid point");
+        let mut it = points.into_iter();
+        self.profiles
+            .iter()
+            .map(|_| it.by_ref().take(self.counts.len()).collect())
+            .collect()
     }
 
     /// Folds completed points (indexed by point index; `None` marks a
     /// failed point) into the study's final [`Report`], byte-identical
     /// to a local [`crate::study::Study::run`] with the same parameters
     /// and outcomes. `degraded.failed`, `retried` and `quarantined` are
-    /// the caller's; the grid totals are filled in here.
+    /// the caller's; the grid totals are filled in here. The `Degraded`
+    /// block is pushed only when something actually degraded (so clean,
+    /// resumed and remotely-assembled reports stay byte-identical), then
+    /// the capture provenance when a trace was written, then the echoed
+    /// parameters.
     ///
     /// # Panics
     ///
@@ -283,26 +407,24 @@ impl GridStudy {
         mut degraded: Degraded,
         provenance: Option<Provenance>,
     ) -> Report {
-        assert_eq!(points.len(), self.n_points(), "one slot per grid point");
-        let mut rows: Vec<Vec<Option<PointSummary>>> = Vec::with_capacity(self.profiles.len());
-        let mut it = points.into_iter();
-        for _ in 0..self.profiles.len() {
-            rows.push(
-                (0..self.counts.len())
-                    .map(|_| it.next().expect("sized"))
-                    .collect(),
-            );
-        }
         degraded.total_points = self.n_points();
-        degraded.completed = rows.iter().flatten().filter(|s| s.is_some()).count();
-        let report = match self.study {
+        degraded.completed = points.iter().flatten().count();
+        let rows = self.rows(points);
+        let mut report = match self.study {
             "fig1" => crate::fig1::fold(params, &self.profiles, rows).to_report(),
             "fig4" => crate::fig45::fold_fig4(params, rows).to_report(),
             "fig5" => crate::fig45::fold_fig5(rows).to_report(),
             "fig6" => crate::fig6::fold(params, rows).to_report(),
             _ => unreachable!("decompose() only builds grid studies"),
         };
-        finish(report, params, degraded, provenance)
+        if degraded.is_degraded() {
+            report.push(Block::Degraded(degraded));
+        }
+        if let Some(p) = provenance {
+            report.push(Block::Provenance(p));
+        }
+        params.record(&mut report);
+        report
     }
 }
 
@@ -337,7 +459,10 @@ mod tests {
         assert_eq!(grid.point(0), (0, 2));
         assert_eq!(grid.point(1), (0, 4));
         assert_eq!(grid.point(5), (2, 4));
-        assert_eq!(grid.label(5), format!("{} x4", grid.profile_name(2)));
+        assert_eq!(
+            grid.label(5),
+            format!("{} x4", display_name(&grid.profiles()[2]))
+        );
     }
 
     #[test]
@@ -348,6 +473,75 @@ mod tests {
         };
         let grid = decompose("fig1", &params).unwrap();
         assert_eq!(grid.counts(), &[2, 4], "1-thread point is synthesized");
+    }
+
+    #[test]
+    fn fold_orders_failures_by_index_whatever_the_completion_order() {
+        use crate::runner::{run_grid_ft, FaultPolicy, SweepOptions};
+        // The local sweep over 2 profiles x [2, 4]: profile 0's reference
+        // overruns a deadline (its points 0 and 1 cascade, after phase 2)
+        // and profile 1's 4-thread point (index 3) fails in phase 2.
+        let profiles: Vec<WorkloadProfile> = [
+            workloads::find("blackscholes", Suite::ParsecSmall).unwrap(),
+            workloads::find("cholesky", Suite::Splash2).unwrap(),
+        ]
+        .iter()
+        .map(|p| scaled_profile(p, 0.02))
+        .collect();
+        let first = display_name(&profiles[0]);
+        let mk = |p: &WorkloadProfile, n: usize| {
+            let doomed = match n {
+                1 => display_name(p) == first,
+                4 => display_name(p) != first,
+                _ => false,
+            };
+            RunOptions {
+                deadline_cycles: doomed.then_some(10),
+                ..RunOptions::symmetric(n)
+            }
+        };
+        let sweep = SweepOptions::plain(
+            crate::par::Parallelism::Serial,
+            FaultPolicy::default(),
+            "test",
+        );
+        let local = run_grid_ft(&profiles, &[2, 4], &mk, &sweep).unwrap();
+        let labels: Vec<&str> = local
+            .degraded
+            .failed
+            .iter()
+            .map(|f| f.label.as_str())
+            .collect();
+        let second = display_name(&profiles[1]);
+        assert_eq!(
+            labels,
+            [
+                point_label(&first, 2),
+                point_label(&first, 4),
+                point_label(&second, 4)
+            ]
+        );
+        assert!(local.degraded.failed[0]
+            .reason
+            .starts_with(&reference_failed("")));
+        assert!(!local.degraded.failed[2]
+            .reason
+            .starts_with(&reference_failed("")));
+
+        // The same outcomes in the order a served stream delivers them:
+        // the point failure first, the cascade last and backwards.
+        let mut fold = GridFold::new(4);
+        let fail = |fold: &mut GridFold, index: usize, slot: usize| {
+            let f = local.degraded.failed[slot].clone();
+            fold.failed(index, f.label, f.reason, f.attempts);
+        };
+        fail(&mut fold, 3, 2);
+        fold.point(2, local.points[2].clone().expect("completed"), 1);
+        fail(&mut fold, 1, 1);
+        fail(&mut fold, 0, 0);
+        let (points, degraded) = fold.into_parts(0);
+        assert_eq!(degraded, local.degraded);
+        assert_eq!(points, local.points);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Figure 1: speedup as a function of the number of cores for
 //! blackscholes, facesim (both PARSEC) and cholesky (SPLASH-2).
 
-use std::fmt;
-
-use speedup_stacks::report::{Block, Column, Degraded, Provenance, Report, Table, Unit, Value};
+use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 use speedup_stacks::SimError;
 
-use crate::par::Parallelism;
-use crate::runner::{run_grid_ft, PointSummary};
+use crate::decompose::grid_study;
+use crate::runner::PointSummary;
 use crate::study::{Study, StudyParams};
 
 /// The thread counts of the paper's sweep.
@@ -41,73 +39,25 @@ pub struct Fig1 {
     pub curves: Vec<SpeedupCurve>,
 }
 
-/// Regenerates Figure 1. `scale` scales workload sizes (1.0 = full).
+/// Regenerates Figure 1: `threads` overrides the swept counts (1 thread
+/// always reports 1.0 without a run), `llc_mib` resizes the shared
+/// cache.
 ///
 /// # Panics
 ///
-/// Panics if a catalog benchmark is missing or a simulation fails (the
-/// catalog workloads are deadlock-free by construction).
+/// Panics if the sweep fails or any point degrades (the catalog
+/// workloads are deadlock-free by construction); [`Fig1Study`] degrades
+/// gracefully instead.
 #[must_use]
-pub fn run(scale: f64) -> Fig1 {
-    run_with(scale, Parallelism::Auto)
+pub fn run(params: &StudyParams) -> Fig1 {
+    let grid = grid_study("fig1", params);
+    fold(params, grid.profiles(), grid.clean_rows(params))
 }
 
-/// [`run`] with explicit sweep parallelism (the determinism regression
-/// test compares serial and parallel output).
-#[must_use]
-pub fn run_with(scale: f64, mode: Parallelism) -> Fig1 {
-    run_params(&StudyParams {
-        parallelism: mode,
-        ..StudyParams::with_scale(scale)
-    })
-}
-
-/// [`run`] honoring the full [`StudyParams`]: `threads` overrides the
-/// swept counts (1 thread always reports 1.0 without a run), `llc_mib`
-/// resizes the shared cache.
-///
-/// # Panics
-///
-/// Panics if a catalog benchmark is missing or a simulation fails.
-#[must_use]
-pub fn run_params(params: &StudyParams) -> Fig1 {
-    let (fig, degraded, _) = run_params_ft(params).expect("fig1 sweep");
-    assert!(!degraded.is_degraded(), "fig1 sweep degraded: {degraded:?}");
-    fig
-}
-
-/// The fault-tolerant sweep behind [`Fig1Study`]: failed points become
-/// gaps in the curves and are accounted in the returned [`Degraded`];
-/// journaling and resume follow `params.journal`, trace capture/replay
-/// follows `params.trace` (the returned [`Provenance`] is `Some` only
-/// when a trace was captured).
-///
-/// # Errors
-///
-/// See [`crate::runner::run_grid_ft`].
-pub fn run_params_ft(
-    params: &StudyParams,
-) -> Result<(Fig1, Degraded, Option<Provenance>), SimError> {
-    let spec = crate::decompose::decompose("fig1", params).expect("fig1 is a grid study");
-    let fp = crate::journal::fingerprint("fig1", params);
-    let grid = run_grid_ft(
-        spec.profiles(),
-        spec.counts(),
-        &|_, n| crate::decompose::options(params, n),
-        &params.sweep("fig1", &fp),
-    )?;
-    Ok((
-        fold(params, spec.profiles(), grid.rows),
-        grid.degraded,
-        grid.provenance,
-    ))
-}
-
-/// Folds the sweep's rows into the figure — shared by the local sweep
-/// above and the study service's remote assembly
-/// ([`crate::decompose::GridStudy::assemble`]), so the two paths produce
-/// byte-identical reports. The 1-thread point (1.0 by definition, never
-/// simulated) is synthesized here when the requested counts include it.
+/// Folds the sweep's rows into the figure (the fig1 arm of
+/// [`crate::decompose::GridStudy::assemble`]). The 1-thread point (1.0
+/// by definition, never simulated) is synthesized here when the
+/// requested counts include it.
 pub(crate) fn fold(
     params: &StudyParams,
     profiles: &[workloads::WorkloadProfile],
@@ -148,7 +98,7 @@ impl Fig1 {
     }
 
     /// Converts the figure into the structured [`Report`] every emitter
-    /// consumes (`Display` renders exactly this report's text form).
+    /// consumes.
     #[must_use]
     pub fn to_report(&self) -> Report {
         let title = "Figure 1: speedup vs number of threads/cores";
@@ -180,12 +130,6 @@ impl Fig1 {
     }
 }
 
-impl fmt::Display for Fig1 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 1 as a registry [`Study`] (honors `scale`, `threads`,
 /// `parallelism` and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -201,13 +145,7 @@ impl Study for Fig1Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let (fig, degraded, provenance) = run_params_ft(params)?;
-        Ok(crate::decompose::finish(
-            fig.to_report(),
-            params,
-            degraded,
-            provenance,
-        ))
+        grid_study("fig1", params).run(params)
     }
 
     fn supports_journal(&self) -> bool {

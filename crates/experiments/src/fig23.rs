@@ -5,8 +5,6 @@
 //! an annotated stack for one benchmark (Figure 2) and the per-thread
 //! cycle-component breakup that underlies it (Figure 3).
 
-use std::fmt;
-
 use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::{Component, SimError, SpeedupStack};
@@ -25,23 +23,13 @@ pub struct Fig2 {
 }
 
 /// Regenerates Figure 2 (facesim at 16 threads, which exercises most
-/// components).
+/// components), honoring the thread-count and LLC overrides.
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails.
 #[must_use]
-pub fn run_fig2(scale: f64) -> Fig2 {
-    run_fig2_params(&StudyParams::with_scale(scale))
-}
-
-/// [`run_fig2`] honoring the thread-count and LLC overrides.
-///
-/// # Panics
-///
-/// Panics if the simulation fails.
-#[must_use]
-pub fn run_fig2_params(params: &StudyParams) -> Fig2 {
+pub fn run_fig2(params: &StudyParams) -> Fig2 {
     let n = params.single_count(16);
     let p = workloads::find("facesim", Suite::ParsecMedium).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -88,12 +76,6 @@ impl Fig2 {
     }
 }
 
-impl fmt::Display for Fig2 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 2 as a registry [`Study`] (honors `scale`, `threads` — the
 /// last entry — and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +91,7 @@ impl Study for Fig2Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig2_params(params).to_report();
+        let mut report = run_fig2(params).to_report();
         params.record(&mut report);
         Ok(report)
     }
@@ -127,23 +109,13 @@ pub struct Fig3 {
 }
 
 /// Regenerates Figure 3 (cholesky at 4 threads: spin, yield, memory and
-/// imbalance all visible).
+/// imbalance all visible), honoring the thread-count and LLC overrides.
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails.
 #[must_use]
-pub fn run_fig3(scale: f64) -> Fig3 {
-    run_fig3_params(&StudyParams::with_scale(scale))
-}
-
-/// [`run_fig3`] honoring the thread-count and LLC overrides.
-///
-/// # Panics
-///
-/// Panics if the simulation fails.
-#[must_use]
-pub fn run_fig3_params(params: &StudyParams) -> Fig3 {
+pub fn run_fig3(params: &StudyParams) -> Fig3 {
     let n = params.single_count(4);
     let p = workloads::find("cholesky", Suite::Splash2).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -231,12 +203,6 @@ impl Fig3 {
     }
 }
 
-impl fmt::Display for Fig3 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 3 as a registry [`Study`] (honors `scale`, `threads` — the
 /// last entry — and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -252,7 +218,7 @@ impl Study for Fig3Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig3_params(params).to_report();
+        let mut report = run_fig3(params).to_report();
         params.record(&mut report);
         Ok(report)
     }

@@ -6,17 +6,13 @@
 //! - **Figure 5**: speedup stacks for blackscholes, facesim and cholesky
 //!   as a function of the thread count.
 
-use std::fmt;
-
 use speedup_stacks::estimate::{average_absolute_error, ValidationPoint};
 use speedup_stacks::render::RenderOptions;
-use speedup_stacks::report::{
-    Block, Column, Degraded, Provenance, Report, Scalar, Table, Unit, Value,
-};
+use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::{SimError, SpeedupStack};
 
-use crate::par::Parallelism;
-use crate::runner::{run_grid_ft, PointSummary};
+use crate::decompose::grid_study;
+use crate::runner::PointSummary;
 use crate::study::{Study, StudyParams};
 
 /// The multi-threaded counts validated in the paper.
@@ -144,63 +140,20 @@ impl Fig4 {
     }
 }
 
-/// Regenerates Figure 4 over the full 28-benchmark suite.
+/// Regenerates Figure 4 over the full 28-benchmark suite (the
+/// instruction-overhead measure is taken at the largest swept count).
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails.
+/// Panics if the sweep fails or any point degrades; [`Fig4Study`]
+/// degrades gracefully instead.
 #[must_use]
-pub fn run(scale: f64) -> Fig4 {
-    run_with(scale, Parallelism::Auto)
+pub fn run(params: &StudyParams) -> Fig4 {
+    fold_fig4(params, grid_study("fig4", params).clean_rows(params))
 }
 
-/// [`run`] with explicit sweep parallelism.
-#[must_use]
-pub fn run_with(scale: f64, mode: Parallelism) -> Fig4 {
-    run_params(&StudyParams {
-        parallelism: mode,
-        ..StudyParams::with_scale(scale)
-    })
-}
-
-/// [`run`] honoring the full [`StudyParams`] (the instruction-overhead
-/// measure is taken at the largest swept count).
-///
-/// # Panics
-///
-/// Panics if a simulation fails.
-#[must_use]
-pub fn run_params(params: &StudyParams) -> Fig4 {
-    let (fig, degraded, _) = run_params_ft(params).expect("fig4 sweep");
-    assert!(!degraded.is_degraded(), "fig4 sweep degraded: {degraded:?}");
-    fig
-}
-
-/// The fault-tolerant sweep behind [`Fig4Study`]: failed points are
-/// dropped from the validation table and accounted in the returned
-/// [`Degraded`]; journaling and resume follow `params.journal`, trace
-/// capture/replay follows `params.trace`.
-///
-/// # Errors
-///
-/// See [`crate::runner::run_grid_ft`].
-pub fn run_params_ft(
-    params: &StudyParams,
-) -> Result<(Fig4, Degraded, Option<Provenance>), SimError> {
-    let spec = crate::decompose::decompose("fig4", params).expect("fig4 is a grid study");
-    let fp = crate::journal::fingerprint("fig4", params);
-    let grid = run_grid_ft(
-        spec.profiles(),
-        spec.counts(),
-        &|_, n| crate::decompose::options(params, n),
-        &params.sweep("fig4", &fp),
-    )?;
-    Ok((fold_fig4(params, grid.rows), grid.degraded, grid.provenance))
-}
-
-/// Folds the sweep's rows into Figure 4 — shared by the local sweep and
-/// the study service's remote assembly, so both produce byte-identical
-/// reports.
+/// Folds the sweep's rows into Figure 4 (the fig4 arm of
+/// [`crate::decompose::GridStudy::assemble`]).
 pub(crate) fn fold_fig4(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Fig4 {
     let counts = params.counts_or(&THREAD_COUNTS);
     let overhead_threads = counts.iter().copied().max().unwrap_or(16);
@@ -226,12 +179,6 @@ pub(crate) fn fold_fig4(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>
     }
 }
 
-impl fmt::Display for Fig4 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 4 as a registry [`Study`] (honors `scale`, `threads`,
 /// `parallelism` and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -247,13 +194,7 @@ impl Study for Fig4Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let (fig, degraded, provenance) = run_params_ft(params)?;
-        Ok(crate::decompose::finish(
-            fig.to_report(),
-            params,
-            degraded,
-            provenance,
-        ))
+        grid_study("fig4", params).run(params)
     }
 
     fn supports_journal(&self) -> bool {
@@ -277,46 +218,15 @@ pub struct Fig5 {
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails.
+/// Panics if the sweep fails or any point degrades; [`Fig5Study`]
+/// degrades gracefully instead.
 #[must_use]
-pub fn run_fig5(scale: f64) -> Fig5 {
-    run_fig5_params(&StudyParams::with_scale(scale))
+pub fn run_fig5(params: &StudyParams) -> Fig5 {
+    fold_fig5(grid_study("fig5", params).clean_rows(params))
 }
 
-/// [`run_fig5`] honoring the full [`StudyParams`].
-///
-/// # Panics
-///
-/// Panics if a simulation fails.
-#[must_use]
-pub fn run_fig5_params(params: &StudyParams) -> Fig5 {
-    let (fig, degraded, _) = run_fig5_ft(params).expect("fig5 sweep");
-    assert!(!degraded.is_degraded(), "fig5 sweep degraded: {degraded:?}");
-    fig
-}
-
-/// The fault-tolerant sweep behind [`Fig5Study`]: failed points are
-/// dropped from the stack table and accounted in the returned
-/// [`Degraded`]; journaling and resume follow `params.journal`, trace
-/// capture/replay follows `params.trace`.
-///
-/// # Errors
-///
-/// See [`crate::runner::run_grid_ft`].
-pub fn run_fig5_ft(params: &StudyParams) -> Result<(Fig5, Degraded, Option<Provenance>), SimError> {
-    let spec = crate::decompose::decompose("fig5", params).expect("fig5 is a grid study");
-    let fp = crate::journal::fingerprint("fig5", params);
-    let grid = run_grid_ft(
-        spec.profiles(),
-        spec.counts(),
-        &|_, n| crate::decompose::options(params, n),
-        &params.sweep("fig5", &fp),
-    )?;
-    Ok((fold_fig5(grid.rows), grid.degraded, grid.provenance))
-}
-
-/// Folds the sweep's rows into Figure 5 — shared by the local sweep and
-/// the study service's remote assembly.
+/// Folds the sweep's rows into Figure 5 (the fig5 arm of
+/// [`crate::decompose::GridStudy::assemble`]).
 pub(crate) fn fold_fig5(rows: Vec<Vec<Option<PointSummary>>>) -> Fig5 {
     let stacks = rows
         .into_iter()
@@ -360,12 +270,6 @@ impl Fig5 {
     }
 }
 
-impl fmt::Display for Fig5 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 5 as a registry [`Study`] (honors `scale`, `threads`,
 /// `parallelism` and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -381,13 +285,7 @@ impl Study for Fig5Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let (fig, degraded, provenance) = run_fig5_ft(params)?;
-        Ok(crate::decompose::finish(
-            fig.to_report(),
-            params,
-            degraded,
-            provenance,
-        ))
+        grid_study("fig5", params).run(params)
     }
 
     fn supports_journal(&self) -> bool {

@@ -1,17 +1,14 @@
 //! Figure 6: the benchmark classification tree at 16 threads.
 
-use std::fmt;
-
-use speedup_stacks::report::{
-    Block, Column, Degraded, Provenance, Report, Scalar, Table, Unit, Value,
-};
+use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::{
     ClassificationConfig, ClassificationTree, ClassifiedBenchmark, Component, ScalingClass,
     SimError,
 };
 
+use crate::decompose::grid_study;
 use crate::par::par_map;
-use crate::runner::{run_grid_ft, PointSummary};
+use crate::runner::PointSummary;
 use crate::study::{Study, StudyParams};
 
 /// Figure 6 data: the classification tree.
@@ -103,55 +100,21 @@ impl Fig6 {
     }
 }
 
-/// Regenerates Figure 6: runs every benchmark at 16 threads and
-/// classifies it by actual speedup and dominant components.
+/// Regenerates Figure 6: runs every benchmark at 16 threads (or the
+/// last `threads` entry) and classifies it by actual speedup and
+/// dominant components.
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails.
+/// Panics if the sweep fails or any point degrades; [`Fig6Study`]
+/// degrades gracefully instead.
 #[must_use]
-pub fn run(scale: f64) -> Fig6 {
-    run_params(&StudyParams::with_scale(scale))
+pub fn run(params: &StudyParams) -> Fig6 {
+    fold(params, grid_study("fig6", params).clean_rows(params))
 }
 
-/// [`run`] honoring the full [`StudyParams`] (the classification count
-/// is the last `threads` entry).
-///
-/// # Panics
-///
-/// Panics if a simulation fails.
-#[must_use]
-pub fn run_params(params: &StudyParams) -> Fig6 {
-    let (fig, degraded, _) = run_params_ft(params).expect("fig6 sweep");
-    assert!(!degraded.is_degraded(), "fig6 sweep degraded: {degraded:?}");
-    fig
-}
-
-/// The fault-tolerant sweep behind [`Fig6Study`]: failed benchmarks are
-/// dropped from the tree and accounted in the returned [`Degraded`];
-/// journaling and resume follow `params.journal`, trace capture/replay
-/// follows `params.trace`.
-///
-/// # Errors
-///
-/// See [`crate::runner::run_grid_ft`].
-pub fn run_params_ft(
-    params: &StudyParams,
-) -> Result<(Fig6, Degraded, Option<Provenance>), SimError> {
-    let spec = crate::decompose::decompose("fig6", params).expect("fig6 is a grid study");
-    let fp = crate::journal::fingerprint("fig6", params);
-    let grid = run_grid_ft(
-        spec.profiles(),
-        spec.counts(),
-        &|_, n| crate::decompose::options(params, n),
-        &params.sweep("fig6", &fp),
-    )?;
-    Ok((fold(params, grid.rows), grid.degraded, grid.provenance))
-}
-
-/// Folds the sweep's rows into the classification tree — shared by the
-/// local sweep and the study service's remote assembly (the
-/// classification itself is deterministic, so both paths agree).
+/// Folds the sweep's rows into the classification tree (the fig6 arm of
+/// [`crate::decompose::GridStudy::assemble`]).
 pub(crate) fn fold(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Fig6 {
     let threads = params.single_count(16);
     let cfg = ClassificationConfig::default();
@@ -161,12 +124,6 @@ pub(crate) fn fold(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -
     Fig6 {
         tree: ClassificationTree::build(entries),
         threads,
-    }
-}
-
-impl fmt::Display for Fig6 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
     }
 }
 
@@ -185,13 +142,7 @@ impl Study for Fig6Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let (fig, degraded, provenance) = run_params_ft(params)?;
-        Ok(crate::decompose::finish(
-            fig.to_report(),
-            params,
-            degraded,
-            provenance,
-        ))
+        grid_study("fig6", params).run(params)
     }
 
     fn supports_journal(&self) -> bool {

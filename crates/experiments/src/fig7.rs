@@ -7,8 +7,6 @@
 //! (16 threads on fewer cores) performs at least as well as
 //! threads = cores.
 
-use std::fmt;
-
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 use speedup_stacks::SimError;
 use workloads::Suite;
@@ -84,25 +82,15 @@ impl Fig7 {
     }
 }
 
-/// Regenerates Figure 7 for the paper's ferret (simsmall).
-///
-/// # Panics
-///
-/// Panics if a simulation fails.
-#[must_use]
-pub fn run(scale: f64) -> Fig7 {
-    run_params(&StudyParams::with_scale(scale))
-}
-
-/// [`run`] honoring the full [`StudyParams`]: `threads` overrides the
-/// swept core counts (the oversubscribed series keeps
+/// Regenerates Figure 7 for the paper's ferret (simsmall): `threads`
+/// overrides the swept core counts (the oversubscribed series keeps
 /// [`FIXED_THREADS`] software threads).
 ///
 /// # Panics
 ///
 /// Panics if a simulation fails.
 #[must_use]
-pub fn run_params(params: &StudyParams) -> Fig7 {
+pub fn run(params: &StudyParams) -> Fig7 {
     let core_counts = params.counts_or(&CORE_COUNTS);
     let p = workloads::find("ferret", Suite::ParsecSmall).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -142,12 +130,6 @@ pub fn run_params(params: &StudyParams) -> Fig7 {
     }
 }
 
-impl fmt::Display for Fig7 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 7 as a registry [`Study`] (honors `scale`, `threads` — the
 /// swept core counts — `parallelism` and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -163,7 +145,7 @@ impl Study for Fig7Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_params(params).to_report();
+        let mut report = run(params).to_report();
         params.record(&mut report);
         Ok(report)
     }

@@ -8,8 +8,6 @@
 //!   misses) while positive interference stays roughly constant, so the
 //!   net effect of sharing eventually becomes a win.
 
-use std::fmt;
-
 use memsim::MemConfig;
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 use speedup_stacks::{Component, SimError};
@@ -114,23 +112,13 @@ pub fn fig8_benchmarks() -> Vec<workloads::WorkloadProfile> {
     .collect()
 }
 
-/// Regenerates Figure 8.
+/// Regenerates Figure 8, honoring the thread-count and LLC overrides.
 ///
 /// # Panics
 ///
 /// Panics if a simulation fails.
 #[must_use]
-pub fn run_fig8(scale: f64) -> Fig8 {
-    run_fig8_params(&StudyParams::with_scale(scale))
-}
-
-/// [`run_fig8`] honoring the thread-count and LLC overrides.
-///
-/// # Panics
-///
-/// Panics if a simulation fails.
-#[must_use]
-pub fn run_fig8_params(params: &StudyParams) -> Fig8 {
+pub fn run_fig8(params: &StudyParams) -> Fig8 {
     let cores = params.single_count(16);
     let mem = params.mem();
     let llc_mib = params.llc_mib.unwrap_or(2);
@@ -174,12 +162,6 @@ impl Fig8 {
     }
 }
 
-impl fmt::Display for Fig8 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 8 as a registry [`Study`] (honors `scale`, `threads` — the
 /// last entry — `parallelism` and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -195,7 +177,7 @@ impl Study for Fig8Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig8_params(params).to_report();
+        let mut report = run_fig8(params).to_report();
         params.record(&mut report);
         Ok(report)
     }
@@ -213,24 +195,14 @@ pub struct Fig9 {
 /// The LLC sizes of the sweep, in MiB.
 pub const LLC_SIZES_MIB: [usize; 4] = [2, 4, 8, 16];
 
-/// Regenerates Figure 9.
+/// Regenerates Figure 9, honoring the thread-count override (the LLC
+/// sizes are the figure's swept variable; `llc_mib` is ignored).
 ///
 /// # Panics
 ///
 /// Panics if a simulation fails.
 #[must_use]
-pub fn run_fig9(scale: f64) -> Fig9 {
-    run_fig9_params(&StudyParams::with_scale(scale))
-}
-
-/// [`run_fig9`] honoring the thread-count override (the LLC sizes are
-/// the figure's swept variable; `llc_mib` is ignored).
-///
-/// # Panics
-///
-/// Panics if a simulation fails.
-#[must_use]
-pub fn run_fig9_params(params: &StudyParams) -> Fig9 {
+pub fn run_fig9(params: &StudyParams) -> Fig9 {
     let cores = params.single_count(16);
     let p = workloads::find("cholesky", Suite::Splash2).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -269,12 +241,6 @@ impl Fig9 {
     }
 }
 
-impl fmt::Display for Fig9 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// Figure 9 as a registry [`Study`] (honors `scale`, `threads` — the
 /// last entry — and `parallelism`).
 #[derive(Debug, Clone, Copy)]
@@ -290,7 +256,7 @@ impl Study for Fig9Study {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig9_params(params).to_report();
+        let mut report = run_fig9(params).to_report();
         params.record(&mut report);
         Ok(report)
     }

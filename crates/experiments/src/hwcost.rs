@@ -1,7 +1,5 @@
 //! §4.7: the hardware cost table of the accounting architecture.
 
-use std::fmt;
-
 use speedup_stacks::report::{Block, Report, Scalar, Unit};
 use speedup_stacks::{HardwareCostModel, SimError};
 
@@ -16,16 +14,11 @@ pub struct HwCost {
     pub cores: u32,
 }
 
-/// Builds the paper's hardware cost table.
+/// Builds the paper's hardware cost table, honoring the thread-count
+/// override (the CMP size the total is computed for; workload scale is
+/// meaningless here and ignored).
 #[must_use]
-pub fn run() -> HwCost {
-    run_params(&StudyParams::default())
-}
-
-/// [`run`] honoring the thread-count override (the CMP size the total is
-/// computed for; workload scale is meaningless here and ignored).
-#[must_use]
-pub fn run_params(params: &StudyParams) -> HwCost {
+pub fn run(params: &StudyParams) -> HwCost {
     HwCost {
         model: HardwareCostModel::paper_default(),
         cores: u32::try_from(params.single_count(16)).unwrap_or(16),
@@ -115,12 +108,6 @@ impl HwCost {
     }
 }
 
-impl fmt::Display for HwCost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// The hardware cost table as a registry [`Study`] (honors `threads` —
 /// the CMP size — only; runs no simulation).
 #[derive(Debug, Clone, Copy)]
@@ -136,7 +123,7 @@ impl Study for HwCostStudy {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_params(params).to_report();
+        let mut report = run(params).to_report();
         params.record(&mut report);
         Ok(report)
     }

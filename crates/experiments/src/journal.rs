@@ -35,6 +35,14 @@
 //! - A journal whose **header** is missing, corrupt, from another format
 //!   version or another study/parameterization is rejected with a typed
 //!   [`JournalError`] — identity failures are never papered over.
+//!
+//! # One record log
+//!
+//! The framing, the recovery rules above and the append handle are not
+//! specific to sweeps: [`open_append`] opens any such file given a
+//! caller-supplied header check, and [`JournalWriter`] appends to it. The
+//! sweep journal ([`scan`]) and the study service's cache spill are its
+//! two users.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -106,33 +114,6 @@ pub fn unwrap_line(line: &str) -> Result<&str, String> {
     Ok(data)
 }
 
-/// One framed line of a checksummed NDJSON stream, as classified by
-/// [`framed_lines`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FramedLine<'a> {
-    /// An intact line's exact data substring (checksum verified).
-    Record(&'a str),
-    /// A complete line that failed the layout or checksum; the caller
-    /// quarantines it (counted, recomputed, never served).
-    Corrupt,
-}
-
-/// Splits a checksummed NDJSON buffer into framed lines. A final line
-/// without its trailing newline — the expected artifact of a killed
-/// writer — is dropped silently, never surfaced as corruption. Shared
-/// by the sweep journal reader and the study service's cache spill.
-pub fn framed_lines(content: &str) -> impl Iterator<Item = FramedLine<'_>> {
-    content.split_inclusive('\n').filter_map(|line| {
-        // `?` drops the only chunk that can lack a newline: the
-        // unterminated kill-tail at the very end of the buffer.
-        let line = line.strip_suffix('\n')?;
-        Some(match unwrap_line(line) {
-            Ok(data) => FramedLine::Record(data),
-            Err(_) => FramedLine::Corrupt,
-        })
-    })
-}
-
 /// Fingerprint of the result-affecting study parameters, as recorded in
 /// the journal header. Parallelism, fault policy and journaling options
 /// are deliberately excluded: sweep results are bit-identical across
@@ -175,9 +156,10 @@ pub struct JournalSpec {
     pub resume: bool,
 }
 
-/// An append-only journal writer. Each record is flushed as soon as it
-/// is written, so a killed process loses at most the line it was in the
-/// middle of (which the reader then drops as a truncation artifact).
+/// The append handle of a record log. Each record is flushed as soon as
+/// it is written, so a killed process loses at most the line it was in
+/// the middle of (which [`open_append`] then drops as a truncation
+/// artifact).
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -191,7 +173,7 @@ fn io_err(op: &'static str, e: &std::io::Error) -> JournalError {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) a journal and writes its header line.
+    /// Creates (truncating) a sweep journal and writes its header line.
     ///
     /// # Errors
     ///
@@ -201,28 +183,27 @@ impl JournalWriter {
         study: &str,
         fingerprint: &str,
     ) -> Result<Self, JournalError> {
-        let file = File::create(path).map_err(|e| io_err("create", &e))?;
-        let mut w = JournalWriter { file };
-        w.append(&format!(
-            "{{\"journal\": \"{MAGIC}\", \"version\": {FORMAT_VERSION}, \"study\": \"{}\", \
-             \"fingerprint\": \"{fingerprint}\"}}",
-            json::escape(study)
-        ))?;
-        Ok(w)
+        Self::create_with_header(
+            path,
+            &format!(
+                "{{\"journal\": \"{MAGIC}\", \"version\": {FORMAT_VERSION}, \"study\": \"{}\", \
+                 \"fingerprint\": \"{fingerprint}\"}}",
+                json::escape(study)
+            ),
+        )
     }
 
-    /// Opens an existing journal for appending (after a successful
-    /// [`scan`] validated its header).
+    /// Creates (truncating) a record log whose first line is `header`
+    /// (one JSON object, later handed to [`open_append`]'s header check).
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] on open failure.
-    pub fn open_append(path: impl AsRef<Path>) -> Result<Self, JournalError> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err("open", &e))?;
-        Ok(JournalWriter { file })
+    /// [`JournalError::Io`] on create/write failure.
+    pub fn create_with_header(path: impl AsRef<Path>, header: &str) -> Result<Self, JournalError> {
+        let file = File::create(path).map_err(|e| io_err("create", &e))?;
+        let mut w = JournalWriter { file };
+        w.append(header)?;
+        Ok(w)
     }
 
     /// Appends one record (a JSON object string) as a checksummed line
@@ -232,17 +213,41 @@ impl JournalWriter {
     ///
     /// [`JournalError::Io`] on write/flush failure.
     pub fn append(&mut self, data: &str) -> Result<(), JournalError> {
+        self.append_line(wrap_line(data).as_bytes())
+    }
+
+    /// Appends one already-framed line ([`wrap_line`] output) and flushes
+    /// it. The cache spill's chaos fault flips a bit of the framed bytes
+    /// before they land here.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on write/flush failure.
+    pub fn append_line(&mut self, line: &[u8]) -> Result<(), JournalError> {
         self.file
-            .write_all(wrap_line(data).as_bytes())
+            .write_all(line)
             .map_err(|e| io_err("append", &e))?;
         self.file.flush().map_err(|e| io_err("flush", &e))
     }
+
+    /// Forces everything appended so far to durable storage.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on sync failure.
+    pub fn sync(&mut self) -> Result<(), JournalError> {
+        self.file.flush().map_err(|e| io_err("flush", &e))?;
+        self.file.sync_all().map_err(|e| io_err("sync", &e))
+    }
 }
 
-/// The result of replaying a journal: its valid records (header
-/// excluded, in file order) and the count of quarantined lines.
+/// An existing record log opened for appending: its append handle, its
+/// intact records (header excluded, in file order) and the count of
+/// quarantined lines.
 #[derive(Debug)]
 pub struct JournalScan {
+    /// The append handle, positioned after the last complete line.
+    pub writer: JournalWriter,
     /// Parsed, checksum-verified records after the header.
     pub records: Vec<JsonValue>,
     /// Complete lines that failed the layout, checksum or parse and were
@@ -250,8 +255,74 @@ pub struct JournalScan {
     pub quarantined: usize,
 }
 
-/// Replays a journal: validates the header against the requesting
-/// study's identity, then collects every intact record.
+/// Opens an existing record log for appending: verifies the header
+/// line's framing and hands its record to `check_header`, collects every
+/// intact record, counts complete-but-corrupt lines as quarantined, and
+/// truncates an unterminated final line — the expected artifact of a
+/// killed writer — so the next append starts a fresh line instead of
+/// completing garbage.
+///
+/// # Errors
+///
+/// [`JournalError::Io`] when the file cannot be read, opened or
+/// truncated; [`JournalError::MissingHeader`] when no header line was
+/// ever completed (empty file, or the writer died inside the header
+/// write); [`JournalError::BadHeader`] when the header line fails its
+/// checksum or parse; whatever `check_header` returns. Corrupt
+/// non-header lines are *not* errors.
+pub fn open_append(
+    path: impl AsRef<Path>,
+    check_header: impl FnOnce(&JsonValue) -> Result<(), JournalError>,
+) -> Result<JournalScan, JournalError> {
+    let path = path.as_ref();
+    let content = std::fs::read_to_string(path).map_err(|e| io_err("read", &e))?;
+    let Some((header_line, rest)) = content.split_once('\n') else {
+        return Err(JournalError::MissingHeader);
+    };
+    let header_data = unwrap_line(header_line).map_err(|why| JournalError::BadHeader { why })?;
+    let header =
+        json::parse(header_data).map_err(|e| JournalError::BadHeader { why: e.to_string() })?;
+    check_header(&header)?;
+
+    let mut records = Vec::new();
+    let mut quarantined = 0usize;
+    for line in rest.split_inclusive('\n') {
+        // Only the very last chunk can lack its newline: the kill-tail.
+        let Some(framed) = line.strip_suffix('\n') else {
+            break;
+        };
+        match unwrap_line(framed).ok().and_then(|d| json::parse(d).ok()) {
+            Some(record) => records.push(record),
+            None => quarantined += 1,
+        }
+    }
+    let file = OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(|e| io_err("open", &e))?;
+    if !content.ends_with('\n') {
+        let keep = content.rfind('\n').expect("header line is terminated") + 1;
+        file.set_len(keep as u64)
+            .map_err(|e| io_err("truncate", &e))?;
+    }
+    Ok(JournalScan {
+        writer: JournalWriter { file },
+        records,
+        quarantined,
+    })
+}
+
+/// The `version` field of a record-log header (0 when absent).
+#[must_use]
+pub fn header_version(header: &JsonValue) -> u64 {
+    header
+        .get("version")
+        .and_then(JsonValue::as_f64)
+        .map_or(0, |v| v as u64)
+}
+
+/// Opens a sweep journal for resuming: [`open_append`] with the header
+/// validated against the requesting study's identity.
 ///
 /// # Errors
 ///
@@ -264,71 +335,33 @@ pub fn scan(
     study: &str,
     expected_fingerprint: &str,
 ) -> Result<JournalScan, JournalError> {
-    let content = std::fs::read_to_string(path).map_err(|e| io_err("read", &e))?;
-    if content.is_empty() {
-        return Err(JournalError::MissingHeader);
-    }
-    let Some((header_line, rest)) = content.split_once('\n') else {
-        // The writer died inside the header write: no identity exists.
-        return Err(JournalError::BadHeader {
-            why: "header line truncated".to_string(),
-        });
-    };
-    let header_data = unwrap_line(header_line).map_err(|why| JournalError::BadHeader { why })?;
-    let header =
-        json::parse(header_data).map_err(|e| JournalError::BadHeader { why: e.to_string() })?;
-    if header.get("journal").and_then(JsonValue::as_str) != Some(MAGIC) {
-        return Err(JournalError::BadHeader {
-            why: format!("not a {MAGIC} journal"),
-        });
-    }
-    let version = header
-        .get("version")
-        .and_then(JsonValue::as_f64)
-        .map_or(0, |v| v as u64);
-    if version != FORMAT_VERSION {
-        return Err(JournalError::VersionMismatch {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let journal_study = header
-        .get("study")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("")
-        .to_string();
-    if journal_study != study {
-        return Err(JournalError::StudyMismatch {
-            journal: journal_study,
-            requested: study.to_string(),
-        });
-    }
-    let journal_fp = header
-        .get("fingerprint")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("")
-        .to_string();
-    if journal_fp != expected_fingerprint {
-        return Err(JournalError::ParamsMismatch {
-            journal: journal_fp,
-            requested: expected_fingerprint.to_string(),
-        });
-    }
-
-    let mut records = Vec::new();
-    let mut quarantined = 0usize;
-    for framed in framed_lines(rest) {
-        match framed {
-            FramedLine::Record(data) => match json::parse(data) {
-                Ok(record) => records.push(record),
-                Err(_) => quarantined += 1,
-            },
-            FramedLine::Corrupt => quarantined += 1,
+    open_append(path, |header| {
+        if header.get("journal").and_then(JsonValue::as_str) != Some(MAGIC) {
+            return Err(JournalError::BadHeader {
+                why: format!("not a {MAGIC} journal"),
+            });
         }
-    }
-    Ok(JournalScan {
-        records,
-        quarantined,
+        let version = header_version(header);
+        if version != FORMAT_VERSION {
+            return Err(JournalError::VersionMismatch {
+                found: version,
+                supported: FORMAT_VERSION,
+            });
+        }
+        let field = |k: &str| header.get(k).and_then(JsonValue::as_str).unwrap_or("");
+        if field("study") != study {
+            return Err(JournalError::StudyMismatch {
+                journal: field("study").to_string(),
+                requested: study.to_string(),
+            });
+        }
+        if field("fingerprint") != expected_fingerprint {
+            return Err(JournalError::ParamsMismatch {
+                journal: field("fingerprint").to_string(),
+                requested: expected_fingerprint.to_string(),
+            });
+        }
+        Ok(())
     })
 }
 
@@ -402,9 +435,19 @@ mod tests {
         let mut content = std::fs::read_to_string(&path).unwrap();
         content.push_str("{\"crc\":\"00000000\",\"data\":{\"kind\": \"poi");
         std::fs::write(&path, &content).unwrap();
-        let scan = scan(&path, "fig6", "deadbeef").unwrap();
-        assert_eq!(scan.records.len(), 1, "intact record kept");
-        assert_eq!(scan.quarantined, 0, "a killed tail is not corruption");
+        let mut resumed = scan(&path, "fig6", "deadbeef").unwrap();
+        assert_eq!(resumed.records.len(), 1, "intact record kept");
+        assert_eq!(resumed.quarantined, 0, "a killed tail is not corruption");
+        // The tail was chopped on open, so the next append starts a fresh
+        // line instead of completing the garbage into a corrupt record.
+        resumed
+            .writer
+            .append("{\"kind\": \"ref\", \"profile\": \"y\"}")
+            .unwrap();
+        drop(resumed);
+        let again = scan(&path, "fig6", "deadbeef").unwrap();
+        assert_eq!(again.records.len(), 2);
+        assert_eq!(again.quarantined, 0, "a resumed journal stays clean");
         std::fs::remove_file(&path).ok();
     }
 

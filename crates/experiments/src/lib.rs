@@ -10,14 +10,18 @@
 //! The `repro` binary drives them uniformly: `repro --list`,
 //! `cargo run -p experiments --bin repro -- fig4 --format json`, or
 //! `repro scaling` for the many-core study. Each module additionally
-//! keeps its figure data struct (`run` returning e.g. `Fig4`) whose
-//! `Display` renders the same report's text form.
+//! keeps its figure data struct and exactly one typed function taking
+//! `&StudyParams` that returns it (`fig45::run` returning `Fig4`, …);
+//! `to_report()` turns it into the report the study emits.
 //!
 //! Every experiment reduces to the [`runner`] recipe: run a workload
 //! multi-threaded (that run drives the accounting and yields the
 //! *estimated* speedup), run it single-threaded for Eq. 1's `Ts`, and
 //! attach the *actual* speedup for validation. Figure grids fan their
-//! independent points out over [`par`]'s deterministic thread pool.
+//! independent points out over [`par`]'s deterministic thread pool, each
+//! unit in [`par::fault_domain`], and fold through
+//! [`decompose::GridFold`] — the same unit bodies and the same fold the
+//! study service and the federation use.
 //!
 //! ## Example
 //!
@@ -53,11 +57,11 @@ pub mod scaling;
 pub mod study;
 
 pub use journal::JournalSpec;
-pub use par::{map_mode, par_map, try_map_mode, Parallelism, PointOutcome};
+pub use par::{fault_domain, map_mode, par_map, try_map_mode, Parallelism, PointOutcome};
 pub use runner::{
-    run_grid, run_grid_ft, run_profile, run_profile_streams, scaled_profile,
-    single_thread_reference, single_thread_reference_streams, FaultPolicy, GridReport,
-    PointSummary, RunOptions, RunOutcome, SweepOptions,
+    run_grid_ft, run_profile, run_profile_streams, scaled_profile, single_thread_reference,
+    single_thread_reference_streams, FaultPolicy, GridReport, PointSummary, RunOptions, RunOutcome,
+    SweepOptions,
 };
 pub use study::{find_study, registry, Study, StudyParams};
 pub use workloads::trace::TraceSpec;

@@ -8,10 +8,10 @@
 //! output whether it ran serially or in parallel — guarded by the
 //! `sweep_determinism` integration test.
 //!
-//! [`try_map_mode`] adds per-point **fault domains** on top: each point
-//! runs under `catch_unwind` with a bounded retry budget, so a panicking
-//! or failing point yields a typed [`PointError`] in its slot instead of
-//! killing the pool. Retries re-run the identical pure closure
+//! [`fault_domain`] is the one per-unit **fault domain**: `catch_unwind`
+//! plus a bounded retry budget. [`try_map_mode`] maps it over a sweep, so
+//! a panicking or failing point yields a typed [`PointError`] in its slot
+//! instead of killing the pool. Retries re-run the identical pure closure
 //! (backoff-free re-queue), so serial and parallel sweeps stay
 //! bit-identical for every successful point.
 
@@ -142,15 +142,26 @@ fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One fault-isolated attempt of `f` on `item`: a panic becomes an
-/// `Err` with the rendered payload.
-fn attempt<T, R, F>(f: &F, item: &T) -> Result<R, String>
-where
-    F: Fn(&T) -> Result<R, String> + Sync,
-{
-    match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(r) => r,
-        Err(p) => Err(panic_payload(p.as_ref())),
+/// Runs `f` in one fault domain: a panic is caught and rendered as an
+/// `Err`, and a failing run (panic or `Err`) is re-attempted up to
+/// `retries` extra times. Returns the last outcome and the attempts
+/// spent. Every grid unit — the local sweep's, the study service's
+/// workers', the federation's local fallback's — runs through here, so
+/// "what a retry budget means" has one definition.
+pub fn fault_domain<R>(
+    retries: u32,
+    f: impl Fn() -> Result<R, String>,
+) -> (Result<R, String>, u32) {
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        let outcome = match catch_unwind(AssertUnwindSafe(&f)) {
+            Ok(r) => r,
+            Err(p) => Err(panic_payload(p.as_ref())),
+        };
+        if outcome.is_ok() || attempts > retries {
+            return (outcome, attempts);
+        }
     }
 }
 
@@ -185,30 +196,16 @@ where
     let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
     map_mode(mode, indexed, |(index, item)| {
         let start = Instant::now();
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match attempt(&f, &item) {
-                Ok(r) => {
-                    return PointOutcome {
-                        attempts,
-                        result: Ok(r),
-                    }
-                }
-                Err(_) if attempts <= retries => {}
-                Err(payload) => {
-                    return PointOutcome {
-                        attempts,
-                        result: Err(PointError {
-                            index,
-                            label: label(&item),
-                            payload,
-                            elapsed: start.elapsed(),
-                            attempts,
-                        }),
-                    }
-                }
-            }
+        let (outcome, attempts) = fault_domain(retries, || f(&item));
+        PointOutcome {
+            attempts,
+            result: outcome.map_err(|payload| PointError {
+                index,
+                label: label(&item),
+                payload,
+                elapsed: start.elapsed(),
+                attempts,
+            }),
         }
     })
 }

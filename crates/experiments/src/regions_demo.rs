@@ -7,8 +7,6 @@
 //! overhead directly. This experiment shows both views side by side for
 //! a rotating-imbalance workload (the lud model).
 
-use std::fmt;
-
 use cmpsim::{region_stacks, MachineConfig, Simulation};
 use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
@@ -52,23 +50,14 @@ impl RegionsDemo {
     }
 }
 
-/// Runs the region-stack demonstration (lud at 16 threads).
+/// Runs the region-stack demonstration (lud at 16 threads), honoring the
+/// thread-count and LLC overrides.
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails.
 #[must_use]
-pub fn run(scale: f64) -> RegionsDemo {
-    run_study(&StudyParams::with_scale(scale))
-}
-
-/// [`run`] honoring the thread-count and LLC overrides.
-///
-/// # Panics
-///
-/// Panics if the simulation fails.
-#[must_use]
-pub fn run_study(params: &StudyParams) -> RegionsDemo {
+pub fn run(params: &StudyParams) -> RegionsDemo {
     let threads = params.single_count(16);
     let p = workloads::find("lud", Suite::Rodinia).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -189,12 +178,6 @@ impl RegionsDemo {
     }
 }
 
-impl fmt::Display for RegionsDemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// The §4.6 region-stack demonstration as a registry [`Study`] (honors
 /// `scale`, `threads` — the last entry — and `llc_mib`).
 #[derive(Debug, Clone, Copy)]
@@ -210,7 +193,7 @@ impl Study for RegionsStudy {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_study(params).to_report();
+        let mut report = run(params).to_report();
         params.record(&mut report);
         Ok(report)
     }
@@ -222,7 +205,7 @@ mod tests {
 
     #[test]
     fn region_view_reclassifies_barrier_waits() {
-        let demo = run(0.25);
+        let demo = run(&StudyParams::with_scale(0.25));
         assert!(!demo.regions.is_empty());
         // Whole-program: barrier waits are sync; per-region: imbalance.
         assert!(
@@ -250,7 +233,7 @@ mod tests {
 
     #[test]
     fn region_stacks_are_valid() {
-        let demo = run(0.25);
+        let demo = run(&StudyParams::with_scale(0.25));
         for s in &demo.regions {
             assert!(s.is_valid());
             assert_eq!(s.num_threads(), 16);

@@ -6,21 +6,23 @@
 //! of the same machine (Eq. 1's `Ts`), and attach the resulting *actual*
 //! speedup to the stack for validation.
 //!
-//! Two grid drivers share that recipe: [`run_grid`] (the original
-//! fail-fast sweep, kept for the perf harness and determinism tests) and
-//! [`run_grid_ft`], the fault-tolerant sweep behind the `repro` CLI —
-//! per-point panic isolation and retries via [`crate::par::try_map_mode`],
-//! cooperative per-point deadlines, crash-safe journaling through
-//! [`crate::journal`] and checkpoint–resume that reproduces the
-//! uninterrupted report bit for bit.
+//! [`run_grid_ft`] sweeps that recipe over a (benchmark × thread-count)
+//! grid: per-unit panic isolation and retries via
+//! [`crate::par::try_map_mode`], cooperative per-unit deadlines,
+//! crash-safe journaling through [`crate::journal`] and checkpoint–resume
+//! that reproduces the uninterrupted report bit for bit. Its two unit
+//! bodies (`reference_unit`, `point_unit`) are the ones
+//! [`crate::decompose::GridStudy`] hands to the study service, and its
+//! outcomes fold through [`crate::decompose::GridFold`] like every served
+//! path's.
 //!
-//! [`run_grid_ft`] additionally speaks the binary trace format of
-//! [`workloads::trace`]: armed with a capture [`TraceSpec`], it records
-//! every run's op streams to a trace file before sweeping (the generators
-//! are deterministic, so the capture matches the sweep exactly); armed
-//! with a replay spec, every simulation draws its ops from the trace
-//! instead of the generators, reproducing the captured report bit for
-//! bit. Any trace damage aborts the sweep with a typed
+//! The sweep also speaks the binary trace format of [`workloads::trace`]:
+//! armed with a capture [`TraceSpec`], it records every run's op streams
+//! to a trace file before sweeping (the generators are deterministic, so
+//! the capture matches the sweep exactly); armed with a replay spec,
+//! every simulation draws its ops from the trace instead of the
+//! generators, reproducing the captured report bit for bit. Any trace
+//! damage aborts the sweep with a typed
 //! [`speedup_stacks::SimError::Trace`] — a damaged trace has no safe
 //! recomputation, so it is never degraded-and-continued.
 
@@ -32,13 +34,14 @@ use cmpsim::{MachineConfig, SimError, SimResult, Simulation};
 use memsim::MemConfig;
 use speedup_stacks::error::{SimError as CoreError, TraceError};
 use speedup_stacks::report::json::{self, JsonValue};
-use speedup_stacks::report::{Degraded, DegradedPoint, Provenance};
+use speedup_stacks::report::{Degraded, Provenance};
 use speedup_stacks::{
     accounting, AccountingConfig, Breakdown, Component, SpeedupStack, ThreadBreakdown,
 };
 use workloads::trace::{TraceReader, TraceSpec, TraceWriter};
 use workloads::{display_name, streams_for, WorkloadProfile};
 
+use crate::decompose::{reference_failed, GridFold};
 use crate::journal::{self, JournalSpec, JournalWriter};
 use crate::par::{try_map_mode, Parallelism};
 
@@ -221,49 +224,6 @@ pub fn run_profile_streams(
         mt,
         stack,
     })
-}
-
-/// Runs a (benchmark × thread-count) figure grid, in parallel over the
-/// independent simulation points.
-///
-/// Single-threaded references are computed once per benchmark (with
-/// `mk_opts(profile, 1)`) and shared across that benchmark's points.
-/// Results are collected in deterministic `(profile, count)` order, so a
-/// serial and a parallel sweep produce identical figures — guarded by the
-/// `sweep_determinism` integration test.
-///
-/// # Panics
-///
-/// Panics if any simulation fails (catalog workloads are deadlock-free
-/// by construction).
-pub fn run_grid(
-    profiles: &[WorkloadProfile],
-    counts: &[usize],
-    mk_opts: &(impl Fn(&WorkloadProfile, usize) -> RunOptions + Sync),
-    mode: crate::par::Parallelism,
-) -> Vec<Vec<RunOutcome>> {
-    // Phase 1: single-threaded references, one per benchmark.
-    let refs = crate::par::map_mode(mode, profiles.iter().collect(), |p| {
-        single_thread_reference(p, &mk_opts(p, 1)).expect("single-thread run")
-    });
-    // Phase 2: every (benchmark, thread-count) point.
-    let points: Vec<(usize, usize)> = (0..profiles.len())
-        .flat_map(|pi| counts.iter().map(move |&n| (pi, n)))
-        .collect();
-    let outcomes = crate::par::map_mode(mode, points, |(pi, n)| {
-        run_profile(&profiles[pi], &mk_opts(&profiles[pi], n), Some(refs[pi])).expect("run")
-    });
-    // Regroup flat results per benchmark, in counts order.
-    let mut iter = outcomes.into_iter();
-    profiles
-        .iter()
-        .map(|_| {
-            counts
-                .iter()
-                .map(|_| iter.next().expect("one outcome per point"))
-                .collect()
-        })
-        .collect()
 }
 
 /// The journaled essence of one completed grid point: everything the
@@ -494,25 +454,120 @@ impl<'a> SweepOptions<'a> {
 /// The outcome of a fault-tolerant grid sweep.
 #[derive(Debug)]
 pub struct GridReport {
-    /// Per-profile, per-count point summaries, in deterministic
+    /// One slot per grid point, row-major in deterministic
     /// `(profile, count)` order. `None` marks a failed point; its reason
     /// is in [`GridReport::degraded`].
-    pub rows: Vec<Vec<Option<PointSummary>>>,
+    pub points: Vec<Option<PointSummary>>,
     /// Degradation accounting for the report's `Degraded` block (checked
     /// with `is_degraded()` — a clean run pushes no block, which keeps
     /// resumed reports byte-identical to uninterrupted ones).
     pub degraded: Degraded,
-    /// Grid points replayed from the journal instead of recomputed.
-    pub resumed: usize,
     /// Capture provenance when the sweep traced to a file (`None` on
     /// plain and replayed sweeps — replays attach nothing extra, so a
     /// replayed report stays byte-identical to the generated one).
     pub provenance: Option<Provenance>,
 }
 
-/// Runs a (benchmark × thread-count) grid with per-point fault domains:
-/// panics and engine errors are confined to their point, failing points
-/// are retried up to the policy's budget, completed points stream into
+/// A point's label in `Degraded` blocks and failure frames.
+#[must_use]
+pub fn point_label(profile_name: &str, threads: usize) -> String {
+    format!("{profile_name} x{threads}")
+}
+
+/// The trace a replaying sweep draws its op streams from, plus the slot
+/// where damage discovered inside a worker is parked:
+/// [`cmpsim::OpStream`] has no error channel, so a replay stream that
+/// hits damage parks a typed error in its run's fault slot; the unit
+/// moves it here and the sweep fails at its next checkpoint.
+#[derive(Debug)]
+pub(crate) struct Replay {
+    reader: TraceReader,
+    fault: Mutex<Option<TraceError>>,
+}
+
+impl Replay {
+    fn park(&self, e: TraceError) -> String {
+        let msg = e.to_string();
+        self.fault
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(e);
+        msg
+    }
+
+    /// Runs `f` over the captured streams of the (`name`, `threads`) run.
+    fn run<R>(
+        &self,
+        name: &str,
+        threads: usize,
+        f: impl FnOnce(Vec<Box<dyn cmpsim::OpStream>>) -> Result<R, SimError>,
+    ) -> Result<R, String> {
+        let run = self
+            .reader
+            .run_streams(name, threads)
+            .map_err(|e| self.park(e))?;
+        let result = f(run.streams);
+        // Check the fault slot before the engine result: a truncated
+        // stream can surface as an engine error (or a deadlock) whose
+        // root cause is the trace.
+        if let Some(e) = run.fault.take() {
+            return Err(self.park(e));
+        }
+        result.map_err(|e| e.to_string())
+    }
+}
+
+/// One single-thread reference unit, `(Ts, instructions)`. This and
+/// [`point_unit`] are the only places a unit's options meet the fault
+/// policy's cooperative deadline and the only bodies a grid unit runs
+/// through — in the local sweep (generated or replayed streams) and, via
+/// [`crate::decompose::GridStudy`], on the study service's workers.
+///
+/// # Errors
+///
+/// The engine or trace error rendered as a string (the caller's fault
+/// domain treats it as a unit failure).
+pub(crate) fn reference_unit(
+    profile: &WorkloadProfile,
+    mut opts: RunOptions,
+    faults: FaultPolicy,
+    replay: Option<&Replay>,
+) -> Result<(u64, u64), String> {
+    opts.deadline_cycles = opts.deadline_cycles.or(faults.deadline_cycles);
+    match replay {
+        Some(r) => r.run(&display_name(profile), 1, |streams| {
+            single_thread_reference_streams(&opts, streams)
+        }),
+        None => single_thread_reference(profile, &opts).map_err(|e| e.to_string()),
+    }
+}
+
+/// One grid-point unit given its profile's reference `st` (see
+/// [`reference_unit`]).
+///
+/// # Errors
+///
+/// The engine or trace error rendered as a string.
+pub(crate) fn point_unit(
+    profile: &WorkloadProfile,
+    mut opts: RunOptions,
+    faults: FaultPolicy,
+    st: (u64, u64),
+    replay: Option<&Replay>,
+) -> Result<PointSummary, String> {
+    opts.deadline_cycles = opts.deadline_cycles.or(faults.deadline_cycles);
+    match replay {
+        Some(r) => r.run(&display_name(profile), opts.threads, |streams| {
+            run_profile_streams(profile, &opts, st, streams)
+        }),
+        None => run_profile(profile, &opts, Some(st)).map_err(|e| e.to_string()),
+    }
+    .map(PointSummary::from)
+}
+
+/// Runs a (benchmark × thread-count) grid with per-unit fault domains:
+/// panics and engine errors are confined to their unit, failing units
+/// are retried up to the policy's budget, completed units stream into
 /// the journal (when armed), and a resume replays intact journal records
 /// instead of recomputing them — reproducing the uninterrupted sweep's
 /// report bit for bit.
@@ -533,7 +588,7 @@ pub struct GridReport {
 ///   never degraded: silently replaying a different op stream would
 ///   fabricate results.
 ///
-/// Per-point failures are **not** errors: they surface as `None` rows
+/// Per-point failures are **not** errors: they surface as `None` slots
 /// plus [`GridReport::degraded`] entries.
 pub fn run_grid_ft(
     profiles: &[WorkloadProfile],
@@ -546,35 +601,36 @@ pub fn run_grid_ft(
     for p in profiles {
         p.validate().map_err(CoreError::Config)?;
     }
+    let names: Vec<String> = profiles.iter().map(display_name).collect();
 
     // Trace capture happens up front: every (profile, thread-count) run
     // the sweep will make is drained from the (deterministic) generators
     // into the trace file, then the sweep itself proceeds on generated
     // streams as usual. Replay opens and identity-checks the trace; the
-    // point closures below then draw their ops from it.
+    // units below then draw their ops from it.
     let mut provenance: Option<Provenance> = None;
-    let trace_reader: Option<TraceReader> = match sweep.trace {
-        Some(spec) if spec.replay => Some(
-            TraceReader::open(&spec.path, Some((sweep.study, sweep.fingerprint)))
+    let replay: Option<Replay> = match sweep.trace {
+        Some(spec) if spec.replay => Some(Replay {
+            reader: TraceReader::open(&spec.path, Some((sweep.study, sweep.fingerprint)))
                 .map_err(CoreError::Trace)?,
-        ),
+            fault: Mutex::new(None),
+        }),
         Some(spec) => {
             let mut w = TraceWriter::create(&spec.path, sweep.study, sweep.fingerprint)
                 .map_err(CoreError::Trace)?;
-            for p in profiles {
-                let name = display_name(p);
+            for (p, name) in profiles.iter().zip(&names) {
                 // The single-thread reference run, then each grid
                 // point's thread count (deduplicated — e.g. a count
                 // whose options pin threads to an already-captured
                 // value).
                 let mut written: Vec<usize> = vec![1];
-                w.add_run(&name, streams_for(p, 1))
+                w.add_run(name, streams_for(p, 1))
                     .map_err(CoreError::Trace)?;
                 for &n in counts {
                     let threads = mk_opts(p, n).threads;
                     if !written.contains(&threads) {
                         written.push(threads);
-                        w.add_run(&name, streams_for(p, threads))
+                        w.add_run(name, streams_for(p, threads))
                             .map_err(CoreError::Trace)?;
                     }
                 }
@@ -616,9 +672,7 @@ pub fn run_grid_ft(
                     _ => quarantined += 1,
                 }
             }
-            Some(Mutex::new(
-                JournalWriter::open_append(&spec.path).map_err(CoreError::Journal)?,
-            ))
+            Some(Mutex::new(scan.writer))
         }
         Some(spec) => Some(Mutex::new(
             JournalWriter::create(&spec.path, sweep.study, sweep.fingerprint)
@@ -644,53 +698,48 @@ pub fn run_grid_ft(
             }
         }
     };
-    let take_journal_fault = || {
-        journal_fault
+    // The checkpoint after each phase: trace damage first (it can be the
+    // root cause of anything else), then a parked journal failure.
+    let checkpoint = || -> Result<(), CoreError> {
+        let parked_trace = replay.as_ref().and_then(|r| {
+            r.fault
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+        });
+        if let Some(e) = parked_trace {
+            return Err(CoreError::Trace(e));
+        }
+        let parked_journal = journal_fault
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .take()
+            .take();
+        parked_journal.map_or(Ok(()), |e| Err(CoreError::Journal(e)))
     };
 
-    // Same parking pattern for trace damage discovered inside a worker:
-    // [`cmpsim::OpStream`] has no error channel, so a replay stream that
-    // hits damage parks a typed error in its run's fault slot; the
-    // closures move it here and the sweep fails at the next checkpoint.
-    let trace_fault: Mutex<Option<TraceError>> = Mutex::new(None);
-    let park_trace = |e: TraceError| -> String {
-        let msg = e.to_string();
-        trace_fault
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_or_insert(e);
-        msg
+    // Points are indexed row-major; journaled ones fold straight in.
+    let n_points = profiles.len() * counts.len();
+    let point_of = |i: usize| (i / counts.len(), counts[i % counts.len()]);
+    let label_of = |i: usize| {
+        let (pi, n) = point_of(i);
+        point_label(&names[pi], n)
     };
-    let take_trace_fault = || {
-        trace_fault
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-    };
-
-    let grid: Vec<(usize, usize)> = (0..profiles.len())
-        .flat_map(|pi| counts.iter().map(move |&n| (pi, n)))
-        .collect();
-    let resumed = grid
-        .iter()
-        .filter(|&&(pi, n)| done_points.contains_key(&(display_name(&profiles[pi]), n)))
-        .count();
-    let pending: Vec<(usize, usize)> = grid
-        .iter()
-        .copied()
-        .filter(|&(pi, n)| !done_points.contains_key(&(display_name(&profiles[pi]), n)))
-        .collect();
-    let mut need_ref: Vec<usize> = pending.iter().map(|&(pi, _)| pi).collect();
-    need_ref.sort_unstable();
+    let mut fold = GridFold::new(n_points);
+    let mut pending: Vec<usize> = Vec::new();
+    for i in 0..n_points {
+        let (pi, n) = point_of(i);
+        match done_points.remove(&(names[pi].clone(), n)) {
+            Some(summary) => fold.point(i, summary, 1),
+            None => pending.push(i),
+        }
+    }
+    // `pending` ascends, so its profile indices are already grouped.
+    let mut need_ref: Vec<usize> = pending.iter().map(|&i| point_of(i).0).collect();
     need_ref.dedup();
-    need_ref.retain(|&pi| !done_refs.contains_key(&display_name(&profiles[pi])));
+    need_ref.retain(|&pi| !done_refs.contains_key(&names[pi]));
 
     let budget = sweep.max_points.unwrap_or(usize::MAX);
     let run_refs = need_ref.len().min(budget);
-    let truncated_refs = need_ref.len() > run_refs;
     let faults = sweep.faults;
 
     // Phase 1: single-threaded references, one per benchmark with
@@ -699,43 +748,20 @@ pub fn run_grid_ft(
         sweep.mode,
         faults.retries,
         need_ref[..run_refs].to_vec(),
-        |&pi| format!("{} (single-thread reference)", display_name(&profiles[pi])),
+        |&pi| format!("{} (single-thread reference)", names[pi]),
         |&pi| {
             let p = &profiles[pi];
-            let mut opts = mk_opts(p, 1);
-            opts.deadline_cycles = opts.deadline_cycles.or(faults.deadline_cycles);
-            let st = match &trace_reader {
-                Some(r) => {
-                    let run = r.run_streams(&display_name(p), 1).map_err(&park_trace)?;
-                    let result = single_thread_reference_streams(&opts, run.streams);
-                    // Check the fault slot before the engine result: a
-                    // truncated stream can surface as an engine error
-                    // (or a deadlock) whose root cause is the trace.
-                    if let Some(f) = run.fault.take() {
-                        return Err(park_trace(f));
-                    }
-                    result.map_err(|e| e.to_string())?
-                }
-                None => single_thread_reference(p, &opts).map_err(|e| e.to_string())?,
-            };
-            record(&ref_record(&display_name(p), st));
+            let st = reference_unit(p, mk_opts(p, 1), faults, replay.as_ref())?;
+            record(&ref_record(&names[pi], st));
             Ok(st)
         },
     );
-    let mut degraded = Degraded {
-        total_points: grid.len(),
-        quarantined,
-        ..Degraded::default()
-    };
     let mut completed_units = 0usize;
     let mut ref_fail: HashMap<usize, (String, u32)> = HashMap::new();
     for (slot, &pi) in ref_outcomes.into_iter().zip(&need_ref[..run_refs]) {
-        if slot.retried_ok() {
-            degraded.retried += 1;
-        }
         match slot.result {
             Ok(st) => {
-                done_refs.insert(display_name(&profiles[pi]), st);
+                done_refs.insert(names[pi].clone(), st);
                 completed_units += 1;
             }
             Err(e) => {
@@ -743,112 +769,61 @@ pub fn run_grid_ft(
             }
         }
     }
-    if let Some(e) = take_trace_fault() {
-        return Err(CoreError::Trace(e));
-    }
-    if let Some(e) = take_journal_fault() {
-        return Err(CoreError::Journal(e));
-    }
-    if truncated_refs {
+    checkpoint()?;
+    if need_ref.len() > run_refs {
         return Err(CoreError::Interrupted {
             completed: completed_units,
         });
     }
 
     // Phase 2: every pending point whose reference exists.
-    let runnable: Vec<(usize, usize)> = pending
+    let mut runnable: Vec<usize> = pending
         .iter()
         .copied()
-        .filter(|(pi, _)| !ref_fail.contains_key(pi))
+        .filter(|&i| !ref_fail.contains_key(&point_of(i).0))
         .collect();
-    let remaining = budget - run_refs;
-    let run_pts = runnable.len().min(remaining);
-    let truncated_pts = runnable.len() > run_pts;
-    let pts_to_run = runnable[..run_pts].to_vec();
+    let truncated = runnable.len() > budget - run_refs;
+    runnable.truncate(budget - run_refs);
     let refs = &done_refs;
     let point_outcomes = try_map_mode(
         sweep.mode,
         faults.retries,
-        pts_to_run.clone(),
-        |&(pi, n)| format!("{} x{}", display_name(&profiles[pi]), n),
-        |&(pi, n)| {
+        runnable.clone(),
+        |&i| label_of(i),
+        |&i| {
+            let (pi, n) = point_of(i);
             let p = &profiles[pi];
-            let mut opts = mk_opts(p, n);
-            opts.deadline_cycles = opts.deadline_cycles.or(faults.deadline_cycles);
-            let st = refs[&display_name(p)];
-            let out = match &trace_reader {
-                Some(r) => {
-                    let run = r
-                        .run_streams(&display_name(p), opts.threads)
-                        .map_err(&park_trace)?;
-                    let result = run_profile_streams(p, &opts, st, run.streams);
-                    if let Some(f) = run.fault.take() {
-                        return Err(park_trace(f));
-                    }
-                    result.map_err(|e| e.to_string())?
-                }
-                None => run_profile(p, &opts, Some(st)).map_err(|e| e.to_string())?,
-            };
-            let summary = PointSummary::from(out);
+            let summary = point_unit(p, mk_opts(p, n), faults, refs[&names[pi]], replay.as_ref())?;
             record(&summary.to_record());
             Ok(summary)
         },
     );
-    for (slot, (pi, n)) in point_outcomes.into_iter().zip(pts_to_run) {
-        if slot.retried_ok() {
-            degraded.retried += 1;
-        }
+    for (slot, i) in point_outcomes.into_iter().zip(runnable) {
         match slot.result {
-            Ok(s) => {
+            Ok(summary) => {
                 completed_units += 1;
-                done_points.insert((display_name(&profiles[pi]), n), s);
+                fold.point(i, summary, slot.attempts);
             }
-            Err(e) => degraded.failed.push(DegradedPoint {
-                label: e.label,
-                reason: e.payload,
-                attempts: e.attempts,
-            }),
+            Err(e) => fold.failed(i, e.label, e.payload, e.attempts),
         }
     }
-    if let Some(e) = take_trace_fault() {
-        return Err(CoreError::Trace(e));
-    }
-    if let Some(e) = take_journal_fault() {
-        return Err(CoreError::Journal(e));
-    }
-    if truncated_pts {
+    checkpoint()?;
+    if truncated {
         return Err(CoreError::Interrupted {
             completed: completed_units,
         });
     }
 
     // Cascade failed references onto their (never attempted) points.
-    for &(pi, n) in &pending {
-        if let Some((reason, attempts)) = ref_fail.get(&pi) {
-            degraded.failed.push(DegradedPoint {
-                label: format!("{} x{}", display_name(&profiles[pi]), n),
-                reason: format!("single-thread reference failed: {reason}"),
-                attempts: *attempts,
-            });
+    for &i in &pending {
+        if let Some((reason, attempts)) = ref_fail.get(&point_of(i).0) {
+            fold.failed(i, label_of(i), reference_failed(reason), *attempts);
         }
     }
-
-    // Assemble rows in deterministic grid order.
-    let rows: Vec<Vec<Option<PointSummary>>> = profiles
-        .iter()
-        .map(|p| {
-            let name = display_name(p);
-            counts
-                .iter()
-                .map(|&n| done_points.remove(&(name.clone(), n)))
-                .collect()
-        })
-        .collect();
-    degraded.completed = rows.iter().flatten().filter(|s| s.is_some()).count();
+    let (points, degraded) = fold.into_parts(quarantined);
     Ok(GridReport {
-        rows,
+        points,
         degraded,
-        resumed,
         provenance,
     })
 }
@@ -902,27 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn run_grid_ft_matches_run_grid_clean() {
-        let p = scaled_profile(&find("blackscholes", Suite::ParsecSmall).unwrap(), 0.05);
-        let profiles = vec![p];
-        let counts = [2, 4];
-        let mk = |_: &WorkloadProfile, n: usize| RunOptions::symmetric(n);
-        let plain = run_grid(&profiles, &counts, &mk, Parallelism::Serial);
-        let sweep = SweepOptions::plain(Parallelism::Serial, FaultPolicy::default(), "test");
-        let ft = run_grid_ft(&profiles, &counts, &mk, &sweep).unwrap();
-        assert!(!ft.degraded.is_degraded());
-        assert_eq!(ft.resumed, 0);
-        for (row, ft_row) in plain.iter().zip(&ft.rows) {
-            for (out, slot) in row.iter().zip(ft_row) {
-                let s = slot.as_ref().expect("clean sweep completes every point");
-                assert_eq!(s.stack, out.stack);
-                assert_eq!(s.st_cycles, out.st_cycles);
-                assert_eq!(s.mt_cycles, out.mt_cycles);
-            }
-        }
-    }
-
-    #[test]
     fn run_grid_ft_deadline_fails_points_not_sweep() {
         let p = scaled_profile(&find("blackscholes", Suite::ParsecSmall).unwrap(), 0.05);
         let profiles = vec![p];
@@ -940,7 +894,7 @@ mod tests {
         let ft = run_grid_ft(&profiles, &[2], &mk, &sweep).unwrap();
         assert!(ft.degraded.is_degraded());
         assert_eq!(ft.degraded.completed, 0);
-        assert!(ft.rows[0][0].is_none());
+        assert!(ft.points[0].is_none());
         let reason = &ft.degraded.failed[0].reason;
         assert!(reason.contains("deadline"), "unexpected reason: {reason}");
     }

@@ -21,7 +21,6 @@
 //! rate speedup `Σᵢ Ts(i) / Tp`. Each point also carries the full
 //! speedup stack rendered by [`speedup_stacks::render::render_sweep`].
 
-use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -35,7 +34,8 @@ use workloads::{
     WorkloadProfile,
 };
 
-use crate::runner::FaultPolicy;
+use crate::decompose::reference_failed;
+use crate::runner::{point_label, FaultPolicy};
 use crate::study::{Study, StudyParams};
 
 /// The swept core counts: powers of two from 1 to 128 (the paper stops
@@ -95,23 +95,6 @@ pub struct ScalingStudy {
 }
 
 impl ScalingStudy {
-    /// Total engine events across every multi-threaded point (the
-    /// perf-trajectory denominator for `BENCH_PR*.json`).
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.series
-            .iter()
-            .flat_map(|s| s.points.iter())
-            .map(|p| p.events)
-            .sum()
-    }
-
-    /// Number of swept simulation points.
-    #[must_use]
-    pub fn total_points(&self) -> u64 {
-        self.series.iter().map(|s| s.points.len() as u64).sum()
-    }
-
     /// Converts the study into its structured [`Report`]: one sweep
     /// block per workload plus a machine-readable point table.
     #[must_use]
@@ -169,12 +152,6 @@ impl ScalingStudy {
     }
 }
 
-impl fmt::Display for ScalingStudy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_report().to_text())
-    }
-}
-
 /// The study's weak-scaling workloads: one good scaler (blackscholes),
 /// one synchronization-bound workload (cholesky: short hot critical
 /// sections) and one imbalance-bound workload (lud: strong rotating
@@ -199,12 +176,6 @@ fn machine(cores: usize, mem: MemConfig) -> MachineConfig {
     }
 }
 
-fn stack_of(mt: &SimResult, actual: f64) -> SpeedupStack {
-    mt.stack(&AccountingConfig::default())
-        .expect("engine produces valid counters")
-        .with_actual_speedup(actual)
-}
-
 /// One fault-domained simulation: validates the machine and honors the
 /// policy's cooperative deadline; any engine error becomes a rendered
 /// reason for the point's `Degraded` entry.
@@ -224,37 +195,74 @@ fn sim(
     .map_err(|e| e.to_string())
 }
 
-/// Tallies a fault-isolated sweep's outcomes into a series, pushing
-/// failed points onto `degraded`.
-fn collect_points(
-    name: &str,
-    outcomes: Vec<crate::par::PointOutcome<ScalingPoint>>,
+/// One series over `counts`. `reference` is the series' single-thread
+/// reference unit (its fault-domain outcome and attempts): when it
+/// failed, every point cascades with the sweep's reason; otherwise each
+/// count's `point(n, &reference)` — the multi-threaded run and the
+/// speedup to attach to its stack — runs in its own fault domain.
+fn series<R: Sync>(
+    name: String,
+    counts: &[usize],
+    mode: crate::par::Parallelism,
+    faults: FaultPolicy,
     degraded: &mut Degraded,
+    reference: (Result<R, String>, u32),
+    point: impl Fn(usize, &R) -> Result<(SimResult, f64), String> + Sync,
 ) -> ScalingSeries {
-    let mut points = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        if o.retried_ok() {
-            degraded.retried += 1;
+    let mut points = Vec::with_capacity(counts.len());
+    match reference {
+        (Err(reason), attempts) => {
+            degraded
+                .failed
+                .extend(counts.iter().map(|&n| DegradedPoint {
+                    label: point_label(&name, n),
+                    reason: reference_failed(&reason),
+                    attempts,
+                }));
         }
-        match o.result {
-            Ok(p) => points.push(p),
-            Err(e) => degraded.failed.push(DegradedPoint {
-                label: e.label,
-                reason: e.payload,
-                attempts: e.attempts,
-            }),
+        (Ok(st), _) => {
+            let outcomes = crate::par::try_map_mode(
+                mode,
+                faults.retries,
+                counts.to_vec(),
+                |&n| point_label(&name, n),
+                |&n| {
+                    let (mt, speedup) = point(n, &st)?;
+                    let stack = mt
+                        .stack(&AccountingConfig::default())
+                        .expect("engine produces valid counters")
+                        .with_actual_speedup(speedup);
+                    Ok(ScalingPoint {
+                        cores: n,
+                        estimated: stack.estimated_speedup(),
+                        scaled_speedup: speedup,
+                        mt_cycles: mt.tp_cycles,
+                        events: mt.events,
+                        stack,
+                    })
+                },
+            );
+            for o in outcomes {
+                if o.retried_ok() {
+                    degraded.retried += 1;
+                }
+                match o.result {
+                    Ok(p) => points.push(p),
+                    Err(e) => degraded.failed.push(DegradedPoint {
+                        label: e.label,
+                        reason: e.payload,
+                        attempts: e.attempts,
+                    }),
+                }
+            }
         }
     }
-    ScalingSeries {
-        name: name.to_string(),
-        points,
-    }
+    ScalingSeries { name, points }
 }
 
 /// Runs one weak-scaling workload across `counts`, reusing the one
 /// single-threaded reference (weak scaling: every thread's work equals
-/// the ST run's). Each point runs in its own fault domain; a failed
-/// reference cascades onto the whole series.
+/// the ST run's).
 fn weak_series(
     profile: &WorkloadProfile,
     counts: &[usize],
@@ -263,71 +271,30 @@ fn weak_series(
     faults: FaultPolicy,
     degraded: &mut Degraded,
 ) -> ScalingSeries {
-    let name = display_name(profile);
-    let st_outcome = crate::par::try_map_mode(
-        crate::par::Parallelism::Serial,
-        faults.retries,
-        vec![()],
-        |_| format!("{name} (single-thread reference)"),
-        |_| {
-            sim(
-                machine(1, mem),
-                streams_for(profile, 1),
-                faults.deadline_cycles,
-            )
-        },
-    )
-    .pop()
-    .expect("one reference outcome");
-    if st_outcome.retried_ok() {
-        degraded.retried += 1;
-    }
-    let st = match st_outcome.result {
-        Ok(st) => st,
-        Err(e) => {
-            for &n in counts {
-                degraded.failed.push(DegradedPoint {
-                    label: format!("{name} x{n}"),
-                    reason: format!("single-thread reference failed: {}", e.payload),
-                    attempts: e.attempts,
-                });
-            }
-            return ScalingSeries {
-                name,
-                points: Vec::new(),
-            };
-        }
+    let deadline = faults.deadline_cycles;
+    let reference = crate::par::fault_domain(faults.retries, || {
+        sim(machine(1, mem), streams_for(profile, 1), deadline)
+    });
+    let point = |n: usize, st: &SimResult| {
+        let mt = sim(machine(n, mem), streams_for(profile, n), deadline)?;
+        let scaled = n as f64 * st.tp_cycles as f64 / mt.tp_cycles as f64;
+        Ok((mt, scaled))
     };
-    let outcomes = crate::par::try_map_mode(
+    series(
+        display_name(profile),
+        counts,
         mode,
-        faults.retries,
-        counts.to_vec(),
-        |&n| format!("{name} x{n}"),
-        |&n| {
-            let mt = sim(
-                machine(n, mem),
-                streams_for(profile, n),
-                faults.deadline_cycles,
-            )?;
-            let scaled = n as f64 * st.tp_cycles as f64 / mt.tp_cycles as f64;
-            let stack = stack_of(&mt, scaled);
-            Ok(ScalingPoint {
-                cores: n,
-                estimated: stack.estimated_speedup(),
-                scaled_speedup: scaled,
-                mt_cycles: mt.tp_cycles,
-                events: mt.events,
-                stack,
-            })
-        },
-    );
-    collect_points(&name, outcomes, degraded)
+        faults,
+        degraded,
+        reference,
+        point,
+    )
 }
 
 /// Runs the rate mix across `counts`. Per-program single-threaded
 /// references are computed once from the first `programs.len()` members
-/// and reused cyclically across wider mixes. Fault-isolated like
-/// [`weak_series`].
+/// and reused cyclically across wider mixes; the first one to fail fails
+/// the series.
 fn mix_series(
     programs: &[WorkloadProfile],
     counts: &[usize],
@@ -336,86 +303,56 @@ fn mix_series(
     faults: FaultPolicy,
     degraded: &mut Degraded,
 ) -> ScalingSeries {
-    let ref_outcomes = crate::par::try_map_mode(
+    let deadline = faults.deadline_cycles;
+    let mut refs = Vec::with_capacity(programs.len());
+    let mut first_failure = None;
+    for o in crate::par::try_map_mode(
         mode,
         faults.retries,
         programs.iter().enumerate().collect(),
         |(i, p)| format!("{} (rate-mix reference {i})", display_name(p)),
         |&(i, p)| {
             let solo: Vec<Box<dyn cmpsim::OpStream>> = vec![Box::new(RateMixStream::new(p, i))];
-            sim(machine(1, mem), solo, faults.deadline_cycles).map(|r| r.tp_cycles)
+            sim(machine(1, mem), solo, deadline).map(|r| r.tp_cycles)
         },
-    );
-    let mut refs = Vec::with_capacity(programs.len());
-    for o in ref_outcomes {
-        if o.retried_ok() {
-            degraded.retried += 1;
-        }
+    ) {
         match o.result {
-            Ok(c) => refs.push(c),
+            Ok(cycles) => refs.push(cycles),
             Err(e) => {
-                for &n in counts {
-                    degraded.failed.push(DegradedPoint {
-                        label: format!("rate_mix x{n}"),
-                        reason: format!("single-thread reference failed: {}", e.payload),
-                        attempts: e.attempts,
-                    });
-                }
-                return ScalingSeries {
-                    name: "rate_mix".to_string(),
-                    points: Vec::new(),
-                };
+                first_failure.get_or_insert((Err(e.payload), e.attempts));
             }
         }
     }
-    let outcomes = crate::par::try_map_mode(
+    let reference = first_failure.unwrap_or((Ok(refs), 1));
+    let point = |n: usize, refs: &Vec<u64>| {
+        let mt = sim(machine(n, mem), rate_mix_streams(programs, n), deadline)?;
+        let ts_sum: u64 = (0..n).map(|i| refs[i % refs.len()]).sum();
+        let rate = ts_sum as f64 / mt.tp_cycles as f64;
+        Ok((mt, rate))
+    };
+    series(
+        "rate_mix".to_string(),
+        counts,
         mode,
-        faults.retries,
-        counts.to_vec(),
-        |&n| format!("rate_mix x{n}"),
-        |&n| {
-            let mt = sim(
-                machine(n, mem),
-                rate_mix_streams(programs, n),
-                faults.deadline_cycles,
-            )?;
-            let ts_sum: u64 = (0..n).map(|i| refs[i % refs.len()]).sum();
-            let rate = ts_sum as f64 / mt.tp_cycles as f64;
-            let stack = stack_of(&mt, rate);
-            Ok(ScalingPoint {
-                cores: n,
-                estimated: stack.estimated_speedup(),
-                scaled_speedup: rate,
-                mt_cycles: mt.tp_cycles,
-                events: mt.events,
-                stack,
-            })
-        },
-    );
-    collect_points("rate_mix", outcomes, degraded)
+        faults,
+        degraded,
+        reference,
+        point,
+    )
 }
 
-/// Runs the full study over [`CORE_COUNTS`] with workloads scaled by
-/// `scale` (1.0 = the catalog sizes; use e.g. 0.25 for a quick pass).
+/// Runs the study: `threads` overrides the swept core counts
+/// ([`CORE_COUNTS`] by default), `llc_mib` resizes the (32-way)
+/// many-core LLC, `scale` scales the workloads (1.0 = the catalog sizes;
+/// use e.g. 0.25 for a quick pass).
 ///
 /// # Panics
 ///
-/// Panics if any swept point fails.
+/// Panics if a study workload is invalid or any swept point fails;
+/// [`ManycoreScalingStudy`] degrades gracefully instead.
 #[must_use]
-pub fn run(scale: f64) -> ScalingStudy {
-    run_with(scale, &CORE_COUNTS, crate::par::Parallelism::Auto)
-}
-
-/// Runs the study over explicit `counts` with the given sweep
-/// parallelism (points are independent; collection order is
-/// deterministic).
-///
-/// # Panics
-///
-/// Panics if any swept point fails.
-#[must_use]
-pub fn run_with(scale: f64, counts: &[usize], mode: crate::par::Parallelism) -> ScalingStudy {
-    let (study, degraded) = run_mem(scale, counts, mode, manycore_mem(), FaultPolicy::default());
+pub fn run(params: &StudyParams) -> ScalingStudy {
+    let (study, degraded) = sweep(params).expect("scaling sweep");
     assert!(
         !degraded.is_degraded(),
         "scaling sweep degraded: {degraded:?}"
@@ -423,32 +360,10 @@ pub fn run_with(scale: f64, counts: &[usize], mode: crate::par::Parallelism) -> 
     study
 }
 
-/// Runs the study honoring the full [`StudyParams`]: `threads` overrides
-/// the swept core counts and `llc_mib` resizes the (32-way) many-core
-/// LLC.
-///
-/// # Panics
-///
-/// Panics if any swept point fails; use [`run_study_ft`] to degrade
-/// gracefully instead.
-#[must_use]
-pub fn run_study(params: &StudyParams) -> ScalingStudy {
-    let (study, degraded) = run_study_ft(params).expect("scaling sweep");
-    assert!(
-        !degraded.is_degraded(),
-        "scaling sweep degraded: {degraded:?}"
-    );
-    study
-}
-
-/// Fault-tolerant [`run_study`]: each swept point runs in its own fault
-/// domain (honoring `params.faults`), and failures surface in the
-/// returned [`Degraded`] block instead of panicking.
-///
-/// # Errors
-///
-/// Returns [`SimError::Config`] if a study workload fails validation.
-pub fn run_study_ft(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
+/// The fault-tolerant sweep behind [`run`] and [`ManycoreScalingStudy`]:
+/// each swept point runs in its own fault domain (honoring
+/// `params.faults`), and failures land in the returned [`Degraded`].
+fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
     let counts = params.counts_or(&CORE_COUNTS);
     let mem = match params.llc_mib {
         Some(mib) => MemConfig {
@@ -457,48 +372,34 @@ pub fn run_study_ft(params: &StudyParams) -> Result<(ScalingStudy, Degraded), Si
         },
         None => manycore_mem(),
     };
-    for p in study_profiles(params.scale) {
+    let (mode, faults) = (params.parallelism, params.faults);
+    let profiles = study_profiles(params.scale);
+    for p in &profiles {
         p.validate().map_err(SimError::Config)?;
     }
-    Ok(run_mem(
-        params.scale,
-        &counts,
-        params.parallelism,
-        mem,
-        params.faults,
-    ))
-}
-
-fn run_mem(
-    scale: f64,
-    counts: &[usize],
-    mode: crate::par::Parallelism,
-    mem: MemConfig,
-    faults: FaultPolicy,
-) -> (ScalingStudy, Degraded) {
     let mut degraded = Degraded {
         // 3 weak workloads + the rate mix, one point per count each.
         total_points: 4 * counts.len(),
         ..Degraded::default()
     };
-    let mut series: Vec<ScalingSeries> = study_profiles(scale)
+    let mut series: Vec<ScalingSeries> = profiles
         .iter()
-        .map(|p| weak_series(p, counts, mode, mem, faults, &mut degraded))
+        .map(|p| weak_series(p, &counts, mode, mem, faults, &mut degraded))
         .collect();
     let mix: Vec<WorkloadProfile> = default_rate_mix()
         .iter()
-        .map(|p| crate::runner::scaled_profile(p, scale))
+        .map(|p| crate::runner::scaled_profile(p, params.scale))
         .collect();
-    series.push(mix_series(&mix, counts, mode, mem, faults, &mut degraded));
+    series.push(mix_series(&mix, &counts, mode, mem, faults, &mut degraded));
     degraded.completed = series.iter().map(|s| s.points.len()).sum();
-    (
+    Ok((
         ScalingStudy {
             series,
-            counts: counts.to_vec(),
+            counts,
             mem,
         },
         degraded,
-    )
+    ))
 }
 
 /// The many-core scaling study as a registry [`Study`] (honors `scale`,
@@ -516,7 +417,7 @@ impl Study for ManycoreScalingStudy {
     }
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let (study, degraded) = run_study_ft(params)?;
+        let (study, degraded) = sweep(params)?;
         let mut report = study.to_report();
         if degraded.is_degraded() {
             report.push(Block::Degraded(degraded));
@@ -531,22 +432,29 @@ mod tests {
     use super::*;
     use crate::par::Parallelism;
 
+    fn quick(counts: &[usize], parallelism: Parallelism) -> ScalingStudy {
+        run(&StudyParams {
+            threads: Some(counts.to_vec()),
+            parallelism,
+            ..StudyParams::with_scale(0.02)
+        })
+    }
+
     #[test]
     fn quick_study_has_expected_shape() {
-        let study = run_with(0.02, &[1, 2, 4], Parallelism::Serial);
+        let study = quick(&[1, 2, 4], Parallelism::Serial);
         assert_eq!(study.counts, vec![1, 2, 4]);
         assert_eq!(study.series.len(), 4); // 3 weak workloads + rate mix
         for s in &study.series {
             assert_eq!(s.points.len(), 3, "{}", s.name);
             for p in &s.points {
                 assert!(p.mt_cycles > 0);
+                assert!(p.events > 0);
                 assert!(p.scaled_speedup > 0.0);
                 assert_eq!(p.stack.num_threads(), p.cores);
             }
         }
-        assert!(study.total_events() > 0);
-        assert_eq!(study.total_points(), 12);
-        let text = study.to_string();
+        let text = study.to_report().to_text();
         assert!(text.contains("rate_mix"));
         assert!(text.contains("_weak"));
     }
@@ -566,8 +474,8 @@ mod tests {
 
     #[test]
     fn serial_equals_parallel_points() {
-        let a = run_with(0.02, &[1, 2], Parallelism::Serial);
-        let b = run_with(0.02, &[1, 2], Parallelism::Workers(3));
+        let a = quick(&[1, 2], Parallelism::Serial);
+        let b = quick(&[1, 2], Parallelism::Workers(3));
         for (sa, sb) in a.series.iter().zip(&b.series) {
             assert_eq!(sa.name, sb.name);
             for (pa, pb) in sa.points.iter().zip(&sb.points) {

@@ -3,8 +3,8 @@
 //! A [`Study`] is a named, described, enumerable experiment whose
 //! [`Study::run`] takes typed [`StudyParams`] and returns a structured
 //! [`Report`] — the same value model every driver consumes: the `repro`
-//! CLI (`--list`, `--format text|json|csv`), the `bench_report` perf
-//! harness, tests and future runners. The twelve paper studies
+//! CLI (`--list`, `--format text|json|csv`), the `benchmark/` harness,
+//! tests and future runners. The twelve paper studies
 //! (fig1–fig9, hwcost, regions, scaling) register themselves in
 //! [`registry`].
 //!
@@ -122,28 +122,6 @@ impl StudyParams {
         match self.llc_mib {
             Some(mib) => MemConfig::default().with_llc_mib(mib),
             None => MemConfig::default(),
-        }
-    }
-
-    /// The sweep options for a grid study, wiring these parameters'
-    /// fault policy, journal spec and point budget together with the
-    /// study's identity. `fingerprint` comes from
-    /// [`crate::journal::fingerprint`] (computed by the caller so the
-    /// `String` outlives the borrow).
-    #[must_use]
-    pub fn sweep<'a>(
-        &'a self,
-        study: &'a str,
-        fingerprint: &'a str,
-    ) -> crate::runner::SweepOptions<'a> {
-        crate::runner::SweepOptions {
-            mode: self.parallelism,
-            faults: self.faults,
-            journal: self.journal.as_ref(),
-            study,
-            fingerprint,
-            max_points: self.max_points,
-            trace: self.trace.as_ref(),
         }
     }
 

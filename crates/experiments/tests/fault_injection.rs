@@ -54,8 +54,8 @@ fn injected_panic_degrades_only_its_point_and_every_emitter_reports_it() {
     for mode in [Parallelism::Serial, Parallelism::Workers(3)] {
         let sweep = SweepOptions::plain(mode, FaultPolicy::default(), "test");
         let grid = run_grid_ft(&profiles, &counts, &mk, &sweep).unwrap();
-        assert!(grid.rows[0][0].is_some(), "healthy point lost");
-        assert!(grid.rows[0][1].is_none(), "faulted point produced data");
+        assert!(grid.points[0].is_some(), "healthy point lost");
+        assert!(grid.points[1].is_none(), "faulted point produced data");
         assert_eq!(grid.degraded.completed, 1);
         assert_eq!(grid.degraded.failed.len(), 1, "exactly the injected fault");
         let f = &grid.degraded.failed[0];
@@ -171,36 +171,55 @@ fn truncated_journal_tail_resumes_bit_identically() {
     let study = find_study("fig1").unwrap();
     let base = small_fig1_params();
     let clean = study.run(&base).expect("uninterrupted run");
+    let journaled = |path: &str, resume: bool, max_points: Option<usize>| {
+        study.run(&StudyParams {
+            journal: Some(JournalSpec {
+                path: path.to_string(),
+                resume,
+            }),
+            max_points,
+            ..base.clone()
+        })
+    };
+    // Chops the final record mid-line: the artifact a kill leaves when
+    // it lands inside a write. The unterminated tail must be dropped
+    // silently (it is expected, not corruption) and recomputed.
+    let chop_tail = |path: &PathBuf| {
+        let content = std::fs::read_to_string(path).unwrap();
+        assert!(content.ends_with('\n'));
+        std::fs::write(path, &content[..content.len() - 9]).unwrap();
+    };
 
+    // A complete journal, torn, resumed once.
     let path = tmp("truncate");
     let _ = std::fs::remove_file(&path);
     let spath = path.to_string_lossy().to_string();
-    study
-        .run(&StudyParams {
-            journal: Some(JournalSpec {
-                path: spath.clone(),
-                resume: false,
-            }),
-            ..base.clone()
-        })
-        .expect("journaled run");
-    // Chop the final record mid-line: the artifact a kill leaves when it
-    // lands inside a write. The unterminated tail must be dropped
-    // silently (it is expected, not corruption) and recomputed.
-    let content = std::fs::read_to_string(&path).unwrap();
-    assert!(content.ends_with('\n'));
-    std::fs::write(&path, &content[..content.len() - 9]).unwrap();
-    let resumed = study
-        .run(&StudyParams {
-            journal: Some(JournalSpec {
-                path: spath,
-                resume: true,
-            }),
-            ..base
-        })
-        .expect("resume over truncated tail");
+    journaled(&spath, false, None).expect("journaled run");
+    chop_tail(&path);
+    let resumed = journaled(&spath, true, None).expect("resume over truncated tail");
     assert_eq!(resumed.to_text(), clean.to_text());
     assert_eq!(resumed.to_json(), clean.to_json());
+    let _ = std::fs::remove_file(&path);
+
+    // A journal killed mid-grid with a torn tail, resumed twice: the
+    // first resume's appends must start a fresh line, not complete the
+    // torn one into a corrupt record the second resume would quarantine.
+    let path = tmp("truncate-twice");
+    let _ = std::fs::remove_file(&path);
+    let spath = path.to_string_lossy().to_string();
+    assert!(matches!(
+        journaled(&spath, false, Some(4)),
+        Err(SimError::Interrupted { .. })
+    ));
+    chop_tail(&path);
+    assert!(matches!(
+        journaled(&spath, true, Some(2)),
+        Err(SimError::Interrupted { .. })
+    ));
+    let resumed = journaled(&spath, true, None).expect("second resume completes");
+    assert_eq!(resumed.to_text(), clean.to_text());
+    assert_eq!(resumed.to_json(), clean.to_json());
+    assert_eq!(resumed.to_csv(), clean.to_csv());
     let _ = std::fs::remove_file(&path);
 }
 

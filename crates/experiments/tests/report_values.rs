@@ -8,7 +8,7 @@ use speedup_stacks::report::json;
 
 #[test]
 fn fig9_json_numbers_equal_report_values() {
-    let fig = experiments::fig89::run_fig9_params(&StudyParams::with_scale(0.05));
+    let fig = experiments::fig89::run_fig9(&StudyParams::with_scale(0.05));
     let report = fig.to_report();
     let doc = json::parse(&report.to_json()).expect("valid JSON");
 
@@ -67,7 +67,7 @@ fn hwcost_json_scalars_equal_model_values() {
 
 #[test]
 fn stack_serialization_carries_all_components() {
-    let fig = experiments::fig23::run_fig2_params(&StudyParams::with_scale(0.05));
+    let fig = experiments::fig23::run_fig2(&StudyParams::with_scale(0.05));
     let doc = json::parse(&fig.to_report().to_json()).expect("valid JSON");
     let blocks = doc.get("blocks").unwrap().as_array().unwrap();
     let stack = blocks
@@ -99,7 +99,7 @@ fn stack_serialization_carries_all_components() {
 
 #[test]
 fn csv_and_json_agree_on_table_values() {
-    let fig = experiments::fig89::run_fig9_params(&StudyParams::with_scale(0.05));
+    let fig = experiments::fig89::run_fig9(&StudyParams::with_scale(0.05));
     let report = fig.to_report();
     let csv = report.to_csv();
     // Every bar value appears in the CSV in shortest-float form (the

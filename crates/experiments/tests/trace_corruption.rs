@@ -251,6 +251,6 @@ fn golden_traces_replay_to_the_generated_rows() {
             replayed.provenance.is_none(),
             "replay attaches no provenance"
         );
-        assert_eq!(replayed.rows, generated.rows, "{file}");
+        assert_eq!(replayed.points, generated.points, "{file}");
     }
 }

@@ -51,7 +51,6 @@ use crate::LineAddr;
 /// assert_eq!(wide.lines(), 32768);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheConfig {
     sets: usize,
     ways: usize,

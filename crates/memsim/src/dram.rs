@@ -16,7 +16,6 @@ use crate::{CoreId, LineAddr};
 
 /// DRAM timing and geometry parameters (all times in core cycles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramConfig {
     /// Number of banks (paper: 8).
     pub banks: usize,

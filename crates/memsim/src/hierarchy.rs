@@ -19,7 +19,6 @@ use crate::{CoreId, LineAddr};
 /// Defaults follow the paper's setup (§5): 64 KB 8-way private L1 data
 /// caches, a 2 MB 16-way shared L2 as the LLC, 8 memory banks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemConfig {
     /// Private L1 data cache geometry.
     pub l1: CacheConfig,
@@ -60,7 +59,6 @@ impl MemConfig {
 
 /// Which level served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ServedBy {
     /// Private L1 hit.
     L1,

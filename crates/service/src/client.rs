@@ -2,8 +2,8 @@
 //!
 //! [`Client::submit`] is the heart of the remote path: it decomposes
 //! the study locally (the same [`experiments::decompose`] grid the
-//! server uses), streams the NDJSON point frames into per-index slots,
-//! and folds them through [`GridStudy::assemble`] — so the report it
+//! server uses), streams the NDJSON point frames into the same
+//! [`GridFold`] the local sweep resolves its units into — so the report it
 //! returns is **byte-identical** to a local `Study::run` with the same
 //! parameters, whichever order the points arrived in and however many
 //! were served from the server's cache (or coalesced onto another
@@ -19,12 +19,12 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use experiments::decompose::{decompose, GridStudy};
+use experiments::decompose::{decompose, GridFold, GridStudy};
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue};
-use speedup_stacks::report::{Degraded, DegradedPoint, Report};
+use speedup_stacks::report::Report;
 use speedup_stacks::SimError;
 use workloads::rng::SmallRng;
 
@@ -497,7 +497,7 @@ impl Client {
             }
             .into());
         }
-        self.reassemble(job, &grid, params, n)
+        self.reassemble(job, &grid, params)
     }
 
     /// Low-level submit: sends the frame (optionally restricted to a
@@ -605,11 +605,11 @@ impl Client {
         job: u64,
         grid: &GridStudy,
         params: &StudyParams,
-        n: usize,
     ) -> Result<SubmitOutcome, SimError> {
-        let mut slots: Vec<Option<PointSummary>> = (0..n).map(|_| None).collect();
-        let mut failures: Vec<(usize, DegradedPoint)> = Vec::new();
-        let mut retried = 0usize;
+        let n = grid.n_points();
+        // Attempt counts arrive off the wire: saturate, never truncate.
+        let attempts32 = |attempts: u64| u32::try_from(attempts).unwrap_or(u32::MAX);
+        let mut fold = GridFold::new(n);
         loop {
             match self.next_event(n)? {
                 StreamEvent::Point {
@@ -617,12 +617,7 @@ impl Client {
                     attempts,
                     summary,
                     ..
-                } => {
-                    if attempts > 1 {
-                        retried += 1;
-                    }
-                    slots[index] = Some(summary);
-                }
+                } => fold.point(index, summary, attempts32(attempts)),
                 StreamEvent::Failed {
                     index,
                     label,
@@ -634,14 +629,7 @@ impl Client {
                     } else {
                         label
                     };
-                    failures.push((
-                        index,
-                        DegradedPoint {
-                            label,
-                            reason,
-                            attempts: attempts as u32,
-                        },
-                    ));
+                    fold.failed(index, label, reason, attempts32(attempts));
                 }
                 StreamEvent::Done {
                     computed,
@@ -657,18 +645,9 @@ impl Client {
                         }
                         .into());
                     }
-                    // The sweep reports failures in point order regardless
-                    // of completion order; match it.
-                    failures.sort_by_key(|(i, _)| *i);
-                    let degraded = Degraded {
-                        retried,
-                        failed: failures.into_iter().map(|(_, p)| p).collect(),
-                        ..Degraded::default()
-                    };
-                    let report = grid.assemble(params, slots, degraded, None);
                     return Ok(SubmitOutcome {
                         job,
-                        report,
+                        report: fold.finish(grid, params),
                         computed: computed as usize,
                         cached: cached as usize,
                         coalesced: coalesced as usize,

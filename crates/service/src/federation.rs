@@ -40,12 +40,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use experiments::decompose::GridStudy;
+use experiments::decompose::{reference_failed, GridFold, GridStudy};
+use experiments::par::fault_domain;
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json;
-use speedup_stacks::report::{Degraded, DegradedPoint, Report};
+use speedup_stacks::report::Report;
 use speedup_stacks::{FederationError, SimError};
 
 use crate::client::{Client, StreamEvent};
@@ -353,9 +354,10 @@ struct JobCtl {
     refs: Mutex<RefCache>,
 }
 
-/// Memoized single-thread references: profile index → `(cycles, insns)`
-/// or the error string the reference run failed with.
-type RefCache = HashMap<usize, Result<(u64, u64), String>>;
+/// Memoized single-thread references: profile index → the reference
+/// unit's fault-domain outcome (`(cycles, insns)` or the error string it
+/// failed with) and the attempts it took.
+type RefCache = HashMap<usize, (Result<(u64, u64), String>, u32)>;
 
 impl std::fmt::Debug for JobCtl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1131,8 +1133,10 @@ fn resolve(
 }
 
 /// The graceful-degradation worker: when the whole fleet is dead it
-/// drains the queue with local in-process execution (the identical
-/// compute path the sweep uses, so reports stay byte-identical). With
+/// drains the queue with local in-process execution — the sweep's unit
+/// bodies in the sweep's fault domain with the parameters' retry budget,
+/// a failed reference cascading with the sweep's reason, so reports stay
+/// byte-identical even when units fail. With
 /// [`FleetConfig::local_fallback`] disabled it fails the stranded
 /// units instead so the job still terminates.
 fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
@@ -1179,23 +1183,29 @@ fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
             );
             continue;
         }
+        let retries = ctl.params.faults.retries;
         let (pi, _) = ctl.grid.point(unit);
-        let st_ref = {
-            let mut refs = lock(&ctl.refs);
-            refs.entry(pi)
-                .or_insert_with(|| ctl.grid.compute_reference(&ctl.params, pi))
-                .clone()
+        let (st_ref, ref_attempts) = lock(&ctl.refs)
+            .entry(pi)
+            .or_insert_with(|| {
+                fault_domain(retries, || ctl.grid.compute_reference(&ctl.params, pi))
+            })
+            .clone();
+        let (outcome, attempts) = match st_ref {
+            Ok(st) => fault_domain(retries, || ctl.grid.compute_point(&ctl.params, unit, st)),
+            Err(reason) => (Err(reference_failed(&reason)), ref_attempts),
         };
-        let resolution = match st_ref.and_then(|st| ctl.grid.compute_point(&ctl.params, unit, st)) {
+        let attempts = u64::from(attempts);
+        let resolution = match outcome {
             Ok(summary) => Resolution::Point {
                 source: PointSource::Computed,
-                attempts: 1,
+                attempts,
                 summary,
             },
             Err(reason) => Resolution::Failed {
                 label: ctl.grid.label(unit),
                 reason,
-                attempts: 1,
+                attempts,
             },
         };
         // Count before resolving: resolve() may send the terminal
@@ -1206,10 +1216,10 @@ fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
     }
 }
 
-/// Assembles a federated job's event stream into the final report,
-/// exactly the way [`crate::client::Client::submit`] assembles a remote
-/// stream — so a fleet run is byte-identical to both a single-backend
-/// run and a local `Study::run`.
+/// Assembles a federated job's event stream into the final report
+/// through the same [`GridFold`] [`crate::client::Client::submit`] and
+/// the local sweep use — so a fleet run is byte-identical to both a
+/// single-backend run and a local `Study::run`.
 ///
 /// # Errors
 ///
@@ -1221,10 +1231,7 @@ pub fn assemble_events(
     params: &StudyParams,
     rx: &Receiver<JobEvent>,
 ) -> Result<FedOutcome, SimError> {
-    let n = grid.n_points();
-    let mut slots: Vec<Option<PointSummary>> = (0..n).map(|_| None).collect();
-    let mut failures: Vec<(usize, DegradedPoint)> = Vec::new();
-    let mut retried = 0usize;
+    let mut fold = GridFold::new(grid.n_points());
     loop {
         let event = rx.recv().map_err(|_| ProtocolError::Closed {
             during: "federated result stream".to_string(),
@@ -1240,26 +1247,14 @@ pub fn assemble_events(
                     record_to_summary(&record).ok_or_else(|| ProtocolError::Malformed {
                         why: format!("point {index} carries an unparsable record"),
                     })?;
-                if attempts > 1 {
-                    retried += 1;
-                }
-                slots[index] = Some(summary);
+                fold.point(index, summary, attempts);
             }
             JobEvent::Failed {
                 index,
                 label,
                 reason,
                 attempts,
-            } => {
-                failures.push((
-                    index,
-                    DegradedPoint {
-                        label,
-                        reason,
-                        attempts,
-                    },
-                ));
-            }
+            } => fold.failed(index, label, reason, attempts),
             JobEvent::Done {
                 computed,
                 cached,
@@ -1274,15 +1269,8 @@ pub fn assemble_events(
                     }
                     .into());
                 }
-                failures.sort_by_key(|(i, _)| *i);
-                let degraded = Degraded {
-                    retried,
-                    failed: failures.into_iter().map(|(_, p)| p).collect(),
-                    ..Degraded::default()
-                };
-                let report = grid.assemble(params, slots, degraded, None);
                 return Ok(FedOutcome {
-                    report,
+                    report: fold.finish(grid, params),
                     computed,
                     cached,
                     coalesced,

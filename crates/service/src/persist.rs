@@ -3,8 +3,8 @@
 //!
 //! # Format
 //!
-//! Every line reuses the sweep journal's framing
-//! ([`experiments::journal::wrap_line`]):
+//! The file is a record log of [`experiments::journal`] — the same
+//! framing, recovery rules and append handle the sweep journal uses:
 //!
 //! ```text
 //! {"crc":"xxxxxxxx","data":<record>}\n
@@ -19,10 +19,14 @@
 //! is flushed as it is appended, so a killed daemon loses at most the
 //! line it was writing.
 //!
-//! # Crash and corruption semantics (mirrors `experiments::journal`)
+//! # Crash and corruption semantics
+//!
+//! Recovery is [`experiments::journal::open_append`]'s; this module adds
+//! only the spill's header identity, its entry encoding, the chaos
+//! bit-flip and compaction.
 //!
 //! - An **unterminated final line** is the expected kill artifact:
-//!   dropped silently, its unit recomputed on the next submit.
+//!   truncated on open, its unit recomputed on the next submit.
 //! - A **complete but corrupt** record (layout, checksum or JSON shape)
 //!   is quarantined: counted in [`SpillOpen::quarantined`] and in the
 //!   cache's stats, recomputed, never served.
@@ -48,11 +52,9 @@
 //! `studyd` compacts on drain shutdown and, with `--compact-spill`, at
 //! startup right after reload.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use experiments::journal::{framed_lines, wrap_line, FramedLine};
+use experiments::journal::{header_version, open_append, wrap_line, JournalWriter};
 use speedup_stacks::error::JournalError;
 use speedup_stacks::report::json::{self, JsonValue};
 
@@ -66,7 +68,7 @@ pub const SPILL_VERSION: u64 = 1;
 /// entry write-through.
 #[derive(Debug)]
 pub struct SpillWriter {
-    file: File,
+    log: JournalWriter,
     path: PathBuf,
     /// Data records appended by this process (drives the chaos flip).
     appended: u64,
@@ -93,10 +95,6 @@ fn io_err(op: &'static str, e: &std::io::Error) -> JournalError {
     }
 }
 
-fn header_record() -> String {
-    format!("{{\"spill\": \"{SPILL_MAGIC}\", \"version\": {SPILL_VERSION}}}")
-}
-
 fn entry_record(key: &str, value: &str) -> String {
     format!(
         "{{\"key\": \"{}\", \"value\": \"{}\"}}",
@@ -106,45 +104,28 @@ fn entry_record(key: &str, value: &str) -> String {
 }
 
 /// Creates (truncating) a spill file with a fresh header.
-fn create(path: &Path) -> Result<File, JournalError> {
-    let mut file = File::create(path).map_err(|e| io_err("create", &e))?;
-    file.write_all(wrap_line(&header_record()).as_bytes())
-        .map_err(|e| io_err("write-header", &e))?;
-    file.flush().map_err(|e| io_err("flush-header", &e))?;
-    Ok(file)
+fn create(path: &Path) -> Result<JournalWriter, JournalError> {
+    JournalWriter::create_with_header(
+        path,
+        &format!("{{\"spill\": \"{SPILL_MAGIC}\", \"version\": {SPILL_VERSION}}}"),
+    )
 }
 
-/// Validates an existing spill's header record. `Ok(true)` means the
-/// header is intact; `Ok(false)` means the file died during creation
-/// (empty, or an unterminated header line) and should be recreated.
-fn check_header(content: &str) -> Result<bool, JournalError> {
-    if content.is_empty() {
-        return Ok(false);
-    }
-    let Some((header_line, _)) = content.split_once('\n') else {
-        // Killed inside the very first write: no identity was ever
-        // durable, so there is nothing to protect — start over.
-        return Ok(false);
-    };
-    let data = experiments::journal::unwrap_line(header_line)
-        .map_err(|why| JournalError::BadHeader { why })?;
-    let header = json::parse(data).map_err(|e| JournalError::BadHeader { why: e.to_string() })?;
+/// The spill's header identity check.
+fn check_header(header: &JsonValue) -> Result<(), JournalError> {
     if header.get("spill").and_then(JsonValue::as_str) != Some(SPILL_MAGIC) {
         return Err(JournalError::BadHeader {
             why: format!("not a {SPILL_MAGIC} spill"),
         });
     }
-    let version = header
-        .get("version")
-        .and_then(JsonValue::as_f64)
-        .map_or(0, |v| v as u64);
+    let version = header_version(header);
     if version != SPILL_VERSION {
         return Err(JournalError::VersionMismatch {
             found: version,
             supported: SPILL_VERSION,
         });
     }
-    Ok(true)
+    Ok(())
 }
 
 /// Opens a spill file, creating it if needed, and recovers every intact
@@ -160,45 +141,30 @@ fn check_header(content: &str) -> Result<bool, JournalError> {
 pub fn open(path: &Path, flip_record: Option<u64>) -> Result<SpillOpen, JournalError> {
     let mut entries: Vec<(String, String)> = Vec::new();
     let mut quarantined = 0usize;
-    let mut keep_bytes = None;
-    let fresh = match std::fs::read_to_string(path) {
-        Ok(content) => {
-            if check_header(&content)? {
-                let rest = &content[content.find('\n').expect("header checked") + 1..];
-                for framed in framed_lines(rest) {
-                    match framed.and_then_record() {
-                        Some((key, value)) => entries.push((key, value)),
-                        None => quarantined += 1,
-                    }
-                }
-                // Chop an unterminated kill-tail so the next append
-                // starts a fresh line instead of completing garbage.
-                if !content.ends_with('\n') {
-                    keep_bytes = Some(content.rfind('\n').expect("header checked") as u64 + 1);
-                }
-                false
-            } else {
-                true
-            }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
-        Err(e) => return Err(io_err("read", &e)),
+    let existing = match path.exists().then(|| open_append(path, check_header)) {
+        // No file, or killed inside the very first write: no identity
+        // was ever durable, so there is nothing to protect — start over.
+        None | Some(Err(JournalError::MissingHeader)) => None,
+        Some(other) => Some(other?),
     };
-    let file = if fresh {
-        create(path)?
-    } else {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err("open", &e))?;
-        if let Some(len) = keep_bytes {
-            file.set_len(len).map_err(|e| io_err("truncate", &e))?;
+    let log = match existing {
+        Some(scan) => {
+            quarantined = scan.quarantined;
+            for record in &scan.records {
+                let key = record.get("key").and_then(JsonValue::as_str);
+                let value = record.get("value").and_then(JsonValue::as_str);
+                match key.zip(value) {
+                    Some((k, v)) => entries.push((k.to_string(), v.to_string())),
+                    None => quarantined += 1,
+                }
+            }
+            scan.writer
         }
-        file
+        None => create(path)?,
     };
     Ok(SpillOpen {
         writer: SpillWriter {
-            file,
+            log,
             path: path.to_path_buf(),
             appended: 0,
             flip_record,
@@ -206,23 +172,6 @@ pub fn open(path: &Path, flip_record: Option<u64>) -> Result<SpillOpen, JournalE
         entries,
         quarantined,
     })
-}
-
-/// Parses one framed data substring into a cache entry.
-trait RecordExt {
-    fn and_then_record(self) -> Option<(String, String)>;
-}
-
-impl RecordExt for FramedLine<'_> {
-    fn and_then_record(self) -> Option<(String, String)> {
-        let FramedLine::Record(data) = self else {
-            return None;
-        };
-        let record = json::parse(data).ok()?;
-        let key = record.get("key").and_then(JsonValue::as_str)?;
-        let value = record.get("value").and_then(JsonValue::as_str)?;
-        Some((key.to_string(), value.to_string()))
-    }
 }
 
 impl SpillWriter {
@@ -238,8 +187,7 @@ impl SpillWriter {
     ///
     /// [`JournalError::Io`] on write/flush failure.
     pub fn append(&mut self, key: &str, value: &str) -> Result<(), JournalError> {
-        let record = entry_record(key, value);
-        let mut line = wrap_line(&record).into_bytes();
+        let mut line = wrap_line(&entry_record(key, value)).into_bytes();
         if self.flip_record == Some(self.appended) {
             // Chaos: simulate on-disk bit rot inside the data region so
             // the framing CRC no longer matches on reload.
@@ -247,10 +195,7 @@ impl SpillWriter {
             line[mid] ^= 0x01;
         }
         self.appended += 1;
-        self.file
-            .write_all(&line)
-            .map_err(|e| io_err("append", &e))?;
-        self.file.flush().map_err(|e| io_err("flush", &e))
+        self.log.append_line(&line)
     }
 
     /// Forces everything appended so far to durable storage (the
@@ -260,8 +205,7 @@ impl SpillWriter {
     ///
     /// [`JournalError::Io`] on sync failure.
     pub fn sync(&mut self) -> Result<(), JournalError> {
-        self.file.flush().map_err(|e| io_err("flush", &e))?;
-        self.file.sync_all().map_err(|e| io_err("sync", &e))
+        self.log.sync()
     }
 
     /// Rewrites the spill to exactly `entries` (header + one record
@@ -280,21 +224,19 @@ impl SpillWriter {
         tmp_name.push(".compact-tmp");
         let tmp = PathBuf::from(tmp_name);
         let result = (|| {
-            let mut file = create(&tmp)?;
+            let mut log = create(&tmp)?;
             for (key, value) in entries {
-                file.write_all(wrap_line(&entry_record(key, value)).as_bytes())
-                    .map_err(|e| io_err("compact-write", &e))?;
+                log.append(&entry_record(key, value))?;
             }
-            file.flush().map_err(|e| io_err("compact-flush", &e))?;
-            file.sync_all().map_err(|e| io_err("compact-sync", &e))?;
+            log.sync()?;
             std::fs::rename(&tmp, &self.path).map_err(|e| io_err("compact-rename", &e))?;
-            Ok(file)
+            Ok(log)
         })();
         match result {
-            Ok(file) => {
+            Ok(log) => {
                 // The renamed handle *is* the live file now; appends
                 // continue at its end.
-                self.file = file;
+                self.log = log;
                 Ok(())
             }
             Err(e) => {

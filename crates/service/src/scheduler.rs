@@ -14,8 +14,8 @@
 //! scheduler queues one reference per profile, parks the profile's
 //! points in a waiting list, and releases them when the reference
 //! lands. A failed reference cascades: every waiting point fails with
-//! the sweep's exact `"single-thread reference failed: …"` reason, so a
-//! remote `Degraded` block matches a local one byte for byte.
+//! the sweep's own [`reference_failed`] reason, so a remote `Degraded`
+//! block matches a local one byte for byte.
 //!
 //! # Coalescing
 //!
@@ -53,20 +53,20 @@
 //!
 //! Results land in the content-addressed [`crate::cache`] as they are
 //! computed, and cache hits at submit time are streamed back instantly
-//! without touching the pool. Each unit runs in its own fault domain
-//! (`catch_unwind` + the parameters' retry budget), mirroring
-//! [`experiments::par::try_map_mode`] — a panicking point degrades its
-//! job, never the server. The [`crate::chaos`] policy can force that
-//! panic at a chosen unit to prove it.
+//! without touching the pool. Each unit runs in the sweep's own fault
+//! domain ([`experiments::par::fault_domain`] with the parameters' retry
+//! budget) — a panicking point degrades its job, never the server. The
+//! [`crate::chaos`] policy can force that panic at a chosen unit to
+//! prove it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use experiments::decompose::GridStudy;
+use experiments::decompose::{reference_failed, GridStudy};
+use experiments::par::fault_domain;
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 
@@ -312,40 +312,6 @@ pub struct Scheduler {
     handles: Mutex<Vec<JoinHandle<()>>>,
     workers: usize,
     max_queued: usize,
-}
-
-/// Local mirror of the sweep's panic renderer (private to
-/// `experiments::par`): the common `&str`/`String` payloads as text.
-fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked: (non-string payload)".to_string()
-    }
-}
-
-/// One fault-isolated, bounded-retry run of `f`, mirroring
-/// `try_map_mode`'s budget semantics: `retries` extra attempts after
-/// the first. Returns the outcome and attempts spent.
-fn attempt_with_retries<R>(
-    retries: u32,
-    f: impl Fn() -> Result<R, String>,
-) -> (Result<R, String>, u32) {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let outcome = match catch_unwind(AssertUnwindSafe(&f)) {
-            Ok(r) => r,
-            Err(p) => Err(panic_payload(p.as_ref())),
-        };
-        match outcome {
-            Ok(r) => return (Ok(r), attempts),
-            Err(_) if attempts <= retries => {}
-            Err(e) => return (Err(e), attempts),
-        }
-    }
 }
 
 fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, SchedState> {
@@ -902,7 +868,7 @@ fn worker_loop(shared: &Shared) {
         let chaos_panic = shared.chaos.panic_at_unit == Some(unit_no);
         match claim.unit {
             Unit::Ref(pi) => {
-                let (outcome, attempts) = attempt_with_retries(retries, || {
+                let (outcome, attempts) = fault_domain(retries, || {
                     assert!(!chaos_panic, "chaos: injected panic at unit {unit_no}");
                     claim.grid.compute_reference(&claim.params, pi)
                 });
@@ -917,7 +883,7 @@ fn worker_loop(shared: &Shared) {
                 shared.cond.notify_all();
             }
             Unit::Point { index, st: stref } => {
-                let (outcome, attempts) = attempt_with_retries(retries, || {
+                let (outcome, attempts) = fault_domain(retries, || {
                     assert!(!chaos_panic, "chaos: injected panic at unit {unit_no}");
                     claim
                         .grid
@@ -974,7 +940,7 @@ fn apply_ref(
             }
         }
         Err(reason) => {
-            let reason = format!("single-thread reference failed: {reason}");
+            let reason = reference_failed(&reason);
             for j in subscribers {
                 fail_ref_points(st, j, canonical, pi, &reason, attempts);
                 finish_if_done(st, j);

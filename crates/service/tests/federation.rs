@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use experiments::decompose::decompose;
 use experiments::study::{find_study, StudyParams};
+use experiments::FaultPolicy;
 use service::chaos::ChaosPolicy;
 use service::client::Client;
 use service::federation::{assemble_events, Federation, FleetConfig, HealthState};
@@ -149,27 +150,40 @@ fn killing_one_backend_mid_sweep_keeps_the_report_byte_identical() {
 
 /// With the whole fleet unreachable the coordinator degrades to local
 /// in-process execution — byte-identical, every unit attributed to the
-/// local fallback — and with fallback disabled admission refuses with
-/// a typed `unavailable` once the fleet is known dead.
+/// local fallback, whether the units succeed or every reference fails
+/// after a retry — and with fallback disabled admission refuses with a
+/// typed `unavailable` once the fleet is known dead.
 #[test]
 fn all_backends_dead_falls_back_to_local_or_refuses() {
     let ghosts = [reserved_addr(), reserved_addr()];
     let params = fig1_params();
-    let local = find_study("fig1").unwrap().run(&params).unwrap();
     let grid = decompose("fig1", &params).unwrap();
     let n = grid.n_points();
 
-    let fed = Federation::start(fleet(&[&ghosts[0], &ghosts[1]])).expect("start fleet");
-    let (_, rx) = fed
-        .submit_units(grid.clone(), params.clone(), None)
-        .expect("admitted");
-    let outcome = assemble_events(&grid, &params, &rx).expect("reassemble");
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.report.to_text(), local.to_text(), "text bytes");
-    assert_eq!(outcome.report.to_json(), local.to_json(), "json bytes");
-    let status = fed.status();
-    assert_eq!(status.local_units, n as u64, "every unit ran locally");
-    fed.stop();
+    // Second input: every reference overruns its deadline on both
+    // attempts, so every point cascades — the fallback must retry,
+    // count and word that exactly like the local sweep.
+    let doomed = StudyParams {
+        faults: FaultPolicy {
+            deadline_cycles: Some(10),
+            retries: 1,
+        },
+        ..params.clone()
+    };
+    for (params, failed) in [(&params, 0), (&doomed, n)] {
+        let local = find_study("fig1").unwrap().run(params).unwrap();
+        let fed = Federation::start(fleet(&[&ghosts[0], &ghosts[1]])).expect("start fleet");
+        let (_, rx) = fed
+            .submit_units(grid.clone(), params.clone(), None)
+            .expect("admitted");
+        let outcome = assemble_events(&grid, params, &rx).expect("reassemble");
+        assert_eq!(outcome.failed, failed);
+        assert_eq!(outcome.report.to_text(), local.to_text(), "text bytes");
+        assert_eq!(outcome.report.to_json(), local.to_json(), "json bytes");
+        let status = fed.status();
+        assert_eq!(status.local_units, n as u64, "every unit ran locally");
+        fed.stop();
+    }
 
     let refusing = Federation::start(FleetConfig {
         local_fallback: false,

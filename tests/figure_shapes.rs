@@ -1,19 +1,25 @@
 //! End-to-end shape tests: every paper figure's qualitative claims must
 //! hold when regenerated (at reduced workload scale for test speed).
 
+use experiments::study::StudyParams;
 use experiments::{fig1, fig23, fig45, fig6, fig7, fig89, hwcost};
 use speedup_stacks::{Component, ScalingClass};
 
 /// Scale for figures that only depend on compute/sync ratios.
-const SCALE: f64 = 0.5;
+fn scaled() -> StudyParams {
+    StudyParams::with_scale(0.5)
+}
+
 /// Cache-pressure figures need the full working sets: the LLC is an
 /// absolute 2 MB, so reduced-scale runs lose the reuse that creates
 /// LLC interference.
-const FULL: f64 = 1.0;
+fn full() -> StudyParams {
+    StudyParams::default()
+}
 
 #[test]
 fn fig1_blackscholes_near_linear_others_saturate() {
-    let fig = fig1::run(SCALE);
+    let fig = fig1::run(&scaled());
     let bs = &fig.curves[0];
     let facesim = &fig.curves[1];
     let cholesky = &fig.curves[2];
@@ -32,7 +38,7 @@ fn fig1_blackscholes_near_linear_others_saturate() {
 
 #[test]
 fn fig2_stack_components_sum_to_n() {
-    let fig = fig23::run_fig2(SCALE);
+    let fig = fig23::run_fig2(&scaled());
     assert!(fig.stack.is_valid());
     assert_eq!(fig.stack.num_threads(), 16);
     assert!(
@@ -43,7 +49,7 @@ fn fig2_stack_components_sum_to_n() {
 
 #[test]
 fn fig3_per_thread_breakup_reconstructs_ts() {
-    let fig = fig23::run_fig3(SCALE);
+    let fig = fig23::run_fig3(&scaled());
     let sum: f64 = fig
         .stack
         .per_thread()
@@ -56,7 +62,7 @@ fn fig3_per_thread_breakup_reconstructs_ts() {
 
 #[test]
 fn fig4_average_error_within_paper_ballpark() {
-    let fig = fig45::run(FULL);
+    let fig = fig45::run(&full());
     assert_eq!(fig.points.len(), 28 * 4);
     // Paper: 3.0/3.4/2.8/5.1% average absolute error. Allow a generous
     // envelope: the method must stay well under 10% on average.
@@ -83,7 +89,7 @@ fn fig4_average_error_within_paper_ballpark() {
 
 #[test]
 fn fig5_bottlenecks_differ_between_facesim_and_cholesky() {
-    let fig = fig45::run_fig5(SCALE);
+    let fig = fig45::run_fig5(&scaled());
     let get = |name: &str| {
         fig.stacks
             .iter()
@@ -109,7 +115,7 @@ fn fig5_bottlenecks_differ_between_facesim_and_cholesky() {
 
 #[test]
 fn fig6_classification_matches_paper_structure() {
-    let fig = fig6::run(FULL);
+    let fig = fig6::run(&full());
     assert_eq!(fig.tree.entries().len(), 28);
     // Paper: 5 of 28 scale well.
     assert_eq!(fig.good_scalers(), 5, "tree:\n{}", fig.tree.render());
@@ -130,7 +136,7 @@ fn fig6_classification_matches_paper_structure() {
 
 #[test]
 fn fig7_ferret_saturates_with_16_threads() {
-    let fig = fig7::run(SCALE);
+    let fig = fig7::run(&scaled());
     // Performance with 16 threads saturates by 8 cores: 16 cores is not
     // meaningfully better (paper even shows it slightly worse).
     let at8 = fig.sixteen_at(8).unwrap();
@@ -147,7 +153,7 @@ fn fig7_ferret_saturates_with_16_threads() {
 
 #[test]
 fn fig8_negative_interference_dominates() {
-    let fig = fig89::run_fig8(FULL);
+    let fig = fig89::run_fig8(&full());
     assert_eq!(fig.bars.len(), 7);
     // Every shown benchmark has a real positive component...
     for b in &fig.bars {
@@ -161,7 +167,7 @@ fn fig8_negative_interference_dominates() {
 
 #[test]
 fn fig9_negative_shrinks_positive_stable_with_llc_size() {
-    let fig = fig89::run_fig9(FULL);
+    let fig = fig89::run_fig9(&full());
     let first = &fig.bars[0];
     let last = &fig.bars[fig.bars.len() - 1];
     assert!(
@@ -181,7 +187,7 @@ fn fig9_negative_shrinks_positive_stable_with_llc_size() {
 
 #[test]
 fn hwcost_reproduces_paper_budget() {
-    let cost = hwcost::run();
+    let cost = hwcost::run(&full());
     assert_eq!(cost.model.interference_bytes(), 952);
     assert_eq!(cost.model.spin_table_bytes(), 217);
     assert_eq!(cost.model.total_bytes(16), 18_704);
