@@ -18,8 +18,10 @@ use experiments::study::{find_study, StudyParams};
 use experiments::{
     run_grid_ft, scaled_profile, FaultPolicy, Parallelism, RunOptions, SweepOptions, TraceSpec,
 };
+use speedup_stacks::crc::crc32;
 use speedup_stacks::error::TraceError;
 use speedup_stacks::SimError;
+use workloads::trace::decode_uvarint;
 use workloads::{find, Suite};
 
 fn tmp(tag: &str) -> PathBuf {
@@ -99,6 +101,22 @@ fn captured_study_replays_bit_identically_with_provenance_only_on_capture() {
     assert_eq!(replayed.to_text(), clean.to_text());
     assert_eq!(replayed.to_json(), clean.to_json());
     assert_eq!(replayed.to_csv(), clean.to_csv());
+    // Every replay stream owns its file handle and its chunk buffer, so
+    // two workers replaying different runs of one trace at once change
+    // nothing. JSON and CSV echo the parallelism parameter, so they are
+    // compared with a generated run under the same one; text (no echo)
+    // equals the serial run's outright.
+    let two_workers = StudyParams {
+        parallelism: Parallelism::Workers(2),
+        ..base.clone()
+    };
+    let parallel = study
+        .run(&with_trace(&two_workers, &spath, true))
+        .expect("parallel replay run");
+    assert_eq!(parallel.to_text(), clean.to_text());
+    let generated = study.run(&two_workers).expect("parallel generated run");
+    assert_eq!(parallel.to_json(), generated.to_json());
+    assert_eq!(parallel.to_csv(), generated.to_csv());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -117,6 +135,42 @@ fn truncated_tail_is_rejected_as_truncated() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Overwrites the middle of a chunk of the last captured run (fig1's
+/// 4-thread point of its last benchmark) with bytes no op decodes from,
+/// then recomputes the chunk's checksum: damage only a crafted file
+/// carries, which gets past the CRC and stops the op decoder mid-chunk.
+fn damage_mid_chunk_behind_valid_crc(bytes: &mut [u8]) {
+    let frame_at = |bytes: &[u8], at: usize| {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        at + 8..at + 8 + len
+    };
+    // Walk the run-info frames to the last run's first section.
+    let mut pos = frame_at(bytes, 12).end;
+    let mut section = 0;
+    while pos < bytes.len() {
+        assert_eq!(bytes[pos], b'R');
+        let info = frame_at(bytes, pos + 1);
+        section = info.end;
+        let info = &bytes[info];
+        let mut ip = 0;
+        ip += decode_uvarint(info, &mut ip).unwrap() as usize; // name
+        let n_threads = decode_uvarint(info, &mut ip).unwrap();
+        let section_bytes: u64 = (0..n_threads)
+            .map(|_| decode_uvarint(info, &mut ip).unwrap())
+            .sum();
+        pos = section + section_bytes as usize;
+    }
+    assert_eq!(bytes[section], b'C');
+    let payload = frame_at(bytes, section + 1);
+    assert!(payload.len() > 64, "chunk too small to damage mid-way");
+    // Twelve 0xff bytes are an unknown tag or an overlong varint,
+    // whichever the decoder is expecting when it gets there.
+    let mid = payload.start + payload.len() / 2;
+    bytes[mid..mid + 12].fill(0xff);
+    let crc = crc32(&bytes[payload]);
+    bytes[section + 5..section + 9].copy_from_slice(&crc.to_le_bytes());
+}
+
 #[test]
 fn bit_flipped_record_is_rejected_as_corrupt() {
     let path = tmp("bitflip");
@@ -132,6 +186,24 @@ fn bit_flipped_record_is_rejected_as_corrupt() {
     let e = replay_error(&spath);
     assert!(matches!(e, TraceError::Corrupt { .. }), "{e:?}");
     assert!(e.to_string().contains("corrupt"), "{e}");
+
+    // The same file, damaged mid-chunk behind a valid checksum instead:
+    // thread 0 of a 4-thread run delivers the ops before the damage and
+    // then ends, starving the barrier its siblings wait at. The study
+    // must still fail with the trace diagnosis (`SimError::Trace`, exit
+    // code 9) — the parked decode error, not the engine's deadlock.
+    bytes[last] ^= 0x40; // undo the flip
+    damage_mid_chunk_behind_valid_crc(&mut bytes);
+    std::fs::write(&path, &bytes).unwrap();
+    let e = replay_error(&spath);
+    let TraceError::Corrupt { what } = &e else {
+        panic!("expected Corrupt, got {e:?}");
+    };
+    assert!(
+        what.contains("unknown op tag") || what.contains("varint overflows"),
+        "the op decoder, not the checksum, must have caught it: {what}"
+    );
+    assert_eq!(SimError::Trace(e).exit_code(), 9);
     let _ = std::fs::remove_file(&path);
 }
 

@@ -26,8 +26,11 @@
 //! cannot parse a future header still reports a clean
 //! [`TraceError::VersionMismatch`]. Per-thread `section_bytes` lets the
 //! reader index a whole trace by seeking over sections without decoding
-//! them, and lets each replayed thread stream from its own file cursor —
-//! nothing ever buffers more than one ~32 KiB chunk per thread.
+//! them, and lets each replayed thread stream from its own file cursor.
+//! Replay memory is one encoded chunk payload (≤ ~32 KiB, allocated once
+//! and reused) per thread: a chunk is read, checksummed whole, and its
+//! ops are then decoded one at a time as the engine asks for them —
+//! decoded ops are never buffered.
 //!
 //! ## Op encoding
 //!
@@ -58,7 +61,12 @@
 //! [`OpStream`] interface has no error channel, so a [`TraceStream`]
 //! that hits damage mid-replay parks the typed error in the run's
 //! shared [`TraceFault`] slot and ends the stream; drivers check the
-//! slot after the run and fail loudly.
+//! slot after the run and fail loudly. Damage a checksum catches ends the
+//! stream before any op of the damaged chunk is delivered. A chunk whose
+//! checksum holds but whose bytes do not decode, or decode to more ops
+//! than its run-info declares — only a crafted file can — ends the stream
+//! at the offending op: the ops before it have already reached the
+//! engine, which is harmless because a parked fault discards the run.
 //!
 //! # Examples
 //!
@@ -295,9 +303,17 @@ fn frame(payload: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Reads one `len`+`crc`+payload frame from `file`, already positioned at
-/// the frame's length field. `limit` bounds the payload (end of section
-/// or of file); `what` names the frame for error messages.
-fn read_frame(file: &mut File, limit: u64, what: &str) -> Result<(Vec<u8>, u64), TraceError> {
+/// the frame's length field, into `payload` (replacing its contents, so a
+/// caller reading many frames reuses one allocation), and returns the
+/// frame's size on disk. `limit` bounds the payload (end of section or of
+/// file); `what` names the frame for error messages. On `Ok` the payload
+/// has passed its checksum; on `Err` its contents are unspecified.
+fn read_frame(
+    file: &mut File,
+    limit: u64,
+    what: &str,
+    payload: &mut Vec<u8>,
+) -> Result<u64, TraceError> {
     if limit < 8 {
         return Err(TraceError::Truncated {
             what: format!("{what} frame header"),
@@ -313,13 +329,12 @@ fn read_frame(file: &mut File, limit: u64, what: &str) -> Result<(Vec<u8>, u64),
         });
     }
     #[allow(clippy::cast_possible_truncation)]
-    let mut payload = vec![0u8; len as usize];
-    file.read_exact(&mut payload)
-        .map_err(|e| io_err("read", &e))?;
-    if crc32(&payload) != crc {
+    payload.resize(len as usize, 0);
+    file.read_exact(payload).map_err(|e| io_err("read", &e))?;
+    if crc32(payload) != crc {
         return Err(corrupt(format!("{what} checksum mismatch")));
     }
-    Ok((payload, len + 8))
+    Ok(len + 8)
 }
 
 // --- writer -------------------------------------------------------------
@@ -446,7 +461,7 @@ impl TraceWriter {
         let mut buf = Vec::with_capacity(info.len() + 9);
         buf.push(TAG_RUN);
         frame(&info, &mut buf);
-        self.write(&buf.clone())?;
+        self.write(&buf)?;
         for s in &sections {
             self.write(s)?;
         }
@@ -582,14 +597,13 @@ impl TraceReader {
             });
         }
         let mut pos = 12u64;
-        let (header, consumed) =
-            read_frame(&mut file, bytes - pos, "header").map_err(|e| match e {
-                // A header that fails its checksum is an identity
-                // failure, aligned with the journal's BadHeader.
-                TraceError::Corrupt { what } => TraceError::BadHeader { why: what },
-                other => other,
-            })?;
-        pos += consumed;
+        let mut header = Vec::new();
+        pos += read_frame(&mut file, bytes - pos, "header", &mut header).map_err(|e| match e {
+            // A header that fails its checksum is an identity
+            // failure, aligned with the journal's BadHeader.
+            TraceError::Corrupt { what } => TraceError::BadHeader { why: what },
+            other => other,
+        })?;
         let mut hp = 0usize;
         let study = decode_str(&header, &mut hp).map_err(|_| TraceError::BadHeader {
             why: "undecodable study name".to_string(),
@@ -618,6 +632,7 @@ impl TraceReader {
         }
 
         let mut runs = Vec::new();
+        let mut info = Vec::new();
         while pos < bytes {
             let mut tag = [0u8; 1];
             file.read_exact(&mut tag).map_err(|e| io_err("read", &e))?;
@@ -629,8 +644,7 @@ impl TraceReader {
                     tag[0]
                 )));
             }
-            let (info, consumed) = read_frame(&mut file, bytes - pos, "run-info")?;
-            pos += consumed;
+            pos += read_frame(&mut file, bytes - pos, "run-info", &mut info)?;
             let mut ip = 0usize;
             let name = decode_str(&info, &mut ip)?;
             let n_threads = usize::try_from(decode_uvarint(&info, &mut ip)?)
@@ -638,11 +652,14 @@ impl TraceReader {
             if n_threads == 0 {
                 return Err(corrupt(format!("run '{name}' declares zero threads")));
             }
-            let mut lens = Vec::with_capacity(n_threads);
+            // `n_threads` is still untrusted here: grow these as the
+            // frame actually yields fields rather than reserving for a
+            // count a crafted frame can put anywhere below 2^64.
+            let mut lens = Vec::new();
             for _ in 0..n_threads {
                 lens.push(decode_uvarint(&info, &mut ip)?);
             }
-            let mut counts = Vec::with_capacity(n_threads);
+            let mut counts = Vec::new();
             for _ in 0..n_threads {
                 counts.push(decode_uvarint(&info, &mut ip)?);
             }
@@ -731,8 +748,8 @@ impl TraceReader {
                 declared_ops: count,
                 decoded_ops: 0,
                 label: format!("run '{}' thread {t}", run.name),
-                buf: Vec::new(),
-                buf_head: 0,
+                payload: Vec::new(),
+                pos: 0,
                 state: LineState::default(),
                 fault: fault.clone(),
                 dead: false,
@@ -743,7 +760,14 @@ impl TraceReader {
 }
 
 /// One thread's streaming decoder: reads CRC-framed chunks from its own
-/// file cursor, holding at most one decoded chunk in memory.
+/// file cursor into one reusable payload buffer (≤ ~32 KiB) and decodes
+/// each op from it on demand — no decoded ops are ever buffered.
+///
+/// A chunk is checksummed whole before its first op is handed out. A
+/// chunk that passes its checksum and still holds an undecodable op (only
+/// a crafted file can) ends the stream *at that op*: the ops before it
+/// were already delivered, the typed error is parked in the fault slot,
+/// and the driver discards the run.
 #[derive(Debug)]
 pub struct TraceStream {
     file: File,
@@ -752,16 +776,20 @@ pub struct TraceStream {
     declared_ops: u64,
     decoded_ops: u64,
     label: String,
-    buf: Vec<Op>,
-    buf_head: usize,
+    /// The current chunk's payload, checksum already verified.
+    payload: Vec<u8>,
+    /// Decode cursor into `payload`.
+    pos: usize,
     state: LineState,
     fault: TraceFault,
     dead: bool,
 }
 
 impl TraceStream {
-    /// Reads and decodes the next chunk into `buf`. Returns `false` at a
-    /// clean end of section; parks a fault and returns `false` on damage.
+    /// Reads the next chunk into `payload` and verifies its checksum.
+    /// Returns `false` at the end of the section (parking a fault when
+    /// the section ended short of its declared op count) and on damage
+    /// (fault parked).
     fn refill(&mut self) -> bool {
         if self.remaining == 0 {
             if self.decoded_ops != self.declared_ops {
@@ -784,62 +812,62 @@ impl TraceStream {
             )));
             return false;
         }
-        let (payload, consumed) = match read_frame(&mut self.file, self.remaining - 1, &self.label)
-        {
-            Ok(r) => r,
+        match read_frame(
+            &mut self.file,
+            self.remaining - 1,
+            &self.label,
+            &mut self.payload,
+        ) {
+            Ok(consumed) => {
+                self.remaining -= consumed + 1;
+                self.pos = 0;
+                true
+            }
             Err(e) => {
                 // A chunk declared past its section is section-level
                 // damage, not file truncation.
-                let e = match e {
+                self.fault.set(match e {
                     TraceError::Truncated { what } => {
                         corrupt(format!("chunk overruns its section ({what})"))
                     }
                     other => other,
-                };
-                self.fault.set(e);
-                return false;
-            }
-        };
-        self.remaining -= consumed + 1;
-        self.buf.clear();
-        self.buf_head = 0;
-        let mut pos = 0usize;
-        while pos < payload.len() {
-            match decode_op(&payload, &mut pos, &mut self.state) {
-                Ok(op) => self.buf.push(op),
-                Err(e) => {
-                    self.fault.set(e);
-                    return false;
-                }
+                });
+                false
             }
         }
-        self.decoded_ops += self.buf.len() as u64;
-        if self.decoded_ops > self.declared_ops {
-            self.fault.set(corrupt(format!(
-                "{} decoded more ops than the {} declared",
-                self.label, self.declared_ops
-            )));
-            return false;
-        }
-        !self.buf.is_empty()
+    }
+
+    /// Ends the stream for good: whatever is left in the buffer (the rest
+    /// of a damaged chunk, a frame that failed its checksum) is dropped,
+    /// so nothing more is ever decoded from it.
+    #[cold]
+    fn end(&mut self) -> Option<Op> {
+        self.dead = true;
+        self.payload.clear();
+        None
     }
 }
 
 impl OpStream for TraceStream {
     fn next_op(&mut self) -> Option<Op> {
-        loop {
-            if let Some(&op) = self.buf.get(self.buf_head) {
-                self.buf_head += 1;
-                return Some(op);
-            }
-            if self.dead {
-                return None;
-            }
-            if !self.refill() {
-                self.dead = true;
-                return None;
+        while self.pos >= self.payload.len() {
+            if self.dead || !self.refill() {
+                return self.end();
             }
         }
+        let damage = match decode_op(&self.payload, &mut self.pos, &mut self.state) {
+            Ok(op) if self.decoded_ops < self.declared_ops => {
+                self.decoded_ops += 1;
+                return Some(op);
+            }
+            Ok(_) => corrupt(format!(
+                "{} decoded more ops than the {} declared",
+                self.label, self.declared_ops
+            )),
+            Err(e) => e,
+        };
+        self.fault.set(damage);
+        self.end()
     }
 }
 
@@ -901,6 +929,29 @@ mod tests {
             std::process::id(),
             N.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    /// A one-run ("toy"), one-thread, one-chunk trace file around
+    /// `payload` declaring `declared` ops, every frame correctly
+    /// checksummed.
+    fn crafted(payload: &[u8], declared: u64) -> Vec<u8> {
+        let mut header = Vec::new();
+        encode_str("demo", &mut header);
+        encode_str("x", &mut header);
+        let mut info = Vec::new();
+        encode_str("toy", &mut info);
+        encode_uvarint(1, &mut info);
+        encode_uvarint(payload.len() as u64 + 9, &mut info);
+        encode_uvarint(declared, &mut info);
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        frame(&header, &mut out);
+        out.push(TAG_RUN);
+        frame(&info, &mut out);
+        out.push(TAG_CHUNK);
+        frame(payload, &mut out);
+        out
     }
 
     fn drain(stream: &mut dyn OpStream) -> Vec<Op> {
@@ -1111,7 +1162,8 @@ mod tests {
         )
         .unwrap();
         w.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        let mut bytes = written.clone();
         let last = bytes.len() - 1; // inside the final chunk payload
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
@@ -1124,6 +1176,55 @@ mod tests {
         assert!(matches!(e, TraceError::Corrupt { .. }), "{e:?}");
         // verify() surfaces it as an error.
         assert!(matches!(verify(&path), Err(TraceError::Corrupt { .. })));
+
+        // Damage *behind* valid checksums — only a crafted file gets
+        // here — reaches the op decoder and the declared-count checks.
+        // `crafted` is format-accurate: it reproduces the writer's bytes.
+        let ops = vec![Op::Load(123); 50];
+        let encode = |ops: &[Op]| {
+            let mut state = LineState::default();
+            let mut out = Vec::new();
+            for &op in ops {
+                encode_op(op, &mut state, &mut out);
+            }
+            out
+        };
+        assert_eq!(crafted(&encode(&ops), 50), written);
+        let replay = |payload: &[u8], declared: u64| {
+            std::fs::write(&path, crafted(payload, declared)).unwrap();
+            let r = TraceReader::open(&path, None).unwrap();
+            let mut run = r.run_streams("toy", 1).unwrap();
+            let delivered = drain(run.streams[0].as_mut());
+            for _ in 0..3 {
+                assert_eq!(run.streams[0].next_op(), None, "a dead stream stays dead");
+            }
+            let e = run.fault.take().expect("fault parked");
+            assert!(run.fault.take().is_none(), "exactly one error is parked");
+            let TraceError::Corrupt { what } = e else {
+                panic!("expected Corrupt, got {e:?}");
+            };
+            (delivered, what)
+        };
+        // A bad tag mid-chunk: the ops before it are delivered, then the
+        // stream ends at the damage.
+        let mut bad_tag = encode(&ops[..20]);
+        bad_tag.push(0x7f);
+        bad_tag.extend(encode(&ops[20..]));
+        let (delivered, what) = replay(&bad_tag, 50);
+        assert_eq!(delivered, &ops[..20]);
+        assert_eq!(what, "unknown op tag 0x7f");
+        // Run-info declaring one op fewer than encoded: raised at the
+        // first op past the declared count …
+        let (delivered, what) = replay(&encode(&ops), 49);
+        assert_eq!(delivered, &ops[..49]);
+        assert_eq!(
+            what,
+            "run 'toy' thread 0 decoded more ops than the 49 declared"
+        );
+        // … and one more: raised at the end of the section.
+        let (delivered, what) = replay(&encode(&ops), 51);
+        assert_eq!(delivered, ops);
+        assert_eq!(what, "run 'toy' thread 0 decoded 50 ops, 51 declared");
         std::fs::remove_file(&path).ok();
     }
 
