@@ -9,21 +9,21 @@
 //! | [`SimError::Config`]     | invalid machine/workload configuration    | 3         |
 //! | [`SimError::Stack`]      | counters cannot form a speedup stack      | 4         |
 //! | [`SimError::Journal`]    | sweep journal unreadable or inconsistent  | 5         |
-//! | [`SimError::Point`]      | a grid point failed (panic/deadline)      | 6         |
 //! | [`SimError::Engine`]     | the simulation engine aborted a run       | 7         |
 //! | [`SimError::Interrupted`]| sweep checkpointed before completion      | 8         |
 //! | [`SimError::Trace`]      | workload trace unreadable or inconsistent | 9         |
 //! | [`SimError::Protocol`]   | study-service wire protocol / socket I/O  | 10        |
 //! | [`SimError::Federation`] | multi-backend fleet unusable              | 11        |
 //!
-//! The leaf types ([`ConfigError`], [`StackError`], [`JournalError`],
-//! [`PointError`], [`TraceError`], [`ProtocolError`],
-//! [`FederationError`]) are owned by the layers that raise them and
-//! convert into [`SimError`] via `From`, so callers can `?` across
-//! layers.
+//! Exit code 6 is retired (it belonged to a per-point error no sweep
+//! ever returned: a failed grid point degrades its report — a
+//! `DegradedPoint` with label, reason and attempts — and the run exits
+//! 0). The leaf types ([`ConfigError`], [`StackError`], [`JournalError`],
+//! [`TraceError`], [`ProtocolError`], [`FederationError`]) are owned by
+//! the layers that raise them and convert into [`SimError`] via `From`,
+//! so callers can `?` across layers.
 
 use core::fmt;
-use core::time::Duration;
 
 /// Error returned when a speedup stack cannot be built from the provided
 /// counters.
@@ -418,42 +418,6 @@ impl fmt::Display for FederationError {
 
 impl std::error::Error for FederationError {}
 
-/// One failed grid point: the point's identity plus the captured failure
-/// payload (panic message, engine error or deadline overrun).
-///
-/// A [`PointError`] never aborts a fault-tolerant sweep — the point is
-/// reported in the report's `Degraded` block and the rest of the grid
-/// completes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PointError {
-    /// Index of the point in the sweep's deterministic point order.
-    pub index: usize,
-    /// Human-readable point label (e.g. `"cholesky 16t"`).
-    pub label: String,
-    /// The captured failure payload.
-    pub payload: String,
-    /// Wall-clock time spent on the point across all attempts.
-    pub elapsed: Duration,
-    /// Number of attempts made (1 = no retry).
-    pub attempts: u32,
-}
-
-impl fmt::Display for PointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "point {} ({}) failed after {} attempt{}: {}",
-            self.index,
-            self.label,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.payload
-        )
-    }
-}
-
-impl std::error::Error for PointError {}
-
 /// The unified error type of the reproduction pipeline.
 ///
 /// # Examples
@@ -473,8 +437,6 @@ pub enum SimError {
     Stack(StackError),
     /// The sweep journal is unusable.
     Journal(JournalError),
-    /// A grid point failed.
-    Point(PointError),
     /// The simulation engine aborted a run (cycle limit, deadlock,
     /// protocol violation — carried as its rendered description so the
     /// engine crate, which sits below this one, needs no type here).
@@ -509,7 +471,6 @@ impl SimError {
             SimError::Config(_) => 3,
             SimError::Stack(_) => 4,
             SimError::Journal(_) => 5,
-            SimError::Point(_) => 6,
             SimError::Engine { .. } => 7,
             SimError::Interrupted { .. } => 8,
             SimError::Trace(_) => 9,
@@ -525,7 +486,6 @@ impl fmt::Display for SimError {
             SimError::Config(e) => e.fmt(f),
             SimError::Stack(e) => e.fmt(f),
             SimError::Journal(e) => e.fmt(f),
-            SimError::Point(e) => e.fmt(f),
             SimError::Engine { what } => write!(f, "engine error: {what}"),
             SimError::Interrupted { completed } => write!(
                 f,
@@ -556,12 +516,6 @@ impl From<StackError> for SimError {
 impl From<JournalError> for SimError {
     fn from(e: JournalError) -> Self {
         SimError::Journal(e)
-    }
-}
-
-impl From<PointError> for SimError {
-    fn from(e: PointError) -> Self {
-        SimError::Point(e)
     }
 }
 
@@ -610,34 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn point_error_display_counts_attempts() {
-        let e = PointError {
-            index: 4,
-            label: "cholesky 16t".to_string(),
-            payload: "injected panic".to_string(),
-            elapsed: Duration::from_millis(12),
-            attempts: 3,
-        };
-        assert_eq!(
-            e.to_string(),
-            "point 4 (cholesky 16t) failed after 3 attempts: injected panic"
-        );
-    }
-
-    #[test]
     fn exit_codes_distinct() {
         let errors: Vec<SimError> = vec![
             ConfigError::zero("x").into(),
             StackError::NoThreads.into(),
             JournalError::MissingHeader.into(),
-            PointError {
-                index: 0,
-                label: String::new(),
-                payload: String::new(),
-                elapsed: Duration::ZERO,
-                attempts: 1,
-            }
-            .into(),
             SimError::Engine {
                 what: "deadlock".to_string(),
             },
@@ -665,7 +596,6 @@ mod tests {
         assert_send_sync::<StackError>();
         assert_send_sync::<ConfigError>();
         assert_send_sync::<JournalError>();
-        assert_send_sync::<PointError>();
         assert_send_sync::<TraceError>();
         assert_send_sync::<FederationError>();
         assert_send_sync::<SimError>();

@@ -2,7 +2,7 @@
 //! single-threaded reference) and prints measured vs paper speedups plus
 //! the dominant stack components, so catalog parameters can be tuned.
 
-use experiments::{par_map, run_profile, scaled_profile, RunOptions};
+use experiments::{map_mode, run_profile, scaled_profile, Parallelism, RunOptions};
 use speedup_stacks::Component;
 use workloads::display_name;
 
@@ -24,7 +24,7 @@ fn main() {
         })
         .collect();
     // All benchmarks as one parallel sweep; rows print in catalog order.
-    let rows = par_map(selected, |p| {
+    let rows = map_mode(Parallelism::Auto, selected, |p| {
         let name = display_name(&p);
         let scaled = scaled_profile(&p, scale);
         let t0 = std::time::Instant::now();

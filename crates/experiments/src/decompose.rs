@@ -8,11 +8,12 @@
 //! that shape: the profile list and count list, the two unit bodies
 //! ([`GridStudy::compute_reference`], [`GridStudy::compute_point`] — the
 //! same functions the local sweep's closures call), the local sweep
-//! itself ([`GridStudy::sweep`]), and the fold: every path resolves its
-//! units into a [`GridFold`], which decides failure order, the `retried`
-//! count and the `Degraded` totals once, and [`GridStudy::assemble`]
-//! turns the slots into a report **byte-identical** across local,
-//! resumed, replayed, served and federated runs.
+//! itself ([`GridStudy::sweep`]), the grid's [`UnitGraph`]
+//! ([`GridStudy::graph`]) and the fold: every path resolves its units
+//! into a [`GridFold`], which decides failure order, the `retried` count
+//! and the `Degraded` totals once, and [`GridStudy::assemble`] turns the
+//! slots into a report **byte-identical** across local, resumed,
+//! replayed, served and federated runs.
 //!
 //! Point indices are row-major in the same deterministic order the
 //! sweep uses: `index = profile_index * counts.len() + count_index`.
@@ -34,6 +35,7 @@ use speedup_stacks::report::{Block, Degraded, DegradedPoint, Provenance, Report}
 use speedup_stacks::SimError;
 use workloads::{display_name, Suite, WorkloadProfile};
 
+use crate::graph::UnitGraph;
 use crate::runner::{
     point_label, point_unit, reference_unit, run_grid_ft, scaled_profile, GridReport, PointSummary,
     RunOptions, SweepOptions,
@@ -49,28 +51,22 @@ fn options(params: &StudyParams, n: usize) -> RunOptions {
     }
 }
 
-/// The reason every point of a profile fails with when its single-thread
-/// reference failed with `reason`.
-#[must_use]
-pub fn reference_failed(reason: &str) -> String {
-    format!("single-thread reference failed: {reason}")
-}
-
-/// Accumulates resolved grid units, in any completion order, into the
+/// Accumulates resolved units, in any completion order, into the
 /// per-index slots and the `Degraded` accounting of a report. The local
-/// sweep, the service client's stream reassembly and the federation's
-/// all fold through this, so the same outcomes give the same bytes.
+/// sweep, the many-core study (`P` = its own point type), the service
+/// client's stream reassembly and the federation's all fold through
+/// this, so the same outcomes give the same bytes.
 #[derive(Debug)]
-pub struct GridFold {
-    points: Vec<Option<PointSummary>>,
+pub struct GridFold<P = PointSummary> {
+    points: Vec<Option<P>>,
     failures: Vec<(usize, DegradedPoint)>,
     retried: usize,
 }
 
-impl GridFold {
+impl<P> GridFold<P> {
     /// An empty fold over a grid of `n_points` points.
     #[must_use]
-    pub fn new(n_points: usize) -> GridFold {
+    pub fn new(n_points: usize) -> GridFold<P> {
         GridFold {
             points: (0..n_points).map(|_| None).collect(),
             failures: Vec::new(),
@@ -83,7 +79,7 @@ impl GridFold {
     /// # Panics
     ///
     /// Panics when `index` is outside the grid.
-    pub fn point(&mut self, index: usize, summary: PointSummary, attempts: u32) {
+    pub fn point(&mut self, index: usize, summary: P, attempts: u32) {
         if attempts > 1 {
             self.retried += 1;
         }
@@ -91,7 +87,7 @@ impl GridFold {
     }
 
     /// Point `index` failed every attempt (or its reference did: see
-    /// [`reference_failed`]).
+    /// [`crate::graph::reference_failed`]).
     pub fn failed(&mut self, index: usize, label: String, reason: String, attempts: u32) {
         self.failures.push((
             index,
@@ -107,7 +103,7 @@ impl GridFold {
     /// point-index order whatever order they arrived in, `quarantined`
     /// journal records as counted by the caller.
     #[must_use]
-    pub fn into_parts(mut self, quarantined: usize) -> (Vec<Option<PointSummary>>, Degraded) {
+    pub fn into_parts(mut self, quarantined: usize) -> (Vec<Option<P>>, Degraded) {
         self.failures.sort_by_key(|(index, _)| *index);
         let degraded = Degraded {
             total_points: self.points.len(),
@@ -118,7 +114,9 @@ impl GridFold {
         };
         (self.points, degraded)
     }
+}
 
+impl GridFold {
     /// Folds everything into `grid`'s report (no journal, no trace — the
     /// served paths' ending).
     #[must_use]
@@ -248,6 +246,13 @@ impl GridStudy {
     pub fn label(&self, index: usize) -> String {
         let (pi, n) = self.point(index);
         point_label(&display_name(&self.profiles[pi]), n)
+    }
+
+    /// The grid's unit graph — one reference per profile gating that
+    /// profile's points — with no point added yet.
+    #[must_use]
+    pub fn graph(&self) -> UnitGraph {
+        UnitGraph::grid(self.profiles.len(), self.counts.len())
     }
 
     /// Validates every profile up front, the way the sweep does:
@@ -479,8 +484,8 @@ mod tests {
     fn fold_orders_failures_by_index_whatever_the_completion_order() {
         use crate::runner::{run_grid_ft, FaultPolicy, SweepOptions};
         // The local sweep over 2 profiles x [2, 4]: profile 0's reference
-        // overruns a deadline (its points 0 and 1 cascade, after phase 2)
-        // and profile 1's 4-thread point (index 3) fails in phase 2.
+        // overruns a deadline (its points 0 and 1 cascade) and profile
+        // 1's 4-thread point (index 3) fails on its own.
         let profiles: Vec<WorkloadProfile> = [
             workloads::find("blackscholes", Suite::ParsecSmall).unwrap(),
             workloads::find("cholesky", Suite::Splash2).unwrap(),
@@ -521,12 +526,9 @@ mod tests {
                 point_label(&second, 4)
             ]
         );
-        assert!(local.degraded.failed[0]
-            .reason
-            .starts_with(&reference_failed("")));
-        assert!(!local.degraded.failed[2]
-            .reason
-            .starts_with(&reference_failed("")));
+        let cascade = "single-thread reference failed: ";
+        assert!(local.degraded.failed[0].reason.starts_with(cascade));
+        assert!(!local.degraded.failed[2].reason.starts_with(cascade));
 
         // The same outcomes in the order a served stream delivers them:
         // the point failure first, the cascade last and backwards.

@@ -7,7 +7,6 @@ use speedup_stacks::{
 };
 
 use crate::decompose::grid_study;
-use crate::par::par_map;
 use crate::runner::PointSummary;
 use crate::study::{Study, StudyParams};
 
@@ -118,9 +117,12 @@ pub fn run(params: &StudyParams) -> Fig6 {
 pub(crate) fn fold(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Fig6 {
     let threads = params.single_count(16);
     let cfg = ClassificationConfig::default();
-    let entries = par_map(rows.into_iter().flatten().flatten().collect(), |out| {
-        ClassifiedBenchmark::from_stack(out.name.clone(), out.suite.clone(), &out.stack, &cfg)
-    });
+    let entries = rows
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|out| ClassifiedBenchmark::from_stack(out.name, out.suite, &out.stack, &cfg))
+        .collect();
     Fig6 {
         tree: ClassificationTree::build(entries),
         threads,

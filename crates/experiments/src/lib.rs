@@ -18,10 +18,10 @@
 //! multi-threaded (that run drives the accounting and yields the
 //! *estimated* speedup), run it single-threaded for Eq. 1's `Ts`, and
 //! attach the *actual* speedup for validation. Figure grids fan their
-//! independent points out over [`par`]'s deterministic thread pool, each
-//! unit in [`par::fault_domain`], and fold through
-//! [`decompose::GridFold`] — the same unit bodies and the same fold the
-//! study service and the federation use.
+//! independent points out over [`par`]'s deterministic thread pool as one
+//! ref-gated [`graph::UnitGraph`], each unit in [`par::fault_domain`], and
+//! fold through [`decompose::GridFold`] — the same graph, unit bodies and
+//! fold the study service and the federation use.
 //!
 //! ## Example
 //!
@@ -47,6 +47,7 @@ pub mod fig45;
 pub mod fig6;
 pub mod fig7;
 pub mod fig89;
+pub mod graph;
 pub mod hwcost;
 pub mod input;
 pub mod journal;
@@ -57,7 +58,7 @@ pub mod scaling;
 pub mod study;
 
 pub use journal::JournalSpec;
-pub use par::{fault_domain, map_mode, par_map, try_map_mode, Parallelism, PointOutcome};
+pub use par::{fault_domain, map_mode, Parallelism};
 pub use runner::{
     run_grid_ft, run_profile, run_profile_streams, scaled_profile, single_thread_reference,
     single_thread_reference_streams, FaultPolicy, GridReport, PointSummary, RunOptions, RunOutcome,

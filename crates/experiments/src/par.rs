@@ -1,26 +1,27 @@
-//! Deterministic parallel map over independent simulation points.
+//! Deterministic parallel execution of independent simulation units.
 //!
 //! Figure grids are embarrassingly parallel: every (benchmark ×
 //! thread-count) point is a self-contained, deterministic `Engine` run.
-//! [`par_map`] fans the points out over a scoped thread pool (no `rayon`
-//! offline — plain `std::thread::scope` with an atomic work index) and
-//! collects results **in input order**, so a sweep produces byte-identical
-//! output whether it ran serially or in parallel — guarded by the
-//! `sweep_determinism` integration test.
+//! [`map_mode`] fans independent items out over a scoped thread pool (no
+//! `rayon` offline — plain `std::thread::scope` with an atomic work
+//! index) and collects results **in input order**, so a sweep produces
+//! byte-identical output whether it ran serially or in parallel — guarded
+//! by the `sweep_determinism` integration test.
 //!
 //! [`fault_domain`] is the one per-unit **fault domain**: `catch_unwind`
-//! plus a bounded retry budget. [`try_map_mode`] maps it over a sweep, so
-//! a panicking or failing point yields a typed [`PointError`] in its slot
-//! instead of killing the pool. Retries re-run the identical pure closure
-//! (backoff-free re-queue), so serial and parallel sweeps stay
-//! bit-identical for every successful point.
+//! plus a bounded retry budget. [`run_units`] is the scoped driver of a
+//! [`UnitGraph`]: every unit in its own fault domain, points released as
+//! their references land, outcomes delivered by index — so a panicking
+//! or failing unit degrades its points instead of killing the pool.
+//! Retries re-run the identical pure closure (backoff-free re-queue), so
+//! serial and parallel sweeps stay bit-identical for every successful
+//! point.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::{Condvar, Mutex, PoisonError};
 
-use speedup_stacks::error::PointError;
+use crate::graph::{RefValue, Unit, UnitGraph};
 
 /// Execution mode for [`map_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,17 +53,6 @@ impl Parallelism {
         };
         n.min(items.max(1))
     }
-}
-
-/// Applies `f` to every item with the default parallelism, returning
-/// results in input order.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    map_mode(Parallelism::Auto, items, f)
 }
 
 /// Applies `f` to every item under the given [`Parallelism`], returning
@@ -112,24 +102,6 @@ where
         .collect()
 }
 
-/// Outcome of one fault-isolated point: the result (or its typed error)
-/// plus the attempts spent, so sweeps can report retried points.
-#[derive(Debug)]
-pub struct PointOutcome<R> {
-    /// Attempts used (1 = succeeded or failed first try).
-    pub attempts: u32,
-    /// The point's result, or why every attempt failed.
-    pub result: Result<R, PointError>,
-}
-
-impl<R> PointOutcome<R> {
-    /// True if the point eventually succeeded but needed a retry.
-    #[must_use]
-    pub fn retried_ok(&self) -> bool {
-        self.result.is_ok() && self.attempts > 1
-    }
-}
-
 /// Renders a `catch_unwind` payload as text (the common `&str`/`String`
 /// panic payloads; anything else gets a placeholder).
 fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
@@ -145,9 +117,9 @@ fn panic_payload(p: &(dyn std::any::Any + Send)) -> String {
 /// Runs `f` in one fault domain: a panic is caught and rendered as an
 /// `Err`, and a failing run (panic or `Err`) is re-attempted up to
 /// `retries` extra times. Returns the last outcome and the attempts
-/// spent. Every grid unit — the local sweep's, the study service's
-/// workers', the federation's local fallback's — runs through here, so
-/// "what a retry budget means" has one definition.
+/// spent. Every unit — [`run_units`]'s and the study service's workers'
+/// — runs through here, so "what a retry budget means" has one
+/// definition.
 pub fn fault_domain<R>(
     retries: u32,
     f: impl Fn() -> Result<R, String>,
@@ -165,49 +137,104 @@ pub fn fault_domain<R>(
     }
 }
 
-/// Applies the fallible `f` to every item under the given
-/// [`Parallelism`], isolating each point in its own fault domain:
+/// What running one popped unit produced — its fault-domain outcome and
+/// attempts — before it is applied to the graph.
+enum Ran<P> {
+    Ref(usize, (Result<RefValue, String>, u32)),
+    Point(usize, (Result<P, String>, u32)),
+}
+
+/// The scoped single-job driver of a [`UnitGraph`]: pops units until the
+/// graph has none left to give, runs each in [`fault_domain`] with the
+/// `retries` budget — `reference(r)`, or `point(i, inputs)` with the
+/// values of the point's references — and delivers every point's outcome
+/// (completed, failed, or cascaded from a failed reference) to
+/// `resolved(index, outcome, attempts)`. Returns the units that succeeded.
 ///
-/// - a panic inside `f` is caught per attempt and never reaches the
-///   thread pool (workers keep draining the queue);
-/// - a failing point (panic or `Err`) is re-attempted up to `retries`
-///   extra times — a backoff-free re-queue of the identical pure closure,
-///   so a deterministic failure fails identically every time and a
-///   successful point's value is independent of the execution mode;
-/// - after exhausting its budget the point's slot carries a
-///   [`PointError`] with the index, `label(item)`, the captured payload
-///   and the wall-clock spent.
-///
-/// Results are in input order; serial and parallel runs agree on every
-/// successful point.
-pub fn try_map_mode<T, R, F, L>(
+/// Under one effective worker this is an inline loop on the calling
+/// thread: no thread, lock or allocation per unit. Otherwise that many
+/// scoped workers (the caller among them) share the graph behind a
+/// mutex, and `resolved` runs under it.
+pub fn run_units<P, R, F, S>(
+    graph: &mut UnitGraph,
     mode: Parallelism,
     retries: u32,
-    items: Vec<T>,
-    label: L,
-    f: F,
-) -> Vec<PointOutcome<R>>
+    reference: R,
+    point: F,
+    mut resolved: S,
+) -> usize
 where
-    T: Send,
-    R: Send,
-    F: Fn(&T) -> Result<R, String> + Sync,
-    L: Fn(&T) -> String + Sync,
+    P: Send,
+    R: Fn(usize) -> Result<RefValue, String> + Sync,
+    F: Fn(usize, &[RefValue]) -> Result<P, String> + Sync,
+    S: FnMut(usize, Result<P, String>, u32) + Send,
 {
-    let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    map_mode(mode, indexed, |(index, item)| {
-        let start = Instant::now();
-        let (outcome, attempts) = fault_domain(retries, || f(&item));
-        PointOutcome {
-            attempts,
-            result: outcome.map_err(|payload| PointError {
-                index,
-                label: label(&item),
-                payload,
-                elapsed: start.elapsed(),
-                attempts,
-            }),
+    let run = |unit: Unit, inputs: &[RefValue]| match unit {
+        Unit::Ref(r) => Ran::Ref(r, fault_domain(retries, || reference(r))),
+        Unit::Point(i) => Ran::Point(i, fault_domain(retries, || point(i, inputs))),
+    };
+    // Applies one finished unit; true when it succeeded.
+    let apply = |graph: &mut UnitGraph, resolved: &mut S, ran: Ran<P>| match ran {
+        Ran::Ref(r, (outcome, attempts)) => {
+            let ok = outcome.is_ok();
+            let cascades = match outcome {
+                Ok(value) => graph.ref_ok(r, value),
+                Err(reason) => graph.ref_failed(r, &reason, attempts),
+            };
+            for c in cascades {
+                resolved(c.point, Err(c.reason), c.attempts);
+            }
+            ok
         }
-    })
+        Ran::Point(i, (outcome, attempts)) => {
+            let ok = outcome.is_ok();
+            graph.point_done(i);
+            resolved(i, outcome, attempts);
+            ok
+        }
+    };
+
+    let workers = mode.workers(graph.queued());
+    let mut completed = 0usize;
+    if workers <= 1 {
+        while let Some(unit) = graph.pop() {
+            let ran = run(unit, graph.inputs(unit));
+            completed += usize::from(apply(graph, &mut resolved, ran));
+        }
+        return completed;
+    }
+
+    let shared = Mutex::new((graph, &mut resolved, &mut completed));
+    let wake = Condvar::new();
+    let worker = || loop {
+        let (unit, inputs) = {
+            let mut guard = shared.lock().unwrap_or_else(PoisonError::into_inner);
+            loop {
+                if let Some(unit) = guard.0.pop() {
+                    break (unit, guard.0.inputs(unit).to_vec());
+                }
+                if guard.0.running() == 0 {
+                    // Nothing to pop and nothing in flight that could
+                    // release more: this worker is done.
+                    return;
+                }
+                guard = wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let ran = run(unit, &inputs);
+        let mut guard = shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let (graph, resolved, completed) = &mut *guard;
+        **completed += usize::from(apply(graph, resolved, ran));
+        drop(guard);
+        wake.notify_all();
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    completed
 }
 
 #[cfg(test)]
@@ -232,8 +259,8 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let empty: Vec<u32> = vec![];
-        assert!(par_map(empty, |x: u32| x).is_empty());
-        assert_eq!(par_map(vec![5], |x| x + 1), vec![6]);
+        assert!(map_mode(Parallelism::Auto, empty, |x: u32| x).is_empty());
+        assert_eq!(map_mode(Parallelism::Auto, vec![5], |x| x + 1), vec![6]);
     }
 
     #[test]
@@ -280,78 +307,74 @@ mod tests {
         }
     }
 
+    /// A one-reference graph over `n` points, every point added.
+    fn flat_graph(n: usize) -> UnitGraph {
+        let mut graph = UnitGraph::new(1, n, |_| 0..1);
+        (0..n).for_each(|i| graph.add_point(i));
+        graph
+    }
+
     #[test]
-    fn try_map_isolates_panics() {
+    fn run_units_isolates_panics() {
         for mode in [Parallelism::Serial, Parallelism::Workers(4)] {
-            let out = try_map_mode(
+            let mut graph = flat_graph(10);
+            let mut slots: Vec<Option<(Result<u64, String>, u32)>> = vec![None; 10];
+            let completed = run_units(
+                &mut graph,
                 mode,
                 0,
-                (0..10u64).collect(),
-                |x| format!("item {x}"),
-                |&x| {
-                    if x == 3 {
-                        panic!("injected panic at {x}");
+                |_| Ok((7, 1)),
+                |i, st| {
+                    assert_eq!(st, [(7, 1)]);
+                    if i == 3 {
+                        panic!("injected panic at {i}");
                     }
-                    Ok(x * 2)
+                    Ok(i as u64 * 2)
+                },
+                |i, outcome, attempts| {
+                    assert!(slots[i].replace((outcome, attempts)).is_none());
                 },
             );
-            assert_eq!(out.len(), 10);
-            for (i, o) in out.iter().enumerate() {
+            assert_eq!(completed, 10, "the reference and nine points");
+            assert!(graph.is_complete());
+            for (i, slot) in slots.into_iter().enumerate() {
+                let (outcome, attempts) = slot.expect("every point resolved");
+                assert_eq!(attempts, 1);
                 if i == 3 {
-                    let e = o.result.as_ref().unwrap_err();
-                    assert_eq!(e.index, 3);
-                    assert_eq!(e.label, "item 3");
-                    assert!(e.payload.contains("injected panic at 3"), "{}", e.payload);
-                    assert_eq!(e.attempts, 1);
+                    let payload = outcome.unwrap_err();
+                    assert!(payload.contains("injected panic at 3"), "{payload}");
                 } else {
-                    assert_eq!(*o.result.as_ref().unwrap(), (i as u64) * 2);
+                    assert_eq!(outcome.unwrap(), i as u64 * 2);
                 }
             }
         }
     }
 
     #[test]
-    fn try_map_retries_bounded() {
+    fn run_units_spends_the_retry_budget_and_reports_attempts() {
         use std::sync::atomic::AtomicU32;
-        // A deterministic failure fails on every attempt; the budget
-        // bounds the attempts.
-        let calls = AtomicU32::new(0);
-        let out = try_map_mode(
-            Parallelism::Serial,
-            2,
-            vec![0u32],
-            |_| "p".to_string(),
-            |_| -> Result<u32, String> {
-                calls.fetch_add(1, Ordering::Relaxed);
-                Err("always fails".to_string())
-            },
-        );
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "1 try + 2 retries");
-        let e = out[0].result.as_ref().unwrap_err();
-        assert_eq!(e.attempts, 3);
-        assert_eq!(e.payload, "always fails");
-    }
-
-    #[test]
-    fn try_map_counts_successful_retry() {
-        use std::sync::atomic::AtomicU32;
-        let calls = AtomicU32::new(0);
-        let out = try_map_mode(
-            Parallelism::Serial,
-            3,
-            vec![0u32],
-            |_| "p".to_string(),
-            |_| {
-                // Transient: fails the first two attempts, then succeeds.
-                if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                    Err("transient".to_string())
-                } else {
-                    Ok(7u32)
-                }
-            },
-        );
-        assert_eq!(*out[0].result.as_ref().unwrap(), 7);
-        assert_eq!(out[0].attempts, 3);
-        assert!(out[0].retried_ok());
+        // A point failing its first `failures` calls under `retries`
+        // extra attempts: a deterministic failure exhausts the budget
+        // (1 try + 2 retries), a transient one succeeds on its third call.
+        for (retries, failures, expected) in [
+            (2, u32::MAX, (Err("fails".to_string()), 3)),
+            (3, 2, (Ok(7u32), 3)),
+        ] {
+            let calls = AtomicU32::new(0);
+            let mut seen = None;
+            run_units(
+                &mut flat_graph(1),
+                Parallelism::Serial,
+                retries,
+                |_| Ok((1, 1)),
+                |_, _| match calls.fetch_add(1, Ordering::Relaxed) {
+                    n if n < failures => Err("fails".to_string()),
+                    _ => Ok(7),
+                },
+                |_, outcome, attempts| seen = Some((outcome, attempts)),
+            );
+            assert_eq!(seen, Some(expected));
+            assert_eq!(calls.load(Ordering::Relaxed), 3);
+        }
     }
 }

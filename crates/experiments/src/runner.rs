@@ -7,11 +7,12 @@
 //! speedup to the stack for validation.
 //!
 //! [`run_grid_ft`] sweeps that recipe over a (benchmark × thread-count)
-//! grid: per-unit panic isolation and retries via
-//! [`crate::par::try_map_mode`], cooperative per-unit deadlines,
-//! crash-safe journaling through [`crate::journal`] and checkpoint–resume
-//! that reproduces the uninterrupted report bit for bit. Its two unit
-//! bodies (`reference_unit`, `point_unit`) are the ones
+//! grid: the grid's [`UnitGraph`] driven by [`crate::par::run_units`]
+//! (per-unit panic isolation and retries, points released as their
+//! reference lands), cooperative per-unit deadlines, crash-safe
+//! journaling through [`crate::journal`] and checkpoint–resume that
+//! reproduces the uninterrupted report bit for bit. Its two unit bodies
+//! (`reference_unit`, `point_unit`) are the ones
 //! [`crate::decompose::GridStudy`] hands to the study service, and its
 //! outcomes fold through [`crate::decompose::GridFold`] like every served
 //! path's.
@@ -41,9 +42,10 @@ use speedup_stacks::{
 use workloads::trace::{TraceReader, TraceSpec, TraceWriter};
 use workloads::{display_name, streams_for, WorkloadProfile};
 
-use crate::decompose::{reference_failed, GridFold};
+use crate::decompose::GridFold;
+use crate::graph::UnitGraph;
 use crate::journal::{self, JournalSpec, JournalWriter};
-use crate::par::{try_map_mode, Parallelism};
+use crate::par::{run_units, Parallelism};
 
 /// Machine/accounting options for a run.
 #[derive(Debug, Clone, Copy)]
@@ -129,8 +131,9 @@ impl RunOutcome {
 }
 
 /// Runs one simulation with the options' machine, honoring the
-/// cooperative per-run deadline when armed.
-fn simulate_opts(
+/// cooperative per-run deadline when armed: the one place a unit's
+/// machine is validated and its deadline armed.
+pub(crate) fn simulate_opts(
     opts: &RunOptions,
     cores: usize,
     streams: Vec<Box<dyn cmpsim::OpStream>>,
@@ -478,7 +481,7 @@ pub fn point_label(profile_name: &str, threads: usize) -> String {
 /// where damage discovered inside a worker is parked:
 /// [`cmpsim::OpStream`] has no error channel, so a replay stream that
 /// hits damage parks a typed error in its run's fault slot; the unit
-/// moves it here and the sweep fails at its next checkpoint.
+/// moves it here and the sweep fails once its units have run.
 #[derive(Debug)]
 pub(crate) struct Replay {
     reader: TraceReader,
@@ -682,7 +685,7 @@ pub fn run_grid_ft(
     };
 
     // A journal append failure inside a worker must not be swallowed:
-    // park the first one and fail the sweep at the next checkpoint.
+    // park the first one and fail the sweep once the units have run.
     let journal_fault: Mutex<Option<speedup_stacks::error::JournalError>> = Mutex::new(None);
     let record = |data: &str| {
         if let Some(w) = &writer {
@@ -698,127 +701,66 @@ pub fn run_grid_ft(
             }
         }
     };
-    // The checkpoint after each phase: trace damage first (it can be the
-    // root cause of anything else), then a parked journal failure.
-    let checkpoint = || -> Result<(), CoreError> {
-        let parked_trace = replay.as_ref().and_then(|r| {
-            r.fault
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take()
-        });
-        if let Some(e) = parked_trace {
-            return Err(CoreError::Trace(e));
-        }
-        let parked_journal = journal_fault
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        parked_journal.map_or(Ok(()), |e| Err(CoreError::Journal(e)))
-    };
-
-    // Points are indexed row-major; journaled ones fold straight in.
+    // Points are indexed row-major; journaled units are known up front
+    // and everything else is the graph's to hand out: references in
+    // profile order, then points in index order.
     let n_points = profiles.len() * counts.len();
     let point_of = |i: usize| (i / counts.len(), counts[i % counts.len()]);
-    let label_of = |i: usize| {
-        let (pi, n) = point_of(i);
-        point_label(&names[pi], n)
-    };
     let mut fold = GridFold::new(n_points);
-    let mut pending: Vec<usize> = Vec::new();
+    let mut graph = UnitGraph::grid(profiles.len(), counts.len());
+    for (pi, name) in names.iter().enumerate() {
+        if let Some(&st) = done_refs.get(name) {
+            graph.ref_known(pi, st);
+        }
+    }
     for i in 0..n_points {
         let (pi, n) = point_of(i);
         match done_points.remove(&(names[pi].clone(), n)) {
             Some(summary) => fold.point(i, summary, 1),
-            None => pending.push(i),
+            None => graph.add_point(i),
         }
     }
-    // `pending` ascends, so its profile indices are already grouped.
-    let mut need_ref: Vec<usize> = pending.iter().map(|&i| point_of(i).0).collect();
-    need_ref.dedup();
-    need_ref.retain(|&pi| !done_refs.contains_key(&names[pi]));
+    if let Some(budget) = sweep.max_points {
+        graph.set_budget(budget);
+    }
 
-    let budget = sweep.max_points.unwrap_or(usize::MAX);
-    let run_refs = need_ref.len().min(budget);
     let faults = sweep.faults;
-
-    // Phase 1: single-threaded references, one per benchmark with
-    // pending points. A failed reference cascades to its points below.
-    let ref_outcomes = try_map_mode(
+    let completed = run_units(
+        &mut graph,
         sweep.mode,
         faults.retries,
-        need_ref[..run_refs].to_vec(),
-        |&pi| format!("{} (single-thread reference)", names[pi]),
-        |&pi| {
+        |pi| {
             let p = &profiles[pi];
             let st = reference_unit(p, mk_opts(p, 1), faults, replay.as_ref())?;
             record(&ref_record(&names[pi], st));
             Ok(st)
         },
-    );
-    let mut completed_units = 0usize;
-    let mut ref_fail: HashMap<usize, (String, u32)> = HashMap::new();
-    for (slot, &pi) in ref_outcomes.into_iter().zip(&need_ref[..run_refs]) {
-        match slot.result {
-            Ok(st) => {
-                done_refs.insert(names[pi].clone(), st);
-                completed_units += 1;
-            }
-            Err(e) => {
-                ref_fail.insert(pi, (e.payload, e.attempts));
-            }
-        }
-    }
-    checkpoint()?;
-    if need_ref.len() > run_refs {
-        return Err(CoreError::Interrupted {
-            completed: completed_units,
-        });
-    }
-
-    // Phase 2: every pending point whose reference exists.
-    let mut runnable: Vec<usize> = pending
-        .iter()
-        .copied()
-        .filter(|&i| !ref_fail.contains_key(&point_of(i).0))
-        .collect();
-    let truncated = runnable.len() > budget - run_refs;
-    runnable.truncate(budget - run_refs);
-    let refs = &done_refs;
-    let point_outcomes = try_map_mode(
-        sweep.mode,
-        faults.retries,
-        runnable.clone(),
-        |&i| label_of(i),
-        |&i| {
+        |i, st| {
             let (pi, n) = point_of(i);
             let p = &profiles[pi];
-            let summary = point_unit(p, mk_opts(p, n), faults, refs[&names[pi]], replay.as_ref())?;
+            let summary = point_unit(p, mk_opts(p, n), faults, st[0], replay.as_ref())?;
             record(&summary.to_record());
             Ok(summary)
         },
-    );
-    for (slot, i) in point_outcomes.into_iter().zip(runnable) {
-        match slot.result {
-            Ok(summary) => {
-                completed_units += 1;
-                fold.point(i, summary, slot.attempts);
+        |i, outcome, attempts| match outcome {
+            Ok(summary) => fold.point(i, summary, attempts),
+            Err(reason) => {
+                let (pi, n) = point_of(i);
+                fold.failed(i, point_label(&names[pi], n), reason, attempts);
             }
-            Err(e) => fold.failed(i, e.label, e.payload, e.attempts),
-        }
-    }
-    checkpoint()?;
-    if truncated {
-        return Err(CoreError::Interrupted {
-            completed: completed_units,
-        });
-    }
+        },
+    );
 
-    // Cascade failed references onto their (never attempted) points.
-    for &i in &pending {
-        if let Some((reason, attempts)) = ref_fail.get(&point_of(i).0) {
-            fold.failed(i, label_of(i), reference_failed(reason), *attempts);
-        }
+    // Trace damage first (it can be the root cause of anything else),
+    // then a parked journal failure, then the budget.
+    if let Some(e) = replay.as_ref().and_then(|r| parked(&r.fault)) {
+        return Err(CoreError::Trace(e));
+    }
+    if let Some(e) = parked(&journal_fault) {
+        return Err(CoreError::Journal(e));
+    }
+    if !graph.is_complete() {
+        return Err(CoreError::Interrupted { completed });
     }
     let (points, degraded) = fold.into_parts(quarantined);
     Ok(GridReport {
@@ -826,6 +768,11 @@ pub fn run_grid_ft(
         degraded,
         provenance,
     })
+}
+
+/// Takes the first error a worker parked in `slot`, if any did.
+fn parked<E>(slot: &Mutex<Option<E>>) -> Option<E> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
 }
 
 /// Returns a copy of `profile` with its total work scaled by `factor`

@@ -21,21 +21,21 @@
 //! rate speedup `Σᵢ Ts(i) / Tp`. Each point also carries the full
 //! speedup stack rendered by [`speedup_stacks::render::render_sweep`].
 
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-
-use cmpsim::{MachineConfig, SimResult, Simulation};
 use memsim::{CacheConfig, MemConfig};
 use speedup_stacks::render::RenderOptions;
-use speedup_stacks::report::{Block, Column, Degraded, DegradedPoint, Report, Table, Unit, Value};
-use speedup_stacks::{AccountingConfig, SimError, SpeedupStack};
+use speedup_stacks::report::{Block, Column, Degraded, Report, Table, Unit, Value};
+use speedup_stacks::{SimError, SpeedupStack};
 use workloads::{
     default_rate_mix, display_name, find, rate_mix_streams, streams_for, RateMixStream, Suite,
     WorkloadProfile,
 };
 
-use crate::decompose::reference_failed;
-use crate::runner::{point_label, FaultPolicy};
+use crate::decompose::GridFold;
+use crate::graph::UnitGraph;
+use crate::par::run_units;
+use crate::runner::{
+    point_label, scaled_profile, simulate_opts, single_thread_reference_streams, RunOptions,
+};
 use crate::study::{Study, StudyParams};
 
 /// The swept core counts: powers of two from 1 to 128 (the paper stops
@@ -164,181 +164,8 @@ pub fn study_profiles(scale: f64) -> Vec<WorkloadProfile> {
         find("lud", Suite::Rodinia).expect("catalog"),
     ]
     .iter()
-    .map(|p| crate::runner::scaled_profile(&p.weak_variant(), scale))
+    .map(|p| scaled_profile(&p.weak_variant(), scale))
     .collect()
-}
-
-fn machine(cores: usize, mem: MemConfig) -> MachineConfig {
-    MachineConfig {
-        n_cores: cores,
-        mem,
-        ..MachineConfig::default()
-    }
-}
-
-/// One fault-domained simulation: validates the machine and honors the
-/// policy's cooperative deadline; any engine error becomes a rendered
-/// reason for the point's `Degraded` entry.
-fn sim(
-    cfg: MachineConfig,
-    streams: Vec<Box<dyn cmpsim::OpStream>>,
-    deadline: Option<u64>,
-) -> Result<SimResult, String> {
-    cfg.validate()
-        .map_err(|e| cmpsim::SimError::InvalidConfig(e).to_string())?;
-    let sim = Simulation::new(cfg, streams);
-    match deadline {
-        Some(d) => sim.with_deadline(Arc::new(AtomicU64::new(d))),
-        None => sim,
-    }
-    .run()
-    .map_err(|e| e.to_string())
-}
-
-/// One series over `counts`. `reference` is the series' single-thread
-/// reference unit (its fault-domain outcome and attempts): when it
-/// failed, every point cascades with the sweep's reason; otherwise each
-/// count's `point(n, &reference)` — the multi-threaded run and the
-/// speedup to attach to its stack — runs in its own fault domain.
-fn series<R: Sync>(
-    name: String,
-    counts: &[usize],
-    mode: crate::par::Parallelism,
-    faults: FaultPolicy,
-    degraded: &mut Degraded,
-    reference: (Result<R, String>, u32),
-    point: impl Fn(usize, &R) -> Result<(SimResult, f64), String> + Sync,
-) -> ScalingSeries {
-    let mut points = Vec::with_capacity(counts.len());
-    match reference {
-        (Err(reason), attempts) => {
-            degraded
-                .failed
-                .extend(counts.iter().map(|&n| DegradedPoint {
-                    label: point_label(&name, n),
-                    reason: reference_failed(&reason),
-                    attempts,
-                }));
-        }
-        (Ok(st), _) => {
-            let outcomes = crate::par::try_map_mode(
-                mode,
-                faults.retries,
-                counts.to_vec(),
-                |&n| point_label(&name, n),
-                |&n| {
-                    let (mt, speedup) = point(n, &st)?;
-                    let stack = mt
-                        .stack(&AccountingConfig::default())
-                        .expect("engine produces valid counters")
-                        .with_actual_speedup(speedup);
-                    Ok(ScalingPoint {
-                        cores: n,
-                        estimated: stack.estimated_speedup(),
-                        scaled_speedup: speedup,
-                        mt_cycles: mt.tp_cycles,
-                        events: mt.events,
-                        stack,
-                    })
-                },
-            );
-            for o in outcomes {
-                if o.retried_ok() {
-                    degraded.retried += 1;
-                }
-                match o.result {
-                    Ok(p) => points.push(p),
-                    Err(e) => degraded.failed.push(DegradedPoint {
-                        label: e.label,
-                        reason: e.payload,
-                        attempts: e.attempts,
-                    }),
-                }
-            }
-        }
-    }
-    ScalingSeries { name, points }
-}
-
-/// Runs one weak-scaling workload across `counts`, reusing the one
-/// single-threaded reference (weak scaling: every thread's work equals
-/// the ST run's).
-fn weak_series(
-    profile: &WorkloadProfile,
-    counts: &[usize],
-    mode: crate::par::Parallelism,
-    mem: MemConfig,
-    faults: FaultPolicy,
-    degraded: &mut Degraded,
-) -> ScalingSeries {
-    let deadline = faults.deadline_cycles;
-    let reference = crate::par::fault_domain(faults.retries, || {
-        sim(machine(1, mem), streams_for(profile, 1), deadline)
-    });
-    let point = |n: usize, st: &SimResult| {
-        let mt = sim(machine(n, mem), streams_for(profile, n), deadline)?;
-        let scaled = n as f64 * st.tp_cycles as f64 / mt.tp_cycles as f64;
-        Ok((mt, scaled))
-    };
-    series(
-        display_name(profile),
-        counts,
-        mode,
-        faults,
-        degraded,
-        reference,
-        point,
-    )
-}
-
-/// Runs the rate mix across `counts`. Per-program single-threaded
-/// references are computed once from the first `programs.len()` members
-/// and reused cyclically across wider mixes; the first one to fail fails
-/// the series.
-fn mix_series(
-    programs: &[WorkloadProfile],
-    counts: &[usize],
-    mode: crate::par::Parallelism,
-    mem: MemConfig,
-    faults: FaultPolicy,
-    degraded: &mut Degraded,
-) -> ScalingSeries {
-    let deadline = faults.deadline_cycles;
-    let mut refs = Vec::with_capacity(programs.len());
-    let mut first_failure = None;
-    for o in crate::par::try_map_mode(
-        mode,
-        faults.retries,
-        programs.iter().enumerate().collect(),
-        |(i, p)| format!("{} (rate-mix reference {i})", display_name(p)),
-        |&(i, p)| {
-            let solo: Vec<Box<dyn cmpsim::OpStream>> = vec![Box::new(RateMixStream::new(p, i))];
-            sim(machine(1, mem), solo, deadline).map(|r| r.tp_cycles)
-        },
-    ) {
-        match o.result {
-            Ok(cycles) => refs.push(cycles),
-            Err(e) => {
-                first_failure.get_or_insert((Err(e.payload), e.attempts));
-            }
-        }
-    }
-    let reference = first_failure.unwrap_or((Ok(refs), 1));
-    let point = |n: usize, refs: &Vec<u64>| {
-        let mt = sim(machine(n, mem), rate_mix_streams(programs, n), deadline)?;
-        let ts_sum: u64 = (0..n).map(|i| refs[i % refs.len()]).sum();
-        let rate = ts_sum as f64 / mt.tp_cycles as f64;
-        Ok((mt, rate))
-    };
-    series(
-        "rate_mix".to_string(),
-        counts,
-        mode,
-        faults,
-        degraded,
-        reference,
-        point,
-    )
 }
 
 /// Runs the study: `threads` overrides the swept core counts
@@ -360,9 +187,16 @@ pub fn run(params: &StudyParams) -> ScalingStudy {
     study
 }
 
-/// The fault-tolerant sweep behind [`run`] and [`ManycoreScalingStudy`]:
-/// each swept point runs in its own fault domain (honoring
-/// `params.faults`), and failures land in the returned [`Degraded`].
+/// The fault-tolerant sweep behind [`run`] and [`ManycoreScalingStudy`],
+/// as one [`UnitGraph`]: a single-thread reference per weak workload
+/// (weak scaling: every thread's work equals that run's) and one per
+/// rate-mix program (its solo run; wider mixes reuse them cyclically),
+/// gating one point per series and swept count — a weak series' points
+/// behind its own reference, the rate mix's behind every program's, the
+/// first failed one failing the series. Every unit runs in its own fault
+/// domain (honoring `params.faults`) and the outcomes fold through
+/// [`GridFold`], so failures land in the returned [`Degraded`] exactly
+/// as a grid study's do.
 fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
     let counts = params.counts_or(&CORE_COUNTS);
     let mem = match params.llc_mib {
@@ -372,26 +206,87 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
         },
         None => manycore_mem(),
     };
-    let (mode, faults) = (params.parallelism, params.faults);
     let profiles = study_profiles(params.scale);
     for p in &profiles {
         p.validate().map_err(SimError::Config)?;
     }
-    let mut degraded = Degraded {
-        // 3 weak workloads + the rate mix, one point per count each.
-        total_points: 4 * counts.len(),
-        ..Degraded::default()
-    };
-    let mut series: Vec<ScalingSeries> = profiles
-        .iter()
-        .map(|p| weak_series(p, &counts, mode, mem, faults, &mut degraded))
-        .collect();
     let mix: Vec<WorkloadProfile> = default_rate_mix()
         .iter()
-        .map(|p| crate::runner::scaled_profile(p, params.scale))
+        .map(|p| scaled_profile(p, params.scale))
         .collect();
-    series.push(mix_series(&mix, &counts, mode, mem, faults, &mut degraded));
-    degraded.completed = series.iter().map(|s| s.points.len()).sum();
+    let mut names: Vec<String> = profiles.iter().map(display_name).collect();
+    names.push("rate_mix".to_string());
+
+    // Series `s`'s points are the indices `s * counts.len()..`; the rate
+    // mix is the last series and its programs the last references.
+    let weak = profiles.len();
+    let n_points = names.len() * counts.len();
+    let point_of = |i: usize| (i / counts.len(), counts[i % counts.len()]);
+    let mut graph = UnitGraph::new(weak + mix.len(), n_points, |i| match point_of(i).0 {
+        s if s < weak => s..s + 1,
+        _ => weak..weak + mix.len(),
+    });
+    (0..n_points).for_each(|i| graph.add_point(i));
+    let opts = |cores: usize| RunOptions {
+        mem,
+        deadline_cycles: params.faults.deadline_cycles,
+        ..RunOptions::symmetric(cores)
+    };
+    let mut fold = GridFold::new(n_points);
+    run_units(
+        &mut graph,
+        params.parallelism,
+        params.faults.retries,
+        |r| {
+            let streams: Vec<Box<dyn cmpsim::OpStream>> = match r.checked_sub(weak) {
+                None => streams_for(&profiles[r], 1),
+                Some(m) => vec![Box::new(RateMixStream::new(&mix[m], m))],
+            };
+            single_thread_reference_streams(&opts(1), streams).map_err(|e| e.to_string())
+        },
+        |i, refs| {
+            let (s, n) = point_of(i);
+            // The single-thread cycles the run's work amounts to: `n`
+            // copies of the weak reference, or the mix members' own.
+            let (streams, ts) = if s < weak {
+                (streams_for(&profiles[s], n), n as f64 * refs[0].0 as f64)
+            } else {
+                let ts_sum: u64 = (0..n).map(|k| refs[k % refs.len()].0).sum();
+                (rate_mix_streams(&mix, n), ts_sum as f64)
+            };
+            let opts = opts(n);
+            let mt = simulate_opts(&opts, n, streams).map_err(|e| e.to_string())?;
+            let speedup = ts / mt.tp_cycles as f64;
+            let stack = mt
+                .stack(&opts.accounting)
+                .expect("engine produces valid counters")
+                .with_actual_speedup(speedup);
+            Ok(ScalingPoint {
+                cores: n,
+                estimated: stack.estimated_speedup(),
+                scaled_speedup: speedup,
+                mt_cycles: mt.tp_cycles,
+                events: mt.events,
+                stack,
+            })
+        },
+        |i, outcome, attempts| match outcome {
+            Ok(point) => fold.point(i, point, attempts),
+            Err(reason) => {
+                let (s, n) = point_of(i);
+                fold.failed(i, point_label(&names[s], n), reason, attempts);
+            }
+        },
+    );
+    let (slots, degraded) = fold.into_parts(0);
+    let mut slots = slots.into_iter();
+    let series = names
+        .into_iter()
+        .map(|name| ScalingSeries {
+            name,
+            points: slots.by_ref().take(counts.len()).flatten().collect(),
+        })
+        .collect();
     Ok((
         ScalingStudy {
             series,
@@ -432,17 +327,17 @@ mod tests {
     use super::*;
     use crate::par::Parallelism;
 
-    fn quick(counts: &[usize], parallelism: Parallelism) -> ScalingStudy {
+    fn quick(counts: &[usize]) -> ScalingStudy {
         run(&StudyParams {
             threads: Some(counts.to_vec()),
-            parallelism,
+            parallelism: Parallelism::Serial,
             ..StudyParams::with_scale(0.02)
         })
     }
 
     #[test]
     fn quick_study_has_expected_shape() {
-        let study = quick(&[1, 2, 4], Parallelism::Serial);
+        let study = quick(&[1, 2, 4]);
         assert_eq!(study.counts, vec![1, 2, 4]);
         assert_eq!(study.series.len(), 4); // 3 weak workloads + rate mix
         for s in &study.series {
@@ -470,18 +365,5 @@ mod tests {
         let mem = manycore_mem();
         assert_eq!(mem.llc.ways(), 32);
         assert_eq!(mem.llc.lines() * 64, 4 * 1024 * 1024);
-    }
-
-    #[test]
-    fn serial_equals_parallel_points() {
-        let a = quick(&[1, 2], Parallelism::Serial);
-        let b = quick(&[1, 2], Parallelism::Workers(3));
-        for (sa, sb) in a.series.iter().zip(&b.series) {
-            assert_eq!(sa.name, sb.name);
-            for (pa, pb) in sa.points.iter().zip(&sb.points) {
-                assert_eq!(pa.mt_cycles, pb.mt_cycles);
-                assert_eq!(pa.events, pb.events);
-            }
-        }
     }
 }

@@ -28,6 +28,13 @@
 //!   two encodings implement identical true-LRU semantics — pinned
 //!   bit-for-bit by `tests/flat_equivalence.rs`, which drives a
 //!   forced-wide cache against the packed one on ≤16-way geometries.
+//!   Both stay because the packed one is measurably faster where it
+//!   applies: forcing the wide encoding at every associativity (a
+//!   one-line prototype, `Lru::new` → `new_wide`, not shipped) took the
+//!   repo benchmark's `fig4_grid/wall_s` from 0.893 to 1.041 s (×1.17;
+//!   5 of 5 interleaved 12 s pairs worse, seed 0, packed 0.866–0.945 s
+//!   against wide 0.991–1.097 s; `peak_rss_mib` 4.24 → 4.27); the sizing
+//!   run before it read 0.856 → 1.030 s (×1.20, 5 of 5).
 //!
 //! No per-way timestamps, no clock, no allocation anywhere on the access
 //! path. Associativity is bounded at 64 ways (the per-set status

@@ -68,8 +68,9 @@
 //! jobs finish, flushes the spill, and exits 0.
 //!
 //! Exit codes: 0 success, 1 usage error, then one per
-//! [`SimError`] variant — 3 config, 4 stack, 5 journal, 6 point,
-//! 7 engine, 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service.
+//! [`SimError`] variant — 3 config, 4 stack, 5 journal, 7 engine,
+//! 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service, 11 fleet
+//! unusable (6 is retired: a failed point degrades the report, exit 0).
 
 use std::io::Write;
 use std::process::ExitCode;

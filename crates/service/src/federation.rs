@@ -40,8 +40,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use experiments::decompose::{reference_failed, GridFold, GridStudy};
-use experiments::par::fault_domain;
+use experiments::decompose::{GridFold, GridStudy};
+use experiments::graph::RefValue;
+use experiments::par::{run_units, Parallelism};
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
@@ -349,15 +350,7 @@ struct JobCtl {
     st: Mutex<JobSt>,
     cond: Condvar,
     tx: Sender<JobEvent>,
-    /// Per-profile single-thread references, memoized for the local
-    /// fallback path exactly like the sweep memoizes them.
-    refs: Mutex<RefCache>,
 }
-
-/// Memoized single-thread references: profile index → the reference
-/// unit's fault-domain outcome (`(cycles, insns)` or the error string it
-/// failed with) and the attempts it took.
-type RefCache = HashMap<usize, (Result<(u64, u64), String>, u32)>;
 
 impl std::fmt::Debug for JobCtl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -647,7 +640,6 @@ impl Dispatch for Federation {
                 }),
                 cond: Condvar::new(),
                 tx,
-                refs: Mutex::new(HashMap::new()),
             });
             st.jobs.insert(id, Arc::clone(&ctl));
             (id, ctl, rx)
@@ -947,17 +939,15 @@ fn run_remote(
                 summary,
             }) => {
                 pending.remove(&index);
+                let source = PointSource::from_wire(&source).unwrap_or(PointSource::Computed);
                 resolve(
                     inner,
                     bi,
                     Some(backend),
                     ctl,
                     index,
-                    Resolution::Point {
-                        source: PointSource::from_wire(&source).unwrap_or(PointSource::Computed),
-                        attempts,
-                        summary,
-                    },
+                    attempts,
+                    Ok((source, summary)),
                 );
             }
             Ok(StreamEvent::Failed {
@@ -973,11 +963,8 @@ fn run_remote(
                     Some(backend),
                     ctl,
                     index,
-                    Resolution::Failed {
-                        label,
-                        reason,
-                        attempts,
-                    },
+                    attempts,
+                    Err((label, reason)),
                 );
             }
             Ok(StreamEvent::Done { cancelled, .. }) => {
@@ -1026,30 +1013,18 @@ enum StreamEnd {
     Failed,
 }
 
-/// One resolved outcome for a unit.
-enum Resolution {
-    Point {
-        source: PointSource,
-        attempts: u64,
-        summary: PointSummary,
-    },
-    Failed {
-        label: String,
-        reason: String,
-        attempts: u64,
-    },
-}
-
-/// First-wins resolution: marks the unit resolved, forwards its event,
-/// credits the resolver (`None` = the local fallback), and cancels any
-/// hedge loser whose remote job just went empty.
+/// First-wins resolution: marks the unit resolved, forwards its outcome
+/// (a point and how it was satisfied, or a failure's label and reason)
+/// as an event, credits the resolver (`None` = the local fallback), and
+/// cancels any hedge loser whose remote job just went empty.
 fn resolve(
     inner: &FedInner,
     bi: usize,
     backend: Option<&Backend>,
     ctl: &JobCtl,
     index: usize,
-    resolution: Resolution,
+    attempts: u64,
+    outcome: Result<(PointSource, PointSummary), (String, String)>,
 ) {
     let losers: Vec<(usize, u64)> = {
         let mut st = lock(&ctl.st);
@@ -1069,35 +1044,29 @@ fn resolve(
                 backend.hedge_wins.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let event = match resolution {
-            Resolution::Point {
-                source,
-                attempts,
-                summary,
-            } => {
+        let attempts = u32::try_from(attempts).unwrap_or(u32::MAX);
+        let event = match outcome {
+            Ok((source, summary)) => {
                 match source {
                     PointSource::Computed => st.computed += 1,
                     PointSource::Cached => st.cached += 1,
                     PointSource::Coalesced => st.coalesced += 1,
                 }
+                let record = summary.to_record();
                 JobEvent::Point {
                     index,
                     source,
-                    attempts: u32::try_from(attempts).unwrap_or(u32::MAX),
-                    record: summary.to_record(),
+                    attempts,
+                    record,
                 }
             }
-            Resolution::Failed {
-                label,
-                reason,
-                attempts,
-            } => {
+            Err((label, reason)) => {
                 st.failed += 1;
                 JobEvent::Failed {
                     index,
                     label,
                     reason,
-                    attempts: u32::try_from(attempts).unwrap_or(u32::MAX),
+                    attempts,
                 }
             }
         };
@@ -1133,13 +1102,16 @@ fn resolve(
 }
 
 /// The graceful-degradation worker: when the whole fleet is dead it
-/// drains the queue with local in-process execution — the sweep's unit
+/// drains the queue with local in-process execution — each claimed unit
+/// through the sweep's own graph driver ([`run_units`]: the sweep's unit
 /// bodies in the sweep's fault domain with the parameters' retry budget,
-/// a failed reference cascading with the sweep's reason, so reports stay
-/// byte-identical even when units fail. With
-/// [`FleetConfig::local_fallback`] disabled it fails the stranded
+/// a failed reference cascading with the sweep's reason), so reports stay
+/// byte-identical even when units fail. References that landed are
+/// carried from claim to claim the way a resumed journal supplies them.
+/// With [`FleetConfig::local_fallback`] disabled it fails the stranded
 /// units instead so the job still terminates.
 fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
+    let mut known: Vec<Option<RefValue>> = vec![None; ctl.grid.profiles().len()];
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -1168,51 +1140,45 @@ fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
             unit
         };
         if !inner.cfg.local_fallback {
-            resolve(
-                inner,
-                usize::MAX,
-                None,
-                ctl,
-                unit,
-                Resolution::Failed {
-                    label: ctl.grid.label(unit),
-                    reason: "all fleet backends are dead and local fallback is disabled"
-                        .to_string(),
-                    attempts: 1,
-                },
-            );
+            let reason = "all fleet backends are dead and local fallback is disabled";
+            let failure = (ctl.grid.label(unit), reason.to_string());
+            resolve(inner, usize::MAX, None, ctl, unit, 1, Err(failure));
             continue;
         }
-        let retries = ctl.params.faults.retries;
+        let mut graph = ctl.grid.graph();
+        for (pi, st) in known.iter().enumerate() {
+            if let Some(st) = *st {
+                graph.ref_known(pi, st);
+            }
+        }
+        graph.add_point(unit);
+        run_units(
+            &mut graph,
+            Parallelism::Serial,
+            ctl.params.faults.retries,
+            |pi| ctl.grid.compute_reference(&ctl.params, pi),
+            |index, st| ctl.grid.compute_point(&ctl.params, index, st[0]),
+            |index, outcome, attempts| {
+                let outcome = outcome
+                    .map(|summary| (PointSource::Computed, summary))
+                    .map_err(|reason| (ctl.grid.label(index), reason));
+                // Count before resolving: resolve() may send the terminal
+                // `done` frame, and a consumer reading it must already see
+                // every local unit in the gauges.
+                lock(&inner.st).local_units += 1;
+                resolve(
+                    inner,
+                    usize::MAX,
+                    None,
+                    ctl,
+                    index,
+                    attempts.into(),
+                    outcome,
+                );
+            },
+        );
         let (pi, _) = ctl.grid.point(unit);
-        let (st_ref, ref_attempts) = lock(&ctl.refs)
-            .entry(pi)
-            .or_insert_with(|| {
-                fault_domain(retries, || ctl.grid.compute_reference(&ctl.params, pi))
-            })
-            .clone();
-        let (outcome, attempts) = match st_ref {
-            Ok(st) => fault_domain(retries, || ctl.grid.compute_point(&ctl.params, unit, st)),
-            Err(reason) => (Err(reference_failed(&reason)), ref_attempts),
-        };
-        let attempts = u64::from(attempts);
-        let resolution = match outcome {
-            Ok(summary) => Resolution::Point {
-                source: PointSource::Computed,
-                attempts,
-                summary,
-            },
-            Err(reason) => Resolution::Failed {
-                label: ctl.grid.label(unit),
-                reason,
-                attempts,
-            },
-        };
-        // Count before resolving: resolve() may send the terminal
-        // `done` frame, and a consumer reading it must already see
-        // every local unit in the gauges.
-        lock(&inner.st).local_units += 1;
-        resolve(inner, usize::MAX, None, ctl, unit, resolution);
+        known[pi] = graph.ref_value(pi);
     }
 }
 

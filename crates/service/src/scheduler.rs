@@ -10,12 +10,13 @@
 //!
 //! Units come in two kinds, with a dependency between them: a profile's
 //! single-thread **reference** must complete before that profile's
-//! **points** can run (a point's speedup is relative to it). The
-//! scheduler queues one reference per profile, parks the profile's
-//! points in a waiting list, and releases them when the reference
-//! lands. A failed reference cascades: every waiting point fails with
-//! the sweep's own [`reference_failed`] reason, so a remote `Degraded`
-//! block matches a local one byte for byte.
+//! **points** can run (a point's speedup is relative to it). That gate
+//! is the sweep's own [`UnitGraph`], one per job: it queues one
+//! reference per profile, parks the profile's points, releases them
+//! when the reference lands and cascades a failed reference onto them
+//! with the sweep's reason — so a remote `Degraded` block matches a
+//! local one byte for byte. The scheduler is the graph's persistent
+//! multi-job driver: everything below is what more than one job needs.
 //!
 //! # Coalescing
 //!
@@ -59,13 +60,14 @@
 //! [`crate::chaos`] policy can force that panic at a chosen unit to
 //! prove it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use experiments::decompose::{reference_failed, GridStudy};
+use experiments::decompose::GridStudy;
+use experiments::graph::{RefValue, Unit, UnitGraph};
 use experiments::par::fault_domain;
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
@@ -193,26 +195,6 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-/// A schedulable unit of work.
-#[derive(Debug, Clone, Copy)]
-enum Unit {
-    /// Profile `pi`'s single-thread reference.
-    Ref(usize),
-    /// Grid point `index`, unblocked by its profile's reference.
-    Point { index: usize, st: (u64, u64) },
-}
-
-/// Lifecycle of one profile's single-thread reference within a job.
-#[derive(Debug)]
-enum RefState {
-    /// Queued or running; these point indices wait on it.
-    InFlight { waiting: Vec<usize> },
-    /// Completed (waiting points have been released).
-    Done,
-    /// Failed or abandoned; its waiting points have been resolved.
-    Failed,
-}
-
 /// Registry entry for one unit currently queued or executing, keyed by
 /// its cache key: the owning job plus subscriber jobs awaiting fan-out.
 struct Inflight {
@@ -225,12 +207,12 @@ struct Job {
     grid: Arc<GridStudy>,
     params: StudyParams,
     canonical: String,
-    ready: VecDeque<Unit>,
-    refs: HashMap<usize, RefState>,
-    /// Points not yet resolved (neither streamed nor failed).
+    /// The units this job owns: queued, parked behind a reference, or
+    /// executing on a worker.
+    graph: UnitGraph,
+    /// Points not yet resolved (neither streamed nor failed), coalesced
+    /// ones included.
     outstanding: usize,
-    /// Units currently executing on workers.
-    in_flight: usize,
     cancelled: bool,
     /// The terminal `Done` has already been streamed (early, at cancel).
     done_sent: bool,
@@ -244,7 +226,7 @@ struct Job {
 struct SchedState {
     jobs: HashMap<u64, Job>,
     /// Round-robin order. Invariant: a job id appears here exactly once
-    /// iff its `ready` queue is non-empty.
+    /// iff its graph has a unit ready to pop.
     rr: VecDeque<u64>,
     /// Units queued or executing, keyed by cache key (coalescing).
     inflight: HashMap<String, Inflight>,
@@ -321,19 +303,7 @@ fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, SchedState> {
 /// Units queued (ready) or parked behind a reference, across all jobs.
 /// Executing units are excluded: the bound is on backlog, not capacity.
 fn queued_units(st: &SchedState) -> usize {
-    st.jobs
-        .values()
-        .map(|j| {
-            j.ready.len()
-                + j.refs
-                    .values()
-                    .map(|r| match r {
-                        RefState::InFlight { waiting } => waiting.len(),
-                        _ => 0,
-                    })
-                    .sum::<usize>()
-        })
-        .sum()
+    st.jobs.values().map(|j| j.graph.queued()).sum()
 }
 
 /// Deterministic backoff hint: ~25 ms per queued unit per worker,
@@ -341,16 +311,6 @@ fn queued_units(st: &SchedState) -> usize {
 /// client's job, seeded on its side.
 fn retry_after_hint(queued: usize, workers: usize) -> u64 {
     ((queued as u64).saturating_mul(25) / workers.max(1) as u64).clamp(25, 5_000)
-}
-
-/// How a submission plans to satisfy one profile's reference.
-enum RefPlan {
-    /// The reference value was already in the cache.
-    CachedRef((u64, u64)),
-    /// Another job owns the in-flight reference; subscribe to it.
-    Subscribe,
-    /// This job owns the reference and queues it.
-    Own,
 }
 
 impl Scheduler {
@@ -453,8 +413,7 @@ impl Scheduler {
         }
         let mut hits: Vec<(usize, String)> = Vec::new();
         let mut coalesce: Vec<usize> = Vec::new();
-        let mut owned_by_profile: Vec<Vec<usize>> = vec![Vec::new(); grid.profiles().len()];
-        let mut owned_points = 0usize;
+        let mut owned: Vec<usize> = Vec::new();
         for index in indices {
             let key = point_key(&canonical, index);
             if let Some(record) = self.shared.cache.get(&key) {
@@ -462,33 +421,32 @@ impl Scheduler {
             } else if st.inflight.contains_key(&key) {
                 coalesce.push(index);
             } else {
-                let (pi, _) = grid.point(index);
-                owned_by_profile[pi].push(index);
-                owned_points += 1;
+                owned.push(index);
             }
         }
-        let mut plans: Vec<(usize, RefPlan, Vec<usize>)> = Vec::new();
-        let mut new_units = owned_points;
-        for (pi, waiting) in owned_by_profile.into_iter().enumerate() {
-            if waiting.is_empty() {
+        // Each profile with an owned point needs its reference: cached
+        // (known), in flight under another job (subscribe to it), or this
+        // job's own to queue. `owned` ascends, so profiles arrive grouped.
+        let mut known_refs: Vec<(usize, RefValue)> = Vec::new();
+        let mut subscribed_refs: Vec<usize> = Vec::new();
+        let mut own_refs: Vec<usize> = Vec::new();
+        let mut last_profile = None;
+        for &index in &owned {
+            let (pi, _) = grid.point(index);
+            if last_profile.replace(pi) == Some(pi) {
                 continue;
             }
             let rkey = ref_key(&canonical, pi);
-            let cached_ref = self
-                .shared
-                .cache
-                .get(&rkey)
-                .and_then(|v| parse_ref_value(&v));
-            let plan = if let Some(stv) = cached_ref {
-                RefPlan::CachedRef(stv)
+            let cached = self.shared.cache.get(&rkey);
+            if let Some(stv) = cached.and_then(|v| parse_ref_value(&v)) {
+                known_refs.push((pi, stv));
             } else if st.inflight.contains_key(&rkey) {
-                RefPlan::Subscribe
+                subscribed_refs.push(pi);
             } else {
-                new_units += 1;
-                RefPlan::Own
-            };
-            plans.push((pi, plan, waiting));
+                own_refs.push(pi);
+            }
         }
+        let new_units = owned.len() + own_refs.len();
 
         // Admission control (see the module docs for the idle-queue and
         // zero-new-unit exemptions).
@@ -517,7 +475,7 @@ impl Scheduler {
             })
             .ok();
         }
-        let outstanding = coalesce.len() + owned_points;
+        let outstanding = coalesce.len() + owned.len();
         if outstanding == 0 {
             // Fully warm: the job never touches the pool.
             tx.send(JobEvent::Done {
@@ -530,64 +488,42 @@ impl Scheduler {
             .ok();
             return Ok((id, rx));
         }
-        for &index in &coalesce {
+        let mut wait_on = |key: String, waiter: usize| {
             st.inflight
-                .get_mut(&point_key(&canonical, index))
+                .get_mut(&key)
                 .expect("classified as in-flight under this lock")
                 .waiters
-                .push((id, index));
+                .push((id, waiter));
+        };
+        let mut graph = grid.graph();
+        for &index in &coalesce {
+            wait_on(point_key(&canonical, index), index);
         }
-        let mut ready = VecDeque::new();
-        let mut refs = HashMap::new();
-        for (pi, plan, waiting) in plans {
-            for &index in &waiting {
-                st.inflight.insert(
-                    point_key(&canonical, index),
-                    Inflight {
-                        owner: id,
-                        waiters: Vec::new(),
-                    },
-                );
-            }
-            match plan {
-                RefPlan::CachedRef(stv) => {
-                    refs.insert(pi, RefState::Done);
-                    for index in waiting {
-                        ready.push_back(Unit::Point { index, st: stv });
-                    }
-                }
-                RefPlan::Subscribe => {
-                    st.inflight
-                        .get_mut(&ref_key(&canonical, pi))
-                        .expect("classified as in-flight under this lock")
-                        .waiters
-                        .push((id, pi));
-                    refs.insert(pi, RefState::InFlight { waiting });
-                }
-                RefPlan::Own => {
-                    st.inflight.insert(
-                        ref_key(&canonical, pi),
-                        Inflight {
-                            owner: id,
-                            waiters: Vec::new(),
-                        },
-                    );
-                    ready.push_back(Unit::Ref(pi));
-                    refs.insert(pi, RefState::InFlight { waiting });
-                }
-            }
+        for &pi in &subscribed_refs {
+            wait_on(ref_key(&canonical, pi), pi);
+            graph.ref_external(pi);
         }
-        let has_ready = !ready.is_empty();
+        for (pi, stv) in known_refs {
+            graph.ref_known(pi, stv);
+        }
+        let own_ref_keys = own_refs.iter().map(|&pi| ref_key(&canonical, pi));
+        let own_point_keys = owned.iter().map(|&index| point_key(&canonical, index));
+        for key in own_ref_keys.chain(own_point_keys) {
+            let waiters = Vec::new();
+            st.inflight.insert(key, Inflight { owner: id, waiters });
+        }
+        for index in owned {
+            graph.add_point(index);
+        }
+        let has_ready = graph.has_ready();
         st.jobs.insert(
             id,
             Job {
                 grid,
                 params,
                 canonical,
-                ready,
-                refs,
+                graph,
                 outstanding,
-                in_flight: 0,
                 cancelled: false,
                 done_sent: false,
                 computed: 0,
@@ -621,107 +557,66 @@ impl Scheduler {
     /// transitions a live job to cancelled).
     pub fn cancel_with_reason(&self, id: u64, hedge: bool) -> bool {
         let mut st = lock(&self.shared);
-        if !st.jobs.contains_key(&id) {
+        // The job leaves the table while its units are sorted out, so
+        // its graph and the in-flight table can be edited side by side.
+        let Some(mut job) = st.jobs.remove(&id) else {
             return false;
+        };
+        if job.cancelled {
+            st.jobs.insert(id, job);
+            return true; // idempotent: already a zombie
         }
-        {
-            let job = st.jobs.get_mut(&id).expect("checked above");
-            if job.cancelled {
-                return true; // idempotent: already a zombie
-            }
-            job.cancelled = true;
-        }
+        job.cancelled = true;
         if hedge {
             st.hedge_cancels += 1;
         }
-        let (canonical, drained): (String, Vec<Unit>) = {
-            let job = st.jobs.get_mut(&id).expect("checked above");
-            (job.canonical.clone(), job.ready.drain(..).collect())
-        };
-        let mut keep: VecDeque<Unit> = VecDeque::new();
-        let mut ready_refs: HashSet<usize> = HashSet::new();
+        // Queued points (ready or parked) nobody else waits on are
+        // dropped; the rest keep computing for their waiters. A reference
+        // that has not started and gates no surviving point goes with
+        // them: an owned one stays queued only while other jobs subscribe
+        // to it, a subscribed one is unsubscribed. (Owned and executing:
+        // `apply_ref` finds the trimmed graph.)
         let mut dropped_points = 0usize;
-        for unit in drained {
-            match unit {
-                Unit::Point { index, st: stv } => {
-                    let key = point_key(&canonical, index);
-                    let has_waiters = st.inflight.get(&key).is_some_and(|e| !e.waiters.is_empty());
-                    if has_waiters {
-                        keep.push_back(Unit::Point { index, st: stv });
-                    } else {
-                        st.inflight.remove(&key);
-                        dropped_points += 1;
-                    }
-                }
-                Unit::Ref(pi) => {
-                    ready_refs.insert(pi);
-                }
-            }
-        }
-        // References need a second look: parked points without waiters
-        // are dropped; a queued reference survives only if it still has
-        // dependents (its own waiters, or surviving parked points).
-        let mut refs = std::mem::take(&mut st.jobs.get_mut(&id).expect("checked above").refs);
-        for (pi, state) in &mut refs {
-            let RefState::InFlight { waiting } = state else {
-                continue;
-            };
-            waiting.retain(|&index| {
-                let key = point_key(&canonical, index);
-                let keep_point = st.inflight.get(&key).is_some_and(|e| !e.waiters.is_empty());
-                if !keep_point {
+        job.graph.retain(|unit| match unit {
+            Unit::Point(index) => {
+                let key = point_key(&job.canonical, index);
+                let has_waiters = st.inflight.get(&key).is_some_and(|e| !e.waiters.is_empty());
+                if !has_waiters {
                     st.inflight.remove(&key);
                     dropped_points += 1;
                 }
-                keep_point
-            });
-            let rkey = ref_key(&canonical, *pi);
-            let owns = st.inflight.get(&rkey).is_some_and(|e| e.owner == id);
-            let ref_has_waiters = st
-                .inflight
-                .get(&rkey)
-                .is_some_and(|e| !e.waiters.is_empty());
-            if ready_refs.contains(pi) {
-                // Queued (not yet executing) and owned by this job.
-                if waiting.is_empty() && !ref_has_waiters {
-                    st.inflight.remove(&rkey);
-                    *state = RefState::Failed;
-                } else {
-                    keep.push_back(Unit::Ref(*pi));
-                }
-            } else if !owns && waiting.is_empty() {
-                // Subscribed to another job's reference with no parked
-                // points left: unsubscribe.
-                if let Some(e) = st.inflight.get_mut(&rkey) {
-                    e.waiters.retain(|&(j, _)| j != id);
-                }
-                *state = RefState::Failed;
+                has_waiters
             }
-            // Owned and executing: apply_ref handles the trimmed list.
-        }
-        {
-            let job = st.jobs.get_mut(&id).expect("checked above");
-            job.refs = refs;
-            job.ready = keep;
-            job.outstanding -= dropped_points;
-            if !job.done_sent {
-                job.done_sent = true;
-                job.tx
-                    .send(JobEvent::Done {
-                        computed: job.computed,
-                        cached: job.cached,
-                        coalesced: job.coalesced,
-                        failed: job.failed,
-                        cancelled: true,
-                    })
-                    .ok();
+            Unit::Ref(pi) => {
+                let rkey = ref_key(&job.canonical, pi);
+                match st.inflight.get_mut(&rkey) {
+                    Some(e) if e.owner != id => e.waiters.retain(|&(j, _)| j != id),
+                    Some(e) if !e.waiters.is_empty() => return true,
+                    _ => {
+                        st.inflight.remove(&rkey);
+                    }
+                }
+                false
             }
+        });
+        job.outstanding -= dropped_points;
+        if !job.done_sent {
+            job.done_sent = true;
+            job.tx
+                .send(JobEvent::Done {
+                    computed: job.computed,
+                    cached: job.cached,
+                    coalesced: job.coalesced,
+                    failed: job.failed,
+                    cancelled: true,
+                })
+                .ok();
         }
-        let keep_rr = !st.jobs.get(&id).expect("checked above").ready.is_empty();
         st.rr.retain(|&j| j != id);
-        if keep_rr {
+        if job.graph.has_ready() {
             st.rr.push_back(id);
         }
+        st.jobs.insert(id, job);
         finish_if_done(&mut st, id);
         drop(st);
         self.shared.cond.notify_all();
@@ -797,7 +692,7 @@ impl Scheduler {
     }
 }
 
-fn parse_ref_value(v: &str) -> Option<(u64, u64)> {
+fn parse_ref_value(v: &str) -> Option<RefValue> {
     let mut it = v.split(' ');
     let cycles = it.next()?.parse().ok()?;
     let instructions = it.next()?.parse().ok()?;
@@ -807,7 +702,7 @@ fn parse_ref_value(v: &str) -> Option<(u64, u64)> {
     Some((cycles, instructions))
 }
 
-fn format_ref_value(st: (u64, u64)) -> String {
+fn format_ref_value(st: RefValue) -> String {
     format!("{} {}", st.0, st.1)
 }
 
@@ -815,6 +710,8 @@ fn format_ref_value(st: (u64, u64)) -> String {
 struct Claim {
     id: u64,
     unit: Unit,
+    /// A point's reference values (empty for a reference unit).
+    inputs: Vec<RefValue>,
     grid: Arc<GridStudy>,
     params: StudyParams,
     canonical: String,
@@ -830,19 +727,19 @@ fn worker_loop(shared: &Shared) {
                 }
                 if let Some(id) = st.rr.pop_front() {
                     let job = st.jobs.get_mut(&id).expect("rr entries are live jobs");
-                    let unit = job.ready.pop_front().expect("rr entries have ready work");
-                    if !job.ready.is_empty() {
-                        st.rr.push_back(id);
-                    }
-                    let job = st.jobs.get_mut(&id).expect("still live");
-                    job.in_flight += 1;
-                    break Claim {
+                    let unit = job.graph.pop().expect("rr entries have ready work");
+                    let claim = Claim {
                         id,
                         unit,
+                        inputs: job.graph.inputs(unit).to_vec(),
                         grid: Arc::clone(&job.grid),
                         params: job.params.clone(),
                         canonical: job.canonical.clone(),
                     };
+                    if job.graph.has_ready() {
+                        st.rr.push_back(id);
+                    }
+                    break claim;
                 }
                 st = shared.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
@@ -866,142 +763,78 @@ fn worker_loop(shared: &Shared) {
             return;
         }
         let chaos_panic = shared.chaos.panic_at_unit == Some(unit_no);
+        let chaos = || assert!(!chaos_panic, "chaos: injected panic at unit {unit_no}");
+        let (id, canonical) = (claim.id, claim.canonical.as_str());
         match claim.unit {
             Unit::Ref(pi) => {
                 let (outcome, attempts) = fault_domain(retries, || {
-                    assert!(!chaos_panic, "chaos: injected panic at unit {unit_no}");
+                    chaos();
                     claim.grid.compute_reference(&claim.params, pi)
                 });
                 if let Ok(st) = outcome {
-                    shared
-                        .cache
-                        .put(&ref_key(&claim.canonical, pi), &format_ref_value(st));
+                    let key = ref_key(canonical, pi);
+                    shared.cache.put(&key, &format_ref_value(st));
                 }
-                let mut st = lock(shared);
-                apply_ref(&mut st, claim.id, &claim.canonical, pi, outcome, attempts);
-                drop(st);
-                shared.cond.notify_all();
+                apply_ref(&mut lock(shared), id, canonical, pi, outcome, attempts);
             }
-            Unit::Point { index, st: stref } => {
+            Unit::Point(index) => {
                 let (outcome, attempts) = fault_domain(retries, || {
-                    assert!(!chaos_panic, "chaos: injected panic at unit {unit_no}");
-                    claim
-                        .grid
-                        .compute_point(&claim.params, index, stref)
-                        .map(|s| s.to_record())
+                    chaos();
+                    let st = claim.inputs[0];
+                    let point = claim.grid.compute_point(&claim.params, index, st);
+                    point.map(|s| s.to_record())
                 });
                 if let Ok(record) = &outcome {
-                    shared
-                        .cache
-                        .put(&point_key(&claim.canonical, index), record);
+                    shared.cache.put(&point_key(canonical, index), record);
                 }
-                let mut st = lock(shared);
-                apply_point(
-                    &mut st,
-                    claim.id,
-                    &claim.canonical,
-                    index,
-                    outcome,
-                    attempts,
-                );
-                drop(st);
-                shared.cond.notify_all();
+                apply_point(&mut lock(shared), id, canonical, index, outcome, attempts);
             }
         }
+        shared.cond.notify_all();
     }
 }
 
 /// Resolves a completed reference for its owner and every subscribed
-/// job: release parked points on success, cascade the sweep's exact
-/// failure reason otherwise.
+/// job: each job's graph releases its parked points on success and
+/// cascades the sweep's exact failure reason onto them (and onto their
+/// own coalesced waiters) otherwise.
 fn apply_ref(
     st: &mut SchedState,
     id: u64,
     canonical: &str,
     pi: usize,
-    outcome: Result<(u64, u64), String>,
+    outcome: Result<RefValue, String>,
     attempts: u32,
 ) {
-    if let Some(job) = st.jobs.get_mut(&id) {
-        job.in_flight -= 1;
-    }
     let ref_waiters = st
         .inflight
         .remove(&ref_key(canonical, pi))
         .map_or_else(Vec::new, |e| e.waiters);
-    let mut subscribers = Vec::with_capacity(1 + ref_waiters.len());
-    subscribers.push(id);
-    subscribers.extend(ref_waiters.into_iter().map(|(j, _)| j));
-    match outcome {
-        Ok(stv) => {
-            for j in subscribers {
-                release_ref_points(st, j, pi, stv);
-                finish_if_done(st, j);
+    let subscribers = std::iter::once(id).chain(ref_waiters.into_iter().map(|(j, _)| j));
+    for j in subscribers {
+        let Some(job) = st.jobs.get_mut(&j) else {
+            continue;
+        };
+        let was_ready = job.graph.has_ready();
+        let cascades = match &outcome {
+            Ok(stv) => job.graph.ref_ok(pi, *stv),
+            Err(reason) => job.graph.ref_failed(pi, reason, attempts),
+        };
+        if !was_ready && job.graph.has_ready() {
+            st.rr.push_back(j);
+        }
+        for c in cascades {
+            let point_waiters = st
+                .inflight
+                .remove(&point_key(canonical, c.point))
+                .map_or_else(Vec::new, |e| e.waiters);
+            deliver_failed(st, j, c.point, &c.reason, c.attempts);
+            for (wj, windex) in point_waiters {
+                deliver_failed(st, wj, windex, &c.reason, c.attempts);
+                finish_if_done(st, wj);
             }
         }
-        Err(reason) => {
-            let reason = reference_failed(&reason);
-            for j in subscribers {
-                fail_ref_points(st, j, canonical, pi, &reason, attempts);
-                finish_if_done(st, j);
-            }
-        }
-    }
-}
-
-/// Moves a job's parked points for profile `pi` onto its ready queue.
-fn release_ref_points(st: &mut SchedState, id: u64, pi: usize, stv: (u64, u64)) {
-    let Some(job) = st.jobs.get_mut(&id) else {
-        return;
-    };
-    let waiting = match job.refs.get_mut(&pi) {
-        Some(RefState::InFlight { waiting }) => std::mem::take(waiting),
-        _ => Vec::new(),
-    };
-    job.refs.insert(pi, RefState::Done);
-    if waiting.is_empty() {
-        return;
-    }
-    let was_empty = job.ready.is_empty();
-    for index in waiting {
-        job.ready.push_back(Unit::Point { index, st: stv });
-    }
-    if was_empty {
-        st.rr.push_back(id);
-    }
-}
-
-/// Cascades a failed reference onto a job's parked points (and onto
-/// their own coalesced waiters).
-fn fail_ref_points(
-    st: &mut SchedState,
-    id: u64,
-    canonical: &str,
-    pi: usize,
-    reason: &str,
-    attempts: u32,
-) {
-    let waiting = {
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        let waiting = match job.refs.get_mut(&pi) {
-            Some(RefState::InFlight { waiting }) => std::mem::take(waiting),
-            _ => Vec::new(),
-        };
-        job.refs.insert(pi, RefState::Failed);
-        waiting
-    };
-    for index in waiting {
-        let point_waiters = st
-            .inflight
-            .remove(&point_key(canonical, index))
-            .map_or_else(Vec::new, |e| e.waiters);
-        deliver_failed(st, id, index, reason, attempts);
-        for (wj, windex) in point_waiters {
-            deliver_failed(st, wj, windex, reason, attempts);
-            finish_if_done(st, wj);
-        }
+        finish_if_done(st, j);
     }
 }
 
@@ -1016,7 +849,7 @@ fn apply_point(
     attempts: u32,
 ) {
     if let Some(job) = st.jobs.get_mut(&id) {
-        job.in_flight -= 1;
+        job.graph.point_done(index);
     }
     let waiters = st
         .inflight
@@ -1101,10 +934,12 @@ fn deliver_failed(st: &mut SchedState, id: u64, index: usize, reason: &str, atte
 }
 
 fn finish_if_done(st: &mut SchedState, id: u64) {
+    // A cancelled job can have no point left and still owe other jobs a
+    // queued reference they subscribed to: it lingers until that ran.
     let done = st
         .jobs
         .get(&id)
-        .is_some_and(|j| j.outstanding == 0 && j.in_flight == 0);
+        .is_some_and(|j| j.outstanding == 0 && j.graph.running() == 0 && !j.graph.has_ready());
     if done {
         let job = st.jobs.remove(&id).expect("checked above");
         st.rr.retain(|&j| j != id);
@@ -1411,6 +1246,44 @@ mod tests {
         // By the time the subscriber's Done has been observed, the
         // cancelled zombie has been reaped under the same lock.
         assert!(!sched.cancel(id_owner), "zombie reaped after fan-out");
+        sched.stop();
+    }
+
+    #[test]
+    fn cancelled_owner_still_computes_a_reference_another_job_subscribed_to() {
+        let cache = Arc::new(Cache::new(64 * 1024 * 1024));
+        let sched = Scheduler::start(1, Arc::clone(&cache), SchedOptions::default());
+        // Pin the lone worker so both jobs below are still queued when
+        // the cancel lands.
+        let blocker_params = StudyParams {
+            scale: 0.015,
+            ..small_params()
+        };
+        let (_, rx_blocker) = sched
+            .submit(grid("fig1", &blocker_params), blocker_params)
+            .expect("admitted");
+        let params = StudyParams {
+            threads: Some(vec![2, 4]),
+            ..small_params()
+        };
+        let g = grid("fig1", &params);
+        // Points 0 and 1 share profile 0. The first job owns point 0 and
+        // the profile's reference; the second owns point 1 and only
+        // subscribes to that reference.
+        let (id_owner, rx_owner) = sched
+            .submit_units(g.clone(), params.clone(), Some(vec![0]))
+            .expect("admitted");
+        let (_, rx_sub) = sched
+            .submit_units(g, params, Some(vec![1]))
+            .expect("admitted");
+        assert!(sched.cancel(id_owner), "live job cancels");
+        let _ = drain_events(&rx_blocker);
+        assert!(drain_events(&rx_owner).expect("done").cancelled);
+        // The cancelled job has no point left, yet lingers until the
+        // reference the subscriber parked on has run.
+        let sub = drain_events(&rx_sub).expect("done");
+        assert_eq!((sub.computed, sub.failed, sub.cancelled), (1, 0, false));
+        assert!(!sched.cancel(id_owner), "zombie reaped after the reference");
         sched.stop();
     }
 
