@@ -9,7 +9,8 @@
 //! ([`GridStudy::compute_reference`], [`GridStudy::compute_point`] — the
 //! same functions the local sweep's closures call), the local sweep
 //! itself ([`GridStudy::sweep`]), the grid's [`UnitGraph`]
-//! ([`GridStudy::graph`]) and the fold: every path resolves its units
+//! ([`GridStudy::graph`]), each unit's identity ([`GridStudy::unit_keys`])
+//! and the fold: every path resolves its units
 //! into a [`GridFold`], which decides failure order, the `retried` count
 //! and the `Degraded` totals once, and [`GridStudy::assemble`] turns the
 //! slots into a report **byte-identical** across local, resumed,
@@ -35,7 +36,7 @@ use speedup_stacks::report::{Block, Degraded, DegradedPoint, Provenance, Report}
 use speedup_stacks::SimError;
 use workloads::{display_name, Suite, WorkloadProfile};
 
-use crate::graph::UnitGraph;
+use crate::graph::{Unit, UnitGraph};
 use crate::runner::{
     point_label, point_unit, reference_unit, run_grid_ft, scaled_profile, GridReport, PointSummary,
     RunOptions, SweepOptions,
@@ -123,6 +124,32 @@ impl GridFold {
     pub fn finish(self, grid: &GridStudy, params: &StudyParams) -> Report {
         let (points, degraded) = self.into_parts(0);
         grid.assemble(params, points, degraded, None)
+    }
+}
+
+/// What each unit of one grid computes under one parameter set, as
+/// strings: two units with equal keys compute byte-equal results, in
+/// whichever study, at whichever grid index and under whichever
+/// `threads` list they appear. See [`GridStudy::unit_keys`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnitKeys {
+    refs: Vec<String>,
+    points: Vec<String>,
+}
+
+impl UnitKeys {
+    /// The identity of `unit` (a reference by profile index, a point by
+    /// grid index).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the index is outside the grid.
+    #[must_use]
+    pub fn get(&self, unit: Unit) -> &str {
+        match unit {
+            Unit::Ref(pi) => &self.refs[pi],
+            Unit::Point(index) => &self.points[index],
+        }
     }
 }
 
@@ -290,6 +317,36 @@ impl GridStudy {
         subset.sort_unstable();
         subset.dedup();
         Ok(subset)
+    }
+
+    /// The identity of every unit of this grid under `params`, built from
+    /// exactly what [`GridStudy::compute_reference`] and
+    /// [`GridStudy::compute_point`] read: the unit kind, the profile
+    /// (suite label and display name — a catalog entry — plus the exact
+    /// bits of the scale it was scaled by), the LLC override behind
+    /// [`StudyParams::mem`] and, for a point, its thread count. The study
+    /// name, the grid index and the `threads` list are how a unit is
+    /// *asked for*, not what it computes, so they stay out: `fig6`'s
+    /// points are `fig4`'s 16-thread column. Parallelism, journal, trace
+    /// and budget never reach a unit body; the fault policy can only turn
+    /// a result into a failure, never into a different result, and
+    /// failures are nobody's to reuse.
+    ///
+    /// One table per parameter set (a shared stem per profile, a suffix
+    /// per unit), so a consumer looking every unit up pays the
+    /// `display_name` formatting once per profile.
+    #[must_use]
+    pub fn unit_keys(&self, params: &StudyParams) -> UnitKeys {
+        let llc = params.llc_mib.map_or("-".to_string(), |m| m.to_string());
+        let tail = format!(";scale={:016x};llc={llc}", params.scale.to_bits());
+        let mut refs = Vec::with_capacity(self.profiles.len());
+        let mut points = Vec::with_capacity(self.n_points());
+        for p in &self.profiles {
+            let stem = [p.suite.label(), "/", &display_name(p), &tail].concat();
+            points.extend(self.counts.iter().map(|n| format!("point:{stem};x{n}")));
+            refs.push(["ref:", &stem].concat());
+        }
+        UnitKeys { refs, points }
     }
 
     /// Computes one profile's single-thread reference `(Ts, instructions)`

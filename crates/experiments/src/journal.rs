@@ -125,11 +125,12 @@ pub fn fingerprint(study: &str, params: &StudyParams) -> String {
     crc_hex(canonical(study, params).as_bytes())
 }
 
-/// The canonical parameter string [`fingerprint`] hashes. Exposed for
-/// consumers that need a collision-free identity (the study service's
-/// result cache keys on this string directly — the 32-bit fingerprint
-/// alone could collide and silently serve another parameterization's
-/// results).
+/// The canonical parameter string [`fingerprint`] hashes: the identity
+/// of one *study under one parameter set*, which is what a journal or a
+/// trace header must match to be resumed or replayed. It is not the
+/// identity of a work unit — units of different studies and `threads`
+/// lists coincide; the study service keys its cache by
+/// [`crate::decompose::GridStudy::unit_keys`] instead.
 #[must_use]
 pub fn canonical(study: &str, params: &StudyParams) -> String {
     let threads = params.threads.as_ref().map_or("-".to_string(), |t| {

@@ -1,14 +1,16 @@
 //! Content-addressed result cache with an LRU byte budget.
 //!
-//! Keys are built from the *canonical parameter string* of
-//! [`experiments::journal::canonical`] — study, exact scale bits,
-//! thread counts, LLC capacity — plus the unit kind and index
-//! ([`point_key`] / [`ref_key`]). The 32-bit journal fingerprint alone
-//! is deliberately **not** the key: a CRC collision would silently serve
-//! another parameterization's results, and a cache must never fabricate
-//! data. Values are the exact journal-record strings the sweep would
-//! write ([`experiments::PointSummary::to_record`]), so a cache hit
-//! reproduces a computed point bit for bit.
+//! Keys are opaque strings to this module. The scheduler addresses a
+//! unit by **what it computes** —
+//! [`experiments::decompose::GridStudy::unit_keys`]: unit kind,
+//! benchmark, thread count, exact scale bits, LLC capacity, spelled out
+//! in full — not by which study asked for it or at which grid index, so
+//! `fig6`, `fig5` and `fig1` are served from `fig4`'s entries. A hash of
+//! those parameters is deliberately **not** the key: a collision would
+//! silently serve another unit's result, and a cache must never
+//! fabricate data. Values are the exact journal-record strings the sweep
+//! would write ([`experiments::PointSummary::to_record`]), so a cache
+//! hit reproduces a computed point bit for bit.
 //!
 //! Eviction is least-recently-used with lazy recency cleanup: every
 //! access pushes a `(key, tick)` stamp onto a queue; eviction pops
@@ -55,18 +57,6 @@ pub struct CacheStats {
     pub quarantined: u64,
     /// Entries appended to the persistent spill since startup.
     pub spilled: u64,
-}
-
-/// The cache key for one grid point's result.
-#[must_use]
-pub fn point_key(canonical: &str, index: usize) -> String {
-    format!("point:{canonical}:{index}")
-}
-
-/// The cache key for one profile's single-thread reference.
-#[must_use]
-pub fn ref_key(canonical: &str, pi: usize) -> String {
-    format!("ref:{canonical}:{pi}")
 }
 
 #[derive(Debug)]
@@ -358,8 +348,8 @@ mod tests {
         let opened = crate::persist::open(&path, None).unwrap();
         let c = Cache::new(1024);
         c.set_spill(opened.writer);
-        c.put("point:c:0", "{\"a\": 1}");
-        c.put("ref:c:0", "10 20");
+        c.put("key-0", "{\"a\": 1}");
+        c.put("key-r", "10 20");
         c.sync().unwrap();
         assert_eq!(c.stats().spilled, 2);
 
@@ -369,8 +359,8 @@ mod tests {
         warm.preload(reopened.entries, reopened.quarantined);
         let s = warm.stats();
         assert_eq!((s.loaded, s.quarantined, s.insertions), (2, 0, 0));
-        assert_eq!(warm.get("point:c:0").as_deref(), Some("{\"a\": 1}"));
-        assert_eq!(warm.get("ref:c:0").as_deref(), Some("10 20"));
+        assert_eq!(warm.get("key-0").as_deref(), Some("{\"a\": 1}"));
+        assert_eq!(warm.get("key-r").as_deref(), Some("10 20"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -384,15 +374,15 @@ mod tests {
         let opened = crate::persist::open(&path, None).unwrap();
         let c = Cache::new(1024);
         c.set_spill(opened.writer);
-        c.put("point:c:0", "first");
-        c.put("point:c:1", "b");
-        c.put("point:c:0", "replaced");
-        c.put("ref:c:0", "10 20");
+        c.put("key-0", "first");
+        c.put("key-1", "b");
+        c.put("key-0", "replaced");
+        c.put("key-r", "10 20");
         // Shuffle recency so the compacted order is not insertion order.
-        assert!(c.get("point:c:1").is_some());
+        assert!(c.get("key-1").is_some());
         let live = c.live_entries();
         assert_eq!(live.len(), 3);
-        assert_eq!(live.last().unwrap().0, "point:c:1", "most recent last");
+        assert_eq!(live.last().unwrap().0, "key-1", "most recent last");
 
         assert!(c.compact_spill().unwrap(), "spill attached");
         let content = std::fs::read_to_string(&path).unwrap();
@@ -402,7 +392,7 @@ mod tests {
             "header + live entries only: replaced record dropped"
         );
         // Appends after compaction keep persisting.
-        c.put("point:c:9", "late");
+        c.put("key-9", "late");
 
         // A restarted daemon reloads the identical live state, in the
         // identical recency order.
@@ -410,20 +400,12 @@ mod tests {
         let warm = Cache::new(1024);
         warm.preload(reopened.entries, reopened.quarantined);
         let mut expect = live;
-        expect.push(("point:c:9".to_string(), "late".to_string()));
+        expect.push(("key-9".to_string(), "late".to_string()));
         assert_eq!(warm.live_entries(), expect);
-        assert_eq!(warm.get("point:c:0").as_deref(), Some("replaced"));
+        assert_eq!(warm.get("key-0").as_deref(), Some("replaced"));
 
         let bare = Cache::new(64);
         assert!(!bare.compact_spill().unwrap(), "no spill → Ok(false)");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn keys_embed_canonical_identity() {
-        let k = point_key("study=fig6;scale=3fb0000000000000;threads=-;llc=-", 7);
-        assert!(k.starts_with("point:study=fig6"));
-        assert!(k.ends_with(":7"));
-        assert_ne!(ref_key("c", 1), point_key("c", 1), "kinds never collide");
     }
 }

@@ -7,14 +7,15 @@
 //!
 //! - [`proto`] — the line-delimited JSON wire protocol (versioned
 //!   handshake, typed error frames, bounded line lengths);
-//! - [`cache`] — the content-addressed result cache (LRU byte budget,
-//!   keys derived from the journal's canonical parameter string);
+//! - [`cache`] — the content-addressed result cache (LRU byte budget;
+//!   a key names what a unit computes, so studies share entries);
 //! - [`persist`] — the cache's append-only, CRC32-framed spill file,
 //!   reloaded with quarantine on restart so `kill -9` loses nothing
 //!   but the line being written;
 //! - [`scheduler`] — the shared worker pool with fair round-robin
 //!   sharding across jobs, per-unit fault domains, in-flight request
-//!   coalescing, admission control and graceful drain;
+//!   coalescing (by the same unit identity, across studies), admission
+//!   control and graceful drain;
 //! - [`server`] / [`session`] — the TCP listener and per-connection
 //!   request loop (idle-connection reaping included);
 //! - [`client`] — connect/submit/reassemble, producing reports

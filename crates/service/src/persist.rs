@@ -13,11 +13,14 @@
 //! The first record is the header, `{"spill": "studyd-cache",
 //! "version": 1}`; every following record is one completed cache entry,
 //! `{"key": "<cache key>", "value": "<journal-record JSON, escaped>"}`.
-//! Keys carry the full journal-canonical parameter identity (see
-//! [`crate::cache`]), so the header needs no study or fingerprint of
-//! its own — one spill file serves every parameterization. Each record
-//! is flushed as it is appended, so a killed daemon loses at most the
-//! line it was writing.
+//! Keys are opaque to the format and spell out in full what their unit
+//! computes (see [`crate::cache`]), so the header needs no study or
+//! fingerprint of its own — one spill file serves every study and
+//! parameterization — and `version` stays 1 when the key text changes:
+//! an entry written under an older build's keys is inert, never looked
+//! up again, never served, and aged out by the LRU and the next
+//! compaction like any other cold entry. Each record is flushed as it is
+//! appended, so a killed daemon loses at most the line it was writing.
 //!
 //! # Crash and corruption semantics
 //!
@@ -267,10 +270,10 @@ mod tests {
         let path = temp_path("roundtrip");
         let mut opened = open(&path, None).unwrap();
         assert!(opened.entries.is_empty());
-        opened.writer.append("point:c:0", "{\"a\": 1}").unwrap();
+        opened.writer.append("key-0", "{\"a\": 1}").unwrap();
         opened
             .writer
-            .append("ref:c:0", "1234 5678 with \"quotes\"")
+            .append("key-r", "1234 5678 with \"quotes\"")
             .unwrap();
         opened.writer.sync().unwrap();
         drop(opened);
@@ -279,11 +282,8 @@ mod tests {
         assert_eq!(
             reopened.entries,
             vec![
-                ("point:c:0".to_string(), "{\"a\": 1}".to_string()),
-                (
-                    "ref:c:0".to_string(),
-                    "1234 5678 with \"quotes\"".to_string()
-                ),
+                ("key-0".to_string(), "{\"a\": 1}".to_string()),
+                ("key-r".to_string(), "1234 5678 with \"quotes\"".to_string()),
             ]
         );
         std::fs::remove_file(&path).ok();

@@ -21,13 +21,18 @@
 //! # Coalescing
 //!
 //! Every unit a job *owns* (its queued references and points, parked or
-//! ready) is registered in a global in-flight table keyed by the same
-//! journal-canonical cache key the result cache uses. A later submit
-//! whose unit is already in that table does not queue a duplicate: it
-//! registers as a **waiter** and the single computation fans out to the
-//! owner and every waiter when it lands — N identical concurrent cold
-//! submits compute each unit exactly once, and all N streams carry
-//! byte-identical records. Fan-out deliveries are tagged
+//! ready) is registered in a global in-flight table keyed by the unit's
+//! identity — [`GridStudy::unit_keys`], what the unit computes rather
+//! than which study asked or at which grid index — the same key the
+//! result cache uses. A later submit whose unit is already in that table
+//! does not queue a duplicate: it registers as a **waiter** under its
+//! *own* index of that unit and the single computation fans out to the
+//! owner and every waiter when it lands — N concurrent cold submits that
+//! overlap (the same study, `fig5` beside `fig4`, one study under two
+//! `--threads` lists) compute each shared unit exactly once, and every
+//! stream carries byte-identical records. Two indices of one submit with
+//! the same identity (`--threads 2,2`) coalesce the same way: the first
+//! is owned, the second waits on it. Fan-out deliveries are tagged
 //! [`PointSource::Coalesced`], distinct from [`PointSource::Cached`]
 //! (resolved from the cache at submit time).
 //!
@@ -60,19 +65,19 @@
 //! [`crate::chaos`] policy can force that panic at a chosen unit to
 //! prove it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use experiments::decompose::GridStudy;
+use experiments::decompose::{GridStudy, UnitKeys};
 use experiments::graph::{RefValue, Unit, UnitGraph};
 use experiments::par::fault_domain;
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 
-use crate::cache::{point_key, ref_key, Cache};
+use crate::cache::Cache;
 use crate::chaos::ChaosPolicy;
 
 /// How a streamed point was satisfied.
@@ -196,17 +201,25 @@ impl std::fmt::Display for SubmitError {
 }
 
 /// Registry entry for one unit currently queued or executing, keyed by
-/// its cache key: the owning job plus subscriber jobs awaiting fan-out.
+/// its identity: the owning job plus subscriber jobs awaiting fan-out.
 struct Inflight {
     owner: u64,
-    /// `(job, point index)` for point keys; `(job, profile)` for refs.
+    /// `(job, index)`: the unit's index in the *waiter's* grid — a point
+    /// index for point keys, a profile index for reference keys. It need
+    /// not be the owner's index of the same unit.
     waiters: Vec<(u64, usize)>,
 }
 
-struct Job {
-    grid: Arc<GridStudy>,
+/// What a job was submitted with, shared with every claim of its units.
+struct JobSpec {
+    grid: GridStudy,
     params: StudyParams,
-    canonical: String,
+    /// Cache and in-flight key of every unit, built once per submit.
+    keys: UnitKeys,
+}
+
+struct Job {
+    spec: Arc<JobSpec>,
     /// The units this job owns: queued, parked behind a reference, or
     /// executing on a worker.
     graph: UnitGraph,
@@ -390,8 +403,9 @@ impl Scheduler {
         params: StudyParams,
         units: Option<Vec<usize>>,
     ) -> Result<(u64, Receiver<JobEvent>), SubmitError> {
-        let canonical = experiments::journal::canonical(grid.study(), &params);
-        let grid = Arc::new(grid);
+        let keys = grid.unit_keys(&params);
+        let spec = Arc::new(JobSpec { grid, params, keys });
+        let (grid, keys) = (&spec.grid, &spec.keys);
         let (tx, rx) = channel();
         let n = grid.n_points();
         let indices: Vec<usize> = match units {
@@ -405,8 +419,9 @@ impl Scheduler {
 
         // Classify every point under the scheduler lock, so the
         // decision (cache hit / coalesce / own) is atomic with waiter
-        // registration — two racing identical submits cannot both
-        // decide to own the same unit.
+        // registration — two racing overlapping submits cannot both
+        // decide to own the same unit. A later index of this submit with
+        // an identity it already owns coalesces onto the earlier one.
         let mut st = lock(&self.shared);
         if st.draining {
             return Err(SubmitError::Draining);
@@ -414,11 +429,12 @@ impl Scheduler {
         let mut hits: Vec<(usize, String)> = Vec::new();
         let mut coalesce: Vec<usize> = Vec::new();
         let mut owned: Vec<usize> = Vec::new();
+        let mut owned_keys: HashSet<&str> = HashSet::new();
         for index in indices {
-            let key = point_key(&canonical, index);
-            if let Some(record) = self.shared.cache.get(&key) {
+            let key = keys.get(Unit::Point(index));
+            if let Some(record) = self.shared.cache.get(key) {
                 hits.push((index, record));
-            } else if st.inflight.contains_key(&key) {
+            } else if st.inflight.contains_key(key) || !owned_keys.insert(key) {
                 coalesce.push(index);
             } else {
                 owned.push(index);
@@ -426,7 +442,8 @@ impl Scheduler {
         }
         // Each profile with an owned point needs its reference: cached
         // (known), in flight under another job (subscribe to it), or this
-        // job's own to queue. `owned` ascends, so profiles arrive grouped.
+        // job's own to queue. `owned` ascends, so profiles arrive grouped;
+        // no two profiles of one grid share an identity.
         let mut known_refs: Vec<(usize, RefValue)> = Vec::new();
         let mut subscribed_refs: Vec<usize> = Vec::new();
         let mut own_refs: Vec<usize> = Vec::new();
@@ -436,11 +453,11 @@ impl Scheduler {
             if last_profile.replace(pi) == Some(pi) {
                 continue;
             }
-            let rkey = ref_key(&canonical, pi);
-            let cached = self.shared.cache.get(&rkey);
+            let rkey = keys.get(Unit::Ref(pi));
+            let cached = self.shared.cache.get(rkey);
             if let Some(stv) = cached.and_then(|v| parse_ref_value(&v)) {
                 known_refs.push((pi, stv));
-            } else if st.inflight.contains_key(&rkey) {
+            } else if st.inflight.contains_key(rkey) {
                 subscribed_refs.push(pi);
             } else {
                 own_refs.push(pi);
@@ -488,29 +505,31 @@ impl Scheduler {
             .ok();
             return Ok((id, rx));
         }
-        let mut wait_on = |key: String, waiter: usize| {
+        // Own units enter the table first: a coalesced index may wait on
+        // one of them.
+        let own_refs = own_refs.iter().map(|&pi| Unit::Ref(pi));
+        for unit in own_refs.chain(owned.iter().map(|&index| Unit::Point(index))) {
+            let waiters = Vec::new();
+            let entry = Inflight { owner: id, waiters };
+            st.inflight.insert(keys.get(unit).to_string(), entry);
+        }
+        let mut wait_on = |unit: Unit, waiter: usize| {
             st.inflight
-                .get_mut(&key)
+                .get_mut(keys.get(unit))
                 .expect("classified as in-flight under this lock")
                 .waiters
                 .push((id, waiter));
         };
         let mut graph = grid.graph();
         for &index in &coalesce {
-            wait_on(point_key(&canonical, index), index);
+            wait_on(Unit::Point(index), index);
         }
         for &pi in &subscribed_refs {
-            wait_on(ref_key(&canonical, pi), pi);
+            wait_on(Unit::Ref(pi), pi);
             graph.ref_external(pi);
         }
         for (pi, stv) in known_refs {
             graph.ref_known(pi, stv);
-        }
-        let own_ref_keys = own_refs.iter().map(|&pi| ref_key(&canonical, pi));
-        let own_point_keys = owned.iter().map(|&index| point_key(&canonical, index));
-        for key in own_ref_keys.chain(own_point_keys) {
-            let waiters = Vec::new();
-            st.inflight.insert(key, Inflight { owner: id, waiters });
         }
         for index in owned {
             graph.add_point(index);
@@ -519,9 +538,7 @@ impl Scheduler {
         st.jobs.insert(
             id,
             Job {
-                grid,
-                params,
-                canonical,
+                spec: Arc::clone(&spec),
                 graph,
                 outstanding,
                 cancelled: false,
@@ -575,29 +592,27 @@ impl Scheduler {
         // that has not started and gates no surviving point goes with
         // them: an owned one stays queued only while other jobs subscribe
         // to it, a subscribed one is unsubscribed. (Owned and executing:
-        // `apply_ref` finds the trimmed graph.)
+        // `apply_ref` finds the trimmed graph.) The job's own duplicate
+        // indices waiting on one of its queued points go with that point.
         let mut dropped_points = 0usize;
-        job.graph.retain(|unit| match unit {
-            Unit::Point(index) => {
-                let key = point_key(&job.canonical, index);
-                let has_waiters = st.inflight.get(&key).is_some_and(|e| !e.waiters.is_empty());
-                if !has_waiters {
-                    st.inflight.remove(&key);
-                    dropped_points += 1;
+        let keys = &job.spec.keys;
+        job.graph.retain(|unit| {
+            let key = keys.get(unit);
+            let keep = match (unit, st.inflight.get_mut(key)) {
+                (Unit::Ref(_), Some(e)) if e.owner != id => {
+                    e.waiters.retain(|&(j, _)| j != id);
+                    return false;
                 }
-                has_waiters
-            }
-            Unit::Ref(pi) => {
-                let rkey = ref_key(&job.canonical, pi);
-                match st.inflight.get_mut(&rkey) {
-                    Some(e) if e.owner != id => e.waiters.retain(|&(j, _)| j != id),
-                    Some(e) if !e.waiters.is_empty() => return true,
-                    _ => {
-                        st.inflight.remove(&rkey);
-                    }
+                (_, Some(e)) => e.waiters.iter().any(|&(j, _)| j != id),
+                (_, None) => false,
+            };
+            if !keep {
+                let own_waits = st.inflight.remove(key).map_or(0, |e| e.waiters.len());
+                if let Unit::Point(_) = unit {
+                    dropped_points += 1 + own_waits;
                 }
-                false
             }
+            keep
         });
         job.outstanding -= dropped_points;
         if !job.done_sent {
@@ -712,9 +727,7 @@ struct Claim {
     unit: Unit,
     /// A point's reference values (empty for a reference unit).
     inputs: Vec<RefValue>,
-    grid: Arc<GridStudy>,
-    params: StudyParams,
-    canonical: String,
+    spec: Arc<JobSpec>,
 }
 
 fn worker_loop(shared: &Shared) {
@@ -732,9 +745,7 @@ fn worker_loop(shared: &Shared) {
                         id,
                         unit,
                         inputs: job.graph.inputs(unit).to_vec(),
-                        grid: Arc::clone(&job.grid),
-                        params: job.params.clone(),
-                        canonical: job.canonical.clone(),
+                        spec: Arc::clone(&job.spec),
                     };
                     if job.graph.has_ready() {
                         st.rr.push_back(id);
@@ -745,7 +756,8 @@ fn worker_loop(shared: &Shared) {
             }
         };
 
-        let retries = claim.params.faults.retries;
+        let JobSpec { grid, params, keys } = &*claim.spec;
+        let retries = params.faults.retries;
         let unit_no = shared.chaos_units.fetch_add(1, Ordering::Relaxed);
         if shared.chaos.exit_at_unit == Some(unit_no) {
             // Chaos: die as abruptly as a kill -9 — no drain, no flush,
@@ -764,54 +776,52 @@ fn worker_loop(shared: &Shared) {
         }
         let chaos_panic = shared.chaos.panic_at_unit == Some(unit_no);
         let chaos = || assert!(!chaos_panic, "chaos: injected panic at unit {unit_no}");
-        let (id, canonical) = (claim.id, claim.canonical.as_str());
+        let (id, key) = (claim.id, keys.get(claim.unit));
         match claim.unit {
             Unit::Ref(pi) => {
                 let (outcome, attempts) = fault_domain(retries, || {
                     chaos();
-                    claim.grid.compute_reference(&claim.params, pi)
+                    grid.compute_reference(params, pi)
                 });
                 if let Ok(st) = outcome {
-                    let key = ref_key(canonical, pi);
-                    shared.cache.put(&key, &format_ref_value(st));
+                    shared.cache.put(key, &format_ref_value(st));
                 }
-                apply_ref(&mut lock(shared), id, canonical, pi, outcome, attempts);
+                apply_ref(&mut lock(shared), id, key, pi, outcome, attempts);
             }
             Unit::Point(index) => {
                 let (outcome, attempts) = fault_domain(retries, || {
                     chaos();
                     let st = claim.inputs[0];
-                    let point = claim.grid.compute_point(&claim.params, index, st);
+                    let point = grid.compute_point(params, index, st);
                     point.map(|s| s.to_record())
                 });
                 if let Ok(record) = &outcome {
-                    shared.cache.put(&point_key(canonical, index), record);
+                    shared.cache.put(key, record);
                 }
-                apply_point(&mut lock(shared), id, canonical, index, outcome, attempts);
+                apply_point(&mut lock(shared), id, key, index, outcome, attempts);
             }
         }
         shared.cond.notify_all();
     }
 }
 
-/// Resolves a completed reference for its owner and every subscribed
-/// job: each job's graph releases its parked points on success and
-/// cascades the sweep's exact failure reason onto them (and onto their
-/// own coalesced waiters) otherwise.
+/// Resolves a completed reference (`key`; profile `pi` of its owner
+/// `id`) for the owner and every subscribed job. A subscriber may be
+/// another study or another `threads` list, so each is released with its
+/// **own** profile index of the reference: its graph releases its parked
+/// points on success and cascades the sweep's exact failure reason onto
+/// them otherwise — and onto their coalesced waiters, found under that
+/// job's own keys.
 fn apply_ref(
     st: &mut SchedState,
     id: u64,
-    canonical: &str,
+    key: &str,
     pi: usize,
     outcome: Result<RefValue, String>,
     attempts: u32,
 ) {
-    let ref_waiters = st
-        .inflight
-        .remove(&ref_key(canonical, pi))
-        .map_or_else(Vec::new, |e| e.waiters);
-    let subscribers = std::iter::once(id).chain(ref_waiters.into_iter().map(|(j, _)| j));
-    for j in subscribers {
+    let ref_waiters = st.inflight.remove(key).map_or_else(Vec::new, |e| e.waiters);
+    for (j, pi) in std::iter::once((id, pi)).chain(ref_waiters) {
         let Some(job) = st.jobs.get_mut(&j) else {
             continue;
         };
@@ -823,10 +833,11 @@ fn apply_ref(
         if !was_ready && job.graph.has_ready() {
             st.rr.push_back(j);
         }
+        let spec = Arc::clone(&job.spec);
         for c in cascades {
             let point_waiters = st
                 .inflight
-                .remove(&point_key(canonical, c.point))
+                .remove(spec.keys.get(Unit::Point(c.point)))
                 .map_or_else(Vec::new, |e| e.waiters);
             deliver_failed(st, j, c.point, &c.reason, c.attempts);
             for (wj, windex) in point_waiters {
@@ -843,7 +854,7 @@ fn apply_ref(
 fn apply_point(
     st: &mut SchedState,
     id: u64,
-    canonical: &str,
+    key: &str,
     index: usize,
     outcome: Result<String, String>,
     attempts: u32,
@@ -851,10 +862,7 @@ fn apply_point(
     if let Some(job) = st.jobs.get_mut(&id) {
         job.graph.point_done(index);
     }
-    let waiters = st
-        .inflight
-        .remove(&point_key(canonical, index))
-        .map_or_else(Vec::new, |e| e.waiters);
+    let waiters = st.inflight.remove(key).map_or_else(Vec::new, |e| e.waiters);
     match outcome {
         Ok(record) => {
             // Count the computation even if the owner was cancelled:
@@ -926,7 +934,7 @@ fn deliver_failed(st: &mut SchedState, id: u64, index: usize, reason: &str, atte
     job.tx
         .send(JobEvent::Failed {
             index,
-            label: job.grid.label(index),
+            label: job.spec.grid.label(index),
             reason: reason.to_string(),
             attempts,
         })
@@ -1043,6 +1051,216 @@ mod tests {
         v
     }
 
+    /// Every index of `g` resolved exactly once, and the streamed records
+    /// of a clean run assemble into the bytes of a local run.
+    fn assert_resolves_like_local(g: &GridStudy, params: &StudyParams, d: &DrainedJob) {
+        let mut resolved: Vec<usize> = d.points.iter().map(|(i, _, _)| *i).collect();
+        resolved.extend(d.failures.iter().map(|(i, _)| *i));
+        resolved.sort_unstable();
+        let all: Vec<usize> = (0..g.n_points()).collect();
+        assert_eq!(resolved, all, "{}: each index exactly once", g.study());
+        assert_eq!(d.computed + d.cached + d.coalesced, g.n_points());
+        let mut fold = experiments::decompose::GridFold::new(g.n_points());
+        for (index, _, record) in &d.points {
+            fold.point(*index, record_to_summary(record).expect("record"), 1);
+        }
+        let served = fold.finish(g, params);
+        let study = experiments::study::find_study(g.study()).expect("registry study");
+        let local = study.run(params).expect("local run");
+        assert_eq!(served.to_text(), local.to_text(), "{} text", g.study());
+        assert_eq!(served.to_json(), local.to_json(), "{} json", g.study());
+        assert_eq!(served.to_csv(), local.to_csv(), "{} csv", g.study());
+    }
+
+    /// Pins a lone worker on an unrelated job, so whatever is submitted
+    /// next is provably still queued when the following call lands.
+    fn pin_worker(sched: &Scheduler) -> Receiver<JobEvent> {
+        let blocker = StudyParams {
+            scale: 0.015,
+            ..small_params()
+        };
+        let (_, rx) = sched
+            .submit(grid("fig1", &blocker), blocker)
+            .expect("admitted");
+        rx
+    }
+
+    fn inflight_len(sched: &Scheduler) -> usize {
+        lock(&sched.shared).inflight.len()
+    }
+
+    /// `fig4 --threads 2` and `fig5 --threads 2,4`, both queued behind a
+    /// pinned worker: fig5's x2 points coalesce onto fig4's, its x4 points
+    /// are its own and park behind fig4's in-flight references — under
+    /// fig5's profile indices 0..3, not fig4's.
+    fn fig4_then_fig5(deadline_cycles: Option<u64>) -> (Scheduler, [(GridStudy, StudyParams); 2]) {
+        let cache = Arc::new(Cache::new(64 * 1024 * 1024));
+        let sched = Scheduler::start(1, cache, SchedOptions::default());
+        let mut p4 = small_params();
+        p4.faults.deadline_cycles = deadline_cycles;
+        p4.faults.retries = 1;
+        let p5 = StudyParams {
+            threads: Some(vec![2, 4]),
+            ..small_params()
+        };
+        let jobs = [(grid("fig4", &p4), p4), (grid("fig5", &p5), p5)];
+        (sched, jobs)
+    }
+
+    fn cholesky_row(g: &GridStudy) -> usize {
+        let is_cholesky = |p: &workloads::WorkloadProfile| p.name == "cholesky";
+        g.profiles().iter().position(is_cholesky).expect("cholesky")
+    }
+
+    #[test]
+    fn overlapping_studies_share_references_under_each_jobs_own_indices() {
+        let (sched, [(g4, p4), (g5, p5)]) = fig4_then_fig5(None);
+        assert_ne!(cholesky_row(&g4), cholesky_row(&g5), "indices differ");
+        let rx_blocker = pin_worker(&sched);
+        let (_, rx4) = sched.submit(g4.clone(), p4.clone()).expect("admitted");
+        let (_, rx5) = sched.submit(g5.clone(), p5.clone()).expect("admitted");
+        let _ = drain_events(&rx_blocker);
+        let d4 = drain_events(&rx4).expect("done");
+        let d5 = drain_events(&rx5).expect("done");
+        // fig4 owns all of its grid; fig5 computes only its x4 column and
+        // takes the x2 column from fig4's units.
+        assert_eq!((d4.computed, d4.coalesced, d4.failed), (28, 0, 0));
+        assert_eq!((d5.computed, d5.coalesced, d5.failed), (3, 3, 0));
+        assert_resolves_like_local(&g4, &p4, &d4);
+        assert_resolves_like_local(&g5, &p5, &d5);
+        // Each identity computed once, the blocker's three points and
+        // three references aside: fig5 added no reference of its own.
+        assert_eq!(sched.status().points_computed, 3 + 28 + 3);
+        assert_eq!(sched.cache().stats().entries, 6 + 28 + 28 + 3);
+        assert_eq!(inflight_len(&sched), 0);
+        sched.stop();
+    }
+
+    #[test]
+    fn failed_shared_reference_cascades_onto_the_subscribers_own_indices() {
+        let (sched, [(g4, p4), (g5, p5)]) = fig4_then_fig5(Some(10));
+        let rx_blocker = pin_worker(&sched);
+        // Only cholesky's row of fig4 runs under the doomed deadline.
+        let row4 = cholesky_row(&g4);
+        let (_, rx4) = sched
+            .submit_units(g4, p4, Some(vec![row4]))
+            .expect("admitted");
+        let (_, rx5) = sched.submit(g5.clone(), p5).expect("admitted");
+        let _ = drain_events(&rx_blocker);
+        let d4 = drain_events(&rx4).expect("done");
+        assert_eq!((d4.computed, d4.failed), (0, 1));
+
+        // fig5: cholesky x2 fails as a waiter of fig4's point, cholesky x4
+        // through fig5's own graph; both carry the owner's reason and
+        // attempts (fig5 itself would have spent one). The other two
+        // profiles are fig5's own and complete.
+        let row5 = cholesky_row(&g5);
+        let mut failed = Vec::new();
+        let mut completed = Vec::new();
+        loop {
+            match rx5.recv().expect("stream ends with Done") {
+                JobEvent::Failed {
+                    index,
+                    label,
+                    reason,
+                    attempts,
+                } => {
+                    assert_eq!(label, g5.label(index));
+                    assert_eq!(reason, d4.failures[0].1, "the owner's reason");
+                    assert!(reason.starts_with("single-thread reference failed: "));
+                    assert_eq!(attempts, 2, "the owner's attempts");
+                    failed.push(index);
+                }
+                JobEvent::Point { index, .. } => completed.push(index),
+                JobEvent::Done {
+                    computed, failed, ..
+                } => {
+                    assert_eq!((computed, failed), (4, 2));
+                    break;
+                }
+            }
+        }
+        failed.sort_unstable();
+        completed.sort_unstable();
+        assert_eq!(failed, [2 * row5, 2 * row5 + 1]);
+        let rest: Vec<usize> = (0..6).filter(|i| i / 2 != row5).collect();
+        assert_eq!(completed, rest);
+        assert_eq!(inflight_len(&sched), 0);
+        sched.stop();
+    }
+
+    fn duplicate_params(scale: f64) -> StudyParams {
+        StudyParams {
+            scale,
+            threads: Some(vec![2, 2]),
+            ..StudyParams::default()
+        }
+    }
+
+    #[test]
+    fn duplicate_identities_in_one_submit_resolve_each_index_once() {
+        let cache = Arc::new(Cache::new(64 * 1024 * 1024));
+        let sched = Scheduler::start(1, cache, SchedOptions::default());
+        let params = duplicate_params(0.01);
+        let g = grid("fig5", &params);
+        assert_eq!(g.n_points(), 6);
+        // A subset naming both copies of one identity.
+        let (_, rx) = sched
+            .submit_units(g.clone(), params.clone(), Some(vec![2, 3]))
+            .expect("admitted");
+        let d = drain_events(&rx).expect("done");
+        assert_eq!((d.computed, d.coalesced, d.failed), (1, 1, 0));
+        let got = sorted_records(&d);
+        assert_eq!((got[0].0, got[1].0), (2, 3));
+        assert_eq!(got[0].1, got[1].1, "one computation, two indices");
+        // The full grid: the second copy of each identity waits on the
+        // first, or is a cache hit beside it.
+        let (_, rx) = sched.submit(g.clone(), params.clone()).expect("admitted");
+        let d = drain_events(&rx).expect("done");
+        assert_eq!((d.computed, d.cached, d.coalesced), (2, 2, 2));
+        assert_resolves_like_local(&g, &params, &d);
+        assert_eq!(sched.status().points_computed, 3);
+        assert_eq!(inflight_len(&sched), 0);
+        sched.stop();
+    }
+
+    #[test]
+    fn cancelling_a_job_with_duplicate_identities_settles_clean() {
+        let cache = Arc::new(Cache::new(64 * 1024 * 1024));
+        let sched = Scheduler::start(1, cache, SchedOptions::default());
+        let params = duplicate_params(0.02);
+        let g = grid("fig5", &params);
+
+        // Cancelled while wholly queued: the job, its parked points, the
+        // duplicates waiting on them and its references all go at once.
+        let rx_blocker = pin_worker(&sched);
+        let (id, rx) = sched.submit(g.clone(), params.clone()).expect("admitted");
+        assert!(sched.cancel(id));
+        {
+            let st = lock(&sched.shared);
+            assert!(!st.jobs.contains_key(&id), "nothing left to linger for");
+            let keys = g.unit_keys(&params);
+            let units = (0..3).map(Unit::Ref).chain((0..6).map(Unit::Point));
+            for unit in units {
+                assert!(!st.inflight.contains_key(keys.get(unit)), "{unit:?}");
+            }
+        }
+        let d = drain_events(&rx).expect("done");
+        assert!(d.cancelled && d.points.is_empty());
+        let _ = drain_events(&rx_blocker);
+
+        // Cancelled mid-flight, after its first point streamed: whatever
+        // the lone worker was running lands, the rest is dropped.
+        let (id, rx) = sched.submit(g, params).expect("admitted");
+        assert!(matches!(rx.recv(), Ok(JobEvent::Point { .. })));
+        sched.cancel(id);
+        drain_events(&rx).expect("done");
+        sched.wait_idle();
+        assert_eq!(sched.status().queued_units, 0);
+        assert_eq!(inflight_len(&sched), 0);
+        sched.stop();
+    }
+
     #[test]
     fn cold_then_warm_submission() {
         let cache = Arc::new(Cache::new(64 * 1024 * 1024));
@@ -1134,13 +1352,7 @@ mod tests {
         let cache = Arc::new(Cache::new(64 * 1024 * 1024));
         let sched = Scheduler::start(1, Arc::clone(&cache), SchedOptions::default());
         // Pin the lone worker so the hedged job is provably still live.
-        let blocker_params = StudyParams {
-            scale: 0.015,
-            ..small_params()
-        };
-        let (_, rx_blocker) = sched
-            .submit(grid("fig1", &blocker_params), blocker_params)
-            .expect("admitted");
+        let rx_blocker = pin_worker(&sched);
         let params = small_params();
         let (id, rx) = sched
             .submit(grid("fig1", &params), params)
@@ -1219,13 +1431,7 @@ mod tests {
         // Pin the lone worker on an unrelated job first, so the owner
         // below is provably still live when the cancel lands — no race
         // against a fast grid finishing early.
-        let blocker_params = StudyParams {
-            scale: 0.015,
-            ..small_params()
-        };
-        let (_, rx_blocker) = sched
-            .submit(grid("fig1", &blocker_params), blocker_params.clone())
-            .expect("admitted");
+        let rx_blocker = pin_worker(&sched);
         let params = small_params();
         let g = grid("fig1", &params);
         let n = g.n_points();
@@ -1255,13 +1461,7 @@ mod tests {
         let sched = Scheduler::start(1, Arc::clone(&cache), SchedOptions::default());
         // Pin the lone worker so both jobs below are still queued when
         // the cancel lands.
-        let blocker_params = StudyParams {
-            scale: 0.015,
-            ..small_params()
-        };
-        let (_, rx_blocker) = sched
-            .submit(grid("fig1", &blocker_params), blocker_params)
-            .expect("admitted");
+        let rx_blocker = pin_worker(&sched);
         let params = StudyParams {
             threads: Some(vec![2, 4]),
             ..small_params()

@@ -176,6 +176,40 @@ fn kill_and_restart_serves_warm_resubmits_from_the_spill() {
     std::fs::remove_file(&spill).ok();
 }
 
+/// A spill written by a build whose keys carried the study name and grid
+/// index opens cleanly (the format never looked inside a key) and its
+/// entries are inert: loaded, never hit, never served.
+#[test]
+fn spill_entries_under_an_older_builds_keys_are_inert() {
+    let spill = temp_spill("old-keys");
+    let params = fig1_params();
+    let local = find_study("fig1").unwrap().run(&params).unwrap();
+    let canonical = experiments::journal::canonical("fig1", &params);
+    {
+        let mut old = service::persist::open(&spill, None).expect("create").writer;
+        for i in 0..3 {
+            // Poison: a served one would break the report or its parse.
+            old.append(&format!("ref:{canonical}:{i}"), "1 1").unwrap();
+            old.append(&format!("point:{canonical}:{i}"), "{}").unwrap();
+        }
+        old.sync().unwrap();
+    }
+    let server = serve(&ServeConfig {
+        workers: 1,
+        cache_spill: Some(spill.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    assert_eq!(server.cache().stats().loaded, 6);
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let served = client.submit("fig1", &params).expect("submit");
+    assert_eq!((served.computed, served.cached, served.failed), (3, 0, 0));
+    assert_eq!(server.cache().stats().hits, 0);
+    assert_eq!(served.report.to_json(), local.to_json(), "bit-identical");
+    server.stop();
+    std::fs::remove_file(&spill).ok();
+}
+
 /// A full queue answers a typed `busy` with a retry hint; a client with
 /// no retry policy surfaces it, and the backoff client eventually
 /// completes with a correct report.

@@ -108,9 +108,14 @@ fn concurrent_clients_get_bit_identical_reports_from_the_cache() {
     assert_eq!(cold6.report.to_json(), local_fig6.to_json(), "fig6 json");
     assert_eq!(cold6.report.to_csv(), local_fig6.to_csv(), "fig6 csv");
     assert_eq!(cold6.cached, 0, "fresh server has nothing cached");
+    // fig4's x4 column is fig6's grid, unit for unit: exactly that
+    // overlap is served from fig6's entries, exactly the rest computed.
     let cold4 = warm.submit("fig4", &fig4_params()).expect("cold fig4");
     assert_eq!(cold4.report.to_text(), local_fig4.to_text(), "fig4 text");
-    assert_eq!(cold4.cached, 0);
+    assert_eq!(cold4.report.to_json(), local_fig4.to_json(), "fig4 json");
+    assert_eq!(cold4.report.to_csv(), local_fig4.to_csv(), "fig4 csv");
+    assert_eq!((cold6.computed, cold6.coalesced), (28, 0));
+    assert_eq!((cold4.computed, cold4.cached, cold4.coalesced), (28, 28, 0));
 
     let warm_status = warm.status().expect("status");
     let computed_after_warm = warm_status.points_computed;
@@ -159,11 +164,10 @@ fn concurrent_clients_get_bit_identical_reports_from_the_cache() {
         "concurrent wave must not recompute warm points"
     );
     let expected_hits: u64 = 4 * 28 + 4 * 56; // 4 fig6 clients + 4 fig4 clients
-    assert!(
-        after.cache_hits >= hits_after_warm + expected_hits,
-        "expected at least {expected_hits} new hits, got {} -> {}",
-        hits_after_warm,
-        after.cache_hits
+    assert_eq!(
+        after.cache_hits,
+        hits_after_warm + expected_hits,
+        "every lookup of the wave is a point hit"
     );
     assert_eq!(after.points_failed, 0);
     server.stop();
