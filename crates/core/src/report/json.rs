@@ -1,9 +1,18 @@
-//! JSON emission and validation for [`Report`].
+//! JSON emission and decoding for [`Report`] and the data plane.
 //!
 //! The build is fully self-contained (no `serde` offline), so this
-//! module hand-writes the JSON and ships a small recursive-descent
-//! parser used by the tests and the `jsoncheck` smoke binary to validate
-//! emitted documents.
+//! module hand-writes the JSON and ships the one parser the workspace
+//! reads JSON with: a pull [`Reader`] (begin/next over objects and
+//! arrays, number-or-null, string, a [`Reader::value`] subtree,
+//! [`Reader::finish`]). [`parse`] is the reader's `value()` plus
+//! `finish()` — the tree the tests, the `jsoncheck` smoke binary and the
+//! service's request and control frames use — while the data plane's
+//! point records (journal resume, cache spill reload, streamed `point`
+//! frames) are decoded field by field straight from the text, without
+//! building a tree (`experiments::runner::PointSummary::from_record`).
+//! Nesting is bounded by [`MAX_DEPTH`]: a document nested deeper is a
+//! typed [`JsonError`], so hostile input cannot overflow the stack of
+//! the thread parsing it.
 //!
 //! Non-finite numbers (`NaN`, `±inf`) have no JSON representation and
 //! are emitted as `null`; [`Value::Missing`]
@@ -20,6 +29,7 @@
 //! assert!(doc.get("blocks").unwrap().as_array().unwrap().is_empty());
 //! ```
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use super::{Block, Report, Scalar, Table, Value};
@@ -339,12 +349,67 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The deepest nesting of objects and arrays a document may have. Far
+/// above any report's (≤ 5 levels), and low enough that a hostile line
+/// of `[` gets a typed [`JsonError`] instead of overflowing the stack of
+/// the thread parsing it.
+pub const MAX_DEPTH: usize = 128;
+
+/// A pull parser over one JSON document: the one grammar and scanner
+/// behind [`parse`] and every decoder that reads its fields straight
+/// from the text.
+///
+/// Containers are walked with [`Reader::begin_object`] /
+/// [`Reader::next_key`] and [`Reader::begin_array`] /
+/// [`Reader::next_item`]; values are read with
+/// [`Reader::number_or_null`], [`Reader::string`], or [`Reader::value`]
+/// for a whole subtree (how a decoder skips what it does not know);
+/// [`Reader::finish`] rejects trailing characters. Every method fails
+/// with a typed [`JsonError`] on malformed input, never a panic, and
+/// nesting past [`MAX_DEPTH`] is an error.
+///
+/// # Examples
+///
+/// ```
+/// use speedup_stacks::report::json::Reader;
+///
+/// let mut r = Reader::new("{\"xs\": [1, null], \"skip\": {\"a\": true}}");
+/// let mut xs = Vec::new();
+/// r.begin_object().unwrap();
+/// while let Some(key) = r.next_key().unwrap() {
+///     if key == "xs" {
+///         r.begin_array().unwrap();
+///         while r.next_item().unwrap() {
+///             xs.push(r.number_or_null().unwrap());
+///         }
+///     } else {
+///         r.value().unwrap();
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(xs, [Some(1.0), None]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    input: &'a str,
     pos: usize,
+    depth: usize,
+    /// The container just opened has not yielded a member yet.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `input`.
+    #[must_use]
+    pub fn new(input: &'a str) -> Self {
+        Reader {
+            input,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
         Err(JsonError {
             offset: self.pos,
@@ -352,18 +417,14 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+    fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -375,31 +436,192 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Steps past the separator before the open container's next member:
+    /// `true` when one follows, `false` once the closing bracket is
+    /// consumed.
+    fn step(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            Some(b',') if !fresh => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ if fresh => Ok(true),
+            _ => self.err(format!("expected ',' or '{}'", close as char)),
+        }
+    }
+
+    /// Enters an object.
+    ///
+    /// # Errors
+    ///
+    /// The next value is not an object, or it nests past [`MAX_DEPTH`].
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// The open object's next key (its value is read next), or `None`
+    /// once the object has ended.
+    ///
+    /// # Errors
+    ///
+    /// A missing separator, key or colon.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.step(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Enters an array.
+    ///
+    /// # Errors
+    ///
+    /// The next value is not an array, or it nests past [`MAX_DEPTH`].
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    /// `true` when the open array has another item (read it next),
+    /// `false` once the array has ended.
+    ///
+    /// # Errors
+    ///
+    /// A missing separator.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.step(b']')
+    }
+
+    /// Reads a number, or `null` as `None`.
+    ///
+    /// # Errors
+    ///
+    /// The next value is neither.
+    pub fn number_or_null(&mut self) -> Result<Option<f64>, JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(b'n') {
+            self.literal("null")?;
+            return Ok(None);
+        }
+        self.number().map(Some)
+    }
+
+    /// Reads a string, borrowed from the input unless it holds escapes.
+    ///
+    /// # Errors
+    ///
+    /// The next value is not a well-formed string.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let mut decoded: Option<String> = None;
+        let mut run = self.pos;
+        loop {
+            let Some(b) = self.peek() else {
+                return self.err("unterminated string");
+            };
+            match b {
+                b'"' => {
+                    let tail = &self.input[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                b'\\' => {
+                    let s = decoded.get_or_insert_with(String::new);
+                    s.push_str(&self.input[run..self.pos]);
+                    self.pos += 1;
+                    self.escape(s)?;
+                    run = self.pos;
+                }
+                b if b < 0x20 => return self.err("control character in string"),
+                _ => self.pos += 1,
+            }
+        }
+    }
+
+    /// Reads one whole value — a subtree — into a [`JsonValue`].
+    ///
+    /// # Errors
+    ///
+    /// The value is malformed or nests past [`MAX_DEPTH`].
+    pub fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_lit("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_lit("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    fields.push((key.into_owned(), self.value()?));
+                }
+                Ok(JsonValue::Object(fields))
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Number),
             Some(c) => self.err(format!("unexpected character '{}'", c as char)),
             None => self.err("unexpected end of input"),
         }
     }
 
-    fn parse_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    /// Ends the document: only whitespace may follow.
+    ///
+    /// # Errors
+    ///
+    /// Trailing characters after the document.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return self.err("trailing characters after document");
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        if self.input.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             self.err(format!("expected '{lit}'"))
         }
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -414,13 +636,13 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'1'..=b'9') => {
-                self.consume_digits();
+                self.digits();
             }
             _ => return self.err("expected digit"),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            if self.consume_digits() == 0 {
+            if self.digits() == 0 {
                 return self.err("expected digit after '.'");
             }
         }
@@ -429,18 +651,18 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            if self.consume_digits() == 0 {
+            if self.digits() == 0 {
                 return self.err("expected exponent digit");
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.input[start..self.pos];
         match text.parse::<f64>() {
-            Ok(v) => Ok(JsonValue::Number(v)),
+            Ok(v) => Ok(v),
             Err(_) => self.err(format!("invalid number '{text}'")),
         }
     }
 
-    fn consume_digits(&mut self) -> usize {
+    fn digits(&mut self) -> usize {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
@@ -448,85 +670,53 @@ impl<'a> Parser<'a> {
         self.pos - start
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return self.err("unterminated string");
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return self.err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.parse_hex4()?;
-                            // Surrogate pairs: JSON encodes astral chars
-                            // as \uD8xx\uDCxx.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.parse_hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return self
-                                            .err("high surrogate not followed by low surrogate");
-                                    }
-                                    char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
-                                } else {
-                                    None
-                                }
-                            } else {
-                                // Lone (low) surrogates are rejected by
-                                // char::from_u32.
-                                char::from_u32(cp)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return self.err("invalid \\u escape"),
-                            }
+    /// Decodes one escape (the backslash already consumed) onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let Some(esc) = self.peek() else {
+            return self.err("unterminated escape");
+        };
+        self.pos += 1;
+        let c = match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let cp = self.hex4()?;
+                // Surrogate pairs: JSON encodes astral chars as
+                // \uD8xx\uDCxx.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if self.input.as_bytes()[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return self.err("high surrogate not followed by low surrogate");
                         }
-                        other => return self.err(format!("invalid escape '\\{}'", other as char)),
+                        char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                    } else {
+                        None
                     }
-                }
-                b if b < 0x20 => return self.err("control character in string"),
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: re-decode from the byte slice.
-                    let rest = &self.bytes[self.pos - 1..];
-                    match std::str::from_utf8(&rest[..rest.len().min(4)]) {
-                        Ok(s) => {
-                            let c = s.chars().next().expect("non-empty");
-                            out.push(c);
-                            self.pos += c.len_utf8() - 1;
-                        }
-                        Err(e) if e.valid_up_to() > 0 => {
-                            let s = std::str::from_utf8(&rest[..e.valid_up_to()])
-                                .expect("validated prefix");
-                            let c = s.chars().next().expect("non-empty");
-                            out.push(c);
-                            self.pos += c.len_utf8() - 1;
-                        }
-                        Err(_) => return self.err("invalid UTF-8"),
-                    }
+                } else {
+                    // Lone (low) surrogates are rejected by
+                    // char::from_u32.
+                    char::from_u32(cp)
+                };
+                match c {
+                    Some(c) => c,
+                    None => return self.err("invalid \\u escape"),
                 }
             }
-        }
+            other => return self.err(format!("invalid escape '\\{}'", other as char)),
+        };
+        out.push(c);
+        Ok(())
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+    fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
             let Some(b) = self.peek() else {
@@ -543,68 +733,16 @@ impl<'a> Parser<'a> {
         }
         Ok(v)
     }
-
-    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
 }
 
-/// Parses a JSON document (used to validate emitter output in-repo; no
-/// external tools needed).
+/// Parses a JSON document into a [`JsonValue`] tree: [`Reader::value`]
+/// then [`Reader::finish`].
 ///
 /// # Errors
 ///
 /// Returns a [`JsonError`] with the byte offset of the first syntax
-/// error, including trailing garbage after the document.
+/// error, including trailing garbage after the document and nesting
+/// past [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -615,15 +753,9 @@ impl<'a> Parser<'a> {
 /// assert!(parse("{\"a\": NaN}").is_err());
 /// ```
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing characters after document");
-    }
+    let mut r = Reader::new(input);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
@@ -683,6 +815,46 @@ mod tests {
             "1.",
             "--1",
         ] {
+            assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far deeper than any thread stack could recurse: still typed.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn reader_walks_what_parse_builds() {
+        let doc = "{\"n\": -0.5, \"s\": \"a\\u00e9b\", \"xs\": [null, 2, {}], \"t\": true}";
+        let mut r = Reader::new(doc);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(r.number_or_null().unwrap(), Some(-0.5));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("s"));
+        assert_eq!(r.string().unwrap(), "aéb");
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("xs"));
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.number_or_null().unwrap(), None);
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.number_or_null().unwrap(), Some(2.0));
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.value().unwrap(), JsonValue::Object(Vec::new()));
+        assert!(!r.next_item().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("t"));
+        assert!(r.number_or_null().is_err(), "a bool is not a number");
+        let mut r = Reader::new("[1] x");
+        r.value().unwrap();
+        assert!(r.finish().is_err());
+        for bad in ["[,1]", "[1,]", "{,}", "{\"a\": 1,}", "[1 2]"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
     }

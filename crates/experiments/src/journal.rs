@@ -29,9 +29,12 @@
 //!
 //! - A final line **without a trailing newline** is the expected artifact
 //!   of a killed writer: it is dropped silently and its point recomputed.
-//! - A **complete** line that fails the layout, checksum or JSON parse
-//!   is *quarantined*: counted, reported in the report's `Degraded`
-//!   block, and its point recomputed.
+//! - A **complete** line that fails the layout, checksum or its record's
+//!   decode is *quarantined*: counted, reported in the report's
+//!   `Degraded` block, and its point recomputed. [`open_append`] checks
+//!   the framing and hands back the verified record text; the sweep
+//!   decodes it straight from that text
+//!   ([`crate::runner::PointSummary::from_record`]), no JSON tree built.
 //! - A journal whose **header** is missing, corrupt, from another format
 //!   version or another study/parameterization is rejected with a typed
 //!   [`JournalError`] — identity failures are never papered over.
@@ -242,23 +245,26 @@ impl JournalWriter {
     }
 }
 
-/// An existing record log opened for appending: its append handle, its
-/// intact records (header excluded, in file order) and the count of
-/// quarantined lines.
+/// An existing record log opened for appending: its append handle, the
+/// text of its intact records (header excluded, in file order) and the
+/// count of quarantined lines.
 #[derive(Debug)]
 pub struct JournalScan {
     /// The append handle, positioned after the last complete line.
     pub writer: JournalWriter,
-    /// Parsed, checksum-verified records after the header.
-    pub records: Vec<JsonValue>,
-    /// Complete lines that failed the layout, checksum or parse and were
+    /// Checksum-verified record text after the header, each decoded by
+    /// its user (a record that then fails to decode is the user's to
+    /// quarantine).
+    pub records: Vec<String>,
+    /// Complete lines that failed the layout or checksum and were
     /// skipped (their points must be recomputed).
     pub quarantined: usize,
 }
 
 /// Opens an existing record log for appending: verifies the header
-/// line's framing and hands its record to `check_header`, collects every
-/// intact record, counts complete-but-corrupt lines as quarantined, and
+/// line's framing and hands its parsed record to `check_header`, collects
+/// the text of every intact record, counts complete lines that fail the
+/// layout or checksum as quarantined, and
 /// truncates an unterminated final line — the expected artifact of a
 /// killed writer — so the next append starts a fresh line instead of
 /// completing garbage.
@@ -292,9 +298,9 @@ pub fn open_append(
         let Some(framed) = line.strip_suffix('\n') else {
             break;
         };
-        match unwrap_line(framed).ok().and_then(|d| json::parse(d).ok()) {
-            Some(record) => records.push(record),
-            None => quarantined += 1,
+        match unwrap_line(framed) {
+            Ok(record) => records.push(record.to_string()),
+            Err(_) => quarantined += 1,
         }
     }
     let file = OpenOptions::new()
@@ -420,8 +426,8 @@ mod tests {
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.quarantined, 0);
         assert_eq!(
-            scan.records[1].get("kind").and_then(JsonValue::as_str),
-            Some("point")
+            scan.records[1],
+            "{\"kind\": \"point\", \"profile\": \"x\", \"threads\": 4}"
         );
         std::fs::remove_file(&path).ok();
     }

@@ -27,6 +27,7 @@
 //! [`speedup_stacks::SimError::Trace`] — a damaged trace has no safe
 //! recomputation, so it is never degraded-and-continued.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -34,7 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use cmpsim::{MachineConfig, SimError, SimResult, Simulation};
 use memsim::MemConfig;
 use speedup_stacks::error::{SimError as CoreError, TraceError};
-use speedup_stacks::report::json::{self, JsonValue};
+use speedup_stacks::report::json::{self, Reader};
 use speedup_stacks::report::{Degraded, Provenance};
 use speedup_stacks::{
     accounting, AccountingConfig, Breakdown, Component, SpeedupStack, ThreadBreakdown,
@@ -274,23 +275,6 @@ impl From<RunOutcome> for PointSummary {
     }
 }
 
-/// Reads a JSON number field, mapping `null` back to the `NaN` it was
-/// emitted from.
-fn num_field(v: &JsonValue, k: &str) -> Option<f64> {
-    match v.get(k)? {
-        JsonValue::Number(x) => Some(*x),
-        JsonValue::Null => Some(f64::NAN),
-        _ => None,
-    }
-}
-
-/// Reads a non-negative integer field (counter magnitudes in this
-/// codebase stay far below 2^53, so the `f64` round-trip is exact).
-fn u64_field(v: &JsonValue, k: &str) -> Option<u64> {
-    let x = v.get(k)?.as_f64()?;
-    (x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
-}
-
 impl PointSummary {
     /// Signed validation error `(Ŝ − S)/N` (Eq. 6).
     #[must_use]
@@ -344,44 +328,127 @@ impl PointSummary {
         out
     }
 
-    /// Rebuilds a summary from a parsed journal `point` record. `None`
-    /// on any shape mismatch (the caller quarantines the record).
+    /// Decodes a journal `point` record ([`PointSummary::to_record`]'s
+    /// text) without building a JSON tree. `None` on any syntax or shape
+    /// mismatch (the caller quarantines the record).
     #[must_use]
-    pub fn from_record(v: &JsonValue) -> Option<PointSummary> {
-        let stack_v = v.get("stack")?;
-        let tp = u64_field(stack_v, "tp_cycles")?;
-        let mut per_thread = Vec::new();
-        for t in stack_v.get("per_thread")?.as_array()? {
-            let o = t.get("o")?.as_array()?;
-            if o.len() != Component::ALL.len() {
-                return None;
+    pub fn from_record(record: &str) -> Option<PointSummary> {
+        let mut r = Reader::new(record);
+        let summary = Self::read_record(&mut r)?;
+        r.finish().ok()?;
+        Some(summary)
+    }
+
+    /// Reads one `point` record value at the reader's position (a
+    /// streamed frame's `data`). The one record decoder: fields in any
+    /// order, unknown keys skipped, the first of a repeated key wins,
+    /// `null` reads back as the `NaN` it was emitted from — except inside
+    /// `o`, whose six overheads must be numbers.
+    #[must_use]
+    pub fn read_record(r: &mut Reader<'_>) -> Option<PointSummary> {
+        let (mut name, mut suite, mut threads) = (None, None, None);
+        let (mut actual, mut estimated, mut overhead) = (None, None, None);
+        let (mut st_cycles, mut mt_cycles, mut stack) = (None, None, None);
+        r.begin_object().ok()?;
+        while let Some(key) = r.next_key().ok()? {
+            match &*key {
+                "name" if name.is_none() => name = Some(r.string().ok()?.into_owned()),
+                "suite" if suite.is_none() => suite = Some(r.string().ok()?.into_owned()),
+                "threads" if threads.is_none() => threads = Some(read_u64(r)?),
+                "actual" if actual.is_none() => actual = Some(read_f64(r)?),
+                "estimated" if estimated.is_none() => estimated = Some(read_f64(r)?),
+                "st_cycles" if st_cycles.is_none() => st_cycles = Some(read_u64(r)?),
+                "mt_cycles" if mt_cycles.is_none() => mt_cycles = Some(read_u64(r)?),
+                "instruction_overhead" if overhead.is_none() => overhead = Some(read_f64(r)?),
+                "stack" if stack.is_none() => stack = Some(read_stack(r)?),
+                _ => skip(r)?,
             }
-            let mut overheads = Breakdown::zero();
-            for (c, val) in Component::ALL.iter().zip(o) {
-                overheads.set(*c, val.as_f64()?);
-            }
-            per_thread.push(ThreadBreakdown {
-                overheads,
-                positive_cycles: num_field(t, "p")?,
-                estimated_single_thread_cycles: num_field(t, "e")?,
-            });
         }
-        if per_thread.is_empty() {
-            return None;
-        }
-        let actual = num_field(v, "actual")?;
+        let (tp, per_thread) = stack?;
+        let actual = actual?;
         Some(PointSummary {
-            name: v.get("name")?.as_str()?.to_string(),
-            suite: v.get("suite")?.as_str()?.to_string(),
-            threads: u64_field(v, "threads")? as usize,
+            name: name?,
+            suite: suite?,
+            threads: threads? as usize,
             actual,
-            estimated: num_field(v, "estimated")?,
-            st_cycles: u64_field(v, "st_cycles")?,
-            mt_cycles: u64_field(v, "mt_cycles")?,
-            instruction_overhead: num_field(v, "instruction_overhead")?,
+            estimated: estimated?,
+            st_cycles: st_cycles?,
+            mt_cycles: mt_cycles?,
+            instruction_overhead: overhead?,
             stack: SpeedupStack::from_breakdowns(per_thread, tp).with_actual_speedup(actual),
         })
     }
+}
+
+/// Skips one value the record decoder does not read.
+fn skip(r: &mut Reader<'_>) -> Option<()> {
+    r.value().ok().map(drop)
+}
+
+/// A number field, mapping `null` back to the `NaN` it was emitted from.
+fn read_f64(r: &mut Reader<'_>) -> Option<f64> {
+    Some(r.number_or_null().ok()?.unwrap_or(f64::NAN))
+}
+
+/// A non-negative integer field (counter magnitudes in this codebase stay
+/// far below 2^53, so the `f64` round-trip is exact).
+fn read_u64(r: &mut Reader<'_>) -> Option<u64> {
+    let x = r.number_or_null().ok()??;
+    (x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
+}
+
+/// A record's `stack`: `tp_cycles` and the non-empty `per_thread` list.
+fn read_stack(r: &mut Reader<'_>) -> Option<(u64, Vec<ThreadBreakdown>)> {
+    let (mut tp, mut per_thread) = (None, None);
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        match &*key {
+            "tp_cycles" if tp.is_none() => tp = Some(read_u64(r)?),
+            "per_thread" if per_thread.is_none() => {
+                let mut threads = Vec::new();
+                r.begin_array().ok()?;
+                while r.next_item().ok()? {
+                    threads.push(read_thread(r)?);
+                }
+                per_thread = Some(threads);
+            }
+            _ => skip(r)?,
+        }
+    }
+    let per_thread = per_thread.filter(|t| !t.is_empty())?;
+    Some((tp?, per_thread))
+}
+
+/// One `per_thread` entry: `{"o": [six overheads], "p": .., "e": ..}`.
+fn read_thread(r: &mut Reader<'_>) -> Option<ThreadBreakdown> {
+    let (mut o, mut p, mut e) = (None, None, None);
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        match &*key {
+            "o" if o.is_none() => o = Some(read_overheads(r)?),
+            "p" if p.is_none() => p = Some(read_f64(r)?),
+            "e" if e.is_none() => e = Some(read_f64(r)?),
+            _ => skip(r)?,
+        }
+    }
+    Some(ThreadBreakdown {
+        overheads: o?,
+        positive_cycles: p?,
+        estimated_single_thread_cycles: e?,
+    })
+}
+
+/// The six overheads of `o`, in [`Component::ALL`] order.
+fn read_overheads(r: &mut Reader<'_>) -> Option<Breakdown> {
+    let mut overheads = Breakdown::zero();
+    let mut n = 0;
+    r.begin_array().ok()?;
+    while r.next_item().ok()? {
+        let c = Component::ALL.get(n)?;
+        overheads.set(*c, r.number_or_null().ok()??);
+        n += 1;
+    }
+    (n == Component::ALL.len()).then_some(overheads)
 }
 
 /// Serializes a single-thread reference as a journal `ref` record.
@@ -393,12 +460,37 @@ fn ref_record(name: &str, (cycles, instructions): (u64, u64)) -> String {
     )
 }
 
-/// Parses a journal `ref` record back into `(name, (Ts, instructions))`.
-fn ref_from_record(v: &JsonValue) -> Option<(String, (u64, u64))> {
-    Some((
-        v.get("profile")?.as_str()?.to_string(),
-        (u64_field(v, "st_cycles")?, u64_field(v, "st_instructions")?),
-    ))
+/// Decodes a journal `ref` record back into `(name, (Ts, instructions))`.
+fn ref_from_record(record: &str) -> Option<(String, (u64, u64))> {
+    let (mut profile, mut cycles, mut instructions) = (None, None, None);
+    let mut r = Reader::new(record);
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        match &*key {
+            "profile" if profile.is_none() => profile = Some(r.string().ok()?.into_owned()),
+            "st_cycles" if cycles.is_none() => cycles = Some(read_u64(&mut r)?),
+            "st_instructions" if instructions.is_none() => {
+                instructions = Some(read_u64(&mut r)?);
+            }
+            _ => skip(&mut r)?,
+        }
+    }
+    r.finish().ok()?;
+    Some((profile?, (cycles?, instructions?)))
+}
+
+/// A journal record's `kind`, read without decoding the rest (the
+/// writers put it first).
+fn record_kind(record: &str) -> Option<Cow<'_, str>> {
+    let mut r = Reader::new(record);
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        if key == "kind" {
+            return r.string().ok();
+        }
+        skip(&mut r)?;
+    }
+    None
 }
 
 /// Fault-handling policy for a fault-tolerant sweep.
@@ -659,7 +751,7 @@ pub fn run_grid_ft(
                 .map_err(CoreError::Journal)?;
             quarantined = scan.quarantined;
             for rec in &scan.records {
-                match rec.get("kind").and_then(JsonValue::as_str) {
+                match record_kind(rec).as_deref() {
                     Some("ref") => match ref_from_record(rec) {
                         Some((name, st)) => {
                             done_refs.insert(name, st);
@@ -816,8 +908,7 @@ mod tests {
         let p = scaled_profile(&find("blackscholes", Suite::ParsecSmall).unwrap(), 0.05);
         let out = run_profile(&p, &RunOptions::symmetric(2), None).unwrap();
         let summary = PointSummary::from(out);
-        let parsed = json::parse(&summary.to_record()).unwrap();
-        let back = PointSummary::from_record(&parsed).unwrap();
+        let back = PointSummary::from_record(&summary.to_record()).unwrap();
         // Bit-identical: shortest round-trip float formatting plus
         // deterministic stack re-aggregation.
         assert_eq!(back, summary);

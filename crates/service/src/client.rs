@@ -23,7 +23,7 @@ use experiments::decompose::{decompose, GridFold, GridStudy};
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
-use speedup_stacks::report::json::{self, JsonValue};
+use speedup_stacks::report::json::{self, JsonValue, Reader};
 use speedup_stacks::report::Report;
 use speedup_stacks::SimError;
 use workloads::rng::SmallRng;
@@ -111,6 +111,8 @@ pub struct Client {
     writer: TcpStream,
     control_timeout: Option<Duration>,
     data_timeout: Option<Duration>,
+    /// The read deadline last applied to the socket.
+    read_timeout: Option<Duration>,
 }
 
 /// One study entry from the server's `list` reply.
@@ -259,6 +261,7 @@ impl Client {
             writer,
             control_timeout: Some(DEFAULT_CONTROL_TIMEOUT),
             data_timeout: None,
+            read_timeout: None,
         };
         client.send(&format!(
             "{{\"op\": \"hello\", \"proto\": {PROTO_VERSION}}}"
@@ -292,39 +295,55 @@ impl Client {
         write_line(&mut self.writer, frame)
     }
 
-    /// [`Client::recv`] under the control-plane deadline.
+    /// Reads one reply frame under the control-plane deadline,
+    /// unwrapping `ok:false` into its typed error.
     fn recv_control(&mut self, during: &str) -> Result<JsonValue, ProtocolError> {
-        self.recv_deadline(during, self.control_timeout)
+        let line = self.recv_deadline(during, self.control_timeout)?;
+        check_reply(parse_reply(&line)?)
     }
 
-    /// [`Client::recv`] under the data-plane deadline.
+    /// [`Client::recv_control`] under the data-plane deadline.
     fn recv_data(&mut self, during: &str) -> Result<JsonValue, ProtocolError> {
-        self.recv_deadline(during, self.data_timeout)
+        let line = self.recv_deadline(during, self.data_timeout)?;
+        check_reply(parse_reply(&line)?)
     }
 
+    /// Reads one reply line under `timeout`. The socket's read deadline
+    /// is re-armed only when it changes — a submit stream reads every
+    /// frame under one deadline, so that is a syscall per switch between
+    /// control and data plane, not one per frame. `during` names the
+    /// phase for close diagnostics.
     fn recv_deadline(
         &mut self,
         during: &str,
         timeout: Option<Duration>,
-    ) -> Result<JsonValue, ProtocolError> {
-        self.writer
-            .set_read_timeout(timeout)
-            .map_err(|e| io_err("set-read-timeout", &e))?;
-        self.recv(during)
+    ) -> Result<String, ProtocolError> {
+        if timeout != self.read_timeout {
+            self.writer
+                .set_read_timeout(timeout)
+                .map_err(|e| io_err("set-read-timeout", &e))?;
+            self.read_timeout = timeout;
+        }
+        read_line_bounded(&mut self.reader, REPLY_LINE_CAP)?.ok_or_else(|| ProtocolError::Closed {
+            during: during.to_string(),
+        })
     }
 
-    /// Reads one reply frame, unwrapping `ok:false` into its typed
-    /// error. `during` names the phase for close diagnostics.
-    fn recv(&mut self, during: &str) -> Result<JsonValue, ProtocolError> {
-        let line = read_line_bounded(&mut self.reader, REPLY_LINE_CAP)?.ok_or_else(|| {
-            ProtocolError::Closed {
-                during: during.to_string(),
-            }
-        })?;
-        let frame = json::parse(&line).map_err(|e| ProtocolError::Malformed {
-            why: format!("invalid JSON reply: {e}"),
-        })?;
-        check_reply(frame)
+    /// Reads one result-stream frame under the data-plane deadline,
+    /// unwrapping `ok:false` into its typed error. The frame is walked
+    /// once: its small fields land in a [`JsonValue`] object (so
+    /// [`check_reply`] and the field handling below read them as they
+    /// always have) and a `data` record decodes straight into its
+    /// [`PointSummary`], no tree built.
+    fn recv_event(&mut self) -> Result<(JsonValue, Option<PointSummary>), ProtocolError> {
+        let line = self.recv_deadline("result stream", self.data_timeout)?;
+        let (frame, data) = match split_frame(&line) {
+            Some(split) => split,
+            // Invalid JSON, or a `data` that is not a point record: the
+            // tree reads it, so it fails exactly as it always has.
+            None => (parse_reply(&line)?, None),
+        };
+        Ok((check_reply(frame)?, data))
     }
 
     /// Fetches the server's study registry.
@@ -560,16 +579,13 @@ impl Client {
     /// [`SimError::Protocol`] on wire failures, a timed-out read, or a
     /// malformed frame.
     pub fn next_event(&mut self, n: usize) -> Result<StreamEvent, SimError> {
-        let frame = self.recv_data("result stream")?;
+        let (frame, data) = self.recv_event()?;
         match frame.get("kind").and_then(JsonValue::as_str) {
             Some("point") => {
                 let index = frame_index(&frame, n)?;
-                let summary = frame
-                    .get("data")
-                    .and_then(PointSummary::from_record)
-                    .ok_or_else(|| ProtocolError::Malformed {
-                        why: format!("point {index} carries an unparsable record"),
-                    })?;
+                let summary = data.ok_or_else(|| ProtocolError::Malformed {
+                    why: format!("point {index} carries an unparsable record"),
+                })?;
                 Ok(StreamEvent::Point {
                     index,
                     source: field_str(&frame, "source").unwrap_or_default(),
@@ -659,6 +675,30 @@ impl Client {
     }
 }
 
+fn parse_reply(line: &str) -> Result<JsonValue, ProtocolError> {
+    json::parse(line).map_err(|e| ProtocolError::Malformed {
+        why: format!("invalid JSON reply: {e}"),
+    })
+}
+
+/// Walks a frame into its fields other than `data` and its `data` point
+/// record; `None` when the line is not a JSON object or its `data` is
+/// not a point record.
+fn split_frame(line: &str) -> Option<(JsonValue, Option<PointSummary>)> {
+    let mut r = Reader::new(line);
+    let (mut fields, mut data) = (Vec::new(), None);
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        if key == "data" && data.is_none() {
+            data = Some(PointSummary::read_record(&mut r)?);
+        } else {
+            fields.push((key.into_owned(), r.value().ok()?));
+        }
+    }
+    r.finish().ok()?;
+    Some((JsonValue::Object(fields), data))
+}
+
 fn field_str(v: &JsonValue, key: &str) -> Result<String, ProtocolError> {
     v.get(key)
         .and_then(JsonValue::as_str)
@@ -689,7 +729,11 @@ mod tests {
     /// control-plane call within the control timeout, not hang forever.
     /// (Before the control/data deadline split, `status` inherited the
     /// submit path's unbounded read and a heartbeat could wedge with
-    /// its backend.)
+    /// its backend.) The socket deadline is re-armed only when it
+    /// changes, so three calls alternate planes and deadlines — 50 ms,
+    /// 1 s, 50 ms — and each must wait its own deadline: a stale shorter
+    /// one would return early, a stale longer one (the handshake's 2 s,
+    /// then the data plane's 1 s) would overrun the next bound.
     #[test]
     fn control_calls_time_out_against_a_wedged_server() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -712,20 +756,32 @@ mod tests {
             }
         });
         let mut client = Client::connect(&addr).unwrap();
-        client.set_control_timeout(Some(Duration::from_millis(50)));
-        let start = Instant::now();
-        let err = client.status().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SimError::Protocol(ProtocolError::Timeout | ProtocolError::Io { .. })
-            ),
-            "expected a timeout, got: {err}"
-        );
-        assert!(
-            start.elapsed() < Duration::from_secs(4),
-            "wedged server was not detected in bounded time"
-        );
+        let ms = Duration::from_millis;
+        fn times_out(waits: Duration, below: Duration, call: impl FnOnce() -> SimError) {
+            let start = Instant::now();
+            let err = call();
+            assert!(
+                matches!(
+                    err,
+                    SimError::Protocol(ProtocolError::Timeout | ProtocolError::Io { .. })
+                ),
+                "expected a timeout, got: {err}"
+            );
+            let waited = start.elapsed();
+            assert!(
+                (waits..below).contains(&waited),
+                "waited {waited:?} on a {waits:?} deadline"
+            );
+        }
+        client.set_control_timeout(Some(ms(50)));
+        client.set_data_timeout(Some(ms(1000)));
+        times_out(ms(50), ms(1000), || client.status().unwrap_err());
+        times_out(ms(1000), ms(4000), || {
+            client
+                .start_submit("fig6", &StudyParams::default(), None)
+                .unwrap_err()
+        });
+        times_out(ms(50), ms(1000), || client.status().unwrap_err());
         drop(client);
         server.join().unwrap();
     }

@@ -30,9 +30,10 @@
 //!
 //! - An **unterminated final line** is the expected kill artifact:
 //!   truncated on open, its unit recomputed on the next submit.
-//! - A **complete but corrupt** record (layout, checksum or JSON shape)
-//!   is quarantined: counted in [`SpillOpen::quarantined`] and in the
-//!   cache's stats, recomputed, never served.
+//! - A **complete but corrupt** record (layout, checksum, or an entry
+//!   that does not decode to two strings) is quarantined: counted in
+//!   [`SpillOpen::quarantined`] and in the cache's stats, recomputed,
+//!   never served.
 //! - A file that is empty or dies **inside the header line** is the
 //!   artifact of a kill during creation: silently recreated.
 //! - A **complete but corrupt or version-mismatched header** is a typed
@@ -59,7 +60,7 @@ use std::path::{Path, PathBuf};
 
 use experiments::journal::{header_version, open_append, wrap_line, JournalWriter};
 use speedup_stacks::error::JournalError;
-use speedup_stacks::report::json::{self, JsonValue};
+use speedup_stacks::report::json::{self, JsonValue, Reader};
 
 /// The spill format magic recorded in every header.
 pub const SPILL_MAGIC: &str = "studyd-cache";
@@ -104,6 +105,24 @@ fn entry_record(key: &str, value: &str) -> String {
         json::escape(key),
         json::escape(value)
     )
+}
+
+/// Decodes an entry record back into `(key, value)`: both strings, any
+/// other field skipped, the first of a repeated field wins. `None` on
+/// any syntax or shape mismatch (the caller quarantines the record).
+fn entry_from_record(record: &str) -> Option<(String, String)> {
+    let (mut key, mut value) = (None, None);
+    let mut r = Reader::new(record);
+    r.begin_object().ok()?;
+    while let Some(field) = r.next_key().ok()? {
+        match &*field {
+            "key" if key.is_none() => key = Some(r.string().ok()?.into_owned()),
+            "value" if value.is_none() => value = Some(r.string().ok()?.into_owned()),
+            _ => drop(r.value().ok()?),
+        }
+    }
+    r.finish().ok()?;
+    key.zip(value)
 }
 
 /// Creates (truncating) a spill file with a fresh header.
@@ -154,10 +173,8 @@ pub fn open(path: &Path, flip_record: Option<u64>) -> Result<SpillOpen, JournalE
         Some(scan) => {
             quarantined = scan.quarantined;
             for record in &scan.records {
-                let key = record.get("key").and_then(JsonValue::as_str);
-                let value = record.get("value").and_then(JsonValue::as_str);
-                match key.zip(value) {
-                    Some((k, v)) => entries.push((k.to_string(), v.to_string())),
+                match entry_from_record(record) {
+                    Some(entry) => entries.push(entry),
                     None => quarantined += 1,
                 }
             }

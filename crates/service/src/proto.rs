@@ -44,6 +44,11 @@
 //!   `federation` block with per-backend health, units served,
 //!   failovers and hedge wins.
 //!
+//! Result frames are batched into as few writes as the job's queue
+//! allows — the session flushes only when no next event is ready (see
+//! [`crate::session`]) — and the client decodes a point frame's `data`
+//! straight from the text; the wire format is unchanged, byte for byte.
+//!
 //! Line lengths are capped — [`REQUEST_LINE_CAP`] for client→server
 //! frames, [`REPLY_LINE_CAP`] for server→client frames (point frames
 //! scale with the thread count) — and a frame exceeding the cap is an
@@ -159,17 +164,28 @@ fn discard_rest_of_line<R: BufRead>(reader: &mut R, budget: usize) {
     }
 }
 
-/// Writes one frame as a line and flushes it (streamed frames must not
-/// sit in a buffer while the next point simulates).
+/// Writes one frame as a line and flushes it (a reply must not sit in a
+/// buffer while the peer waits for it).
 ///
 /// # Errors
 ///
 /// [`ProtocolError::Io`] on write/flush failure.
 pub fn write_line<W: Write>(writer: &mut W, frame: &str) -> Result<(), ProtocolError> {
+    buffer_line(writer, frame)?;
+    writer.flush().map_err(|e| io_err("write", &e))
+}
+
+/// Writes one frame as a line *without* flushing: the session queues a
+/// burst of result frames this way and flushes once, when no further
+/// event is ready (see [`crate::session`]).
+///
+/// # Errors
+///
+/// [`ProtocolError::Io`] on write failure.
+pub fn buffer_line<W: Write>(writer: &mut W, frame: &str) -> Result<(), ProtocolError> {
     writer
         .write_all(frame.as_bytes())
         .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
         .map_err(|e| io_err("write", &e))
 }
 

@@ -965,12 +965,11 @@ fn finish_if_done(st: &mut SchedState, id: u64) {
     }
 }
 
-/// Re-parse a streamed record into a [`PointSummary`] (used by tests
-/// and the client's reassembly).
+/// Decodes a streamed record into a [`PointSummary`]
+/// ([`PointSummary::from_record`]: no JSON tree built).
 #[must_use]
 pub fn record_to_summary(record: &str) -> Option<PointSummary> {
-    let v = speedup_stacks::report::json::parse(record).ok()?;
-    PointSummary::from_record(&v)
+    PointSummary::from_record(record)
 }
 
 /// Everything a fully drained job stream contained, in arrival order.

@@ -11,6 +11,14 @@
 //! that vanishes mid-stream cancels its job and ends the session
 //! quietly, and a peer that sits silent past the configured idle
 //! timeout is reaped with a typed `idle-timeout` frame.
+//!
+//! A submit's result frames are written one burst at a time: each frame
+//! goes into the session's buffered writer, which is flushed only when
+//! the job has no next event ready (or the frame is `done`). A point
+//! that lands alone leaves the moment it lands; points already queued
+//! behind it — a warm job's cached points all are — share its write, so
+//! a 112-point warm stream is a handful of 8 KiB writes instead of 114
+//! flushes. The bytes on the wire are the same either way.
 
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
@@ -25,8 +33,8 @@ use speedup_stacks::report::json::{self, JsonValue};
 
 use crate::cache::CacheStats;
 use crate::proto::{
-    error_frame, params_from_wire, read_line_bounded, u64_field, write_line, PROTO_VERSION,
-    REQUEST_LINE_CAP,
+    buffer_line, error_frame, params_from_wire, read_line_bounded, u64_field, write_line,
+    PROTO_VERSION, REQUEST_LINE_CAP,
 };
 use crate::scheduler::{drain_events, JobEvent, Scheduler, SchedulerStatus, SubmitError};
 use crate::server::ShutdownMode;
@@ -448,17 +456,35 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
         return Flow::Close;
     }
 
-    // Stream results as they complete. A write failure means the peer
-    // is gone: cancel the job so queued points stop consuming the pool.
+    // Stream results as they complete, one write per burst: each frame
+    // goes into the buffer, which is flushed only when no next event is
+    // ready yet (or the frame is `done`) — a point that lands alone
+    // leaves at once, a run of cached points leaves in a few full
+    // buffers. A write failure means the peer is gone: cancel the job so
+    // queued points stop consuming the pool.
+    let mut ahead: Option<JobEvent> = None;
     loop {
-        let event = match rx.recv() {
-            Ok(e) => e,
-            Err(_) => return Flow::Close, // scheduler shut down mid-job
+        let event = match ahead.take() {
+            Some(e) => e,
+            None => match rx.recv() {
+                Ok(e) => e,
+                Err(_) => return Flow::Close, // scheduler shut down mid-job
+            },
         };
         let (line, done) = event_frame(job, &event);
-        if write_line(writer, &line).is_err() {
+        if !done {
+            ahead = rx.try_recv().ok();
+        }
+        let written = if ahead.is_some() {
+            buffer_line(writer, &line)
+        } else {
+            write_line(writer, &line)
+        };
+        if written.is_err() {
             ctx.engine.cancel_job(job, false);
-            if !done {
+            // The look-ahead may already hold `done`: never wait for a
+            // second one.
+            if !done && !matches!(ahead, Some(JobEvent::Done { .. })) {
                 let _ = drain_events(&rx);
             }
             return Flow::Close;
@@ -570,4 +596,60 @@ fn status_frame(s: &SchedulerStatus, c: &CacheStats, backend_id: Option<&str>) -
         c.quarantined,
         c.spilled
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use experiments::decompose::decompose;
+    use experiments::study::StudyParams;
+
+    use crate::chaos::ChaosPolicy;
+    use crate::client::{Client, StreamEvent};
+    use crate::server::{serve, ServeConfig};
+
+    use super::*;
+
+    /// Batching never holds a computed point back: on one worker, a cold
+    /// fig5 whose last unit stalls forever must still stream every other
+    /// point — each flushed as it lands, with nothing queued behind it.
+    #[test]
+    fn a_stalled_last_unit_holds_back_no_other_point() {
+        let params = StudyParams::with_scale(0.01);
+        let grid = decompose("fig5", &params).expect("grid study");
+        let n = grid.n_points();
+        // One worker pops every reference, then every point in index
+        // order: the last unit claimed is point `n - 1`.
+        let last_unit = (grid.profiles().len() + n - 1) as u64;
+        let server = serve(&ServeConfig {
+            workers: 1,
+            chaos: ChaosPolicy {
+                stall_at_unit: Some(last_unit),
+                ..ChaosPolicy::default()
+            },
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+        client.set_data_timeout(Some(Duration::from_secs(60)));
+        let (_, points) = client.start_submit("fig5", &params, None).expect("submit");
+        assert_eq!(points, n as u64);
+        let mut seen = BTreeSet::new();
+        for _ in 0..n - 1 {
+            match client.next_event(n).expect("a point frame") {
+                StreamEvent::Point { index, .. } => assert!(seen.insert(index)),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        assert_eq!(
+            seen,
+            (0..n - 1).collect(),
+            "only the stalled point is missing"
+        );
+        // And that one really is still stalled.
+        client.set_data_timeout(Some(Duration::from_millis(100)));
+        assert!(client.next_event(n).is_err(), "the stalled unit resolved");
+        server.stop(); // also unwedges the stalled worker
+    }
 }

@@ -282,8 +282,34 @@ fn mid_stream_disconnect_leaves_the_server_serving() {
         // cancel the job rather than panic on the broken pipe.
     }
 
-    // The server keeps serving new clients afterwards.
+    // The same mid-way through a warm 112-point stream, whose cached
+    // frames leave in bursts: the job must not outlive its peer.
     let mut client = Client::connect(&addr).expect("connect after disconnect");
+    let warm = StudyParams::with_scale(0.01);
+    let cold = client.submit("fig4", &warm).expect("fill the cache");
+    assert_eq!(
+        (cold.computed + cold.cached + cold.coalesced, cold.failed),
+        (112, 0)
+    );
+    {
+        let mut raw = Raw::connect(&addr);
+        raw.hello();
+        raw.send("{\"op\": \"submit\", \"study\": \"fig4\", \"params\": {\"scale\": 0.01}}");
+        for _ in 0..1 + 40 {
+            let frame = raw.recv().expect("accepted, then point frames");
+            assert!(!frame.contains("\"kind\": \"done\""), "{frame}");
+        }
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while client.status().expect("status").jobs_active != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the dropped warm job is still active"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    // The server keeps serving new clients afterwards.
     let params = StudyParams {
         scale: 0.01,
         threads: Some(vec![2]),
