@@ -379,39 +379,21 @@ impl std::error::Error for ProtocolError {}
 ///
 /// Individual backend deaths are *not* a [`FederationError`]: the
 /// coordinator fails their units over to survivors (or falls back to
-/// local in-process execution) and the sweep completes. Only a fleet
-/// that cannot be formed or used in the first place is fatal.
+/// local in-process execution) and the sweep completes; a fleet with
+/// every backend dead and local fallback disabled refuses each submit
+/// with a typed `unavailable` reply. Only a fleet that cannot be formed
+/// at all is fatal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FederationError {
     /// A fleet was requested with no backend addresses.
     NoBackends,
-    /// Every backend is marked dead and local fallback is disabled, so
-    /// no work can be placed anywhere.
-    AllBackendsDead {
-        /// Number of backends in the fleet, all dead.
-        backends: usize,
-    },
-    /// A fleet option could not be parsed.
-    BadOption {
-        /// Name of the offending option.
-        what: &'static str,
-        /// What was wrong with it.
-        why: String,
-    },
 }
 
 impl fmt::Display for FederationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FederationError::NoBackends => f.write_str("federated fleet has no backend addresses"),
-            FederationError::AllBackendsDead { backends } => write!(
-                f,
-                "all {backends} fleet backend(s) are dead and local fallback is disabled"
-            ),
-            FederationError::BadOption { what, why } => {
-                write!(f, "invalid fleet option {what}: {why}")
-            }
         }
     }
 }
@@ -457,8 +439,7 @@ pub enum SimError {
     /// oversized frame, handshake mismatch, typed peer rejection, or a
     /// mid-stream disconnect).
     Protocol(ProtocolError),
-    /// A multi-backend studyd fleet is unusable (no backends, or every
-    /// backend dead with local fallback disabled).
+    /// A multi-backend studyd fleet cannot be formed (no backends).
     Federation(FederationError),
 }
 
@@ -581,7 +562,7 @@ mod tests {
                 during: "submit".to_string(),
             }
             .into(),
-            FederationError::AllBackendsDead { backends: 2 }.into(),
+            FederationError::NoBackends.into(),
         ];
         let mut codes: Vec<u8> = errors.iter().map(SimError::exit_code).collect();
         codes.sort_unstable();

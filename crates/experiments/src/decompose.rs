@@ -54,9 +54,9 @@ fn options(params: &StudyParams, n: usize) -> RunOptions {
 
 /// Accumulates resolved units, in any completion order, into the
 /// per-index slots and the `Degraded` accounting of a report. The local
-/// sweep, the many-core study (`P` = its own point type), the service
-/// client's stream reassembly and the federation's all fold through
-/// this, so the same outcomes give the same bytes.
+/// sweep, the many-core study (`P` = its own point type) and the service
+/// client's stream reassembly (a fleet coordinator's stream included)
+/// all fold through this, so the same outcomes give the same bytes.
 #[derive(Debug)]
 pub struct GridFold<P = PointSummary> {
     points: Vec<Option<P>>,

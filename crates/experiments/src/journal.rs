@@ -217,19 +217,8 @@ impl JournalWriter {
     ///
     /// [`JournalError::Io`] on write/flush failure.
     pub fn append(&mut self, data: &str) -> Result<(), JournalError> {
-        self.append_line(wrap_line(data).as_bytes())
-    }
-
-    /// Appends one already-framed line ([`wrap_line`] output) and flushes
-    /// it. The cache spill's chaos fault flips a bit of the framed bytes
-    /// before they land here.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] on write/flush failure.
-    pub fn append_line(&mut self, line: &[u8]) -> Result<(), JournalError> {
         self.file
-            .write_all(line)
+            .write_all(wrap_line(data).as_bytes())
             .map_err(|e| io_err("append", &e))?;
         self.file.flush().map_err(|e| io_err("flush", &e))
     }

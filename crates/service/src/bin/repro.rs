@@ -10,12 +10,8 @@
 //!       [--journal PATH | --resume PATH]
 //!       [--trace-out PATH | --trace-in PATH]
 //! repro --list
-//! repro serve [--addr HOST:PORT] [--workers N] [--cache-mib N]
-//!       [--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH]
-//! repro submit <study> [--addr HOST:PORT | --fleet HOST:PORT,...]
-//!       [--scale F] [--threads N[,N...]] [--llc-mib N]
-//!       [--format text|json|csv] [--no-retry] [--no-hedge]
-//!       [--no-local-fallback]
+//! repro submit <study> [--addr HOST:PORT] [--scale F] [--threads N[,N...]]
+//!       [--llc-mib N] [--format text|json|csv] [--no-retry]
 //! repro shutdown [--addr HOST:PORT] [--drain]
 //! ```
 //!
@@ -49,42 +45,28 @@
 //! (validate a file with the `tracecheck` binary). Tracing is supported
 //! by the same grid studies as journaling.
 //!
-//! The service: `repro serve` runs a `studyd` server in the foreground
-//! (see the `studyd` binary for the daemon's own flags); `repro submit`
-//! sends a grid study to a running server, streams the per-point
-//! results back, and reassembles them into output **byte-identical** to
-//! the local run — repeated submissions are served from the server's
-//! result cache without recomputation, which `--cache-spill PATH`
-//! persists across restarts (even a `kill -9`). A `busy` server
-//! (admission bound full) is retried with capped deterministic-jitter
-//! backoff honoring its `retry-after-ms` hint; `--no-retry` fails fast
-//! instead. `repro submit --fleet A,B` runs the federation coordinator
-//! in-process: grid units shard across the listed backends with health
-//! checks, failover from dead backends, hedged straggler retries
-//! (`--no-hedge` disables) and local fallback when the whole fleet is
-//! dead (`--no-local-fallback` rejects instead, exit 11) — the
-//! reassembled report is still byte-identical to the local run.
-//! `repro shutdown --drain` stops admission, lets in-flight
-//! jobs finish, flushes the spill, and exits 0.
+//! The service: `repro submit` sends a grid study to a running `studyd`
+//! (a backend, or a `studyd --backend …` fleet coordinator), streams
+//! the per-point results back, and reassembles them into output
+//! **byte-identical** to the local run — repeated submissions are
+//! served from the server's result cache without recomputation. A
+//! `busy` server (admission bound full) is retried with capped
+//! deterministic-jitter backoff honoring its `retry-after-ms` hint;
+//! `--no-retry` fails fast instead. `repro shutdown --drain` stops
+//! admission, lets in-flight jobs finish, flushes the spill, and exits 0.
 //!
 //! Exit codes: 0 success, 1 usage error, then one per
 //! [`SimError`] variant — 3 config, 4 stack, 5 journal, 7 engine,
-//! 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service, 11 fleet
-//! unusable (6 is retired: a failed point degrades the report, exit 0).
+//! 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service (6 is
+//! retired: a failed point degrades the report, exit 0).
 
-use std::io::Write;
 use std::process::ExitCode;
 
 use experiments::study::{find_study, registry, Study, StudyParams};
 use experiments::JournalSpec;
 use experiments::Parallelism;
 use experiments::TraceSpec;
-use service::chaos::ChaosPolicy;
 use service::client::{Client, RetryPolicy};
-use service::federation::{assemble_events, Federation, FleetConfig};
-use service::server::{serve, ServeConfig, ShutdownMode};
-use service::session::Dispatch;
-use speedup_stacks::error::FederationError;
 use speedup_stacks::SimError;
 
 const USAGE: &str = "usage: repro <fig1..fig9|hwcost|regions|scaling|all> [--scale F] \
@@ -92,14 +74,11 @@ const USAGE: &str = "usage: repro <fig1..fig9|hwcost|regions|scaling|all> [--sca
         [--retries N] [--deadline-cycles N] [--max-points N] [--journal PATH | --resume PATH]\n   \
         [--trace-out PATH | --trace-in PATH]\n   \
 or: repro --list\n   \
-or: repro serve [--addr HOST:PORT] [--workers N] [--cache-mib N] [--max-queued-units N] \
-[--idle-timeout-ms N] [--cache-spill PATH]\n   \
-or: repro submit <study> [--addr HOST:PORT | --fleet HOST:PORT,HOST:PORT...] [--scale F] \
-[--threads N[,N...]] [--llc-mib N]\n   \
-        [--format text|json|csv] [--no-retry] [--no-hedge] [--no-local-fallback]\n   \
+or: repro submit <study> [--addr HOST:PORT] [--scale F] [--threads N[,N...]] [--llc-mib N]\n   \
+        [--format text|json|csv] [--no-retry]\n   \
 or: repro shutdown [--addr HOST:PORT] [--drain]";
 
-/// The conventional loopback port shared with the `studyd` daemon.
+/// The conventional loopback port the `studyd` daemon binds.
 const DEFAULT_ADDR: &str = "127.0.0.1:7821";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,44 +303,6 @@ fn run_all(params: &StudyParams, format: Format) -> Result<(), SimError> {
     Ok(())
 }
 
-/// `repro serve`: a foreground `studyd` on the conventional port.
-fn serve_main(args: &[String]) -> ExitCode {
-    let mut cfg = match ServeConfig::from_args(DEFAULT_ADDR, args) {
-        Ok(cfg) => cfg,
-        Err(message) => {
-            eprintln!("repro: serve: {message}");
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Chaos is deliberately env-only (STUDYD_CHAOS): fault injection is
-    // for the chaos suite and CI smoke tests, not a user-facing flag.
-    cfg.chaos = match ChaosPolicy::from_env() {
-        Ok(chaos) => chaos,
-        Err(message) => {
-            eprintln!("repro: serve: STUDYD_CHAOS: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match serve(&cfg) {
-        Ok(handle) => {
-            // Flush explicitly: supervisors reading a pipe must see the
-            // bound address before the first client connects.
-            println!("studyd: listening on {}", handle.local_addr());
-            std::io::stdout().flush().ok();
-            if handle.wait_for_shutdown() == ShutdownMode::Drain {
-                handle.drain();
-            }
-            handle.stop();
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("repro: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
-}
-
 /// `repro submit`: send one grid study to a server, reassemble the
 /// streamed points, and print output byte-identical to a local run.
 fn submit_main(args: &[String]) -> ExitCode {
@@ -369,9 +310,6 @@ fn submit_main(args: &[String]) -> ExitCode {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut format = Format::Text;
     let mut retry = true;
-    let mut fleet: Option<FleetConfig> = None;
-    let mut no_hedge = false;
-    let mut no_local_fallback = false;
     let mut params = StudyParams::default();
     let mut it = args.iter();
     let usage_err = |message: String| {
@@ -407,34 +345,6 @@ fn submit_main(args: &[String]) -> ExitCode {
                 _ => return usage_err("--format requires one of: text, json, csv".to_string()),
             },
             "--no-retry" => retry = false,
-            "--fleet" => match it.next() {
-                Some(list) if !list.starts_with("--") => {
-                    let backends: Vec<String> = list
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect();
-                    if backends.is_empty() {
-                        let e: SimError = FederationError::BadOption {
-                            what: "--fleet",
-                            why: "no backend addresses given".to_string(),
-                        }
-                        .into();
-                        eprintln!("repro: {e}");
-                        return ExitCode::from(e.exit_code());
-                    }
-                    fleet = Some(FleetConfig {
-                        backends,
-                        ..FleetConfig::default()
-                    });
-                }
-                _ => {
-                    return usage_err("--fleet requires HOST:PORT[,HOST:PORT...]".to_string());
-                }
-            },
-            "--no-hedge" => no_hedge = true,
-            "--no-local-fallback" => no_local_fallback = true,
             other if other.starts_with("--") => {
                 return usage_err(format!("unknown option: {other}"));
             }
@@ -448,15 +358,6 @@ fn submit_main(args: &[String]) -> ExitCode {
     if find_study(&study).is_none() {
         return usage_err(format!("unknown experiment: {study}"));
     }
-
-    if let Some(mut fleet) = fleet {
-        if no_hedge {
-            fleet.hedge_after_ms = None;
-        }
-        fleet.local_fallback = !no_local_fallback;
-        return submit_fleet(&study, &params, fleet, format);
-    }
-
     let policy = if retry {
         RetryPolicy::default()
     } else {
@@ -473,59 +374,6 @@ fn submit_main(args: &[String]) -> ExitCode {
             print_report(&outcome.report, format);
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("repro: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
-}
-
-/// `repro submit --fleet`: run the federation coordinator in-process —
-/// decompose the study locally, shard its units across the named
-/// backends with health checks, failover and hedging, and reassemble a
-/// report byte-identical to a local run. The fleet summary (per-backend
-/// units served, failovers, hedge wins) goes to stderr with the job
-/// line; the report goes to stdout.
-fn submit_fleet(study: &str, params: &StudyParams, fleet: FleetConfig, format: Format) -> ExitCode {
-    let Some(grid) = experiments::decompose::decompose(study, params) else {
-        eprintln!("repro: submit: {study} is not a grid study (federation shards grids)");
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let run = || -> Result<(), SimError> {
-        let fed = Federation::start(fleet)?;
-        let submitted = fed.submit_units(grid.clone(), params.clone(), None);
-        let (job, rx) = match submitted {
-            Ok(ok) => ok,
-            Err(e) => {
-                let backends = fed.status().backends.len();
-                fed.stop();
-                return Err(match e {
-                    service::scheduler::SubmitError::Unavailable { backends } => {
-                        FederationError::AllBackendsDead { backends }.into()
-                    }
-                    other => FederationError::BadOption {
-                        what: "--fleet",
-                        why: format!("{other} ({backends} backend(s))"),
-                    }
-                    .into(),
-                });
-            }
-        };
-        let outcome = assemble_events(&grid, params, &rx);
-        let summary = fed.status().summary();
-        fed.stop();
-        let outcome = outcome?;
-        eprintln!(
-            "repro: job {}: {} computed, {} cached, {} coalesced, {} failed",
-            job, outcome.computed, outcome.cached, outcome.coalesced, outcome.failed
-        );
-        eprint!("{summary}");
-        print_report(&outcome.report, format);
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("repro: {e}");
             ExitCode::from(e.exit_code())
@@ -580,7 +428,6 @@ fn shutdown_main(args: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("serve") => return serve_main(&args[1..]),
         Some("submit") => return submit_main(&args[1..]),
         Some("shutdown") => return shutdown_main(&args[1..]),
         _ => {}

@@ -10,8 +10,10 @@
 //!        [--no-local-fallback] [--heartbeat-ms N] [--dead-after N]
 //! ```
 //!
-//! Binds (default `127.0.0.1:7821`), prints the bound address, then
-//! serves `repro submit` clients until one sends the `shutdown` op.
+//! The one daemon: a backend, or with `--backend` the one fleet
+//! coordinator. Binds (default `127.0.0.1:7821`), prints the bound
+//! address, then serves `repro submit` clients until one sends the
+//! `shutdown` op (`repro shutdown`).
 //! `--workers` sizes the shared simulation pool (default: one per
 //! available CPU); `--cache-mib` bounds the content-addressed result
 //! cache (default 64 MiB); `--max-queued-units` bounds the work queue
@@ -31,14 +33,16 @@
 //! (`--hedge-after-ms`, default 2000; `--no-hedge` disables) and falls
 //! back to local in-process execution when the whole fleet is dead
 //! (unless `--no-local-fallback`). `--heartbeat-ms` and `--dead-after`
-//! tune the health monitor.
+//! tune the health monitor. When a coordinator stops it prints one
+//! `fleet:` line per backend to stderr: health, units served, failovers
+//! and hedge wins.
 //!
 //! A `shutdown` with `"mode": "drain"` stops admission, finishes
 //! in-flight jobs, flushes (and compacts) the spill, and exits 0.
 //!
 //! The `STUDYD_CHAOS` environment variable arms deterministic fault
-//! injection for the chaos suite (`panic-unit=N`, `flip-spill=N`,
-//! `stall-unit=N`, `exit-unit=N`).
+//! injection for the chaos suite (`panic-unit=N`, `stall-unit=N`,
+//! `exit-unit=N`).
 //!
 //! Exit codes: 0 clean shutdown, 1 usage error, 5 corrupt spill
 //! header, 10 protocol/socket failure, 11 federation failure (the
@@ -59,22 +63,49 @@ const USAGE: &str = "usage: studyd [--addr HOST:PORT] [--workers N] [--cache-mib
 /// The conventional loopback port `repro submit` defaults to.
 const DEFAULT_ADDR: &str = "127.0.0.1:7821";
 
-/// Splits the fleet (coordinator) flags out of `args`, leaving only
-/// the flags [`ServeConfig::from_args`] understands. Returns the
-/// remaining args and, when at least one `--backend` was given, the
-/// assembled [`FleetConfig`].
-fn split_fleet_args(args: &[String]) -> Result<(Vec<String>, Option<FleetConfig>), String> {
-    let mut rest: Vec<String> = Vec::new();
+/// Parses every flag in one pass: the server's [`ServeConfig`] and,
+/// when at least one `--backend` was given, the coordinator's
+/// [`FleetConfig`].
+fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<FleetConfig>), String> {
+    let mut cfg = ServeConfig {
+        addr: DEFAULT_ADDR.to_string(),
+        ..ServeConfig::default()
+    };
     let mut fleet = FleetConfig::default();
-    let mut saw_backend = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--addr" => match it.next() {
+                Some(addr) if !addr.starts_with("--") => cfg.addr = addr.clone(),
+                _ => return Err("--addr requires HOST:PORT".to_string()),
+            },
+            "--workers" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n >= 1 => cfg.workers = n,
+                _ => return Err("--workers requires a worker count >= 1".to_string()),
+            },
+            "--cache-mib" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(mib) if mib >= 1 => cfg.cache_bytes = mib * 1024 * 1024,
+                _ => return Err("--cache-mib requires a budget in MiB >= 1".to_string()),
+            },
+            "--max-queued-units" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) => cfg.max_queued_units = n,
+                _ => return Err("--max-queued-units requires a unit count (0 = unbounded)".into()),
+            },
+            "--idle-timeout-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
+                Some(ms) if ms >= 1 => cfg.idle_timeout_ms = Some(ms),
+                _ => return Err("--idle-timeout-ms requires a timeout in ms >= 1".to_string()),
+            },
+            "--cache-spill" => match it.next() {
+                Some(path) if !path.starts_with("--") => cfg.cache_spill = Some(path.into()),
+                _ => return Err("--cache-spill requires a file path".to_string()),
+            },
+            "--compact-spill" => cfg.compact_spill = true,
+            "--backend-id" => match it.next() {
+                Some(id) if !id.starts_with("--") => cfg.backend_id = Some(id.clone()),
+                _ => return Err("--backend-id requires a name".to_string()),
+            },
             "--backend" => match it.next() {
-                Some(addr) if !addr.starts_with("--") => {
-                    fleet.backends.push(addr.clone());
-                    saw_backend = true;
-                }
+                Some(addr) if !addr.starts_with("--") => fleet.backends.push(addr.clone()),
                 _ => return Err("--backend requires HOST:PORT".to_string()),
             },
             "--hedge-after-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
@@ -91,24 +122,17 @@ fn split_fleet_args(args: &[String]) -> Result<(Vec<String>, Option<FleetConfig>
                 Some(n) if n >= 1 => fleet.dead_after = n,
                 _ => return Err("--dead-after requires a failure count >= 1".to_string()),
             },
-            _ => rest.push(a.clone()),
+            other => return Err(format!("unknown option: {other}")),
         }
     }
-    Ok((rest, saw_backend.then_some(fleet)))
+    let coordinator = !fleet.backends.is_empty();
+    Ok((cfg, coordinator.then_some(fleet)))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (args, fleet) = match split_fleet_args(&args) {
-        Ok(split) => split,
-        Err(message) => {
-            eprintln!("studyd: {message}");
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg = match ServeConfig::from_args(DEFAULT_ADDR, &args) {
-        Ok(cfg) => cfg,
+    let (mut cfg, fleet) = match parse_args(&args) {
+        Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("studyd: {message}");
             eprintln!("{USAGE}");
@@ -122,6 +146,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let coordinator = fleet.is_some();
     let served = match fleet {
         Some(fleet) => serve_coordinator(&cfg, fleet),
         None => serve(&cfg),
@@ -136,6 +161,9 @@ fn main() -> ExitCode {
                 handle.drain();
             }
             handle.stop();
+            if coordinator {
+                eprint!("{}", handle.federation().status().summary());
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -345,7 +345,7 @@ mod tests {
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
-        let opened = crate::persist::open(&path, None).unwrap();
+        let opened = crate::persist::open(&path).unwrap();
         let c = Cache::new(1024);
         c.set_spill(opened.writer);
         c.put("key-0", "{\"a\": 1}");
@@ -354,7 +354,7 @@ mod tests {
         assert_eq!(c.stats().spilled, 2);
 
         // A fresh cache (a restarted daemon) recovers both entries.
-        let reopened = crate::persist::open(&path, None).unwrap();
+        let reopened = crate::persist::open(&path).unwrap();
         let warm = Cache::new(1024);
         warm.preload(reopened.entries, reopened.quarantined);
         let s = warm.stats();
@@ -371,7 +371,7 @@ mod tests {
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
-        let opened = crate::persist::open(&path, None).unwrap();
+        let opened = crate::persist::open(&path).unwrap();
         let c = Cache::new(1024);
         c.set_spill(opened.writer);
         c.put("key-0", "first");
@@ -396,7 +396,7 @@ mod tests {
 
         // A restarted daemon reloads the identical live state, in the
         // identical recency order.
-        let reopened = crate::persist::open(&path, None).unwrap();
+        let reopened = crate::persist::open(&path).unwrap();
         let warm = Cache::new(1024);
         warm.preload(reopened.entries, reopened.quarantined);
         let mut expect = live;

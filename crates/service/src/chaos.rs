@@ -1,19 +1,19 @@
 //! Deterministic fault injection for the chaos suite.
 //!
 //! A [`ChaosPolicy`] names concrete faults by *position* — "panic while
-//! executing the Nth work unit", "flip a bit in the Nth cache-spill
-//! record" — so an injected failure lands at exactly the same place on
-//! every run: the chaos tests assert on typed outcomes, never on
-//! timing. The policy is off by default and costs two `Option` loads
-//! per unit when disabled.
+//! executing the Nth work unit" — so an injected failure lands at
+//! exactly the same place on every run: the chaos tests assert on typed
+//! outcomes, never on timing. The policy is off by default and costs
+//! three `Option` loads per unit when disabled. (Spill corruption needs
+//! no fault here: the chaos suite damages the file by hand.)
 //!
 //! Tests construct a policy programmatically (through
 //! [`crate::server::ServeConfig`] or [`crate::scheduler::SchedOptions`]);
-//! the `studyd` and `repro serve` binaries also honor the `STUDYD_CHAOS`
-//! environment variable (`panic-unit=N`, `flip-spill=N`, `stall-unit=N`,
-//! `exit-unit=N`, comma-joined) so CI and the federation suite can
-//! inject faults into a real daemon process — including killing or
-//! stalling one *specific* backend of a fleet deterministically.
+//! the `studyd` binary also honors the `STUDYD_CHAOS` environment
+//! variable (`panic-unit=N`, `stall-unit=N`, `exit-unit=N`,
+//! comma-joined) so the federation suite can inject faults into a real
+//! daemon process — including killing or stalling one *specific*
+//! backend of a fleet deterministically.
 
 /// Which deterministic faults to inject. Default: none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -23,10 +23,6 @@ pub struct ChaosPolicy {
     /// that unit panics too, so the unit exhausts its budget into a
     /// typed failure.
     pub panic_at_unit: Option<u64>,
-    /// Corrupt the Nth data record (0-based, header excluded) as it is
-    /// appended to the cache spill, simulating on-disk bit rot: the
-    /// framing CRC no longer matches, so reload must quarantine it.
-    pub flip_spill_record: Option<u64>,
     /// Stall the worker that claims the Nth scheduled unit forever (it
     /// parks until shutdown), simulating a wedged straggler backend: the
     /// unit never completes, but the daemon keeps answering control
@@ -42,14 +38,11 @@ impl ChaosPolicy {
     /// Whether any fault is armed.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.panic_at_unit.is_some()
-            || self.flip_spill_record.is_some()
-            || self.stall_at_unit.is_some()
-            || self.exit_at_unit.is_some()
+        self.panic_at_unit.is_some() || self.stall_at_unit.is_some() || self.exit_at_unit.is_some()
     }
 
     /// Parses a `STUDYD_CHAOS`-style spec: comma-separated `key=N`
-    /// pairs, e.g. `panic-unit=3,flip-spill=0`. Empty spec → default.
+    /// pairs, e.g. `panic-unit=3,stall-unit=0`. Empty spec → default.
     ///
     /// # Errors
     ///
@@ -65,7 +58,6 @@ impl ChaosPolicy {
                 .map_err(|_| format!("chaos spec '{part}' needs an integer value"))?;
             match key {
                 "panic-unit" => policy.panic_at_unit = Some(n),
-                "flip-spill" => policy.flip_spill_record = Some(n),
                 "stall-unit" => policy.stall_at_unit = Some(n),
                 "exit-unit" => policy.exit_at_unit = Some(n),
                 other => return Err(format!("unknown chaos fault '{other}'")),
@@ -96,9 +88,8 @@ mod tests {
     #[test]
     fn parses_specs() {
         assert_eq!(ChaosPolicy::parse("").unwrap(), ChaosPolicy::default());
-        let p = ChaosPolicy::parse("panic-unit=3,flip-spill=0").unwrap();
+        let p = ChaosPolicy::parse("panic-unit=3").unwrap();
         assert_eq!(p.panic_at_unit, Some(3));
-        assert_eq!(p.flip_spill_record, Some(0));
         assert!(p.is_active());
         assert!(!ChaosPolicy::default().is_active());
         let p = ChaosPolicy::parse("stall-unit=0,exit-unit=7").unwrap();
@@ -112,5 +103,6 @@ mod tests {
         assert!(ChaosPolicy::parse("panic-unit").is_err());
         assert!(ChaosPolicy::parse("panic-unit=x").is_err());
         assert!(ChaosPolicy::parse("frobnicate=1").is_err());
+        assert!(ChaosPolicy::parse("flip-spill=0").is_err(), "retired fault");
     }
 }

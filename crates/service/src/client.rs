@@ -247,7 +247,7 @@ impl Client {
                     op: "connect",
                     message: format!(
                         "connection refused at {addr} — no studyd is listening there \
-                         (start one with `repro serve --addr {addr}`)"
+                         (start one with `studyd --addr {addr}`)"
                     ),
                 }
             } else {

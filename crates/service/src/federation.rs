@@ -28,31 +28,35 @@
 //!   fleet. Disable with [`FleetConfig::local_fallback`] to get a
 //!   typed `unavailable` rejection instead.
 //!
-//! None of this machinery leaves a trace in the assembled [`Report`]:
+//! A shard's stream is read to its `done` frame, and only the indices
+//! the shard was sent are trusted: a frame for any other index is a
+//! broken stream, failed over like a reset.
+//!
+//! None of this machinery leaves a trace in the assembled report:
 //! failover, hedging and fallback change *where* a point was computed,
 //! never *what* was computed, and the chaos suite
-//! (`tests/federation.rs`) pins that byte-for-byte.
+//! (`tests/federation.rs`, driving a `studyd --backend …` coordinator
+//! over the wire) pins that byte-for-byte.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use experiments::decompose::{GridFold, GridStudy};
+use experiments::decompose::GridStudy;
 use experiments::graph::RefValue;
 use experiments::par::{run_units, Parallelism};
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json;
-use speedup_stacks::report::Report;
 use speedup_stacks::{FederationError, SimError};
 
 use crate::client::{Client, StreamEvent};
 use crate::proto::PROTO_VERSION;
-use crate::scheduler::{record_to_summary, JobEvent, PointSource, SubmitError};
+use crate::scheduler::{JobEvent, JobStream, PointSource, SubmitError};
 use crate::session::Dispatch;
 
 /// How long a worker sleeps between polls of the job state when it has
@@ -282,8 +286,8 @@ pub struct FederationStatus {
 }
 
 impl FederationStatus {
-    /// A one-line-per-backend human summary (the `repro submit --fleet`
-    /// stderr epilogue).
+    /// A one-line-per-backend human summary (what `studyd` prints to
+    /// stderr when a coordinator stops).
     #[must_use]
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -334,22 +338,16 @@ struct JobSt {
     remote: HashMap<(usize, u64), HashSet<usize>>,
     /// Units not yet resolved.
     remaining: usize,
-    cancelled: bool,
-    done_sent: bool,
-    computed: usize,
-    cached: usize,
-    coalesced: usize,
-    failed: usize,
+    stream: JobStream,
 }
 
-/// One federated job: its grid, its event channel, its shared state.
+/// One federated job: its grid and its shared state.
 struct JobCtl {
     id: u64,
     grid: Arc<GridStudy>,
     params: StudyParams,
     st: Mutex<JobSt>,
     cond: Condvar,
-    tx: Sender<JobEvent>,
 }
 
 impl std::fmt::Debug for JobCtl {
@@ -552,21 +550,8 @@ impl Federation {
     fn cancel_ctl(&self, ctl: &Arc<JobCtl>) {
         let remote: Vec<(usize, u64)> = {
             let mut st = lock(&ctl.st);
-            if st.cancelled {
+            if !st.stream.cancel() {
                 return;
-            }
-            st.cancelled = true;
-            if !st.done_sent {
-                st.done_sent = true;
-                ctl.tx
-                    .send(JobEvent::Done {
-                        computed: st.computed,
-                        cached: st.cached,
-                        coalesced: st.coalesced,
-                        failed: st.failed,
-                        cancelled: true,
-                    })
-                    .ok();
             }
             ctl.cond.notify_all();
             st.remote.keys().copied().collect()
@@ -620,7 +605,7 @@ impl Dispatch for Federation {
             st.jobs_total += 1;
             st.jobs_active += 1;
             let id = st.next_job;
-            let (tx, rx) = channel();
+            let (stream, rx) = JobStream::new();
             let ctl = Arc::new(JobCtl {
                 id,
                 grid: Arc::new(grid),
@@ -631,15 +616,9 @@ impl Dispatch for Federation {
                     dispatched: HashMap::new(),
                     remote: HashMap::new(),
                     remaining: indices.len(),
-                    cancelled: false,
-                    done_sent: false,
-                    computed: 0,
-                    cached: 0,
-                    coalesced: 0,
-                    failed: 0,
+                    stream,
                 }),
                 cond: Condvar::new(),
-                tx,
             });
             st.jobs.insert(id, Arc::clone(&ctl));
             (id, ctl, rx)
@@ -802,7 +781,7 @@ fn backend_worker(inner: &Arc<FedInner>, bi: usize, backend: &Arc<Backend>, ctl:
 /// Claims work for backend `bi` under the job lock.
 fn next_claim(inner: &FedInner, bi: usize, ctl: &JobCtl) -> Claim {
     let mut st = lock(&ctl.st);
-    if st.cancelled || st.remaining == 0 {
+    if st.stream.is_cancelled() || st.remaining == 0 {
         return Claim::Exit;
     }
     if !lock(&inner.backends[bi].health).is_live() {
@@ -920,97 +899,55 @@ fn run_remote(
     let mut pending: HashSet<usize> = units.iter().copied().collect();
     {
         let mut st = lock(&ctl.st);
-        // Units resolved while we were connecting are no longer ours.
+        // Units resolved while we were connecting are no longer ours;
+        // if that was all of them, this shard lost a hedged race before
+        // it started: reclaim the backend's duplicate work.
         pending.retain(|u| !st.resolved[*u]);
+        if pending.is_empty() {
+            drop(st);
+            inner.cancel_remote(bi, rjob, Some("hedge"));
+            return;
+        }
         st.remote.insert((bi, rjob), pending.clone());
     }
     let n = ctl.grid.n_points();
-    let outcome = loop {
-        if pending.is_empty() {
-            // Everything we were running was resolved elsewhere: we
-            // lost the race; reclaim the backend's duplicate work.
-            break StreamEnd::LostRace;
-        }
-        match client.next_event(n) {
+    // The stream is read to its `done` frame. A frame for an index this
+    // shard was never sent is a broken stream, like a reset.
+    let clean = loop {
+        let (index, attempts, outcome) = match client.next_event(n) {
             Ok(StreamEvent::Point {
                 index,
                 source,
                 attempts,
                 summary,
             }) => {
-                pending.remove(&index);
                 let source = PointSource::from_wire(&source).unwrap_or(PointSource::Computed);
-                resolve(
-                    inner,
-                    bi,
-                    Some(backend),
-                    ctl,
-                    index,
-                    attempts,
-                    Ok((source, summary)),
-                );
+                (index, attempts, Ok((source, summary)))
             }
             Ok(StreamEvent::Failed {
                 index,
                 label,
                 reason,
                 attempts,
-            }) => {
-                pending.remove(&index);
-                resolve(
-                    inner,
-                    bi,
-                    Some(backend),
-                    ctl,
-                    index,
-                    attempts,
-                    Err((label, reason)),
-                );
-            }
-            Ok(StreamEvent::Done { cancelled, .. }) => {
-                break if cancelled {
-                    StreamEnd::Cancelled
-                } else {
-                    StreamEnd::Clean
-                };
-            }
-            Err(_) => break StreamEnd::Failed,
+            }) => (index, attempts, Err((label, reason))),
+            Ok(StreamEvent::Done { .. }) => break true,
+            Err(_) => break false,
+        };
+        if !units.contains(&index) {
+            break false;
         }
+        pending.remove(&index);
+        resolve(inner, bi, Some(backend), ctl, index, attempts, outcome);
     };
-    {
-        let mut st = lock(&ctl.st);
-        st.remote.remove(&(bi, rjob));
+    lock(&ctl.st).remote.remove(&(bi, rjob));
+    // A done frame with units still pending (a remote job cancelled as
+    // a hedge loser or with its federated job) hands them back to the
+    // fleet; a broken stream fails them over.
+    if !clean {
+        lock(&backend.health).on_failure(&inner.cfg, inner.now_ms());
     }
-    match outcome {
-        StreamEnd::Clean | StreamEnd::Cancelled => {
-            // Defensive: a done frame with units still pending (e.g. a
-            // cancelled remote job) hands them back to the fleet.
-            let leftovers: Vec<usize> = pending.into_iter().collect();
-            if !leftovers.is_empty() {
-                requeue(ctl, bi, &leftovers, backend, false);
-            }
-        }
-        StreamEnd::LostRace => {
-            inner.cancel_remote(bi, rjob, Some("hedge"));
-        }
-        StreamEnd::Failed => {
-            lock(&backend.health).on_failure(&inner.cfg, inner.now_ms());
-            let leftovers: Vec<usize> = pending.into_iter().collect();
-            requeue(ctl, bi, &leftovers, backend, true);
-        }
-    }
-}
-
-/// How a result stream ended.
-enum StreamEnd {
-    /// Done frame, everything accounted.
-    Clean,
-    /// Done frame flagged cancelled (job cancel propagated).
-    Cancelled,
-    /// All our units were resolved by other workers mid-stream.
-    LostRace,
-    /// The stream broke (timeout, reset, protocol error).
-    Failed,
+    let leftovers: Vec<usize> = pending.into_iter().collect();
+    requeue(ctl, bi, &leftovers, backend, !clean);
 }
 
 /// First-wins resolution: marks the unit resolved, forwards its outcome
@@ -1028,7 +965,7 @@ fn resolve(
 ) {
     let losers: Vec<(usize, u64)> = {
         let mut st = lock(&ctl.st);
-        if st.cancelled || st.resolved[index] {
+        if st.stream.is_cancelled() || st.resolved[index] {
             return; // someone else won (or nobody cares anymore)
         }
         st.resolved[index] = true;
@@ -1045,49 +982,20 @@ fn resolve(
             }
         }
         let attempts = u32::try_from(attempts).unwrap_or(u32::MAX);
-        let event = match outcome {
-            Ok((source, summary)) => {
-                match source {
-                    PointSource::Computed => st.computed += 1,
-                    PointSource::Cached => st.cached += 1,
-                    PointSource::Coalesced => st.coalesced += 1,
-                }
-                let record = summary.to_record();
-                JobEvent::Point {
-                    index,
-                    source,
-                    attempts,
-                    record,
-                }
-            }
-            Err((label, reason)) => {
-                st.failed += 1;
-                JobEvent::Failed {
-                    index,
-                    label,
-                    reason,
-                    attempts,
-                }
-            }
+        match outcome {
+            Ok((source, summary)) => st
+                .stream
+                .point(index, source, attempts, summary.to_record()),
+            Err((label, reason)) => st.stream.failed(index, label, reason, attempts),
         };
-        ctl.tx.send(event).ok();
         let mut losers = Vec::new();
         for (key, set) in &mut st.remote {
             if set.remove(&index) && set.is_empty() && key.0 != bi {
                 losers.push(*key);
             }
         }
-        if st.remaining == 0 && !st.done_sent {
-            st.done_sent = true;
-            ctl.tx
-                .send(JobEvent::Done {
-                    computed: st.computed,
-                    cached: st.cached,
-                    coalesced: st.coalesced,
-                    failed: st.failed,
-                    cancelled: false,
-                })
-                .ok();
+        if st.remaining == 0 {
+            st.stream.finish();
         }
         ctl.cond.notify_all();
         losers
@@ -1118,7 +1026,7 @@ fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
         }
         let unit = {
             let mut st = lock(&ctl.st);
-            if st.cancelled || st.remaining == 0 {
+            if st.stream.is_cancelled() || st.remaining == 0 {
                 return;
             }
             let all_dead = inner.live_backends() == 0;
@@ -1180,86 +1088,6 @@ fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
         let (pi, _) = ctl.grid.point(unit);
         known[pi] = graph.ref_value(pi);
     }
-}
-
-/// Assembles a federated job's event stream into the final report
-/// through the same [`GridFold`] [`crate::client::Client::submit`] and
-/// the local sweep use — so a fleet run is byte-identical to both a
-/// single-backend run and a local `Study::run`.
-///
-/// # Errors
-///
-/// [`SimError::Protocol`]: a `cancelled` terminal frame, an unparsable
-/// forwarded record, or the stream ending without a `done` event
-/// (federation shut down mid-job).
-pub fn assemble_events(
-    grid: &GridStudy,
-    params: &StudyParams,
-    rx: &Receiver<JobEvent>,
-) -> Result<FedOutcome, SimError> {
-    let mut fold = GridFold::new(grid.n_points());
-    loop {
-        let event = rx.recv().map_err(|_| ProtocolError::Closed {
-            during: "federated result stream".to_string(),
-        })?;
-        match event {
-            JobEvent::Point {
-                index,
-                attempts,
-                record,
-                ..
-            } => {
-                let summary =
-                    record_to_summary(&record).ok_or_else(|| ProtocolError::Malformed {
-                        why: format!("point {index} carries an unparsable record"),
-                    })?;
-                fold.point(index, summary, attempts);
-            }
-            JobEvent::Failed {
-                index,
-                label,
-                reason,
-                attempts,
-            } => fold.failed(index, label, reason, attempts),
-            JobEvent::Done {
-                computed,
-                cached,
-                coalesced,
-                failed,
-                cancelled,
-            } => {
-                if cancelled {
-                    return Err(ProtocolError::Rejected {
-                        code: "cancelled".to_string(),
-                        message: "federated job was cancelled before completing".to_string(),
-                    }
-                    .into());
-                }
-                return Ok(FedOutcome {
-                    report: fold.finish(grid, params),
-                    computed,
-                    cached,
-                    coalesced,
-                    failed,
-                });
-            }
-        }
-    }
-}
-
-/// What a federated submission produced.
-#[derive(Debug)]
-pub struct FedOutcome {
-    /// The reassembled report, byte-identical to a local run.
-    pub report: Report,
-    /// Points computed fresh somewhere on the fleet (or locally).
-    pub computed: usize,
-    /// Points served from backend result caches.
-    pub cached: usize,
-    /// Points coalesced onto other in-flight jobs on backends.
-    pub coalesced: usize,
-    /// Points that failed (the report carries a `Degraded` block).
-    pub failed: usize,
 }
 
 #[cfg(test)]

@@ -25,8 +25,7 @@
 //! # Crash and corruption semantics
 //!
 //! Recovery is [`experiments::journal::open_append`]'s; this module adds
-//! only the spill's header identity, its entry encoding, the chaos
-//! bit-flip and compaction.
+//! only the spill's header identity, its entry encoding and compaction.
 //!
 //! - An **unterminated final line** is the expected kill artifact:
 //!   truncated on open, its unit recomputed on the next submit.
@@ -58,7 +57,7 @@
 
 use std::path::{Path, PathBuf};
 
-use experiments::journal::{header_version, open_append, wrap_line, JournalWriter};
+use experiments::journal::{header_version, open_append, JournalWriter};
 use speedup_stacks::error::JournalError;
 use speedup_stacks::report::json::{self, JsonValue, Reader};
 
@@ -74,10 +73,6 @@ pub const SPILL_VERSION: u64 = 1;
 pub struct SpillWriter {
     log: JournalWriter,
     path: PathBuf,
-    /// Data records appended by this process (drives the chaos flip).
-    appended: u64,
-    /// Corrupt the Nth appended record (deterministic chaos fault).
-    flip_record: Option<u64>,
 }
 
 /// Everything [`open`] recovered from a spill file.
@@ -151,8 +146,7 @@ fn check_header(header: &JsonValue) -> Result<(), JournalError> {
 }
 
 /// Opens a spill file, creating it if needed, and recovers every intact
-/// entry written before the last shutdown or kill. `flip_record` arms
-/// the deterministic chaos fault (see [`crate::chaos::ChaosPolicy`]).
+/// entry written before the last shutdown or kill.
 ///
 /// # Errors
 ///
@@ -160,7 +154,7 @@ fn check_header(header: &JsonValue) -> Result<(), JournalError> {
 /// / [`JournalError::VersionMismatch`] when an existing file's header is
 /// complete but wrong — a kill *during* header creation recreates
 /// silently instead.
-pub fn open(path: &Path, flip_record: Option<u64>) -> Result<SpillOpen, JournalError> {
+pub fn open(path: &Path) -> Result<SpillOpen, JournalError> {
     let mut entries: Vec<(String, String)> = Vec::new();
     let mut quarantined = 0usize;
     let existing = match path.exists().then(|| open_append(path, check_header)) {
@@ -186,8 +180,6 @@ pub fn open(path: &Path, flip_record: Option<u64>) -> Result<SpillOpen, JournalE
         writer: SpillWriter {
             log,
             path: path.to_path_buf(),
-            appended: 0,
-            flip_record,
         },
         entries,
         quarantined,
@@ -207,15 +199,7 @@ impl SpillWriter {
     ///
     /// [`JournalError::Io`] on write/flush failure.
     pub fn append(&mut self, key: &str, value: &str) -> Result<(), JournalError> {
-        let mut line = wrap_line(&entry_record(key, value)).into_bytes();
-        if self.flip_record == Some(self.appended) {
-            // Chaos: simulate on-disk bit rot inside the data region so
-            // the framing CRC no longer matches on reload.
-            let mid = line.len() - 3;
-            line[mid] ^= 0x01;
-        }
-        self.appended += 1;
-        self.log.append_line(&line)
+        self.log.append(&entry_record(key, value))
     }
 
     /// Forces everything appended so far to durable storage (the
@@ -232,9 +216,7 @@ impl SpillWriter {
     /// each, in the given order), replacing the file atomically. The
     /// survivors are written to a `.compact-tmp` sibling, synced, then
     /// renamed over the original; on any error the original file — and
-    /// this writer — are left untouched and still usable. Compaction
-    /// writes bypass the chaos bit-flip (they carry already-validated
-    /// data); the flip counter keeps targeting fresh appends.
+    /// this writer — are left untouched and still usable.
     ///
     /// # Errors
     ///
@@ -270,6 +252,7 @@ impl SpillWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use experiments::journal::wrap_line;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -285,7 +268,7 @@ mod tests {
     #[test]
     fn spill_round_trips_entries() {
         let path = temp_path("roundtrip");
-        let mut opened = open(&path, None).unwrap();
+        let mut opened = open(&path).unwrap();
         assert!(opened.entries.is_empty());
         opened.writer.append("key-0", "{\"a\": 1}").unwrap();
         opened
@@ -294,7 +277,7 @@ mod tests {
             .unwrap();
         opened.writer.sync().unwrap();
         drop(opened);
-        let reopened = open(&path, None).unwrap();
+        let reopened = open(&path).unwrap();
         assert_eq!(reopened.quarantined, 0);
         assert_eq!(
             reopened.entries,
@@ -309,16 +292,19 @@ mod tests {
     #[test]
     fn kill_tail_dropped_and_corruption_quarantined() {
         let path = temp_path("chaos");
-        let mut opened = open(&path, Some(1)).unwrap();
+        let mut opened = open(&path).unwrap();
         opened.writer.append("k0", "v0").unwrap();
-        opened.writer.append("k1", "v1").unwrap(); // chaos-flipped
+        opened.writer.append("k1", "v1").unwrap();
         opened.writer.append("k2", "v2").unwrap();
         drop(opened);
-        // Simulate a kill mid-write: half a line, no newline.
-        let mut content = std::fs::read_to_string(&path).unwrap();
+        // Bit rot inside k1's data, so its framing CRC no longer
+        // matches; then a kill mid-write: half a line, no newline.
+        let mut content = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("\"v1\"", "\"w1\"");
         content.push_str("{\"crc\":\"00000000\",\"data\":{\"key\": \"k3");
         std::fs::write(&path, &content).unwrap();
-        let mut reopened = open(&path, None).unwrap();
+        let mut reopened = open(&path).unwrap();
         assert_eq!(reopened.quarantined, 1, "flipped record quarantined");
         assert_eq!(
             reopened.entries,
@@ -332,7 +318,7 @@ mod tests {
         // start a fresh line and survive the next reload.
         reopened.writer.append("k4", "v4").unwrap();
         drop(reopened);
-        let third = open(&path, None).unwrap();
+        let third = open(&path).unwrap();
         assert_eq!(third.quarantined, 1);
         assert_eq!(third.entries.last().unwrap().0, "k4");
         std::fs::remove_file(&path).ok();
@@ -342,9 +328,9 @@ mod tests {
     fn kill_during_creation_recreates_silently() {
         let path = temp_path("header-kill");
         std::fs::write(&path, "").unwrap();
-        assert!(open(&path, None).unwrap().entries.is_empty());
+        assert!(open(&path).unwrap().entries.is_empty());
         std::fs::write(&path, "{\"crc\":\"0000").unwrap();
-        assert!(open(&path, None).unwrap().entries.is_empty());
+        assert!(open(&path).unwrap().entries.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -352,10 +338,7 @@ mod tests {
     fn wrong_header_is_fatal() {
         let path = temp_path("header-bad");
         std::fs::write(&path, wrap_line("{\"spill\": \"other\", \"version\": 1}")).unwrap();
-        assert!(matches!(
-            open(&path, None),
-            Err(JournalError::BadHeader { .. })
-        ));
+        assert!(matches!(open(&path), Err(JournalError::BadHeader { .. })));
         std::fs::write(
             &path,
             wrap_line(&format!(
@@ -364,7 +347,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            open(&path, None),
+            open(&path),
             Err(JournalError::VersionMismatch {
                 found: 99,
                 supported: SPILL_VERSION
@@ -376,7 +359,7 @@ mod tests {
     #[test]
     fn compaction_drops_dead_records_and_survives_reload() {
         let path = temp_path("compact");
-        let mut opened = open(&path, None).unwrap();
+        let mut opened = open(&path).unwrap();
         opened.writer.append("k", "old").unwrap();
         opened.writer.append("k", "mid").unwrap();
         opened.writer.append("gone", "x").unwrap();
@@ -392,7 +375,7 @@ mod tests {
         // Post-compaction appends land in the rewritten file.
         opened.writer.append("k2", "v2").unwrap();
         drop(opened);
-        let reopened = open(&path, None).unwrap();
+        let reopened = open(&path).unwrap();
         assert_eq!(reopened.quarantined, 0);
         assert_eq!(
             reopened.entries,
@@ -407,11 +390,11 @@ mod tests {
     #[test]
     fn later_records_win_on_reload() {
         let path = temp_path("replace");
-        let mut opened = open(&path, None).unwrap();
+        let mut opened = open(&path).unwrap();
         opened.writer.append("k", "old").unwrap();
         opened.writer.append("k", "new").unwrap();
         drop(opened);
-        let entries = open(&path, None).unwrap().entries;
+        let entries = open(&path).unwrap().entries;
         assert_eq!(entries.last().unwrap().1, "new", "file order preserved");
         std::fs::remove_file(&path).ok();
     }

@@ -90,11 +90,13 @@ pub fn io_err(op: &'static str, e: &std::io::Error) -> ProtocolError {
 /// `Ok(None)` is clean end-of-stream at a line boundary; a final
 /// unterminated line is returned as a line.
 ///
-/// On an oversized line, up to one extra cap's worth of the offending
-/// line is consumed (discarded, never stored) before the error
-/// returns: a server that then replies and closes does so without
-/// unread bytes in its receive buffer, so the typed rejection reaches
-/// the peer instead of being clobbered by a TCP reset.
+/// On an oversized line, up to two caps' worth of the offending line,
+/// counted from its start, is consumed (discarded, never stored) before
+/// the error returns — through its newline if that lies within the
+/// two caps, whatever the reader's buffer size: a server that then
+/// replies and closes does so without unread bytes in its receive
+/// buffer, so the typed rejection reaches the peer instead of being
+/// clobbered by a TCP reset.
 ///
 /// # Errors
 ///
@@ -116,7 +118,7 @@ pub fn read_line_bounded<R: BufRead>(
         let pos = chunk.iter().position(|&b| b == b'\n');
         let take = pos.unwrap_or(chunk.len());
         if buf.len() + take > cap {
-            discard_rest_of_line(reader, cap);
+            discard_rest_of_line(reader, 2 * cap - buf.len());
             return Err(ProtocolError::Oversized { limit: cap });
         }
         buf.extend_from_slice(&chunk[..take]);
@@ -137,28 +139,22 @@ pub fn read_line_bounded<R: BufRead>(
 }
 
 /// Consumes (without storing) the remainder of an oversized line: up to
-/// `budget` more bytes, stopping early at the newline or end-of-stream.
-/// The budget keeps an endless newline-free stream from pinning the
-/// reader; past it, the line is simply abandoned unconsumed.
-fn discard_rest_of_line<R: BufRead>(reader: &mut R, budget: usize) {
-    let mut remaining = budget;
-    loop {
+/// `budget` more bytes, stopping early after a newline among them or at
+/// end-of-stream. The budget keeps an endless newline-free stream from
+/// pinning the reader; past it, the line is simply abandoned unconsumed.
+fn discard_rest_of_line<R: BufRead>(reader: &mut R, mut budget: usize) {
+    while budget > 0 {
         let Ok(chunk) = reader.fill_buf() else { return };
-        if chunk.is_empty() {
+        let window = &chunk[..chunk.len().min(budget)];
+        if window.is_empty() {
             return;
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(p) => {
-                reader.consume(p + 1);
-                return;
-            }
+        match window.iter().position(|&b| b == b'\n') {
+            Some(p) => return reader.consume(p + 1),
             None => {
-                let n = chunk.len().min(remaining);
+                let n = window.len();
                 reader.consume(n);
-                if n == remaining {
-                    return;
-                }
-                remaining -= n;
+                budget -= n;
             }
         }
     }

@@ -157,6 +157,120 @@ pub enum JobEvent {
     },
 }
 
+/// A job's event stream: the one sender of [`JobEvent`]s, shared by the
+/// scheduler's jobs and the federation's. It keeps the job's tallies,
+/// drops deliveries once the job is cancelled, and sends exactly one
+/// [`JobEvent::Done`] — at cancel or at [`JobStream::finish`], whichever
+/// comes first.
+#[derive(Debug)]
+pub(crate) struct JobStream {
+    tx: Sender<JobEvent>,
+    computed: usize,
+    cached: usize,
+    coalesced: usize,
+    failed: usize,
+    cancelled: bool,
+    done_sent: bool,
+}
+
+impl JobStream {
+    /// A fresh stream and the receiver its events arrive on.
+    pub(crate) fn new() -> (JobStream, Receiver<JobEvent>) {
+        let (tx, rx) = channel();
+        let stream = JobStream {
+            tx,
+            computed: 0,
+            cached: 0,
+            coalesced: 0,
+            failed: 0,
+            cancelled: false,
+            done_sent: false,
+        };
+        (stream, rx)
+    }
+
+    /// Whether the job was cancelled (its `Done` has gone).
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.cancelled
+    }
+
+    /// Streams a resolved point and counts it under its source; `false`
+    /// (nothing sent) once the job is cancelled.
+    pub(crate) fn point(
+        &mut self,
+        index: usize,
+        source: PointSource,
+        attempts: u32,
+        record: impl Into<String>,
+    ) -> bool {
+        if self.cancelled {
+            return false;
+        }
+        match source {
+            PointSource::Computed => self.computed += 1,
+            PointSource::Cached => self.cached += 1,
+            PointSource::Coalesced => self.coalesced += 1,
+        }
+        let event = JobEvent::Point {
+            index,
+            source,
+            attempts,
+            record: record.into(),
+        };
+        self.tx.send(event).ok();
+        true
+    }
+
+    /// Streams a failed point and counts it; `false` (nothing sent) once
+    /// the job is cancelled.
+    pub(crate) fn failed(
+        &mut self,
+        index: usize,
+        label: String,
+        reason: impl Into<String>,
+        attempts: u32,
+    ) -> bool {
+        if self.cancelled {
+            return false;
+        }
+        self.failed += 1;
+        let event = JobEvent::Failed {
+            index,
+            label,
+            reason: reason.into(),
+            attempts,
+        };
+        self.tx.send(event).ok();
+        true
+    }
+
+    /// Ends the stream with the tallies (no-op if `Done` already went).
+    pub(crate) fn finish(&mut self) {
+        if !std::mem::replace(&mut self.done_sent, true) {
+            let done = JobEvent::Done {
+                computed: self.computed,
+                cached: self.cached,
+                coalesced: self.coalesced,
+                failed: self.failed,
+                cancelled: self.cancelled,
+            };
+            self.tx.send(done).ok();
+        }
+    }
+
+    /// Cancels: `Done { cancelled: true }` goes now and later deliveries
+    /// are dropped. `false` — nothing to cancel — when the stream was
+    /// already cancelled or has finished.
+    pub(crate) fn cancel(&mut self) -> bool {
+        if self.cancelled || self.done_sent {
+            return false;
+        }
+        self.cancelled = true;
+        self.finish();
+        true
+    }
+}
+
 /// Why a submission was refused admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
@@ -226,14 +340,7 @@ struct Job {
     /// Points not yet resolved (neither streamed nor failed), coalesced
     /// ones included.
     outstanding: usize,
-    cancelled: bool,
-    /// The terminal `Done` has already been streamed (early, at cancel).
-    done_sent: bool,
-    computed: usize,
-    cached: usize,
-    coalesced: usize,
-    failed: usize,
-    tx: Sender<JobEvent>,
+    stream: JobStream,
 }
 
 struct SchedState {
@@ -406,7 +513,7 @@ impl Scheduler {
         let keys = grid.unit_keys(&params);
         let spec = Arc::new(JobSpec { grid, params, keys });
         let (grid, keys) = (&spec.grid, &spec.keys);
-        let (tx, rx) = channel();
+        let (mut stream, rx) = JobStream::new();
         let n = grid.n_points();
         let indices: Vec<usize> = match units {
             Some(mut subset) => {
@@ -482,27 +589,13 @@ impl Scheduler {
         st.next_job += 1;
         st.jobs_total += 1;
         st.points_cached += hits.len() as u64;
-        let cached = hits.len();
         for (index, record) in hits {
-            tx.send(JobEvent::Point {
-                index,
-                source: PointSource::Cached,
-                attempts: 1,
-                record,
-            })
-            .ok();
+            stream.point(index, PointSource::Cached, 1, record);
         }
         let outstanding = coalesce.len() + owned.len();
         if outstanding == 0 {
             // Fully warm: the job never touches the pool.
-            tx.send(JobEvent::Done {
-                computed: 0,
-                cached,
-                coalesced: 0,
-                failed: 0,
-                cancelled: false,
-            })
-            .ok();
+            stream.finish();
             return Ok((id, rx));
         }
         // Own units enter the table first: a coalesced index may wait on
@@ -541,13 +634,7 @@ impl Scheduler {
                 spec: Arc::clone(&spec),
                 graph,
                 outstanding,
-                cancelled: false,
-                done_sent: false,
-                computed: 0,
-                cached,
-                coalesced: 0,
-                failed: 0,
-                tx,
+                stream,
             },
         );
         if has_ready {
@@ -579,11 +666,10 @@ impl Scheduler {
         let Some(mut job) = st.jobs.remove(&id) else {
             return false;
         };
-        if job.cancelled {
+        if !job.stream.cancel() {
             st.jobs.insert(id, job);
             return true; // idempotent: already a zombie
         }
-        job.cancelled = true;
         if hedge {
             st.hedge_cancels += 1;
         }
@@ -615,18 +701,6 @@ impl Scheduler {
             keep
         });
         job.outstanding -= dropped_points;
-        if !job.done_sent {
-            job.done_sent = true;
-            job.tx
-                .send(JobEvent::Done {
-                    computed: job.computed,
-                    cached: job.cached,
-                    coalesced: job.coalesced,
-                    failed: job.failed,
-                    cancelled: true,
-                })
-                .ok();
-        }
         st.rr.retain(|&j| j != id);
         if job.graph.has_ready() {
             st.rr.push_back(id);
@@ -898,25 +972,9 @@ fn deliver_point(
         return;
     };
     job.outstanding -= 1;
-    if job.cancelled {
-        return;
+    if job.stream.point(index, source, attempts, record) && source == PointSource::Coalesced {
+        st.points_coalesced += 1;
     }
-    match source {
-        PointSource::Computed => job.computed += 1,
-        PointSource::Cached => job.cached += 1,
-        PointSource::Coalesced => {
-            job.coalesced += 1;
-            st.points_coalesced += 1;
-        }
-    }
-    job.tx
-        .send(JobEvent::Point {
-            index,
-            source,
-            attempts,
-            record: record.to_string(),
-        })
-        .ok();
 }
 
 /// Streams one failed point to a job (suppressed after cancel).
@@ -925,20 +983,10 @@ fn deliver_failed(st: &mut SchedState, id: u64, index: usize, reason: &str, atte
         return;
     };
     job.outstanding -= 1;
-    if job.cancelled {
-        return;
+    let label = job.spec.grid.label(index);
+    if job.stream.failed(index, label, reason, attempts) {
+        st.points_failed += 1;
     }
-    job.failed += 1;
-    st.points_failed += 1;
-    let job = st.jobs.get_mut(&id).expect("still live");
-    job.tx
-        .send(JobEvent::Failed {
-            index,
-            label: job.spec.grid.label(index),
-            reason: reason.to_string(),
-            attempts,
-        })
-        .ok();
 }
 
 fn finish_if_done(st: &mut SchedState, id: u64) {
@@ -949,19 +997,9 @@ fn finish_if_done(st: &mut SchedState, id: u64) {
         .get(&id)
         .is_some_and(|j| j.outstanding == 0 && j.graph.running() == 0 && !j.graph.has_ready());
     if done {
-        let job = st.jobs.remove(&id).expect("checked above");
+        let mut job = st.jobs.remove(&id).expect("checked above");
         st.rr.retain(|&j| j != id);
-        if !job.done_sent {
-            job.tx
-                .send(JobEvent::Done {
-                    computed: job.computed,
-                    cached: job.cached,
-                    coalesced: job.coalesced,
-                    failed: job.failed,
-                    cancelled: job.cancelled,
-                })
-                .ok();
-        }
+        job.stream.finish();
     }
 }
 

@@ -77,66 +77,6 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// Parses the shared server flags (`--addr HOST:PORT`,
-    /// `--workers N`, `--cache-mib N`, `--max-queued-units N`,
-    /// `--idle-timeout-ms N`, `--cache-spill PATH`, `--compact-spill`,
-    /// `--backend-id NAME`) used by both `studyd` and `repro serve`.
-    /// `default_addr` is the bind address when `--addr` is absent.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable usage message.
-    pub fn from_args(default_addr: &str, args: &[String]) -> Result<ServeConfig, String> {
-        let mut cfg = ServeConfig {
-            addr: default_addr.to_string(),
-            ..ServeConfig::default()
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--addr" => match it.next() {
-                    Some(addr) if !addr.starts_with("--") => cfg.addr = addr.clone(),
-                    _ => return Err("--addr requires HOST:PORT".to_string()),
-                },
-                "--workers" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => cfg.workers = n,
-                    _ => return Err("--workers requires a worker count >= 1".to_string()),
-                },
-                "--cache-mib" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(mib) if mib >= 1 => cfg.cache_bytes = mib * 1024 * 1024,
-                    _ => return Err("--cache-mib requires a budget in MiB >= 1".to_string()),
-                },
-                "--max-queued-units" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) => cfg.max_queued_units = n,
-                    _ => {
-                        return Err(
-                            "--max-queued-units requires a unit count (0 = unbounded)".to_string()
-                        )
-                    }
-                },
-                "--idle-timeout-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                    Some(ms) if ms >= 1 => cfg.idle_timeout_ms = Some(ms),
-                    _ => return Err("--idle-timeout-ms requires a timeout in ms >= 1".to_string()),
-                },
-                "--cache-spill" => match it.next() {
-                    Some(path) if !path.starts_with("--") => {
-                        cfg.cache_spill = Some(PathBuf::from(path));
-                    }
-                    _ => return Err("--cache-spill requires a file path".to_string()),
-                },
-                "--compact-spill" => cfg.compact_spill = true,
-                "--backend-id" => match it.next() {
-                    Some(id) if !id.starts_with("--") => cfg.backend_id = Some(id.clone()),
-                    _ => return Err("--backend-id requires a name".to_string()),
-                },
-                other => return Err(format!("unknown option: {other}")),
-            }
-        }
-        Ok(cfg)
-    }
-}
-
 /// What executes the work behind a server: a local scheduler pool (a
 /// backend daemon) or a federation coordinator (a fleet front).
 enum Engine {
@@ -171,7 +111,7 @@ pub struct ServerHandle {
 pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
     let cache = Arc::new(Cache::new(cfg.cache_bytes));
     if let Some(path) = &cfg.cache_spill {
-        let opened = persist::open(path, cfg.chaos.flip_spill_record)?;
+        let opened = persist::open(path)?;
         cache.preload(opened.entries, opened.quarantined);
         cache.set_spill(opened.writer);
         if cfg.compact_spill {

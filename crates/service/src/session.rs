@@ -145,32 +145,7 @@ pub fn run(stream: TcpStream, ctx: &SessionCtx) {
         return;
     }
 
-    loop {
-        let line = match read_line_bounded(&mut reader, REQUEST_LINE_CAP) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // clean disconnect
-            Err(ProtocolError::Oversized { limit }) => {
-                send_error(
-                    &mut writer,
-                    "oversized",
-                    &format!("request frame exceeds the {limit}-byte line cap"),
-                );
-                return;
-            }
-            Err(ProtocolError::Malformed { why }) => {
-                send_error(&mut writer, "malformed", &why);
-                return;
-            }
-            Err(ProtocolError::Timeout) => {
-                send_error(
-                    &mut writer,
-                    "idle-timeout",
-                    "connection idle past the server's idle timeout",
-                );
-                return;
-            }
-            Err(_) => return,
-        };
+    while let Some(line) = read_request(&mut reader, &mut writer) {
         let frame = match json::parse(&line) {
             Ok(v) => v,
             Err(e) => {
@@ -192,31 +167,7 @@ fn handshake(
     writer: &mut BufWriter<TcpStream>,
     backend_id: Option<&str>,
 ) -> Option<()> {
-    let line = match read_line_bounded(reader, REQUEST_LINE_CAP) {
-        Ok(Some(line)) => line,
-        Ok(None) => return None,
-        Err(ProtocolError::Oversized { limit }) => {
-            send_error(
-                writer,
-                "oversized",
-                &format!("request frame exceeds the {limit}-byte line cap"),
-            );
-            return None;
-        }
-        Err(ProtocolError::Malformed { why }) => {
-            send_error(writer, "malformed", &why);
-            return None;
-        }
-        Err(ProtocolError::Timeout) => {
-            send_error(
-                writer,
-                "idle-timeout",
-                "connection idle past the server's idle timeout",
-            );
-            return None;
-        }
-        Err(_) => return None,
-    };
+    let line = read_request(reader, writer)?;
     let Ok(frame) = json::parse(&line) else {
         send_error(writer, "malformed", "handshake frame is not valid JSON");
         return None;
@@ -257,6 +208,31 @@ fn handshake(
     )
     .ok()?;
     Some(())
+}
+
+/// Reads one request line. `None` ends the session: a clean disconnect,
+/// a socket failure, or a line that cannot be a frame — oversized,
+/// not UTF-8, or never sent within the idle timeout — whose typed error
+/// frame has been sent.
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut BufWriter<TcpStream>,
+) -> Option<String> {
+    let (code, message) = match read_line_bounded(reader, REQUEST_LINE_CAP) {
+        Ok(line) => return line,
+        Err(ProtocolError::Oversized { limit }) => (
+            "oversized",
+            format!("request frame exceeds the {limit}-byte line cap"),
+        ),
+        Err(ProtocolError::Malformed { why }) => ("malformed", why),
+        Err(ProtocolError::Timeout) => (
+            "idle-timeout",
+            "connection idle past the server's idle timeout".to_string(),
+        ),
+        Err(_) => return None,
+    };
+    send_error(writer, code, &message);
+    None
 }
 
 fn send_error(writer: &mut BufWriter<TcpStream>, code: &str, message: &str) {

@@ -186,7 +186,7 @@ fn spill_entries_under_an_older_builds_keys_are_inert() {
     let local = find_study("fig1").unwrap().run(&params).unwrap();
     let canonical = experiments::journal::canonical("fig1", &params);
     {
-        let mut old = service::persist::open(&spill, None).expect("create").writer;
+        let mut old = service::persist::open(&spill).expect("create").writer;
         for i in 0..3 {
             // Poison: a served one would break the report or its parse.
             old.append(&format!("ref:{canonical}:{i}"), "1 1").unwrap();

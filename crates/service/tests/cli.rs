@@ -214,10 +214,10 @@ fn hwcost_text_json_and_csv_come_from_one_report() {
 }
 
 #[test]
-fn connection_refused_names_the_address_and_hints_serve() {
+fn connection_refused_names_the_address_and_hints_studyd() {
     // Port 1 on loopback is never listening; both service subcommands
     // must turn the bare I/O error into a typed protocol failure (exit
-    // 10) that names the address and points at `repro serve`.
+    // 10) that names the address and points at `studyd --addr`.
     for sub in ["submit", "shutdown"] {
         let args: Vec<&str> = if sub == "submit" {
             vec!["submit", "fig1", "--addr", "127.0.0.1:1", "--no-retry"]
@@ -232,9 +232,24 @@ fn connection_refused_names_the_address_and_hints_serve() {
             "{sub} must name the address: {err}"
         );
         assert!(
-            err.contains("repro serve"),
+            err.contains("studyd --addr 127.0.0.1:1"),
             "{sub} must hint the fix: {err}"
         );
+    }
+}
+
+#[test]
+fn studyd_is_the_only_daemon_and_fleet_front_door() {
+    // `repro serve` and `repro submit --fleet` are gone: `serve` is not
+    // a study, and the fleet flags are unknown submit options.
+    let out = repro(&["serve"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("unknown experiment: serve"));
+    for flag in ["--fleet", "--no-hedge", "--no-local-fallback"] {
+        let out = repro(&["submit", "fig6", flag, "127.0.0.1:1"]);
+        assert_eq!(out.status.code(), Some(1), "{flag} accepted");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown option: {flag}")), "{err}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! One hostile line must not take the daemon down: JSON nested past
 //! `json::MAX_DEPTH` is a typed error, not a stack overflow. The server
-//! is a real `repro serve` child process, so an abort there fails this
-//! test instead of killing the test harness with it.
+//! is a real `studyd` child process, so an abort there fails this test
+//! instead of killing the test harness with it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -10,7 +10,7 @@ use std::process::{Child, Command, Stdio};
 use service::client::Client;
 use speedup_stacks::report::json::{self, JsonValue};
 
-/// A `repro serve` child on a free loopback port, killed on drop.
+/// A `studyd` child on a free loopback port, killed on drop.
 struct Serve {
     proc: Child,
     addr: String,
@@ -18,12 +18,12 @@ struct Serve {
 
 impl Serve {
     fn spawn() -> Serve {
-        let mut proc = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        let mut proc = Command::new(env!("CARGO_BIN_EXE_studyd"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
-            .expect("spawn repro serve");
+            .expect("spawn studyd");
         let mut banner = String::new();
         BufReader::new(proc.stdout.take().expect("stdout piped"))
             .read_line(&mut banner)

@@ -1,31 +1,38 @@
-//! The federation chaos suite: a fleet of `studyd` backends behind the
-//! coordinator must survive a backend dying mid-sweep (`kill -9`-grade
-//! `exit-unit` chaos), the whole fleet being unreachable, a wedged
-//! straggler, and a dead backend coming back — and in every surviving
-//! scenario the reassembled report is **byte-identical** to a local
-//! `Study::run`. Failover never recomputes what a live backend already
-//! cached, hedged losers are cancelled (visible in the loser's
-//! `hedge_cancels` gauge), and cancelling a federated job cancels its
-//! per-backend sub-jobs so no orphaned units keep computing.
+//! The federation chaos suite: a fleet of `studyd` backends behind a
+//! `studyd --backend …` coordinator ([`serve_coordinator`], driven over
+//! the wire by a [`Client`]) must survive a backend dying mid-sweep
+//! (`kill -9`-grade `exit-unit` chaos), the whole fleet being
+//! unreachable, a wedged straggler, a dead backend coming back and a
+//! backend streaming an index it was never sent — and in every
+//! surviving scenario the reassembled report is **byte-identical** to a
+//! local `Study::run`. Failover never recomputes what a live backend
+//! already cached, hedged losers are cancelled (visible in the loser's
+//! `hedge_cancels` gauge), a shard that finishes its own points is never
+//! cancelled, and cancelling a federated job cancels its per-backend
+//! sub-jobs so no orphaned units keep computing.
 //!
 //! Fault positions are deterministic (`STUDYD_CHAOS` unit counters,
 //! programmatic [`service::chaos::ChaosPolicy`]); synchronization is
 //! always a polled predicate with a 30s deadline, never a bare sleep.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use experiments::decompose::decompose;
+use experiments::decompose::{decompose, GridFold};
 use experiments::study::{find_study, StudyParams};
 use experiments::FaultPolicy;
 use service::chaos::ChaosPolicy;
-use service::client::Client;
-use service::federation::{assemble_events, Federation, FleetConfig, HealthState};
-use service::scheduler::{JobEvent, SubmitError};
-use service::server::{serve, ServeConfig};
+use service::client::{Client, StreamEvent, SubmitOutcome};
+use service::federation::{FleetConfig, HealthState};
+use service::scheduler::{record_to_summary, JobEvent};
+use service::server::{serve, serve_coordinator, ServeConfig, ServerHandle};
 use service::session::Dispatch;
+use speedup_stacks::error::{ProtocolError, SimError};
+use speedup_stacks::report::Report;
 
 fn fig6_params() -> StudyParams {
     StudyParams {
@@ -56,6 +63,38 @@ fn fleet(backends: &[&str]) -> FleetConfig {
         probe_backoff_cap_ms: 100,
         ..FleetConfig::default()
     }
+}
+
+/// A `studyd --backend …` coordinator on a free loopback port.
+fn coordinator(fleet: FleetConfig) -> ServerHandle {
+    serve_coordinator(&ServeConfig::default(), fleet).expect("bind coordinator")
+}
+
+fn connect(server: &ServerHandle) -> Client {
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    // A wedged coordinator fails the test instead of hanging it.
+    client.set_data_timeout(Some(Duration::from_secs(60)));
+    client
+}
+
+/// Submits `study` through the coordinator's wire protocol.
+fn submit(coord: &ServerHandle, study: &str, params: &StudyParams) -> SubmitOutcome {
+    connect(coord)
+        .submit(study, params)
+        .expect("submit through the coordinator")
+}
+
+fn assert_bytes(outcome: &SubmitOutcome, local: &Report, what: &str) {
+    assert_eq!(
+        outcome.report.to_text(),
+        local.to_text(),
+        "{what}: text bytes"
+    );
+    assert_eq!(
+        outcome.report.to_json(),
+        local.to_json(),
+        "{what}: json bytes"
+    );
 }
 
 /// Blocks until `ready` holds — the suite's synchronization primitive,
@@ -123,21 +162,15 @@ fn killing_one_backend_mid_sweep_keeps_the_report_byte_identical() {
     let b = Backend::spawn(1, Some("exit-unit=2"));
     let params = fig6_params();
     let local = find_study("fig6").unwrap().run(&params).unwrap();
-    let grid = decompose("fig6", &params).unwrap();
-    let n = grid.n_points();
+    let n = decompose("fig6", &params).unwrap().n_points();
 
-    let fed = Federation::start(fleet(&[&a.addr, &b.addr])).expect("start fleet");
-    let (_, rx) = fed
-        .submit_units(grid.clone(), params.clone(), None)
-        .expect("admitted");
-    let outcome = assemble_events(&grid, &params, &rx).expect("reassemble");
-
+    let coord = coordinator(fleet(&[&a.addr, &b.addr]));
+    let outcome = submit(&coord, "fig6", &params);
     assert_eq!(outcome.failed, 0, "failover, not degradation");
     assert_eq!(outcome.computed, n, "both backends were cold");
-    assert_eq!(outcome.report.to_text(), local.to_text(), "text bytes");
-    assert_eq!(outcome.report.to_json(), local.to_json(), "json bytes");
-    let status = fed.status();
-    let dead = &status.backends[1];
+    assert_bytes(&outcome, &local, "fig6");
+    let fed = coord.federation();
+    let dead = &fed.status().backends[1];
     assert!(
         dead.failed_over >= 1,
         "the dying backend's units were requeued: {dead:?}"
@@ -145,7 +178,7 @@ fn killing_one_backend_mid_sweep_keeps_the_report_byte_identical() {
     wait_for("the killed backend to be marked dead", || {
         fed.status().backends[1].state == HealthState::Dead
     });
-    fed.stop();
+    coord.stop();
 }
 
 /// With the whole fleet unreachable the coordinator degrades to local
@@ -155,14 +188,28 @@ fn killing_one_backend_mid_sweep_keeps_the_report_byte_identical() {
 /// typed `unavailable` once the fleet is known dead.
 #[test]
 fn all_backends_dead_falls_back_to_local_or_refuses() {
-    let ghosts = [reserved_addr(), reserved_addr()];
+    // Privileged ports no test binds: unlike a reserved-then-released
+    // ephemeral port, no listener of a parallel test can take them over.
+    let ghosts = ["127.0.0.1:1", "127.0.0.1:2"];
     let params = fig1_params();
     let grid = decompose("fig1", &params).unwrap();
     let n = grid.n_points();
 
-    // Second input: every reference overruns its deadline on both
-    // attempts, so every point cascades — the fallback must retry,
-    // count and word that exactly like the local sweep.
+    let local = find_study("fig1").unwrap().run(&params).unwrap();
+    let coord = coordinator(fleet(&ghosts));
+    let outcome = submit(&coord, "fig1", &params);
+    assert_eq!(outcome.failed, 0);
+    assert_bytes(&outcome, &local, "fig1");
+    assert_eq!(
+        coord.federation().status().local_units,
+        n as u64,
+        "every unit ran locally"
+    );
+
+    // The wire carries no fault policy, so a doomed input reaches the
+    // fallback only in process: every reference overruns its deadline
+    // on both attempts and every point cascades — retried, counted and
+    // worded exactly like the local sweep's `Degraded` block.
     let doomed = StudyParams {
         faults: FaultPolicy {
             deadline_cycles: Some(10),
@@ -170,35 +217,56 @@ fn all_backends_dead_falls_back_to_local_or_refuses() {
         },
         ..params.clone()
     };
-    for (params, failed) in [(&params, 0), (&doomed, n)] {
-        let local = find_study("fig1").unwrap().run(params).unwrap();
-        let fed = Federation::start(fleet(&[&ghosts[0], &ghosts[1]])).expect("start fleet");
-        let (_, rx) = fed
-            .submit_units(grid.clone(), params.clone(), None)
-            .expect("admitted");
-        let outcome = assemble_events(&grid, params, &rx).expect("reassemble");
-        assert_eq!(outcome.failed, failed);
-        assert_eq!(outcome.report.to_text(), local.to_text(), "text bytes");
-        assert_eq!(outcome.report.to_json(), local.to_json(), "json bytes");
-        let status = fed.status();
-        assert_eq!(status.local_units, n as u64, "every unit ran locally");
-        fed.stop();
-    }
+    let local = find_study("fig1").unwrap().run(&doomed).unwrap();
+    let (_, rx) = coord
+        .federation()
+        .submit_units(grid.clone(), doomed.clone(), None)
+        .expect("admitted");
+    let mut fold = GridFold::new(n);
+    let failed = loop {
+        match rx.recv().expect("the stream ends with done") {
+            JobEvent::Point {
+                index,
+                attempts,
+                record,
+                ..
+            } => fold.point(
+                index,
+                record_to_summary(&record).expect("a valid record"),
+                attempts,
+            ),
+            JobEvent::Failed {
+                index,
+                label,
+                reason,
+                attempts,
+            } => fold.failed(index, label, reason, attempts),
+            JobEvent::Done { failed, .. } => break failed,
+        }
+    };
+    assert_eq!(failed, n, "every point cascaded from its reference");
+    let report = fold.finish(&grid, &doomed);
+    assert_eq!(report.to_text(), local.to_text(), "doomed: text bytes");
+    assert_eq!(report.to_json(), local.to_json(), "doomed: json bytes");
+    assert_eq!(coord.federation().status().local_units, 2 * n as u64);
+    coord.stop();
 
-    let refusing = Federation::start(FleetConfig {
+    let refusing = coordinator(FleetConfig {
         local_fallback: false,
-        ..fleet(&[&ghosts[0], &ghosts[1]])
-    })
-    .expect("start fleet");
-    wait_for("both ghosts to be probed dead", || {
-        refusing
-            .status()
-            .backends
-            .iter()
-            .all(|b| b.state == HealthState::Dead)
+        ..fleet(&ghosts)
     });
-    match refusing.submit_units(grid, params, None) {
-        Err(SubmitError::Unavailable { backends }) => assert_eq!(backends, 2),
+    wait_for("both ghosts to be probed dead", || {
+        let status = refusing.federation().status();
+        status.backends.iter().all(|b| b.state == HealthState::Dead)
+    });
+    match connect(&refusing).submit("fig1", &params) {
+        Err(SimError::Protocol(ProtocolError::Rejected { code, message })) => {
+            assert_eq!(code, "unavailable");
+            assert!(
+                message.contains("all 2 fleet backend(s) are dead"),
+                "{message}"
+            );
+        }
         other => panic!("expected unavailable, got {other:?}"),
     }
     refusing.stop();
@@ -228,22 +296,16 @@ fn hedging_beats_a_stalled_backend_and_cancels_the_loser() {
     let b_addr = b.local_addr().to_string();
     let params = fig6_params();
     let local = find_study("fig6").unwrap().run(&params).unwrap();
-    let grid = decompose("fig6", &params).unwrap();
 
-    let fed = Federation::start(FleetConfig {
+    let coord = coordinator(FleetConfig {
         hedge_after_ms: Some(0),
         ..fleet(&[&a_addr, &b_addr])
-    })
-    .expect("start fleet");
-    let (_, rx) = fed
-        .submit_units(grid.clone(), params.clone(), None)
-        .expect("admitted");
-    let outcome = assemble_events(&grid, &params, &rx).expect("reassemble");
+    });
+    let outcome = submit(&coord, "fig6", &params);
     assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.report.to_text(), local.to_text(), "text bytes");
-    assert_eq!(outcome.report.to_json(), local.to_json(), "json bytes");
+    assert_bytes(&outcome, &local, "fig6");
 
-    let status = fed.status();
+    let status = coord.federation().status();
     assert!(
         status.backends[0].hedge_wins >= 1,
         "the healthy backend rescued the stalled one's units: {status:?}"
@@ -252,7 +314,7 @@ fn hedging_beats_a_stalled_backend_and_cancels_the_loser() {
         "the stalled backend's sub-job to be hedge-cancelled",
         || b.scheduler().status().hedge_cancels >= 1,
     );
-    fed.stop();
+    coord.stop();
     a.stop();
     b.stop(); // also unwedges the chaos-stalled worker
 }
@@ -270,17 +332,13 @@ fn recovered_backend_rejoins_and_serves_the_next_job() {
     let a_addr = a.local_addr().to_string();
     let b_addr = reserved_addr();
 
-    let fed = Federation::start(fleet(&[&a_addr, &b_addr])).expect("start fleet");
+    let coord = coordinator(fleet(&[&a_addr, &b_addr]));
+    let fed = coord.federation();
 
     // Job 1: backend b is down; everything lands on a, byte-identically.
     let params = fig1_params();
     let local = find_study("fig1").unwrap().run(&params).unwrap();
-    let grid = decompose("fig1", &params).unwrap();
-    let (_, rx) = fed
-        .submit_units(grid.clone(), params.clone(), None)
-        .expect("admitted");
-    let outcome = assemble_events(&grid, &params, &rx).expect("reassemble");
-    assert_eq!(outcome.report.to_text(), local.to_text(), "job 1 bytes");
+    assert_bytes(&submit(&coord, "fig1", &params), &local, "job 1");
     wait_for("the unreachable backend to be marked dead", || {
         fed.status().backends[1].state == HealthState::Dead
     });
@@ -301,18 +359,13 @@ fn recovered_backend_rejoins_and_serves_the_next_job() {
     // Job 2: the rejoined backend takes real work.
     let params = fig6_params();
     let local = find_study("fig6").unwrap().run(&params).unwrap();
-    let grid = decompose("fig6", &params).unwrap();
-    let (_, rx) = fed
-        .submit_units(grid.clone(), params.clone(), None)
-        .expect("admitted");
-    let outcome = assemble_events(&grid, &params, &rx).expect("reassemble");
-    assert_eq!(outcome.report.to_text(), local.to_text(), "job 2 bytes");
+    assert_bytes(&submit(&coord, "fig6", &params), &local, "job 2");
     assert!(
         fed.status().backends[1].served >= 1,
         "the recovered backend served units: {:?}",
         fed.status().backends
     );
-    fed.stop();
+    coord.stop();
     a.stop();
     b.stop();
 }
@@ -331,8 +384,7 @@ fn failover_serves_cached_units_without_recompute() {
     let a_addr = a.local_addr().to_string();
     let params = fig6_params();
     let local = find_study("fig6").unwrap().run(&params).unwrap();
-    let grid = decompose("fig6", &params).unwrap();
-    let n = grid.n_points();
+    let n = decompose("fig6", &params).unwrap().n_points();
 
     // Warm a's cache with a direct submit.
     let warm = Client::connect(&a_addr)
@@ -344,13 +396,10 @@ fn failover_serves_cached_units_without_recompute() {
     // b is cold and dies after two units — everything it claimed fails
     // over to a, which must serve it from cache.
     let b = Backend::spawn(1, Some("exit-unit=2"));
-    let fed = Federation::start(fleet(&[&a_addr, &b.addr])).expect("start fleet");
-    let (_, rx) = fed
-        .submit_units(grid.clone(), params.clone(), None)
-        .expect("admitted");
-    let outcome = assemble_events(&grid, &params, &rx).expect("reassemble");
+    let coord = coordinator(fleet(&[&a_addr, &b.addr]));
+    let outcome = submit(&coord, "fig6", &params);
     assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.report.to_text(), local.to_text(), "text bytes");
+    assert_bytes(&outcome, &local, "fig6");
     assert!(
         outcome.computed <= 2,
         "only the dying cold backend computes"
@@ -361,12 +410,9 @@ fn failover_serves_cached_units_without_recompute() {
         computed_after_warm,
         "failed-over units were cache hits, not recomputes"
     );
-    assert!(
-        fed.status().backends[1].failed_over >= 1,
-        "{:?}",
-        fed.status().backends
-    );
-    fed.stop();
+    let backends = coord.federation().status().backends;
+    assert!(backends[1].failed_over >= 1, "{backends:?}");
+    coord.stop();
     a.stop();
 }
 
@@ -388,25 +434,31 @@ fn cancel_propagates_to_backend_sub_jobs() {
     .expect("bind b");
     let a_addr = a.local_addr().to_string();
     let b_addr = b.local_addr().to_string();
-    let params = fig6_params();
-    let grid = decompose("fig6", &params).unwrap();
-    let n = grid.n_points();
+    // Ten times the suite's usual scale: each unit must outlast the
+    // cancel's trip through the coordinator to both backends.
+    let params = StudyParams {
+        scale: 0.2,
+        ..fig6_params()
+    };
+    let n = decompose("fig6", &params).unwrap().n_points();
 
-    let fed = Federation::start(fleet(&[&a_addr, &b_addr])).expect("start fleet");
-    let (job, rx) = fed.submit_units(grid, params, None).expect("admitted");
+    let coord = coordinator(fleet(&[&a_addr, &b_addr]));
+    let mut client = connect(&coord);
+    let mut control = connect(&coord);
+    let (job, _) = client
+        .start_submit("fig6", &params, None)
+        .expect("admitted");
 
     // Cancel as soon as the first point lands, while both backends
     // still hold queued sub-job units.
-    match rx.recv().expect("stream open") {
-        JobEvent::Point { .. } => {}
-        JobEvent::Failed { .. } => panic!("no failures expected"),
-        JobEvent::Done { .. } => panic!("done before any point"),
+    match client.next_event(n).expect("stream open") {
+        StreamEvent::Point { .. } => {}
+        other => panic!("expected a point first, got {other:?}"),
     }
-    assert!(fed.cancel_job(job, false), "live job cancelled");
+    assert!(control.cancel(job).expect("cancel"), "live job cancelled");
     let cancelled = loop {
-        match rx.recv().expect("stream open") {
-            JobEvent::Done { cancelled, .. } => break cancelled,
-            _ => continue,
+        if let StreamEvent::Done { cancelled, .. } = client.next_event(n).expect("stream open") {
+            break cancelled;
         }
     };
     assert!(cancelled, "the stream's terminal frame says cancelled");
@@ -422,7 +474,157 @@ fn cancel_propagates_to_backend_sub_jobs() {
         (total as usize) < n,
         "cancel stopped the sweep early: {total} of {n} computed"
     );
-    fed.stop();
+    coord.stop();
     a.stop();
     b.stop();
+}
+
+/// A loopback relay in front of `target`: replies pass through
+/// verbatim, requests line by line, and every `cancel` request is
+/// counted. Returns the relay's address and its counter.
+fn counting_relay(target: String) -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let cancels = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&cancels);
+    std::thread::spawn(move || {
+        for down in listener.incoming().flatten() {
+            let Ok(up) = TcpStream::connect(&target) else {
+                continue;
+            };
+            let (up_read, down_read) = (up.try_clone().unwrap(), down.try_clone().unwrap());
+            std::thread::spawn(move || {
+                std::io::copy(&mut &up_read, &mut &down).ok();
+                down.shutdown(Shutdown::Both).ok();
+            });
+            let counter = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                for line in BufReader::new(down_read).lines() {
+                    let Ok(line) = line else { break };
+                    if line.contains("\"op\": \"cancel\"") {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                    }
+                    if writeln!(&up, "{line}").is_err() {
+                        break;
+                    }
+                }
+                up.shutdown(Shutdown::Both).ok();
+            });
+        }
+    });
+    (addr, cancels)
+}
+
+/// A shard that receives its own points reads on to its `done` frame:
+/// with hedging off, a clean run sends no backend a single `cancel`.
+#[test]
+fn a_clean_fleet_run_cancels_nothing() {
+    let a = serve(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind a");
+    let b = serve(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind b");
+    let (ra, cancels_a) = counting_relay(a.local_addr().to_string());
+    let (rb, cancels_b) = counting_relay(b.local_addr().to_string());
+    let params = fig6_params();
+    let local = find_study("fig6").unwrap().run(&params).unwrap();
+
+    let coord = coordinator(fleet(&[&ra, &rb]));
+    let outcome = submit(&coord, "fig6", &params);
+    assert_bytes(&outcome, &local, "fig6");
+    coord.stop();
+    assert_eq!(
+        (
+            cancels_a.load(Ordering::SeqCst),
+            cancels_b.load(Ordering::SeqCst)
+        ),
+        (0, 0),
+        "cancel requests sent to the two backends"
+    );
+    let hedge_cancels = a.scheduler().status().hedge_cancels + b.scheduler().status().hedge_cancels;
+    assert_eq!(hedge_cancels, 0);
+    a.stop();
+    b.stop();
+}
+
+/// A fake backend: it answers the handshake and `status` probes until
+/// its first submit, answers that submit with one point frame — `record`
+/// under index `foreign` — and hangs up; after that it accepts
+/// connections and drops them, so every later probe fails.
+fn fake_backend(record: String, foreign: usize) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        let mut submitted = false;
+        for stream in listener.incoming().flatten() {
+            if submitted {
+                continue;
+            }
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut w = &stream;
+            let mut request = |line: &mut String| {
+                line.clear();
+                reader.read_line(line).unwrap_or(0) > 0
+            };
+            let mut line = String::new();
+            if !request(&mut line) {
+                continue;
+            }
+            w.write_all(b"{\"ok\": true, \"kind\": \"hello\", \"proto\": 2}\n")
+                .ok();
+            if !request(&mut line) {
+                continue;
+            }
+            let reply = if line.contains("\"op\": \"submit\"") {
+                submitted = true;
+                format!(
+                    "{{\"ok\": true, \"kind\": \"accepted\", \"job\": 1, \"study\": \"fig6\", \
+                     \"points\": 8, \"fingerprint\": \"0\"}}\n\
+                     {{\"ok\": true, \"kind\": \"point\", \"job\": 1, \"index\": {foreign}, \
+                     \"source\": \"computed\", \"attempts\": 1, \"data\": {record}}}\n"
+                )
+            } else {
+                "{\"ok\": true, \"kind\": \"status\", \"proto\": 2}\n".to_string()
+            };
+            w.write_all(reply.as_bytes()).ok();
+        }
+    });
+    addr
+}
+
+/// A frame for an index the shard was never sent is a broken stream:
+/// the backend is failed and its shard requeued, so a well-formed but
+/// foreign point — point 0's record under the grid's last index — never
+/// lands in the report.
+#[test]
+fn a_point_outside_its_shard_fails_the_backend_over() {
+    let params = fig6_params();
+    let local = find_study("fig6").unwrap().run(&params).unwrap();
+    let grid = decompose("fig6", &params).unwrap();
+    let n = grid.n_points();
+    let (pi, _) = grid.point(0);
+    let reference = grid.compute_reference(&params, pi).expect("reference");
+    let record = grid
+        .compute_point(&params, 0, reference)
+        .unwrap()
+        .to_record();
+    // One backend takes the first chunk of at most 8 units, so the last
+    // index is never in its shard.
+    assert!(n > 8);
+    let fake = fake_backend(record, n - 1);
+
+    let coord = coordinator(fleet(&[&fake]));
+    let outcome = submit(&coord, "fig6", &params);
+    assert_eq!(outcome.failed, 0);
+    assert_bytes(&outcome, &local, "fig6");
+    let status = coord.federation().status();
+    assert_eq!(status.backends[0].served, 0, "{status:?}");
+    assert_eq!(status.backends[0].failed_over, 8, "{status:?}");
+    assert_eq!(status.local_units, n as u64, "{status:?}");
+    coord.stop();
 }
