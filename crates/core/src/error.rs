@@ -378,11 +378,9 @@ impl std::error::Error for ProtocolError {}
 /// all.
 ///
 /// Individual backend deaths are *not* a [`FederationError`]: the
-/// coordinator fails their units over to survivors (or falls back to
-/// local in-process execution) and the sweep completes; a fleet with
-/// every backend dead and local fallback disabled refuses each submit
-/// with a typed `unavailable` reply. Only a fleet that cannot be formed
-/// at all is fatal.
+/// coordinator fails their units over to survivors, or to its own
+/// scheduler once every backend is dead, and the sweep completes. Only
+/// a fleet that cannot be formed at all is fatal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FederationError {

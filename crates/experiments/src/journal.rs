@@ -29,11 +29,11 @@
 //!
 //! - A final line **without a trailing newline** is the expected artifact
 //!   of a killed writer: it is dropped silently and its point recomputed.
-//! - A **complete** line that fails the layout, checksum or its record's
-//!   decode is *quarantined*: counted, reported in the report's
-//!   `Degraded` block, and its point recomputed. [`open_append`] checks
-//!   the framing and hands back the verified record text; the sweep
-//!   decodes it straight from that text
+//! - A **complete** line that is not UTF-8 or fails the layout, checksum
+//!   or its record's decode is *quarantined*: counted, reported in the
+//!   report's `Degraded` block, and its point recomputed.
+//!   [`open_append`] checks the framing and hands back the verified
+//!   record text; the sweep decodes it straight from that text
 //!   ([`crate::runner::PointSummary::from_record`]), no JSON tree built.
 //! - A journal whose **header** is missing, corrupt, from another format
 //!   version or another study/parameterization is rejected with a typed
@@ -245,15 +245,15 @@ pub struct JournalScan {
     /// its user (a record that then fails to decode is the user's to
     /// quarantine).
     pub records: Vec<String>,
-    /// Complete lines that failed the layout or checksum and were
-    /// skipped (their points must be recomputed).
+    /// Complete lines that were not UTF-8 or failed the layout or
+    /// checksum, skipped (their points must be recomputed).
     pub quarantined: usize,
 }
 
 /// Opens an existing record log for appending: verifies the header
 /// line's framing and hands its parsed record to `check_header`, collects
-/// the text of every intact record, counts complete lines that fail the
-/// layout or checksum as quarantined, and
+/// the text of every intact record, counts complete lines that are not
+/// UTF-8 or fail the layout or checksum as quarantined, and
 /// truncates an unterminated final line — the expected artifact of a
 /// killed writer — so the next append starts a fresh line instead of
 /// completing garbage.
@@ -271,24 +271,28 @@ pub fn open_append(
     check_header: impl FnOnce(&JsonValue) -> Result<(), JournalError>,
 ) -> Result<JournalScan, JournalError> {
     let path = path.as_ref();
-    let content = std::fs::read_to_string(path).map_err(|e| io_err("read", &e))?;
-    let Some((header_line, rest)) = content.split_once('\n') else {
-        return Err(JournalError::MissingHeader);
+    // Bytes, not text: damage that is not UTF-8 is one bad line, never
+    // an unreadable file.
+    let content = std::fs::read(path).map_err(|e| io_err("read", &e))?;
+    let mut lines = content.split_inclusive(|&b| b == b'\n');
+    // A line counts only with its newline: only the very last chunk can
+    // lack one, the kill-tail.
+    let mut framed = || lines.next()?.strip_suffix(b"\n");
+    let unwrap = |line: &[u8]| {
+        let line = std::str::from_utf8(line).map_err(|_| "line is not UTF-8".to_string())?;
+        unwrap_line(line).map(str::to_string)
     };
-    let header_data = unwrap_line(header_line).map_err(|why| JournalError::BadHeader { why })?;
+    let header_line = framed().ok_or(JournalError::MissingHeader)?;
+    let header_data = unwrap(header_line).map_err(|why| JournalError::BadHeader { why })?;
     let header =
-        json::parse(header_data).map_err(|e| JournalError::BadHeader { why: e.to_string() })?;
+        json::parse(&header_data).map_err(|e| JournalError::BadHeader { why: e.to_string() })?;
     check_header(&header)?;
 
     let mut records = Vec::new();
     let mut quarantined = 0usize;
-    for line in rest.split_inclusive('\n') {
-        // Only the very last chunk can lack its newline: the kill-tail.
-        let Some(framed) = line.strip_suffix('\n') else {
-            break;
-        };
-        match unwrap_line(framed) {
-            Ok(record) => records.push(record.to_string()),
+    while let Some(line) = framed() {
+        match unwrap(line) {
+            Ok(record) => records.push(record),
             Err(_) => quarantined += 1,
         }
     }
@@ -296,8 +300,9 @@ pub fn open_append(
         .append(true)
         .open(path)
         .map_err(|e| io_err("open", &e))?;
-    if !content.ends_with('\n') {
-        let keep = content.rfind('\n').expect("header line is terminated") + 1;
+    if content.last() != Some(&b'\n') {
+        let keep = content.iter().rposition(|&b| b == b'\n');
+        let keep = keep.expect("header line is terminated") + 1;
         file.set_len(keep as u64)
             .map_err(|e| io_err("truncate", &e))?;
     }

@@ -7,7 +7,7 @@
 //!        [--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH]
 //!        [--compact-spill] [--backend-id NAME]
 //!        [--backend HOST:PORT ...] [--hedge-after-ms N] [--no-hedge]
-//!        [--no-local-fallback] [--heartbeat-ms N] [--dead-after N]
+//!        [--heartbeat-ms N] [--dead-after N]
 //! ```
 //!
 //! The one daemon: a backend, or with `--backend` the one fleet
@@ -29,20 +29,19 @@
 //! With one or more `--backend HOST:PORT` flags the daemon runs as a
 //! **federation coordinator** instead: it serves the same wire protocol
 //! but shards each submitted grid across the named backends, health
-//! checks them, fails work over from dead backends, hedges stragglers
-//! (`--hedge-after-ms`, default 2000; `--no-hedge` disables) and falls
-//! back to local in-process execution when the whole fleet is dead
-//! (unless `--no-local-fallback`). `--heartbeat-ms` and `--dead-after`
-//! tune the health monitor. When a coordinator stops it prints one
-//! `fleet:` line per backend to stderr: health, units served, failovers
-//! and hedge wins.
+//! checks them, fails work over from dead backends and hedges
+//! stragglers (`--hedge-after-ms`, default 2000; `--no-hedge` disables).
+//! While the whole fleet is dead it computes the work itself, on the
+//! backend it would have been without `--backend`: the server flags
+//! above (`--workers`, `--cache-mib`, `--cache-spill`, …) size that
+//! fallback. `--heartbeat-ms` (default 500) and `--dead-after` (default
+//! 3) tune the health monitor; a dead backend is re-probed after one
+//! heartbeat, then two, then every four. When a coordinator stops it
+//! prints one `fleet:` line per backend to stderr: health, units served,
+//! failovers and hedge wins.
 //!
 //! A `shutdown` with `"mode": "drain"` stops admission, finishes
 //! in-flight jobs, flushes (and compacts) the spill, and exits 0.
-//!
-//! The `STUDYD_CHAOS` environment variable arms deterministic fault
-//! injection for the chaos suite (`panic-unit=N`, `stall-unit=N`,
-//! `exit-unit=N`).
 //!
 //! Exit codes: 0 clean shutdown, 1 usage error, 5 corrupt spill
 //! header, 10 protocol/socket failure, 11 federation failure (the
@@ -51,14 +50,13 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use service::chaos::ChaosPolicy;
 use service::federation::FleetConfig;
 use service::server::{serve, serve_coordinator, ServeConfig, ShutdownMode};
 
 const USAGE: &str = "usage: studyd [--addr HOST:PORT] [--workers N] [--cache-mib N] \
 [--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH] [--compact-spill] \
 [--backend-id NAME] [--backend HOST:PORT ...] [--hedge-after-ms N] [--no-hedge] \
-[--no-local-fallback] [--heartbeat-ms N] [--dead-after N]";
+[--heartbeat-ms N] [--dead-after N]";
 
 /// The conventional loopback port `repro submit` defaults to.
 const DEFAULT_ADDR: &str = "127.0.0.1:7821";
@@ -113,7 +111,6 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<FleetConfig>), Str
                 _ => return Err("--hedge-after-ms requires a deadline in ms".to_string()),
             },
             "--no-hedge" => fleet.hedge_after_ms = None,
-            "--no-local-fallback" => fleet.local_fallback = false,
             "--heartbeat-ms" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(ms) if ms >= 1 => fleet.heartbeat_ms = ms,
                 _ => return Err("--heartbeat-ms requires a period in ms >= 1".to_string()),
@@ -131,7 +128,7 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<FleetConfig>), Str
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut cfg, fleet) = match parse_args(&args) {
+    let (cfg, fleet) = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("studyd: {message}");
@@ -139,14 +136,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    cfg.chaos = match ChaosPolicy::from_env() {
-        Ok(chaos) => chaos,
-        Err(message) => {
-            eprintln!("studyd: STUDYD_CHAOS: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let coordinator = fleet.is_some();
     let served = match fleet {
         Some(fleet) => serve_coordinator(&cfg, fleet),
         None => serve(&cfg),
@@ -161,8 +150,8 @@ fn main() -> ExitCode {
                 handle.drain();
             }
             handle.stop();
-            if coordinator {
-                eprint!("{}", handle.federation().status().summary());
+            if let Some(federation) = handle.federation() {
+                eprint!("{}", federation.status().summary());
             }
             ExitCode::SUCCESS
         }

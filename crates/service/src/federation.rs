@@ -5,8 +5,13 @@
 //! The [`Federation`] decomposes a study with the same
 //! [`experiments::decompose`] grid every backend uses, shards the point
 //! indices across the fleet over the v2 protocol's `units` subset
-//! extension, and reassembles the streamed records in grid order. All
-//! robustness machinery operates strictly *below* the data plane:
+//! extension, and reassembles the streamed records in grid order. Every
+//! backend sits behind one crate-private link with four operations —
+//! probe, start a shard, next event, cancel — and so does the
+//! coordinator's own [`Scheduler`], the **fallback**. One worker per link
+//! per job claims shards, streams them and resolves their units
+//! first-wins, whichever kind of link it drives. All robustness
+//! machinery operates strictly *below* the data plane:
 //!
 //! - **Health state machine** ([`BackendHealth`]): every backend is
 //!   probed by a heartbeat `status` call; consecutive failures walk it
@@ -22,11 +27,10 @@
 //!   deadline is raced on a second backend; the first result wins and
 //!   the loser's now-empty job is cancelled with the `hedge` reason so
 //!   the backend can reclaim the duplicate work.
-//! - **Graceful degradation**: when every backend is dead, queued
-//!   units fall back to local in-process execution (the identical
-//!   compute path the sweep uses), so a sweep outlives its whole
-//!   fleet. Disable with [`FleetConfig::local_fallback`] to get a
-//!   typed `unavailable` rejection instead.
+//! - **Graceful degradation**: the fallback link claims only while no
+//!   remote backend is live, so a sweep outlives its whole fleet. It is
+//!   a backend like any other — worker pool, result cache, coalescing,
+//!   and a cancel that drops its queued units.
 //!
 //! A shard's stream is read to its `done` frame, and only the indices
 //! the shard was sent are trusted: a frame for any other index is a
@@ -46,23 +50,23 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use experiments::decompose::GridStudy;
-use experiments::graph::RefValue;
-use experiments::par::{run_units, Parallelism};
-use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json;
 use speedup_stacks::{FederationError, SimError};
 
 use crate::client::{Client, StreamEvent};
-use crate::proto::PROTO_VERSION;
-use crate::scheduler::{JobEvent, JobStream, PointSource, SubmitError};
-use crate::session::Dispatch;
+use crate::scheduler::{JobEvent, JobStream, PointSource, Scheduler, SubmitError};
+use crate::session::{status_frame, Dispatch};
 
 /// How long a worker sleeps between polls of the job state when it has
 /// nothing to claim. Bounds cancellation/hedge latency without any
 /// wall-clock dependence in correctness.
 const POLL_MS: u64 = 25;
+
+/// How long a read of a backend's result stream may block before the
+/// stream counts as broken and its shard fails over.
+const DATA_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Fleet topology and robustness tuning.
 #[derive(Debug, Clone)]
@@ -72,23 +76,13 @@ pub struct FleetConfig {
     /// Hedge deadline: a unit in flight this long is raced on a second
     /// backend. `None` disables hedging; `Some(0)` hedges immediately.
     pub hedge_after_ms: Option<u64>,
-    /// Fall back to local in-process execution when the whole fleet is
-    /// dead (`true`, the default), or reject with `unavailable`.
-    pub local_fallback: bool,
-    /// Control-plane (heartbeat, cancel) reply deadline per call.
-    pub control_timeout_ms: u64,
-    /// Data-plane (result stream) read deadline per frame.
-    pub data_timeout_ms: u64,
-    /// Heartbeat period for the health monitor.
+    /// Heartbeat period for the health monitor. It also paces a dead
+    /// backend's re-probes: the first comes one heartbeat after it died,
+    /// each failed one doubles the wait, up to four heartbeats.
     pub heartbeat_ms: u64,
     /// Consecutive failures that declare a backend dead. Failures below
     /// the threshold mark it suspect (still dispatchable).
     pub dead_after: u32,
-    /// Base of the dead-backend re-probe backoff (doubles per failed
-    /// probe).
-    pub probe_backoff_base_ms: u64,
-    /// Cap on the re-probe backoff.
-    pub probe_backoff_cap_ms: u64,
 }
 
 impl Default for FleetConfig {
@@ -96,13 +90,8 @@ impl Default for FleetConfig {
         FleetConfig {
             backends: Vec::new(),
             hedge_after_ms: Some(2000),
-            local_fallback: true,
-            control_timeout_ms: 2000,
-            data_timeout_ms: 30_000,
             heartbeat_ms: 500,
             dead_after: 3,
-            probe_backoff_base_ms: 100,
-            probe_backoff_cap_ms: 2000,
         }
     }
 }
@@ -216,15 +205,15 @@ impl BackendHealth {
     /// Records a failed probe or dispatch. Below `cfg.dead_after`
     /// consecutive failures the backend is suspect; at the threshold it
     /// is dead and the deterministic re-probe backoff
-    /// (`base << round`, capped) starts from `now_ms`.
+    /// (`heartbeat << round`, capped at four heartbeats) starts from
+    /// `now_ms`.
     pub fn on_failure(&mut self, cfg: &FleetConfig, now_ms: u64) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         if self.consecutive_failures >= cfg.dead_after {
             self.state = HealthState::Dead;
             let backoff = cfg
-                .probe_backoff_base_ms
-                .saturating_mul(1u64 << self.probe_round.min(16))
-                .min(cfg.probe_backoff_cap_ms);
+                .heartbeat_ms
+                .saturating_mul(1u64 << self.probe_round.min(2));
             self.probe_round = self.probe_round.saturating_add(1);
             self.next_probe_ms = now_ms.saturating_add(backoff);
         } else {
@@ -233,11 +222,154 @@ impl BackendHealth {
     }
 }
 
-/// One backend's identity, health and per-fleet accounting.
-#[derive(Debug)]
+/// Where a backend's shards run: a `studyd` over the wire, or the
+/// coordinator's own scheduler (the fallback).
+enum Link {
+    Remote(String),
+    Local(Arc<Scheduler>),
+}
+
+/// A started shard: its job id on the link and where its events arrive.
+struct Shard {
+    job: u64,
+    events: Events,
+}
+
+enum Events {
+    /// A backend's result stream; `n` range-checks its indices.
+    Remote {
+        client: Client,
+        n: usize,
+    },
+    Local(Receiver<JobEvent>),
+}
+
+/// Why a shard did not start.
+enum StartError {
+    /// The link is up but turned the work away for now (`busy`).
+    Busy,
+    /// The link could not be reached: the units never left.
+    Unreachable,
+    /// The link was reached and then failed: it may have died holding
+    /// the work.
+    Broken,
+}
+
+impl Link {
+    /// Whether the link answers a `status` call (the fallback always
+    /// does).
+    fn probe(&self) -> bool {
+        match self {
+            Link::Remote(addr) => Client::connect(addr).is_ok_and(|mut c| c.status().is_ok()),
+            Link::Local(_) => true,
+        }
+    }
+
+    /// Starts a job for `units` of `grid`.
+    fn start(
+        &self,
+        grid: &GridStudy,
+        params: &StudyParams,
+        units: &[usize],
+    ) -> Result<Shard, StartError> {
+        match self {
+            Link::Remote(addr) => {
+                let mut client = Client::connect(addr).map_err(|_| StartError::Unreachable)?;
+                client.set_data_timeout(Some(DATA_TIMEOUT));
+                match client.start_submit(grid.study(), params, Some(units)) {
+                    Ok((job, _points)) => Ok(Shard {
+                        job,
+                        events: Events::Remote {
+                            client,
+                            n: grid.n_points(),
+                        },
+                    }),
+                    Err(SimError::Protocol(ProtocolError::Busy { .. })) => Err(StartError::Busy),
+                    Err(_) => Err(StartError::Broken),
+                }
+            }
+            Link::Local(scheduler) => {
+                let subset = Some(units.to_vec());
+                let (job, rx) = scheduler
+                    .submit_units(grid.clone(), params.clone(), subset)
+                    .map_err(|_| StartError::Busy)?;
+                Ok(Shard {
+                    job,
+                    events: Events::Local(rx),
+                })
+            }
+        }
+    }
+
+    /// Best-effort cancel of a job on the link (a remote one over a
+    /// fresh control connection: the worker that owns the stream is
+    /// blocked reading it).
+    fn cancel(&self, job: u64, hedge: bool) {
+        match self {
+            Link::Remote(addr) => {
+                if let Ok(mut c) = Client::connect(addr) {
+                    c.cancel_with_reason(job, hedge.then_some("hedge")).ok();
+                }
+            }
+            Link::Local(scheduler) => {
+                scheduler.cancel_with_reason(job, hedge);
+            }
+        }
+    }
+}
+
+impl Shard {
+    /// The shard's next event, a backend's frame converted to the job
+    /// event it stands for; `None` when the stream broke.
+    fn next(&mut self) -> Option<JobEvent> {
+        let (client, n) = match &mut self.events {
+            Events::Remote { client, n } => (client, *n),
+            Events::Local(rx) => return rx.recv().ok(),
+        };
+        let attempts = |a: u64| u32::try_from(a).unwrap_or(u32::MAX);
+        Some(match client.next_event(n).ok()? {
+            StreamEvent::Point {
+                index,
+                source,
+                attempts: a,
+                summary,
+            } => JobEvent::Point {
+                index,
+                source: PointSource::from_wire(&source).unwrap_or(PointSource::Computed),
+                attempts: attempts(a),
+                record: summary.to_record(),
+            },
+            StreamEvent::Failed {
+                index,
+                label,
+                reason,
+                attempts: a,
+            } => JobEvent::Failed {
+                index,
+                label,
+                reason,
+                attempts: attempts(a),
+            },
+            StreamEvent::Done {
+                computed,
+                cached,
+                coalesced,
+                failed,
+                cancelled,
+            } => JobEvent::Done {
+                computed: computed as usize,
+                cached: cached as usize,
+                coalesced: coalesced as usize,
+                failed: failed as usize,
+                cancelled,
+            },
+        })
+    }
+}
+
+/// One backend's link, health and per-fleet accounting.
 struct Backend {
-    id: String,
-    addr: String,
+    link: Link,
     health: Mutex<BackendHealth>,
     /// Units this backend resolved (first-wins).
     served: AtomicU64,
@@ -279,7 +411,7 @@ pub struct FederationStatus {
     pub jobs_active: usize,
     /// Jobs accepted since startup.
     pub jobs_total: u64,
-    /// Units computed by the coordinator's local fallback.
+    /// Units the coordinator's local fallback resolved.
     pub local_units: u64,
     /// Whether the federation is draining.
     pub draining: bool,
@@ -304,7 +436,7 @@ impl FederationStatus {
         }
         if self.local_units > 0 {
             out.push_str(&format!(
-                "fleet: local fallback computed {} unit(s)\n",
+                "fleet: local fallback served {} unit(s)\n",
                 self.local_units
             ));
         }
@@ -312,11 +444,9 @@ impl FederationStatus {
     }
 }
 
-/// Which backends a unit is in flight on (or the local fallback).
-#[derive(Debug)]
+/// Which backends a unit is in flight on.
 struct Dispatched {
-    /// Backend indices racing this unit; `usize::MAX` is the local
-    /// fallback worker.
+    /// Indices of the links racing this unit.
     backends: Vec<usize>,
     /// When the first dispatch happened (federation clock, ms) — the
     /// hedge deadline counts from here.
@@ -324,7 +454,6 @@ struct Dispatched {
 }
 
 /// Mutable state of one federated job, shared by its workers.
-#[derive(Debug)]
 struct JobSt {
     /// Units nobody is running.
     queue: VecDeque<usize>,
@@ -332,10 +461,10 @@ struct JobSt {
     resolved: Vec<bool>,
     /// In-flight units.
     dispatched: HashMap<usize, Dispatched>,
-    /// Per remote job `(backend, remote-job-id)`: its unresolved units.
-    /// A set emptied by *another* worker's resolution marks a hedge
-    /// loser to cancel.
-    remote: HashMap<(usize, u64), HashSet<usize>>,
+    /// Per shard `(link, job on that link)`: its unresolved units. A set
+    /// emptied by *another* worker's resolution marks a hedge loser to
+    /// cancel.
+    shards: HashMap<(usize, u64), HashSet<usize>>,
     /// Units not yet resolved.
     remaining: usize,
     stream: JobStream,
@@ -344,36 +473,27 @@ struct JobSt {
 /// One federated job: its grid and its shared state.
 struct JobCtl {
     id: u64,
-    grid: Arc<GridStudy>,
+    grid: GridStudy,
     params: StudyParams,
     st: Mutex<JobSt>,
     cond: Condvar,
 }
 
-impl std::fmt::Debug for JobCtl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobCtl")
-            .field("id", &self.id)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Federation-level mutable state.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct FedState {
     next_job: u64,
     jobs_active: usize,
     jobs_total: u64,
-    local_units: u64,
     draining: bool,
     /// Live jobs, for cancellation.
     jobs: HashMap<u64, Arc<JobCtl>>,
 }
 
-#[derive(Debug)]
 struct FedInner {
     cfg: FleetConfig,
-    backends: Vec<Arc<Backend>>,
+    /// One link per `cfg.backends` entry, in order, then the fallback.
+    links: Vec<Backend>,
     started: Instant,
     st: Mutex<FedState>,
     cond: Condvar,
@@ -384,9 +504,9 @@ struct FedInner {
 /// reassembles result streams. Implements [`Dispatch`], so a
 /// `studyd --backend …` coordinator serves the identical wire protocol
 /// a single backend does.
-#[derive(Debug)]
 pub struct Federation {
     inner: Arc<FedInner>,
+    fallback: Arc<Scheduler>,
     monitor: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -400,73 +520,50 @@ impl FedInner {
         u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    fn control_timeout(&self) -> Duration {
-        Duration::from_millis(self.cfg.control_timeout_ms.max(1))
+    /// The remote backends, in config order (every link but the
+    /// fallback).
+    fn remotes(&self) -> &[Backend] {
+        &self.links[..self.cfg.backends.len()]
     }
 
-    /// Backends currently dispatchable (not dead).
-    fn live_backends(&self) -> usize {
-        self.backends
+    /// Remote backends currently dispatchable (not dead).
+    fn live_remotes(&self) -> usize {
+        self.remotes()
             .iter()
             .filter(|b| lock(&b.health).is_live())
             .count()
     }
-
-    /// Opens a connection configured for data-plane streaming.
-    fn connect(&self, addr: &str) -> Result<Client, SimError> {
-        let mut client = Client::connect(addr)?;
-        client.set_control_timeout(Some(self.control_timeout()));
-        client.set_data_timeout(Some(Duration::from_millis(self.cfg.data_timeout_ms.max(1))));
-        Ok(client)
-    }
-
-    /// Best-effort protocol cancel of a remote job over a fresh
-    /// control connection (the worker that owns the stream is blocked
-    /// reading it).
-    fn cancel_remote(&self, backend_idx: usize, rjob: u64, reason: Option<&str>) {
-        if backend_idx == usize::MAX {
-            return; // the local fallback has no remote job
-        }
-        let addr = self.backends[backend_idx].addr.clone();
-        if let Ok(mut c) = Client::connect(&addr) {
-            c.set_control_timeout(Some(self.control_timeout()));
-            c.cancel_with_reason(rjob, reason).ok();
-        }
-    }
 }
 
 impl Federation {
-    /// Builds the coordinator and starts its health monitor. Backends
-    /// are probed asynchronously — a fleet whose members are still
-    /// booting is fine; they begin as [`HealthState::Unprobed`] and are
-    /// dispatched to optimistically.
+    /// Builds the coordinator over `fallback`, the scheduler that takes
+    /// the work while no backend is live, and starts its health monitor.
+    /// Backends are probed asynchronously — a fleet whose members are
+    /// still booting is fine; they begin as [`HealthState::Unprobed`] and
+    /// are dispatched to optimistically.
     ///
     /// # Errors
     ///
     /// [`SimError::Federation`] when `cfg.backends` is empty.
-    pub fn start(cfg: FleetConfig) -> Result<Federation, SimError> {
+    pub fn start(cfg: FleetConfig, fallback: Arc<Scheduler>) -> Result<Federation, SimError> {
         if cfg.backends.is_empty() {
             return Err(FederationError::NoBackends.into());
         }
-        let backends = cfg
-            .backends
-            .iter()
-            .enumerate()
-            .map(|(i, addr)| {
-                Arc::new(Backend {
-                    id: format!("b{i}"),
-                    addr: addr.clone(),
-                    health: Mutex::new(BackendHealth::new()),
-                    served: AtomicU64::new(0),
-                    failed_over: AtomicU64::new(0),
-                    hedge_wins: AtomicU64::new(0),
-                    probes: AtomicU64::new(0),
-                })
+        let remotes = cfg.backends.iter().map(|addr| Link::Remote(addr.clone()));
+        let links = remotes
+            .chain([Link::Local(Arc::clone(&fallback))])
+            .map(|link| Backend {
+                link,
+                health: Mutex::new(BackendHealth::new()),
+                served: AtomicU64::new(0),
+                failed_over: AtomicU64::new(0),
+                hedge_wins: AtomicU64::new(0),
+                probes: AtomicU64::new(0),
             })
             .collect();
         let inner = Arc::new(FedInner {
             cfg,
-            backends,
+            links,
             started: Instant::now(),
             st: Mutex::new(FedState::default()),
             cond: Condvar::new(),
@@ -484,6 +581,7 @@ impl Federation {
         };
         Ok(Federation {
             inner,
+            fallback,
             monitor: Mutex::new(Some(monitor)),
         })
     }
@@ -491,29 +589,29 @@ impl Federation {
     /// Point-in-time federation gauges.
     #[must_use]
     pub fn status(&self) -> FederationStatus {
-        let st = lock(&self.inner.st);
+        let inner = &self.inner;
+        let st = lock(&inner.st);
+        let snapshot = |(i, (b, addr)): (usize, (&Backend, &String))| {
+            let health = lock(&b.health);
+            BackendSnapshot {
+                id: format!("b{i}"),
+                addr: addr.clone(),
+                state: health.state(),
+                served: b.served.load(Ordering::Relaxed),
+                failed_over: b.failed_over.load(Ordering::Relaxed),
+                hedge_wins: b.hedge_wins.load(Ordering::Relaxed),
+                probes: b.probes.load(Ordering::Relaxed),
+                recoveries: health.recoveries(),
+            }
+        };
+        let remotes = inner.remotes().iter().zip(&inner.cfg.backends);
         FederationStatus {
-            backends: self
-                .inner
-                .backends
-                .iter()
-                .map(|b| {
-                    let health = lock(&b.health);
-                    BackendSnapshot {
-                        id: b.id.clone(),
-                        addr: b.addr.clone(),
-                        state: health.state(),
-                        served: b.served.load(Ordering::Relaxed),
-                        failed_over: b.failed_over.load(Ordering::Relaxed),
-                        hedge_wins: b.hedge_wins.load(Ordering::Relaxed),
-                        probes: b.probes.load(Ordering::Relaxed),
-                        recoveries: health.recoveries(),
-                    }
-                })
-                .collect(),
+            backends: remotes.enumerate().map(snapshot).collect(),
             jobs_active: st.jobs_active,
             jobs_total: st.jobs_total,
-            local_units: st.local_units,
+            local_units: inner.links[inner.cfg.backends.len()]
+                .served
+                .load(Ordering::Relaxed),
             draining: st.draining,
         }
     }
@@ -531,7 +629,7 @@ impl Federation {
     }
 
     /// Stops the monitor and wakes every worker so in-flight jobs wind
-    /// down. Remote jobs already dispatched are cancelled best-effort.
+    /// down. Shards already started are cancelled best-effort.
     pub fn stop(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         let jobs: Vec<Arc<JobCtl>> = {
@@ -547,30 +645,26 @@ impl Federation {
         }
     }
 
-    fn cancel_ctl(&self, ctl: &Arc<JobCtl>) {
-        let remote: Vec<(usize, u64)> = {
+    fn cancel_ctl(&self, ctl: &JobCtl) {
+        let shards: Vec<(usize, u64)> = {
             let mut st = lock(&ctl.st);
             if !st.stream.cancel() {
                 return;
             }
             ctl.cond.notify_all();
-            st.remote.keys().copied().collect()
+            st.shards.keys().copied().collect()
         };
-        // Propagate: cancel every in-flight per-backend sub-job so no
-        // orphaned unit keeps computing on the fleet.
-        for (backend_idx, rjob) in remote {
-            self.inner.cancel_remote(backend_idx, rjob, None);
+        // Propagate: cancel every started shard so no orphaned unit
+        // keeps computing on the fleet.
+        for (bi, job) in shards {
+            self.inner.links[bi].link.cancel(job, false);
         }
-        self.finish_job(ctl.id);
-    }
-
-    /// Removes a finished/cancelled job from the live map and wakes
-    /// drain waiters. Idempotent.
-    fn finish_job(&self, id: u64) {
-        finish_job(&self.inner, id);
+        finish_job(&self.inner, ctl.id);
     }
 }
 
+/// Removes a finished/cancelled job from the live map and wakes drain
+/// waiters. Idempotent.
 fn finish_job(inner: &FedInner, id: u64) {
     let mut st = lock(&inner.st);
     if st.jobs.remove(&id).is_some() {
@@ -596,11 +690,6 @@ impl Dispatch for Federation {
             if st.draining {
                 return Err(SubmitError::Draining);
             }
-            if self.inner.live_backends() == 0 && !self.inner.cfg.local_fallback {
-                return Err(SubmitError::Unavailable {
-                    backends: self.inner.backends.len(),
-                });
-            }
             st.next_job += 1;
             st.jobs_total += 1;
             st.jobs_active += 1;
@@ -608,13 +697,13 @@ impl Dispatch for Federation {
             let (stream, rx) = JobStream::new();
             let ctl = Arc::new(JobCtl {
                 id,
-                grid: Arc::new(grid),
+                grid,
                 params,
                 st: Mutex::new(JobSt {
                     queue: indices.iter().copied().collect(),
                     resolved: vec![false; n],
                     dispatched: HashMap::new(),
-                    remote: HashMap::new(),
+                    shards: HashMap::new(),
                     remaining: indices.len(),
                     stream,
                 }),
@@ -623,21 +712,12 @@ impl Dispatch for Federation {
             st.jobs.insert(id, Arc::clone(&ctl));
             (id, ctl, rx)
         };
-        for (bi, backend) in self.inner.backends.iter().enumerate() {
+        for bi in 0..self.inner.links.len() {
             let inner = Arc::clone(&self.inner);
-            let backend = Arc::clone(backend);
             let ctl = Arc::clone(&ctl);
             std::thread::Builder::new()
                 .name(format!("fed-worker-{bi}"))
-                .spawn(move || backend_worker(&inner, bi, &backend, &ctl))
-                .ok();
-        }
-        {
-            let inner = Arc::clone(&self.inner);
-            let ctl = Arc::clone(&ctl);
-            std::thread::Builder::new()
-                .name("fed-local".to_string())
-                .spawn(move || local_worker(&inner, &ctl))
+                .spawn(move || backend_worker(&inner, bi, &ctl))
                 .ok();
         }
         Ok((id, rx))
@@ -662,12 +742,11 @@ impl Dispatch for Federation {
         self.inner.cond.notify_all();
     }
 
+    /// The fallback scheduler's own `status` frame, plus a `federation`
+    /// block: the fleet's job gauges, the units the fallback resolved and
+    /// every backend's health and counters.
     fn render_status(&self, backend_id: Option<&str>) -> String {
         let s = self.status();
-        let backend = match backend_id {
-            Some(id) => format!("\"backend\": \"{}\", ", json::escape(id)),
-            None => String::new(),
-        };
         let mut fleet = String::new();
         for (i, b) in s.backends.iter().enumerate() {
             if i > 0 {
@@ -686,24 +765,22 @@ impl Dispatch for Federation {
                 b.recoveries
             ));
         }
-        format!(
-            "{{\"ok\": true, \"kind\": \"status\", \"proto\": {PROTO_VERSION}, {backend}\
-             \"workers\": 0, \"jobs_active\": {}, \"jobs_total\": {}, \"queued_units\": 0, \
-             \"max_queued_units\": 0, \"draining\": {}, \"points_computed\": 0, \
-             \"points_cached\": 0, \"points_coalesced\": 0, \"points_failed\": 0, \
-             \"hedge_cancels\": 0, \
-             \"federation\": {{\"local_units\": {}, \"backends\": [{fleet}]}}}}",
+        let federation = format!(
+            ", \"federation\": {{\"jobs_active\": {}, \"jobs_total\": {}, \"draining\": {}, \
+             \"local_units\": {}, \"backends\": [{fleet}]}}",
             s.jobs_active, s.jobs_total, s.draining, s.local_units
-        )
+        );
+        let (sched, cache) = (self.fallback.status(), self.fallback.cache().stats());
+        status_frame(&sched, &cache, backend_id, &federation)
     }
 }
 
-/// The heartbeat loop: probes every backend each period with a
-/// short-deadline `status` call, feeding the health state machine.
-/// Dead backends are only re-probed on their backoff schedule.
+/// The heartbeat loop: probes every link each period, feeding the
+/// health state machine. Dead links are only re-probed on their backoff
+/// schedule.
 fn monitor_loop(inner: &Arc<FedInner>) {
     while !inner.shutdown.load(Ordering::SeqCst) {
-        for backend in &inner.backends {
+        for backend in &inner.links {
             if inner.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -712,7 +789,7 @@ fn monitor_loop(inner: &Arc<FedInner>) {
                 continue;
             }
             backend.probes.fetch_add(1, Ordering::Relaxed);
-            let ok = probe(inner, &backend.addr);
+            let ok = backend.link.probe();
             let mut health = lock(&backend.health);
             if ok {
                 health.on_success();
@@ -729,16 +806,6 @@ fn monitor_loop(inner: &Arc<FedInner>) {
     }
 }
 
-fn probe(inner: &FedInner, addr: &str) -> bool {
-    match Client::connect(addr) {
-        Ok(mut client) => {
-            client.set_control_timeout(Some(inner.control_timeout()));
-            client.status().is_ok()
-        }
-        Err(_) => false,
-    }
-}
-
 /// What a backend worker decided to do after inspecting the job state.
 enum Claim {
     /// Fresh units claimed off the queue.
@@ -751,17 +818,16 @@ enum Claim {
     Exit,
 }
 
-/// One backend's worker for one job: claims unit chunks (or hedges
-/// stragglers), streams them from its backend, and resolves results
-/// first-wins into the shared job state. On any backend failure its
+/// One link's worker for one job: claims unit chunks (or hedges
+/// stragglers), streams them from its link, and resolves results
+/// first-wins into the shared job state. On any link failure its
 /// unresolved units are requeued for the survivors.
-fn backend_worker(inner: &Arc<FedInner>, bi: usize, backend: &Arc<Backend>, ctl: &Arc<JobCtl>) {
+fn backend_worker(inner: &FedInner, bi: usize, ctl: &JobCtl) {
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let claim = next_claim(inner, bi, ctl);
-        let units = match claim {
+        let units = match next_claim(inner, bi, ctl) {
             Claim::Exit => return,
             Claim::Wait => {
                 let st = lock(&ctl.st);
@@ -774,25 +840,28 @@ fn backend_worker(inner: &Arc<FedInner>, bi: usize, backend: &Arc<Backend>, ctl:
             Claim::Units(units) => units,
             Claim::Hedge(unit) => vec![unit],
         };
-        run_remote(inner, bi, backend, ctl, &units);
+        run_shard(inner, bi, ctl, &units);
     }
 }
 
-/// Claims work for backend `bi` under the job lock.
+/// Claims work for link `bi` under the job lock. A remote backend
+/// claims while it is live; the fallback only while no remote backend
+/// is.
 fn next_claim(inner: &FedInner, bi: usize, ctl: &JobCtl) -> Claim {
     let mut st = lock(&ctl.st);
     if st.stream.is_cancelled() || st.remaining == 0 {
         return Claim::Exit;
     }
-    if !lock(&inner.backends[bi].health).is_live() {
+    let live = inner.live_remotes();
+    let remote = bi < inner.cfg.backends.len();
+    if !lock(&inner.links[bi].health).is_live() || (!remote && live > 0) {
         return Claim::Wait;
     }
     let now = inner.now_ms();
     if !st.queue.is_empty() {
         // Chunk so every live backend gets a share, capped so failover
         // and hedging keep fine granularity.
-        let live = inner.live_backends().max(1);
-        let take = st.queue.len().div_ceil(live).clamp(1, 8);
+        let take = st.queue.len().div_ceil(live.max(1)).clamp(1, 8);
         let mut units = Vec::with_capacity(take);
         for _ in 0..take {
             let Some(u) = st.queue.pop_front() else { break };
@@ -859,39 +928,24 @@ fn requeue(ctl: &JobCtl, bi: usize, units: &[usize], backend: &Backend, count_fa
     ctl.cond.notify_all();
 }
 
-/// Streams `units` from backend `bi`, resolving first-wins.
-fn run_remote(
-    inner: &Arc<FedInner>,
-    bi: usize,
-    backend: &Arc<Backend>,
-    ctl: &Arc<JobCtl>,
-    units: &[usize],
-) {
-    let mut client = match inner.connect(&backend.addr) {
-        Ok(c) => c,
-        Err(_) => {
-            lock(&backend.health).on_failure(&inner.cfg, inner.now_ms());
-            // Never started: requeue without counting a failover.
-            requeue(ctl, bi, units, backend, false);
-            return;
-        }
-    };
-    let study = ctl.grid.study();
-    let rjob = match client.start_submit(study, &ctl.params, Some(units)) {
-        Ok((rjob, _points)) => rjob,
-        Err(SimError::Protocol(ProtocolError::Busy { .. })) => {
+/// Runs `units` as one shard on link `bi`, resolving first-wins.
+fn run_shard(inner: &FedInner, bi: usize, ctl: &JobCtl, units: &[usize]) {
+    let backend = &inner.links[bi];
+    let mut shard = match backend.link.start(&ctl.grid, &ctl.params, units) {
+        Ok(shard) => shard,
+        Err(StartError::Busy) => {
             // A busy backend is healthy; hand the units back and let
             // the fleet absorb them.
             requeue(ctl, bi, units, backend, false);
             std::thread::sleep(Duration::from_millis(POLL_MS));
             return;
         }
-        Err(_) => {
-            // The backend was reachable (the handshake succeeded) and
-            // then failed mid-submission — it may have died holding the
-            // work, so this is a failover, not a clean handback.
+        Err(e) => {
+            // Only a backend that failed after taking the request may
+            // have died holding the work: that is a failover, an
+            // unreachable one a clean handback.
             lock(&backend.health).on_failure(&inner.cfg, inner.now_ms());
-            requeue(ctl, bi, units, backend, true);
+            requeue(ctl, bi, units, backend, matches!(e, StartError::Broken));
             return;
         }
     };
@@ -899,49 +953,37 @@ fn run_remote(
     let mut pending: HashSet<usize> = units.iter().copied().collect();
     {
         let mut st = lock(&ctl.st);
-        // Units resolved while we were connecting are no longer ours;
-        // if that was all of them, this shard lost a hedged race before
-        // it started: reclaim the backend's duplicate work.
+        // Units resolved while the shard started are no longer ours; if
+        // that was all of them, it lost a hedged race before it began,
+        // and if the job was cancelled meanwhile nobody wants it: either
+        // way the link reclaims the work.
         pending.retain(|u| !st.resolved[*u]);
-        if pending.is_empty() {
+        let cancelled = st.stream.is_cancelled();
+        if pending.is_empty() || cancelled {
             drop(st);
-            inner.cancel_remote(bi, rjob, Some("hedge"));
+            backend.link.cancel(shard.job, !cancelled);
             return;
         }
-        st.remote.insert((bi, rjob), pending.clone());
+        st.shards.insert((bi, shard.job), pending.clone());
     }
-    let n = ctl.grid.n_points();
-    // The stream is read to its `done` frame. A frame for an index this
+    // The stream is read to its `done` event. An event for an index this
     // shard was never sent is a broken stream, like a reset.
     let clean = loop {
-        let (index, attempts, outcome) = match client.next_event(n) {
-            Ok(StreamEvent::Point {
-                index,
-                source,
-                attempts,
-                summary,
-            }) => {
-                let source = PointSource::from_wire(&source).unwrap_or(PointSource::Computed);
-                (index, attempts, Ok((source, summary)))
-            }
-            Ok(StreamEvent::Failed {
-                index,
-                label,
-                reason,
-                attempts,
-            }) => (index, attempts, Err((label, reason))),
-            Ok(StreamEvent::Done { .. }) => break true,
-            Err(_) => break false,
+        let Some(event) = shard.next() else {
+            break false;
+        };
+        let (JobEvent::Point { index, .. } | JobEvent::Failed { index, .. }) = event else {
+            break true;
         };
         if !units.contains(&index) {
             break false;
         }
         pending.remove(&index);
-        resolve(inner, bi, Some(backend), ctl, index, attempts, outcome);
+        resolve(inner, bi, ctl, index, event);
     };
-    lock(&ctl.st).remote.remove(&(bi, rjob));
-    // A done frame with units still pending (a remote job cancelled as
-    // a hedge loser or with its federated job) hands them back to the
+    lock(&ctl.st).shards.remove(&(bi, shard.job));
+    // A done event with units still pending (a shard cancelled as a
+    // hedge loser or with its federated job) hands them back to the
     // fleet; a broken stream fails them over.
     if !clean {
         lock(&backend.health).on_failure(&inner.cfg, inner.now_ms());
@@ -950,19 +992,11 @@ fn run_remote(
     requeue(ctl, bi, &leftovers, backend, !clean);
 }
 
-/// First-wins resolution: marks the unit resolved, forwards its outcome
-/// (a point and how it was satisfied, or a failure's label and reason)
-/// as an event, credits the resolver (`None` = the local fallback), and
-/// cancels any hedge loser whose remote job just went empty.
-fn resolve(
-    inner: &FedInner,
-    bi: usize,
-    backend: Option<&Backend>,
-    ctl: &JobCtl,
-    index: usize,
-    attempts: u64,
-    outcome: Result<(PointSource, PointSummary), (String, String)>,
-) {
+/// First-wins resolution: marks the unit resolved, forwards its event (a
+/// point, or a failure with its label and reason), credits link `bi`,
+/// and cancels any hedge loser whose shard just went empty.
+fn resolve(inner: &FedInner, bi: usize, ctl: &JobCtl, index: usize, event: JobEvent) {
+    let backend = &inner.links[bi];
     let losers: Vec<(usize, u64)> = {
         let mut st = lock(&ctl.st);
         if st.stream.is_cancelled() || st.resolved[index] {
@@ -975,21 +1009,30 @@ fn resolve(
             .get(&index)
             .is_some_and(|d| d.backends.len() > 1);
         st.dispatched.remove(&index);
-        if let Some(backend) = backend {
-            backend.served.fetch_add(1, Ordering::Relaxed);
-            if hedged {
-                backend.hedge_wins.fetch_add(1, Ordering::Relaxed);
-            }
+        // Count before forwarding: the last unit's event is followed by
+        // the terminal `done`, and a consumer reading it must already
+        // see every unit in the gauges.
+        backend.served.fetch_add(1, Ordering::Relaxed);
+        if hedged {
+            backend.hedge_wins.fetch_add(1, Ordering::Relaxed);
         }
-        let attempts = u32::try_from(attempts).unwrap_or(u32::MAX);
-        match outcome {
-            Ok((source, summary)) => st
-                .stream
-                .point(index, source, attempts, summary.to_record()),
-            Err((label, reason)) => st.stream.failed(index, label, reason, attempts),
+        match event {
+            JobEvent::Point {
+                source,
+                attempts,
+                record,
+                ..
+            } => st.stream.point(index, source, attempts, record),
+            JobEvent::Failed {
+                label,
+                reason,
+                attempts,
+                ..
+            } => st.stream.failed(index, label, reason, attempts),
+            JobEvent::Done { .. } => unreachable!("a shard's `done` ends its stream"),
         };
         let mut losers = Vec::new();
-        for (key, set) in &mut st.remote {
+        for (key, set) in &mut st.shards {
             if set.remove(&index) && set.is_empty() && key.0 != bi {
                 losers.push(*key);
             }
@@ -1000,93 +1043,12 @@ fn resolve(
         ctl.cond.notify_all();
         losers
     };
-    for (loser_bi, rjob) in losers {
-        inner.cancel_remote(loser_bi, rjob, Some("hedge"));
+    for (loser, job) in losers {
+        inner.links[loser].link.cancel(job, true);
     }
     let finished = lock(&ctl.st).remaining == 0;
     if finished {
         finish_job(inner, ctl.id);
-    }
-}
-
-/// The graceful-degradation worker: when the whole fleet is dead it
-/// drains the queue with local in-process execution — each claimed unit
-/// through the sweep's own graph driver ([`run_units`]: the sweep's unit
-/// bodies in the sweep's fault domain with the parameters' retry budget,
-/// a failed reference cascading with the sweep's reason), so reports stay
-/// byte-identical even when units fail. References that landed are
-/// carried from claim to claim the way a resumed journal supplies them.
-/// With [`FleetConfig::local_fallback`] disabled it fails the stranded
-/// units instead so the job still terminates.
-fn local_worker(inner: &Arc<FedInner>, ctl: &Arc<JobCtl>) {
-    let mut known: Vec<Option<RefValue>> = vec![None; ctl.grid.profiles().len()];
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let unit = {
-            let mut st = lock(&ctl.st);
-            if st.stream.is_cancelled() || st.remaining == 0 {
-                return;
-            }
-            let all_dead = inner.live_backends() == 0;
-            if !all_dead || st.queue.is_empty() {
-                let _unused = ctl
-                    .cond
-                    .wait_timeout(st, Duration::from_millis(POLL_MS))
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            let unit = st.queue.pop_front().expect("checked non-empty");
-            st.dispatched.insert(
-                unit,
-                Dispatched {
-                    backends: vec![usize::MAX],
-                    first_at_ms: inner.now_ms(),
-                },
-            );
-            unit
-        };
-        if !inner.cfg.local_fallback {
-            let reason = "all fleet backends are dead and local fallback is disabled";
-            let failure = (ctl.grid.label(unit), reason.to_string());
-            resolve(inner, usize::MAX, None, ctl, unit, 1, Err(failure));
-            continue;
-        }
-        let mut graph = ctl.grid.graph();
-        for (pi, st) in known.iter().enumerate() {
-            if let Some(st) = *st {
-                graph.ref_known(pi, st);
-            }
-        }
-        graph.add_point(unit);
-        run_units(
-            &mut graph,
-            Parallelism::Serial,
-            ctl.params.faults.retries,
-            |pi| ctl.grid.compute_reference(&ctl.params, pi),
-            |index, st| ctl.grid.compute_point(&ctl.params, index, st[0]),
-            |index, outcome, attempts| {
-                let outcome = outcome
-                    .map(|summary| (PointSource::Computed, summary))
-                    .map_err(|reason| (ctl.grid.label(index), reason));
-                // Count before resolving: resolve() may send the terminal
-                // `done` frame, and a consumer reading it must already see
-                // every local unit in the gauges.
-                lock(&inner.st).local_units += 1;
-                resolve(
-                    inner,
-                    usize::MAX,
-                    None,
-                    ctl,
-                    index,
-                    attempts.into(),
-                    outcome,
-                );
-            },
-        );
-        let (pi, _) = ctl.grid.point(unit);
-        known[pi] = graph.ref_value(pi);
     }
 }
 
@@ -1098,10 +1060,15 @@ mod tests {
         FleetConfig {
             backends: vec!["127.0.0.1:1".to_string()],
             dead_after: 3,
-            probe_backoff_base_ms: 100,
-            probe_backoff_cap_ms: 400,
+            heartbeat_ms: 100,
             ..FleetConfig::default()
         }
+    }
+
+    fn fallback() -> Arc<Scheduler> {
+        let cache = Arc::new(crate::cache::Cache::new(1024));
+        let options = crate::scheduler::SchedOptions::default();
+        Arc::new(Scheduler::start(1, cache, options))
     }
 
     #[test]
@@ -1154,11 +1121,11 @@ mod tests {
 
     #[test]
     fn federation_requires_backends() {
-        let err = Federation::start(FleetConfig {
+        let config = FleetConfig {
             backends: Vec::new(),
             ..FleetConfig::default()
-        })
-        .unwrap_err();
+        };
+        let err = Federation::start(config, fallback()).err().unwrap();
         assert!(matches!(
             err,
             SimError::Federation(FederationError::NoBackends)
@@ -1167,12 +1134,12 @@ mod tests {
 
     #[test]
     fn status_summary_names_every_backend() {
-        let fed = Federation::start(FleetConfig {
+        let config = FleetConfig {
             backends: vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()],
             heartbeat_ms: 10_000, // keep the monitor quiet for the test
             ..FleetConfig::default()
-        })
-        .unwrap();
+        };
+        let fed = Federation::start(config, fallback()).unwrap();
         let status = fed.status();
         assert_eq!(status.backends.len(), 2);
         assert_eq!(status.backends[0].id, "b0");
@@ -1182,6 +1149,7 @@ mod tests {
         let frame = fed.render_status(Some("coord"));
         assert!(frame.contains("\"backend\": \"coord\""));
         assert!(frame.contains("\"federation\": "));
+        assert!(frame.contains("\"local_units\": 0"));
         fed.stop();
     }
 }

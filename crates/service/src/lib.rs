@@ -23,10 +23,12 @@
 //!   backoff against `busy` replies and split control/data read
 //!   deadlines so a wedged backend is detected in bounded time;
 //! - [`federation`] — the multi-backend coordinator: health-checked
-//!   fan-out of grid units across a fleet, automatic failover, hedged
-//!   straggler retries and graceful local fallback, still
-//!   byte-identical;
-//! - [`chaos`] — deterministic fault injection driving the chaos suite.
+//!   fan-out of grid units across a fleet, automatic failover and hedged
+//!   straggler retries, still byte-identical; its fallback when the
+//!   whole fleet is dead is the coordinator's own scheduler, driven
+//!   through the same link as every remote backend;
+//! - [`chaos`] — the one fault injected from inside: a panic at a chosen
+//!   work unit.
 //!
 //! Everything is `std`-only — `TcpListener`, `TcpStream` and threads —
 //! matching the repo's no-external-dependencies rule. Protocol and

@@ -40,9 +40,11 @@
 //!   `cancel` accepts a `reason` string (`"hedge"` marks a lost hedged
 //!   race, counted in the `hedge_cancels` status field); `hello` and
 //!   `status` replies echo a `backend` identity when the server was
-//!   started with one; a coordinator's `status` reply carries a
-//!   `federation` block with per-backend health, units served,
-//!   failovers and hedge wins.
+//!   started with one; a coordinator's `status` reply is its fallback
+//!   scheduler's (the `cache` block included) plus a `federation` block
+//!   with the fleet's job gauges, the units the fallback resolved
+//!   (`local_units`) and per-backend health, units served, failovers
+//!   and hedge wins.
 //!
 //! Result frames are batched into as few writes as the job's queue
 //! allows — the session flushes only when no next event is ready (see

@@ -285,13 +285,6 @@ pub enum SubmitError {
     },
     /// The scheduler is draining and admits no new work.
     Draining,
-    /// The federated fleet has no live backend and local fallback is
-    /// disabled. Only [`crate::federation::Federation`] admission
-    /// returns this; the local scheduler never does.
-    Unavailable {
-        /// Backends configured in the fleet.
-        backends: usize,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -306,10 +299,6 @@ impl std::fmt::Display for SubmitError {
                 "work queue full ({queued} units queued, limit {limit}); retry after {retry_after_ms} ms"
             ),
             SubmitError::Draining => f.write_str("server is draining and not admitting new work"),
-            SubmitError::Unavailable { backends } => write!(
-                f,
-                "all {backends} fleet backend(s) are dead and local fallback is disabled"
-            ),
         }
     }
 }
@@ -833,21 +822,6 @@ fn worker_loop(shared: &Shared) {
         let JobSpec { grid, params, keys } = &*claim.spec;
         let retries = params.faults.retries;
         let unit_no = shared.chaos_units.fetch_add(1, Ordering::Relaxed);
-        if shared.chaos.exit_at_unit == Some(unit_no) {
-            // Chaos: die as abruptly as a kill -9 — no drain, no flush,
-            // streams cut mid-frame. (Only ever reached in a dedicated
-            // chaos child process, never an in-process test scheduler.)
-            std::process::exit(9);
-        }
-        if shared.chaos.stall_at_unit == Some(unit_no) {
-            // Chaos: wedge this worker forever (until shutdown), holding
-            // its claimed unit — the straggler a hedge must race around.
-            let mut st = lock(shared);
-            while !st.shutdown {
-                st = shared.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-            return;
-        }
         let chaos_panic = shared.chaos.panic_at_unit == Some(unit_no);
         let chaos = || assert!(!chaos_panic, "chaos: injected panic at unit {unit_no}");
         let (id, key) = (claim.id, keys.get(claim.unit));
@@ -1608,7 +1582,6 @@ mod tests {
             SchedOptions {
                 chaos: ChaosPolicy {
                     panic_at_unit: Some(0),
-                    ..ChaosPolicy::default()
                 },
                 ..SchedOptions::default()
             },

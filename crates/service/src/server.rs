@@ -7,7 +7,8 @@
 //! listener binds, admission control and chaos policy are threaded into
 //! the scheduler, and the `shutdown` op carries a [`ShutdownMode`] so a
 //! drain — stop admitting, finish in-flight work, flush the spill —
-//! can be distinguished from an immediate stop.
+//! can be distinguished from an immediate stop. A coordinator is built
+//! the same way: its scheduler is the federation's fallback backend.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -77,24 +78,17 @@ impl Default for ServeConfig {
     }
 }
 
-/// What executes the work behind a server: a local scheduler pool (a
-/// backend daemon) or a federation coordinator (a fleet front).
-enum Engine {
-    Local {
-        scheduler: Arc<Scheduler>,
-        cache: Arc<Cache>,
-    },
-    Fed(Arc<Federation>),
-}
-
-/// A running server: its bound address, its engine, and the handles
+/// A running server: its bound address, its scheduler and cache (and,
+/// on a coordinator, the federation in front of them), and the handles
 /// needed to stop it cleanly.
 pub struct ServerHandle {
     local_addr: SocketAddr,
     stop_flag: Arc<AtomicBool>,
     shutdown_rx: Receiver<ShutdownMode>,
     accept: Mutex<Option<JoinHandle<()>>>,
-    engine: Engine,
+    scheduler: Arc<Scheduler>,
+    cache: Arc<Cache>,
+    federation: Option<Arc<Federation>>,
 }
 
 /// Binds and starts serving. Returns as soon as the listener is live;
@@ -109,6 +103,26 @@ pub struct ServerHandle {
 /// [`SimError::Protocol`] when the bind fails; [`SimError::Journal`]
 /// when the spill file exists but has a wrong or non-matching header.
 pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
+    start(cfg, None)
+}
+
+/// Binds and starts serving a **federation coordinator**: the identical
+/// wire protocol as [`serve`], but submits are sharded across
+/// `fleet.backends` (with health checks, failover and hedging). The
+/// server [`serve`] would build — cache, spill and scheduler, sized by
+/// `cfg` — is the fleet's fallback backend, taking the work while no
+/// backend is live.
+///
+/// # Errors
+///
+/// As [`serve`]; [`SimError::Federation`] when the fleet configuration
+/// is unusable (e.g. no backends).
+pub fn serve_coordinator(cfg: &ServeConfig, fleet: FleetConfig) -> Result<ServerHandle, SimError> {
+    start(cfg, Some(fleet))
+}
+
+/// The one server behind [`serve`] and [`serve_coordinator`].
+fn start(cfg: &ServeConfig, fleet: Option<FleetConfig>) -> Result<ServerHandle, SimError> {
     let cache = Arc::new(Cache::new(cfg.cache_bytes));
     if let Some(path) = &cfg.cache_spill {
         let opened = persist::open(path)?;
@@ -122,6 +136,8 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
             }
         }
     }
+    let listener = TcpListener::bind(&cfg.addr).map_err(|e| io_err("bind", &e))?;
+    let local_addr = listener.local_addr().map_err(|e| io_err("bind", &e))?;
 
     let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -136,50 +152,27 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
             chaos: cfg.chaos.clone(),
         },
     ));
-    serve_with_engine(
-        cfg,
-        Arc::clone(&scheduler) as Arc<dyn Dispatch>,
-        Engine::Local { scheduler, cache },
-    )
-}
+    let federation = match fleet.map(|fleet| Federation::start(fleet, Arc::clone(&scheduler))) {
+        None => None,
+        Some(Ok(federation)) => Some(Arc::new(federation)),
+        Some(Err(e)) => {
+            scheduler.stop();
+            return Err(e);
+        }
+    };
+    let engine: Arc<dyn Dispatch> = match &federation {
+        Some(federation) => Arc::clone(federation) as Arc<dyn Dispatch>,
+        None => Arc::clone(&scheduler) as Arc<dyn Dispatch>,
+    };
 
-/// Binds and starts serving a **federation coordinator**: the identical
-/// wire protocol as [`serve`], but submits are sharded across
-/// `fleet.backends` (with health checks, failover, hedging and local
-/// fallback) instead of executed by a local pool. Cache flags in `cfg`
-/// are ignored — results live in the backends' caches.
-///
-/// # Errors
-///
-/// [`SimError::Protocol`] when the bind fails; [`SimError::Federation`]
-/// when the fleet configuration is unusable (e.g. no backends).
-pub fn serve_coordinator(cfg: &ServeConfig, fleet: FleetConfig) -> Result<ServerHandle, SimError> {
-    let federation = Arc::new(Federation::start(fleet)?);
-    serve_with_engine(
-        cfg,
-        Arc::clone(&federation) as Arc<dyn Dispatch>,
-        Engine::Fed(federation),
-    )
-}
-
-/// The shared bind/accept scaffolding behind [`serve`] and
-/// [`serve_coordinator`].
-fn serve_with_engine(
-    cfg: &ServeConfig,
-    dispatch: Arc<dyn Dispatch>,
-    engine: Engine,
-) -> Result<ServerHandle, SimError> {
-    let listener = TcpListener::bind(&cfg.addr).map_err(|e| io_err("bind", &e))?;
-    let local_addr = listener.local_addr().map_err(|e| io_err("bind", &e))?;
     let stop_flag = Arc::new(AtomicBool::new(false));
     let (shutdown_tx, shutdown_rx) = channel();
     let ctx = Arc::new(SessionCtx {
-        engine: dispatch,
+        engine,
         backend_id: cfg.backend_id.clone(),
         shutdown_tx,
         idle_timeout: cfg.idle_timeout_ms.map(Duration::from_millis),
     });
-
     let accept = {
         let stop_flag = Arc::clone(&stop_flag);
         std::thread::Builder::new()
@@ -213,7 +206,9 @@ fn serve_with_engine(
         stop_flag,
         shutdown_rx,
         accept: Mutex::new(Some(accept)),
-        engine,
+        scheduler,
+        cache,
+        federation,
     })
 }
 
@@ -224,46 +219,24 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// The shared scheduler (status, tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a coordinator handle — a fleet front has no local
-    /// scheduler; use [`ServerHandle::federation`].
+    /// The shared scheduler (status, tests) — on a coordinator, the
+    /// fleet's fallback backend.
     #[must_use]
     pub fn scheduler(&self) -> &Scheduler {
-        match &self.engine {
-            Engine::Local { scheduler, .. } => scheduler,
-            Engine::Fed(_) => panic!("a federation coordinator has no local scheduler"),
-        }
+        &self.scheduler
     }
 
     /// The shared result cache (stats, tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a coordinator handle — results live in the backends'
-    /// caches.
     #[must_use]
     pub fn cache(&self) -> &Cache {
-        match &self.engine {
-            Engine::Local { cache, .. } => cache,
-            Engine::Fed(_) => panic!("a federation coordinator has no local cache"),
-        }
+        &self.cache
     }
 
-    /// The federation coordinator (status, tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a plain backend handle; use
-    /// [`ServerHandle::scheduler`].
+    /// The federation coordinator in front of the scheduler; `None` on a
+    /// plain backend.
     #[must_use]
-    pub fn federation(&self) -> &Federation {
-        match &self.engine {
-            Engine::Fed(federation) => federation,
-            Engine::Local { .. } => panic!("this server is a backend, not a coordinator"),
-        }
+    pub fn federation(&self) -> Option<&Federation> {
+        self.federation.as_deref()
     }
 
     /// Blocks until some client sends the `shutdown` op; returns the
@@ -274,40 +247,31 @@ impl ServerHandle {
 
     /// The drain barrier: waits for every in-flight job to finish (the
     /// session already stopped admission before acknowledging the
-    /// drain), then — on a backend — **compacts** the cache spill,
-    /// rewriting it from the live LRU so dead (superseded or
-    /// quarantined) records do not accumulate across restarts. If
-    /// compaction fails the spill is synced as-is instead, so a drain
-    /// never loses data it already had. Call between
-    /// [`ServerHandle::wait_for_shutdown`] returning
+    /// drain) — on a coordinator the federation's jobs first, then the
+    /// fallback's — then **compacts** the cache spill, rewriting it from
+    /// the live LRU so dead (superseded or quarantined) records do not
+    /// accumulate across restarts. If compaction fails the spill is
+    /// synced as-is instead, so a drain never loses data it already had.
+    /// Call between [`ServerHandle::wait_for_shutdown`] returning
     /// [`ShutdownMode::Drain`] and [`ServerHandle::stop`].
     pub fn drain(&self) {
-        match &self.engine {
-            Engine::Local { scheduler, cache } => {
-                scheduler.begin_drain();
-                scheduler.wait_idle();
-                match cache.compact_spill() {
-                    Ok(_) => {}
-                    Err(e) => {
-                        eprintln!(
-                            "studyd: spill compaction failed during drain ({e}); syncing as-is"
-                        );
-                        if let Err(e) = cache.sync() {
-                            eprintln!("studyd: cache spill sync failed during drain: {e}");
-                        }
-                    }
-                }
-            }
-            Engine::Fed(federation) => {
-                federation.begin_drain();
-                federation.wait_idle();
+        if let Some(federation) = &self.federation {
+            federation.begin_drain();
+            federation.wait_idle();
+        }
+        self.scheduler.begin_drain();
+        self.scheduler.wait_idle();
+        if let Err(e) = self.cache.compact_spill() {
+            eprintln!("studyd: spill compaction failed during drain ({e}); syncing as-is");
+            if let Err(e) = self.cache.sync() {
+                eprintln!("studyd: cache spill sync failed during drain: {e}");
             }
         }
     }
 
-    /// Stops accepting, then stops the engine (worker pool or
-    /// federation monitor). Live sessions whose clients are still
-    /// connected end when those clients disconnect.
+    /// Stops accepting, then stops the federation (if any) and the
+    /// worker pool. Live sessions whose clients are still connected end
+    /// when those clients disconnect.
     pub fn stop(&self) {
         self.stop_flag.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
@@ -320,9 +284,9 @@ impl ServerHandle {
         {
             h.join().ok();
         }
-        match &self.engine {
-            Engine::Local { scheduler, .. } => scheduler.stop(),
-            Engine::Fed(federation) => federation.stop(),
+        if let Some(federation) = &self.federation {
+            federation.stop();
         }
+        self.scheduler.stop();
     }
 }

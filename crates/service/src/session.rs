@@ -91,7 +91,7 @@ impl Dispatch for Scheduler {
     }
 
     fn render_status(&self, backend_id: Option<&str>) -> String {
-        status_frame(&self.status(), &self.cache().stats(), backend_id)
+        status_frame(&self.status(), &self.cache().stats(), backend_id, "")
     }
 }
 
@@ -415,10 +415,6 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
             );
             return Flow::Continue;
         }
-        Err(e @ SubmitError::Unavailable { .. }) => {
-            send_error(writer, "unavailable", &e.to_string());
-            return Flow::Continue;
-        }
     };
     let accepted = format!(
         "{{\"ok\": true, \"kind\": \"accepted\", \"job\": {job}, \"study\": \"{}\", \
@@ -536,7 +532,14 @@ fn list_frame() -> String {
     out
 }
 
-fn status_frame(s: &SchedulerStatus, c: &CacheStats, backend_id: Option<&str>) -> String {
+/// A scheduler's `status` reply frame; `extra` (empty, or `, "key":
+/// value` fields) is appended inside the frame.
+pub(crate) fn status_frame(
+    s: &SchedulerStatus,
+    c: &CacheStats,
+    backend_id: Option<&str>,
+    extra: &str,
+) -> String {
     let backend = match backend_id {
         Some(id) => format!("\"backend\": \"{}\", ", json::escape(id)),
         None => String::new(),
@@ -549,7 +552,7 @@ fn status_frame(s: &SchedulerStatus, c: &CacheStats, backend_id: Option<&str>) -
          \"points_failed\": {}, \"hedge_cancels\": {}, \
          \"cache\": {{\"hits\": {}, \"misses\": {}, \"insertions\": {}, \"evictions\": {}, \
          \"entries\": {}, \"bytes\": {}, \"budget\": {}, \"loaded\": {}, \"quarantined\": {}, \
-         \"spilled\": {}}}}}",
+         \"spilled\": {}}}{extra}}}",
         s.workers,
         s.jobs_active,
         s.jobs_total,
@@ -577,37 +580,89 @@ fn status_frame(s: &SchedulerStatus, c: &CacheStats, backend_id: Option<&str>) -
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
+    use std::net::TcpListener;
+    use std::sync::mpsc::channel;
+    use std::sync::Mutex;
 
     use experiments::decompose::decompose;
     use experiments::study::StudyParams;
 
-    use crate::chaos::ChaosPolicy;
     use crate::client::{Client, StreamEvent};
-    use crate::server::{serve, ServeConfig};
+    use crate::scheduler::PointSource;
 
     use super::*;
 
-    /// Batching never holds a computed point back: on one worker, a cold
-    /// fig5 whose last unit stalls forever must still stream every other
-    /// point — each flushed as it lands, with nothing queued behind it.
+    /// An engine whose job streams `record` as every point but the last
+    /// and then holds its stream open, like a last unit that never ends.
+    struct Stalled {
+        record: String,
+        held: Mutex<Vec<Sender<JobEvent>>>,
+    }
+
+    impl Dispatch for Stalled {
+        fn submit_units(
+            &self,
+            grid: GridStudy,
+            _params: StudyParams,
+            _units: Option<Vec<usize>>,
+        ) -> Result<(u64, Receiver<JobEvent>), SubmitError> {
+            let (sender, rx) = channel();
+            for index in 0..grid.n_points() - 1 {
+                let record = self.record.clone();
+                let source = PointSource::Computed;
+                let point = JobEvent::Point {
+                    index,
+                    source,
+                    attempts: 1,
+                    record,
+                };
+                sender.send(point).expect("receiver alive");
+            }
+            self.held.lock().expect("unpoisoned").push(sender);
+            Ok((1, rx))
+        }
+
+        fn cancel_job(&self, _job: u64, _hedge: bool) -> bool {
+            false
+        }
+
+        fn begin_drain(&self) {}
+
+        fn render_status(&self, _backend_id: Option<&str>) -> String {
+            String::new()
+        }
+    }
+
+    /// Batching never holds a point back: when a job's last unit stalls
+    /// forever, the client still reads every other point — the last
+    /// frame queued is flushed although no `done` follows it.
     #[test]
     fn a_stalled_last_unit_holds_back_no_other_point() {
         let params = StudyParams::with_scale(0.01);
         let grid = decompose("fig5", &params).expect("grid study");
         let n = grid.n_points();
-        // One worker pops every reference, then every point in index
-        // order: the last unit claimed is point `n - 1`.
-        let last_unit = (grid.profiles().len() + n - 1) as u64;
-        let server = serve(&ServeConfig {
-            workers: 1,
-            chaos: ChaosPolicy {
-                stall_at_unit: Some(last_unit),
-                ..ChaosPolicy::default()
-            },
-            ..ServeConfig::default()
-        })
-        .expect("bind loopback");
-        let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+        let (pi, _) = grid.point(0);
+        let reference = grid.compute_reference(&params, pi).expect("reference");
+        let record = grid.compute_point(&params, 0, reference).expect("point");
+        let engine = Arc::new(Stalled {
+            record: record.to_record(),
+            held: Mutex::new(Vec::new()),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (shutdown_tx, _shutdown_rx) = channel();
+        let ctx = SessionCtx {
+            engine: Arc::clone(&engine) as Arc<dyn Dispatch>,
+            backend_id: None,
+            shutdown_tx,
+            idle_timeout: None,
+        };
+        let session = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            run(stream, &ctx);
+        });
+
+        let mut client = Client::connect(&addr).expect("connect");
         client.set_data_timeout(Some(Duration::from_secs(60)));
         let (_, points) = client.start_submit("fig5", &params, None).expect("submit");
         assert_eq!(points, n as u64);
@@ -626,6 +681,8 @@ mod tests {
         // And that one really is still stalled.
         client.set_data_timeout(Some(Duration::from_millis(100)));
         assert!(client.next_event(n).is_err(), "the stalled unit resolved");
-        server.stop(); // also unwedges the stalled worker
+        // Closing the stream ends the session.
+        engine.held.lock().expect("unpoisoned").clear();
+        session.join().expect("session ends");
     }
 }

@@ -277,7 +277,6 @@ fn injected_worker_panic_degrades_then_recovers() {
         workers: 1,
         chaos: ChaosPolicy {
             panic_at_unit: Some(0),
-            ..ChaosPolicy::default()
         },
         ..ServeConfig::default()
     })

@@ -1,6 +1,7 @@
-//! End-to-end CLI tests for the `repro` binary: registry enumeration,
-//! uniform usage errors (no `process::exit` bypassing `ExitCode`), and
-//! format emission from the same report value.
+//! End-to-end CLI tests for the `repro` binary (and `studyd`'s retired
+//! flags): registry enumeration, uniform usage errors (no
+//! `process::exit` bypassing `ExitCode`), and format emission from the
+//! same report value.
 
 use std::process::{Command, Output};
 
@@ -251,6 +252,15 @@ fn studyd_is_the_only_daemon_and_fleet_front_door() {
         let err = stderr(&out);
         assert!(err.contains(&format!("unknown option: {flag}")), "{err}");
     }
+    // Nor does the coordinator refuse work when its fleet is dead: it
+    // computes it itself.
+    let out = Command::new(env!("CARGO_BIN_EXE_studyd"))
+        .args(["--backend", "127.0.0.1:1", "--no-local-fallback"])
+        .output()
+        .expect("run studyd");
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("unknown option: --no-local-fallback"), "{err}");
 }
 
 #[test]
