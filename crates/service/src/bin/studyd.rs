@@ -15,8 +15,10 @@
 //! address, then serves `repro submit` clients until one sends the
 //! `shutdown` op (`repro shutdown`).
 //! `--workers` sizes the shared simulation pool (default: one per
-//! available CPU); `--cache-mib` bounds the content-addressed result
-//! cache (default 64 MiB); `--max-queued-units` bounds the work queue
+//! available CPU); `--cache-mib` bounds the key + value bytes of the
+//! content-addressed result cache (default 64 MiB; the cache's own
+//! bookkeeping adds a constant per live entry, however many hits it
+//! serves); `--max-queued-units` bounds the work queue
 //! (overload answers a typed `busy` with `retry_after_ms`; default
 //! unbounded); `--idle-timeout-ms` reaps connections idle past the
 //! deadline; `--cache-spill` persists the result cache to an

@@ -12,11 +12,17 @@
 //! would write ([`experiments::PointSummary::to_record`]), so a cache
 //! hit reproduces a computed point bit for bit.
 //!
-//! Eviction is least-recently-used with lazy recency cleanup: every
-//! access pushes a `(key, tick)` stamp onto a queue; eviction pops
-//! stamps until it finds one that is still the keyed entry's latest.
-//! All counters (hits, misses, insertions, evictions) are reported
-//! through the `status` request.
+//! Eviction is least-recently-used. The entries sit in a slab, doubly
+//! linked from least to most recently used, beside a key → slot map: a
+//! hit relinks one slot to the most-recent end and allocates nothing but
+//! the value it returns; an insertion evicts from the least-recent end
+//! while the budget is exceeded. The bookkeeping is exactly the live
+//! entries, so memory is their keys and values plus a constant per
+//! entry, however many hits a long-lived server answers. The byte budget
+//! counts key + value bytes. A value larger than the whole budget is
+//! refused up front — counted as one insertion and one eviction, it
+//! evicts nothing else and is not spilled. All counters (hits, misses,
+//! insertions, evictions) are reported through the `status` request.
 //!
 //! With a [`crate::persist::SpillWriter`] attached, every insertion is
 //! also appended write-through to the spill file, and entries recovered
@@ -26,8 +32,8 @@
 //! process (reported once on stderr) rather than failing the job: the
 //! cache's correctness never depends on the disk.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, PoisonError};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use speedup_stacks::error::JournalError;
 
@@ -59,18 +65,117 @@ pub struct CacheStats {
     pub spilled: u64,
 }
 
+/// No slot: past either end of the recency list.
+const NIL: usize = usize::MAX;
+
 #[derive(Debug)]
-struct Entry {
+struct Slot {
+    key: Arc<str>,
     value: String,
-    tick: u64,
+    /// The next less recently used slot, or [`NIL`].
+    older: usize,
+    /// The next more recently used slot, or [`NIL`].
+    newer: usize,
+}
+
+/// The live entries: a slab linked in recency order plus a key → slot
+/// map. Removing a slot moves the last one into its place, so the slab
+/// never holds a dead slot.
+#[derive(Debug)]
+struct Lru {
+    slots: Vec<Slot>,
+    index: HashMap<Arc<str>, usize>,
+    oldest: usize,
+    newest: usize,
+    /// Key + value bytes of the live entries.
+    bytes: usize,
+}
+
+impl Lru {
+    fn unlink(&mut self, i: usize) {
+        let (older, newer) = (self.slots[i].older, self.slots[i].newer);
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    fn link_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// The value under `key`, made the most recently used.
+    fn get(&mut self, key: &str) -> Option<&str> {
+        let i = *self.index.get(key)?;
+        self.unlink(i);
+        self.link_newest(i);
+        Some(&self.slots[i].value)
+    }
+
+    fn push_newest(&mut self, key: &str, value: &str) {
+        let i = self.slots.len();
+        let key: Arc<str> = Arc::from(key);
+        self.bytes += entry_bytes(&key, value);
+        self.index.insert(Arc::clone(&key), i);
+        self.slots.push(Slot {
+            key,
+            value: value.to_string(),
+            older: NIL,
+            newer: NIL,
+        });
+        self.link_newest(i);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.unlink(i);
+        let slot = self.slots.swap_remove(i);
+        self.index.remove(&slot.key);
+        self.bytes -= entry_bytes(&slot.key, &slot.value);
+        if i < self.slots.len() {
+            // The former last slot now sits at `i`: repoint its
+            // neighbours and its key.
+            let (older, newer) = (self.slots[i].older, self.slots[i].newer);
+            match older {
+                NIL => self.oldest = i,
+                o => self.slots[o].newer = i,
+            }
+            match newer {
+                NIL => self.newest = i,
+                n => self.slots[n].older = i,
+            }
+            *self
+                .index
+                .get_mut(&self.slots[i].key)
+                .expect("every slot is indexed") = i;
+        }
+    }
+
+    /// The live entries, least recently used first.
+    fn oldest_first(&self) -> Vec<(String, String)> {
+        let mut out = Vec::with_capacity(self.slots.len());
+        let mut i = self.oldest;
+        while i != NIL {
+            let slot = &self.slots[i];
+            out.push((slot.key.to_string(), slot.value.clone()));
+            i = slot.newer;
+        }
+        out
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
-    map: HashMap<String, Entry>,
-    recency: VecDeque<(String, u64)>,
-    tick: u64,
-    bytes: usize,
+    lru: Lru,
     budget: usize,
     hits: u64,
     misses: u64,
@@ -98,10 +203,13 @@ impl Cache {
     pub fn new(budget: usize) -> Cache {
         Cache {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                recency: VecDeque::new(),
-                tick: 0,
-                bytes: 0,
+                lru: Lru {
+                    slots: Vec::new(),
+                    index: HashMap::new(),
+                    oldest: NIL,
+                    newest: NIL,
+                    bytes: 0,
+                },
                 budget,
                 hits: 0,
                 misses: 0,
@@ -154,31 +262,25 @@ impl Cache {
     #[must_use]
     pub fn get(&self, key: &str) -> Option<String> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.tick = tick;
-                let value = entry.value.clone();
-                inner.recency.push_back((key.to_string(), tick));
-                inner.hits += 1;
-                Some(value)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let value = inner.lru.get(key).map(str::to_owned);
+        match value {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        value
     }
 
     /// Stores a value (replacing any previous one under the key), then
     /// evicts least-recently-used entries until the budget holds. A
-    /// value larger than the whole budget simply doesn't stay cached.
-    /// With a spill attached, the entry is also appended write-through.
+    /// value larger than the whole budget is refused: the key is left
+    /// uncached, nothing else is evicted, and nothing is spilled. With a
+    /// spill attached, a stored entry is appended write-through.
     pub fn put(&self, key: &str, value: &str) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        insert_locked(&mut inner, key, value);
         inner.insertions += 1;
+        if !insert_locked(&mut inner, key, value) {
+            return;
+        }
         if let Some(spill) = inner.spill.as_mut() {
             match spill.append(key, value) {
                 Ok(()) => inner.spilled += 1,
@@ -192,20 +294,14 @@ impl Cache {
         }
     }
 
-    /// Snapshot of the live entries in least-recently-used-first order
-    /// (ascending access tick). Feeding this snapshot back through
-    /// [`Cache::preload`] reconstructs the same entries *and* the same
-    /// relative recency ranking, which is what makes a compacted spill
-    /// reload to the identical cache state.
+    /// Snapshot of the live entries, least recently used first. Feeding
+    /// this snapshot back through [`Cache::preload`] reconstructs the
+    /// same entries *and* the same recency order, which is what makes a
+    /// compacted spill reload to the identical cache state.
     #[must_use]
     pub fn live_entries(&self) -> Vec<(String, String)> {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut items: Vec<(&String, &Entry)> = inner.map.iter().collect();
-        items.sort_by_key(|(_, e)| e.tick);
-        items
-            .into_iter()
-            .map(|(k, e)| (k.clone(), e.value.clone()))
-            .collect()
+        inner.lru.oldest_first()
     }
 
     /// Rewrites the attached spill file from the live LRU state (see
@@ -223,13 +319,7 @@ impl Cache {
         let Some(spill) = inner.spill.as_mut() else {
             return Ok(false);
         };
-        let mut items: Vec<(&String, &Entry)> = inner.map.iter().collect();
-        items.sort_by_key(|(_, e)| e.tick);
-        let entries: Vec<(String, String)> = items
-            .into_iter()
-            .map(|(k, e)| (k.clone(), e.value.clone()))
-            .collect();
-        spill.compact(&entries)?;
+        spill.compact(&inner.lru.oldest_first())?;
         Ok(true)
     }
 
@@ -242,8 +332,8 @@ impl Cache {
             misses: inner.misses,
             insertions: inner.insertions,
             evictions: inner.evictions,
-            entries: inner.map.len(),
-            bytes: inner.bytes,
+            entries: inner.lru.slots.len(),
+            bytes: inner.lru.bytes,
             budget: inner.budget,
             loaded: inner.loaded,
             quarantined: inner.quarantined,
@@ -252,50 +342,33 @@ impl Cache {
     }
 }
 
-/// The raw LRU insertion (entry + recency + eviction + hygiene), shared
-/// by fresh [`Cache::put`]s and spill [`Cache::preload`]s.
-fn insert_locked(inner: &mut Inner, key: &str, value: &str) {
-    inner.tick += 1;
-    let tick = inner.tick;
-    let new_bytes = entry_bytes(key, value);
-    if let Some(old) = inner.map.insert(
-        key.to_string(),
-        Entry {
-            value: value.to_string(),
-            tick,
-        },
-    ) {
-        inner.bytes -= entry_bytes(key, &old.value);
+/// The LRU insertion shared by fresh [`Cache::put`]s and spill
+/// [`Cache::preload`]s: drops any value already under `key`, then stores
+/// the new one as the most recently used, evicting from the least-recent
+/// end until it fits. Returns `false`, storing nothing, for a value
+/// larger than the whole budget (counted as evicted).
+fn insert_locked(inner: &mut Inner, key: &str, value: &str) -> bool {
+    let lru = &mut inner.lru;
+    if let Some(&i) = lru.index.get(key) {
+        lru.remove(i);
     }
-    inner.bytes += new_bytes;
-    inner.recency.push_back((key.to_string(), tick));
-
-    while inner.bytes > inner.budget {
-        let Some((old_key, old_tick)) = inner.recency.pop_front() else {
-            break;
-        };
-        let evict = inner.map.get(&old_key).is_some_and(|e| e.tick == old_tick);
-        if evict {
-            let old = inner.map.remove(&old_key).expect("checked above");
-            inner.bytes -= entry_bytes(&old_key, &old.value);
-            inner.evictions += 1;
-        }
+    let bytes = entry_bytes(key, value);
+    if bytes > inner.budget {
+        inner.evictions += 1;
+        return false;
     }
-    // Lazy-cleanup hygiene: drop stale recency stamps once they
-    // outnumber live entries badly, so long-running servers don't
-    // accumulate an unbounded stamp queue.
-    if inner.recency.len() > inner.map.len() * 2 + 64 {
-        let map = std::mem::take(&mut inner.map);
-        inner
-            .recency
-            .retain(|(k, t)| map.get(k).is_some_and(|e| e.tick == *t));
-        inner.map = map;
+    while lru.bytes + bytes > inner.budget {
+        lru.remove(lru.oldest);
+        inner.evictions += 1;
     }
+    lru.push_newest(key, value);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::rng::SmallRng;
 
     #[test]
     fn hit_miss_and_replacement() {
@@ -331,11 +404,195 @@ mod tests {
 
     #[test]
     fn oversized_value_does_not_wedge_the_cache() {
+        let path = std::env::temp_dir().join(format!(
+            "studyd-cache-spill-{}-oversized.ndjson",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        let opened = crate::persist::open(&path).unwrap();
         let c = Cache::new(10);
+        c.set_spill(opened.writer);
+        for key in ["a", "b", "c"] {
+            c.put(key, "1");
+        }
         c.put("k", &"x".repeat(100));
-        assert_eq!(c.stats().entries, 0, "over-budget entry evicted");
-        c.put("a", "1");
-        assert!(c.get("a").is_some(), "cache still works");
+        let s = c.stats();
+        assert_eq!(
+            (s.entries, s.insertions, s.evictions, s.spilled),
+            (3, 4, 1, 3),
+            "over-budget entry refused: counted, but nothing else evicted and nothing spilled"
+        );
+        for key in ["a", "b", "c"] {
+            assert_eq!(c.get(key).as_deref(), Some("1"), "{key} still served");
+        }
+        assert!(c.get("k").is_none());
+        c.put("d", "1");
+        assert!(c.get("d").is_some(), "cache still works");
+        c.sync().unwrap();
+        let reopened = crate::persist::open(&path).unwrap();
+        let keys: Vec<&str> = reopened.entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "b", "c", "d"], "a reload repeats no flush");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The model loop's oracle: the live entries in a `Vec`, least
+    /// recently used first, and the counters the cache must report.
+    struct Model {
+        entries: Vec<(String, String)>,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn get(&mut self, key: &str) -> Option<String> {
+            let Some(i) = self.entries.iter().position(|(k, _)| k == key) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            let entry = self.entries.remove(i);
+            let value = entry.1.clone();
+            self.entries.push(entry);
+            self.stats.hits += 1;
+            Some(value)
+        }
+
+        fn insert(&mut self, key: &str, value: &str) {
+            self.entries.retain(|(k, _)| k != key);
+            if entry_bytes(key, value) > self.stats.budget {
+                self.stats.evictions += 1;
+                return;
+            }
+            self.entries.push((key.to_string(), value.to_string()));
+            while self.bytes() > self.stats.budget {
+                self.entries.remove(0);
+                self.stats.evictions += 1;
+            }
+        }
+
+        fn bytes(&self) -> usize {
+            self.entries.iter().map(|(k, v)| entry_bytes(k, v)).sum()
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                entries: self.entries.len(),
+                bytes: self.bytes(),
+                ..self.stats
+            }
+        }
+    }
+
+    /// The slab, the links walked either way and the map each hold
+    /// exactly `entries` slots.
+    fn assert_bookkeeping_is(c: &Cache, entries: usize) {
+        let inner = c.inner.lock().unwrap();
+        let lru = &inner.lru;
+        assert_eq!(
+            (lru.slots.len(), lru.index.len()),
+            (entries, entries),
+            "slab, map"
+        );
+        let walk = |mut i: usize, forward: bool| {
+            let mut linked = 0;
+            while i != NIL {
+                linked += 1;
+                assert!(linked <= entries, "links longer than the slab");
+                i = if forward {
+                    lru.slots[i].newer
+                } else {
+                    lru.slots[i].older
+                };
+            }
+            linked
+        };
+        assert_eq!(
+            (walk(lru.oldest, true), walk(lru.newest, false)),
+            (entries, entries),
+            "links"
+        );
+    }
+
+    /// Prints the case on the way out of a failed assertion.
+    struct CaseOnPanic(u64);
+
+    impl Drop for CaseOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("cache model: failing case: run_case({})", self.0);
+            }
+        }
+    }
+
+    fn run_case(seed: u64) {
+        let _guard = CaseOnPanic(seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let budget = rng.gen_range(8..160usize);
+        let n_keys = rng.gen_range(2..40usize);
+        let c = Cache::new(budget);
+        let mut model = Model {
+            entries: Vec::new(),
+            stats: CacheStats {
+                budget,
+                ..CacheStats::default()
+            },
+        };
+        let key = |rng: &mut SmallRng| format!("key-{}", rng.gen_range(0..n_keys));
+        // Mostly a few entries' worth of the budget; now and then more
+        // than all of it.
+        let value = |rng: &mut SmallRng| {
+            let len = if rng.gen_bool(0.05) {
+                rng.gen_range(budget..2 * budget)
+            } else {
+                rng.gen_range(0..budget / 3)
+            };
+            format!("{}:{}", rng.gen_range(0..1000u32), "x".repeat(len))
+        };
+        for step in 0..rng.gen_range(1..120usize) {
+            match rng.gen_range(0..20u32) {
+                0..=6 => {
+                    let k = key(&mut rng);
+                    assert_eq!(c.get(&k), model.get(&k), "get {k}, step {step}");
+                }
+                7..=11 => {
+                    let (k, v) = (key(&mut rng), value(&mut rng));
+                    c.put(&k, &v);
+                    model.insert(&k, &v);
+                    model.stats.insertions += 1;
+                }
+                12..=15 if !model.entries.is_empty() => {
+                    let at = rng.gen_range(0..model.entries.len());
+                    let (k, v) = (model.entries[at].0.clone(), value(&mut rng));
+                    c.put(&k, &v);
+                    model.insert(&k, &v);
+                    model.stats.insertions += 1;
+                }
+                _ => {
+                    let batch: Vec<(String, String)> = (0..rng.gen_range(0..5usize))
+                        .map(|_| (key(&mut rng), value(&mut rng)))
+                        .collect();
+                    let quarantined = rng.gen_range(0..3usize);
+                    c.preload(batch.clone(), quarantined);
+                    for (k, v) in &batch {
+                        model.insert(k, v);
+                        model.stats.loaded += 1;
+                    }
+                    model.stats.quarantined += quarantined as u64;
+                }
+            }
+            assert_eq!(c.stats(), model.stats(), "stats, step {step}");
+            assert_eq!(
+                c.live_entries(),
+                model.entries,
+                "recency order, step {step}"
+            );
+            assert_bookkeeping_is(&c, model.entries.len());
+        }
+    }
+
+    #[test]
+    fn lru_matches_a_recency_ordered_vec_under_seeded_operations() {
+        for seed in 0..2_000 {
+            run_case(seed);
+        }
     }
 
     #[test]
