@@ -1,5 +1,6 @@
-//! The grid studies as work units and their fold — shared by the local
-//! sweep, the study service's worker pool and the federation.
+//! The grid studies as work units, their local sweep, and the fold the
+//! local sweep, the study service's worker pool and the federation
+//! share.
 //!
 //! The four grid studies (`fig1`, `fig4`, `fig5`, `fig6`) all reduce to
 //! the same sweep shape: a (benchmark × thread-count) grid of
@@ -7,14 +8,29 @@
 //! run, folded into a figure-specific [`Report`]. [`decompose`] exposes
 //! that shape: the profile list and count list, the two unit bodies
 //! ([`GridStudy::compute_reference`], [`GridStudy::compute_point`] — the
-//! same functions the local sweep's closures call), the local sweep
-//! itself ([`GridStudy::sweep`]), the grid's [`UnitGraph`]
+//! bodies the local sweep runs, minus its trace replay), the local sweep
+//! itself ([`GridStudy::run`]), the grid's [`UnitGraph`]
 //! ([`GridStudy::graph`]), each unit's identity ([`GridStudy::unit_keys`])
 //! and the fold: every path resolves its units
 //! into a [`GridFold`], which decides failure order, the `retried` count
 //! and the `Degraded` totals once, and [`GridStudy::assemble`] turns the
 //! slots into a report **byte-identical** across local, resumed,
 //! replayed, served and federated runs.
+//!
+//! The local sweep drives the grid's [`UnitGraph`] through
+//! [`crate::par::run_units`] (per-unit panic isolation and retries,
+//! points released as their reference lands) and adds what only a local
+//! run has: crash-safe journaling through [`crate::journal`] with a
+//! checkpoint–resume that reproduces the uninterrupted report bit for
+//! bit, the `max_points` budget, and the binary trace format of
+//! [`workloads::trace`]. Armed with a capture [`workloads::trace::TraceSpec`],
+//! it records every run's op streams to a trace file before sweeping
+//! (the generators are deterministic, so the capture matches the sweep
+//! exactly); armed with a replay spec, every simulation draws its ops
+//! from the trace instead, reproducing the captured report bit for bit.
+//! Any trace damage fails the sweep with a typed [`SimError::Trace`] — a
+//! damaged trace has no safe recomputation, so it is never
+//! degraded-and-continued.
 //!
 //! Point indices are row-major in the same deterministic order the
 //! sweep uses: `index = profile_index * counts.len() + count_index`.
@@ -32,14 +48,22 @@
 //! assert!(decompose("hwcost", &params).is_none());
 //! ```
 
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use cmpsim::OpStream;
+use speedup_stacks::error::TraceError;
 use speedup_stacks::report::{Block, Degraded, DegradedPoint, Provenance, Report};
 use speedup_stacks::SimError;
-use workloads::{display_name, Suite, WorkloadProfile};
+use workloads::trace::{TraceReader, TraceWriter};
+use workloads::{display_name, streams_for, Suite, WorkloadProfile};
 
 use crate::graph::{Unit, UnitGraph};
+use crate::journal::{self, JournalWriter};
+use crate::par::run_units;
 use crate::runner::{
-    point_label, point_unit, reference_unit, run_grid_ft, scaled_profile, GridReport, PointSummary,
-    RunOptions, SweepOptions,
+    point_label, record_kind, ref_from_record, ref_record, run_profile_streams, scaled_profile,
+    single_thread_reference_streams, PointSummary, RunOptions,
 };
 use crate::study::StudyParams;
 
@@ -50,6 +74,57 @@ fn options(params: &StudyParams, n: usize) -> RunOptions {
         mem: params.mem(),
         ..RunOptions::symmetric(n)
     }
+}
+
+/// The trace a replaying sweep draws its op streams from, plus the slot
+/// where damage discovered inside a worker is parked: [`OpStream`] has
+/// no error channel, so a replay stream that hits damage parks a typed
+/// error in its run's fault slot; the unit moves it here and the sweep
+/// fails once its units have run.
+#[derive(Debug)]
+struct Replay {
+    reader: TraceReader,
+    fault: Mutex<Option<TraceError>>,
+}
+
+impl Replay {
+    fn park(&self, e: TraceError) -> String {
+        let msg = e.to_string();
+        lock(&self.fault).get_or_insert(e);
+        msg
+    }
+
+    /// Runs `f` over the captured streams of the (`name`, `threads`) run.
+    fn run<R>(
+        &self,
+        name: &str,
+        threads: usize,
+        f: impl FnOnce(Vec<Box<dyn OpStream>>) -> Result<R, cmpsim::SimError>,
+    ) -> Result<R, String> {
+        let run = self
+            .reader
+            .run_streams(name, threads)
+            .map_err(|e| self.park(e))?;
+        let result = f(run.streams);
+        // Check the fault slot before the engine result: a truncated
+        // stream can surface as an engine error (or a deadlock) whose
+        // root cause is the trace.
+        if let Some(e) = run.fault.take() {
+            return Err(self.park(e));
+        }
+        result.map_err(|e| e.to_string())
+    }
+}
+
+/// A local sweep's outcome: one slot per point (`None` marks a failed
+/// one), the degradation accounting, and the capture provenance when a
+/// trace was written.
+type Swept = (Vec<Option<PointSummary>>, Degraded, Option<Provenance>);
+
+/// Locks `m` whatever a panicking unit left behind: a poisoned journal
+/// or fault slot must not turn into a secondary panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Accumulates resolved units, in any completion order, into the
@@ -182,8 +257,10 @@ fn suite_profiles(params: &StudyParams) -> Vec<WorkloadProfile> {
 }
 
 /// Decomposes a registry study into its per-point grid. `None` for
-/// studies that are not (benchmark × thread-count) grids — exactly the
-/// studies whose [`crate::study::Study::supports_journal`] is `false`.
+/// studies that are not (benchmark × thread-count) grids: the one
+/// answer to "is this a grid study", so it also decides which studies
+/// honor [`StudyParams::journal`], [`StudyParams::max_points`] and
+/// [`StudyParams::trace`].
 #[must_use]
 pub fn decompose(study: &str, params: &StudyParams) -> Option<GridStudy> {
     let (study, profiles, counts) = match study {
@@ -358,7 +435,7 @@ impl GridStudy {
     /// The engine error rendered as a string (the caller's fault domain
     /// treats it like a point failure).
     pub fn compute_reference(&self, params: &StudyParams, pi: usize) -> Result<(u64, u64), String> {
-        reference_unit(&self.profiles[pi], options(params, 1), params.faults, None)
+        self.run_reference(params, pi, None)
     }
 
     /// Computes one grid point given its profile's reference — the unit
@@ -373,50 +450,223 @@ impl GridStudy {
         index: usize,
         st: (u64, u64),
     ) -> Result<PointSummary, String> {
-        let (pi, n) = self.point(index);
-        point_unit(
-            &self.profiles[pi],
-            options(params, n),
-            params.faults,
-            st,
-            None,
-        )
+        self.run_point(params, index, st, None)
     }
 
-    /// Sweeps the grid locally under `params` (parallelism, fault policy,
-    /// journal, budget, trace): the one production caller of
-    /// [`run_grid_ft`].
-    ///
-    /// # Errors
-    ///
-    /// See [`run_grid_ft`].
-    pub fn sweep(&self, params: &StudyParams) -> Result<GridReport, SimError> {
-        let sweep = SweepOptions {
-            mode: params.parallelism,
-            faults: params.faults,
-            journal: params.journal.as_ref(),
-            study: self.study,
-            fingerprint: &crate::journal::fingerprint(self.study, params),
-            max_points: params.max_points,
-            trace: params.trace.as_ref(),
+    /// The one reference body: generated streams, or the captured ones
+    /// when `replay` is armed, under the fault policy's deadline.
+    fn run_reference(
+        &self,
+        params: &StudyParams,
+        pi: usize,
+        replay: Option<&Replay>,
+    ) -> Result<(u64, u64), String> {
+        let p = &self.profiles[pi];
+        let opts = options(params, 1);
+        let run = |streams: Vec<Box<dyn OpStream>>| {
+            single_thread_reference_streams(&opts, streams, params.faults.deadline_cycles)
         };
-        run_grid_ft(
-            &self.profiles,
-            &self.counts,
-            &|_, n| options(params, n),
-            &sweep,
-        )
+        match replay {
+            Some(r) => r.run(&display_name(p), 1, run),
+            None => run(streams_for(p, 1)).map_err(|e| e.to_string()),
+        }
     }
 
-    /// Sweeps locally and folds the outcome into the study's report: the
-    /// body of every grid [`crate::study::Study::run`].
+    /// The one point body (see [`GridStudy::run_reference`]).
+    fn run_point(
+        &self,
+        params: &StudyParams,
+        index: usize,
+        st: (u64, u64),
+        replay: Option<&Replay>,
+    ) -> Result<PointSummary, String> {
+        let (pi, n) = self.point(index);
+        let p = &self.profiles[pi];
+        let opts = options(params, n);
+        let run = |streams: Vec<Box<dyn OpStream>>| {
+            run_profile_streams(p, &opts, st, streams, params.faults.deadline_cycles)
+        };
+        match replay {
+            Some(r) => r.run(&display_name(p), n, run),
+            None => run(streams_for(p, n)).map_err(|e| e.to_string()),
+        }
+        .map(PointSummary::from)
+    }
+
+    /// The local sweep behind [`GridStudy::run`] and
+    /// [`GridStudy::clean_rows`].
+    fn sweep(&self, params: &StudyParams) -> Result<Swept, SimError> {
+        self.validate()?;
+        let study = self.study;
+        let fingerprint = journal::fingerprint(study, params);
+        let names: Vec<String> = self.profiles.iter().map(display_name).collect();
+
+        // Trace capture happens up front: every (profile, thread-count)
+        // run the sweep will make is drained from the (deterministic)
+        // generators into the trace file, then the sweep itself proceeds
+        // on generated streams as usual. Replay opens and identity-checks
+        // the trace; the units below then draw their ops from it.
+        let mut provenance = None;
+        let replay = match &params.trace {
+            Some(spec) if spec.replay => Some(Replay {
+                reader: TraceReader::open(&spec.path, Some((study, &fingerprint)))
+                    .map_err(SimError::Trace)?,
+                fault: Mutex::new(None),
+            }),
+            Some(spec) => {
+                let mut w = TraceWriter::create(&spec.path, study, &fingerprint)
+                    .map_err(SimError::Trace)?;
+                for (p, name) in self.profiles.iter().zip(&names) {
+                    // The single-thread reference run, then each grid
+                    // point's thread count, deduplicated (a repeated
+                    // count, or a 1-thread point, is captured once).
+                    let mut written = Vec::new();
+                    for n in std::iter::once(1).chain(self.counts.iter().copied()) {
+                        if !written.contains(&n) {
+                            written.push(n);
+                            w.add_run(name, streams_for(p, n))
+                                .map_err(SimError::Trace)?;
+                        }
+                    }
+                }
+                let stats = w.finish().map_err(SimError::Trace)?;
+                provenance = Some(Provenance {
+                    path: spec.path.clone(),
+                    runs: stats.runs,
+                    bytes: stats.bytes,
+                });
+                None
+            }
+            None => None,
+        };
+
+        // Replay the journal (resume) or start a fresh one.
+        let mut done_refs: HashMap<String, (u64, u64)> = HashMap::new();
+        let mut done_points: HashMap<(String, usize), PointSummary> = HashMap::new();
+        let mut quarantined = 0usize;
+        let writer: Option<Mutex<JournalWriter>> = match &params.journal {
+            Some(spec) if spec.resume => {
+                let scan =
+                    journal::scan(&spec.path, study, &fingerprint).map_err(SimError::Journal)?;
+                quarantined = scan.quarantined;
+                for rec in &scan.records {
+                    match record_kind(rec).as_deref() {
+                        Some("ref") => match ref_from_record(rec) {
+                            Some((name, st)) => {
+                                done_refs.insert(name, st);
+                            }
+                            None => quarantined += 1,
+                        },
+                        Some("point") => match PointSummary::from_record(rec) {
+                            Some(p) => {
+                                done_points.insert((p.name.clone(), p.threads), p);
+                            }
+                            None => quarantined += 1,
+                        },
+                        _ => quarantined += 1,
+                    }
+                }
+                Some(Mutex::new(scan.writer))
+            }
+            Some(spec) => Some(Mutex::new(
+                JournalWriter::create(&spec.path, study, &fingerprint)
+                    .map_err(SimError::Journal)?,
+            )),
+            None => None,
+        };
+
+        // A journal append failure inside a worker must not be
+        // swallowed: park the first one and fail the sweep once the
+        // units have run.
+        let journal_fault = Mutex::new(None);
+        let record = |data: &str| {
+            if let Some(Err(e)) = writer.as_ref().map(|w| lock(w).append(data)) {
+                lock(&journal_fault).get_or_insert(e);
+            }
+        };
+        // Journaled units are known up front and everything else is the
+        // graph's to hand out: references in profile order, then points
+        // in index order.
+        let mut fold = GridFold::new(self.n_points());
+        let mut graph = self.graph();
+        for (pi, name) in names.iter().enumerate() {
+            if let Some(&st) = done_refs.get(name) {
+                graph.ref_known(pi, st);
+            }
+        }
+        for i in 0..self.n_points() {
+            let (pi, n) = self.point(i);
+            match done_points.remove(&(names[pi].clone(), n)) {
+                Some(summary) => fold.point(i, summary, 1),
+                None => graph.add_point(i),
+            }
+        }
+        if let Some(budget) = params.max_points {
+            graph.set_budget(budget);
+        }
+
+        let completed = run_units(
+            &mut graph,
+            params.parallelism,
+            params.faults.retries,
+            |pi| {
+                let st = self.run_reference(params, pi, replay.as_ref())?;
+                record(&ref_record(&names[pi], st));
+                Ok(st)
+            },
+            |i, st| {
+                let summary = self.run_point(params, i, st[0], replay.as_ref())?;
+                record(&summary.to_record());
+                Ok(summary)
+            },
+            |i, outcome, attempts| match outcome {
+                Ok(summary) => fold.point(i, summary, attempts),
+                Err(reason) => fold.failed(i, self.label(i), reason, attempts),
+            },
+        );
+
+        // Trace damage first (it can be the root cause of anything
+        // else), then a parked journal failure, then the budget.
+        if let Some(e) = replay.as_ref().and_then(|r| lock(&r.fault).take()) {
+            return Err(SimError::Trace(e));
+        }
+        if let Some(e) = lock(&journal_fault).take() {
+            return Err(SimError::Journal(e));
+        }
+        if !graph.is_complete() {
+            return Err(SimError::Interrupted { completed });
+        }
+        let (points, degraded) = fold.into_parts(quarantined);
+        Ok((points, degraded, provenance))
+    }
+
+    /// Sweeps the grid locally under `params` and folds the outcome into
+    /// the study's report: the body of every grid
+    /// [`crate::study::Study::run`]. Every unit runs in its own fault
+    /// domain (panics and engine errors confined to their unit, failing
+    /// units retried up to the policy's budget), completed units stream
+    /// into the journal when armed, and a resume replays intact journal
+    /// records instead of recomputing them — reproducing the
+    /// uninterrupted sweep's report bit for bit. Per-point failures are
+    /// not errors: they land in the report's `Degraded` block.
     ///
     /// # Errors
     ///
-    /// See [`run_grid_ft`].
+    /// - [`SimError::Config`] when a workload profile is invalid (checked
+    ///   up front — configuration mistakes are not point faults),
+    /// - [`SimError::Journal`] when the journal cannot be created, read,
+    ///   or fails identity validation on resume,
+    /// - [`SimError::Interrupted`] when the [`StudyParams::max_points`]
+    ///   budget ran out before the grid was complete (completed work is
+    ///   journaled; resume finishes it),
+    /// - [`SimError::Trace`] when the trace file cannot be written
+    ///   (capture) or is missing, damaged, or was captured for a
+    ///   different study or parameter set (replay). Trace damage is
+    ///   fatal, never degraded: silently replaying a different op stream
+    ///   would fabricate results.
     pub fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let swept = self.sweep(params)?;
-        Ok(self.assemble(params, swept.points, swept.degraded, swept.provenance))
+        let (points, degraded, provenance) = self.sweep(params)?;
+        Ok(self.assemble(params, points, degraded, provenance))
     }
 
     /// The rows of a local sweep that must complete cleanly — the input
@@ -426,16 +676,15 @@ impl GridStudy {
     ///
     /// Panics if the sweep fails or any point degrades.
     pub(crate) fn clean_rows(&self, params: &StudyParams) -> Vec<Vec<Option<PointSummary>>> {
-        let swept = self
+        let (points, degraded, _) = self
             .sweep(params)
             .unwrap_or_else(|e| panic!("{} sweep: {e}", self.study));
         assert!(
-            !swept.degraded.is_degraded(),
-            "{} sweep degraded: {:?}",
-            self.study,
-            swept.degraded
+            !degraded.is_degraded(),
+            "{} sweep degraded: {degraded:?}",
+            self.study
         );
-        self.rows(swept.points)
+        self.rows(points)
     }
 
     /// Splits per-index slots into one row per profile.
@@ -493,20 +742,7 @@ impl GridStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::{find_study, registry};
-
-    #[test]
-    fn decomposable_exactly_when_journal_capable() {
-        for s in registry() {
-            assert_eq!(
-                decompose(s.name(), &StudyParams::default()).is_some(),
-                s.supports_journal(),
-                "{}",
-                s.name()
-            );
-        }
-        assert!(decompose("bogus", &StudyParams::default()).is_none());
-    }
+    use crate::study::find_study;
 
     #[test]
     fn point_indexing_is_row_major() {
@@ -539,42 +775,49 @@ mod tests {
 
     #[test]
     fn fold_orders_failures_by_index_whatever_the_completion_order() {
-        use crate::runner::{run_grid_ft, FaultPolicy, SweepOptions};
-        // The local sweep over 2 profiles x [2, 4]: profile 0's reference
-        // overruns a deadline (its points 0 and 1 cascade) and profile
-        // 1's 4-thread point (index 3) fails on its own.
-        let profiles: Vec<WorkloadProfile> = [
-            workloads::find("blackscholes", Suite::ParsecSmall).unwrap(),
-            workloads::find("cholesky", Suite::Splash2).unwrap(),
-        ]
-        .iter()
-        .map(|p| scaled_profile(p, 0.02))
-        .collect();
-        let first = display_name(&profiles[0]);
-        let mk = |p: &WorkloadProfile, n: usize| {
-            let doomed = match n {
-                1 => display_name(p) == first,
-                4 => display_name(p) != first,
-                _ => false,
-            };
-            RunOptions {
-                deadline_cycles: doomed.then_some(10),
-                ..RunOptions::symmetric(n)
-            }
-        };
-        let sweep = SweepOptions::plain(
-            crate::par::Parallelism::Serial,
-            FaultPolicy::default(),
-            "test",
-        );
-        let local = run_grid_ft(&profiles, &[2, 4], &mk, &sweep).unwrap();
-        let labels: Vec<&str> = local
-            .degraded
-            .failed
+        use crate::par::Parallelism;
+        use crate::runner::FaultPolicy;
+        // Two profiles x [2, 4] through the grid's own unit bodies:
+        // profile 0's reference overruns a deadline (its points 0 and 1
+        // cascade) and profile 1's 4-thread point (index 3) overruns one
+        // on its own.
+        let grid = GridStudy {
+            study: "fig5",
+            profiles: [
+                workloads::find("blackscholes", Suite::ParsecSmall).unwrap(),
+                workloads::find("cholesky", Suite::Splash2).unwrap(),
+            ]
             .iter()
-            .map(|f| f.label.as_str())
-            .collect();
-        let second = display_name(&profiles[1]);
+            .map(|p| scaled_profile(p, 0.02))
+            .collect(),
+            counts: vec![2, 4],
+        };
+        let params = StudyParams::default();
+        let doomed = StudyParams {
+            faults: FaultPolicy {
+                deadline_cycles: Some(10),
+                retries: 0,
+            },
+            ..StudyParams::default()
+        };
+        let mut graph = grid.graph();
+        (0..grid.n_points()).for_each(|i| graph.add_point(i));
+        let mut fold = GridFold::new(grid.n_points());
+        run_units(
+            &mut graph,
+            Parallelism::Serial,
+            0,
+            |pi| grid.compute_reference(if pi == 0 { &doomed } else { &params }, pi),
+            |i, st| grid.compute_point(if i == 3 { &doomed } else { &params }, i, st[0]),
+            |i, outcome, attempts| match outcome {
+                Ok(summary) => fold.point(i, summary, attempts),
+                Err(reason) => fold.failed(i, grid.label(i), reason, attempts),
+            },
+        );
+        let (local_points, local) = fold.into_parts(0);
+        let first = display_name(&grid.profiles[0]);
+        let labels: Vec<&str> = local.failed.iter().map(|f| f.label.as_str()).collect();
+        let second = display_name(&grid.profiles[1]);
         assert_eq!(
             labels,
             [
@@ -584,23 +827,24 @@ mod tests {
             ]
         );
         let cascade = "single-thread reference failed: ";
-        assert!(local.degraded.failed[0].reason.starts_with(cascade));
-        assert!(!local.degraded.failed[2].reason.starts_with(cascade));
+        assert!(local.failed[0].reason.starts_with(cascade));
+        assert!(!local.failed[2].reason.starts_with(cascade));
+        assert!(local.failed.iter().all(|f| f.attempts == 1));
 
         // The same outcomes in the order a served stream delivers them:
         // the point failure first, the cascade last and backwards.
         let mut fold = GridFold::new(4);
         let fail = |fold: &mut GridFold, index: usize, slot: usize| {
-            let f = local.degraded.failed[slot].clone();
+            let f = local.failed[slot].clone();
             fold.failed(index, f.label, f.reason, f.attempts);
         };
         fail(&mut fold, 3, 2);
-        fold.point(2, local.points[2].clone().expect("completed"), 1);
+        fold.point(2, local_points[2].clone().expect("completed"), 1);
         fail(&mut fold, 1, 1);
         fail(&mut fold, 0, 0);
         let (points, degraded) = fold.into_parts(0);
-        assert_eq!(degraded, local.degraded);
-        assert_eq!(points, local.points);
+        assert_eq!(degraded, local);
+        assert_eq!(points, local_points);
     }
 
     #[test]

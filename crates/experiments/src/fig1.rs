@@ -147,12 +147,4 @@ impl Study for Fig1Study {
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
         grid_study("fig1", params).run(params)
     }
-
-    fn supports_journal(&self) -> bool {
-        true
-    }
-
-    fn supports_trace(&self) -> bool {
-        true
-    }
 }

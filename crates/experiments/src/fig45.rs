@@ -196,14 +196,6 @@ impl Study for Fig4Study {
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
         grid_study("fig4", params).run(params)
     }
-
-    fn supports_journal(&self) -> bool {
-        true
-    }
-
-    fn supports_trace(&self) -> bool {
-        true
-    }
 }
 
 /// Figure 5 data: stacks for the three case-study benchmarks across
@@ -286,13 +278,5 @@ impl Study for Fig5Study {
 
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
         grid_study("fig5", params).run(params)
-    }
-
-    fn supports_journal(&self) -> bool {
-        true
-    }
-
-    fn supports_trace(&self) -> bool {
-        true
     }
 }

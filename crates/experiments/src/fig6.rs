@@ -146,12 +146,4 @@ impl Study for Fig6Study {
     fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
         grid_study("fig6", params).run(params)
     }
-
-    fn supports_journal(&self) -> bool {
-        true
-    }
-
-    fn supports_trace(&self) -> bool {
-        true
-    }
 }

@@ -17,11 +17,12 @@
 //! Every experiment reduces to the [`runner`] recipe: run a workload
 //! multi-threaded (that run drives the accounting and yields the
 //! *estimated* speedup), run it single-threaded for Eq. 1's `Ts`, and
-//! attach the *actual* speedup for validation. Figure grids fan their
-//! independent points out over [`par`]'s deterministic thread pool as one
-//! ref-gated [`graph::UnitGraph`], each unit in [`par::fault_domain`], and
-//! fold through [`decompose::GridFold`] — the same graph, unit bodies and
-//! fold the study service and the federation use.
+//! attach the *actual* speedup for validation. The figure grids are
+//! [`decompose::GridStudy`]s, and each runs its own local sweep: the
+//! independent points fan out over [`par`]'s deterministic thread pool as
+//! one ref-gated [`graph::UnitGraph`], each unit in [`par::fault_domain`],
+//! and fold through [`decompose::GridFold`] — the same graph, unit bodies
+//! and fold the study service and the federation use.
 //!
 //! ## Example
 //!
@@ -58,11 +59,11 @@ pub mod scaling;
 pub mod study;
 
 pub use journal::JournalSpec;
+pub use memsim::MemConfig;
 pub use par::{fault_domain, map_mode, Parallelism};
 pub use runner::{
-    run_grid_ft, run_profile, run_profile_streams, scaled_profile, single_thread_reference,
-    single_thread_reference_streams, FaultPolicy, GridReport, PointSummary, RunOptions, RunOutcome,
-    SweepOptions,
+    run_profile, run_profile_streams, scaled_profile, single_thread_reference,
+    single_thread_reference_streams, FaultPolicy, PointSummary, RunOptions, RunOutcome,
 };
 pub use study::{find_study, registry, Study, StudyParams};
 pub use workloads::trace::TraceSpec;

@@ -227,9 +227,9 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
         _ => weak..weak + mix.len(),
     });
     (0..n_points).for_each(|i| graph.add_point(i));
+    let deadline = params.faults.deadline_cycles;
     let opts = |cores: usize| RunOptions {
         mem,
-        deadline_cycles: params.faults.deadline_cycles,
         ..RunOptions::symmetric(cores)
     };
     let mut fold = GridFold::new(n_points);
@@ -242,7 +242,7 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
                 None => streams_for(&profiles[r], 1),
                 Some(m) => vec![Box::new(RateMixStream::new(&mix[m], m))],
             };
-            single_thread_reference_streams(&opts(1), streams).map_err(|e| e.to_string())
+            single_thread_reference_streams(&opts(1), streams, deadline).map_err(|e| e.to_string())
         },
         |i, refs| {
             let (s, n) = point_of(i);
@@ -255,7 +255,7 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
                 (rate_mix_streams(&mix, n), ts_sum as f64)
             };
             let opts = opts(n);
-            let mt = simulate_opts(&opts, n, streams).map_err(|e| e.to_string())?;
+            let mt = simulate_opts(&opts, n, streams, deadline).map_err(|e| e.to_string())?;
             let speedup = ts / mt.tp_cycles as f64;
             let stack = mt
                 .stack(&opts.accounting)

@@ -55,16 +55,16 @@ pub struct StudyParams {
     pub llc_mib: Option<usize>,
     /// Per-point fault policy (deadline, retries) for grid studies.
     pub faults: FaultPolicy,
-    /// Crash-safe journaling / resume for grid studies that support it
-    /// (see [`Study::supports_journal`]).
+    /// Crash-safe journaling / resume for the grid studies (those
+    /// [`crate::decompose::decompose`] knows).
     pub journal: Option<JournalSpec>,
     /// Compute-unit budget per invocation (references + points); the
     /// sweep checkpoints and reports
     /// [`speedup_stacks::SimError::Interrupted`] when it runs out.
     pub max_points: Option<usize>,
-    /// Trace capture / replay for grid studies that support it (see
-    /// [`Study::supports_trace`]). Capture records every run's op
-    /// streams to the file; replay draws them back so the run
+    /// Trace capture / replay for the grid studies (those
+    /// [`crate::decompose::decompose`] knows). Capture records every
+    /// run's op streams to the file; replay draws them back so the run
     /// reproduces the captured report bit for bit. Deliberately **not**
     /// echoed by [`StudyParams::record`]: a replayed report must stay
     /// byte-identical to the generated one.
@@ -184,22 +184,6 @@ pub trait Study: Sync {
     /// See [`speedup_stacks::SimError`]; each variant maps to a distinct
     /// `repro` exit code.
     fn run(&self, params: &StudyParams) -> Result<Report, SimError>;
-
-    /// Whether this study honors [`StudyParams::journal`] /
-    /// [`StudyParams::max_points`] (the benchmark-grid studies). The
-    /// `repro` CLI rejects `--journal`/`--resume` for studies that
-    /// don't.
-    fn supports_journal(&self) -> bool {
-        false
-    }
-
-    /// Whether this study honors [`StudyParams::trace`] (the
-    /// benchmark-grid studies run through the trace-aware sweep). The
-    /// `repro` CLI rejects `--trace-out`/`--trace-in` for studies that
-    /// don't.
-    fn supports_trace(&self) -> bool {
-        false
-    }
 }
 
 impl std::fmt::Debug for dyn Study {
@@ -259,17 +243,6 @@ mod tests {
             "regions", "scaling",
         ] {
             assert!(names.contains(&expected), "missing {expected}");
-        }
-    }
-
-    #[test]
-    fn trace_support_matches_journal_support() {
-        // The grid studies — and only they — run through the trace-aware
-        // sweep; the CLI gates `--trace-out`/`--trace-in` on this.
-        for s in registry() {
-            let grid = matches!(s.name(), "fig1" | "fig4" | "fig5" | "fig6");
-            assert_eq!(s.supports_trace(), grid, "{}", s.name());
-            assert_eq!(s.supports_journal(), grid, "{}", s.name());
         }
     }
 

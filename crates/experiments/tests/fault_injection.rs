@@ -15,13 +15,18 @@
 
 use std::path::PathBuf;
 
+use experiments::decompose::GridFold;
+use experiments::graph::UnitGraph;
+use experiments::par::run_units;
+use experiments::runner::point_label;
 use experiments::study::{find_study, StudyParams};
 use experiments::{
-    run_grid_ft, scaled_profile, FaultPolicy, JournalSpec, Parallelism, RunOptions, SweepOptions,
+    run_profile, scaled_profile, single_thread_reference, FaultPolicy, JournalSpec, Parallelism,
+    PointSummary, RunOptions,
 };
 use speedup_stacks::report::{json, Block, Report};
 use speedup_stacks::SimError;
-use workloads::{display_name, find, Suite, WorkloadProfile};
+use workloads::{display_name, find, Suite};
 
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("repro-fault-{}-{tag}.ndjson", std::process::id()))
@@ -40,25 +45,39 @@ fn small_fig1_params() -> StudyParams {
 #[test]
 fn injected_panic_degrades_only_its_point_and_every_emitter_reports_it() {
     let p = scaled_profile(&find("blackscholes", Suite::ParsecSmall).unwrap(), 0.05);
-    let profiles = vec![p];
+    let name = display_name(&p);
     let counts = [2, 4];
-    // Panic-on-index injection: the 4-thread point explodes inside the
-    // sweep closure; the 2-thread point and the reference must survive.
-    let mk = |p: &WorkloadProfile, n: usize| {
-        assert!(n == 4 || n == 2 || n == 1, "unexpected count {n}");
-        if n == 4 {
-            panic!("injected fault in {} at 4 threads", display_name(p));
-        }
-        RunOptions::symmetric(n)
-    };
     for mode in [Parallelism::Serial, Parallelism::Workers(3)] {
-        let sweep = SweepOptions::plain(mode, FaultPolicy::default(), "test");
-        let grid = run_grid_ft(&profiles, &counts, &mk, &sweep).unwrap();
-        assert!(grid.points[0].is_some(), "healthy point lost");
-        assert!(grid.points[1].is_none(), "faulted point produced data");
-        assert_eq!(grid.degraded.completed, 1);
-        assert_eq!(grid.degraded.failed.len(), 1, "exactly the injected fault");
-        let f = &grid.degraded.failed[0];
+        // Panic-on-index injection: the 4-thread point explodes inside
+        // its unit body; the 2-thread point and the reference must
+        // survive.
+        let mut graph = UnitGraph::grid(1, counts.len());
+        (0..counts.len()).for_each(|i| graph.add_point(i));
+        let mut fold = GridFold::new(counts.len());
+        run_units(
+            &mut graph,
+            mode,
+            0,
+            |_| single_thread_reference(&p, &RunOptions::symmetric(1)).map_err(|e| e.to_string()),
+            |i, st| {
+                if counts[i] == 4 {
+                    panic!("injected fault in {name} at 4 threads");
+                }
+                run_profile(&p, &RunOptions::symmetric(counts[i]), Some(st[0]))
+                    .map(PointSummary::from)
+                    .map_err(|e| e.to_string())
+            },
+            |i, outcome, attempts| match outcome {
+                Ok(summary) => fold.point(i, summary, attempts),
+                Err(reason) => fold.failed(i, point_label(&name, counts[i]), reason, attempts),
+            },
+        );
+        let (points, degraded) = fold.into_parts(0);
+        assert!(points[0].is_some(), "healthy point lost");
+        assert!(points[1].is_none(), "faulted point produced data");
+        assert_eq!(degraded.completed, 1);
+        assert_eq!(degraded.failed.len(), 1, "exactly the injected fault");
+        let f = &degraded.failed[0];
         assert!(f.label.ends_with("x4"), "wrong label: {}", f.label);
         assert!(
             f.reason.contains("injected fault") && f.reason.contains("at 4 threads"),
@@ -69,7 +88,7 @@ fn injected_panic_degrades_only_its_point_and_every_emitter_reports_it() {
 
         // All three emitters must surface the degradation.
         let mut report = Report::new("test", "fault injection");
-        report.push(Block::Degraded(grid.degraded.clone()));
+        report.push(Block::Degraded(degraded.clone()));
         let text = report.to_text();
         assert!(
             text.contains(

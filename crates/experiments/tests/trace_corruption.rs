@@ -9,20 +9,21 @@
 //!   own typed [`speedup_stacks::error::TraceError`] reason (distinct
 //!   messages, distinct diagnoses), never a panic and never a silently
 //!   wrong replay;
-//! - the committed golden traces replay through the sweep to the exact
-//!   rows a generated run produces.
+//! - the committed golden traces replay through the runner's stream
+//!   entry points to the exact values a generated run produces.
 
 use std::path::PathBuf;
 
 use experiments::study::{find_study, StudyParams};
 use experiments::{
-    run_grid_ft, scaled_profile, FaultPolicy, Parallelism, RunOptions, SweepOptions, TraceSpec,
+    run_profile, run_profile_streams, scaled_profile, single_thread_reference_streams, Parallelism,
+    PointSummary, RunOptions, TraceSpec,
 };
 use speedup_stacks::crc::crc32;
 use speedup_stacks::error::TraceError;
 use speedup_stacks::SimError;
-use workloads::trace::decode_uvarint;
-use workloads::{find, Suite};
+use workloads::trace::{decode_uvarint, TraceReader};
+use workloads::{display_name, find, Suite};
 
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("repro-trace-{}-{tag}.sstrace", std::process::id()))
@@ -283,10 +284,10 @@ fn missing_trace_file_is_a_typed_io_error_not_a_panic() {
 }
 
 #[test]
-fn golden_traces_replay_to_the_generated_rows() {
-    // The committed golden fixtures (see workloads/tests/goldens/) drive
-    // the sweep itself: a replayed grid must produce exactly the rows a
-    // generated grid produces.
+fn golden_traces_replay_to_the_generated_values() {
+    // The committed golden fixtures (see workloads/tests/goldens/) feed
+    // the runner's stream entry points: a replayed reference and 2-thread
+    // point must equal exactly what the generators produce.
     let goldens = [
         (
             "blackscholes",
@@ -297,32 +298,23 @@ fn golden_traces_replay_to_the_generated_rows() {
     ];
     for (name, suite, file) in goldens {
         let profile = scaled_profile(&find(name, suite).unwrap(), 0.05);
-        let profiles = vec![profile];
-        let mk = |_: &workloads::WorkloadProfile, n: usize| RunOptions::symmetric(n);
         let path = format!(
             "{}/../workloads/tests/goldens/{file}",
             env!("CARGO_MANIFEST_DIR")
         );
-        let spec = TraceSpec { path, replay: true };
-        let replay_sweep = SweepOptions {
-            trace: Some(&spec),
-            fingerprint: "golden-v1",
-            ..SweepOptions::plain(Parallelism::Serial, FaultPolicy::default(), "golden")
-        };
-        let replayed = run_grid_ft(&profiles, &[2], &mk, &replay_sweep)
-            .unwrap_or_else(|e| panic!("{file}: golden replay failed: {e}"));
-        let generated = run_grid_ft(
-            &profiles,
-            &[2],
-            &mk,
-            &SweepOptions::plain(Parallelism::Serial, FaultPolicy::default(), "golden"),
-        )
-        .unwrap();
-        assert!(!replayed.degraded.is_degraded(), "{file}");
-        assert!(
-            replayed.provenance.is_none(),
-            "replay attaches no provenance"
+        let reader = TraceReader::open(&path, Some(("golden", "golden-v1")))
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        let opts = RunOptions::symmetric(2);
+        let st_run = reader.run_streams(&display_name(&profile), 1).unwrap();
+        let st = single_thread_reference_streams(&opts, st_run.streams, None).unwrap();
+        let mt_run = reader.run_streams(&display_name(&profile), 2).unwrap();
+        let replayed = run_profile_streams(&profile, &opts, st, mt_run.streams, None).unwrap();
+        assert!(st_run.fault.take().is_none() && mt_run.fault.take().is_none());
+        let generated = run_profile(&profile, &opts, None).unwrap();
+        assert_eq!(
+            PointSummary::from(replayed),
+            PointSummary::from(generated),
+            "{file}"
         );
-        assert_eq!(replayed.points, generated.points, "{file}");
     }
 }

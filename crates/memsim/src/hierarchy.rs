@@ -48,6 +48,15 @@ impl Default for MemConfig {
 }
 
 impl MemConfig {
+    /// The largest LLC, in MiB, a size taken from a user or the wire may
+    /// ask for (`repro --llc-mib`, a submit's `llc_mib`). A run allocates
+    /// its LLC and every core's ATD in full up front, and a failed
+    /// allocation aborts the whole process — no unwinding, so no fault
+    /// domain can catch it — so sizes are bounded where they are parsed.
+    /// 16× the largest LLC any study sweeps (16 MiB, Figure 9); a
+    /// 128-core `scaling` run at this size peaks near 450 MiB resident.
+    pub const MAX_LLC_MIB: usize = 256;
+
     /// Returns a copy with the LLC resized to `mib` MiB (same line size
     /// and associativity), as used by the Figure 9 LLC sweep.
     #[must_use]

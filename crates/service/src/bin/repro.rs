@@ -62,8 +62,10 @@
 
 use std::process::ExitCode;
 
+use experiments::decompose::decompose;
 use experiments::study::{find_study, registry, Study, StudyParams};
 use experiments::JournalSpec;
+use experiments::MemConfig;
 use experiments::Parallelism;
 use experiments::TraceSpec;
 use service::client::{Client, RetryPolicy};
@@ -109,6 +111,47 @@ fn parse_threads(spec: &str) -> Result<Vec<usize>, String> {
     }
 }
 
+/// Parses one of the flags a local run and `repro submit` share
+/// (`--scale`, `--threads`, `--llc-mib`, `--format`), taking its value
+/// from `it`. `Ok(false)` when `flag` is none of them.
+fn shared_flag(
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+    params: &mut StudyParams,
+    format: &mut Format,
+) -> Result<bool, String> {
+    match flag {
+        "--scale" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+            Some(v) if v.is_finite() && v > 0.0 => params.scale = v,
+            _ => return Err("--scale requires a positive finite number".to_string()),
+        },
+        "--threads" => match it.next() {
+            Some(spec) => params.threads = Some(parse_threads(spec)?),
+            None => return Err("--threads requires a comma-separated list".to_string()),
+        },
+        "--llc-mib" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+            Some(0) | None => return Err("--llc-mib requires a capacity in MiB >= 1".to_string()),
+            Some(mib) if mib > MemConfig::MAX_LLC_MIB => {
+                return Err(format!(
+                    "--llc-mib {mib} is above the {} MiB limit",
+                    MemConfig::MAX_LLC_MIB
+                ))
+            }
+            Some(mib) => params.llc_mib = Some(mib),
+        },
+        "--format" => {
+            *format = match it.next().map(String::as_str) {
+                Some("text") => Format::Text,
+                Some("json") => Format::Json,
+                Some("csv") => Format::Csv,
+                _ => return Err("--format requires one of: text, json, csv".to_string()),
+            }
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut which: Option<String> = None;
     let mut list = false;
@@ -118,22 +161,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut trace_flags = 0usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if shared_flag(a, &mut it, &mut params, &mut format)? {
+            continue;
+        }
         match a.as_str() {
             "--list" => list = true,
-            "--scale" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v > 0.0 => params.scale = v,
-                _ => return Err("--scale requires a positive finite number".to_string()),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("csv") => format = Format::Csv,
-                _ => return Err("--format requires one of: text, json, csv".to_string()),
-            },
-            "--threads" => match it.next() {
-                Some(spec) => params.threads = Some(parse_threads(spec)?),
-                None => return Err("--threads requires a comma-separated list".to_string()),
-            },
             "--parallelism" => match it.next().map(String::as_str) {
                 Some("auto") => params.parallelism = Parallelism::Auto,
                 Some("serial") => params.parallelism = Parallelism::Serial,
@@ -150,10 +182,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     }
                 },
                 None => return Err("--parallelism requires a mode".to_string()),
-            },
-            "--llc-mib" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(mib) if mib >= 1 => params.llc_mib = Some(mib),
-                _ => return Err("--llc-mib requires a capacity in MiB >= 1".to_string()),
             },
             "--retries" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
                 Some(n) => params.faults.retries = n,
@@ -226,31 +254,25 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if which != "all" && find_study(&which).is_none() {
         return Err(format!("unknown experiment: {which}"));
     }
+    // Journaling, budgets and traces belong to the grid sweep.
+    let grid = decompose(&which, &params).is_some();
     if journal_flags > 1 {
         return Err("--journal and --resume are mutually exclusive (one journal per run)".into());
     }
-    if params.journal.is_some() {
-        let supported = which != "all"
-            && find_study(&which).is_some_and(experiments::study::Study::supports_journal);
-        if !supported {
-            return Err(format!(
-                "--journal/--resume is not supported by '{which}' \
-                 (grid studies only: fig1, fig4, fig5, fig6)"
-            ));
-        }
+    if params.journal.is_some() && !grid {
+        return Err(format!(
+            "--journal/--resume is not supported by '{which}' \
+             (grid studies only: fig1, fig4, fig5, fig6)"
+        ));
     }
     if trace_flags > 1 {
         return Err("--trace-out and --trace-in are mutually exclusive (one trace per run)".into());
     }
-    if params.trace.is_some() {
-        let supported = which != "all"
-            && find_study(&which).is_some_and(experiments::study::Study::supports_trace);
-        if !supported {
-            return Err(format!(
-                "--trace-out/--trace-in is not supported by '{which}' \
-                 (trace-capable studies only: fig1, fig4, fig5, fig6)"
-            ));
-        }
+    if params.trace.is_some() && !grid {
+        return Err(format!(
+            "--trace-out/--trace-in is not supported by '{which}' \
+             (trace-capable studies only: fig1, fig4, fig5, fig6)"
+        ));
     }
     Ok(Cli {
         command: Command::Run { which, format },
@@ -318,31 +340,15 @@ fn submit_main(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     };
     while let Some(a) = it.next() {
+        match shared_flag(a, &mut it, &mut params, &mut format) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => return usage_err(e),
+        }
         match a.as_str() {
             "--addr" => match it.next() {
                 Some(v) if !v.starts_with("--") => addr = v.clone(),
                 _ => return usage_err("--addr requires HOST:PORT".to_string()),
-            },
-            "--scale" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v.is_finite() && v > 0.0 => params.scale = v,
-                _ => return usage_err("--scale requires a positive finite number".to_string()),
-            },
-            "--threads" => match it.next() {
-                Some(spec) => match parse_threads(spec) {
-                    Ok(t) => params.threads = Some(t),
-                    Err(e) => return usage_err(e),
-                },
-                None => return usage_err("--threads requires a comma-separated list".to_string()),
-            },
-            "--llc-mib" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(mib) if mib >= 1 => params.llc_mib = Some(mib),
-                _ => return usage_err("--llc-mib requires a capacity in MiB >= 1".to_string()),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("csv") => format = Format::Csv,
-                _ => return usage_err("--format requires one of: text, json, csv".to_string()),
             },
             "--no-retry" => retry = false,
             other if other.starts_with("--") => {

@@ -60,6 +60,7 @@
 use std::io::{BufRead, Write};
 
 use experiments::study::StudyParams;
+use experiments::MemConfig;
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue};
 
@@ -313,11 +314,16 @@ pub fn params_from_wire(v: Option<&JsonValue>) -> Result<StudyParams, String> {
         params.threads = Some(counts);
     }
     if let Some(m) = v.get("llc_mib") {
+        let max = MemConfig::MAX_LLC_MIB;
         match m.as_f64() {
-            Some(x) if x.fract() == 0.0 && (1.0..=1_048_576.0).contains(&x) => {
+            Some(x) if x.fract() == 0.0 && (1.0..=max as f64).contains(&x) => {
                 params.llc_mib = Some(x as usize);
             }
-            _ => return Err("llc_mib must be an integer capacity in MiB >= 1".to_string()),
+            _ => {
+                return Err(format!(
+                    "llc_mib must be an integer capacity in MiB, 1 to {max}"
+                ))
+            }
         }
     }
     Ok(params)
@@ -396,6 +402,15 @@ mod tests {
             assert!(params_from_wire(Some(&v)).is_err(), "{bad} accepted");
         }
         assert_eq!(params_from_wire(None).unwrap(), StudyParams::default());
+        let llc = |mib: usize| {
+            let v = json::parse(&format!("{{\"llc_mib\": {mib}}}")).unwrap();
+            params_from_wire(Some(&v)).map(|p| p.llc_mib)
+        };
+        assert_eq!(
+            llc(MemConfig::MAX_LLC_MIB),
+            Ok(Some(MemConfig::MAX_LLC_MIB))
+        );
+        assert!(llc(MemConfig::MAX_LLC_MIB + 1).is_err());
     }
 
     #[test]

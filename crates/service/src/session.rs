@@ -525,7 +525,7 @@ fn list_frame() -> String {
             "{{\"name\": \"{}\", \"description\": \"{}\", \"grid\": {}}}",
             json::escape(s.name()),
             json::escape(s.description()),
-            s.supports_journal()
+            decompose(s.name(), &StudyParams::default()).is_some()
         ));
     }
     out.push_str("]}");
