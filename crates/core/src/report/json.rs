@@ -14,6 +14,18 @@
 //! typed [`JsonError`], so hostile input cannot overflow the stack of
 //! the thread parsing it.
 //!
+//! The reader walks the byte slice once: a number token is bounded and
+//! held to the strict grammar in the same pass and then converted once, by
+//! `f64`'s correctly rounded parse (the workspace's one text-to-number
+//! conversion); a string or key is borrowed from the input unless it
+//! holds escapes; [`Reader::skip`] passes over a value without building
+//! it; error messages are formatted only on the way out of a malformed
+//! document. `experiments/tests/json_fuzz.rs` holds all of it to the
+//! tree-walking oracle, and its number-token family pins every
+//! `f64` bit pattern's round trip and the accept/reject set and error
+//! offsets of the byte-by-byte grammar this walk replaced. Counts are
+//! read back only as integers in `[0, 2^53]` ([`exact_u64`]).
+//!
 //! Non-finite numbers (`NaN`, `±inf`) have no JSON representation and
 //! are emitted as `null`; [`Value::Missing`]
 //! cells likewise become `null`.
@@ -64,6 +76,18 @@ pub fn number(v: f64) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// The largest count a JSON number is read back as: 2^53, up to which
+/// every integer is an `f64` exactly. Every count the encoders write
+/// stays far below it.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// A number read back as a count: an integer in `[0, 2^53]`, else `None`
+/// — never the saturated `as` cast of a magnitude no encoder wrote.
+#[must_use]
+pub fn exact_u64(x: f64) -> Option<u64> {
+    ((0.0..=MAX_EXACT_INT).contains(&x) && x.fract() == 0.0).then_some(x as u64)
 }
 
 fn value_token(v: &Value) -> String {
@@ -410,36 +434,41 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
-        Err(JsonError {
-            offset: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.input.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
-            self.pos += 1;
+    /// Steps over whitespace and returns the byte after it, if any.
+    #[inline(always)]
+    fn peek_ws(&mut self) -> Option<u8> {
+        let bytes = self.input.as_bytes();
+        let mut i = self.pos;
+        while let Some(&b) = bytes.get(i) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                self.pos = i;
+                return Some(b);
+            }
+            i += 1;
         }
+        self.pos = i;
+        None
     }
 
+    /// Consumes `b` after any whitespace.
+    #[inline(always)]
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.peek_ws() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            self.err(format!("expected '{}'", b as char))
+            fail(self.pos, format_args!("expected '{}'", b as char))
         }
     }
 
+    #[inline(always)]
     fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
-        self.skip_ws();
+        self.peek_ws();
         if self.depth == MAX_DEPTH {
-            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+            return fail(
+                self.pos,
+                format_args!("nesting deeper than {MAX_DEPTH} levels"),
+            );
         }
         self.expect(bracket)?;
         self.depth += 1;
@@ -450,10 +479,10 @@ impl<'a> Reader<'a> {
     /// Steps past the separator before the open container's next member:
     /// `true` when one follows, `false` once the closing bracket is
     /// consumed.
+    #[inline(always)]
     fn step(&mut self, close: u8) -> Result<bool, JsonError> {
-        self.skip_ws();
         let fresh = std::mem::replace(&mut self.fresh, false);
-        match self.peek() {
+        match self.peek_ws() {
             Some(b) if b == close => {
                 self.pos += 1;
                 self.depth = self.depth.saturating_sub(1);
@@ -464,7 +493,10 @@ impl<'a> Reader<'a> {
                 Ok(true)
             }
             _ if fresh => Ok(true),
-            _ => self.err(format!("expected ',' or '{}'", close as char)),
+            _ => fail(
+                self.pos,
+                format_args!("expected ',' or '{}'", close as char),
+            ),
         }
     }
 
@@ -473,22 +505,24 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// The next value is not an object, or it nests past [`MAX_DEPTH`].
+    #[inline(always)]
     pub fn begin_object(&mut self) -> Result<(), JsonError> {
         self.open(b'{')
     }
 
     /// The open object's next key (its value is read next), or `None`
-    /// once the object has ended.
+    /// once the object has ended. The key is borrowed from the input
+    /// unless it holds escapes.
     ///
     /// # Errors
     ///
     /// A missing separator, key or colon.
+    #[inline(always)]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         if !self.step(b'}')? {
             return Ok(None);
         }
         let key = self.string()?;
-        self.skip_ws();
         self.expect(b':')?;
         Ok(Some(key))
     }
@@ -498,6 +532,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// The next value is not an array, or it nests past [`MAX_DEPTH`].
+    #[inline(always)]
     pub fn begin_array(&mut self) -> Result<(), JsonError> {
         self.open(b'[')
     }
@@ -508,6 +543,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// A missing separator.
+    #[inline(always)]
     pub fn next_item(&mut self) -> Result<bool, JsonError> {
         self.step(b']')
     }
@@ -517,9 +553,9 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// The next value is neither.
+    #[inline(always)]
     pub fn number_or_null(&mut self) -> Result<Option<f64>, JsonError> {
-        self.skip_ws();
-        if self.peek() == Some(b'n') {
+        if self.peek_ws() == Some(b'n') {
             self.literal("null")?;
             return Ok(None);
         }
@@ -531,36 +567,53 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// The next value is not a well-formed string.
+    #[inline(always)]
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
-        self.skip_ws();
         self.expect(b'"')?;
-        let mut decoded: Option<String> = None;
-        let mut run = self.pos;
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let start = self.pos;
+        let mut i = start;
+        // A multi-byte UTF-8 sequence holds no quote, backslash or
+        // control byte, so the run up to one of those is taken whole.
+        while let Some(&b) = bytes.get(i) {
+            if b == b'"' {
+                self.pos = i + 1;
+                return Ok(Cow::Borrowed(&input[start..i]));
+            }
+            if b == b'\\' || b < 0x20 {
+                break;
+            }
+            i += 1;
+        }
+        self.escaped_string(start, i)
+    }
+
+    /// The rest of a string from byte `i`, where the run that began at
+    /// `run` met an escape, a control character or the end of input.
+    #[cold]
+    #[inline(never)]
+    fn escaped_string(&mut self, mut run: usize, mut i: usize) -> Result<Cow<'a, str>, JsonError> {
+        let input = self.input;
+        let bytes = input.as_bytes();
+        let mut decoded = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return self.err("unterminated string");
-            };
-            match b {
-                b'"' => {
-                    let tail = &self.input[run..self.pos];
-                    self.pos += 1;
-                    return Ok(match decoded {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    });
+            match bytes.get(i) {
+                Some(b'"') => {
+                    decoded.push_str(&input[run..i]);
+                    self.pos = i + 1;
+                    return Ok(Cow::Owned(decoded));
                 }
-                b'\\' => {
-                    let s = decoded.get_or_insert_with(String::new);
-                    s.push_str(&self.input[run..self.pos]);
-                    self.pos += 1;
-                    self.escape(s)?;
+                Some(b'\\') => {
+                    decoded.push_str(&input[run..i]);
+                    self.pos = i + 1;
+                    self.escape(&mut decoded)?;
                     run = self.pos;
+                    i = run;
                 }
-                b if b < 0x20 => return self.err("control character in string"),
-                _ => self.pos += 1,
+                Some(&b) if b < 0x20 => return fail(i, "control character in string"),
+                Some(_) => i += 1,
+                None => return fail(i, "unterminated string"),
             }
         }
     }
@@ -571,8 +624,7 @@ impl<'a> Reader<'a> {
     ///
     /// The value is malformed or nests past [`MAX_DEPTH`].
     pub fn value(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
-        match self.peek() {
+        match self.peek_ws() {
             Some(b'{') => {
                 self.begin_object()?;
                 let mut fields = Vec::new();
@@ -590,12 +642,52 @@ impl<'a> Reader<'a> {
                 Ok(JsonValue::Array(items))
             }
             Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Number),
+            _ => self.literal_value(),
+        }
+    }
+
+    /// Steps over one whole value without building it — how a decoder
+    /// passes over what it does not read. Accepts and rejects exactly
+    /// what [`Reader::value`] does, with the same errors.
+    ///
+    /// # Errors
+    ///
+    /// The value is malformed or nests past [`MAX_DEPTH`].
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek_ws() {
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.string().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.number_token().map(drop),
+            _ => self.literal_value().map(drop),
+        }
+    }
+
+    /// `true`, `false` or `null` where a value starts; the error any other
+    /// byte there gets.
+    fn literal_value(&mut self) -> Result<JsonValue, JsonError> {
+        match self.input.as_bytes().get(self.pos) {
             Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
             Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number().map(JsonValue::Number),
-            Some(c) => self.err(format!("unexpected character '{}'", c as char)),
-            None => self.err("unexpected end of input"),
+            Some(&c) => fail(
+                self.pos,
+                format_args!("unexpected character '{}'", c as char),
+            ),
+            None => fail(self.pos, "unexpected end of input"),
         }
     }
 
@@ -605,11 +697,10 @@ impl<'a> Reader<'a> {
     ///
     /// Trailing characters after the document.
     pub fn finish(mut self) -> Result<(), JsonError> {
-        self.skip_ws();
-        if self.pos != self.input.len() {
-            return self.err("trailing characters after document");
+        match self.peek_ws() {
+            Some(_) => fail(self.pos, "trailing characters after document"),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
@@ -617,63 +708,64 @@ impl<'a> Reader<'a> {
             self.pos += lit.len();
             Ok(())
         } else {
-            self.err(format!("expected '{lit}'"))
+            fail(self.pos, format_args!("expected '{lit}'"))
         }
     }
 
+    /// A number, converted once: [`Reader::number_token`] has already
+    /// held the text to JSON's grammar, all of which `f64`'s correctly
+    /// rounded parse accepts (a magnitude past `f64::MAX` reads as ±inf).
+    #[inline(always)]
     fn number(&mut self) -> Result<f64, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Strict JSON integer part: "0" or a non-zero digit followed by
-        // more digits (no leading zeros).
-        match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'0'..=b'9')) {
-                    return self.err("leading zero");
-                }
-            }
-            Some(b'1'..=b'9') => {
-                self.digits();
-            }
-            _ => return self.err("expected digit"),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if self.digits() == 0 {
-                return self.err("expected digit after '.'");
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if self.digits() == 0 {
-                return self.err("expected exponent digit");
-            }
-        }
-        let text = &self.input[start..self.pos];
+        let text = self.number_token()?;
         match text.parse::<f64>() {
             Ok(v) => Ok(v),
-            Err(_) => self.err(format!("invalid number '{text}'")),
+            Err(_) => fail(self.pos, format_args!("invalid number '{text}'")),
         }
     }
 
-    fn digits(&mut self) -> usize {
+    /// Bounds the number token at the reader's position and checks it
+    /// against the strict grammar in the same walk: `-`? then `0` or a
+    /// non-zero digit and more digits (no leading zeros), then an
+    /// optional `.` and digits, then an optional exponent.
+    #[inline(always)]
+    fn number_token(&mut self) -> Result<&'a str, JsonError> {
+        let input = self.input;
+        let bytes = input.as_bytes();
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let mut i = start + usize::from(bytes.get(start) == Some(&b'-'));
+        match bytes.get(i) {
+            Some(b'0') => {
+                i += 1;
+                if let Some(b'0'..=b'9') = bytes.get(i) {
+                    return fail(i, "leading zero");
+                }
+            }
+            Some(b'1'..=b'9') => i = digits_end(bytes, i + 1),
+            _ => return fail(i, "expected digit"),
         }
-        self.pos - start
+        if bytes.get(i) == Some(&b'.') {
+            let end = digits_end(bytes, i + 1);
+            if end == i + 1 {
+                return fail(end, "expected digit after '.'");
+            }
+            i = end;
+        }
+        if let Some(b'e' | b'E') = bytes.get(i) {
+            let exp = i + 1 + usize::from(matches!(bytes.get(i + 1), Some(b'+' | b'-')));
+            i = digits_end(bytes, exp);
+            if i == exp {
+                return fail(i, "expected exponent digit");
+            }
+        }
+        self.pos = i;
+        Ok(&input[start..i])
     }
 
     /// Decodes one escape (the backslash already consumed) onto `out`.
     fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
-        let Some(esc) = self.peek() else {
-            return self.err("unterminated escape");
+        let Some(&esc) = self.input.as_bytes().get(self.pos) else {
+            return fail(self.pos, "unterminated escape");
         };
         self.pos += 1;
         let c = match esc {
@@ -694,7 +786,7 @@ impl<'a> Reader<'a> {
                         self.pos += 2;
                         let lo = self.hex4()?;
                         if !(0xDC00..0xE000).contains(&lo) {
-                            return self.err("high surrogate not followed by low surrogate");
+                            return fail(self.pos, "high surrogate not followed by low surrogate");
                         }
                         char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
                     } else {
@@ -707,10 +799,15 @@ impl<'a> Reader<'a> {
                 };
                 match c {
                     Some(c) => c,
-                    None => return self.err("invalid \\u escape"),
+                    None => return fail(self.pos, "invalid \\u escape"),
                 }
             }
-            other => return self.err(format!("invalid escape '\\{}'", other as char)),
+            other => {
+                return fail(
+                    self.pos,
+                    format_args!("invalid escape '\\{}'", other as char),
+                )
+            }
         };
         out.push(c);
         Ok(())
@@ -719,20 +816,40 @@ impl<'a> Reader<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let Some(b) = self.peek() else {
-                return self.err("truncated \\u escape");
+            let Some(&b) = self.input.as_bytes().get(self.pos) else {
+                return fail(self.pos, "truncated \\u escape");
             };
             let d = match b {
                 b'0'..=b'9' => u32::from(b - b'0'),
                 b'a'..=b'f' => u32::from(b - b'a' + 10),
                 b'A'..=b'F' => u32::from(b - b'A' + 10),
-                _ => return self.err("invalid hex digit"),
+                _ => return fail(self.pos, "invalid hex digit"),
             };
             v = v * 16 + d;
             self.pos += 1;
         }
         Ok(v)
     }
+}
+
+/// The typed error at byte `at`. Out of line and cold, so the message is
+/// formatted only on the way out of a malformed document.
+#[cold]
+#[inline(never)]
+fn fail<T>(at: usize, message: impl std::fmt::Display) -> Result<T, JsonError> {
+    Err(JsonError {
+        offset: at,
+        message: message.to_string(),
+    })
+}
+
+/// The index just past the run of ASCII digits starting at `i`.
+#[inline(always)]
+fn digits_end(bytes: &[u8], mut i: usize) -> usize {
+    while let Some(b'0'..=b'9') = bytes.get(i) {
+        i += 1;
+    }
+    i
 }
 
 /// Parses a JSON document into a [`JsonValue`] tree: [`Reader::value`]

@@ -338,7 +338,7 @@ impl PointSummary {
                 "st_cycles" if st_cycles.is_none() => st_cycles = Some(read_u64(r)?),
                 "mt_cycles" if mt_cycles.is_none() => mt_cycles = Some(read_u64(r)?),
                 "instruction_overhead" if overhead.is_none() => overhead = Some(read_f64(r)?),
-                "stack" if stack.is_none() => stack = Some(read_stack(r)?),
+                "stack" if stack.is_none() => stack = Some(read_stack(r, threads)?),
                 _ => skip(r)?,
             }
         }
@@ -358,37 +358,45 @@ impl PointSummary {
     }
 }
 
+/// The most `per_thread` entries a decoder reserves up front from the
+/// record's `threads` count, a number read off the wire; a longer list
+/// grows as it is read.
+const RESERVED_THREADS: u64 = 1024;
+
 /// Skips one value the record decoder does not read.
 fn skip(r: &mut Reader<'_>) -> Option<()> {
-    r.value().ok().map(drop)
+    r.skip().ok()
 }
 
 /// A number field, mapping `null` back to the `NaN` it was emitted from.
+#[inline]
 fn read_f64(r: &mut Reader<'_>) -> Option<f64> {
     Some(r.number_or_null().ok()?.unwrap_or(f64::NAN))
 }
 
-/// A non-negative integer field (counter magnitudes in this codebase stay
-/// far below 2^53, so the `f64` round-trip is exact).
+/// A count field: an integer in `[0, 2^53]` ([`json::exact_u64`]), the
+/// range every count the encoder writes stays in.
+#[inline]
 fn read_u64(r: &mut Reader<'_>) -> Option<u64> {
-    let x = r.number_or_null().ok()??;
-    (x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
+    json::exact_u64(r.number_or_null().ok()??)
 }
 
-/// A record's `stack`: `tp_cycles` and the non-empty `per_thread` list.
-fn read_stack(r: &mut Reader<'_>) -> Option<(u64, Vec<ThreadBreakdown>)> {
+/// A record's `stack`: `tp_cycles` and the non-empty `per_thread` list,
+/// reserved once for the `threads` count read before it (if any).
+fn read_stack(r: &mut Reader<'_>, threads: Option<u64>) -> Option<(u64, Vec<ThreadBreakdown>)> {
     let (mut tp, mut per_thread) = (None, None);
     r.begin_object().ok()?;
     while let Some(key) = r.next_key().ok()? {
         match &*key {
             "tp_cycles" if tp.is_none() => tp = Some(read_u64(r)?),
             "per_thread" if per_thread.is_none() => {
-                let mut threads = Vec::new();
+                let reserve = threads.map_or(0, |n| n.min(RESERVED_THREADS) as usize);
+                let mut list = Vec::with_capacity(reserve);
                 r.begin_array().ok()?;
                 while r.next_item().ok()? {
-                    threads.push(read_thread(r)?);
+                    list.push(read_thread(r)?);
                 }
-                per_thread = Some(threads);
+                per_thread = Some(list);
             }
             _ => skip(r)?,
         }
@@ -536,6 +544,26 @@ mod tests {
         // Bit-identical: shortest round-trip float formatting plus
         // deterministic stack re-aggregation.
         assert_eq!(back, summary);
+
+        // Counts read back only as integers in [0, 2^53]: a streamed
+        // frame carries no checksum, and `1e300` must not saturate into
+        // `usize::MAX` threads (a (Ŝ − S)/N of about 0).
+        let record = summary.to_record();
+        let count = |threads: &str| {
+            let text = record.replacen("\"threads\": 2,", &format!("\"threads\": {threads},"), 1);
+            assert_ne!(text, record);
+            PointSummary::from_record(&text).map(|p| p.threads)
+        };
+        assert_eq!(count("9007199254740992"), Some(1 << 53));
+        for bad in [
+            "1e300",
+            "18446744073709551616",
+            "9007199254740994",
+            "-1",
+            "2.5",
+        ] {
+            assert_eq!(count(bad), None, "threads {bad}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! built on it (in-repo deterministic-RNG style, like
 //! `workloads/tests/trace_fuzz.rs`).
 //!
-//! Four families of cases, round-robin by seed:
+//! Five families of cases, round-robin by seed:
 //!
 //! - **valid documents**: random trees (escapes, surrogate pairs,
 //!   number edges, whitespace, nesting up to and one past
@@ -15,12 +15,20 @@
 //! - **reshaped records** — every point record of fig1/4/5/6 at scale
 //!   0.01, with NaN fields (emitted as `null`), keys reordered, unknown
 //!   and repeated keys spliced in;
-//! - **truncated records**.
+//! - **truncated records**;
+//! - **number tokens**: random `f64` bit patterns (subnormals, ±0,
+//!   extremes, 17-digit shortest forms) through `json::number`, read
+//!   back bit-exact by `Reader::number_or_null`; random and mutated
+//!   tokens over `0-9 . e E + -` as `[<token>]`, accepted with the value
+//!   or rejected at the offset the byte-by-byte grammar below gives (the
+//!   scanner the one-pass reader replaced); and records whose count
+//!   fields carry magnitudes no encoder writes.
 //!
 //! In every case, whatever the text, the reader-based
 //! [`PointSummary::from_record`] must agree bit for bit with the
 //! tree-walking decoder it replaced (kept below as the oracle) applied
-//! to [`json::parse`]'s tree.
+//! to [`json::parse`]'s tree, and [`Reader::skip`] must accept and
+//! reject exactly what `parse` does, with the same error.
 //!
 //! A failing case prints its seed; replay it with `run_case(seed)`.
 
@@ -31,12 +39,12 @@ use experiments::decompose::decompose;
 use experiments::graph::Unit;
 use experiments::runner::PointSummary;
 use experiments::study::StudyParams;
-use speedup_stacks::report::json::{self, JsonValue};
+use speedup_stacks::report::json::{self, JsonValue, Reader};
 use speedup_stacks::{Breakdown, Component, SpeedupStack, ThreadBreakdown};
 use workloads::rng::SmallRng;
 
-/// Cases per run of the loop, split evenly over the four families.
-const CASES: u64 = 2_400;
+/// Cases per run of the loop, split evenly over the five families.
+const CASES: u64 = 3_000;
 
 // --- the oracle -----------------------------------------------------------
 
@@ -48,13 +56,15 @@ fn num_field(v: &JsonValue, k: &str) -> Option<f64> {
     }
 }
 
+/// A count: an integer in `[0, 2^53]`, where every integer is an `f64`
+/// exactly (a larger magnitude is no count an encoder wrote).
 fn u64_field(v: &JsonValue, k: &str) -> Option<u64> {
     let x = v.get(k)?.as_f64()?;
-    (x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
+    ((0.0..=9_007_199_254_740_992.0).contains(&x) && x.fract() == 0.0).then_some(x as u64)
 }
 
 /// The tree-walking `PointSummary::from_record(&JsonValue)` the reader
-/// decoder replaced, verbatim.
+/// decoder replaced, with counts bounded as above.
 fn oracle(v: &JsonValue) -> Option<PointSummary> {
     let stack_v = v.get("stack")?;
     let tp = u64_field(stack_v, "tp_cycles")?;
@@ -123,12 +133,16 @@ fn bits(p: &PointSummary) -> Bits {
 }
 
 /// The property every case ends in: the reader decoder ≡ the oracle on
-/// `parse`'s tree, for any text. Returns the decoded bits.
+/// `parse`'s tree, and `skip` ≡ `parse` on acceptance and on the error,
+/// for any text. Returns the decoded bits.
 fn decoders_agree(text: &str) -> Option<Bits> {
     let decoded = PointSummary::from_record(text).as_ref().map(bits);
-    let tree = json::parse(text).ok();
-    let expected = tree.as_ref().and_then(oracle).as_ref().map(bits);
+    let tree = json::parse(text);
+    let expected = tree.as_ref().ok().and_then(oracle).as_ref().map(bits);
     assert_eq!(decoded, expected, "reader decoder vs oracle on {text:?}");
+    let mut r = Reader::new(text);
+    let skipped = r.skip().and_then(|()| r.finish());
+    assert_eq!(skipped.err(), tree.err(), "skip vs parse on {text:?}");
     decoded
 }
 
@@ -325,6 +339,7 @@ fn valid_document(rng: &mut SmallRng) {
         let too_deep = emit(&JsonValue::Array(vec![chain(rng, json::MAX_DEPTH)]));
         let err = json::parse(&too_deep).expect_err("nesting past the limit");
         assert!(err.message.contains("nesting"), "{err}");
+        decoders_agree(&too_deep);
     }
 }
 
@@ -491,6 +506,193 @@ fn truncated_record(rng: &mut SmallRng, record: &str) {
     assert!(decoders_agree(&record[..cut]).is_none());
 }
 
+// --- number tokens --------------------------------------------------------
+
+/// What the reader must make of `[<token>]` (then trailing whitespace)
+/// for a token over `0-9 . e E + -`: `Ok(None)` for the empty array, the
+/// number's bits, or the typed error's offset and message. The grammar is
+/// walked a byte at a time, as the scanner before the one-pass reader
+/// did: `-`? then `0` or a non-zero digit and more, then `.` and at
+/// least one digit, then `e`/`E`, a sign and at least one digit.
+fn token_oracle(doc: &str) -> Result<Option<u64>, (usize, String)> {
+    let b = doc.as_bytes();
+    let at = |i: usize| b.get(i).copied().unwrap_or(b' ');
+    let digits = |mut i: usize| {
+        while at(i).is_ascii_digit() {
+            i += 1;
+        }
+        i
+    };
+    let err = |at: usize, message: &str| Err((at, message.to_string()));
+    let start = 1;
+    match at(start) {
+        b']' => return Ok(None),
+        b'-' | b'0'..=b'9' => {}
+        c => return err(start, &format!("unexpected character '{}'", char::from(c))),
+    }
+    let mut i = start + usize::from(at(start) == b'-');
+    match at(i) {
+        b'0' if at(i + 1).is_ascii_digit() => return err(i + 1, "leading zero"),
+        b'0' => i += 1,
+        b'1'..=b'9' => i = digits(i),
+        _ => return err(i, "expected digit"),
+    }
+    if at(i) == b'.' {
+        let end = digits(i + 1);
+        if end == i + 1 {
+            return err(end, "expected digit after '.'");
+        }
+        i = end;
+    }
+    if matches!(at(i), b'e' | b'E') {
+        let exp = i + 1 + usize::from(matches!(at(i + 1), b'+' | b'-'));
+        let end = digits(exp);
+        if end == exp {
+            return err(end, "expected exponent digit");
+        }
+        i = end;
+    }
+    if at(i) != b']' {
+        return err(i, "expected ',' or ']'");
+    }
+    let value: f64 = doc[start..i].parse().expect("a grammar-checked token");
+    Ok(Some(value.to_bits()))
+}
+
+/// Grammar-edge tokens: those the reader takes (with std's correctly
+/// rounded value: `1e400` is +inf) and those it rejects, at the offset
+/// of the `[<token>]` document it has always named.
+const EDGE_TOKENS: [(&str, Option<usize>); 20] = [
+    ("-0", None),
+    ("0", None),
+    ("1E+2", None),
+    ("1e-0", None),
+    ("5e-324", None),
+    ("2.4703282292062328e-324", None),
+    ("1e400", None),
+    ("-1e400", None),
+    ("1234567890123456789012345", None),
+    ("0.1234567890123456789012345", None),
+    ("01", Some(2)),
+    ("-01", Some(3)),
+    ("1.", Some(3)),
+    (".5", Some(1)),
+    ("+1", Some(1)),
+    ("-", Some(2)),
+    ("1e", Some(3)),
+    ("1e+", Some(4)),
+    ("1.e5", Some(3)),
+    ("0x1", Some(2)),
+];
+
+/// What `json::parse` makes of `doc`, in the oracle's terms.
+fn parsed_token(doc: &str) -> Result<Option<u64>, (usize, String)> {
+    match json::parse(doc) {
+        Ok(JsonValue::Array(items)) => match items.as_slice() {
+            [] => Ok(None),
+            [JsonValue::Number(x)] => Ok(Some(x.to_bits())),
+            other => panic!("{doc:?} parsed to {other:?}"),
+        },
+        Ok(other) => panic!("{doc:?} parsed to {other:?}"),
+        Err(e) => Err((e.offset, e.message)),
+    }
+}
+
+/// One of three token shapes: a shortest-form number with up to two
+/// edits, a random string over the number alphabet, or an edge token.
+fn random_token(rng: &mut SmallRng) -> String {
+    const ALPHABET: &[u8] = b"0123456789000111.eE+-";
+    let random_byte = |rng: &mut SmallRng| char::from(ALPHABET[rng.gen_range(0..ALPHABET.len())]);
+    match rng.gen_range(0..3u32) {
+        0 => {
+            let mut token: Vec<char> = json::number(random_number(rng)).chars().collect();
+            for _ in 0..rng.gen_range(0..3u32) {
+                let at = rng.gen_range(0..token.len() + 1);
+                match rng.gen_range(0..3u32) {
+                    0 if at < token.len() => {
+                        token.remove(at);
+                    }
+                    1 if at < token.len() => token[at] = random_byte(rng),
+                    _ => token.insert(at, random_byte(rng)),
+                }
+            }
+            token.into_iter().collect()
+        }
+        1 => (0..rng.gen_range(0..30usize))
+            .map(|_| random_byte(rng))
+            .collect(),
+        _ => EDGE_TOKENS[rng.gen_range(0..EDGE_TOKENS.len())]
+            .0
+            .to_string(),
+    }
+}
+
+/// A record whose count field reads as a magnitude no encoder writes (or
+/// as one at the edge of the exact range).
+fn out_of_range_count(rng: &mut SmallRng, record: &str) {
+    const FIELDS: [&str; 4] = ["threads", "st_cycles", "mt_cycles", "tp_cycles"];
+    const MAGNITUDES: [&str; 8] = [
+        "1e300",
+        "18446744073709551616",
+        "9007199254740994",
+        "9007199254740992",
+        "-0",
+        "-1",
+        "2.5",
+        "1E3",
+    ];
+    let field = FIELDS[rng.gen_range(0..FIELDS.len())];
+    let magnitude = MAGNITUDES[rng.gen_range(0..MAGNITUDES.len())];
+    let key = format!("\"{field}\": ");
+    let at = record.find(&key).expect("every record has its counts") + key.len();
+    let end = at + record[at..].find([',', '}']).expect("a field ends");
+    let text = format!("{}{magnitude}{}", &record[..at], &record[end..]);
+    let decoded = decoders_agree(&text);
+    let exact = matches!(magnitude, "9007199254740992" | "-0" | "1E3");
+    assert_eq!(decoded.is_some(), exact, "{text}");
+}
+
+fn number_tokens(rng: &mut SmallRng, record: &str) {
+    let x = match rng.gen_range(0..3u32) {
+        // Subnormals, ±0 among them.
+        0 => f64::from_bits(rng.next_u64() & !(0x7FF << 52)),
+        _ => random_number(rng),
+    };
+    let text = json::number(x);
+    let mut r = Reader::new(&text);
+    let back = r
+        .number_or_null()
+        .unwrap_or_else(|e| panic!("{e} in {text:?}"));
+    assert_eq!(back.map(f64::to_bits), Some(x.to_bits()), "{text}");
+    r.finish().expect("one token");
+
+    for _ in 0..8 {
+        let doc = format!(
+            "[{}]{}",
+            random_token(rng),
+            " ".repeat(rng.gen_range(0..12usize))
+        );
+        assert_eq!(parsed_token(&doc), token_oracle(&doc), "{doc:?}");
+        decoders_agree(&doc);
+    }
+    out_of_range_count(rng, record);
+}
+
+#[test]
+fn grammar_edge_tokens_read_as_they_always_have() {
+    for (token, rejected_at) in EDGE_TOKENS {
+        let doc = format!("[{token}]");
+        let expected = match rejected_at {
+            Some(offset) => Err(offset),
+            None => Ok(Some(token.parse::<f64>().expect("std reads it").to_bits())),
+        };
+        let offset = |read: Result<Option<u64>, (usize, String)>| read.map_err(|(at, _)| at);
+        assert_eq!(offset(parsed_token(&doc)), expected, "{token}");
+        assert_eq!(offset(token_oracle(&doc)), expected, "{token}");
+    }
+    assert_eq!(parsed_token("[1e400]"), Ok(Some(f64::INFINITY.to_bits())));
+}
+
 // --- the loop -------------------------------------------------------------
 
 /// Prints the case on the way out of a panic (an assertion here, or a
@@ -509,7 +711,7 @@ fn run_case(seed: u64, records: &[(PointSummary, String)]) {
     let _guard = CaseOnPanic(seed);
     let mut rng = SmallRng::seed_from_u64(seed);
     let (summary, record) = &records[rng.gen_range(0..records.len())];
-    match seed % 4 {
+    match seed % 5 {
         0 => valid_document(&mut rng),
         1 => {
             let source = if rng.gen_bool(0.5) {
@@ -520,7 +722,8 @@ fn run_case(seed: u64, records: &[(PointSummary, String)]) {
             decoders_agree(&damage(&mut rng, &source));
         }
         2 => reshaped_record(&mut rng, summary),
-        _ => truncated_record(&mut rng, record),
+        3 => truncated_record(&mut rng, record),
+        _ => number_tokens(&mut rng, record),
     }
 }
 

@@ -15,6 +15,7 @@
 //! [`workloads::rng::SmallRng`] seeded by the policy, never from the
 //! wall clock — honoring the server's `retry_after_ms` hint.
 
+use std::borrow::Cow;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -174,7 +175,7 @@ pub struct ServiceStatus {
 /// [`Client::start_submit`] / [`Client::next_event`] low-level pair the
 /// federation coordinator drives; [`Client::submit`] folds the same
 /// stream into an assembled report).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum StreamEvent {
     /// A resolved point.
     Point {
@@ -327,23 +328,6 @@ impl Client {
         read_line_bounded(&mut self.reader, REPLY_LINE_CAP)?.ok_or_else(|| ProtocolError::Closed {
             during: during.to_string(),
         })
-    }
-
-    /// Reads one result-stream frame under the data-plane deadline,
-    /// unwrapping `ok:false` into its typed error. The frame is walked
-    /// once: its small fields land in a [`JsonValue`] object (so
-    /// [`check_reply`] and the field handling below read them as they
-    /// always have) and a `data` record decodes straight into its
-    /// [`PointSummary`], no tree built.
-    fn recv_event(&mut self) -> Result<(JsonValue, Option<PointSummary>), ProtocolError> {
-        let line = self.recv_deadline("result stream", self.data_timeout)?;
-        let (frame, data) = match split_frame(&line) {
-            Some(split) => split,
-            // Invalid JSON, or a `data` that is not a point record: the
-            // tree reads it, so it fails exactly as it always has.
-            None => (parse_reply(&line)?, None),
-        };
-        Ok((check_reply(frame)?, data))
     }
 
     /// Fetches the server's study registry.
@@ -579,40 +563,10 @@ impl Client {
     /// [`SimError::Protocol`] on wire failures, a timed-out read, or a
     /// malformed frame.
     pub fn next_event(&mut self, n: usize) -> Result<StreamEvent, SimError> {
-        let (frame, data) = self.recv_event()?;
-        match frame.get("kind").and_then(JsonValue::as_str) {
-            Some("point") => {
-                let index = frame_index(&frame, n)?;
-                let summary = data.ok_or_else(|| ProtocolError::Malformed {
-                    why: format!("point {index} carries an unparsable record"),
-                })?;
-                Ok(StreamEvent::Point {
-                    index,
-                    source: field_str(&frame, "source").unwrap_or_default(),
-                    attempts: u64_field(&frame, "attempts").unwrap_or(1),
-                    summary,
-                })
-            }
-            Some("failed") => {
-                let index = frame_index(&frame, n)?;
-                Ok(StreamEvent::Failed {
-                    index,
-                    label: field_str(&frame, "label").unwrap_or_default(),
-                    reason: field_str(&frame, "reason").unwrap_or_else(|_| "unknown".to_string()),
-                    attempts: u64_field(&frame, "attempts").unwrap_or(1),
-                })
-            }
-            Some("done") => Ok(StreamEvent::Done {
-                computed: u64_field(&frame, "computed").unwrap_or(0),
-                cached: u64_field(&frame, "cached").unwrap_or(0),
-                coalesced: u64_field(&frame, "coalesced").unwrap_or(0),
-                failed: u64_field(&frame, "failed").unwrap_or(0),
-                cancelled: matches!(frame.get("cancelled"), Some(JsonValue::Bool(true))),
-            }),
-            _ => Err(ProtocolError::Malformed {
-                why: "unexpected frame in result stream".to_string(),
-            }
-            .into()),
+        let line = self.recv_deadline("result stream", self.data_timeout)?;
+        match point_event(&line, n) {
+            Some(event) => Ok(event),
+            None => Ok(stream_event(&line, n)?),
         }
     }
 
@@ -681,6 +635,89 @@ fn parse_reply(line: &str) -> Result<JsonValue, ProtocolError> {
     })
 }
 
+/// Any result-stream frame, `ok:false` unwrapped into its typed error:
+/// the path every frame [`point_event`] does not take goes. The frame is
+/// walked once: its small fields land in a [`JsonValue`] object (so
+/// [`check_reply`] and the field handling read them as they always have)
+/// and a `data` record decodes straight into its [`PointSummary`], no
+/// tree built.
+fn stream_event(line: &str, n: usize) -> Result<StreamEvent, ProtocolError> {
+    let (frame, data) = match split_frame(line) {
+        Some(split) => split,
+        // Invalid JSON, or a `data` that is not a point record: the
+        // tree reads it, so it fails exactly as it always has.
+        None => (parse_reply(line)?, None),
+    };
+    let frame = check_reply(frame)?;
+    match frame.get("kind").and_then(JsonValue::as_str) {
+        Some("point") => {
+            let index = frame_index(&frame, n)?;
+            let summary = data.ok_or_else(|| ProtocolError::Malformed {
+                why: format!("point {index} carries an unparsable record"),
+            })?;
+            Ok(StreamEvent::Point {
+                index,
+                source: field_str(&frame, "source").unwrap_or_default(),
+                attempts: u64_field(&frame, "attempts").unwrap_or(1),
+                summary,
+            })
+        }
+        Some("failed") => {
+            let index = frame_index(&frame, n)?;
+            Ok(StreamEvent::Failed {
+                index,
+                label: field_str(&frame, "label").unwrap_or_default(),
+                reason: field_str(&frame, "reason").unwrap_or_else(|_| "unknown".to_string()),
+                attempts: u64_field(&frame, "attempts").unwrap_or(1),
+            })
+        }
+        Some("done") => Ok(StreamEvent::Done {
+            computed: u64_field(&frame, "computed").unwrap_or(0),
+            cached: u64_field(&frame, "cached").unwrap_or(0),
+            coalesced: u64_field(&frame, "coalesced").unwrap_or(0),
+            failed: u64_field(&frame, "failed").unwrap_or(0),
+            cancelled: matches!(frame.get("cancelled"), Some(JsonValue::Bool(true))),
+        }),
+        _ => Err(ProtocolError::Malformed {
+            why: "unexpected frame in result stream".to_string(),
+        }),
+    }
+}
+
+/// The frame every point of a submit arrives in — `ok` true, `kind`
+/// `"point"`, an `index` below `n`, a string `source`, a count
+/// `attempts`, a `data` record, anything else skipped — read in one walk
+/// that allocates nothing for the envelope. `None` for any other frame,
+/// which [`stream_event`] then reads exactly as it always has.
+fn point_event(line: &str, n: usize) -> Option<StreamEvent> {
+    let mut r = Reader::new(line);
+    let (mut ok, mut kind, mut index, mut source, mut attempts, mut data) =
+        (None, None, None, None, None, None);
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        match &*key {
+            "ok" if ok.is_none() => ok = Some(r.value().ok()?),
+            "kind" if kind.is_none() => kind = Some(r.string().ok()?),
+            "index" if index.is_none() => index = Some(json::exact_u64(r.number_or_null().ok()??)?),
+            "source" if source.is_none() => source = Some(r.string().ok()?),
+            "attempts" if attempts.is_none() => {
+                attempts = Some(json::exact_u64(r.number_or_null().ok()??)?);
+            }
+            "data" if data.is_none() => data = Some(PointSummary::read_record(&mut r)?),
+            _ => r.skip().ok()?,
+        }
+    }
+    r.finish().ok()?;
+    let index = usize::try_from(index?).ok().filter(|&i| i < n)?;
+    let summary = data?;
+    (ok? == JsonValue::Bool(true) && kind? == "point").then(|| StreamEvent::Point {
+        index,
+        source: source.map_or_else(String::new, Cow::into_owned),
+        attempts: attempts.unwrap_or(1),
+        summary,
+    })
+}
+
 /// Walks a frame into its fields other than `data` and its `data` point
 /// record; `None` when the line is not a JSON object or its `data` is
 /// not a point record.
@@ -723,6 +760,56 @@ mod tests {
     use std::io::{BufRead, Write};
     use std::net::TcpListener;
     use std::time::Instant;
+
+    /// The allocation-free walk of a point frame reads exactly what the
+    /// field-by-field path reads, and leaves every frame it does not
+    /// take — another kind, an error, a field of another type or out of
+    /// range — to that path.
+    #[test]
+    fn point_frames_walk_as_the_field_path_reads_them() {
+        let params = StudyParams::with_scale(0.01);
+        let grid = decompose("fig4", &params).expect("fig4 is a grid");
+        let st = grid.compute_reference(&params, 0).expect("reference");
+        let record = grid
+            .compute_point(&params, 0, st)
+            .expect("point")
+            .to_record();
+        let frame = |fields: &str| format!("{{{}}}", fields.replace("REC", &record));
+        let canonical = [
+            "\"ok\": true, \"kind\": \"point\", \"job\": 3, \"index\": 1, \
+             \"source\": \"cached\", \"attempts\": 1, \"data\": REC",
+            "\"data\": REC, \"attempts\": 2, \"x\": [1, {\"y\": null}], \
+             \"source\": \"computed\", \"index\": 0, \"kind\": \"point\", \"ok\": true",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 3, \"data\": REC",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 2, \"index\": 9, \"data\": REC",
+        ];
+        let others = [
+            "\"ok\": true, \"kind\": \"point\", \"index\": 4, \"data\": REC",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 1e300, \"data\": REC",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"source\": 5, \"data\": REC",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"attempts\": null, \"data\": REC",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"attempts\": 2.5, \"data\": REC",
+            "\"ok\": true, \"kind\": \"failed\", \"index\": 1, \"data\": REC",
+            "\"ok\": false, \"error\": \"busy\", \"kind\": \"point\", \"index\": 1, \"data\": REC",
+            "\"kind\": \"point\", \"index\": 1, \"data\": REC",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"data\": {\"kind\": \"point\"}",
+            "\"ok\": true, \"kind\": \"point\", \"index\": 1",
+        ];
+        for (fields, taken) in canonical
+            .iter()
+            .map(|f| (f, true))
+            .chain(others.iter().map(|f| (f, false)))
+        {
+            let line = frame(fields);
+            match point_event(&line, 4) {
+                Some(event) => {
+                    assert!(taken, "{fields}");
+                    assert_eq!(stream_event(&line, 4).ok(), Some(event), "{fields}");
+                }
+                None => assert!(!taken, "{fields}"),
+            }
+        }
+    }
 
     /// A wedged backend — one that accepts the connection and completes
     /// the handshake but never answers another frame — must fail a

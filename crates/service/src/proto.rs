@@ -198,12 +198,11 @@ pub fn error_frame(code: &str, message: &str) -> String {
     )
 }
 
-/// Reads a `u64` field (counters stay far below 2^53, so the `f64`
-/// round-trip is exact).
+/// Reads a `u64` field: an integer in `[0, 2^53]` ([`json::exact_u64`]),
+/// the range every count on the wire stays in.
 #[must_use]
 pub fn u64_field(v: &JsonValue, key: &str) -> Option<u64> {
-    let x = v.get(key)?.as_f64()?;
-    (x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
+    json::exact_u64(v.get(key)?.as_f64()?)
 }
 
 /// Turns a reply frame into `Ok(frame)` or the typed [`ProtocolError`]
@@ -333,6 +332,22 @@ pub fn params_from_wire(v: Option<&JsonValue>) -> Result<StudyParams, String> {
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    #[test]
+    fn counts_read_back_only_as_exact_integers() {
+        let frame = |x: &str| json::parse(&format!("{{\"n\": {x}}}")).unwrap();
+        assert_eq!(u64_field(&frame("0"), "n"), Some(0));
+        assert_eq!(u64_field(&frame("9007199254740992"), "n"), Some(1 << 53));
+        for bad in [
+            "1e300",
+            "18446744073709551616",
+            "9007199254740994",
+            "-1",
+            "0.5",
+        ] {
+            assert_eq!(u64_field(&frame(bad), "n"), None, "{bad}");
+        }
+    }
 
     #[test]
     fn bounded_read_splits_lines_and_handles_eof() {
