@@ -15,7 +15,6 @@
 //! [`workloads::rng::SmallRng`] seeded by the policy, never from the
 //! wall clock — honoring the server's `retry_after_ms` hint.
 
-use std::borrow::Cow;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -175,7 +174,7 @@ pub struct ServiceStatus {
 /// [`Client::start_submit`] / [`Client::next_event`] low-level pair the
 /// federation coordinator drives; [`Client::submit`] folds the same
 /// stream into an assembled report).
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub enum StreamEvent {
     /// A resolved point.
     Point {
@@ -564,10 +563,7 @@ impl Client {
     /// malformed frame.
     pub fn next_event(&mut self, n: usize) -> Result<StreamEvent, SimError> {
         let line = self.recv_deadline("result stream", self.data_timeout)?;
-        match point_event(&line, n) {
-            Some(event) => Ok(event),
-            None => Ok(stream_event(&line, n)?),
-        }
+        Ok(stream_event(&line, n)?)
     }
 
     fn reassemble(
@@ -635,105 +631,140 @@ fn parse_reply(line: &str) -> Result<JsonValue, ProtocolError> {
     })
 }
 
-/// Any result-stream frame, `ok:false` unwrapped into its typed error:
-/// the path every frame [`point_event`] does not take goes. The frame is
-/// walked once: its small fields land in a [`JsonValue`] object (so
-/// [`check_reply`] and the field handling read them as they always have)
-/// and a `data` record decodes straight into its [`PointSummary`], no
-/// tree built.
+/// Reads one result-stream frame. A frame of `"ok": true` is read in
+/// the one walk of [`Frame::read`]; any other line — an error reply, or
+/// one that is not a JSON object — is read as a tree, and
+/// [`check_reply`] types its error.
 fn stream_event(line: &str, n: usize) -> Result<StreamEvent, ProtocolError> {
-    let (frame, data) = match split_frame(line) {
-        Some(split) => split,
-        // Invalid JSON, or a `data` that is not a point record: the
-        // tree reads it, so it fails exactly as it always has.
-        None => (parse_reply(line)?, None),
+    let frame = match Frame::read(line) {
+        Some(frame) if frame.ok == Some(JsonValue::Bool(true)) => frame,
+        // `check_reply` rejects every such line; the tree gives it the
+        // fields its typed error is built from.
+        _ => {
+            check_reply(parse_reply(line)?)?;
+            return Err(unexpected_frame());
+        }
     };
-    let frame = check_reply(frame)?;
-    match frame.get("kind").and_then(JsonValue::as_str) {
+    let count = |field: &Option<JsonValue>| json::exact_u64(field.as_ref()?.as_f64()?);
+    let text = |field: Option<JsonValue>| match field {
+        Some(JsonValue::String(s)) => Some(s),
+        _ => None,
+    };
+    let index = || {
+        count(&frame.index)
+            .and_then(|i| usize::try_from(i).ok())
+            .filter(|&i| i < n)
+            .ok_or_else(|| ProtocolError::Malformed {
+                why: "frame carries an out-of-range point index".to_string(),
+            })
+    };
+    match frame.kind.as_ref().and_then(JsonValue::as_str) {
         Some("point") => {
-            let index = frame_index(&frame, n)?;
-            let summary = data.ok_or_else(|| ProtocolError::Malformed {
-                why: format!("point {index} carries an unparsable record"),
-            })?;
+            let index = index()?;
+            let summary = frame
+                .data
+                .flatten()
+                .ok_or_else(|| ProtocolError::Malformed {
+                    why: format!("point {index} carries an unparsable record"),
+                })?;
             Ok(StreamEvent::Point {
                 index,
-                source: field_str(&frame, "source").unwrap_or_default(),
-                attempts: u64_field(&frame, "attempts").unwrap_or(1),
+                source: text(frame.source).unwrap_or_default(),
+                attempts: count(&frame.attempts).unwrap_or(1),
                 summary,
             })
         }
-        Some("failed") => {
-            let index = frame_index(&frame, n)?;
-            Ok(StreamEvent::Failed {
-                index,
-                label: field_str(&frame, "label").unwrap_or_default(),
-                reason: field_str(&frame, "reason").unwrap_or_else(|_| "unknown".to_string()),
-                attempts: u64_field(&frame, "attempts").unwrap_or(1),
-            })
-        }
+        Some("failed") => Ok(StreamEvent::Failed {
+            index: index()?,
+            label: text(frame.label).unwrap_or_default(),
+            reason: text(frame.reason).unwrap_or_else(|| "unknown".to_string()),
+            attempts: count(&frame.attempts).unwrap_or(1),
+        }),
         Some("done") => Ok(StreamEvent::Done {
-            computed: u64_field(&frame, "computed").unwrap_or(0),
-            cached: u64_field(&frame, "cached").unwrap_or(0),
-            coalesced: u64_field(&frame, "coalesced").unwrap_or(0),
-            failed: u64_field(&frame, "failed").unwrap_or(0),
-            cancelled: matches!(frame.get("cancelled"), Some(JsonValue::Bool(true))),
+            computed: count(&frame.computed).unwrap_or(0),
+            cached: count(&frame.cached).unwrap_or(0),
+            coalesced: count(&frame.coalesced).unwrap_or(0),
+            failed: count(&frame.failed).unwrap_or(0),
+            cancelled: frame.cancelled == Some(JsonValue::Bool(true)),
         }),
-        _ => Err(ProtocolError::Malformed {
-            why: "unexpected frame in result stream".to_string(),
-        }),
+        _ => Err(unexpected_frame()),
     }
 }
 
-/// The frame every point of a submit arrives in — `ok` true, `kind`
-/// `"point"`, an `index` below `n`, a string `source`, a count
-/// `attempts`, a `data` record, anything else skipped — read in one walk
-/// that allocates nothing for the envelope. `None` for any other frame,
-/// which [`stream_event`] then reads exactly as it always has.
-fn point_event(line: &str, n: usize) -> Option<StreamEvent> {
-    let mut r = Reader::new(line);
-    let (mut ok, mut kind, mut index, mut source, mut attempts, mut data) =
-        (None, None, None, None, None, None);
-    r.begin_object().ok()?;
-    while let Some(key) = r.next_key().ok()? {
-        match &*key {
-            "ok" if ok.is_none() => ok = Some(r.value().ok()?),
-            "kind" if kind.is_none() => kind = Some(r.string().ok()?),
-            "index" if index.is_none() => index = Some(json::exact_u64(r.number_or_null().ok()??)?),
-            "source" if source.is_none() => source = Some(r.string().ok()?),
-            "attempts" if attempts.is_none() => {
-                attempts = Some(json::exact_u64(r.number_or_null().ok()??)?);
+fn unexpected_frame() -> ProtocolError {
+    ProtocolError::Malformed {
+        why: "unexpected frame in result stream".to_string(),
+    }
+}
+
+/// The fields a result-stream frame of any kind (`point`, `failed`,
+/// `done`) is read by: each the first occurrence of its key, as it
+/// stands (a field of another type reads as absent when used), and the
+/// `data` point record, decoded straight from the text. Every other key
+/// is skipped, not built.
+#[derive(Default)]
+struct Frame {
+    ok: Option<JsonValue>,
+    kind: Option<JsonValue>,
+    index: Option<JsonValue>,
+    source: Option<JsonValue>,
+    label: Option<JsonValue>,
+    reason: Option<JsonValue>,
+    attempts: Option<JsonValue>,
+    computed: Option<JsonValue>,
+    cached: Option<JsonValue>,
+    coalesced: Option<JsonValue>,
+    failed: Option<JsonValue>,
+    cancelled: Option<JsonValue>,
+    /// `Some(None)`: the first `data` is valid JSON but no point record.
+    data: Option<Option<PointSummary>>,
+}
+
+impl Frame {
+    /// Walks `line` once; `None` when it is not a JSON object.
+    fn read(line: &str) -> Option<Frame> {
+        let mut r = Reader::new(line);
+        let mut f = Frame::default();
+        r.begin_object().ok()?;
+        while let Some(key) = r.next_key().ok()? {
+            let field = match &*key {
+                "ok" => &mut f.ok,
+                "kind" => &mut f.kind,
+                "index" => &mut f.index,
+                "source" => &mut f.source,
+                "label" => &mut f.label,
+                "reason" => &mut f.reason,
+                "attempts" => &mut f.attempts,
+                "computed" => &mut f.computed,
+                "cached" => &mut f.cached,
+                "coalesced" => &mut f.coalesced,
+                "failed" => &mut f.failed,
+                "cancelled" => &mut f.cancelled,
+                "data" if f.data.is_none() => {
+                    let start = r.clone();
+                    let record = PointSummary::read_record(&mut r);
+                    if record.is_none() {
+                        // Not a record: step over it as the JSON it is.
+                        r = start;
+                        r.skip().ok()?;
+                    }
+                    f.data = Some(record);
+                    continue;
+                }
+                _ => {
+                    r.skip().ok()?;
+                    continue;
+                }
+            };
+            if field.is_none() {
+                *field = Some(r.value().ok()?);
+            } else {
+                r.skip().ok()?;
             }
-            "data" if data.is_none() => data = Some(PointSummary::read_record(&mut r)?),
-            _ => r.skip().ok()?,
         }
+        r.finish().ok()?;
+        Some(f)
     }
-    r.finish().ok()?;
-    let index = usize::try_from(index?).ok().filter(|&i| i < n)?;
-    let summary = data?;
-    (ok? == JsonValue::Bool(true) && kind? == "point").then(|| StreamEvent::Point {
-        index,
-        source: source.map_or_else(String::new, Cow::into_owned),
-        attempts: attempts.unwrap_or(1),
-        summary,
-    })
-}
-
-/// Walks a frame into its fields other than `data` and its `data` point
-/// record; `None` when the line is not a JSON object or its `data` is
-/// not a point record.
-fn split_frame(line: &str) -> Option<(JsonValue, Option<PointSummary>)> {
-    let mut r = Reader::new(line);
-    let (mut fields, mut data) = (Vec::new(), None);
-    r.begin_object().ok()?;
-    while let Some(key) = r.next_key().ok()? {
-        if key == "data" && data.is_none() {
-            data = Some(PointSummary::read_record(&mut r)?);
-        } else {
-            fields.push((key.into_owned(), r.value().ok()?));
-        }
-    }
-    r.finish().ok()?;
-    Some((JsonValue::Object(fields), data))
 }
 
 fn field_str(v: &JsonValue, key: &str) -> Result<String, ProtocolError> {
@@ -745,15 +776,6 @@ fn field_str(v: &JsonValue, key: &str) -> Result<String, ProtocolError> {
         })
 }
 
-fn frame_index(frame: &JsonValue, n: usize) -> Result<usize, ProtocolError> {
-    match u64_field(frame, "index") {
-        Some(i) if (i as usize) < n => Ok(i as usize),
-        _ => Err(ProtocolError::Malformed {
-            why: "frame carries an out-of-range point index".to_string(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,12 +783,12 @@ mod tests {
     use std::net::TcpListener;
     use std::time::Instant;
 
-    /// The allocation-free walk of a point frame reads exactly what the
-    /// field-by-field path reads, and leaves every frame it does not
-    /// take — another kind, an error, a field of another type or out of
-    /// range — to that path.
+    /// A result-stream frame of any kind is read in one walk: the first
+    /// of a repeated key wins, a field of another type reads as absent,
+    /// a `data` that is no point record fails only a `point` frame, and
+    /// an error reply comes back typed.
     #[test]
-    fn point_frames_walk_as_the_field_path_reads_them() {
+    fn stream_frames_read_in_one_walk() {
         let params = StudyParams::with_scale(0.01);
         let grid = decompose("fig4", &params).expect("fig4 is a grid");
         let st = grid.compute_reference(&params, 0).expect("reference");
@@ -774,41 +796,92 @@ mod tests {
             .compute_point(&params, 0, st)
             .expect("point")
             .to_record();
-        let frame = |fields: &str| format!("{{{}}}", fields.replace("REC", &record));
-        let canonical = [
-            "\"ok\": true, \"kind\": \"point\", \"job\": 3, \"index\": 1, \
-             \"source\": \"cached\", \"attempts\": 1, \"data\": REC",
-            "\"data\": REC, \"attempts\": 2, \"x\": [1, {\"y\": null}], \
-             \"source\": \"computed\", \"index\": 0, \"kind\": \"point\", \"ok\": true",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 3, \"data\": REC",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 2, \"index\": 9, \"data\": REC",
-        ];
-        let others = [
-            "\"ok\": true, \"kind\": \"point\", \"index\": 4, \"data\": REC",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 1e300, \"data\": REC",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"source\": 5, \"data\": REC",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"attempts\": null, \"data\": REC",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"attempts\": 2.5, \"data\": REC",
-            "\"ok\": true, \"kind\": \"failed\", \"index\": 1, \"data\": REC",
-            "\"ok\": false, \"error\": \"busy\", \"kind\": \"point\", \"index\": 1, \"data\": REC",
-            "\"kind\": \"point\", \"index\": 1, \"data\": REC",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"data\": {\"kind\": \"point\"}",
-            "\"ok\": true, \"kind\": \"point\", \"index\": 1",
-        ];
-        for (fields, taken) in canonical
-            .iter()
-            .map(|f| (f, true))
-            .chain(others.iter().map(|f| (f, false)))
-        {
-            let line = frame(fields);
-            match point_event(&line, 4) {
-                Some(event) => {
-                    assert!(taken, "{fields}");
-                    assert_eq!(stream_event(&line, 4).ok(), Some(event), "{fields}");
+        let read =
+            |fields: &str| stream_event(&format!("{{{}}}", fields.replace("REC", &record)), 4);
+        match read(
+            "\"ok\": true, \"kind\": \"point\", \"job\": 3, \"x\": [1, {\"y\": null}], \
+             \"index\": 2, \"index\": 9, \"source\": \"cached\", \"attempts\": 2, \"data\": REC",
+        ) {
+            Ok(StreamEvent::Point {
+                index: 2,
+                source,
+                attempts: 2,
+                summary,
+            }) => assert_eq!(
+                (source.as_str(), summary.to_record()),
+                ("cached", record.clone())
+            ),
+            other => panic!("{other:?}"),
+        }
+        match read("\"ok\": true, \"kind\": \"point\", \"index\": 1, \"source\": 5, \"attempts\": 2.5, \"data\": REC") {
+            Ok(StreamEvent::Point {
+                index: 1,
+                source,
+                attempts: 1,
+                ..
+            }) => assert_eq!(source, ""),
+            other => panic!("{other:?}"),
+        }
+        match read("\"ok\": true, \"kind\": \"failed\", \"index\": 3, \"reason\": null, \"data\": {\"kind\": 1}") {
+            Ok(StreamEvent::Failed {
+                index: 3,
+                label,
+                reason,
+                attempts: 1,
+            }) => assert_eq!((label.as_str(), reason.as_str()), ("", "unknown")),
+            other => panic!("{other:?}"),
+        }
+        let done = read("\"ok\": true, \"kind\": \"done\", \"computed\": 5, \"cached\": 1e300, \"cancelled\": true, \"cancelled\": false");
+        assert!(
+            matches!(
+                done,
+                Ok(StreamEvent::Done {
+                    computed: 5,
+                    cached: 0,
+                    coalesced: 0,
+                    failed: 0,
+                    cancelled: true
+                })
+            ),
+            "{done:?}"
+        );
+        for (fields, why) in [
+            (
+                "\"ok\": true, \"kind\": \"point\", \"index\": 4, \"data\": REC",
+                "out-of-range",
+            ),
+            (
+                "\"ok\": true, \"kind\": \"point\", \"index\": 1e300, \"data\": REC",
+                "out-of-range",
+            ),
+            (
+                "\"ok\": true, \"kind\": \"point\", \"index\": 1, \"data\": {\"kind\": 1}",
+                "unparsable record",
+            ),
+            (
+                "\"ok\": true, \"kind\": \"point\", \"index\": 1",
+                "unparsable record",
+            ),
+            ("\"ok\": true, \"kind\": 7", "unexpected frame"),
+            (
+                "\"kind\": \"point\", \"index\": 1, \"data\": REC",
+                "boolean 'ok'",
+            ),
+            ("\"ok\": true, \"kind\": \"done\",", "invalid JSON"),
+        ] {
+            match read(fields) {
+                Err(ProtocolError::Malformed { why: w }) => {
+                    assert!(w.contains(why), "{fields}: {w}")
                 }
-                None => assert!(!taken, "{fields}"),
+                other => panic!("{fields}: {other:?}"),
             }
         }
+        let busy =
+            read("\"ok\": false, \"error\": \"busy\", \"retry_after_ms\": 40, \"data\": REC");
+        assert!(
+            matches!(busy, Err(ProtocolError::Busy { retry_after_ms: 40 })),
+            "{busy:?}"
+        );
     }
 
     /// A wedged backend — one that accepts the connection and completes
