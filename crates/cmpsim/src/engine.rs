@@ -87,8 +87,8 @@ pub enum SimError {
     },
     /// A cooperative per-run deadline ([`Simulation::with_deadline`])
     /// expired. Unlike [`SimError::CycleLimitExceeded`] this is not a
-    /// config limit but a budget imposed by a sweep watchdog; the
-    /// fault-tolerant runner treats it as a point failure.
+    /// config limit but a per-unit budget set by the sweep's fault
+    /// policy; the fault-tolerant runner treats it as a point failure.
     DeadlineExceeded {
         /// Cycle count at abort.
         at: u64,
@@ -344,9 +344,9 @@ pub struct Simulation {
     tx_readers: FxHashMap<LineAddr, Vec<ThreadId>>,
     /// Lines written inside active transactions -> writing threads.
     tx_writers: FxHashMap<LineAddr, Vec<ThreadId>>,
-    /// Cooperative per-run cycle deadline (see
-    /// [`Simulation::with_deadline`]); `u64::MAX` sentinel = none.
-    deadline: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
+    /// The last cycle the run may reach: `min(max_cycles, deadline)`
+    /// (see [`Simulation::with_deadline`]), compared once per event.
+    limit: u64,
 }
 
 impl fmt::Debug for Simulation {
@@ -408,29 +408,30 @@ impl Simulation {
             regions: Vec::new(),
             tx_readers: FxHashMap::default(),
             tx_writers: FxHashMap::default(),
-            deadline: None,
+            limit: cfg.max_cycles,
         }
     }
 
-    /// Arms a cooperative cycle deadline: the run loop checks the shared
-    /// budget at every event boundary and aborts with
-    /// [`SimError::DeadlineExceeded`] once simulated time passes it. The
-    /// watchdog (a sweep supervisor thread) can tighten the budget while
-    /// the simulation runs by storing a lower value; storing `u64::MAX`
-    /// disarms it. Deterministic when the stored budget is constant: the
-    /// abort point depends only on simulated time, not wall-clock.
+    /// Arms a cooperative cycle deadline: the run aborts with
+    /// [`SimError::DeadlineExceeded`] once simulated time passes
+    /// `deadline` (`u64::MAX` = none). Deterministic: the abort point
+    /// depends only on simulated time, not wall-clock. The cycle safety
+    /// valve still wins when both have passed.
     #[must_use]
-    pub fn with_deadline(mut self, deadline: std::sync::Arc<std::sync::atomic::AtomicU64>) -> Self {
-        self.deadline = Some(deadline);
+    pub fn with_deadline(mut self, deadline: u64) -> Self {
+        self.limit = self.cfg.max_cycles.min(deadline);
         self
     }
 
-    /// The armed deadline at this instant (`u64::MAX` when disarmed).
-    #[inline]
-    fn deadline_cycles(&self) -> u64 {
-        self.deadline
-            .as_ref()
-            .map_or(u64::MAX, |d| d.load(std::sync::atomic::Ordering::Relaxed))
+    /// The error of a run that passed its limit at cycle `at`: the cycle
+    /// safety valve when `at` is past it, the deadline otherwise.
+    #[cold]
+    fn overrun(&self, at: u64) -> SimError {
+        if at > self.cfg.max_cycles {
+            SimError::CycleLimitExceeded { at }
+        } else {
+            SimError::DeadlineExceeded { at }
+        }
     }
 
     fn push(&mut self, time: u64, kind: EventKind) {
@@ -509,11 +510,8 @@ impl Simulation {
 
         let mut next = self.queue.pop();
         while let Some((time, _seq, kind)) = next {
-            if time > self.cfg.max_cycles {
-                return Err(SimError::CycleLimitExceeded { at: time });
-            }
-            if time > self.deadline_cycles() {
-                return Err(SimError::DeadlineExceeded { at: time });
+            if time > self.limit {
+                return Err(self.overrun(time));
             }
             self.events += 1;
             let resume = match kind {
@@ -697,11 +695,8 @@ impl Simulation {
                 // The cycle safety valve and the cooperative deadline
                 // apply to inline continuations exactly as they do to
                 // popped events.
-                if t > self.cfg.max_cycles {
-                    return Err(SimError::CycleLimitExceeded { at: t });
-                }
-                if t > self.deadline_cycles() {
-                    return Err(SimError::DeadlineExceeded { at: t });
+                if t > self.limit {
+                    return Err(self.overrun(t));
                 }
                 self.events += 1;
                 now = t;

@@ -2,10 +2,14 @@
 //! local sweep, the study service's worker pool and the federation
 //! share.
 //!
-//! The four grid studies (`fig1`, `fig4`, `fig5`, `fig6`) all reduce to
-//! the same sweep shape: a (benchmark × thread-count) grid of
-//! independent points, each computed as one [`crate::runner`] recipe
-//! run, folded into a figure-specific [`Report`]. [`decompose`] exposes
+//! The seven grid studies (`fig1`–`fig6`, `fig8`) all reduce to the
+//! same sweep shape: a (benchmark × thread-count) grid of independent
+//! points, each computed as one [`crate::runner`] recipe run, folded
+//! into a figure-specific [`Report`]. fig2, fig3 and fig8 are
+//! one-column grids whose every unit fig4 computes too. The studies
+//! whose machine axes a grid cannot key (fig7's cores ≠ threads, fig9's
+//! LLC sizes, the many-core study) sweep their own unit graphs through
+//! `run_graph`, into the same [`GridFold`]. [`decompose`] exposes
 //! that shape: the profile list and count list, the two unit bodies
 //! ([`GridStudy::compute_reference`], [`GridStudy::compute_point`] — the
 //! bodies the local sweep runs, minus its trace replay), the local sweep
@@ -58,7 +62,7 @@ use speedup_stacks::SimError;
 use workloads::trace::{TraceReader, TraceWriter};
 use workloads::{display_name, streams_for, Suite, WorkloadProfile};
 
-use crate::graph::{Unit, UnitGraph};
+use crate::graph::{RefValue, Unit, UnitGraph};
 use crate::journal::{self, JournalWriter};
 use crate::par::run_units;
 use crate::runner::{
@@ -119,7 +123,7 @@ impl Replay {
 /// A local sweep's outcome: one slot per point (`None` marks a failed
 /// one), the degradation accounting, and the capture provenance when a
 /// trace was written.
-type Swept = (Vec<Option<PointSummary>>, Degraded, Option<Provenance>);
+pub type Swept = (Vec<Option<PointSummary>>, Degraded, Option<Provenance>);
 
 /// Locks `m` whatever a panicking unit left behind: a poisoned journal
 /// or fault slot must not turn into a secondary panic.
@@ -129,7 +133,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Accumulates resolved units, in any completion order, into the
 /// per-index slots and the `Degraded` accounting of a report. The local
-/// sweep, the many-core study (`P` = its own point type) and the service
+/// sweep, `run_graph` (`P` = the study's own point type) and the service
 /// client's stream reassembly (a fleet coordinator's stream included)
 /// all fold through this, so the same outcomes give the same bytes.
 #[derive(Debug)]
@@ -202,6 +206,103 @@ impl GridFold {
     }
 }
 
+/// Runs every point of a graph of `n_refs` references and `n_points`
+/// points (point `i` gated by the references `deps(i)`) through
+/// [`run_units`] under the parameters' parallelism and fault policy,
+/// and folds the outcomes, failed points named by `label`: the sweep of
+/// the studies whose machine axes a [`GridStudy`] cannot key (fig7,
+/// fig9, scaling).
+pub(crate) fn run_graph<P: Send, E: ToString>(
+    params: &StudyParams,
+    (n_refs, n_points): (usize, usize),
+    deps: impl Fn(usize) -> std::ops::Range<usize>,
+    reference: impl Fn(usize) -> Result<RefValue, E> + Sync,
+    point: impl Fn(usize, &[RefValue]) -> Result<P, E> + Sync,
+    label: impl Fn(usize) -> String + Sync,
+) -> (Vec<Option<P>>, Degraded) {
+    let mut graph = UnitGraph::new(n_refs, n_points, deps);
+    (0..n_points).for_each(|i| graph.add_point(i));
+    let mut fold = GridFold::new(n_points);
+    run_units(
+        &mut graph,
+        params.parallelism,
+        params.faults.retries,
+        |r| reference(r).map_err(|e| e.to_string()),
+        |i, refs| point(i, refs).map_err(|e| e.to_string()),
+        |i, outcome, attempts| match outcome {
+            Ok(p) => fold.point(i, p, attempts),
+            Err(reason) => fold.failed(i, label(i), reason, attempts),
+        },
+    );
+    fold.into_parts(0)
+}
+
+/// One profile across machines through [`run_graph`] — reference `r`
+/// single-threaded on `refs[r]`, point `i` on `points[i].1` behind
+/// reference `points[i].0` — for fig7 (cores ≠ threads) and fig9 (LLC
+/// sizes).
+///
+/// # Errors
+///
+/// [`SimError::Config`] when the profile is invalid.
+pub(crate) fn run_machines(
+    params: &StudyParams,
+    profile: &WorkloadProfile,
+    refs: &[RunOptions],
+    points: &[(usize, RunOptions)],
+    label: impl Fn(usize) -> String + Sync,
+) -> Result<(Vec<Option<PointSummary>>, Degraded), SimError> {
+    profile.validate().map_err(SimError::Config)?;
+    let deadline = params.faults.deadline_cycles;
+    Ok(run_graph(
+        params,
+        (refs.len(), points.len()),
+        |i| points[i].0..points[i].0 + 1,
+        |r| single_thread_reference_streams(&refs[r], streams_for(profile, 1), deadline),
+        |i, st| {
+            let opts = &points[i].1;
+            let streams = streams_for(profile, opts.threads);
+            run_profile_streams(profile, opts, st[0], streams, deadline).map(PointSummary::from)
+        },
+        label,
+    ))
+}
+
+/// Ends a study's report: the `Degraded` block when something actually
+/// degraded (so clean reports stay byte-identical however they were
+/// computed), then the capture provenance when a trace was written, then
+/// the echoed parameters.
+pub(crate) fn finish(
+    mut report: Report,
+    degraded: Degraded,
+    provenance: Option<Provenance>,
+    params: &StudyParams,
+) -> Report {
+    if degraded.is_degraded() {
+        report.push(Block::Degraded(degraded));
+    }
+    if let Some(p) = provenance {
+        report.push(Block::Provenance(p));
+    }
+    params.record(&mut report);
+    report
+}
+
+/// The figure of a sweep that must complete cleanly — the typed figure
+/// functions' (`fig7::run`, `scaling::run`, …) ending.
+///
+/// # Panics
+///
+/// Panics if the sweep failed or any point degraded.
+pub(crate) fn clean<T>(study: &str, swept: Result<(T, Degraded), SimError>) -> T {
+    let (figure, degraded) = swept.unwrap_or_else(|e| panic!("{study} sweep: {e}"));
+    assert!(
+        !degraded.is_degraded(),
+        "{study} sweep degraded: {degraded:?}"
+    );
+    figure
+}
+
 /// What each unit of one grid computes under one parameter set, as
 /// strings: two units with equal keys compute byte-equal results, in
 /// whichever study, at whichever grid index and under whichever
@@ -236,17 +337,21 @@ pub struct GridStudy {
     counts: Vec<usize>,
 }
 
-/// The three case-study benchmarks (Figures 1 and 5), scaled.
-fn case_study_profiles(params: &StudyParams) -> Vec<WorkloadProfile> {
-    [
-        workloads::find("blackscholes", Suite::ParsecMedium).expect("catalog entry"),
-        workloads::find("facesim", Suite::ParsecMedium).expect("catalog entry"),
-        workloads::find("cholesky", Suite::Splash2).expect("catalog entry"),
-    ]
-    .iter()
-    .map(|p| scaled_profile(p, params.scale))
-    .collect()
+/// Catalog entries, scaled.
+fn catalog(params: &StudyParams, entries: &[(&str, Suite)]) -> Vec<WorkloadProfile> {
+    entries
+        .iter()
+        .map(|&(name, suite)| workloads::find(name, suite).expect("catalog entry"))
+        .map(|p| scaled_profile(&p, params.scale))
+        .collect()
 }
+
+/// The three case-study benchmarks (Figures 1 and 5).
+const CASE_STUDIES: [(&str, Suite); 3] = [
+    ("blackscholes", Suite::ParsecMedium),
+    ("facesim", Suite::ParsecMedium),
+    ("cholesky", Suite::Splash2),
+];
 
 /// The full 28-benchmark paper suite (Figures 4 and 6), scaled.
 fn suite_profiles(params: &StudyParams) -> Vec<WorkloadProfile> {
@@ -268,12 +373,22 @@ pub fn decompose(study: &str, params: &StudyParams) -> Option<GridStudy> {
         // point is 1.0 by definition and synthesized at fold time.
         "fig1" => (
             "fig1",
-            case_study_profiles(params),
+            catalog(params, &CASE_STUDIES),
             params
                 .counts_or(&crate::fig1::THREAD_COUNTS)
                 .into_iter()
                 .filter(|&n| n > 1)
                 .collect(),
+        ),
+        "fig2" => (
+            "fig2",
+            catalog(params, &[("facesim", Suite::ParsecMedium)]),
+            vec![params.single_count(16)],
+        ),
+        "fig3" => (
+            "fig3",
+            catalog(params, &[("cholesky", Suite::Splash2)]),
+            vec![params.single_count(4)],
         ),
         "fig4" => (
             "fig4",
@@ -282,12 +397,17 @@ pub fn decompose(study: &str, params: &StudyParams) -> Option<GridStudy> {
         ),
         "fig5" => (
             "fig5",
-            case_study_profiles(params),
+            catalog(params, &CASE_STUDIES),
             params.counts_or(&crate::fig45::THREAD_COUNTS),
         ),
         "fig6" => (
             "fig6",
             suite_profiles(params),
+            vec![params.single_count(16)],
+        ),
+        "fig8" => (
+            "fig8",
+            catalog(params, &crate::fig89::FIG8_BENCHMARKS),
             vec![params.single_count(16)],
         ),
         _ => return None,
@@ -493,9 +613,14 @@ impl GridStudy {
         .map(PointSummary::from)
     }
 
-    /// The local sweep behind [`GridStudy::run`] and
-    /// [`GridStudy::clean_rows`].
-    fn sweep(&self, params: &StudyParams) -> Result<Swept, SimError> {
+    /// The local sweep behind [`GridStudy::run`]: every point's summary
+    /// (`None` for a failed one), the degradation accounting and the
+    /// capture provenance, before the figure fold.
+    ///
+    /// # Errors
+    ///
+    /// See [`GridStudy::run`].
+    pub fn sweep(&self, params: &StudyParams) -> Result<Swept, SimError> {
         self.validate()?;
         let study = self.study;
         let fingerprint = journal::fingerprint(study, params);
@@ -676,15 +801,10 @@ impl GridStudy {
     ///
     /// Panics if the sweep fails or any point degrades.
     pub(crate) fn clean_rows(&self, params: &StudyParams) -> Vec<Vec<Option<PointSummary>>> {
-        let (points, degraded, _) = self
+        let swept = self
             .sweep(params)
-            .unwrap_or_else(|e| panic!("{} sweep: {e}", self.study));
-        assert!(
-            !degraded.is_degraded(),
-            "{} sweep degraded: {degraded:?}",
-            self.study
-        );
-        self.rows(points)
+            .map(|(points, degraded, _)| (points, degraded));
+        self.rows(clean(self.study, swept))
     }
 
     /// Splits per-index slots into one row per profile.
@@ -721,21 +841,26 @@ impl GridStudy {
         degraded.total_points = self.n_points();
         degraded.completed = points.iter().flatten().count();
         let rows = self.rows(points);
-        let mut report = match self.study {
-            "fig1" => crate::fig1::fold(params, &self.profiles, rows).to_report(),
-            "fig4" => crate::fig45::fold_fig4(params, rows).to_report(),
-            "fig5" => crate::fig45::fold_fig5(rows).to_report(),
-            "fig6" => crate::fig6::fold(params, rows).to_report(),
-            _ => unreachable!("decompose() only builds grid studies"),
-        };
-        if degraded.is_degraded() {
-            report.push(Block::Degraded(degraded));
-        }
-        if let Some(p) = provenance {
-            report.push(Block::Provenance(p));
-        }
-        params.record(&mut report);
-        report
+        let report =
+            match self.study {
+                "fig1" => crate::fig1::fold(params, &self.profiles, rows).to_report(),
+                "fig2" => crate::fig23::fold_fig2(rows)
+                    .map_or_else(|| self.unfinished(), |f| f.to_report()),
+                "fig3" => crate::fig23::fold_fig3(rows)
+                    .map_or_else(|| self.unfinished(), |f| f.to_report()),
+                "fig4" => crate::fig45::fold_fig4(params, rows).to_report(),
+                "fig5" => crate::fig45::fold_fig5(rows).to_report(),
+                "fig6" => crate::fig6::fold(params, rows).to_report(),
+                "fig8" => crate::fig89::fold_fig8(params, rows).to_report(),
+                _ => unreachable!("decompose() only builds grid studies"),
+            };
+        finish(report, degraded, provenance, params)
+    }
+
+    /// The report of a one-point figure whose point failed, for the
+    /// `Degraded` block to follow.
+    fn unfinished(&self) -> Report {
+        Report::new(self.study, format!("{} did not complete", self.label(0)))
     }
 }
 
@@ -857,7 +982,7 @@ mod tests {
             threads: Some(vec![2, 4]),
             ..StudyParams::default()
         };
-        for name in ["fig1", "fig4", "fig5", "fig6"] {
+        for name in ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig8"] {
             let params = if name == "fig4" || name == "fig6" {
                 // Keep the 28-benchmark grids cheap.
                 StudyParams {

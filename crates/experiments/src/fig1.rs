@@ -2,11 +2,10 @@
 //! blackscholes, facesim (both PARSEC) and cholesky (SPLASH-2).
 
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
-use speedup_stacks::SimError;
 
 use crate::decompose::grid_study;
 use crate::runner::PointSummary;
-use crate::study::{Study, StudyParams};
+use crate::study::StudyParams;
 
 /// The thread counts of the paper's sweep.
 pub const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -46,8 +45,8 @@ pub struct Fig1 {
 /// # Panics
 ///
 /// Panics if the sweep fails or any point degrades (the catalog
-/// workloads are deadlock-free by construction); [`Fig1Study`] degrades
-/// gracefully instead.
+/// workloads are deadlock-free by construction); the registered `fig1`
+/// study degrades gracefully instead.
 #[must_use]
 pub fn run(params: &StudyParams) -> Fig1 {
     let grid = grid_study("fig1", params);
@@ -127,24 +126,5 @@ impl Fig1 {
         }
         report.push(Block::Table(table));
         report
-    }
-}
-
-/// Figure 1 as a registry [`Study`] (honors `scale`, `threads`,
-/// `parallelism` and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig1Study;
-
-impl Study for Fig1Study {
-    fn name(&self) -> &'static str {
-        "fig1"
-    }
-
-    fn description(&self) -> &'static str {
-        "Speedup vs cores for blackscholes, facesim and cholesky (1-16 threads)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        grid_study("fig1", params).run(params)
     }
 }

@@ -7,11 +7,11 @@
 
 use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
-use speedup_stacks::{Component, SimError, SpeedupStack};
-use workloads::Suite;
+use speedup_stacks::{Component, SpeedupStack};
 
-use crate::runner::{run_profile, scaled_profile, RunOptions};
-use crate::study::{Study, StudyParams};
+use crate::decompose::grid_study;
+use crate::runner::PointSummary;
+use crate::study::StudyParams;
 
 /// Figure 2 data: one annotated stack.
 #[derive(Debug, Clone)]
@@ -27,21 +27,22 @@ pub struct Fig2 {
 ///
 /// # Panics
 ///
-/// Panics if the simulation fails.
+/// Panics if the simulation fails; the registered `fig2` study
+/// degrades gracefully instead.
 #[must_use]
 pub fn run_fig2(params: &StudyParams) -> Fig2 {
-    let n = params.single_count(16);
-    let p = workloads::find("facesim", Suite::ParsecMedium).expect("catalog entry");
-    let p = scaled_profile(&p, params.scale);
-    let opts = RunOptions {
-        mem: params.mem(),
-        ..RunOptions::symmetric(n)
-    };
-    let out = run_profile(&p, &opts, None).expect("run");
-    Fig2 {
-        name: out.name.clone(),
+    fold_fig2(grid_study("fig2", params).clean_rows(params)).expect("one clean point")
+}
+
+/// Folds the grid's one row into Figure 2 (the fig2 arm of
+/// [`crate::decompose::GridStudy::assemble`]); `None` when its point
+/// failed.
+pub(crate) fn fold_fig2(rows: Vec<Vec<Option<PointSummary>>>) -> Option<Fig2> {
+    let out = rows.into_iter().flatten().flatten().next()?;
+    Some(Fig2 {
+        name: out.name,
         stack: out.stack,
-    }
+    })
 }
 
 impl Fig2 {
@@ -76,27 +77,6 @@ impl Fig2 {
     }
 }
 
-/// Figure 2 as a registry [`Study`] (honors `scale`, `threads` — the
-/// last entry — and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig2Study;
-
-impl Study for Fig2Study {
-    fn name(&self) -> &'static str {
-        "fig2"
-    }
-
-    fn description(&self) -> &'static str {
-        "Illustrative annotated speedup stack (facesim, 16 threads)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig2(params).to_report();
-        params.record(&mut report);
-        Ok(report)
-    }
-}
-
 /// Figure 3 data: the per-thread breakup of multi-threaded execution time.
 #[derive(Debug, Clone)]
 pub struct Fig3 {
@@ -113,22 +93,23 @@ pub struct Fig3 {
 ///
 /// # Panics
 ///
-/// Panics if the simulation fails.
+/// Panics if the simulation fails; the registered `fig3` study
+/// degrades gracefully instead.
 #[must_use]
 pub fn run_fig3(params: &StudyParams) -> Fig3 {
-    let n = params.single_count(4);
-    let p = workloads::find("cholesky", Suite::Splash2).expect("catalog entry");
-    let p = scaled_profile(&p, params.scale);
-    let opts = RunOptions {
-        mem: params.mem(),
-        ..RunOptions::symmetric(n)
-    };
-    let out = run_profile(&p, &opts, None).expect("run");
-    Fig3 {
-        name: out.name.clone(),
+    fold_fig3(grid_study("fig3", params).clean_rows(params)).expect("one clean point")
+}
+
+/// Folds the grid's one row into Figure 3 (the fig3 arm of
+/// [`crate::decompose::GridStudy::assemble`]); `None` when its point
+/// failed.
+pub(crate) fn fold_fig3(rows: Vec<Vec<Option<PointSummary>>>) -> Option<Fig3> {
+    let out = rows.into_iter().flatten().flatten().next()?;
+    Some(Fig3 {
+        name: out.name,
         tp_cycles: out.mt_cycles,
         stack: out.stack,
-    }
+    })
 }
 
 impl Fig3 {
@@ -200,26 +181,5 @@ impl Fig3 {
             ),
         )));
         report
-    }
-}
-
-/// Figure 3 as a registry [`Study`] (honors `scale`, `threads` — the
-/// last entry — and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig3Study;
-
-impl Study for Fig3Study {
-    fn name(&self) -> &'static str {
-        "fig3"
-    }
-
-    fn description(&self) -> &'static str {
-        "Per-thread execution-time breakup underlying a stack (cholesky, 4 threads)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig3(params).to_report();
-        params.record(&mut report);
-        Ok(report)
     }
 }

@@ -9,11 +9,11 @@
 use speedup_stacks::estimate::{average_absolute_error, ValidationPoint};
 use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
-use speedup_stacks::{SimError, SpeedupStack};
+use speedup_stacks::SpeedupStack;
 
 use crate::decompose::grid_study;
 use crate::runner::PointSummary;
-use crate::study::{Study, StudyParams};
+use crate::study::StudyParams;
 
 /// The multi-threaded counts validated in the paper.
 pub const THREAD_COUNTS: [usize; 4] = [2, 4, 8, 16];
@@ -145,7 +145,7 @@ impl Fig4 {
 ///
 /// # Panics
 ///
-/// Panics if the sweep fails or any point degrades; [`Fig4Study`]
+/// Panics if the sweep fails or any point degrades; the registered `fig4` study
 /// degrades gracefully instead.
 #[must_use]
 pub fn run(params: &StudyParams) -> Fig4 {
@@ -179,25 +179,6 @@ pub(crate) fn fold_fig4(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>
     }
 }
 
-/// Figure 4 as a registry [`Study`] (honors `scale`, `threads`,
-/// `parallelism` and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig4Study;
-
-impl Study for Fig4Study {
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
-
-    fn description(&self) -> &'static str {
-        "Actual vs estimated speedup for all 28 benchmarks (validation grid)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        grid_study("fig4", params).run(params)
-    }
-}
-
 /// Figure 5 data: stacks for the three case-study benchmarks across
 /// thread counts.
 #[derive(Debug, Clone)]
@@ -210,7 +191,7 @@ pub struct Fig5 {
 ///
 /// # Panics
 ///
-/// Panics if the sweep fails or any point degrades; [`Fig5Study`]
+/// Panics if the sweep fails or any point degrades; the registered `fig5` study
 /// degrades gracefully instead.
 #[must_use]
 pub fn run_fig5(params: &StudyParams) -> Fig5 {
@@ -259,24 +240,5 @@ impl Fig5 {
             }
         }
         report
-    }
-}
-
-/// Figure 5 as a registry [`Study`] (honors `scale`, `threads`,
-/// `parallelism` and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig5Study;
-
-impl Study for Fig5Study {
-    fn name(&self) -> &'static str {
-        "fig5"
-    }
-
-    fn description(&self) -> &'static str {
-        "Speedup stacks vs thread count for the three case-study benchmarks"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        grid_study("fig5", params).run(params)
     }
 }

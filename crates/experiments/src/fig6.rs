@@ -3,12 +3,11 @@
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::{
     ClassificationConfig, ClassificationTree, ClassifiedBenchmark, Component, ScalingClass,
-    SimError,
 };
 
 use crate::decompose::grid_study;
 use crate::runner::PointSummary;
-use crate::study::{Study, StudyParams};
+use crate::study::StudyParams;
 
 /// Figure 6 data: the classification tree.
 #[derive(Debug, Clone)]
@@ -105,7 +104,7 @@ impl Fig6 {
 ///
 /// # Panics
 ///
-/// Panics if the sweep fails or any point degrades; [`Fig6Study`]
+/// Panics if the sweep fails or any point degrades; the registered `fig6` study
 /// degrades gracefully instead.
 #[must_use]
 pub fn run(params: &StudyParams) -> Fig6 {
@@ -126,24 +125,5 @@ pub(crate) fn fold(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -
     Fig6 {
         tree: ClassificationTree::build(entries),
         threads,
-    }
-}
-
-/// Figure 6 as a registry [`Study`] (honors `scale`, `threads` — the
-/// last entry — `parallelism` and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig6Study;
-
-impl Study for Fig6Study {
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
-
-    fn description(&self) -> &'static str {
-        "Benchmark classification tree over the full suite (16 threads)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        grid_study("fig6", params).run(params)
     }
 }

@@ -7,13 +7,13 @@
 //! (16 threads on fewer cores) performs at least as well as
 //! threads = cores.
 
-use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
+use speedup_stacks::report::{Block, Column, Degraded, Report, Table, Unit, Value};
 use speedup_stacks::SimError;
-use workloads::Suite;
+use workloads::{display_name, Suite};
 
-use crate::par::map_mode;
-use crate::runner::{run_profile, scaled_profile, single_thread_reference, RunOptions};
-use crate::study::{Study, StudyParams};
+use crate::decompose::{clean, finish, run_machines};
+use crate::runner::{point_label, scaled_profile, RunOptions};
+use crate::study::StudyParams;
 
 /// Core counts of the sweep.
 pub const CORE_COUNTS: [usize; 4] = [2, 4, 8, 16];
@@ -68,13 +68,11 @@ impl Fig7 {
                     .unit(Unit::Speedup),
             ],
         );
-        for (i, (c, eq)) in self.threads_eq_cores.iter().enumerate() {
+        for &(c, eq) in &self.threads_eq_cores {
             table.row(vec![
-                (*c).into(),
-                (*eq).into(),
-                self.sixteen_threads
-                    .get(i)
-                    .map_or(Value::Missing, |(_, s)| Value::F64(*s)),
+                c.into(),
+                eq.into(),
+                self.sixteen_at(c).map_or(Value::Missing, Value::F64),
             ]);
         }
         report.push(Block::Table(table));
@@ -88,65 +86,54 @@ impl Fig7 {
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails.
+/// Panics if a simulation fails; the registered `fig7` study degrades
+/// gracefully instead.
 #[must_use]
 pub fn run(params: &StudyParams) -> Fig7 {
+    clean("fig7", sweep(params))
+}
+
+/// The sweep behind [`run`] and [`report`]: one single-thread
+/// reference gating both series' points (threads = cores, then
+/// [`FIXED_THREADS`] threads, per core count); failed points are left
+/// out of their series.
+fn sweep(params: &StudyParams) -> Result<(Fig7, Degraded), SimError> {
     let core_counts = params.counts_or(&CORE_COUNTS);
     let p = workloads::find("ferret", Suite::ParsecSmall).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
-    let base = RunOptions {
+    let machine = |cores: usize, threads: usize| RunOptions {
+        cores,
+        threads,
         mem: params.mem(),
-        ..RunOptions::symmetric(1)
+        ..RunOptions::symmetric(cores)
     };
-    let st = single_thread_reference(&p, &base).expect("single-thread run");
-
-    // Both series as one parallel sweep over the independent points.
-    let configs: Vec<(usize, usize)> = core_counts
+    let points: Vec<(usize, RunOptions)> = core_counts
         .iter()
-        .map(|&c| (c, c))
-        .chain(core_counts.iter().map(|&c| (c, FIXED_THREADS)))
+        .map(|&c| machine(c, c))
+        .chain(core_counts.iter().map(|&c| machine(c, FIXED_THREADS)))
+        .map(|opts| (0, opts))
         .collect();
-    let speedups = map_mode(params.parallelism, configs, |(cores, threads)| {
-        let opts = RunOptions {
-            cores,
-            threads,
-            mem: params.mem(),
-            ..RunOptions::symmetric(cores)
-        };
-        run_profile(&p, &opts, Some(st)).expect("run").actual
-    });
-    let (eq, sixteen) = speedups.split_at(core_counts.len());
-    Fig7 {
-        threads_eq_cores: core_counts
-            .iter()
-            .copied()
-            .zip(eq.iter().copied())
-            .collect(),
-        sixteen_threads: core_counts
-            .iter()
-            .copied()
-            .zip(sixteen.iter().copied())
-            .collect(),
-    }
+    let name = display_name(&p);
+    let label = |i: usize| {
+        let RunOptions { cores, threads, .. } = points[i].1;
+        format!("{} on {cores} cores", point_label(&name, threads))
+    };
+    let (outs, degraded) = run_machines(params, &p, &[machine(1, 1)], &points, label)?;
+    let series = |i: std::ops::Range<usize>| -> Vec<(usize, f64)> {
+        i.filter_map(|i| Some((points[i].1.cores, outs[i].as_ref()?.actual)))
+            .collect()
+    };
+    let k = core_counts.len();
+    let fig = Fig7 {
+        threads_eq_cores: series(0..k),
+        sixteen_threads: series(k..2 * k),
+    };
+    Ok((fig, degraded))
 }
 
-/// Figure 7 as a registry [`Study`] (honors `scale`, `threads` — the
-/// swept core counts — `parallelism` and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig7Study;
-
-impl Study for Fig7Study {
-    fn name(&self) -> &'static str {
-        "fig7"
-    }
-
-    fn description(&self) -> &'static str {
-        "Ferret speedup vs cores: threads=cores versus a fixed 16 threads"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run(params).to_report();
-        params.record(&mut report);
-        Ok(report)
-    }
+/// Figure 7 as the registry runs it: [`sweep`] folded into the report,
+/// failed points in its `Degraded` block.
+pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
+    let (fig, degraded) = sweep(params)?;
+    Ok(finish(fig.to_report(), degraded, None, params))
 }

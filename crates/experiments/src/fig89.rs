@@ -9,13 +9,13 @@
 //!   net effect of sharing eventually becomes a win.
 
 use memsim::MemConfig;
-use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
-use speedup_stacks::{Component, SimError};
-use workloads::Suite;
+use speedup_stacks::report::{Block, Column, Degraded, Report, Table, Unit, Value};
+use speedup_stacks::{Component, SimError, SpeedupStack};
+use workloads::{display_name, Suite};
 
-use crate::par::map_mode;
-use crate::runner::{run_profile, scaled_profile, RunOptions};
-use crate::study::{Study, StudyParams};
+use crate::decompose::{clean, finish, grid_study, run_machines};
+use crate::runner::{point_label, scaled_profile, PointSummary, RunOptions};
+use crate::study::StudyParams;
 
 /// One benchmark's LLC interference decomposition (a bar triple in
 /// Figures 8/9).
@@ -30,6 +30,15 @@ pub struct InterferenceBar {
 }
 
 impl InterferenceBar {
+    /// The bar of one run's stack.
+    fn of(label: String, stack: &SpeedupStack) -> InterferenceBar {
+        InterferenceBar {
+            label,
+            negative: stack.component(Component::NegativeLlc),
+            positive: stack.positive_interference(),
+        }
+    }
+
     /// Net interference (negative − positive); positive values hurt.
     #[must_use]
     pub fn net(&self) -> f64 {
@@ -96,49 +105,40 @@ pub struct Fig8 {
 /// The paper's Figure 8 benchmark set (those with non-negligible positive
 /// interference). The paper shows canneal small and large; the sizes
 /// available here are small and medium.
-#[must_use]
-pub fn fig8_benchmarks() -> Vec<workloads::WorkloadProfile> {
-    [
-        ("cholesky", Suite::Splash2),
-        ("lu.cont", Suite::Splash2),
-        ("canneal", Suite::ParsecSmall),
-        ("canneal", Suite::ParsecMedium),
-        ("bfs", Suite::Rodinia),
-        ("lu.ncont", Suite::Splash2),
-        ("needle", Suite::Rodinia),
-    ]
-    .iter()
-    .map(|(n, s)| workloads::find(n, *s).expect("catalog entry"))
-    .collect()
-}
+pub const FIG8_BENCHMARKS: [(&str, Suite); 7] = [
+    ("cholesky", Suite::Splash2),
+    ("lu.cont", Suite::Splash2),
+    ("canneal", Suite::ParsecSmall),
+    ("canneal", Suite::ParsecMedium),
+    ("bfs", Suite::Rodinia),
+    ("lu.ncont", Suite::Splash2),
+    ("needle", Suite::Rodinia),
+];
 
 /// Regenerates Figure 8, honoring the thread-count and LLC overrides.
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails.
+/// Panics if a simulation fails; the registered `fig8` study degrades
+/// gracefully instead.
 #[must_use]
 pub fn run_fig8(params: &StudyParams) -> Fig8 {
-    let cores = params.single_count(16);
-    let mem = params.mem();
-    let llc_mib = params.llc_mib.unwrap_or(2);
-    let bars = map_mode(params.parallelism, fig8_benchmarks(), |p| {
-        let p = scaled_profile(&p, params.scale);
-        let opts = RunOptions {
-            mem,
-            ..RunOptions::symmetric(cores)
-        };
-        let out = run_profile(&p, &opts, None).expect("run");
-        InterferenceBar {
-            label: out.name.clone(),
-            negative: out.stack.component(Component::NegativeLlc),
-            positive: out.stack.positive_interference(),
-        }
-    });
+    fold_fig8(params, grid_study("fig8", params).clean_rows(params))
+}
+
+/// Folds the grid's rows into Figure 8 (the fig8 arm of
+/// [`crate::decompose::GridStudy::assemble`]): one bar per completed
+/// benchmark.
+pub(crate) fn fold_fig8(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Fig8 {
     Fig8 {
-        bars,
-        cores,
-        llc_mib,
+        bars: rows
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|out| InterferenceBar::of(out.name, &out.stack))
+            .collect(),
+        cores: params.single_count(16),
+        llc_mib: params.llc_mib.unwrap_or(2),
     }
 }
 
@@ -162,27 +162,6 @@ impl Fig8 {
     }
 }
 
-/// Figure 8 as a registry [`Study`] (honors `scale`, `threads` — the
-/// last entry — `parallelism` and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig8Study;
-
-impl Study for Fig8Study {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn description(&self) -> &'static str {
-        "Negative/positive/net LLC interference per benchmark (16 cores, 2 MB LLC)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig8(params).to_report();
-        params.record(&mut report);
-        Ok(report)
-    }
-}
-
 /// Figure 9 data: cholesky across LLC sizes.
 #[derive(Debug, Clone)]
 pub struct Fig9 {
@@ -200,25 +179,44 @@ pub const LLC_SIZES_MIB: [usize; 4] = [2, 4, 8, 16];
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails.
+/// Panics if a simulation fails; the registered `fig9` study degrades
+/// gracefully instead.
 #[must_use]
 pub fn run_fig9(params: &StudyParams) -> Fig9 {
+    clean("fig9", sweep_fig9(params))
+}
+
+/// The sweep behind [`run_fig9`] and [`fig9_report`]: one cholesky
+/// reference and one point per LLC size (each size is its own machine,
+/// single-threaded run included), failed points left out of the bars.
+fn sweep_fig9(params: &StudyParams) -> Result<(Fig9, Degraded), SimError> {
     let cores = params.single_count(16);
     let p = workloads::find("cholesky", Suite::Splash2).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
-    let bars = map_mode(params.parallelism, LLC_SIZES_MIB.to_vec(), |mib| {
-        let opts = RunOptions {
-            mem: MemConfig::default().with_llc_mib(mib),
-            ..RunOptions::symmetric(cores)
-        };
-        let out = run_profile(&p, &opts, None).expect("run");
-        InterferenceBar {
-            label: format!("{mib}MB"),
-            negative: out.stack.component(Component::NegativeLlc),
-            positive: out.stack.positive_interference(),
-        }
-    });
-    Fig9 { bars, cores }
+    let machine = |mib: usize, n: usize| RunOptions {
+        mem: MemConfig::default().with_llc_mib(mib),
+        ..RunOptions::symmetric(n)
+    };
+    let refs: Vec<RunOptions> = LLC_SIZES_MIB.iter().map(|&mib| machine(mib, 1)).collect();
+    let points: Vec<(usize, RunOptions)> = LLC_SIZES_MIB
+        .iter()
+        .enumerate()
+        .map(|(i, &mib)| (i, machine(mib, cores)))
+        .collect();
+    let name = point_label(&display_name(&p), cores);
+    let label = |i: usize| format!("{name} {}MB", LLC_SIZES_MIB[i]);
+    let (outs, degraded) = run_machines(params, &p, &refs, &points, label)?;
+    let bars = outs
+        .iter()
+        .zip(LLC_SIZES_MIB)
+        .filter_map(|(out, mib)| {
+            Some(InterferenceBar::of(
+                format!("{mib}MB"),
+                &out.as_ref()?.stack,
+            ))
+        })
+        .collect();
+    Ok((Fig9 { bars, cores }, degraded))
 }
 
 impl Fig9 {
@@ -241,23 +239,9 @@ impl Fig9 {
     }
 }
 
-/// Figure 9 as a registry [`Study`] (honors `scale`, `threads` — the
-/// last entry — and `parallelism`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fig9Study;
-
-impl Study for Fig9Study {
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-
-    fn description(&self) -> &'static str {
-        "Cholesky LLC interference vs LLC size, 2-16 MB (16 cores)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run_fig9(params).to_report();
-        params.record(&mut report);
-        Ok(report)
-    }
+/// Figure 9 as the registry runs it: [`sweep_fig9`] folded into the
+/// report, failed points in its `Degraded` block.
+pub(crate) fn fig9_report(params: &StudyParams) -> Result<Report, SimError> {
+    let (fig, degraded) = sweep_fig9(params)?;
+    Ok(finish(fig.to_report(), degraded, None, params))
 }

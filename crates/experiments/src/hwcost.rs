@@ -3,7 +3,7 @@
 use speedup_stacks::report::{Block, Report, Scalar, Unit};
 use speedup_stacks::{HardwareCostModel, SimError};
 
-use crate::study::{Study, StudyParams};
+use crate::study::StudyParams;
 
 /// The §4.7 cost breakdown.
 #[derive(Debug, Clone)]
@@ -108,23 +108,9 @@ impl HwCost {
     }
 }
 
-/// The hardware cost table as a registry [`Study`] (honors `threads` —
-/// the CMP size — only; runs no simulation).
-#[derive(Debug, Clone, Copy)]
-pub struct HwCostStudy;
-
-impl Study for HwCostStudy {
-    fn name(&self) -> &'static str {
-        "hwcost"
-    }
-
-    fn description(&self) -> &'static str {
-        "Hardware cost of the accounting architecture (no simulation)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run(params).to_report();
-        params.record(&mut report);
-        Ok(report)
-    }
+/// The hardware cost table as the registry runs it (no simulation).
+pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
+    let mut report = run(params).to_report();
+    params.record(&mut report);
+    Ok(report)
 }

@@ -8,7 +8,7 @@
 //! typed [`study::StudyParams`] and returning a structured
 //! [`speedup_stacks::report::Report`] that renders as text, JSON or CSV.
 //! The `repro` binary drives them uniformly: `repro --list`,
-//! `cargo run -p experiments --bin repro -- fig4 --format json`, or
+//! `cargo run -p service --bin repro -- fig4 --format json`, or
 //! `repro scaling` for the many-core study. Each module additionally
 //! keeps its figure data struct and exactly one typed function taking
 //! `&StudyParams` that returns it (`fig45::run` returning `Fig4`, …);
@@ -17,12 +17,16 @@
 //! Every experiment reduces to the [`runner`] recipe: run a workload
 //! multi-threaded (that run drives the accounting and yields the
 //! *estimated* speedup), run it single-threaded for Eq. 1's `Ts`, and
-//! attach the *actual* speedup for validation. The figure grids are
+//! attach the *actual* speedup for validation. The (benchmark ×
+//! thread-count) figures — fig1–fig6 and fig8 — are
 //! [`decompose::GridStudy`]s, and each runs its own local sweep: the
-//! independent points fan out over [`par`]'s deterministic thread pool as
-//! one ref-gated [`graph::UnitGraph`], each unit in [`par::fault_domain`],
+//! independent points fan out through [`par::run_units`] as one
+//! ref-gated [`graph::UnitGraph`], each unit in [`par::fault_domain`],
 //! and fold through [`decompose::GridFold`] — the same graph, unit bodies
-//! and fold the study service and the federation use.
+//! and fold the study service and the federation use. fig7, fig9 and the
+//! many-core study sweep machine axes a grid cannot key through the same
+//! executor and fold; `regions` runs its one simulation in
+//! [`par::fault_domain`].
 //!
 //! ## Example
 //!
@@ -60,7 +64,7 @@ pub mod study;
 
 pub use journal::JournalSpec;
 pub use memsim::MemConfig;
-pub use par::{fault_domain, map_mode, Parallelism};
+pub use par::{fault_domain, Parallelism};
 pub use runner::{
     run_profile, run_profile_streams, scaled_profile, single_thread_reference,
     single_thread_reference_streams, FaultPolicy, PointSummary, RunOptions, RunOutcome,

@@ -1,29 +1,26 @@
-//! Deterministic parallel execution of independent simulation units.
+//! The one executor of every study's simulations.
 //!
-//! Figure grids are embarrassingly parallel: every (benchmark ×
-//! thread-count) point is a self-contained, deterministic `Engine` run.
-//! [`map_mode`] fans independent items out over a scoped thread pool (no
-//! `rayon` offline — plain `std::thread::scope` with an atomic work
-//! index) and collects results **in input order**, so a sweep produces
-//! byte-identical output whether it ran serially or in parallel — guarded
-//! by the `sweep_determinism` integration test.
+//! Every (benchmark × machine) point is a self-contained, deterministic
+//! `Engine` run, and every point needs the single-thread references it
+//! is measured against. [`run_units`] is the scoped driver of that
+//! [`UnitGraph`] (no `rayon` offline — plain `std::thread::scope` over
+//! the graph behind a mutex): every unit in its own fault domain, points
+//! released as their references land, outcomes delivered by index — so
+//! a sweep produces byte-identical output whether it ran serially or in
+//! parallel, and a panicking or failing unit degrades its points instead
+//! of killing the pool.
 //!
 //! [`fault_domain`] is the one per-unit **fault domain**: `catch_unwind`
-//! plus a bounded retry budget. [`run_units`] is the scoped driver of a
-//! [`UnitGraph`]: every unit in its own fault domain, points released as
-//! their references land, outcomes delivered by index — so a panicking
-//! or failing unit degrades its points instead of killing the pool.
-//! Retries re-run the identical pure closure (backoff-free re-queue), so
-//! serial and parallel sweeps stay bit-identical for every successful
-//! point.
+//! plus a bounded retry budget. Retries re-run the identical pure
+//! closure (backoff-free re-queue), so serial and parallel sweeps stay
+//! bit-identical for every successful point.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
 use crate::graph::{RefValue, Unit, UnitGraph};
 
-/// Execution mode for [`map_mode`].
+/// Execution mode of a sweep ([`run_units`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Run on the calling thread, in input order.
@@ -53,53 +50,6 @@ impl Parallelism {
         };
         n.min(items.max(1))
     }
-}
-
-/// Applies `f` to every item under the given [`Parallelism`], returning
-/// results in input order regardless of completion order.
-pub fn map_mode<T, R, F>(mode: Parallelism, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = mode.workers(items.len());
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = slots.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                // Poison-tolerant locks: a worker that panicked inside `f`
-                // (between the two lock holds) must not turn its siblings'
-                // accesses into secondary panics — only the faulting
-                // point's slot may be lost.
-                let item = slots[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .expect("item taken once");
-                let r = f(item);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 /// Renders a `catch_unwind` payload as text (the common `&str`/`String`
@@ -242,34 +192,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preserves_input_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = map_mode(Parallelism::Workers(4), items, |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_equals_parallel() {
-        let f = |x: u64| x.wrapping_mul(0x9e37_79b9).rotate_left(7);
-        let a = map_mode(Parallelism::Serial, (0..257).collect(), f);
-        let b = map_mode(Parallelism::Workers(7), (0..257).collect(), f);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let empty: Vec<u32> = vec![];
-        assert!(map_mode(Parallelism::Auto, empty, |x: u32| x).is_empty());
-        assert_eq!(map_mode(Parallelism::Auto, vec![5], |x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn more_workers_than_items() {
-        let out = map_mode(Parallelism::Workers(16), vec![1, 2, 3], |x| x * x);
-        assert_eq!(out, vec![1, 4, 9]);
-    }
-
-    #[test]
     fn workers_clamps_zero_and_caps_at_items() {
         assert_eq!(Parallelism::Workers(0).workers(10), 1);
         assert_eq!(Parallelism::Workers(64).workers(3), 3);
@@ -352,7 +274,7 @@ mod tests {
 
     #[test]
     fn run_units_spends_the_retry_budget_and_reports_attempts() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         // A point failing its first `failures` calls under `retries`
         // extra attempts: a deterministic failure exhausts the budget
         // (1 try + 2 retries), a transient one succeeds on its third call.

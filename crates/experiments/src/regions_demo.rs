@@ -7,14 +7,15 @@
 //! overhead directly. This experiment shows both views side by side for
 //! a rotating-imbalance workload (the lud model).
 
-use cmpsim::{region_stacks, MachineConfig, Simulation};
+use cmpsim::{region_stacks, MachineConfig};
 use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::{AccountingConfig, Component, SimError, SpeedupStack};
 use workloads::{streams_for, Suite};
 
-use crate::runner::scaled_profile;
-use crate::study::{Study, StudyParams};
+use crate::par::fault_domain;
+use crate::runner::{scaled_profile, simulate};
+use crate::study::StudyParams;
 
 /// Whole-program vs per-region decomposition.
 #[derive(Debug)]
@@ -51,32 +52,33 @@ impl RegionsDemo {
 }
 
 /// Runs the region-stack demonstration (lud at 16 threads), honoring the
-/// thread-count and LLC overrides.
+/// thread-count and LLC overrides. The one run has no single-thread
+/// reference and nothing to fan out: it runs in its own fault domain
+/// under the parameters' fault policy, no unit graph needed.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the simulation fails.
-#[must_use]
-pub fn run(params: &StudyParams) -> RegionsDemo {
+/// [`SimError::Engine`] when the run fails every attempt (a deadline
+/// overrun included).
+pub fn run(params: &StudyParams) -> Result<RegionsDemo, SimError> {
     let threads = params.single_count(16);
     let p = workloads::find("lud", Suite::Rodinia).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
     let mut cfg = MachineConfig::with_cores(threads);
     cfg.mem = params.mem();
     cfg.record_regions = true;
-    let result = Simulation::new(cfg, streams_for(&p, threads))
-        .run()
-        .expect("run");
-    let whole = result
-        .stack(&AccountingConfig::default())
-        .expect("valid counters");
-    let regions = region_stacks(&result, &AccountingConfig::default()).expect("valid regions");
-    RegionsDemo {
+    let (outcome, _) = fault_domain(params.faults.retries, || {
+        simulate(cfg, streams_for(&p, threads), params.faults.deadline_cycles)
+            .map_err(|e| e.to_string())
+    });
+    let result = outcome.map_err(|what| SimError::Engine { what })?;
+    let accounting = AccountingConfig::default();
+    Ok(RegionsDemo {
         name: workloads::display_name(&p),
-        whole,
-        regions,
+        whole: result.stack(&accounting).map_err(SimError::Stack)?,
+        regions: region_stacks(&result, &accounting).map_err(SimError::Stack)?,
         threads,
-    }
+    })
 }
 
 impl RegionsDemo {
@@ -178,25 +180,11 @@ impl RegionsDemo {
     }
 }
 
-/// The §4.6 region-stack demonstration as a registry [`Study`] (honors
-/// `scale`, `threads` — the last entry — and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct RegionsStudy;
-
-impl Study for RegionsStudy {
-    fn name(&self) -> &'static str {
-        "regions"
-    }
-
-    fn description(&self) -> &'static str {
-        "Whole-program vs per-region stacks: barrier waits become imbalance (lud)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let mut report = run(params).to_report();
-        params.record(&mut report);
-        Ok(report)
-    }
+/// The demonstration as the registry runs it.
+pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
+    let mut report = run(params)?.to_report();
+    params.record(&mut report);
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -205,7 +193,7 @@ mod tests {
 
     #[test]
     fn region_view_reclassifies_barrier_waits() {
-        let demo = run(&StudyParams::with_scale(0.25));
+        let demo = run(&StudyParams::with_scale(0.25)).unwrap();
         assert!(!demo.regions.is_empty());
         // Whole-program: barrier waits are sync; per-region: imbalance.
         assert!(
@@ -233,7 +221,7 @@ mod tests {
 
     #[test]
     fn region_stacks_are_valid() {
-        let demo = run(&StudyParams::with_scale(0.25));
+        let demo = run(&StudyParams::with_scale(0.25)).unwrap();
         for s in &demo.regions {
             assert!(s.is_valid());
             assert_eq!(s.num_threads(), 16);

@@ -9,14 +9,13 @@
 //! The `_streams` entry points take caller-supplied op streams (trace
 //! replay feeds captured ones) and an optional cooperative deadline in
 //! simulated cycles; they are what a sweep unit runs —
-//! [`crate::decompose::GridStudy`]'s two unit bodies and the many-core
-//! [`crate::scaling`] study's. [`PointSummary`] is a point's journaled
-//! and streamed essence, with the journal record codec beside it, and
-//! [`FaultPolicy`] is the per-unit deadline and retry budget.
+//! [`crate::decompose::GridStudy`]'s two unit bodies, fig7's and fig9's,
+//! and the many-core [`crate::scaling`] study's. [`PointSummary`] is a
+//! point's journaled and streamed essence, with the journal record codec
+//! beside it, and [`FaultPolicy`] is the per-unit deadline and retry
+//! budget.
 
 use std::borrow::Cow;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
 use cmpsim::{MachineConfig, SimError, SimResult, Simulation};
 use memsim::MemConfig;
@@ -103,23 +102,19 @@ impl RunOutcome {
     }
 }
 
-/// Runs one simulation with the options' machine, aborting it with a
-/// typed error once simulated time passes `deadline` (deterministic:
-/// simulated cycles, not wall-clock): the one place a unit's machine is
-/// validated and its deadline armed.
-pub(crate) fn simulate_opts(
-    opts: &RunOptions,
-    cores: usize,
+/// Runs one simulation on `cfg`, aborting it with a typed error once
+/// simulated time passes `deadline` (deterministic: simulated cycles,
+/// not wall-clock): the one place a unit's machine is validated and its
+/// deadline armed.
+pub(crate) fn simulate(
+    cfg: MachineConfig,
     streams: Vec<Box<dyn cmpsim::OpStream>>,
     deadline: Option<u64>,
 ) -> Result<SimResult, SimError> {
-    let cfg = opts.machine(cores);
     cfg.validate().map_err(SimError::InvalidConfig)?;
-    let sim = Simulation::new(cfg, streams);
-    match deadline {
-        Some(d) => sim.with_deadline(Arc::new(AtomicU64::new(d))).run(),
-        None => sim.run(),
-    }
+    Simulation::new(cfg, streams)
+        .with_deadline(deadline.unwrap_or(u64::MAX))
+        .run()
 }
 
 /// Runs `profile` single-threaded and returns `(cycles, instructions)`.
@@ -146,7 +141,7 @@ pub fn single_thread_reference_streams(
     streams: Vec<Box<dyn cmpsim::OpStream>>,
     deadline: Option<u64>,
 ) -> Result<(u64, u64), SimError> {
-    let st = simulate_opts(opts, 1, streams, deadline)?;
+    let st = simulate(opts.machine(1), streams, deadline)?;
     Ok((st.tp_cycles, st.total_instructions()))
 }
 
@@ -187,7 +182,7 @@ pub fn run_profile_streams(
     deadline: Option<u64>,
 ) -> Result<RunOutcome, SimError> {
     let (st_cycles, st_instructions) = st_reference;
-    let mt = simulate_opts(opts, opts.cores, streams, deadline)?;
+    let mt = simulate(opts.machine(opts.cores), streams, deadline)?;
     let actual = st_cycles as f64 / mt.tp_cycles as f64;
     let stack = mt
         .stack(&opts.accounting)

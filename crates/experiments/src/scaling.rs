@@ -30,13 +30,11 @@ use workloads::{
     WorkloadProfile,
 };
 
-use crate::decompose::GridFold;
-use crate::graph::UnitGraph;
-use crate::par::run_units;
+use crate::decompose::{clean, finish, run_graph};
 use crate::runner::{
-    point_label, scaled_profile, simulate_opts, single_thread_reference_streams, RunOptions,
+    point_label, scaled_profile, simulate, single_thread_reference_streams, RunOptions,
 };
-use crate::study::{Study, StudyParams};
+use crate::study::StudyParams;
 
 /// The swept core counts: powers of two from 1 to 128 (the paper stops
 /// at 16; everything above exercises the many-core representations).
@@ -176,27 +174,22 @@ pub fn study_profiles(scale: f64) -> Vec<WorkloadProfile> {
 /// # Panics
 ///
 /// Panics if a study workload is invalid or any swept point fails;
-/// [`ManycoreScalingStudy`] degrades gracefully instead.
+/// the registered `scaling` study degrades gracefully instead.
 #[must_use]
 pub fn run(params: &StudyParams) -> ScalingStudy {
-    let (study, degraded) = sweep(params).expect("scaling sweep");
-    assert!(
-        !degraded.is_degraded(),
-        "scaling sweep degraded: {degraded:?}"
-    );
-    study
+    clean("scaling", sweep(params))
 }
 
-/// The fault-tolerant sweep behind [`run`] and [`ManycoreScalingStudy`],
-/// as one [`UnitGraph`]: a single-thread reference per weak workload
+/// The fault-tolerant sweep behind [`run`] and [`report`],
+/// as one [`crate::graph::UnitGraph`]: a single-thread reference per weak workload
 /// (weak scaling: every thread's work equals that run's) and one per
 /// rate-mix program (its solo run; wider mixes reuse them cyclically),
 /// gating one point per series and swept count — a weak series' points
 /// behind its own reference, the rate mix's behind every program's, the
 /// first failed one failing the series. Every unit runs in its own fault
 /// domain (honoring `params.faults`) and the outcomes fold through
-/// [`GridFold`], so failures land in the returned [`Degraded`] exactly
-/// as a grid study's do.
+/// [`crate::decompose::GridFold`], so failures land in the returned
+/// [`Degraded`] exactly as a grid study's do.
 fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
     let counts = params.counts_or(&CORE_COUNTS);
     let mem = match params.llc_mib {
@@ -220,29 +213,25 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
     // Series `s`'s points are the indices `s * counts.len()..`; the rate
     // mix is the last series and its programs the last references.
     let weak = profiles.len();
-    let n_points = names.len() * counts.len();
     let point_of = |i: usize| (i / counts.len(), counts[i % counts.len()]);
-    let mut graph = UnitGraph::new(weak + mix.len(), n_points, |i| match point_of(i).0 {
-        s if s < weak => s..s + 1,
-        _ => weak..weak + mix.len(),
-    });
-    (0..n_points).for_each(|i| graph.add_point(i));
     let deadline = params.faults.deadline_cycles;
     let opts = |cores: usize| RunOptions {
         mem,
         ..RunOptions::symmetric(cores)
     };
-    let mut fold = GridFold::new(n_points);
-    run_units(
-        &mut graph,
-        params.parallelism,
-        params.faults.retries,
+    let (slots, degraded) = run_graph(
+        params,
+        (weak + mix.len(), names.len() * counts.len()),
+        |i| match point_of(i).0 {
+            s if s < weak => s..s + 1,
+            _ => weak..weak + mix.len(),
+        },
         |r| {
             let streams: Vec<Box<dyn cmpsim::OpStream>> = match r.checked_sub(weak) {
                 None => streams_for(&profiles[r], 1),
                 Some(m) => vec![Box::new(RateMixStream::new(&mix[m], m))],
             };
-            single_thread_reference_streams(&opts(1), streams, deadline).map_err(|e| e.to_string())
+            single_thread_reference_streams(&opts(1), streams, deadline)
         },
         |i, refs| {
             let (s, n) = point_of(i);
@@ -255,7 +244,7 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
                 (rate_mix_streams(&mix, n), ts_sum as f64)
             };
             let opts = opts(n);
-            let mt = simulate_opts(&opts, n, streams, deadline).map_err(|e| e.to_string())?;
+            let mt = simulate(opts.machine(n), streams, deadline)?;
             let speedup = ts / mt.tp_cycles as f64;
             let stack = mt
                 .stack(&opts.accounting)
@@ -270,15 +259,11 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
                 stack,
             })
         },
-        |i, outcome, attempts| match outcome {
-            Ok(point) => fold.point(i, point, attempts),
-            Err(reason) => {
-                let (s, n) = point_of(i);
-                fold.failed(i, point_label(&names[s], n), reason, attempts);
-            }
+        |i| {
+            let (s, n) = point_of(i);
+            point_label(&names[s], n)
         },
     );
-    let (slots, degraded) = fold.into_parts(0);
     let mut slots = slots.into_iter();
     let series = names
         .into_iter()
@@ -297,29 +282,11 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
     ))
 }
 
-/// The many-core scaling study as a registry [`Study`] (honors `scale`,
-/// `threads` — the swept core counts — `parallelism` and `llc_mib`).
-#[derive(Debug, Clone, Copy)]
-pub struct ManycoreScalingStudy;
-
-impl Study for ManycoreScalingStudy {
-    fn name(&self) -> &'static str {
-        "scaling"
-    }
-
-    fn description(&self) -> &'static str {
-        "Beyond the paper: speedup stacks from 1 to 128 cores (weak scaling + rate mix)"
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
-        let (study, degraded) = sweep(params)?;
-        let mut report = study.to_report();
-        if degraded.is_degraded() {
-            report.push(Block::Degraded(degraded));
-        }
-        params.record(&mut report);
-        Ok(report)
-    }
+/// The study as the registry runs it: [`sweep`] folded into the report,
+/// failed points in its `Degraded` block.
+pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
+    let (study, degraded) = sweep(params)?;
+    Ok(finish(study.to_report(), degraded, None, params))
 }
 
 #[cfg(test)]

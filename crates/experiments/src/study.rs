@@ -5,8 +5,8 @@
 //! [`Report`] — the same value model every driver consumes: the `repro`
 //! CLI (`--list`, `--format text|json|csv`), the `benchmark/` harness,
 //! tests and future runners. The twelve paper studies
-//! (fig1–fig9, hwcost, regions, scaling) register themselves in
-//! [`registry`].
+//! (fig1–fig9, hwcost, regions, scaling) are the entries of
+//! [`registry`]: a key, a description and a run each.
 //!
 //! # Examples
 //!
@@ -31,14 +31,15 @@ use speedup_stacks::SimError;
 
 use workloads::trace::TraceSpec;
 
+use crate::decompose::grid_study;
 use crate::journal::JournalSpec;
 use crate::par::Parallelism;
 use crate::runner::FaultPolicy;
 
 /// Typed parameters shared by every study.
 ///
-/// Studies honor the subset that is meaningful for them (documented on
-/// each study struct); defaults reproduce the paper's configuration
+/// Studies honor the subset that is meaningful for them (see
+/// [`registry`]); defaults reproduce the paper's configuration
 /// exactly, so default-parameter runs match the golden figure output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudyParams {
@@ -47,19 +48,21 @@ pub struct StudyParams {
     /// Thread/core-count override: the sweep set for sweep studies, the
     /// last entry for single-count studies. `None` = the paper's counts.
     pub threads: Option<Vec<usize>>,
-    /// Sweep parallelism for grid studies (results are deterministic and
-    /// identical across modes).
+    /// Sweep parallelism for every simulating study (results are
+    /// deterministic and identical across modes).
     pub parallelism: Parallelism,
     /// Shared-LLC capacity override in MiB (`None` = each study's
     /// default machine).
     pub llc_mib: Option<usize>,
-    /// Per-point fault policy (deadline, retries) for grid studies.
+    /// Per-unit fault policy (deadline, retries), honored by every
+    /// simulating study: a failed unit degrades its points (`regions`,
+    /// one run, fails with [`speedup_stacks::SimError::Engine`]).
     pub faults: FaultPolicy,
     /// Crash-safe journaling / resume for the grid studies (those
-    /// [`crate::decompose::decompose`] knows).
+    /// [`crate::decompose::decompose`] knows: `fig1`–`fig6`, `fig8`).
     pub journal: Option<JournalSpec>,
-    /// Compute-unit budget per invocation (references + points); the
-    /// sweep checkpoints and reports
+    /// Compute-unit budget per invocation (references + points) of a
+    /// grid study; the sweep checkpoints and reports
     /// [`speedup_stacks::SimError::Interrupted`] when it runs out.
     pub max_points: Option<usize>,
     /// Trace capture / replay for the grid studies (those
@@ -154,10 +157,9 @@ impl StudyParams {
 /// # Examples
 ///
 /// ```
-/// use experiments::study::{Study, StudyParams};
-/// use experiments::hwcost::HwCostStudy;
+/// use experiments::study::{find_study, StudyParams};
 ///
-/// let study = HwCostStudy;
+/// let study = find_study("hwcost").unwrap();
 /// assert_eq!(study.name(), "hwcost");
 /// let report = study.run(&StudyParams::default()).unwrap();
 /// assert_eq!(report.params[0].0, "scale");
@@ -172,12 +174,13 @@ pub trait Study: Sync {
     /// Runs the study and returns its structured report (with the
     /// parameters echoed into [`Report::params`]).
     ///
-    /// Grid studies degrade gracefully: per-point faults (panics, engine
-    /// errors, deadline overruns) do not fail the run — they surface in
-    /// the report's `Degraded` block. An `Err` means the run as a whole
-    /// could not proceed: invalid configuration, a journal problem, or
-    /// an exhausted point budget
-    /// ([`speedup_stacks::SimError::Interrupted`] — resume finishes it).
+    /// Sweeping studies degrade gracefully: per-point faults (panics,
+    /// engine errors, deadline overruns) do not fail the run — they
+    /// surface in the report's `Degraded` block. An `Err` means the run
+    /// as a whole could not proceed: invalid configuration, a journal
+    /// problem, an exhausted point budget
+    /// ([`speedup_stacks::SimError::Interrupted`] — resume finishes it),
+    /// or the failed single run of `regions`.
     ///
     /// # Errors
     ///
@@ -192,23 +195,99 @@ impl std::fmt::Debug for dyn Study {
     }
 }
 
+/// One registered study: its key, its description and its run.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    name: &'static str,
+    description: &'static str,
+    run: fn(&StudyParams) -> Result<Report, SimError>,
+}
+
+impl Study for Entry {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn description(&self) -> &'static str {
+        self.description
+    }
+
+    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
+        (self.run)(params)
+    }
+}
+
 static REGISTRY: [&dyn Study; 12] = [
-    &crate::fig1::Fig1Study,
-    &crate::fig23::Fig2Study,
-    &crate::fig23::Fig3Study,
-    &crate::fig45::Fig4Study,
-    &crate::fig45::Fig5Study,
-    &crate::fig6::Fig6Study,
-    &crate::fig7::Fig7Study,
-    &crate::fig89::Fig8Study,
-    &crate::fig89::Fig9Study,
-    &crate::hwcost::HwCostStudy,
-    &crate::regions_demo::RegionsStudy,
-    &crate::scaling::ManycoreScalingStudy,
+    &Entry {
+        name: "fig1",
+        description: "Speedup vs cores for blackscholes, facesim and cholesky (1-16 threads)",
+        run: |p| grid_study("fig1", p).run(p),
+    },
+    &Entry {
+        name: "fig2",
+        description: "Illustrative annotated speedup stack (facesim, 16 threads)",
+        run: |p| grid_study("fig2", p).run(p),
+    },
+    &Entry {
+        name: "fig3",
+        description: "Per-thread execution-time breakup underlying a stack (cholesky, 4 threads)",
+        run: |p| grid_study("fig3", p).run(p),
+    },
+    &Entry {
+        name: "fig4",
+        description: "Actual vs estimated speedup for all 28 benchmarks (validation grid)",
+        run: |p| grid_study("fig4", p).run(p),
+    },
+    &Entry {
+        name: "fig5",
+        description: "Speedup stacks vs thread count for the three case-study benchmarks",
+        run: |p| grid_study("fig5", p).run(p),
+    },
+    &Entry {
+        name: "fig6",
+        description: "Benchmark classification tree over the full suite (16 threads)",
+        run: |p| grid_study("fig6", p).run(p),
+    },
+    &Entry {
+        name: "fig7",
+        description: "Ferret speedup vs cores: threads=cores versus a fixed 16 threads",
+        run: crate::fig7::report,
+    },
+    &Entry {
+        name: "fig8",
+        description: "Negative/positive/net LLC interference per benchmark (16 cores, 2 MB LLC)",
+        run: |p| grid_study("fig8", p).run(p),
+    },
+    &Entry {
+        name: "fig9",
+        description: "Cholesky LLC interference vs LLC size, 2-16 MB (16 cores)",
+        run: crate::fig89::fig9_report,
+    },
+    &Entry {
+        name: "hwcost",
+        description: "Hardware cost of the accounting architecture (no simulation)",
+        run: crate::hwcost::report,
+    },
+    &Entry {
+        name: "regions",
+        description: "Whole-program vs per-region stacks: barrier waits become imbalance (lud)",
+        run: crate::regions_demo::report,
+    },
+    &Entry {
+        name: "scaling",
+        description:
+            "Beyond the paper: speedup stacks from 1 to 128 cores (weak scaling + rate mix)",
+        run: crate::scaling::report,
+    },
 ];
 
 /// Every registered study, in presentation order (the paper's figures,
-/// then the beyond-the-paper studies).
+/// then the beyond-the-paper studies). The grid studies (those
+/// [`crate::decompose::decompose`] knows: fig1–fig6, fig8) run their
+/// grid's local sweep and honor every [`StudyParams`] field; the others
+/// honor what their run reads — fig7, fig9 and scaling all but
+/// `journal`, `max_points` and `trace`; regions those less
+/// `parallelism`; hwcost `threads` only.
 ///
 /// ```
 /// let names: Vec<&str> = experiments::registry().iter().map(|s| s.name()).collect();

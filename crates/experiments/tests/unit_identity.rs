@@ -1,8 +1,8 @@
 //! Soundness of [`GridStudy::unit_keys`], the identity the study
 //! service caches and coalesces by.
 //!
-//! Over the four grid studies × four `threads` lists × two scales × two
-//! LLC sizes (64 grids, ~1,100 units actually run):
+//! Over the seven grid studies × four `threads` lists × two scales × two
+//! LLC sizes (112 grids):
 //!
 //! - **equal key ⇒ equal bytes.** Every study that owns a key computes
 //!   it once through its own grid ([`GridStudy::compute_reference`] /
@@ -25,7 +25,7 @@ use experiments::study::StudyParams;
 use experiments::{JournalSpec, Parallelism, TraceSpec};
 use workloads::rng::SmallRng;
 
-const STUDIES: [&str; 4] = ["fig4", "fig6", "fig5", "fig1"];
+const STUDIES: [&str; 7] = ["fig4", "fig6", "fig5", "fig1", "fig2", "fig3", "fig8"];
 
 /// What a unit computes, read off the grid without going through the
 /// key: kind, suite, benchmark (+ weak flag), threads (0 = reference),
@@ -161,7 +161,7 @@ fn equal_keys_mean_equal_bytes_and_nothing_else_shares_a_key() {
             }
         }
     }
-    // fig6, fig5 and fig1 own nothing fig4 does not: 28 + 28·4 units per
+    // The other studies own nothing fig4 does not: 28 + 28·4 units per
     // (scale, LLC), every other (study, key) pair is a shared one.
     assert_eq!(by_key.len(), 4 * (28 + 28 * 4));
     assert_eq!(shared, computed.len() - by_key.len());

@@ -27,16 +27,17 @@
 //! `--scale` scales the workload sizes (default 1.0; use e.g. 0.25 for a
 //! quick pass).
 //!
-//! Fault tolerance: `--retries` re-attempts a failed grid point (bounded,
-//! backoff-free; default 0), `--deadline-cycles` arms a cooperative
-//! per-point deadline in simulated cycles, and failed points degrade the
-//! report instead of aborting the sweep. `--journal PATH` appends each
-//! completed point to a crash-safe checkpoint file; after a crash or an
-//! exhausted `--max-points` budget (exit code 8), `--resume PATH` skips
-//! the journaled points, quarantines corrupt records, and finishes the
-//! grid — the resumed report is bit-identical to an uninterrupted run.
-//! Journaling is supported by the grid studies (`fig1`, `fig4`, `fig5`,
-//! `fig6`).
+//! Fault tolerance: every simulating study honors `--retries`, which
+//! re-attempts a failed unit (bounded, backoff-free; default 0), and
+//! `--deadline-cycles`, a cooperative per-unit deadline in simulated
+//! cycles; failed points degrade the report instead of aborting the
+//! sweep (`regions`, one run, exits 7 instead). `--journal PATH` appends
+//! each completed point to a crash-safe checkpoint file; after a crash
+//! or an exhausted `--max-points` budget (exit code 8), `--resume PATH`
+//! skips the journaled points, quarantines corrupt records, and
+//! finishes the grid — the resumed report is bit-identical to an
+//! uninterrupted run. Journaling and budgets are supported by the grid
+//! studies (`fig1`–`fig6`, `fig8`).
 //!
 //! Tracing: `--trace-out PATH` captures every run's op streams into a
 //! compact versioned binary trace (the report gains a provenance block
@@ -254,25 +255,30 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     if which != "all" && find_study(&which).is_none() {
         return Err(format!("unknown experiment: {which}"));
     }
-    // Journaling, budgets and traces belong to the grid sweep.
-    let grid = decompose(&which, &params).is_some();
     if journal_flags > 1 {
         return Err("--journal and --resume are mutually exclusive (one journal per run)".into());
-    }
-    if params.journal.is_some() && !grid {
-        return Err(format!(
-            "--journal/--resume is not supported by '{which}' \
-             (grid studies only: fig1, fig4, fig5, fig6)"
-        ));
     }
     if trace_flags > 1 {
         return Err("--trace-out and --trace-in are mutually exclusive (one trace per run)".into());
     }
-    if params.trace.is_some() && !grid {
-        return Err(format!(
-            "--trace-out/--trace-in is not supported by '{which}' \
-             (trace-capable studies only: fig1, fig4, fig5, fig6)"
-        ));
+    // Journaling, budgets and traces belong to the grid sweep.
+    if decompose(&which, &params).is_none() {
+        let grid_only = [
+            ("--journal/--resume", params.journal.is_some()),
+            ("--max-points", params.max_points.is_some()),
+            ("--trace-out/--trace-in", params.trace.is_some()),
+        ];
+        if let Some((flag, _)) = grid_only.iter().find(|(_, set)| *set) {
+            let grids: Vec<&str> = registry()
+                .iter()
+                .map(|s| s.name())
+                .filter(|name| decompose(name, &params).is_some())
+                .collect();
+            return Err(format!(
+                "{flag} is not supported by '{which}' (grid studies only: {})",
+                grids.join(", ")
+            ));
+        }
     }
     Ok(Cli {
         command: Command::Run { which, format },

@@ -138,6 +138,43 @@ fn journal_flags_are_validated_before_any_simulation() {
 }
 
 #[test]
+fn max_points_is_validated_before_any_simulation() {
+    // A unit budget checkpoints the grid sweep; nothing else has one.
+    for args in [
+        ["hwcost", "--max-points", "3"].as_slice(),
+        ["scaling", "--scale", "0.02", "--max-points", "3"].as_slice(),
+        ["regions", "--max-points", "1"].as_slice(),
+        ["all", "--max-points", "3"].as_slice(),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} accepted");
+        let err = stderr(&out);
+        assert!(
+            err.contains("--max-points is not supported"),
+            "{args:?}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{args:?} ran");
+    }
+}
+
+#[test]
+fn grid_only_flags_name_the_grid_studies() {
+    for flag in [
+        ["--journal", "j.ndjson"],
+        ["--max-points", "3"],
+        ["--trace-out", "t.sstrace"],
+    ] {
+        let out = repro(&["fig7", flag[0], flag[1]]);
+        assert_eq!(out.status.code(), Some(1), "fig7 {flag:?} accepted");
+        let err = stderr(&out);
+        assert!(
+            err.contains("(grid studies only: fig1, fig2, fig3, fig4, fig5, fig6, fig8)"),
+            "{flag:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn trace_flags_are_validated_before_any_simulation() {
     // Tracing is only meaningful for the grid studies.
     for args in [

@@ -330,7 +330,15 @@ fn status_and_list_round_trip_through_the_typed_client() {
     let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
     let studies = client.list().expect("list");
     assert_eq!(studies.len(), 12);
-    assert_eq!(studies.iter().filter(|s| s.grid).count(), 4);
+    let grids: Vec<&str> = studies
+        .iter()
+        .filter(|s| s.grid)
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(
+        grids,
+        ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig8"]
+    );
     let status = client.status().expect("status");
     assert_eq!(status.workers, 1);
     assert_eq!(status.jobs_total, 0);

@@ -1,8 +1,9 @@
 //! Served ≡ local, and the service computes each unit once however many
-//! figures ask for it: `fig4`, then `fig6`, `fig5` and `fig1`, through one
-//! in-process `studyd`. The last three are views of `fig4`'s runs, so
-//! they must be assembled entirely from its cache entries — and still
-//! come out byte-identical to a local `Study::run` in every format.
+//! figures ask for it: `fig4`, then `fig6`, `fig5`, `fig1`, `fig2`,
+//! `fig3` and `fig8`, through one in-process `studyd`. The last six are
+//! views of `fig4`'s runs, so they must be assembled entirely from its
+//! cache entries — and still come out byte-identical to a local
+//! `Study::run` in every format.
 
 use experiments::decompose::decompose;
 use experiments::study::{find_study, StudyParams};
@@ -10,7 +11,7 @@ use service::client::Client;
 use service::server::{serve, ServeConfig};
 
 #[test]
-fn four_figures_are_served_from_one_set_of_units() {
+fn figures_are_served_from_one_set_of_units() {
     let server = serve(&ServeConfig {
         workers: 2,
         ..ServeConfig::default()
@@ -19,7 +20,8 @@ fn four_figures_are_served_from_one_set_of_units() {
     let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
     let params = StudyParams::with_scale(0.02);
 
-    for name in ["fig4", "fig6", "fig5", "fig1"] {
+    let views = ["fig6", "fig5", "fig1", "fig2", "fig3", "fig8"];
+    for name in std::iter::once("fig4").chain(views) {
         let served = client.submit(name, &params).expect("submit");
         let n_points = decompose(name, &params).expect("grid study").n_points();
         let counts = (served.computed, served.cached, served.coalesced);
@@ -40,6 +42,6 @@ fn four_figures_are_served_from_one_set_of_units() {
 
     let status = client.status().expect("status");
     assert_eq!(status.points_computed, 112);
-    assert_eq!(status.points_cached, 28 + 12 + 12);
+    assert_eq!(status.points_cached, 28 + 12 + 12 + 1 + 1 + 7);
     server.stop();
 }

@@ -1,17 +1,18 @@
-//! Determinism regression: a figure sweep run serially and via the
-//! parallel driver must produce identical `SpeedupStack` components for
-//! every (benchmark, thread-count) point.
+//! Determinism regression: a figure sweep run serially and across
+//! threads must produce identical `SpeedupStack` components — and
+//! identical raw counters, ground truth and event counts — for every
+//! (benchmark, thread-count) point.
 //!
-//! Each `Engine` run is deterministic and self-contained, and the driver
-//! collects results in input order, so the only way this test can fail is
-//! a shared-state leak between points or a collection-order bug. The
-//! parallel side forces multiple workers even on single-CPU hosts so
-//! genuine cross-thread execution is exercised.
+//! Each `Engine` run is deterministic and self-contained, so the only way
+//! this test can fail is a shared-state leak between points run on
+//! different threads or a collection-order bug. The parallel side forces
+//! several threads even on single-CPU hosts so genuine cross-thread
+//! execution is exercised.
 
 use experiments::study::StudyParams;
 use experiments::{
-    fig1, fig45, map_mode, run_profile, scaled_profile, single_thread_reference, Parallelism,
-    RunOptions, RunOutcome,
+    fig1, fig45, run_profile, scaled_profile, single_thread_reference, Parallelism, RunOptions,
+    RunOutcome,
 };
 use speedup_stacks::Component;
 use workloads::{find, Suite, WorkloadProfile};
@@ -27,16 +28,38 @@ fn grid_profiles() -> Vec<WorkloadProfile> {
     .collect()
 }
 
+/// `f` over every item on `threads` scoped threads (thread `t` takes the
+/// items `t, t + threads, …`), results in input order.
+fn fan_out<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let mut slots: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let f = &f;
+                scope.spawn(move || {
+                    let mine = items.iter().enumerate().skip(t).step_by(threads);
+                    mine.map(|(i, item)| (i, f(item))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("worker"))
+            .collect()
+    });
+    slots.sort_by_key(|(i, _)| *i);
+    slots.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Every (profile, count) point of the grid through `run_profile`, raw
-/// simulation results included, fanned out under `mode`.
-fn raw_grid(profiles: &[WorkloadProfile], counts: &[usize], mode: Parallelism) -> Vec<RunOutcome> {
-    let refs = map_mode(mode, profiles.iter().collect(), |p| {
+/// simulation results included, fanned out over `threads` threads.
+fn raw_grid(profiles: &[WorkloadProfile], counts: &[usize], threads: usize) -> Vec<RunOutcome> {
+    let refs = fan_out(threads, profiles, |p| {
         single_thread_reference(p, &RunOptions::symmetric(1)).expect("single-thread run")
     });
     let points: Vec<(usize, usize)> = (0..profiles.len())
         .flat_map(|pi| counts.iter().map(move |&n| (pi, n)))
         .collect();
-    map_mode(mode, points, |(pi, n)| {
+    fan_out(threads, &points, |&(pi, n)| {
         run_profile(&profiles[pi], &RunOptions::symmetric(n), Some(refs[pi])).expect("run")
     })
 }
@@ -45,8 +68,8 @@ fn raw_grid(profiles: &[WorkloadProfile], counts: &[usize], mode: Parallelism) -
 fn serial_and_parallel_grids_are_identical() {
     let profiles = grid_profiles();
     let counts = [2usize, 4, 8];
-    let serial = raw_grid(&profiles, &counts, Parallelism::Serial);
-    let parallel = raw_grid(&profiles, &counts, Parallelism::Workers(4));
+    let serial = raw_grid(&profiles, &counts, 1);
+    let parallel = raw_grid(&profiles, &counts, 4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.name, p.name);
