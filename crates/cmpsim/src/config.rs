@@ -105,7 +105,7 @@ impl Default for SpinDetectorKind {
 /// Full machine configuration for a simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
-    /// Number of hardware cores. Any non-zero count is supported: the
+    /// Number of hardware cores, 1 to [`MachineConfig::MAX_CORES`]: the
     /// memory hierarchy keeps `ceil(n_cores / 64)` sharer-mask words per
     /// LLC line, so 128-core (and larger) machines simulate without
     /// configuration changes.
@@ -144,9 +144,17 @@ impl Default for MachineConfig {
 }
 
 impl MachineConfig {
+    /// The most cores a machine may have, and the most threads a size
+    /// taken from a user or the wire may ask for (`repro --threads`, a
+    /// submit's `threads`). Each simulated core costs about 36 KB up
+    /// front, and a failed allocation aborts the whole process, so counts
+    /// are bounded where they are parsed: 8× the scaling study's 128
+    /// cores, about 44 MB per run. It also keeps the LLC's 16-bit
+    /// inserter id from wrapping.
+    pub const MAX_CORES: usize = 1024;
+
     /// A machine with `n_cores` cores and default parameters otherwise.
-    /// There is no upper core-count limit; counts above 64 only widen
-    /// the per-line sharer masks.
+    /// Counts above 64 only widen the per-line sharer masks.
     ///
     /// ```
     /// let m = cmpsim::MachineConfig::with_cores(4);
@@ -175,12 +183,15 @@ impl MachineConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint: zero cores, a zero cycle
-    /// limit, a zero scheduler quantum or a zero spin-poll period (the
+    /// Returns the first violated constraint: zero cores or more than
+    /// [`MachineConfig::MAX_CORES`], a zero cycle limit, a zero scheduler quantum or a zero spin-poll period (the
     /// sync substrate divides by it), or a zero ATD sampling period.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.n_cores == 0 {
             return Err(ConfigError::zero("n_cores"));
+        }
+        if self.n_cores > Self::MAX_CORES {
+            return Err(ConfigError::range("n_cores", "must be at most 1024"));
         }
         if self.max_cycles == 0 {
             return Err(ConfigError::zero("max_cycles"));
@@ -219,6 +230,9 @@ mod tests {
     fn validate_rejects_zero_counts() {
         assert!(MachineConfig::default().validate().is_ok());
         assert!(MachineConfig::with_cores(0).validate().is_err());
+        let max = MachineConfig::MAX_CORES;
+        assert!(MachineConfig::with_cores(max).validate().is_ok());
+        assert!(MachineConfig::with_cores(max + 1).validate().is_err());
         let m = MachineConfig {
             max_cycles: 0,
             ..MachineConfig::default()

@@ -62,6 +62,7 @@ pub mod runner;
 pub mod scaling;
 pub mod study;
 
+pub use cmpsim::MachineConfig;
 pub use journal::JournalSpec;
 pub use memsim::MemConfig;
 pub use par::{fault_domain, Parallelism};

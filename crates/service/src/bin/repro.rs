@@ -52,7 +52,7 @@
 //! **byte-identical** to the local run — repeated submissions are
 //! served from the server's result cache without recomputation. A
 //! `busy` server (admission bound full) is retried with capped
-//! deterministic-jitter backoff honoring its `retry-after-ms` hint;
+//! exponential backoff honoring its `retry-after-ms` hint;
 //! `--no-retry` fails fast instead. `repro shutdown --drain` stops
 //! admission, lets in-flight jobs finish, flushes the spill, and exits 0.
 //!
@@ -66,10 +66,12 @@ use std::process::ExitCode;
 use experiments::decompose::decompose;
 use experiments::study::{find_study, registry, Study, StudyParams};
 use experiments::JournalSpec;
+use experiments::MachineConfig;
 use experiments::MemConfig;
 use experiments::Parallelism;
 use experiments::TraceSpec;
-use service::client::{Client, RetryPolicy};
+use service::client::{Client, SUBMIT_ATTEMPTS};
+use service::ShutdownMode;
 use speedup_stacks::SimError;
 
 const USAGE: &str = "usage: repro <fig1..fig9|hwcost|regions|scaling|all> [--scale F] \
@@ -104,7 +106,11 @@ struct Cli {
 
 fn parse_threads(spec: &str) -> Result<Vec<usize>, String> {
     let counts: Result<Vec<usize>, _> = spec.split(',').map(str::parse::<usize>).collect();
+    let max = MachineConfig::MAX_CORES;
     match counts {
+        Ok(c) if c.iter().any(|&n| n > max) => {
+            Err(format!("--threads {spec} is above the {max}-thread limit"))
+        }
         Ok(c) if !c.is_empty() && c.iter().all(|&n| n >= 1) => Ok(c),
         _ => Err(format!(
             "--threads requires a comma-separated list of counts >= 1, got '{spec}'"
@@ -370,13 +376,9 @@ fn submit_main(args: &[String]) -> ExitCode {
     if find_study(&study).is_none() {
         return usage_err(format!("unknown experiment: {study}"));
     }
-    let policy = if retry {
-        RetryPolicy::default()
-    } else {
-        RetryPolicy::none()
-    };
+    let attempts = if retry { SUBMIT_ATTEMPTS } else { 1 };
     let outcome =
-        Client::connect(&addr).and_then(|mut c| c.submit_with_retry(&study, &params, &policy));
+        Client::connect(&addr).and_then(|mut c| c.submit_with_retry(&study, &params, attempts));
     match outcome {
         Ok(outcome) => {
             eprintln!(
@@ -397,7 +399,7 @@ fn submit_main(args: &[String]) -> ExitCode {
 /// — immediately, or with `--drain` after finishing in-flight work.
 fn shutdown_main(args: &[String]) -> ExitCode {
     let mut addr = DEFAULT_ADDR.to_string();
-    let mut drain = false;
+    let mut mode = ShutdownMode::Immediate;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -409,7 +411,7 @@ fn shutdown_main(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--drain" => drain = true,
+            "--drain" => mode = ShutdownMode::Drain,
             other => {
                 eprintln!("repro: shutdown: unexpected argument: {other}");
                 eprintln!("{USAGE}");
@@ -417,16 +419,12 @@ fn shutdown_main(args: &[String]) -> ExitCode {
             }
         }
     }
-    let outcome = Client::connect(&addr).and_then(|mut c| {
-        if drain {
-            c.shutdown_drain()
-        } else {
-            c.shutdown()
-        }
-    });
-    match outcome {
+    match Client::connect(&addr).and_then(|mut c| c.shutdown(mode)) {
         Ok(()) => {
-            let how = if drain { "draining" } else { "shutting down" };
+            let how = match mode {
+                ShutdownMode::Immediate => "shutting down",
+                ShutdownMode::Drain => "draining",
+            };
             eprintln!("repro: server at {addr} {how}");
             ExitCode::SUCCESS
         }

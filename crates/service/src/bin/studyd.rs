@@ -53,7 +53,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use service::federation::FleetConfig;
-use service::server::{serve, serve_coordinator, ServeConfig, ShutdownMode};
+use service::server::{serve, ServeConfig, ShutdownMode};
 
 const USAGE: &str = "usage: studyd [--addr HOST:PORT] [--workers N] [--cache-mib N] \
 [--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH] [--compact-spill] \
@@ -63,10 +63,9 @@ const USAGE: &str = "usage: studyd [--addr HOST:PORT] [--workers N] [--cache-mib
 /// The conventional loopback port `repro submit` defaults to.
 const DEFAULT_ADDR: &str = "127.0.0.1:7821";
 
-/// Parses every flag in one pass: the server's [`ServeConfig`] and,
-/// when at least one `--backend` was given, the coordinator's
-/// [`FleetConfig`].
-fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<FleetConfig>), String> {
+/// Parses every flag in one pass into the server's [`ServeConfig`],
+/// whose [`FleetConfig`] is set when at least one `--backend` was given.
+fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig {
         addr: DEFAULT_ADDR.to_string(),
         ..ServeConfig::default()
@@ -124,13 +123,13 @@ fn parse_args(args: &[String]) -> Result<(ServeConfig, Option<FleetConfig>), Str
             other => return Err(format!("unknown option: {other}")),
         }
     }
-    let coordinator = !fleet.backends.is_empty();
-    Ok((cfg, coordinator.then_some(fleet)))
+    cfg.fleet = (!fleet.backends.is_empty()).then_some(fleet);
+    Ok(cfg)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, fleet) = match parse_args(&args) {
+    let cfg = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("studyd: {message}");
@@ -138,11 +137,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let served = match fleet {
-        Some(fleet) => serve_coordinator(&cfg, fleet),
-        None => serve(&cfg),
-    };
-    match served {
+    match serve(&cfg) {
         Ok(handle) => {
             // Flush explicitly: supervisors reading a pipe must see the
             // bound address before the first client connects.

@@ -11,9 +11,7 @@
 //!
 //! When the server answers `busy` (its admission bound is full),
 //! [`Client::submit_with_retry`] backs off with capped exponential
-//! delays and **deterministic** jitter — drawn from
-//! [`workloads::rng::SmallRng`] seeded by the policy, never from the
-//! wall clock — honoring the server's `retry_after_ms` hint.
+//! delays, never shorter than the server's `retry_after_ms` hint.
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -26,71 +24,27 @@ use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue, Reader};
 use speedup_stacks::report::Report;
 use speedup_stacks::SimError;
-use workloads::rng::SmallRng;
 
+pub use crate::proto::ServiceStatus;
 use crate::proto::{
     check_reply, io_err, params_to_wire, read_line_bounded, u64_field, write_line, PROTO_VERSION,
     REPLY_LINE_CAP,
 };
+use crate::server::ShutdownMode;
 
-/// Capped exponential backoff against `busy` replies, with
-/// deterministic jitter (seeded, never wall-clock) so retry schedules
-/// are reproducible in tests and chaos runs.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total submit attempts, first try included; `1` disables retry.
-    pub max_attempts: u32,
-    /// Delay before the first retry, in milliseconds.
-    pub base_delay_ms: u64,
-    /// Cap on the exponential component of any single delay.
-    pub max_delay_ms: u64,
-    /// Seed for the jitter stream.
-    pub seed: u64,
+/// Submit attempts `repro submit` makes against a `busy` server, the
+/// first included (`--no-retry` makes one).
+pub const SUBMIT_ATTEMPTS: u32 = 8;
+
+/// The delay before retry number `attempt` (1-based): 25 ms doubled per
+/// attempt, capped at 2 s, and never below the server's
+/// `retry_after_ms` hint.
+fn retry_delay_ms(attempt: u32, retry_after_ms: u64) -> u64 {
+    let shift = attempt.saturating_sub(1).min(7);
+    (25u64 << shift).min(2_000).max(retry_after_ms)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 8,
-            base_delay_ms: 25,
-            max_delay_ms: 2000,
-            seed: 0x0073_7475_6479_6400, // "studyd"
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (the `--no-retry` opt-out).
-    #[must_use]
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The delay before retry number `attempt` (1-based), honoring the
-    /// server's `retry_after_ms` hint: the exponential component is
-    /// doubled per attempt and capped, jitter adds up to a quarter of
-    /// it, and the result never undercuts the hint.
-    #[must_use]
-    pub fn delay_ms(&self, attempt: u32, retry_after_ms: u64) -> u64 {
-        let shift = u64::from(attempt.saturating_sub(1).min(20));
-        let exp = self
-            .base_delay_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.max_delay_ms);
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ u64::from(attempt));
-        let jitter = if exp >= 4 {
-            rng.gen_range(0..exp / 4)
-        } else {
-            0
-        };
-        (exp + jitter).max(retry_after_ms)
-    }
-}
-
-/// Default bound on control-plane replies (`status`, `list`, `cancel`,
+/// The deadline on control-plane replies (`status`, `list`, `cancel`,
 /// `shutdown`, the handshake): long enough for a healthy server under
 /// load, short enough that a wedged backend is detected in bounded
 /// time by the federation health monitor.
@@ -100,16 +54,15 @@ pub const DEFAULT_CONTROL_TIMEOUT: Duration = Duration::from_secs(2);
 ///
 /// Replies are read under two independent deadlines: **control-plane**
 /// calls (`status`, `list`, `cancel`, `shutdown`, the handshake) answer
-/// from memory and must come back within a short
-/// [`DEFAULT_CONTROL_TIMEOUT`], while **data-plane** reads (the submit
-/// result stream) may legitimately block for as long as a point takes
-/// to compute and default to no deadline. Before this split a wedged
-/// backend could stall a heartbeat `status` probe indefinitely because
-/// it shared whatever read deadline the submit path had configured.
+/// from memory and must come back within [`DEFAULT_CONTROL_TIMEOUT`],
+/// while **data-plane** reads (the submit result stream) may
+/// legitimately block for as long as a point takes to compute and
+/// default to no deadline. Before this split a wedged backend could
+/// stall a heartbeat `status` probe indefinitely because it shared
+/// whatever read deadline the submit path had configured.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    control_timeout: Option<Duration>,
     data_timeout: Option<Duration>,
     /// The read deadline last applied to the socket.
     read_timeout: Option<Duration>,
@@ -124,50 +77,6 @@ pub struct RemoteStudy {
     pub description: String,
     /// Whether the server can shard it (grid studies only).
     pub grid: bool,
-}
-
-/// The server's `status` reply: scheduler gauges plus cache counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServiceStatus {
-    /// Worker-pool size.
-    pub workers: u64,
-    /// Jobs currently resolving points.
-    pub jobs_active: u64,
-    /// Jobs accepted since startup.
-    pub jobs_total: u64,
-    /// Work units queued but not executing.
-    pub queued_units: u64,
-    /// Admission bound on queued units (`0` = unbounded).
-    pub max_queued_units: u64,
-    /// Whether the server is draining (rejecting new work).
-    pub draining: bool,
-    /// Points computed by the pool.
-    pub points_computed: u64,
-    /// Points served from the result cache.
-    pub points_cached: u64,
-    /// Points delivered by coalescing onto another job's computation.
-    pub points_coalesced: u64,
-    /// Points that failed.
-    pub points_failed: u64,
-    /// Jobs cancelled with the federation's `hedge` reason (the server
-    /// lost a hedged race and its duplicate work was reclaimed).
-    pub hedge_cancels: u64,
-    /// Cache lookups served.
-    pub cache_hits: u64,
-    /// Cache lookups missed.
-    pub cache_misses: u64,
-    /// Cache entries evicted for space.
-    pub cache_evictions: u64,
-    /// Live cache entries.
-    pub cache_entries: u64,
-    /// Live cache bytes.
-    pub cache_bytes: u64,
-    /// Cache entries restored from the persistent spill on startup.
-    pub cache_loaded: u64,
-    /// Corrupt spill records quarantined on startup.
-    pub cache_quarantined: u64,
-    /// Entries appended to the persistent spill since startup.
-    pub cache_spilled: u64,
 }
 
 /// One frame from an in-flight submit stream (the
@@ -259,7 +168,6 @@ impl Client {
         let mut client = Client {
             reader: BufReader::new(read_half),
             writer,
-            control_timeout: Some(DEFAULT_CONTROL_TIMEOUT),
             data_timeout: None,
             read_timeout: None,
         };
@@ -274,13 +182,6 @@ impl Client {
             .into());
         }
         Ok(client)
-    }
-
-    /// Overrides the control-plane reply deadline (`None` blocks
-    /// forever; must be non-zero). Federation health monitors shorten
-    /// it so heartbeats against a wedged backend fail fast.
-    pub fn set_control_timeout(&mut self, timeout: Option<Duration>) {
-        self.control_timeout = timeout;
     }
 
     /// Sets a deadline on data-plane reads (submit result frames),
@@ -298,7 +199,7 @@ impl Client {
     /// Reads one reply frame under the control-plane deadline,
     /// unwrapping `ok:false` into its typed error.
     fn recv_control(&mut self, during: &str) -> Result<JsonValue, ProtocolError> {
-        let line = self.recv_deadline(during, self.control_timeout)?;
+        let line = self.recv_deadline(during, Some(DEFAULT_CONTROL_TIMEOUT))?;
         check_reply(parse_reply(&line)?)
     }
 
@@ -361,50 +262,19 @@ impl Client {
     /// [`SimError::Protocol`] on any wire failure.
     pub fn status(&mut self) -> Result<ServiceStatus, SimError> {
         self.send("{\"op\": \"status\"}")?;
-        let reply = self.recv_control("status")?;
-        let cache = reply.get("cache").cloned().unwrap_or(JsonValue::Null);
-        let f = |v: &JsonValue, k: &str| u64_field(v, k).unwrap_or(0);
-        Ok(ServiceStatus {
-            workers: f(&reply, "workers"),
-            jobs_active: f(&reply, "jobs_active"),
-            jobs_total: f(&reply, "jobs_total"),
-            queued_units: f(&reply, "queued_units"),
-            max_queued_units: f(&reply, "max_queued_units"),
-            draining: matches!(reply.get("draining"), Some(JsonValue::Bool(true))),
-            points_computed: f(&reply, "points_computed"),
-            points_cached: f(&reply, "points_cached"),
-            points_coalesced: f(&reply, "points_coalesced"),
-            points_failed: f(&reply, "points_failed"),
-            hedge_cancels: f(&reply, "hedge_cancels"),
-            cache_hits: f(&cache, "hits"),
-            cache_misses: f(&cache, "misses"),
-            cache_evictions: f(&cache, "evictions"),
-            cache_entries: f(&cache, "entries"),
-            cache_bytes: f(&cache, "bytes"),
-            cache_loaded: f(&cache, "loaded"),
-            cache_quarantined: f(&cache, "quarantined"),
-            cache_spilled: f(&cache, "spilled"),
-        })
+        Ok(ServiceStatus::from_frame(&self.recv_control("status")?))
     }
 
     /// Cancels a job; `Ok(false)` when the server no longer knows it.
+    /// An optional `reason` is accounted apart by the server — the
+    /// federation sends `"hedge"` when the job lost a hedged race, so
+    /// backend operators can tell reclaimed duplicate work from
+    /// user-initiated cancellation.
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] on any wire failure.
-    pub fn cancel(&mut self, job: u64) -> Result<bool, SimError> {
-        self.cancel_with_reason(job, None)
-    }
-
-    /// [`Client::cancel`] with an optional reason the server accounts
-    /// separately — the federation sends `"hedge"` when the job lost a
-    /// hedged race, so backend operators can tell reclaimed duplicate
-    /// work from user-initiated cancellation.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] on any wire failure.
-    pub fn cancel_with_reason(&mut self, job: u64, reason: Option<&str>) -> Result<bool, SimError> {
+    pub fn cancel(&mut self, job: u64, reason: Option<&str>) -> Result<bool, SimError> {
         match reason {
             Some(r) => self.send(&format!(
                 "{{\"op\": \"cancel\", \"job\": {job}, \"reason\": \"{}\"}}",
@@ -416,36 +286,29 @@ impl Client {
         Ok(matches!(reply.get("found"), Some(JsonValue::Bool(true))))
     }
 
-    /// Asks the server to shut down immediately (acknowledged before
-    /// it does).
+    /// Asks the server to shut down, acknowledged before it does:
+    /// [`ShutdownMode::Immediate`] stops now; [`ShutdownMode::Drain`]
+    /// stops admitting work, finishes in-flight jobs and flushes the
+    /// cache spill first, acknowledged as soon as admission has stopped.
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] on any wire failure.
-    pub fn shutdown(&mut self) -> Result<(), SimError> {
-        self.send("{\"op\": \"shutdown\"}")?;
-        self.recv_control("shutdown")?;
-        Ok(())
-    }
-
-    /// Asks the server to drain: stop admitting work, finish in-flight
-    /// jobs, flush the cache spill, then exit. Acknowledged as soon as
-    /// admission has stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Protocol`] on any wire failure.
-    pub fn shutdown_drain(&mut self) -> Result<(), SimError> {
-        self.send("{\"op\": \"shutdown\", \"mode\": \"drain\"}")?;
+    pub fn shutdown(&mut self, mode: ShutdownMode) -> Result<(), SimError> {
+        self.send(match mode {
+            ShutdownMode::Immediate => "{\"op\": \"shutdown\"}",
+            ShutdownMode::Drain => "{\"op\": \"shutdown\", \"mode\": \"drain\"}",
+        })?;
         self.recv_control("shutdown")?;
         Ok(())
     }
 
     /// [`Client::submit`] with backoff: on a typed `busy` rejection,
-    /// sleeps per `policy` (never less than the server's
-    /// `retry_after_ms` hint) and resubmits on the same connection, up
-    /// to `policy.max_attempts` total tries. Every other outcome —
-    /// success or any non-busy error — is returned immediately.
+    /// sleeps 25 ms doubled per retry, capped at 2 s and never less than
+    /// the server's `retry_after_ms` hint, and resubmits on the same
+    /// connection, up to `attempts` total tries ([`SUBMIT_ATTEMPTS`];
+    /// `1` never retries). Every other outcome — success or any non-busy
+    /// error — is returned immediately.
     ///
     /// # Errors
     ///
@@ -455,15 +318,15 @@ impl Client {
         &mut self,
         study: &str,
         params: &StudyParams,
-        policy: &RetryPolicy,
+        attempts: u32,
     ) -> Result<SubmitOutcome, SimError> {
         let mut attempt = 1u32;
         loop {
             match self.submit(study, params) {
                 Err(SimError::Protocol(ProtocolError::Busy { retry_after_ms }))
-                    if attempt < policy.max_attempts =>
+                    if attempt < attempts =>
                 {
-                    let delay = policy.delay_ms(attempt, retry_after_ms);
+                    let delay = retry_delay_ms(attempt, retry_after_ms);
                     std::thread::sleep(Duration::from_millis(delay));
                     attempt += 1;
                 }
@@ -884,16 +747,27 @@ mod tests {
         );
     }
 
+    /// Retry `k` waits 25 ms · 2^(k−1), capped at 2 s, never below the
+    /// server's hint.
+    #[test]
+    fn retry_delays_double_to_a_cap_and_honor_the_hint() {
+        let delays: Vec<u64> = (1..=9).map(|k| retry_delay_ms(k, 0)).collect();
+        assert_eq!(delays, [25, 50, 100, 200, 400, 800, 1600, 2000, 2000]);
+        assert_eq!(retry_delay_ms(u32::MAX, 0), 2000);
+        assert_eq!(retry_delay_ms(1, 300), 300);
+        assert_eq!(retry_delay_ms(9, 5_000), 5_000);
+    }
+
     /// A wedged backend — one that accepts the connection and completes
     /// the handshake but never answers another frame — must fail a
     /// control-plane call within the control timeout, not hang forever.
     /// (Before the control/data deadline split, `status` inherited the
     /// submit path's unbounded read and a heartbeat could wedge with
     /// its backend.) The socket deadline is re-armed only when it
-    /// changes, so three calls alternate planes and deadlines — 50 ms,
-    /// 1 s, 50 ms — and each must wait its own deadline: a stale shorter
-    /// one would return early, a stale longer one (the handshake's 2 s,
-    /// then the data plane's 1 s) would overrun the next bound.
+    /// changes, so three calls alternate planes and deadlines — 2 s,
+    /// 50 ms, 2 s — and each must wait its own deadline: a stale longer
+    /// one (the control plane's 2 s) would overrun the data plane's
+    /// bound, a stale shorter one would return the next status early.
     #[test]
     fn control_calls_time_out_against_a_wedged_server() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -933,15 +807,15 @@ mod tests {
                 "waited {waited:?} on a {waits:?} deadline"
             );
         }
-        client.set_control_timeout(Some(ms(50)));
-        client.set_data_timeout(Some(ms(1000)));
-        times_out(ms(50), ms(1000), || client.status().unwrap_err());
-        times_out(ms(1000), ms(4000), || {
+        let control = DEFAULT_CONTROL_TIMEOUT;
+        client.set_data_timeout(Some(ms(50)));
+        times_out(control, control * 2, || client.status().unwrap_err());
+        times_out(ms(50), ms(1000), || {
             client
                 .start_submit("fig6", &StudyParams::default(), None)
                 .unwrap_err()
         });
-        times_out(ms(50), ms(1000), || client.status().unwrap_err());
+        times_out(control, control * 2, || client.status().unwrap_err());
         drop(client);
         server.join().unwrap();
     }

@@ -57,7 +57,7 @@ use speedup_stacks::{FederationError, SimError};
 
 use crate::client::{Client, StreamEvent};
 use crate::scheduler::{JobEvent, JobStream, PointSource, Scheduler, SubmitError};
-use crate::session::{status_frame, Dispatch};
+use crate::session::Dispatch;
 
 /// How long a worker sleeps between polls of the job state when it has
 /// nothing to claim. Bounds cancellation/hedge latency without any
@@ -308,11 +308,11 @@ impl Link {
         match self {
             Link::Remote(addr) => {
                 if let Ok(mut c) = Client::connect(addr) {
-                    c.cancel_with_reason(job, hedge.then_some("hedge")).ok();
+                    c.cancel(job, hedge.then_some("hedge")).ok();
                 }
             }
             Link::Local(scheduler) => {
-                scheduler.cancel_with_reason(job, hedge);
+                scheduler.cancel(job, hedge);
             }
         }
     }
@@ -770,8 +770,7 @@ impl Dispatch for Federation {
              \"local_units\": {}, \"backends\": [{fleet}]}}",
             s.jobs_active, s.jobs_total, s.draining, s.local_units
         );
-        let (sched, cache) = (self.fallback.status(), self.fallback.cache().stats());
-        status_frame(&sched, &cache, backend_id, &federation)
+        self.fallback.status().to_frame(backend_id, &federation)
     }
 }
 

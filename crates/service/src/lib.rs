@@ -19,9 +19,9 @@
 //! - [`server`] / [`session`] — the TCP listener and per-connection
 //!   request loop (idle-connection reaping included);
 //! - [`client`] — connect/submit/reassemble, producing reports
-//!   **byte-identical** to local runs, with capped deterministic-jitter
-//!   backoff against `busy` replies and split control/data read
-//!   deadlines so a wedged backend is detected in bounded time;
+//!   **byte-identical** to local runs, with capped exponential backoff
+//!   against `busy` replies and split control/data read deadlines so a
+//!   wedged backend is detected in bounded time;
 //! - [`federation`] — the multi-backend coordinator: health-checked
 //!   fan-out of grid units across a fleet, automatic failover and hedged
 //!   straggler retries, still byte-identical; its fallback when the
@@ -74,6 +74,6 @@ pub mod scheduler;
 pub mod server;
 pub mod session;
 
-pub use client::{Client, RetryPolicy, SubmitOutcome};
+pub use client::{Client, SubmitOutcome};
 pub use federation::{Federation, FederationStatus, FleetConfig, HealthState};
-pub use server::{serve, serve_coordinator, ServeConfig, ServerHandle, ShutdownMode};
+pub use server::{serve, ServeConfig, ServerHandle, ShutdownMode};

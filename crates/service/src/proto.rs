@@ -60,7 +60,7 @@
 use std::io::{BufRead, Write};
 
 use experiments::study::StudyParams;
-use experiments::MemConfig;
+use experiments::{MachineConfig, MemConfig};
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue};
 
@@ -249,6 +249,133 @@ pub fn check_reply(frame: JsonValue) -> Result<JsonValue, ProtocolError> {
     }
 }
 
+/// The `status` reply: scheduler gauges plus cache counters. One record
+/// for both ends — [`crate::scheduler::Scheduler::status`] fills it,
+/// [`ServiceStatus::to_frame`] renders it (a coordinator appends its
+/// `federation` block) and [`ServiceStatus::from_frame`] reads it back
+/// for [`crate::client::Client::status`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServiceStatus {
+    /// Worker-pool size.
+    pub workers: u64,
+    /// Jobs currently resolving points.
+    pub jobs_active: u64,
+    /// Jobs accepted since startup.
+    pub jobs_total: u64,
+    /// Work units queued (ready or parked) but not executing.
+    pub queued_units: u64,
+    /// Admission bound on queued units (`0` = unbounded).
+    pub max_queued_units: u64,
+    /// Whether the server is draining (rejecting new work).
+    pub draining: bool,
+    /// Points computed by the pool.
+    pub points_computed: u64,
+    /// Points served from the result cache.
+    pub points_cached: u64,
+    /// Points delivered by coalescing onto another job's computation.
+    pub points_coalesced: u64,
+    /// Points that failed.
+    pub points_failed: u64,
+    /// Jobs cancelled with the federation's `hedge` reason (the server
+    /// lost a hedged race and its duplicate work was reclaimed).
+    pub hedge_cancels: u64,
+    /// Cache lookups served.
+    pub cache_hits: u64,
+    /// Cache lookups missed.
+    pub cache_misses: u64,
+    /// Values stored in the cache (replacements included).
+    pub cache_insertions: u64,
+    /// Cache entries evicted for space.
+    pub cache_evictions: u64,
+    /// Live cache entries.
+    pub cache_entries: u64,
+    /// Live cache bytes.
+    pub cache_bytes: u64,
+    /// The cache's byte budget.
+    pub cache_budget: u64,
+    /// Cache entries restored from the persistent spill on startup.
+    pub cache_loaded: u64,
+    /// Corrupt spill records quarantined on startup.
+    pub cache_quarantined: u64,
+    /// Entries appended to the persistent spill since startup.
+    pub cache_spilled: u64,
+}
+
+impl ServiceStatus {
+    /// Renders the `status` reply frame. `backend_id` is the daemon's
+    /// fleet identity, echoed when set; `extra` (empty, or `, "key":
+    /// value` fields) is appended inside the frame.
+    #[must_use]
+    pub fn to_frame(&self, backend_id: Option<&str>, extra: &str) -> String {
+        let backend = match backend_id {
+            Some(id) => format!("\"backend\": \"{}\", ", json::escape(id)),
+            None => String::new(),
+        };
+        format!(
+            "{{\"ok\": true, \"kind\": \"status\", \"proto\": {PROTO_VERSION}, {backend}\
+             \"workers\": {}, \"jobs_active\": {}, \"jobs_total\": {}, \"queued_units\": {}, \
+             \"max_queued_units\": {}, \"draining\": {}, \
+             \"points_computed\": {}, \"points_cached\": {}, \"points_coalesced\": {}, \
+             \"points_failed\": {}, \"hedge_cancels\": {}, \
+             \"cache\": {{\"hits\": {}, \"misses\": {}, \"insertions\": {}, \"evictions\": {}, \
+             \"entries\": {}, \"bytes\": {}, \"budget\": {}, \"loaded\": {}, \"quarantined\": {}, \
+             \"spilled\": {}}}{extra}}}",
+            self.workers,
+            self.jobs_active,
+            self.jobs_total,
+            self.queued_units,
+            self.max_queued_units,
+            self.draining,
+            self.points_computed,
+            self.points_cached,
+            self.points_coalesced,
+            self.points_failed,
+            self.hedge_cancels,
+            self.cache_hits,
+            self.cache_misses,
+            self.cache_insertions,
+            self.cache_evictions,
+            self.cache_entries,
+            self.cache_bytes,
+            self.cache_budget,
+            self.cache_loaded,
+            self.cache_quarantined,
+            self.cache_spilled
+        )
+    }
+
+    /// Reads a `status` reply frame; a missing or non-count field reads
+    /// as zero.
+    #[must_use]
+    pub fn from_frame(frame: &JsonValue) -> ServiceStatus {
+        let cache = frame.get("cache").unwrap_or(&JsonValue::Null);
+        let f = |v: &JsonValue, k: &str| u64_field(v, k).unwrap_or(0);
+        ServiceStatus {
+            workers: f(frame, "workers"),
+            jobs_active: f(frame, "jobs_active"),
+            jobs_total: f(frame, "jobs_total"),
+            queued_units: f(frame, "queued_units"),
+            max_queued_units: f(frame, "max_queued_units"),
+            draining: matches!(frame.get("draining"), Some(JsonValue::Bool(true))),
+            points_computed: f(frame, "points_computed"),
+            points_cached: f(frame, "points_cached"),
+            points_coalesced: f(frame, "points_coalesced"),
+            points_failed: f(frame, "points_failed"),
+            hedge_cancels: f(frame, "hedge_cancels"),
+            cache_hits: f(cache, "hits"),
+            cache_misses: f(cache, "misses"),
+            cache_insertions: f(cache, "insertions"),
+            cache_evictions: f(cache, "evictions"),
+            cache_entries: f(cache, "entries"),
+            cache_bytes: f(cache, "bytes"),
+            cache_budget: f(cache, "budget"),
+            cache_loaded: f(cache, "loaded"),
+            cache_quarantined: f(cache, "quarantined"),
+            cache_spilled: f(cache, "spilled"),
+        }
+    }
+}
+
 /// Encodes the wire-carried [`StudyParams`] subset — exactly the
 /// result-affecting parameters the journal fingerprint hashes (`scale`,
 /// `threads`, `llc_mib`). Execution-mode parameters (parallelism, fault
@@ -295,16 +422,18 @@ pub fn params_from_wire(v: Option<&JsonValue>) -> Result<StudyParams, String> {
         }
     }
     if let Some(t) = v.get("threads") {
+        let max = MachineConfig::MAX_CORES;
+        let bad = || format!("threads must be an array of counts, 1 to {max}");
         let Some(arr) = t.as_array() else {
-            return Err("threads must be an array of counts >= 1".to_string());
+            return Err(bad());
         };
         let mut counts = Vec::with_capacity(arr.len());
         for x in arr {
             match x.as_f64() {
-                Some(n) if n.fract() == 0.0 && (1.0..=65_536.0).contains(&n) => {
+                Some(n) if n.fract() == 0.0 && (1.0..=max as f64).contains(&n) => {
                     counts.push(n as usize);
                 }
-                _ => return Err("threads must be an array of counts >= 1".to_string()),
+                _ => return Err(bad()),
             }
         }
         if counts.is_empty() {
@@ -426,6 +555,61 @@ mod tests {
             Ok(Some(MemConfig::MAX_LLC_MIB))
         );
         assert!(llc(MemConfig::MAX_LLC_MIB + 1).is_err());
+        let threads = |n: usize| {
+            let v = json::parse(&format!("{{\"threads\": [2, {n}]}}")).unwrap();
+            params_from_wire(Some(&v)).map(|p| p.threads)
+        };
+        let max = MachineConfig::MAX_CORES;
+        assert_eq!(threads(max), Ok(Some(vec![2, max])));
+        assert!(threads(max + 1).unwrap_err().contains("threads"));
+    }
+
+    /// The `status` frame is pinned byte for byte, with a distinct value
+    /// in every field, and reads back whole (`insertions` and `budget`
+    /// included).
+    #[test]
+    fn status_record_renders_pinned_bytes_and_reads_back() {
+        let status = ServiceStatus {
+            workers: 1,
+            jobs_active: 2,
+            jobs_total: 3,
+            queued_units: 4,
+            max_queued_units: 5,
+            draining: true,
+            points_computed: 6,
+            points_cached: 7,
+            points_coalesced: 8,
+            points_failed: 9,
+            hedge_cancels: 10,
+            cache_hits: 11,
+            cache_misses: 12,
+            cache_insertions: 13,
+            cache_evictions: 14,
+            cache_entries: 15,
+            cache_bytes: 16,
+            cache_budget: 17,
+            cache_loaded: 18,
+            cache_quarantined: 19,
+            cache_spilled: 20,
+        };
+        let body = "\"workers\": 1, \"jobs_active\": 2, \"jobs_total\": 3, \"queued_units\": 4, \
+             \"max_queued_units\": 5, \"draining\": true, \"points_computed\": 6, \
+             \"points_cached\": 7, \"points_coalesced\": 8, \"points_failed\": 9, \
+             \"hedge_cancels\": 10, \"cache\": {\"hits\": 11, \"misses\": 12, \
+             \"insertions\": 13, \"evictions\": 14, \"entries\": 15, \"bytes\": 16, \
+             \"budget\": 17, \"loaded\": 18, \"quarantined\": 19, \"spilled\": 20}";
+        let head = "{\"ok\": true, \"kind\": \"status\", \"proto\": 2, ";
+        assert_eq!(status.to_frame(None, ""), format!("{head}{body}}}"));
+        let fleet = ", \"federation\": {\"jobs_active\": 0, \"backends\": []}";
+        let frame = status.to_frame(Some("b\"0"), fleet);
+        assert_eq!(
+            frame,
+            format!("{head}\"backend\": \"b\\\"0\", {body}{fleet}}}")
+        );
+        let parsed = json::parse(&frame).unwrap();
+        assert_eq!(ServiceStatus::from_frame(&parsed), status);
+        let idle = json::parse(&ServiceStatus::default().to_frame(None, "")).unwrap();
+        assert_eq!(ServiceStatus::from_frame(&idle), ServiceStatus::default());
     }
 
     #[test]

@@ -79,6 +79,7 @@ use experiments::study::StudyParams;
 
 use crate::cache::Cache;
 use crate::chaos::ChaosPolicy;
+use crate::proto::ServiceStatus;
 
 /// How a streamed point was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,34 +360,6 @@ struct Shared {
     chaos_units: AtomicU64,
 }
 
-/// Counters and gauges reported through the `status` request.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerStatus {
-    /// Fixed worker-pool size.
-    pub workers: usize,
-    /// Jobs currently resolving points.
-    pub jobs_active: usize,
-    /// Jobs accepted since startup.
-    pub jobs_total: u64,
-    /// Work units queued (ready or parked) but not yet executing.
-    pub queued_units: usize,
-    /// The admission-control bound on queued units (0 = unbounded).
-    pub max_queued_units: usize,
-    /// The scheduler is draining: no new work is admitted.
-    pub draining: bool,
-    /// Points computed by the pool since startup.
-    pub points_computed: u64,
-    /// Points served from the cache since startup.
-    pub points_cached: u64,
-    /// Points fanned out from coalesced in-flight units since startup.
-    pub points_coalesced: u64,
-    /// Points failed since startup.
-    pub points_failed: u64,
-    /// Jobs cancelled with the federation's `"hedge"` reason — this
-    /// backend lost a hedged race and its duplicate work was reclaimed.
-    pub hedge_cancels: u64,
-}
-
 /// Tuning knobs for [`Scheduler::start`].
 #[derive(Debug, Clone, Default)]
 pub struct SchedOptions {
@@ -416,8 +389,7 @@ fn queued_units(st: &SchedState) -> usize {
 }
 
 /// Deterministic backoff hint: ~25 ms per queued unit per worker,
-/// clamped to a sane window. No randomness here — jitter is the
-/// client's job, seeded on its side.
+/// clamped to a sane window. A retrying client never waits less.
 fn retry_after_hint(queued: usize, workers: usize) -> u64 {
     ((queued as u64).saturating_mul(25) / workers.max(1) as u64).clamp(25, 5_000)
 }
@@ -639,16 +611,11 @@ impl Scheduler {
     /// are dropped; units with coalesced subscribers (and units already
     /// executing) still complete — their results land in the cache and
     /// fan out to the waiters, never to the cancelled stream. Returns
-    /// `false` if the job is unknown or already finished.
-    pub fn cancel(&self, id: u64) -> bool {
-        self.cancel_with_reason(id, false)
-    }
-
-    /// [`Scheduler::cancel`] with the cancellation's provenance: `hedge`
-    /// marks the federation reclaiming a lost hedged race, counted in
-    /// [`SchedulerStatus::hedge_cancels`] (only when this call actually
+    /// `false` if the job is unknown or already finished. `hedge` marks
+    /// the federation reclaiming a lost hedged race, counted in
+    /// [`ServiceStatus::hedge_cancels`] (only when this call actually
     /// transitions a live job to cancelled).
-    pub fn cancel_with_reason(&self, id: u64, hedge: bool) -> bool {
+    pub fn cancel(&self, id: u64, hedge: bool) -> bool {
         let mut st = lock(&self.shared);
         // The job leaves the table while its units are sorted out, so
         // its graph and the in-flight table can be edited side by side.
@@ -709,12 +676,6 @@ impl Scheduler {
         self.shared.cond.notify_all();
     }
 
-    /// Whether [`Scheduler::begin_drain`] has been called.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        lock(&self.shared).draining
-    }
-
     /// Blocks until no job remains (drain-mode shutdown barrier).
     pub fn wait_idle(&self) {
         let mut st = lock(&self.shared);
@@ -727,22 +688,34 @@ impl Scheduler {
         }
     }
 
-    /// Snapshot of the pool's counters.
+    /// Snapshot of the pool's and its cache's counters: the `status`
+    /// reply.
     #[must_use]
-    pub fn status(&self) -> SchedulerStatus {
+    pub fn status(&self) -> ServiceStatus {
+        let c = self.shared.cache.stats();
         let st = lock(&self.shared);
-        SchedulerStatus {
-            workers: self.workers,
-            jobs_active: st.jobs.len(),
+        ServiceStatus {
+            workers: self.workers as u64,
+            jobs_active: st.jobs.len() as u64,
             jobs_total: st.jobs_total,
-            queued_units: queued_units(&st),
-            max_queued_units: self.max_queued,
+            queued_units: queued_units(&st) as u64,
+            max_queued_units: self.max_queued as u64,
             draining: st.draining,
             points_computed: st.points_computed,
             points_cached: st.points_cached,
             points_coalesced: st.points_coalesced,
             points_failed: st.points_failed,
             hedge_cancels: st.hedge_cancels,
+            cache_hits: c.hits,
+            cache_misses: c.misses,
+            cache_insertions: c.insertions,
+            cache_evictions: c.evictions,
+            cache_entries: c.entries as u64,
+            cache_bytes: c.bytes as u64,
+            cache_budget: c.budget as u64,
+            cache_loaded: c.loaded,
+            cache_quarantined: c.quarantined,
+            cache_spilled: c.spilled,
         }
     }
 
@@ -1246,7 +1219,7 @@ mod tests {
         // duplicates waiting on them and its references all go at once.
         let rx_blocker = pin_worker(&sched);
         let (id, rx) = sched.submit(g.clone(), params.clone()).expect("admitted");
-        assert!(sched.cancel(id));
+        assert!(sched.cancel(id, false));
         {
             let st = lock(&sched.shared);
             assert!(!st.jobs.contains_key(&id), "nothing left to linger for");
@@ -1264,7 +1237,7 @@ mod tests {
         // the lone worker was running lands, the rest is dropped.
         let (id, rx) = sched.submit(g, params).expect("admitted");
         assert!(matches!(rx.recv(), Ok(JobEvent::Point { .. })));
-        sched.cancel(id);
+        sched.cancel(id, false);
         drain_events(&rx).expect("done");
         sched.wait_idle();
         assert_eq!(sched.status().queued_units, 0);
@@ -1369,14 +1342,14 @@ mod tests {
             .submit(grid("fig1", &params), params)
             .expect("admitted");
         assert_eq!(sched.status().hedge_cancels, 0);
-        assert!(sched.cancel_with_reason(id, true));
+        assert!(sched.cancel(id, true));
         assert_eq!(sched.status().hedge_cancels, 1);
         // Re-cancel never double-counts: the job is either a zombie
         // (returns true) or already finished (returns false), and the
         // counter moves only on the live transition either way.
-        let _ = sched.cancel_with_reason(id, true);
+        let _ = sched.cancel(id, true);
         assert_eq!(sched.status().hedge_cancels, 1);
-        assert!(!sched.cancel_with_reason(999, true), "unknown job");
+        assert!(!sched.cancel(999, true), "unknown job");
         assert_eq!(sched.status().hedge_cancels, 1);
         let _ = drain_events(&rx_blocker);
         let d = drain_events(&rx).expect("done");
@@ -1387,7 +1360,7 @@ mod tests {
     #[test]
     fn cancel_unknown_job_is_false() {
         let sched = Scheduler::start(1, Arc::new(Cache::new(1024)), SchedOptions::default());
-        assert!(!sched.cancel(42));
+        assert!(!sched.cancel(42, false));
         sched.stop();
     }
 
@@ -1448,7 +1421,7 @@ mod tests {
         let n = g.n_points();
         let (id_owner, rx_owner) = sched.submit(g.clone(), params.clone()).expect("admitted");
         let (_, rx_sub) = sched.submit(g, params).expect("admitted");
-        assert!(sched.cancel(id_owner), "live job cancels");
+        assert!(sched.cancel(id_owner, false), "live job cancels");
         let _ = drain_events(&rx_blocker);
         let owner = drain_events(&rx_owner).expect("done");
         assert!(owner.cancelled);
@@ -1462,7 +1435,10 @@ mod tests {
         }
         // By the time the subscriber's Done has been observed, the
         // cancelled zombie has been reaped under the same lock.
-        assert!(!sched.cancel(id_owner), "zombie reaped after fan-out");
+        assert!(
+            !sched.cancel(id_owner, false),
+            "zombie reaped after fan-out"
+        );
         sched.stop();
     }
 
@@ -1487,14 +1463,17 @@ mod tests {
         let (_, rx_sub) = sched
             .submit_units(g, params, Some(vec![1]))
             .expect("admitted");
-        assert!(sched.cancel(id_owner), "live job cancels");
+        assert!(sched.cancel(id_owner, false), "live job cancels");
         let _ = drain_events(&rx_blocker);
         assert!(drain_events(&rx_owner).expect("done").cancelled);
         // The cancelled job has no point left, yet lingers until the
         // reference the subscriber parked on has run.
         let sub = drain_events(&rx_sub).expect("done");
         assert_eq!((sub.computed, sub.failed, sub.cancelled), (1, 0, false));
-        assert!(!sched.cancel(id_owner), "zombie reaped after the reference");
+        assert!(
+            !sched.cancel(id_owner, false),
+            "zombie reaped after the reference"
+        );
         sched.stop();
     }
 
@@ -1560,7 +1539,7 @@ mod tests {
             .submit(grid("fig1", &params), params.clone())
             .expect("admitted");
         sched.begin_drain();
-        assert!(sched.is_draining());
+        assert!(sched.status().draining);
         match sched.submit(grid("fig1", &params), params.clone()) {
             Err(SubmitError::Draining) => {}
             other => panic!("expected draining, got {other:?}"),

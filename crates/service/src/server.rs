@@ -7,8 +7,9 @@
 //! listener binds, admission control and chaos policy are threaded into
 //! the scheduler, and the `shutdown` op carries a [`ShutdownMode`] so a
 //! drain — stop admitting, finish in-flight work, flush the spill —
-//! can be distinguished from an immediate stop. A coordinator is built
-//! the same way: its scheduler is the federation's fallback backend.
+//! can be distinguished from an immediate stop. A coordinator
+//! ([`ServeConfig::fleet`]) is built the same way: its scheduler is the
+//! federation's fallback backend.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -60,6 +61,13 @@ pub struct ServeConfig {
     pub backend_id: Option<String>,
     /// Deterministic fault injection for the chaos suite.
     pub chaos: ChaosPolicy,
+    /// Run as a **federation coordinator** over this fleet: the same
+    /// wire protocol, but submits are sharded across `fleet.backends`
+    /// (with health checks, failover and hedging). The server built
+    /// without it — cache, spill and scheduler, sized by the fields above
+    /// — is the fleet's fallback backend, taking the work while no
+    /// backend is live. `None` serves as a plain backend.
+    pub fleet: Option<FleetConfig>,
 }
 
 impl Default for ServeConfig {
@@ -74,6 +82,7 @@ impl Default for ServeConfig {
             compact_spill: false,
             backend_id: None,
             chaos: ChaosPolicy::default(),
+            fleet: None,
         }
     }
 }
@@ -91,38 +100,21 @@ pub struct ServerHandle {
     federation: Option<Arc<Federation>>,
 }
 
-/// Binds and starts serving. Returns as soon as the listener is live;
-/// sessions and sweeps run on background threads. With a configured
-/// spill path the cache is recovered from disk first — complete,
-/// CRC-valid records warm the cache, corrupt records are quarantined
-/// (counted, recomputed, never served), and a torn final line from a
-/// `kill -9` is dropped silently.
+/// Binds and starts serving — a backend, or with [`ServeConfig::fleet`]
+/// set a coordinator in front of one. Returns as soon as the listener is
+/// live; sessions and sweeps run on background threads. With a
+/// configured spill path the cache is recovered from disk first —
+/// complete, CRC-valid records warm the cache, corrupt records are
+/// quarantined (counted, recomputed, never served), and a torn final
+/// line from a `kill -9` is dropped silently.
 ///
 /// # Errors
 ///
 /// [`SimError::Protocol`] when the bind fails; [`SimError::Journal`]
-/// when the spill file exists but has a wrong or non-matching header.
+/// when the spill file exists but has a wrong or non-matching header;
+/// [`SimError::Federation`] when the fleet configuration is unusable
+/// (e.g. no backends).
 pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
-    start(cfg, None)
-}
-
-/// Binds and starts serving a **federation coordinator**: the identical
-/// wire protocol as [`serve`], but submits are sharded across
-/// `fleet.backends` (with health checks, failover and hedging). The
-/// server [`serve`] would build — cache, spill and scheduler, sized by
-/// `cfg` — is the fleet's fallback backend, taking the work while no
-/// backend is live.
-///
-/// # Errors
-///
-/// As [`serve`]; [`SimError::Federation`] when the fleet configuration
-/// is unusable (e.g. no backends).
-pub fn serve_coordinator(cfg: &ServeConfig, fleet: FleetConfig) -> Result<ServerHandle, SimError> {
-    start(cfg, Some(fleet))
-}
-
-/// The one server behind [`serve`] and [`serve_coordinator`].
-fn start(cfg: &ServeConfig, fleet: Option<FleetConfig>) -> Result<ServerHandle, SimError> {
     let cache = Arc::new(Cache::new(cfg.cache_bytes));
     if let Some(path) = &cfg.cache_spill {
         let opened = persist::open(path)?;
@@ -152,6 +144,7 @@ fn start(cfg: &ServeConfig, fleet: Option<FleetConfig>) -> Result<ServerHandle, 
             chaos: cfg.chaos.clone(),
         },
     ));
+    let fleet = cfg.fleet.clone();
     let federation = match fleet.map(|fleet| Federation::start(fleet, Arc::clone(&scheduler))) {
         None => None,
         Some(Ok(federation)) => Some(Arc::new(federation)),

@@ -31,12 +31,11 @@ use experiments::study::{find_study, registry, StudyParams};
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue};
 
-use crate::cache::CacheStats;
 use crate::proto::{
     buffer_line, error_frame, params_from_wire, read_line_bounded, u64_field, write_line,
     PROTO_VERSION, REQUEST_LINE_CAP,
 };
-use crate::scheduler::{drain_events, JobEvent, Scheduler, SchedulerStatus, SubmitError};
+use crate::scheduler::{drain_events, JobEvent, Scheduler, SubmitError};
 use crate::server::ShutdownMode;
 
 /// The execution engine behind a session: a backend daemon's local
@@ -83,7 +82,7 @@ impl Dispatch for Scheduler {
     }
 
     fn cancel_job(&self, job: u64, hedge: bool) -> bool {
-        self.cancel_with_reason(job, hedge)
+        self.cancel(job, hedge)
     }
 
     fn begin_drain(&self) {
@@ -91,7 +90,7 @@ impl Dispatch for Scheduler {
     }
 
     fn render_status(&self, backend_id: Option<&str>) -> String {
-        status_frame(&self.status(), &self.cache().stats(), backend_id, "")
+        self.status().to_frame(backend_id, "")
     }
 }
 
@@ -530,51 +529,6 @@ fn list_frame() -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// A scheduler's `status` reply frame; `extra` (empty, or `, "key":
-/// value` fields) is appended inside the frame.
-pub(crate) fn status_frame(
-    s: &SchedulerStatus,
-    c: &CacheStats,
-    backend_id: Option<&str>,
-    extra: &str,
-) -> String {
-    let backend = match backend_id {
-        Some(id) => format!("\"backend\": \"{}\", ", json::escape(id)),
-        None => String::new(),
-    };
-    format!(
-        "{{\"ok\": true, \"kind\": \"status\", \"proto\": {PROTO_VERSION}, {backend}\
-         \"workers\": {}, \"jobs_active\": {}, \"jobs_total\": {}, \"queued_units\": {}, \
-         \"max_queued_units\": {}, \"draining\": {}, \
-         \"points_computed\": {}, \"points_cached\": {}, \"points_coalesced\": {}, \
-         \"points_failed\": {}, \"hedge_cancels\": {}, \
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"insertions\": {}, \"evictions\": {}, \
-         \"entries\": {}, \"bytes\": {}, \"budget\": {}, \"loaded\": {}, \"quarantined\": {}, \
-         \"spilled\": {}}}{extra}}}",
-        s.workers,
-        s.jobs_active,
-        s.jobs_total,
-        s.queued_units,
-        s.max_queued_units,
-        s.draining,
-        s.points_computed,
-        s.points_cached,
-        s.points_coalesced,
-        s.points_failed,
-        s.hedge_cancels,
-        c.hits,
-        c.misses,
-        c.insertions,
-        c.evictions,
-        c.entries,
-        c.bytes,
-        c.budget,
-        c.loaded,
-        c.quarantined,
-        c.spilled
-    )
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use experiments::study::{find_study, StudyParams};
 use service::chaos::ChaosPolicy;
-use service::client::{Client, RetryPolicy};
+use service::client::Client;
 use service::server::{serve, ServeConfig};
 use speedup_stacks::error::{ProtocolError, SimError};
 use speedup_stacks::report::json;
@@ -210,6 +210,72 @@ fn spill_entries_under_an_older_builds_keys_are_inert() {
     std::fs::remove_file(&spill).ok();
 }
 
+/// `--compact-spill`: a start on a spill holding a superseded key and a
+/// corrupt record rewrites it to the header plus the live set, least
+/// recently used first, with the corrupt record quarantined; the next
+/// start reloads that same state, and a warm submit computes nothing.
+#[test]
+fn startup_compaction_rewrites_the_spill_to_the_live_set() {
+    let spill = temp_spill("compact-start");
+    let params = fig1_params();
+    let start = |compact_spill| {
+        serve(&ServeConfig {
+            workers: 1,
+            cache_spill: Some(spill.clone()),
+            compact_spill,
+            ..ServeConfig::default()
+        })
+        .expect("bind")
+    };
+    let server = start(false);
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    client.submit("fig1", &params).expect("cold submit");
+    server.stop();
+
+    // The first entry is written again (superseding its first record),
+    // then a copy of it with one byte flipped, which fails its CRC.
+    let written = std::fs::read_to_string(&spill).expect("spill exists");
+    let lines: Vec<&str> = written.lines().collect();
+    let (header, first, rest) = (lines[0], lines[1], &lines[2..]);
+    let corrupt = first.replacen("\"key\"", "\"kex\"", 1);
+    assert_ne!(corrupt, first);
+    std::fs::write(&spill, format!("{written}{first}\n{corrupt}\n")).expect("extend spill");
+
+    let server = start(true);
+    let status = Client::connect(&server.local_addr().to_string())
+        .and_then(|mut c| c.status())
+        .expect("status");
+    assert_eq!(status.cache_quarantined, 1, "the flipped copy");
+    assert_eq!(status.cache_entries, lines.len() as u64 - 1);
+    let mut live = vec![header];
+    live.extend(rest);
+    live.push(first);
+    let compacted = std::fs::read_to_string(&spill).expect("spill exists");
+    assert_eq!(
+        compacted,
+        live.join("\n") + "\n",
+        "header + live set, LRU first"
+    );
+    server.stop();
+
+    // Reloaded, the state compacts to the same bytes and serves warm.
+    let server = start(true);
+    assert_eq!(std::fs::read_to_string(&spill).unwrap(), compacted);
+    let reloaded = server.scheduler().status();
+    assert_eq!(
+        (reloaded.cache_quarantined, reloaded.cache_entries),
+        (0, status.cache_entries)
+    );
+    assert_eq!(reloaded.cache_bytes, status.cache_bytes);
+    let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    let warm = client.submit("fig1", &params).expect("warm submit");
+    assert_eq!((warm.computed, warm.failed), (0, 0));
+    let local = find_study("fig1").unwrap().run(&params).unwrap();
+    assert_eq!(warm.report.to_json(), local.to_json(), "bit-identical");
+    server.stop();
+    std::fs::remove_file(&spill).ok();
+}
+
 /// A full queue answers a typed `busy` with a retry hint; a client with
 /// no retry policy surfaces it, and the backoff client eventually
 /// completes with a correct report.
@@ -253,13 +319,8 @@ fn full_queue_is_typed_busy_and_backoff_client_completes() {
 
     // The backoff client retries deterministically and completes once
     // the heavy job drains.
-    let patient = RetryPolicy {
-        max_attempts: 20,
-        max_delay_ms: 500,
-        ..RetryPolicy::default()
-    };
     let outcome = storm
-        .submit_with_retry("fig1", &light, &patient)
+        .submit_with_retry("fig1", &light, 20)
         .expect("backoff client completes");
     let local = find_study("fig1").unwrap().run(&light).unwrap();
     assert_eq!(outcome.report.to_text(), local.to_text());
@@ -460,7 +521,9 @@ fn drain_shutdown_finishes_in_flight_jobs() {
     wait_until(&server, |s| s.scheduler().status().jobs_active >= 1);
 
     let mut admin = Client::connect(&addr).expect("connect");
-    admin.shutdown_drain().expect("drain acknowledged");
+    admin
+        .shutdown(service::ShutdownMode::Drain)
+        .expect("drain acknowledged");
     assert_eq!(server.wait_for_shutdown(), service::ShutdownMode::Drain);
 
     // Admission has stopped: a new submit is a typed rejection.

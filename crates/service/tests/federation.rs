@@ -1,5 +1,5 @@
 //! The federation chaos suite: a fleet of `studyd` backends behind a
-//! `studyd --backend …` coordinator ([`serve_coordinator`], driven over
+//! `studyd --backend …` coordinator (`serve` with a `fleet`, driven over
 //! the wire by a [`Client`]) must survive a backend dying mid-sweep, the
 //! whole fleet being unreachable, a wedged straggler, a dead backend
 //! coming back and a backend streaming an index it was never sent — and
@@ -31,7 +31,7 @@ use service::client::{Client, StreamEvent, SubmitOutcome};
 use service::federation::{Federation, FleetConfig, HealthState};
 use service::proto::PROTO_VERSION;
 use service::scheduler::{record_to_summary, JobEvent};
-use service::server::{serve, serve_coordinator, ServeConfig, ServerHandle};
+use service::server::{serve, ServeConfig, ServerHandle};
 use service::session::Dispatch;
 use speedup_stacks::report::json::{self, JsonValue};
 use speedup_stacks::report::Report;
@@ -66,7 +66,11 @@ fn fleet(backends: &[&str]) -> FleetConfig {
 
 /// A `studyd --backend …` coordinator on a free loopback port.
 fn coordinator(fleet: FleetConfig) -> ServerHandle {
-    serve_coordinator(&ServeConfig::default(), fleet).expect("bind coordinator")
+    serve(&ServeConfig {
+        fleet: Some(fleet),
+        ..ServeConfig::default()
+    })
+    .expect("bind coordinator")
 }
 
 fn fed(coord: &ServerHandle) -> &Federation {
@@ -380,13 +384,11 @@ fn cancelling_a_fallback_job_drops_its_queued_units() {
         ..fig6_params()
     };
     let n = decompose("fig6", &params).unwrap().n_points();
-    let coord = serve_coordinator(
-        &ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        },
-        fleet(&ghosts),
-    )
+    let coord = serve(&ServeConfig {
+        workers: 1,
+        fleet: Some(fleet(&ghosts)),
+        ..ServeConfig::default()
+    })
     .expect("bind coordinator");
     let mut client = connect(&coord);
     let mut control = connect(&coord);
@@ -397,7 +399,10 @@ fn cancelling_a_fallback_job_drops_its_queued_units() {
         StreamEvent::Point { .. } => {}
         other => panic!("expected a point first, got {other:?}"),
     }
-    assert!(control.cancel(job).expect("cancel"), "live job cancelled");
+    assert!(
+        control.cancel(job, None).expect("cancel"),
+        "live job cancelled"
+    );
     let cancelled = loop {
         if let StreamEvent::Done { cancelled, .. } = client.next_event(n).expect("stream open") {
             break cancelled;
@@ -577,7 +582,10 @@ fn cancel_propagates_to_backend_sub_jobs() {
         StreamEvent::Point { .. } => {}
         other => panic!("expected a point first, got {other:?}"),
     }
-    assert!(control.cancel(job).expect("cancel"), "live job cancelled");
+    assert!(
+        control.cancel(job, None).expect("cancel"),
+        "live job cancelled"
+    );
     let cancelled = loop {
         if let StreamEvent::Done { cancelled, .. } = client.next_event(n).expect("stream open") {
             break cancelled;

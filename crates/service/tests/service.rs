@@ -320,7 +320,7 @@ fn mid_stream_disconnect_leaves_the_server_serving() {
         .expect("post-disconnect submit");
     let local = find_study("fig1").unwrap().run(&params).unwrap();
     assert_eq!(outcome.report.to_text(), local.to_text());
-    assert!(client.cancel(9999).is_ok_and(|found| !found));
+    assert!(client.cancel(9999, None).is_ok_and(|found| !found));
     server.stop();
 }
 
