@@ -15,24 +15,13 @@ use crate::components::Component;
 use crate::stack::SpeedupStack;
 use std::fmt::Write as _;
 
-/// Options controlling stack rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenderOptions {
-    /// Total bar width in characters (the full width represents `N`).
-    pub width: usize,
-    /// Hide components contributing less than this fraction of `N` from
-    /// the legend (they still occupy bar space if they round to ≥1 char).
-    pub legend_cutoff_permille: u32,
-}
+/// Bar width in characters (the full width represents `N`).
+const WIDTH: usize = 64;
 
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions {
-            width: 64,
-            legend_cutoff_permille: 5,
-        }
-    }
-}
+/// Components contributing less than this many thousandths of `N` are
+/// left out of the legend (they still occupy bar space if they round to
+/// at least one character).
+const LEGEND_CUTOFF_PERMILLE: u32 = 5;
 
 /// Renders one stack as a bar plus legend.
 ///
@@ -46,13 +35,13 @@ impl Default for RenderOptions {
 ///     ThreadCounters { active_end_cycle: 1000, ..ThreadCounters::default() },
 /// ];
 /// let stack = SpeedupStack::from_counters(&threads, 1000, &AccountingConfig::default())?;
-/// let art = render::render_stack("demo", &stack, &render::RenderOptions::default());
+/// let art = render::render_stack("demo", &stack);
 /// assert!(art.contains("demo"));
 /// assert!(art.contains("spinning"));
 /// # Ok::<(), speedup_stacks::StackError>(())
 /// ```
 #[must_use]
-pub fn render_stack(label: &str, stack: &SpeedupStack, opts: &RenderOptions) -> String {
+pub fn render_stack(label: &str, stack: &SpeedupStack) -> String {
     let n = stack.num_threads() as f64;
     let mut out = String::new();
     let _ = writeln!(
@@ -67,7 +56,7 @@ pub fn render_stack(label: &str, stack: &SpeedupStack, opts: &RenderOptions) -> 
     );
 
     // Bar: base, then positive, then overheads in stack order.
-    let bar = draw_bar(stack, opts.width);
+    let bar = draw_bar(stack, WIDTH);
     let _ = writeln!(out, "  {bar}");
 
     // Legend.
@@ -85,7 +74,7 @@ pub fn render_stack(label: &str, stack: &SpeedupStack, opts: &RenderOptions) -> 
             stack.positive_interference() / n * 100.0
         );
     }
-    let cutoff = opts.legend_cutoff_permille as f64 / 1000.0 * n;
+    let cutoff = f64::from(LEGEND_CUTOFF_PERMILLE) / 1000.0 * n;
     for (c, v) in stack.overheads().iter() {
         if v >= cutoff {
             let _ = writeln!(
@@ -136,7 +125,7 @@ fn draw_bar(stack: &SpeedupStack, bar_width: usize) -> String {
 
 /// Renders a core-count sweep as a growth chart: one bar per stack, the
 /// bar *width* proportional to that stack's `N` relative to the widest
-/// stack in the series (which gets the full `opts.width`). Within each
+/// stack in the series (which gets the full width). Within each
 /// bar, segments are proportional to their share of that stack's `N` as
 /// usual, so ideal scaling shows as a solid `#` wedge and every scaling
 /// delimiter as a growing coloured tail.
@@ -150,16 +139,12 @@ fn draw_bar(stack: &SpeedupStack, bar_width: usize) -> String {
 ///     SpeedupStack::from_counters(&t, 1000, &AccountingConfig::default()).unwrap()
 /// };
 /// let series = vec![("N=2".to_string(), mk(2)), ("N=8".to_string(), mk(8))];
-/// let art = render::render_sweep("demo sweep", &series, &render::RenderOptions::default());
+/// let art = render::render_sweep("demo sweep", &series);
 /// assert!(art.contains("demo sweep"));
 /// assert!(art.lines().count() >= 3);
 /// ```
 #[must_use]
-pub fn render_sweep(
-    title: &str,
-    series: &[(String, SpeedupStack)],
-    opts: &RenderOptions,
-) -> String {
+pub fn render_sweep(title: &str, series: &[(String, SpeedupStack)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title} (bar width proportional to N)");
     let Some(max_n) = series.iter().map(|(_, s)| s.num_threads()).max() else {
@@ -167,10 +152,10 @@ pub fn render_sweep(
     };
     let label_w = series.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     for (label, stack) in series {
-        let bar_width = (opts.width * stack.num_threads() / max_n).max(1);
+        let bar_width = (WIDTH * stack.num_threads() / max_n).max(1);
         let bar = draw_bar(stack, bar_width);
         let _ = write!(out, "  {label:<label_w$} {bar}");
-        for _ in bar_width..opts.width {
+        for _ in bar_width..WIDTH {
             out.push(' ');
         }
         let _ = write!(out, " est={:>7.2}", stack.estimated_speedup());
@@ -266,18 +251,14 @@ mod tests {
 
     #[test]
     fn bar_has_requested_width() {
-        let opts = RenderOptions {
-            width: 40,
-            ..RenderOptions::default()
-        };
-        let art = render_stack("x", &demo_stack(), &opts);
+        let art = render_stack("x", &demo_stack());
         let bar_line = art.lines().nth(1).unwrap().trim();
-        assert_eq!(bar_line.len(), 42); // 40 + two '|'
+        assert_eq!(bar_line.len(), 66); // 64 + two '|'
     }
 
     #[test]
     fn legend_mentions_components() {
-        let art = render_stack("x", &demo_stack(), &RenderOptions::default());
+        let art = render_stack("x", &demo_stack());
         assert!(art.contains("spinning"));
         assert!(art.contains("yielding"));
         assert!(art.contains("imbalance"));
@@ -286,25 +267,39 @@ mod tests {
 
     #[test]
     fn legend_cutoff_hides_small() {
-        let opts = RenderOptions {
-            legend_cutoff_permille: 990,
-            ..RenderOptions::default()
-        };
-        let art = render_stack("x", &demo_stack(), &opts);
-        assert!(!art.contains("spinning"));
+        // Spinning is 0.004 of N = 2 (2 per mille, under the 5 per mille
+        // cutoff); yielding is 12.5 % of N.
+        let threads = vec![
+            ThreadCounters {
+                active_end_cycle: 1000,
+                spin_cycles: 4.0,
+                yield_cycles: 250.0,
+                ..ThreadCounters::default()
+            },
+            ThreadCounters {
+                active_end_cycle: 1000,
+                ..ThreadCounters::default()
+            },
+        ];
+        let stack =
+            SpeedupStack::from_counters(&threads, 1000, &AccountingConfig::default()).unwrap();
+        let spinning = stack.component(Component::Spinning);
+        assert!(
+            spinning > 0.0 && spinning < 0.005 * 2.0,
+            "spinning {spinning}"
+        );
+        let art = render_stack("x", &stack);
+        assert!(!art.contains("spinning"), "{art}");
+        assert!(art.contains("yielding"), "{art}");
     }
 
     #[test]
     fn bar_segment_chars_proportional() {
         // base = 0.5 of N => half the bar is '#'.
-        let opts = RenderOptions {
-            width: 40,
-            ..RenderOptions::default()
-        };
-        let art = render_stack("x", &demo_stack(), &opts);
+        let art = render_stack("x", &demo_stack());
         let bar = art.lines().nth(1).unwrap();
         let hashes = bar.chars().filter(|&c| c == '#').count();
-        assert!((19..=21).contains(&hashes), "got {hashes} hashes");
+        assert!((31..=33).contains(&hashes), "got {hashes} hashes");
     }
 
     #[test]
@@ -324,11 +319,7 @@ mod tests {
             ("N=4".to_string(), mk(4)),
             ("N=8".to_string(), mk(8)),
         ];
-        let opts = RenderOptions {
-            width: 40,
-            ..RenderOptions::default()
-        };
-        let art = render_sweep("sweep", &series, &opts);
+        let art = render_sweep("sweep", &series);
         let widths: Vec<usize> = art
             .lines()
             .skip(1)
@@ -338,12 +329,12 @@ mod tests {
                 close - open - 1
             })
             .collect();
-        assert_eq!(widths, vec![5, 20, 40]);
+        assert_eq!(widths, vec![8, 32, 64]);
     }
 
     #[test]
     fn sweep_handles_empty_series() {
-        let art = render_sweep("empty", &[], &RenderOptions::default());
+        let art = render_sweep("empty", &[]);
         assert!(art.starts_with("empty"));
         assert_eq!(art.lines().count(), 1);
     }

@@ -114,7 +114,7 @@ fn block_section(b: &Block, out: &mut String) -> bool {
                 s.unit.label()
             );
         }
-        Block::Stack { label, stack, .. } => {
+        Block::Stack { label, stack } => {
             stacks_section(
                 label,
                 std::slice::from_ref(&(label.clone(), stack.clone())),
@@ -122,7 +122,7 @@ fn block_section(b: &Block, out: &mut String) -> bool {
             );
         }
         Block::StackTable { name, stacks } => stacks_section(name, stacks, out),
-        Block::Sweep { title, series, .. } => stacks_section(title, series, out),
+        Block::Sweep { title, series } => stacks_section(title, series, out),
         Block::Hidden(inner) => return block_section(inner, out),
         Block::Degraded(d) => {
             let _ = writeln!(

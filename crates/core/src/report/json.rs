@@ -202,7 +202,7 @@ fn block_object(b: &Block, out: &mut String, indent: &str) -> bool {
         }
         Block::Table(t) => table_object(t, out, indent),
         Block::Scalar(s) => scalar_object(s, out),
-        Block::Stack { label, stack, .. } => {
+        Block::Stack { label, stack } => {
             out.push_str("{\"kind\": \"stack\", \"stack\": ");
             stack_object(label, stack, out, indent);
             out.push('}');
@@ -216,7 +216,7 @@ fn block_object(b: &Block, out: &mut String, indent: &str) -> bool {
             stack_list(stacks, out, indent);
             out.push('}');
         }
-        Block::Sweep { title, series, .. } => {
+        Block::Sweep { title, series } => {
             let _ = write!(
                 out,
                 "{{\"kind\": \"sweep\", \"title\": \"{}\", \"stacks\": [",

@@ -47,7 +47,7 @@
 pub mod csv;
 pub mod json;
 
-use crate::render::{self, RenderOptions};
+use crate::render;
 use crate::stack::SpeedupStack;
 
 /// The unit of a scalar metric or table column.
@@ -500,8 +500,6 @@ pub enum Block {
         label: String,
         /// The stack.
         stack: SpeedupStack,
-        /// Bar rendering options.
-        options: RenderOptions,
     },
     /// Several stacks as an aligned comparison table
     /// ([`render::render_table`]).
@@ -518,8 +516,6 @@ pub enum Block {
         title: String,
         /// `(label, stack)` series.
         series: Vec<(String, SpeedupStack)>,
-        /// Bar rendering options.
-        options: RenderOptions,
     },
     /// A machine-only block: skipped by the text emitter, emitted by
     /// JSON/CSV. Used to attach structured data to studies whose text
@@ -561,17 +557,9 @@ impl Block {
                 out.push_str(&s.text);
                 out.push('\n');
             }
-            Block::Stack {
-                label,
-                stack,
-                options,
-            } => out.push_str(&render::render_stack(label, stack, options)),
+            Block::Stack { label, stack } => out.push_str(&render::render_stack(label, stack)),
             Block::StackTable { stacks, .. } => out.push_str(&render::render_table(stacks)),
-            Block::Sweep {
-                title,
-                series,
-                options,
-            } => out.push_str(&render::render_sweep(title, series, options)),
+            Block::Sweep { title, series } => out.push_str(&render::render_sweep(title, series)),
             Block::Hidden(_) => {}
             Block::Degraded(d) => d.render_text(out),
             Block::Provenance(p) => p.render_text(out),
@@ -723,14 +711,12 @@ mod tests {
     #[test]
     fn stack_blocks_delegate_to_render() {
         let stack = demo_stack();
-        let opts = RenderOptions::default();
         let mut r = Report::new("x", "x");
         r.push(Block::Stack {
             label: "demo".into(),
             stack: stack.clone(),
-            options: opts,
         });
-        assert_eq!(r.to_text(), render::render_stack("demo", &stack, &opts));
+        assert_eq!(r.to_text(), render::render_stack("demo", &stack));
     }
 
     #[test]

@@ -288,21 +288,6 @@ pub(crate) fn finish(
     report
 }
 
-/// The figure of a sweep that must complete cleanly — the typed figure
-/// functions' (`fig7::run`, `scaling::run`, …) ending.
-///
-/// # Panics
-///
-/// Panics if the sweep failed or any point degraded.
-pub(crate) fn clean<T>(study: &str, swept: Result<(T, Degraded), SimError>) -> T {
-    let (figure, degraded) = swept.unwrap_or_else(|e| panic!("{study} sweep: {e}"));
-    assert!(
-        !degraded.is_degraded(),
-        "{study} sweep degraded: {degraded:?}"
-    );
-    figure
-}
-
 /// What each unit of one grid computes under one parameter set, as
 /// strings: two units with equal keys compute byte-equal results, in
 /// whichever study, at whichever grid index and under whichever
@@ -719,10 +704,12 @@ impl GridStudy {
                 graph.ref_known(pi, st);
             }
         }
+        // A record is read, not taken: a `threads` list that repeats a
+        // count has several points with one identity, all served by it.
         for i in 0..self.n_points() {
             let (pi, n) = self.point(i);
-            match done_points.remove(&(names[pi].clone(), n)) {
-                Some(summary) => fold.point(i, summary, 1),
+            match done_points.get(&(names[pi].clone(), n)) {
+                Some(summary) => fold.point(i, summary.clone(), 1),
                 None => graph.add_point(i),
             }
         }
@@ -792,19 +779,6 @@ impl GridStudy {
     pub fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
         let (points, degraded, provenance) = self.sweep(params)?;
         Ok(self.assemble(params, points, degraded, provenance))
-    }
-
-    /// The rows of a local sweep that must complete cleanly — the input
-    /// of the typed figure functions (`fig1::run`, `fig45::run`, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep fails or any point degrades.
-    pub(crate) fn clean_rows(&self, params: &StudyParams) -> Vec<Vec<Option<PointSummary>>> {
-        let swept = self
-            .sweep(params)
-            .map(|(points, degraded, _)| (points, degraded));
-        self.rows(clean(self.study, swept))
     }
 
     /// Splits per-index slots into one row per profile.

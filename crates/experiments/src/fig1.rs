@@ -3,27 +3,25 @@
 
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 
-use crate::decompose::grid_study;
 use crate::runner::PointSummary;
 use crate::study::StudyParams;
 
 /// The thread counts of the paper's sweep.
-pub const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
+pub(crate) const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// One benchmark's speedup curve.
 #[derive(Debug, Clone)]
-pub struct SpeedupCurve {
+struct SpeedupCurve {
     /// Benchmark display name.
-    pub name: String,
+    name: String,
     /// `(threads, actual speedup)` per point; 1 thread is 1.0 by
     /// definition.
-    pub points: Vec<(usize, f64)>,
+    points: Vec<(usize, f64)>,
 }
 
 impl SpeedupCurve {
     /// Speedup at a given thread count, if measured.
-    #[must_use]
-    pub fn at(&self, threads: usize) -> Option<f64> {
+    fn at(&self, threads: usize) -> Option<f64> {
         self.points
             .iter()
             .find(|(t, _)| *t == threads)
@@ -33,24 +31,9 @@ impl SpeedupCurve {
 
 /// The figure's data: three curves.
 #[derive(Debug, Clone)]
-pub struct Fig1 {
+pub(crate) struct Fig1 {
     /// Curves for blackscholes, facesim and cholesky.
-    pub curves: Vec<SpeedupCurve>,
-}
-
-/// Regenerates Figure 1: `threads` overrides the swept counts (1 thread
-/// always reports 1.0 without a run), `llc_mib` resizes the shared
-/// cache.
-///
-/// # Panics
-///
-/// Panics if the sweep fails or any point degrades (the catalog
-/// workloads are deadlock-free by construction); the registered `fig1`
-/// study degrades gracefully instead.
-#[must_use]
-pub fn run(params: &StudyParams) -> Fig1 {
-    let grid = grid_study("fig1", params);
-    fold(params, grid.profiles(), grid.clean_rows(params))
+    curves: Vec<SpeedupCurve>,
 }
 
 /// Folds the sweep's rows into the figure (the fig1 arm of
@@ -84,8 +67,7 @@ pub(crate) fn fold(
 impl Fig1 {
     /// The swept thread counts, in presentation order (derived from the
     /// measured points).
-    #[must_use]
-    pub fn counts(&self) -> Vec<usize> {
+    fn counts(&self) -> Vec<usize> {
         let mut counts: Vec<usize> = self
             .curves
             .iter()
@@ -98,8 +80,7 @@ impl Fig1 {
 
     /// Converts the figure into the structured [`Report`] every emitter
     /// consumes.
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    pub(crate) fn to_report(&self) -> Report {
         let title = "Figure 1: speedup vs number of threads/cores";
         let mut report = Report::new("fig1", title);
         report.push(Block::line(title));

@@ -5,33 +5,19 @@
 //! an annotated stack for one benchmark (Figure 2) and the per-thread
 //! cycle-component breakup that underlies it (Figure 3).
 
-use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::{Component, SpeedupStack};
 
-use crate::decompose::grid_study;
 use crate::runner::PointSummary;
-use crate::study::StudyParams;
 
-/// Figure 2 data: one annotated stack.
+/// Figure 2 data: one annotated stack (facesim at 16 threads, which
+/// exercises most components).
 #[derive(Debug, Clone)]
-pub struct Fig2 {
+pub(crate) struct Fig2 {
     /// Benchmark display name.
-    pub name: String,
+    name: String,
     /// The stack (actual speedup attached).
-    pub stack: SpeedupStack,
-}
-
-/// Regenerates Figure 2 (facesim at 16 threads, which exercises most
-/// components), honoring the thread-count and LLC overrides.
-///
-/// # Panics
-///
-/// Panics if the simulation fails; the registered `fig2` study
-/// degrades gracefully instead.
-#[must_use]
-pub fn run_fig2(params: &StudyParams) -> Fig2 {
-    fold_fig2(grid_study("fig2", params).clean_rows(params)).expect("one clean point")
+    stack: SpeedupStack,
 }
 
 /// Folds the grid's one row into Figure 2 (the fig2 arm of
@@ -47,8 +33,7 @@ pub(crate) fn fold_fig2(rows: Vec<Vec<Option<PointSummary>>>) -> Option<Fig2> {
 
 impl Fig2 {
     /// Converts the figure into its structured [`Report`].
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    pub(crate) fn to_report(&self) -> Report {
         let title = format!("Figure 2: illustrative speedup stack ({})", self.name);
         let mut report = Report::new("fig2", &title);
         report.push(Block::line(&title));
@@ -56,7 +41,6 @@ impl Fig2 {
         report.push(Block::Stack {
             label: self.name.clone(),
             stack: self.stack.clone(),
-            options: RenderOptions::default(),
         });
         report.push(Block::Blank);
         report.push(Block::Scalar(Scalar::new(
@@ -77,27 +61,17 @@ impl Fig2 {
     }
 }
 
-/// Figure 3 data: the per-thread breakup of multi-threaded execution time.
+/// Figure 3 data: the per-thread breakup of multi-threaded execution
+/// time (cholesky at 4 threads: spin, yield, memory and imbalance all
+/// visible).
 #[derive(Debug, Clone)]
-pub struct Fig3 {
+pub(crate) struct Fig3 {
     /// Benchmark display name.
-    pub name: String,
+    name: String,
     /// `Tp` in cycles.
-    pub tp_cycles: u64,
+    tp_cycles: u64,
     /// The stack whose per-thread breakdowns are shown.
-    pub stack: SpeedupStack,
-}
-
-/// Regenerates Figure 3 (cholesky at 4 threads: spin, yield, memory and
-/// imbalance all visible), honoring the thread-count and LLC overrides.
-///
-/// # Panics
-///
-/// Panics if the simulation fails; the registered `fig3` study
-/// degrades gracefully instead.
-#[must_use]
-pub fn run_fig3(params: &StudyParams) -> Fig3 {
-    fold_fig3(grid_study("fig3", params).clean_rows(params)).expect("one clean point")
+    stack: SpeedupStack,
 }
 
 /// Folds the grid's one row into Figure 3 (the fig3 arm of
@@ -114,8 +88,7 @@ pub(crate) fn fold_fig3(rows: Vec<Vec<Option<PointSummary>>>) -> Option<Fig3> {
 
 impl Fig3 {
     /// Converts the figure into its structured [`Report`].
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    pub(crate) fn to_report(&self) -> Report {
         let title = format!(
             "Figure 3: per-thread execution time breakup ({}, Tp = {} cycles)",
             self.name, self.tp_cycles

@@ -7,11 +7,9 @@
 //!   as a function of the thread count.
 
 use speedup_stacks::estimate::{average_absolute_error, ValidationPoint};
-use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::SpeedupStack;
 
-use crate::decompose::grid_study;
 use crate::runner::PointSummary;
 use crate::study::StudyParams;
 
@@ -21,21 +19,20 @@ pub const THREAD_COUNTS: [usize; 4] = [2, 4, 8, 16];
 /// Figure 4 data: every benchmark × thread count, plus per-benchmark
 /// instruction overhead (the §6 parallelization-overhead measure).
 #[derive(Debug, Clone)]
-pub struct Fig4 {
+pub(crate) struct Fig4 {
     /// One point per benchmark × thread count.
-    pub points: Vec<ValidationPoint>,
+    points: Vec<ValidationPoint>,
     /// `(benchmark, instruction overhead fraction)` at
-    /// [`Fig4::overhead_threads`] threads.
-    pub instruction_overhead: Vec<(String, f64)>,
+    /// `overhead_threads` threads.
+    instruction_overhead: Vec<(String, f64)>,
     /// The thread count the instruction-overhead measure was taken at
     /// (16 in the paper).
-    pub overhead_threads: usize,
+    overhead_threads: usize,
 }
 
 impl Fig4 {
     /// Average absolute error for one thread count.
-    #[must_use]
-    pub fn average_error(&self, threads: usize) -> f64 {
+    fn average_error(&self, threads: usize) -> f64 {
         let pts: Vec<ValidationPoint> = self
             .points
             .iter()
@@ -46,8 +43,7 @@ impl Fig4 {
     }
 
     /// The validated thread counts, ascending (derived from the points).
-    #[must_use]
-    pub fn counts(&self) -> Vec<usize> {
+    fn counts(&self) -> Vec<usize> {
         let mut counts: Vec<usize> = self.points.iter().map(|p| p.threads).collect();
         counts.sort_unstable();
         counts.dedup();
@@ -55,8 +51,7 @@ impl Fig4 {
     }
 
     /// Converts the figure into its structured [`Report`].
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    pub(crate) fn to_report(&self) -> Report {
         let title = "Figure 4: actual vs estimated speedup (all benchmarks)";
         let mut report = Report::new("fig4", title);
         report.push(Block::line(title));
@@ -140,20 +135,9 @@ impl Fig4 {
     }
 }
 
-/// Regenerates Figure 4 over the full 28-benchmark suite (the
-/// instruction-overhead measure is taken at the largest swept count).
-///
-/// # Panics
-///
-/// Panics if the sweep fails or any point degrades; the registered `fig4` study
-/// degrades gracefully instead.
-#[must_use]
-pub fn run(params: &StudyParams) -> Fig4 {
-    fold_fig4(params, grid_study("fig4", params).clean_rows(params))
-}
-
 /// Folds the sweep's rows into Figure 4 (the fig4 arm of
-/// [`crate::decompose::GridStudy::assemble`]).
+/// [`crate::decompose::GridStudy::assemble`]); the instruction-overhead
+/// measure is taken at the largest swept count.
 pub(crate) fn fold_fig4(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Fig4 {
     let counts = params.counts_or(&THREAD_COUNTS);
     let overhead_threads = counts.iter().copied().max().unwrap_or(16);
@@ -182,20 +166,9 @@ pub(crate) fn fold_fig4(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>
 /// Figure 5 data: stacks for the three case-study benchmarks across
 /// thread counts.
 #[derive(Debug, Clone)]
-pub struct Fig5 {
+pub(crate) struct Fig5 {
     /// `(label, stack)` in presentation order.
-    pub stacks: Vec<(String, SpeedupStack)>,
-}
-
-/// Regenerates Figure 5.
-///
-/// # Panics
-///
-/// Panics if the sweep fails or any point degrades; the registered `fig5` study
-/// degrades gracefully instead.
-#[must_use]
-pub fn run_fig5(params: &StudyParams) -> Fig5 {
-    fold_fig5(grid_study("fig5", params).clean_rows(params))
+    stacks: Vec<(String, SpeedupStack)>,
 }
 
 /// Folds the sweep's rows into Figure 5 (the fig5 arm of
@@ -213,8 +186,7 @@ pub(crate) fn fold_fig5(rows: Vec<Vec<Option<PointSummary>>>) -> Fig5 {
 impl Fig5 {
     /// Converts the figure into its structured [`Report`]: the comparison
     /// table plus an annotated bar for each widest-count stack.
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    pub(crate) fn to_report(&self) -> Report {
         let title = "Figure 5: speedup stacks vs thread count";
         let mut report = Report::new("fig5", title);
         report.push(Block::line(title));
@@ -234,7 +206,6 @@ impl Fig5 {
                 report.push(Block::Stack {
                     label: label.clone(),
                     stack: stack.clone(),
-                    options: RenderOptions::default(),
                 });
                 report.push(Block::Blank);
             }

@@ -5,37 +5,33 @@ use speedup_stacks::{
     ClassificationConfig, ClassificationTree, ClassifiedBenchmark, Component, ScalingClass,
 };
 
-use crate::decompose::grid_study;
 use crate::runner::PointSummary;
 use crate::study::StudyParams;
 
 /// Figure 6 data: the classification tree.
 #[derive(Debug, Clone)]
-pub struct Fig6 {
+pub(crate) struct Fig6 {
     /// The tree over all 28 benchmarks.
-    pub tree: ClassificationTree,
+    tree: ClassificationTree,
     /// The thread count the classification ran at (16 in the paper).
-    pub threads: usize,
+    threads: usize,
 }
 
 impl Fig6 {
     /// Number of benchmarks whose largest component is `c`.
-    #[must_use]
-    pub fn count_largest(&self, c: Component) -> usize {
+    fn count_largest(&self, c: Component) -> usize {
         self.tree.count_largest(c)
     }
 
     /// Number of good scalers (paper: 5 of 28).
-    #[must_use]
-    pub fn good_scalers(&self) -> usize {
+    fn good_scalers(&self) -> usize {
         self.tree.in_class(ScalingClass::Good).count()
     }
 
     /// Converts the figure into its structured [`Report`]: the rendered
     /// tree text plus a machine-readable classification table and the
     /// summary counts as scalar metrics.
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    pub(crate) fn to_report(&self) -> Report {
         let title = format!("Figure 6: classification tree ({} threads)", self.threads);
         let mut report = Report::new("fig6", &title);
         report.push(Block::line(&title));
@@ -98,21 +94,10 @@ impl Fig6 {
     }
 }
 
-/// Regenerates Figure 6: runs every benchmark at 16 threads (or the
-/// last `threads` entry) and classifies it by actual speedup and
-/// dominant components.
-///
-/// # Panics
-///
-/// Panics if the sweep fails or any point degrades; the registered `fig6` study
-/// degrades gracefully instead.
-#[must_use]
-pub fn run(params: &StudyParams) -> Fig6 {
-    fold(params, grid_study("fig6", params).clean_rows(params))
-}
-
 /// Folds the sweep's rows into the classification tree (the fig6 arm of
-/// [`crate::decompose::GridStudy::assemble`]).
+/// [`crate::decompose::GridStudy::assemble`]): every benchmark at 16
+/// threads (or the last `threads` entry), classified by actual speedup
+/// and dominant components.
 pub(crate) fn fold(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Fig6 {
     let threads = params.single_count(16);
     let cfg = ClassificationConfig::default();

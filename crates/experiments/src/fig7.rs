@@ -7,34 +7,33 @@
 //! (16 threads on fewer cores) performs at least as well as
 //! threads = cores.
 
-use speedup_stacks::report::{Block, Column, Degraded, Report, Table, Unit, Value};
+use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 use speedup_stacks::SimError;
 use workloads::{display_name, Suite};
 
-use crate::decompose::{clean, finish, run_machines};
+use crate::decompose::{finish, run_machines};
 use crate::runner::{point_label, scaled_profile, RunOptions};
 use crate::study::StudyParams;
 
 /// Core counts of the sweep.
-pub const CORE_COUNTS: [usize; 4] = [2, 4, 8, 16];
+const CORE_COUNTS: [usize; 4] = [2, 4, 8, 16];
 
 /// The oversubscribed thread count of the second series.
-pub const FIXED_THREADS: usize = 16;
+const FIXED_THREADS: usize = 16;
 
 /// Figure 7 data.
 #[derive(Debug, Clone)]
-pub struct Fig7 {
+struct Fig7 {
     /// `(cores, speedup)` with `threads == cores`.
-    pub threads_eq_cores: Vec<(usize, f64)>,
+    threads_eq_cores: Vec<(usize, f64)>,
     /// `(cores, speedup)` with [`FIXED_THREADS`] threads regardless of
     /// cores.
-    pub sixteen_threads: Vec<(usize, f64)>,
+    sixteen_threads: Vec<(usize, f64)>,
 }
 
 impl Fig7 {
     /// Speedup with 16 threads on `cores` cores.
-    #[must_use]
-    pub fn sixteen_at(&self, cores: usize) -> Option<f64> {
+    fn sixteen_at(&self, cores: usize) -> Option<f64> {
         self.sixteen_threads
             .iter()
             .find(|(c, _)| *c == cores)
@@ -42,8 +41,7 @@ impl Fig7 {
     }
 
     /// Converts the figure into its structured [`Report`].
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    fn to_report(&self) -> Report {
         let title = "Figure 7: ferret speedup vs number of cores";
         let mut report = Report::new("fig7", title);
         report.push(Block::line(title));
@@ -80,24 +78,14 @@ impl Fig7 {
     }
 }
 
-/// Regenerates Figure 7 for the paper's ferret (simsmall): `threads`
-/// overrides the swept core counts (the oversubscribed series keeps
-/// [`FIXED_THREADS`] software threads).
-///
-/// # Panics
-///
-/// Panics if a simulation fails; the registered `fig7` study degrades
-/// gracefully instead.
-#[must_use]
-pub fn run(params: &StudyParams) -> Fig7 {
-    clean("fig7", sweep(params))
-}
-
-/// The sweep behind [`run`] and [`report`]: one single-thread
-/// reference gating both series' points (threads = cores, then
-/// [`FIXED_THREADS`] threads, per core count); failed points are left
-/// out of their series.
-fn sweep(params: &StudyParams) -> Result<(Fig7, Degraded), SimError> {
+/// Figure 7 as the registry runs it, for the paper's ferret (simsmall):
+/// one single-thread reference gating both series' points (threads =
+/// cores, then [`FIXED_THREADS`] threads, per core count), folded into
+/// the report. `threads` overrides the swept core counts (the
+/// oversubscribed series keeps [`FIXED_THREADS`] software threads);
+/// failed points are left out of their series and named in the report's
+/// `Degraded` block.
+pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
     let core_counts = params.counts_or(&CORE_COUNTS);
     let p = workloads::find("ferret", Suite::ParsecSmall).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -128,12 +116,5 @@ fn sweep(params: &StudyParams) -> Result<(Fig7, Degraded), SimError> {
         threads_eq_cores: series(0..k),
         sixteen_threads: series(k..2 * k),
     };
-    Ok((fig, degraded))
-}
-
-/// Figure 7 as the registry runs it: [`sweep`] folded into the report,
-/// failed points in its `Degraded` block.
-pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
-    let (fig, degraded) = sweep(params)?;
     Ok(finish(fig.to_report(), degraded, None, params))
 }

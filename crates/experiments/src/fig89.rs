@@ -9,24 +9,24 @@
 //!   net effect of sharing eventually becomes a win.
 
 use memsim::MemConfig;
-use speedup_stacks::report::{Block, Column, Degraded, Report, Table, Unit, Value};
+use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 use speedup_stacks::{Component, SimError, SpeedupStack};
 use workloads::{display_name, Suite};
 
-use crate::decompose::{clean, finish, grid_study, run_machines};
+use crate::decompose::{finish, run_machines};
 use crate::runner::{point_label, scaled_profile, PointSummary, RunOptions};
 use crate::study::StudyParams;
 
 /// One benchmark's LLC interference decomposition (a bar triple in
 /// Figures 8/9).
 #[derive(Debug, Clone)]
-pub struct InterferenceBar {
+struct InterferenceBar {
     /// Row label (benchmark or LLC size).
-    pub label: String,
+    label: String,
     /// Negative LLC interference, in speedup units.
-    pub negative: f64,
+    negative: f64,
     /// Positive LLC interference, in speedup units.
-    pub positive: f64,
+    positive: f64,
 }
 
 impl InterferenceBar {
@@ -40,8 +40,7 @@ impl InterferenceBar {
     }
 
     /// Net interference (negative − positive); positive values hurt.
-    #[must_use]
-    pub fn net(&self) -> f64 {
+    fn net(&self) -> f64 {
         self.negative - self.positive
     }
 }
@@ -93,19 +92,19 @@ fn interference_table(
 
 /// Figure 8 data.
 #[derive(Debug, Clone)]
-pub struct Fig8 {
+pub(crate) struct Fig8 {
     /// One bar triple per benchmark.
-    pub bars: Vec<InterferenceBar>,
+    bars: Vec<InterferenceBar>,
     /// Core/thread count of the runs (16 in the paper).
-    pub cores: usize,
+    cores: usize,
     /// Shared LLC capacity of the runs, in MiB (2 in the paper).
-    pub llc_mib: usize,
+    llc_mib: usize,
 }
 
 /// The paper's Figure 8 benchmark set (those with non-negligible positive
 /// interference). The paper shows canneal small and large; the sizes
 /// available here are small and medium.
-pub const FIG8_BENCHMARKS: [(&str, Suite); 7] = [
+pub(crate) const FIG8_BENCHMARKS: [(&str, Suite); 7] = [
     ("cholesky", Suite::Splash2),
     ("lu.cont", Suite::Splash2),
     ("canneal", Suite::ParsecSmall),
@@ -114,17 +113,6 @@ pub const FIG8_BENCHMARKS: [(&str, Suite); 7] = [
     ("lu.ncont", Suite::Splash2),
     ("needle", Suite::Rodinia),
 ];
-
-/// Regenerates Figure 8, honoring the thread-count and LLC overrides.
-///
-/// # Panics
-///
-/// Panics if a simulation fails; the registered `fig8` study degrades
-/// gracefully instead.
-#[must_use]
-pub fn run_fig8(params: &StudyParams) -> Fig8 {
-    fold_fig8(params, grid_study("fig8", params).clean_rows(params))
-}
 
 /// Folds the grid's rows into Figure 8 (the fig8 arm of
 /// [`crate::decompose::GridStudy::assemble`]): one bar per completed
@@ -144,8 +132,7 @@ pub(crate) fn fold_fig8(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>
 
 impl Fig8 {
     /// Converts the figure into its structured [`Report`].
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    pub(crate) fn to_report(&self) -> Report {
         let title = format!(
             "Figure 8: negative, positive and net LLC interference ({} cores, {} MB LLC)",
             self.cores, self.llc_mib
@@ -164,32 +151,23 @@ impl Fig8 {
 
 /// Figure 9 data: cholesky across LLC sizes.
 #[derive(Debug, Clone)]
-pub struct Fig9 {
+struct Fig9 {
     /// One bar triple per LLC size.
-    pub bars: Vec<InterferenceBar>,
+    bars: Vec<InterferenceBar>,
     /// Core/thread count of the runs (16 in the paper).
-    pub cores: usize,
+    cores: usize,
 }
 
 /// The LLC sizes of the sweep, in MiB.
-pub const LLC_SIZES_MIB: [usize; 4] = [2, 4, 8, 16];
+const LLC_SIZES_MIB: [usize; 4] = [2, 4, 8, 16];
 
-/// Regenerates Figure 9, honoring the thread-count override (the LLC
-/// sizes are the figure's swept variable; `llc_mib` is ignored).
-///
-/// # Panics
-///
-/// Panics if a simulation fails; the registered `fig9` study degrades
-/// gracefully instead.
-#[must_use]
-pub fn run_fig9(params: &StudyParams) -> Fig9 {
-    clean("fig9", sweep_fig9(params))
-}
-
-/// The sweep behind [`run_fig9`] and [`fig9_report`]: one cholesky
-/// reference and one point per LLC size (each size is its own machine,
-/// single-threaded run included), failed points left out of the bars.
-fn sweep_fig9(params: &StudyParams) -> Result<(Fig9, Degraded), SimError> {
+/// Figure 9 as the registry runs it: one cholesky reference and one
+/// point per LLC size (each size is its own machine, single-threaded run
+/// included), folded into the report. The thread-count override is
+/// honored; the LLC sizes are the figure's swept variable, so `llc_mib`
+/// is ignored. Failed points are left out of the bars and named in the
+/// report's `Degraded` block.
+pub(crate) fn fig9_report(params: &StudyParams) -> Result<Report, SimError> {
     let cores = params.single_count(16);
     let p = workloads::find("cholesky", Suite::Splash2).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -216,13 +194,17 @@ fn sweep_fig9(params: &StudyParams) -> Result<(Fig9, Degraded), SimError> {
             ))
         })
         .collect();
-    Ok((Fig9 { bars, cores }, degraded))
+    Ok(finish(
+        Fig9 { bars, cores }.to_report(),
+        degraded,
+        None,
+        params,
+    ))
 }
 
 impl Fig9 {
     /// Converts the figure into its structured [`Report`].
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    fn to_report(&self) -> Report {
         let title = format!(
             "Figure 9: cholesky LLC interference vs LLC size ({} cores)",
             self.cores
@@ -237,11 +219,4 @@ impl Fig9 {
         )));
         report
     }
-}
-
-/// Figure 9 as the registry runs it: [`sweep_fig9`] folded into the
-/// report, failed points in its `Degraded` block.
-pub(crate) fn fig9_report(params: &StudyParams) -> Result<Report, SimError> {
-    let (fig, degraded) = sweep_fig9(params)?;
-    Ok(finish(fig.to_report(), degraded, None, params))
 }

@@ -7,29 +7,17 @@ use crate::study::StudyParams;
 
 /// The §4.7 cost breakdown.
 #[derive(Debug, Clone)]
-pub struct HwCost {
+struct HwCost {
     /// The model used (paper defaults).
-    pub model: HardwareCostModel,
+    model: HardwareCostModel,
     /// Cores of the CMP sized in the paper's summary (16).
-    pub cores: u32,
-}
-
-/// Builds the paper's hardware cost table, honoring the thread-count
-/// override (the CMP size the total is computed for; workload scale is
-/// meaningless here and ignored).
-#[must_use]
-pub fn run(params: &StudyParams) -> HwCost {
-    HwCost {
-        model: HardwareCostModel::paper_default(),
-        cores: u32::try_from(params.single_count(16)).unwrap_or(16),
-    }
+    cores: u32,
 }
 
 impl HwCost {
     /// Converts the cost table into its structured [`Report`]: one
     /// scalar metric in bytes per storage structure.
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    fn to_report(&self) -> Report {
         let m = &self.model;
         let title = "Hardware cost of the cycle accounting architecture (§4.7)";
         let mut report = Report::new("hwcost", title);
@@ -108,9 +96,15 @@ impl HwCost {
     }
 }
 
-/// The hardware cost table as the registry runs it (no simulation).
+/// The hardware cost table as the registry runs it (no simulation),
+/// honoring the thread-count override (the CMP size the total is
+/// computed for; workload scale is meaningless here and ignored).
 pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
-    let mut report = run(params).to_report();
+    let cost = HwCost {
+        model: HardwareCostModel::paper_default(),
+        cores: u32::try_from(params.single_count(16)).unwrap_or(16),
+    };
+    let mut report = cost.to_report();
     params.record(&mut report);
     Ok(report)
 }

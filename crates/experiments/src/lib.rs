@@ -7,12 +7,12 @@
 //! [`study::Study`]: enumerable through [`registry`], parameterized by
 //! typed [`study::StudyParams`] and returning a structured
 //! [`speedup_stacks::report::Report`] that renders as text, JSON or CSV.
-//! The `repro` binary drives them uniformly: `repro --list`,
+//! `find_study(name).run(params)` is the one way to run a study. The
+//! `repro` binary drives them uniformly: `repro --list`,
 //! `cargo run -p service --bin repro -- fig4 --format json`, or
-//! `repro scaling` for the many-core study. Each module additionally
-//! keeps its figure data struct and exactly one typed function taking
-//! `&StudyParams` that returns it (`fig45::run` returning `Fig4`, …);
-//! `to_report()` turns it into the report the study emits.
+//! `repro scaling` for the many-core study. Inside each module, a
+//! crate-private figure data struct is what the study's units fold
+//! into, and its `to_report()` builds the report the study emits.
 //!
 //! Every experiment reduces to the [`runner`] recipe: run a workload
 //! multi-threaded (that run drives the accounting and yields the

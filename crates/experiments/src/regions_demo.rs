@@ -8,7 +8,6 @@
 //! a rotating-imbalance workload (the lud model).
 
 use cmpsim::{region_stacks, MachineConfig};
-use speedup_stacks::render::RenderOptions;
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::{AccountingConfig, Component, SimError, SpeedupStack};
 use workloads::{streams_for, Suite};
@@ -19,27 +18,25 @@ use crate::study::StudyParams;
 
 /// Whole-program vs per-region decomposition.
 #[derive(Debug)]
-pub struct RegionsDemo {
+struct RegionsDemo {
     /// Benchmark display name.
-    pub name: String,
+    name: String,
     /// The conventional whole-program stack.
-    pub whole: SpeedupStack,
+    whole: SpeedupStack,
     /// One stack per barrier-delimited region.
-    pub regions: Vec<SpeedupStack>,
+    regions: Vec<SpeedupStack>,
     /// Thread count of the run (16 in the paper's demonstration).
-    pub threads: usize,
+    threads: usize,
 }
 
 impl RegionsDemo {
     /// Total synchronization (spin + yield) in the whole-program stack.
-    #[must_use]
-    pub fn whole_sync(&self) -> f64 {
+    fn whole_sync(&self) -> f64 {
         self.whole.component(Component::Spinning) + self.whole.component(Component::Yielding)
     }
 
     /// Average imbalance component across region stacks.
-    #[must_use]
-    pub fn mean_region_imbalance(&self) -> f64 {
+    fn mean_region_imbalance(&self) -> f64 {
         if self.regions.is_empty() {
             return 0.0;
         }
@@ -52,15 +49,12 @@ impl RegionsDemo {
 }
 
 /// Runs the region-stack demonstration (lud at 16 threads), honoring the
-/// thread-count and LLC overrides. The one run has no single-thread
-/// reference and nothing to fan out: it runs in its own fault domain
-/// under the parameters' fault policy, no unit graph needed.
-///
-/// # Errors
-///
-/// [`SimError::Engine`] when the run fails every attempt (a deadline
-/// overrun included).
-pub fn run(params: &StudyParams) -> Result<RegionsDemo, SimError> {
+/// thread-count and LLC overrides: the body of [`report`]. The one run
+/// has no single-thread reference and nothing to fan out: it runs in its
+/// own fault domain under the parameters' fault policy, no unit graph
+/// needed. [`SimError::Engine`] when the run fails every attempt (a
+/// deadline overrun included).
+fn run(params: &StudyParams) -> Result<RegionsDemo, SimError> {
     let threads = params.single_count(16);
     let p = workloads::find("lud", Suite::Rodinia).expect("catalog entry");
     let p = scaled_profile(&p, params.scale);
@@ -83,8 +77,7 @@ pub fn run(params: &StudyParams) -> Result<RegionsDemo, SimError> {
 
 impl RegionsDemo {
     /// Converts the demonstration into its structured [`Report`].
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    fn to_report(&self) -> Report {
         let title = format!(
             "§4.6 region stacks ({}, {} threads)",
             self.name, self.threads
@@ -101,7 +94,6 @@ impl RegionsDemo {
         report.push(Block::hidden(Block::Stack {
             label: "whole_program".to_string(),
             stack: self.whole.clone(),
-            options: RenderOptions::default(),
         }));
         report.push(Block::line(format!(
             "per-region stacks ({} regions):",

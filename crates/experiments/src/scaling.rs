@@ -22,15 +22,14 @@
 //! speedup stack rendered by [`speedup_stacks::render::render_sweep`].
 
 use memsim::{CacheConfig, MemConfig};
-use speedup_stacks::render::RenderOptions;
-use speedup_stacks::report::{Block, Column, Degraded, Report, Table, Unit, Value};
+use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 use speedup_stacks::{SimError, SpeedupStack};
 use workloads::{
     default_rate_mix, display_name, find, rate_mix_streams, streams_for, RateMixStream, Suite,
     WorkloadProfile,
 };
 
-use crate::decompose::{clean, finish, run_graph};
+use crate::decompose::{finish, run_graph};
 use crate::runner::{
     point_label, scaled_profile, simulate, single_thread_reference_streams, RunOptions,
 };
@@ -53,50 +52,49 @@ pub fn manycore_mem() -> MemConfig {
 
 /// One swept point of one workload.
 #[derive(Debug)]
-pub struct ScalingPoint {
+struct ScalingPoint {
     /// Hardware cores (== software threads at this point).
-    pub cores: usize,
+    cores: usize,
     /// The speedup stack of the multi-threaded run, with the scaled
     /// speedup attached as the actual.
-    pub stack: SpeedupStack,
+    stack: SpeedupStack,
     /// Estimated speedup `Ŝ` from the stack (Eq. 4).
-    pub estimated: f64,
+    estimated: f64,
     /// Scaled speedup: `n · Ts / Tp` for weak-scaling workloads (the MT
     /// run does `n×` the reference work), `Σᵢ Ts(i) / Tp` for the rate
     /// mix.
-    pub scaled_speedup: f64,
+    scaled_speedup: f64,
     /// Multi-threaded run duration in cycles.
-    pub mt_cycles: u64,
+    mt_cycles: u64,
     /// Engine events of the multi-threaded run.
-    pub events: u64,
+    events: u64,
 }
 
 /// One workload's 1→128-core series.
 #[derive(Debug)]
-pub struct ScalingSeries {
+struct ScalingSeries {
     /// Workload display name (`*_weak` variants and `rate_mix`).
-    pub name: String,
+    name: String,
     /// One point per swept core count, in [`CORE_COUNTS`] order.
-    pub points: Vec<ScalingPoint>,
+    points: Vec<ScalingPoint>,
 }
 
 /// The whole study.
 #[derive(Debug)]
-pub struct ScalingStudy {
+struct ScalingStudy {
     /// One series per workload.
-    pub series: Vec<ScalingSeries>,
+    series: Vec<ScalingSeries>,
     /// Swept core counts.
-    pub counts: Vec<usize>,
+    counts: Vec<usize>,
     /// The memory hierarchy the sweep ran on (reported in the figure
     /// header).
-    pub mem: MemConfig,
+    mem: MemConfig,
 }
 
 impl ScalingStudy {
     /// Converts the study into its structured [`Report`]: one sweep
     /// block per workload plus a machine-readable point table.
-    #[must_use]
-    pub fn to_report(&self) -> Report {
+    fn to_report(&self) -> Report {
         let title = format!(
             "Many-core scaling study: speedup stacks at {:?} cores",
             self.counts
@@ -143,7 +141,6 @@ impl ScalingStudy {
             report.push(Block::Sweep {
                 title: series.name.clone(),
                 series: bars,
-                options: RenderOptions::default(),
             });
         }
         report
@@ -154,8 +151,7 @@ impl ScalingStudy {
 /// one synchronization-bound workload (cholesky: short hot critical
 /// sections) and one imbalance-bound workload (lud: strong rotating
 /// skew), each as its weak variant.
-#[must_use]
-pub fn study_profiles(scale: f64) -> Vec<WorkloadProfile> {
+fn study_profiles(scale: f64) -> Vec<WorkloadProfile> {
     [
         find("blackscholes", Suite::ParsecMedium).expect("catalog"),
         find("cholesky", Suite::Splash2).expect("catalog"),
@@ -166,31 +162,22 @@ pub fn study_profiles(scale: f64) -> Vec<WorkloadProfile> {
     .collect()
 }
 
-/// Runs the study: `threads` overrides the swept core counts
-/// ([`CORE_COUNTS`] by default), `llc_mib` resizes the (32-way)
-/// many-core LLC, `scale` scales the workloads (1.0 = the catalog sizes;
-/// use e.g. 0.25 for a quick pass).
+/// The study as the registry runs it: `threads` overrides the swept
+/// core counts ([`CORE_COUNTS`] by default), `llc_mib` resizes the
+/// (32-way) many-core LLC, `scale` scales the workloads (1.0 = the
+/// catalog sizes; use e.g. 0.25 for a quick pass).
 ///
-/// # Panics
-///
-/// Panics if a study workload is invalid or any swept point fails;
-/// the registered `scaling` study degrades gracefully instead.
-#[must_use]
-pub fn run(params: &StudyParams) -> ScalingStudy {
-    clean("scaling", sweep(params))
-}
-
-/// The fault-tolerant sweep behind [`run`] and [`report`],
-/// as one [`crate::graph::UnitGraph`]: a single-thread reference per weak workload
-/// (weak scaling: every thread's work equals that run's) and one per
-/// rate-mix program (its solo run; wider mixes reuse them cyclically),
-/// gating one point per series and swept count — a weak series' points
-/// behind its own reference, the rate mix's behind every program's, the
-/// first failed one failing the series. Every unit runs in its own fault
-/// domain (honoring `params.faults`) and the outcomes fold through
-/// [`crate::decompose::GridFold`], so failures land in the returned
-/// [`Degraded`] exactly as a grid study's do.
-fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
+/// The sweep is one [`crate::graph::UnitGraph`]: a single-thread
+/// reference per weak workload (weak scaling: every thread's work equals
+/// that run's) and one per rate-mix program (its solo run; wider mixes
+/// reuse them cyclically), gating one point per series and swept count —
+/// a weak series' points behind its own reference, the rate mix's behind
+/// every program's, the first failed one failing the series. Every unit
+/// runs in its own fault domain (honoring `params.faults`) and the
+/// outcomes fold through [`crate::decompose::GridFold`], so failed
+/// points land in the report's `Degraded` block exactly as a grid
+/// study's do.
+pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
     let counts = params.counts_or(&CORE_COUNTS);
     let mem = match params.llc_mib {
         Some(mib) => MemConfig {
@@ -272,20 +259,11 @@ fn sweep(params: &StudyParams) -> Result<(ScalingStudy, Degraded), SimError> {
             points: slots.by_ref().take(counts.len()).flatten().collect(),
         })
         .collect();
-    Ok((
-        ScalingStudy {
-            series,
-            counts,
-            mem,
-        },
-        degraded,
-    ))
-}
-
-/// The study as the registry runs it: [`sweep`] folded into the report,
-/// failed points in its `Degraded` block.
-pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
-    let (study, degraded) = sweep(params)?;
+    let study = ScalingStudy {
+        series,
+        counts,
+        mem,
+    };
     Ok(finish(study.to_report(), degraded, None, params))
 }
 
@@ -294,29 +272,46 @@ mod tests {
     use super::*;
     use crate::par::Parallelism;
 
-    fn quick(counts: &[usize]) -> ScalingStudy {
-        run(&StudyParams {
+    fn quick(counts: &[usize]) -> Report {
+        report(&StudyParams {
             threads: Some(counts.to_vec()),
             parallelism: Parallelism::Serial,
             ..StudyParams::with_scale(0.02)
         })
+        .expect("valid study")
     }
 
     #[test]
     fn quick_study_has_expected_shape() {
-        let study = quick(&[1, 2, 4]);
-        assert_eq!(study.counts, vec![1, 2, 4]);
-        assert_eq!(study.series.len(), 4); // 3 weak workloads + rate mix
-        for s in &study.series {
-            assert_eq!(s.points.len(), 3, "{}", s.name);
-            for p in &s.points {
-                assert!(p.mt_cycles > 0);
-                assert!(p.events > 0);
-                assert!(p.scaled_speedup > 0.0);
-                assert_eq!(p.stack.num_threads(), p.cores);
+        let report = quick(&[1, 2, 4]);
+        let mut points = None;
+        let mut sweeps = Vec::new();
+        for block in &report.blocks {
+            match block {
+                Block::Hidden(b) => match &**b {
+                    Block::Table(t) if t.name == "points" => points = Some(t),
+                    _ => {}
+                },
+                Block::Sweep { title, series } => sweeps.push((title, series)),
+                Block::Degraded(d) => panic!("degraded: {d:?}"),
+                _ => {}
             }
         }
-        let text = study.to_report().to_text();
+        // 3 weak workloads + rate mix, one bar per swept count each.
+        assert_eq!(sweeps.len(), 4);
+        for (title, series) in &sweeps {
+            let cores: Vec<usize> = series.iter().map(|(_, s)| s.num_threads()).collect();
+            assert_eq!(cores, [1, 2, 4], "{title}");
+        }
+        let rows = &points.expect("point table").rows;
+        assert_eq!(rows.len(), 4 * 3);
+        for (row, cores) in rows.iter().zip([1u64, 2, 4].iter().cycle()) {
+            assert_eq!(row[1], Value::U64(*cores));
+            assert!(row[2].as_f64().unwrap() > 0.0, "scaled speedup");
+            assert!(row[4].as_f64().unwrap() > 0.0, "mt cycles");
+            assert!(row[5].as_f64().unwrap() > 0.0, "events");
+        }
+        let text = report.to_text();
         assert!(text.contains("rate_mix"));
         assert!(text.contains("_weak"));
     }

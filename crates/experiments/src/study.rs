@@ -152,7 +152,8 @@ impl StudyParams {
 }
 
 /// One enumerable experiment: a name, a description and a parameterized
-/// run producing a structured [`Report`].
+/// run producing a structured [`Report`]. The entries of [`registry`]
+/// are the only studies there are.
 ///
 /// # Examples
 ///
@@ -164,12 +165,25 @@ impl StudyParams {
 /// let report = study.run(&StudyParams::default()).unwrap();
 /// assert_eq!(report.params[0].0, "scale");
 /// ```
-pub trait Study: Sync {
+#[derive(Debug, Clone, Copy)]
+pub struct Study {
+    name: &'static str,
+    description: &'static str,
+    run: fn(&StudyParams) -> Result<Report, SimError>,
+}
+
+impl Study {
     /// Registry key (`fig1` … `fig9`, `hwcost`, `regions`, `scaling`).
-    fn name(&self) -> &'static str;
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 
     /// One-line description for `repro --list`.
-    fn description(&self) -> &'static str;
+    #[must_use]
+    pub fn description(&self) -> &'static str {
+        self.description
+    }
 
     /// Runs the study and returns its structured report (with the
     /// parameters echoed into [`Report::params`]).
@@ -186,94 +200,68 @@ pub trait Study: Sync {
     ///
     /// See [`speedup_stacks::SimError`]; each variant maps to a distinct
     /// `repro` exit code.
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError>;
-}
-
-impl std::fmt::Debug for dyn Study {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Study({})", self.name())
-    }
-}
-
-/// One registered study: its key, its description and its run.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    name: &'static str,
-    description: &'static str,
-    run: fn(&StudyParams) -> Result<Report, SimError>,
-}
-
-impl Study for Entry {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn description(&self) -> &'static str {
-        self.description
-    }
-
-    fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
+    pub fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
         (self.run)(params)
     }
 }
 
-static REGISTRY: [&dyn Study; 12] = [
-    &Entry {
+static REGISTRY: [Study; 12] = [
+    Study {
         name: "fig1",
         description: "Speedup vs cores for blackscholes, facesim and cholesky (1-16 threads)",
         run: |p| grid_study("fig1", p).run(p),
     },
-    &Entry {
+    Study {
         name: "fig2",
         description: "Illustrative annotated speedup stack (facesim, 16 threads)",
         run: |p| grid_study("fig2", p).run(p),
     },
-    &Entry {
+    Study {
         name: "fig3",
         description: "Per-thread execution-time breakup underlying a stack (cholesky, 4 threads)",
         run: |p| grid_study("fig3", p).run(p),
     },
-    &Entry {
+    Study {
         name: "fig4",
         description: "Actual vs estimated speedup for all 28 benchmarks (validation grid)",
         run: |p| grid_study("fig4", p).run(p),
     },
-    &Entry {
+    Study {
         name: "fig5",
         description: "Speedup stacks vs thread count for the three case-study benchmarks",
         run: |p| grid_study("fig5", p).run(p),
     },
-    &Entry {
+    Study {
         name: "fig6",
         description: "Benchmark classification tree over the full suite (16 threads)",
         run: |p| grid_study("fig6", p).run(p),
     },
-    &Entry {
+    Study {
         name: "fig7",
         description: "Ferret speedup vs cores: threads=cores versus a fixed 16 threads",
         run: crate::fig7::report,
     },
-    &Entry {
+    Study {
         name: "fig8",
         description: "Negative/positive/net LLC interference per benchmark (16 cores, 2 MB LLC)",
         run: |p| grid_study("fig8", p).run(p),
     },
-    &Entry {
+    Study {
         name: "fig9",
         description: "Cholesky LLC interference vs LLC size, 2-16 MB (16 cores)",
         run: crate::fig89::fig9_report,
     },
-    &Entry {
+    Study {
         name: "hwcost",
         description: "Hardware cost of the accounting architecture (no simulation)",
         run: crate::hwcost::report,
     },
-    &Entry {
+    Study {
         name: "regions",
         description: "Whole-program vs per-region stacks: barrier waits become imbalance (lud)",
         run: crate::regions_demo::report,
     },
-    &Entry {
+    Study {
         name: "scaling",
         description:
             "Beyond the paper: speedup stacks from 1 to 128 cores (weak scaling + rate mix)",
@@ -295,14 +283,14 @@ static REGISTRY: [&dyn Study; 12] = [
 /// assert!(names.contains(&"scaling"));
 /// ```
 #[must_use]
-pub fn registry() -> &'static [&'static dyn Study] {
+pub fn registry() -> &'static [Study] {
     &REGISTRY
 }
 
 /// Looks a study up by registry key.
 #[must_use]
-pub fn find_study(name: &str) -> Option<&'static dyn Study> {
-    REGISTRY.iter().copied().find(|s| s.name() == name)
+pub fn find_study(name: &str) -> Option<&'static Study> {
+    REGISTRY.iter().find(|s| s.name == name)
 }
 
 #[cfg(test)]

@@ -140,49 +140,60 @@ fn deadline_overrun_degrades_the_study_report_instead_of_aborting() {
 #[test]
 fn killed_then_resumed_journaled_sweep_is_bit_identical() {
     let study = find_study("fig1").unwrap();
-    let base = small_fig1_params();
-    let clean = study.run(&base).expect("uninterrupted run");
+    // A `threads` list that repeats a count has two points per profile
+    // with one identity: each resume must serve both from the one
+    // journaled record, or it recomputes one and never finishes under
+    // the budget.
+    for (tag, threads) in [("resume", vec![2, 4]), ("resume-repeat", vec![2, 2, 4])] {
+        let base = StudyParams {
+            threads: Some(threads),
+            ..small_fig1_params()
+        };
+        let clean = study.run(&base).expect("uninterrupted run");
 
-    let path = tmp("resume");
-    let _ = std::fs::remove_file(&path);
-    let spath = path.to_string_lossy().to_string();
-    // Kill emulation: a 2-unit budget checkpoints and exits mid-grid.
-    match study.run(&StudyParams {
-        journal: Some(JournalSpec {
-            path: spath.clone(),
-            resume: false,
-        }),
-        max_points: Some(2),
-        ..base.clone()
-    }) {
-        Err(SimError::Interrupted { completed }) => assert!(completed <= 2),
-        other => panic!("expected Interrupted, got {other:?}"),
-    }
-    // Keep resuming under the same tiny budget until the grid completes.
-    let mut resumed = None;
-    for _ in 0..16 {
-        match study.run(&StudyParams {
-            journal: Some(JournalSpec {
-                path: spath.clone(),
-                resume: true,
-            }),
-            max_points: Some(2),
-            ..base.clone()
-        }) {
-            Ok(r) => {
-                resumed = Some(r);
-                break;
-            }
-            Err(SimError::Interrupted { .. }) => {}
-            Err(e) => panic!("resume failed: {e}"),
+        let path = tmp(tag);
+        let _ = std::fs::remove_file(&path);
+        let spath = path.to_string_lossy().to_string();
+        let journaled = |resume: bool, max_points: Option<usize>| {
+            study.run(&StudyParams {
+                journal: Some(JournalSpec {
+                    path: spath.clone(),
+                    resume,
+                }),
+                max_points,
+                ..base.clone()
+            })
+        };
+        // Kill emulation: a 2-unit budget checkpoints and exits mid-grid.
+        match journaled(false, Some(2)) {
+            Err(SimError::Interrupted { completed }) => assert!(completed <= 2),
+            other => panic!("{tag}: expected Interrupted, got {other:?}"),
         }
+        // Keep resuming under the same tiny budget until the grid completes.
+        let mut resumed = None;
+        for _ in 0..16 {
+            match journaled(true, Some(2)) {
+                Ok(r) => {
+                    resumed = Some(r);
+                    break;
+                }
+                Err(SimError::Interrupted { .. }) => {}
+                Err(e) => panic!("{tag}: resume failed: {e}"),
+            }
+        }
+        let resumed =
+            resumed.unwrap_or_else(|| panic!("{tag}: grid completes within 16 budgeted resumes"));
+        // Bit-identical in every emitter: a clean resume leaves no trace.
+        assert_eq!(resumed.to_text(), clean.to_text(), "{tag}");
+        assert_eq!(resumed.to_json(), clean.to_json(), "{tag}");
+        assert_eq!(resumed.to_csv(), clean.to_csv(), "{tag}");
+        // Resuming a complete journal computes, and appends, nothing.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let again = journaled(true, None).expect("resume of a complete journal");
+        assert_eq!(again.to_json(), clean.to_json(), "{tag}");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "{tag}");
+        let _ = std::fs::remove_file(&path);
     }
-    let resumed = resumed.expect("grid completes within 16 budgeted resumes");
-    // Bit-identical in every emitter: a clean resume leaves no trace.
-    assert_eq!(resumed.to_text(), clean.to_text());
-    assert_eq!(resumed.to_json(), clean.to_json());
-    assert_eq!(resumed.to_csv(), clean.to_csv());
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

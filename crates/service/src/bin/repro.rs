@@ -300,7 +300,7 @@ fn print_report(report: &speedup_stacks::report::Report, format: Format) {
     }
 }
 
-fn emit(study: &dyn Study, params: &StudyParams, format: Format) -> Result<(), SimError> {
+fn emit(study: &Study, params: &StudyParams, format: Format) -> Result<(), SimError> {
     let report = study.run(params)?;
     print_report(&report, format);
     Ok(())
@@ -311,7 +311,7 @@ fn run_all(params: &StudyParams, format: Format) -> Result<(), SimError> {
         Format::Text => {
             for study in registry() {
                 println!("================================================================");
-                emit(*study, params, format)?;
+                emit(study, params, format)?;
                 println!();
             }
         }
@@ -321,7 +321,7 @@ fn run_all(params: &StudyParams, format: Format) -> Result<(), SimError> {
                 if i > 0 {
                     print!(",");
                 }
-                emit(*study, params, format)?;
+                emit(study, params, format)?;
             }
             println!("]");
         }
@@ -330,7 +330,7 @@ fn run_all(params: &StudyParams, format: Format) -> Result<(), SimError> {
                 if i > 0 {
                     println!();
                 }
-                emit(*study, params, format)?;
+                emit(study, params, format)?;
             }
         }
     }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example custom_workload`
 
 use cmpsim::{simulate, MachineConfig, Op, OpStream, VecStream};
-use speedup_stacks::render::{render_stack, RenderOptions};
+use speedup_stacks::render::render_stack;
 use speedup_stacks::{AccountingConfig, Component};
 
 fn worker(thread: usize) -> Box<dyn OpStream> {
@@ -43,14 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = simulate(MachineConfig::with_cores(n), (0..n).map(worker).collect())?;
     let stack = result.stack(&AccountingConfig::default())?;
 
-    println!(
-        "{}",
-        render_stack(
-            "custom kernel, 4 threads",
-            &stack,
-            &RenderOptions::default()
-        )
-    );
+    println!("{}", render_stack("custom kernel, 4 threads", &stack));
 
     // Actionable diagnosis, straight from the stack.
     let spin = stack.component(Component::Spinning) + stack.component(Component::Yielding);
@@ -70,7 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report.push(speedup_stacks::report::Block::Stack {
         label: "custom kernel".to_string(),
         stack,
-        options: RenderOptions::default(),
     });
     println!("\nCSV form of the stack:\n{}", report.to_csv());
     Ok(())

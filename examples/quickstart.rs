@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use cmpsim::{simulate, MachineConfig};
-use speedup_stacks::render::{render_stack, RenderOptions};
+use speedup_stacks::render::render_stack;
 use speedup_stacks::AccountingConfig;
 use workloads::{find, streams_for, Suite};
 
@@ -25,14 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let actual = st.tp_cycles as f64 / mt.tp_cycles as f64;
     let stack = stack.with_actual_speedup(actual);
 
-    println!(
-        "{}",
-        render_stack(
-            "facesim_medium, 16 threads",
-            &stack,
-            &RenderOptions::default()
-        )
-    );
+    println!("{}", render_stack("facesim_medium, 16 threads", &stack));
     println!(
         "estimated speedup {:.2} vs actual {:.2} (error {:+.1}% of N)",
         stack.estimated_speedup(),
@@ -56,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report.push(speedup_stacks::report::Block::Stack {
         label: "facesim_medium".to_string(),
         stack,
-        options: RenderOptions::default(),
     });
     println!("\nthe same stack as JSON:\n{}", report.to_json());
     Ok(())

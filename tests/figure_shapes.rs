@@ -1,9 +1,16 @@
 //! End-to-end shape tests: every paper figure's qualitative claims must
 //! hold when regenerated (at reduced workload scale for test speed).
+//!
+//! Every figure runs through the registry, the one way to run a study,
+//! and its numbers are read back off the report at full precision: the
+//! `F64` cells of its tables, its scalars (hidden ones included) and the
+//! stacks of its stack blocks.
 
-use experiments::study::StudyParams;
-use experiments::{fig1, fig23, fig45, fig6, fig7, fig89, hwcost};
-use speedup_stacks::{Component, ScalingClass};
+use experiments::fig45;
+use experiments::study::{find_study, StudyParams};
+use speedup_stacks::estimate::{average_absolute_error, ValidationPoint};
+use speedup_stacks::report::{Block, Report, Table, Value};
+use speedup_stacks::{Component, SpeedupStack};
 
 /// Scale for figures that only depend on compute/sync ratios.
 fn scaled() -> StudyParams {
@@ -17,57 +24,163 @@ fn full() -> StudyParams {
     StudyParams::default()
 }
 
+/// Runs a registered study that must complete cleanly: no error and no
+/// `Degraded` block.
+fn run(study: &str, params: &StudyParams) -> Report {
+    let report = find_study(study)
+        .expect("registered study")
+        .run(params)
+        .unwrap_or_else(|e| panic!("{study}: {e}"));
+    assert!(
+        !report
+            .blocks
+            .iter()
+            .any(|b| matches!(b, Block::Degraded(_))),
+        "{study} degraded:\n{}",
+        report.to_text()
+    );
+    report
+}
+
+/// The report's blocks, hidden ones unwrapped.
+fn blocks(report: &Report) -> impl Iterator<Item = &Block> {
+    report.blocks.iter().map(|b| match b {
+        Block::Hidden(inner) => &**inner,
+        b => b,
+    })
+}
+
+/// The table called `name`.
+fn table<'a>(report: &'a Report, name: &str) -> &'a Table {
+    blocks(report)
+        .find_map(|b| match b {
+            Block::Table(t) if t.name == name => Some(t),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("table {name} missing"))
+}
+
+/// The index of the column called `name`.
+fn column(table: &Table, name: &str) -> usize {
+    table
+        .columns
+        .iter()
+        .position(|c| c.name == name)
+        .unwrap_or_else(|| panic!("{}: column {name} missing", table.name))
+}
+
+/// The value of the scalar called `name`.
+fn scalar<'a>(report: &'a Report, name: &str) -> &'a Value {
+    blocks(report)
+        .find_map(|b| match b {
+            Block::Scalar(s) if s.name == name => Some(&s.value),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("scalar {name} missing"))
+}
+
+/// A floating-point cell, exactly as the study computed it.
+fn f64_of(v: &Value) -> f64 {
+    match v {
+        Value::F64(x) => *x,
+        other => panic!("expected an F64 cell, got {other:?}"),
+    }
+}
+
+/// A count cell.
+fn u64_of(v: &Value) -> u64 {
+    match v {
+        Value::U64(x) => *x,
+        other => panic!("expected a U64 cell, got {other:?}"),
+    }
+}
+
+/// A string cell.
+fn str_of(v: &Value) -> &str {
+    match v {
+        Value::Str(s) => s,
+        other => panic!("expected a string cell, got {other:?}"),
+    }
+}
+
+/// The one `Stack` block's stack.
+fn the_stack(report: &Report) -> &SpeedupStack {
+    blocks(report)
+        .find_map(|b| match b {
+            Block::Stack { stack, .. } => Some(stack),
+            _ => None,
+        })
+        .expect("stack block present")
+}
+
 #[test]
 fn fig1_blackscholes_near_linear_others_saturate() {
-    let fig = fig1::run(&scaled());
-    let bs = &fig.curves[0];
-    let facesim = &fig.curves[1];
-    let cholesky = &fig.curves[2];
-    assert!(bs.at(16).unwrap() > 12.0, "blackscholes must scale well");
+    let report = run("fig1", &scaled());
+    let curves = table(&report, "speedup_curves");
+    let sixteen = column(curves, "16t");
+    let bs = &curves.rows[0];
+    assert!(f64_of(&bs[sixteen]) > 12.0, "blackscholes must scale well");
     // facesim and cholesky end up comparable and poor (paper: ~5x each).
-    for c in [facesim, cholesky] {
-        let s16 = c.at(16).unwrap();
-        assert!(s16 > 3.0 && s16 < 8.0, "{}: got {s16}", c.name);
+    for row in &curves.rows[1..3] {
+        let s16 = f64_of(&row[sixteen]);
+        assert!(s16 > 3.0 && s16 < 8.0, "{}: got {s16}", str_of(&row[0]));
     }
     // Curves are monotone for blackscholes.
-    let pts = &bs.points;
+    let pts: Vec<f64> = bs[1..].iter().map(f64_of).collect();
     for w in pts.windows(2) {
-        assert!(w[1].1 > w[0].1 * 0.95, "blackscholes curve dipped: {pts:?}");
+        assert!(w[1] > w[0] * 0.95, "blackscholes curve dipped: {pts:?}");
     }
 }
 
 #[test]
 fn fig2_stack_components_sum_to_n() {
-    let fig = fig23::run_fig2(&scaled());
-    assert!(fig.stack.is_valid());
-    assert_eq!(fig.stack.num_threads(), 16);
+    let report = run("fig2", &scaled());
+    let stack = the_stack(&report);
+    assert!(stack.is_valid());
+    assert_eq!(stack.num_threads(), 16);
     assert!(
-        fig.stack.component(Component::Yielding) > 0.5,
+        stack.component(Component::Yielding) > 0.5,
         "facesim is yield-heavy"
     );
 }
 
 #[test]
 fn fig3_per_thread_breakup_reconstructs_ts() {
-    let fig = fig23::run_fig3(&scaled());
-    let sum: f64 = fig
-        .stack
-        .per_thread()
-        .iter()
-        .map(|t| t.estimated_single_thread_cycles)
-        .sum();
-    assert!((sum - fig.stack.estimated_single_thread_cycles()).abs() < 1e-6);
-    assert_eq!(fig.stack.per_thread().len(), 4);
+    let report = run("fig3", &scaled());
+    let per_thread = table(&report, "per_thread");
+    let est = column(per_thread, "estimated_st_cycles");
+    let sum: f64 = per_thread.rows.iter().map(|r| f64_of(&r[est])).sum();
+    let total = f64_of(scalar(&report, "estimated_single_thread_cycles"));
+    assert!((sum - total).abs() < 1e-6);
+    assert_eq!(per_thread.rows.len(), 4);
 }
 
 #[test]
 fn fig4_average_error_within_paper_ballpark() {
-    let fig = fig45::run(&full());
-    assert_eq!(fig.points.len(), 28 * 4);
+    let report = run("fig4", &full());
+    let validation = table(&report, "validation_points");
+    let (n, actual, estimated) = (
+        column(validation, "N"),
+        column(validation, "actual"),
+        column(validation, "estimated"),
+    );
+    let points: Vec<ValidationPoint> = validation
+        .rows
+        .iter()
+        .map(|r| ValidationPoint {
+            name: str_of(&r[0]).to_string(),
+            threads: usize::try_from(u64_of(&r[n])).unwrap(),
+            actual: f64_of(&r[actual]),
+            estimated: f64_of(&r[estimated]),
+        })
+        .collect();
+    assert_eq!(points.len(), 28 * 4);
     // Paper: 3.0/3.4/2.8/5.1% average absolute error. Allow a generous
     // envelope: the method must stay well under 10% on average.
     for n in fig45::THREAD_COUNTS {
-        let err = fig.average_error(n);
+        let at_n: Vec<ValidationPoint> =
+            points.iter().filter(|p| p.threads == n).cloned().collect();
+        let err = average_absolute_error(&at_n);
         assert!(
             err < 0.10,
             "{n} threads: average |error| {:.1}% too high",
@@ -78,7 +191,7 @@ fn fig4_average_error_within_paper_ballpark() {
     // repo benchmark's seed-0 reading (`est_err_avg_pct` and
     // `est_err_max_pct` on `fig4_grid`): a change that moves these moved
     // the science, not just the speed.
-    let errors: Vec<f64> = fig.points.iter().map(|p| p.abs_error() * 100.0).collect();
+    let errors: Vec<f64> = points.iter().map(|p| p.abs_error() * 100.0).collect();
     let mean = errors.iter().sum::<f64>() / errors.len() as f64;
     let max = errors.iter().copied().fold(0.0, f64::max);
     assert!(
@@ -86,24 +199,31 @@ fn fig4_average_error_within_paper_ballpark() {
         "mean |S^-S|/N moved: {mean:.3}%"
     );
     assert!((max - 10.48).abs() < 0.05, "max |S^-S|/N moved: {max:.3}%");
-    // The overhead measure must flag swaptions_small (paper: 26%).
-    let swap = fig
-        .instruction_overhead
+    // The overhead measure must flag swaptions_small (paper: 26%) among
+    // the six largest.
+    let overhead = table(&report, "instruction_overhead");
+    assert_eq!(overhead.rows.len(), 6);
+    let percent = column(overhead, "overhead_percent");
+    let swap = overhead
+        .rows
         .iter()
-        .find(|(n, _)| n == "swaptions_small")
+        .find(|r| str_of(&r[0]) == "swaptions_small")
+        .map(|r| f64_of(&r[percent]) / 100.0)
         .expect("swaptions_small present");
-    assert!(
-        swap.1 > 0.15,
-        "swaptions_small overhead {:.2} too low",
-        swap.1
-    );
+    assert!(swap > 0.15, "swaptions_small overhead {swap:.2} too low");
 }
 
 #[test]
 fn fig5_bottlenecks_differ_between_facesim_and_cholesky() {
-    let fig = fig45::run_fig5(&scaled());
+    let report = run("fig5", &scaled());
+    let stacks = blocks(&report)
+        .find_map(|b| match b {
+            Block::StackTable { name, stacks } if name == "stacks" => Some(stacks),
+            _ => None,
+        })
+        .expect("stack table present");
     let get = |name: &str| {
-        fig.stacks
+        stacks
             .iter()
             .find(|(l, _)| l == name)
             .map(|(_, s)| s)
@@ -127,80 +247,122 @@ fn fig5_bottlenecks_differ_between_facesim_and_cholesky() {
 
 #[test]
 fn fig6_classification_matches_paper_structure() {
-    let fig = fig6::run(&full());
-    assert_eq!(fig.tree.entries().len(), 28);
+    let report = run("fig6", &full());
+    let classification = table(&report, "classification");
+    assert_eq!(classification.rows.len(), 28);
     // Paper: 5 of 28 scale well.
-    assert_eq!(fig.good_scalers(), 5, "tree:\n{}", fig.tree.render());
+    assert_eq!(
+        scalar(&report, "good_scalers"),
+        &Value::U64(5),
+        "tree:\n{}",
+        report.to_text()
+    );
     // Yielding is the dominant delimiter for most benchmarks.
+    let yielding = u64_of(scalar(&report, "yielding_largest"));
     assert!(
-        fig.count_largest(Component::Yielding) >= 14,
-        "yielding largest for only {} benchmarks",
-        fig.count_largest(Component::Yielding)
+        yielding >= 14,
+        "yielding largest for only {yielding} benchmarks"
     );
     // ferret_small is among the poor scalers.
-    let poor: Vec<&str> = fig
-        .tree
-        .in_class(ScalingClass::Poor)
-        .map(|e| e.name.as_str())
+    let class = column(classification, "class");
+    let poor: Vec<&str> = classification
+        .rows
+        .iter()
+        .filter(|r| str_of(&r[class]) == "poor")
+        .map(|r| str_of(&r[0]))
         .collect();
     assert!(poor.contains(&"ferret_small"), "poor class: {poor:?}");
 }
 
 #[test]
 fn fig7_ferret_saturates_with_16_threads() {
-    let fig = fig7::run(&scaled());
+    let report = run("fig7", &scaled());
+    let speedups = table(&report, "speedups");
+    let (eq, sixteen) = (
+        column(speedups, "threads_eq_cores"),
+        column(speedups, "sixteen_threads"),
+    );
+    let sixteen_at = |cores: u64| {
+        speedups
+            .rows
+            .iter()
+            .find(|r| u64_of(&r[0]) == cores)
+            .map(|r| f64_of(&r[sixteen]))
+            .unwrap()
+    };
     // Performance with 16 threads saturates by 8 cores: 16 cores is not
     // meaningfully better (paper even shows it slightly worse).
-    let at8 = fig.sixteen_at(8).unwrap();
-    let at16 = fig.sixteen_at(16).unwrap();
+    let at8 = sixteen_at(8);
+    let at16 = sixteen_at(16);
     assert!(
         at16 < at8 * 1.25,
         "16 threads should saturate near 8 cores: S(8c)={at8:.2} S(16c)={at16:.2}"
     );
     // Oversubscription at low core counts is not catastrophic.
-    let eq2 = fig.threads_eq_cores[0].1;
-    let ov2 = fig.sixteen_at(2).unwrap();
+    let eq2 = f64_of(&speedups.rows[0][eq]);
+    let ov2 = sixteen_at(2);
     assert!(ov2 > eq2 * 0.5);
+}
+
+/// The `(label, negative, positive, net)` bars of an interference table.
+fn bars(table: &Table) -> Vec<(&str, f64, f64, f64)> {
+    let (neg, pos, net) = (
+        column(table, "negative"),
+        column(table, "positive"),
+        column(table, "net"),
+    );
+    table
+        .rows
+        .iter()
+        .map(|r| {
+            (
+                str_of(&r[0]),
+                f64_of(&r[neg]),
+                f64_of(&r[pos]),
+                f64_of(&r[net]),
+            )
+        })
+        .collect()
 }
 
 #[test]
 fn fig8_negative_interference_dominates() {
-    let fig = fig89::run_fig8(&full());
-    assert_eq!(fig.bars.len(), 7);
+    let report = run("fig8", &full());
+    let bars = bars(table(&report, "interference"));
+    assert_eq!(bars.len(), 7);
     // Every shown benchmark has a real positive component...
-    for b in &fig.bars {
-        assert!(b.positive > 0.02, "{}: positive {:.3}", b.label, b.positive);
+    for (label, _, positive, _) in &bars {
+        assert!(*positive > 0.02, "{label}: positive {positive:.3}");
     }
     // ...and for the clear majority, negative interference wins (paper:
     // all; we tolerate one marginal case at reduced scale).
-    let harmful = fig.bars.iter().filter(|b| b.net() > -0.1).count();
+    let harmful = bars.iter().filter(|b| b.3 > -0.1).count();
     assert!(harmful >= 5, "only {harmful} of 7 benchmarks net-harmful");
 }
 
 #[test]
 fn fig9_negative_shrinks_positive_stable_with_llc_size() {
-    let fig = fig89::run_fig9(&full());
-    let first = &fig.bars[0];
-    let last = &fig.bars[fig.bars.len() - 1];
+    let report = run("fig9", &full());
+    let bars = bars(table(&report, "interference_vs_llc"));
+    let (_, first_neg, first_pos, first_net) = bars[0];
+    let (_, last_neg, last_pos, last_net) = bars[bars.len() - 1];
     assert!(
-        first.negative > last.negative + 0.05,
+        first_neg > last_neg + 0.05,
         "negative must shrink with LLC size"
     );
     // Positive interference is a program property: roughly constant.
     assert!(
-        (first.positive - last.positive).abs() < 0.6 * first.positive.max(0.05),
-        "positive must stay roughly constant: {:.3} -> {:.3}",
-        first.positive,
-        last.positive
+        (first_pos - last_pos).abs() < 0.6 * first_pos.max(0.05),
+        "positive must stay roughly constant: {first_pos:.3} -> {last_pos:.3}"
     );
     // Net interference improves (paper: eventually becomes beneficial).
-    assert!(last.net() < first.net());
+    assert!(last_net < first_net);
 }
 
 #[test]
 fn hwcost_reproduces_paper_budget() {
-    let cost = hwcost::run(&full());
-    assert_eq!(cost.model.interference_bytes(), 952);
-    assert_eq!(cost.model.spin_table_bytes(), 217);
-    assert_eq!(cost.model.total_bytes(16), 18_704);
+    let report = run("hwcost", &full());
+    assert_eq!(scalar(&report, "interference_bytes"), &Value::U64(952));
+    assert_eq!(scalar(&report, "spin_table_bytes"), &Value::U64(217));
+    assert_eq!(scalar(&report, "total_bytes"), &Value::U64(18_704));
 }

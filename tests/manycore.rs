@@ -4,9 +4,10 @@
 //! rendered speedup stack.
 
 use cmpsim::{simulate, MachineConfig};
-use experiments::scaling::{self, manycore_mem, CORE_COUNTS};
-use experiments::StudyParams;
-use speedup_stacks::render::{render_stack, RenderOptions};
+use experiments::scaling::{manycore_mem, CORE_COUNTS};
+use experiments::{find_study, StudyParams};
+use speedup_stacks::render::render_stack;
+use speedup_stacks::report::{Block, Value};
 use speedup_stacks::AccountingConfig;
 use workloads::{streams_for, Suite, WorkloadProfile};
 
@@ -51,7 +52,7 @@ fn full_pipeline_at_128_cores_with_32_way_llc() {
         "stack does not sum to N"
     );
 
-    let art = render_stack("manycore_demo@128", &stack, &RenderOptions::default());
+    let art = render_stack("manycore_demo@128", &stack);
     assert!(art.contains("N=128"));
     assert!(art.contains("base speedup"));
     assert!(art.lines().count() >= 3, "bar and legend rendered");
@@ -81,14 +82,38 @@ fn manycore_run_is_deterministic() {
 /// the speed.
 #[test]
 fn scaling_error_over_all_core_counts_is_pinned() {
-    let study = scaling::run(&StudyParams::with_scale(0.02));
-    assert_eq!(study.counts, CORE_COUNTS);
-    let errors: Vec<f64> = study
-        .series
+    let report = find_study("scaling")
+        .unwrap()
+        .run(&StudyParams::with_scale(0.02))
+        .expect("clean sweep");
+    let mut points = None;
+    for block in &report.blocks {
+        match block {
+            Block::Hidden(b) => match &**b {
+                Block::Table(t) if t.name == "points" => points = Some(t),
+                _ => {}
+            },
+            Block::Degraded(d) => panic!("scaling degraded: {d:?}"),
+            _ => {}
+        }
+    }
+    let points = points.expect("point table");
+    // Speedups are `F64` cells, core counts `U64` ones.
+    let cell = |row: &[Value], col: &str| {
+        let i = points.columns.iter().position(|c| c.name == col).unwrap();
+        row[i].as_f64().unwrap()
+    };
+    let cores: Vec<f64> = points.rows.iter().map(|r| cell(r, "cores")).collect();
+    let per_series: Vec<f64> = CORE_COUNTS.iter().map(|&n| n as f64).collect();
+    assert_eq!(cores, per_series.repeat(4));
+    let errors: Vec<f64> = points
+        .rows
         .iter()
-        .flat_map(|s| &s.points)
-        .filter(|p| p.cores > 1)
-        .map(|p| (p.estimated - p.scaled_speedup).abs() / p.cores as f64 * 100.0)
+        .filter(|r| cell(r, "cores") > 1.0)
+        .map(|r| {
+            let n = cell(r, "cores");
+            (cell(r, "estimated_speedup") - cell(r, "scaled_speedup")).abs() / n * 100.0
+        })
         .collect();
     assert_eq!(errors.len(), 4 * (CORE_COUNTS.len() - 1));
     let mean = errors.iter().sum::<f64>() / errors.len() as f64;

@@ -9,11 +9,11 @@
 //! several threads even on single-CPU hosts so genuine cross-thread
 //! execution is exercised.
 
-use experiments::study::StudyParams;
+use experiments::study::{find_study, StudyParams};
 use experiments::{
-    fig1, fig45, run_profile, scaled_profile, single_thread_reference, Parallelism, RunOptions,
-    RunOutcome,
+    run_profile, scaled_profile, single_thread_reference, Parallelism, RunOptions, RunOutcome,
 };
+use speedup_stacks::report::{Block, Value};
 use speedup_stacks::Component;
 use workloads::{find, Suite, WorkloadProfile};
 
@@ -90,26 +90,54 @@ fn serial_and_parallel_grids_are_identical() {
     }
 }
 
+/// The rows of a clean registry run's table `table`, every `F64` cell
+/// as its bits (so equal rows are bit-identical).
+fn table_bits(study: &str, table: &str, params: &StudyParams) -> Vec<Vec<Value>> {
+    let report = find_study(study).unwrap().run(params).expect("clean run");
+    assert!(
+        !report
+            .blocks
+            .iter()
+            .any(|b| matches!(b, Block::Degraded(_))),
+        "{study} degraded"
+    );
+    let rows = report
+        .blocks
+        .iter()
+        .find_map(|b| match b {
+            Block::Table(t) if t.name == table => Some(t.rows.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{study}: table {table} missing"));
+    rows.into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|v| match v {
+                    Value::F64(x) => Value::U64(x.to_bits()),
+                    v => v,
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn figure_entrypoints_match_across_modes() {
     let params = |parallelism| StudyParams {
         parallelism,
         ..StudyParams::with_scale(0.1)
     };
-    let serial = fig1::run(&params(Parallelism::Serial));
-    let parallel = fig1::run(&params(Parallelism::Workers(3)));
-    for (a, b) in serial.curves.iter().zip(&parallel.curves) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.points, b.points);
-    }
+    let serial = table_bits("fig1", "speedup_curves", &params(Parallelism::Serial));
+    let parallel = table_bits("fig1", "speedup_curves", &params(Parallelism::Workers(3)));
+    assert_eq!(serial.len(), 3);
+    assert_eq!(serial, parallel);
 
-    let serial = fig45::run(&params(Parallelism::Serial));
-    let parallel = fig45::run(&params(Parallelism::Workers(4)));
-    assert_eq!(serial.points.len(), parallel.points.len());
-    for (a, b) in serial.points.iter().zip(&parallel.points) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.threads, b.threads);
-        assert_eq!(a.actual.to_bits(), b.actual.to_bits());
-        assert_eq!(a.estimated.to_bits(), b.estimated.to_bits());
-    }
+    let serial = table_bits("fig4", "validation_points", &params(Parallelism::Serial));
+    let parallel = table_bits(
+        "fig4",
+        "validation_points",
+        &params(Parallelism::Workers(4)),
+    );
+    assert_eq!(serial.len(), 28 * 4);
+    assert_eq!(serial, parallel);
 }
