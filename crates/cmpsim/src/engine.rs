@@ -17,10 +17,9 @@
 //!
 //! Lock and barrier state lives in **dense `Vec`-indexed tables**: sync
 //! ids are small integers minted by the workload generator, so resolving
-//! a lock is an array index instead of a `HashMap` probe. Only the
-//! transactional read/write line-sets — genuinely sparse over the line
-//! address space — use a hash map, keyed with
-//! [`memsim::fx::FxHasher`] rather than SipHash.
+//! a lock is an array index instead of a hash-map probe; the engine holds
+//! no hash map. A thread's next op is the one compute fusion fetched
+//! ahead, else the next of its stream.
 //!
 //! ## Synchronization model
 //!
@@ -37,7 +36,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use memsim::{FxHashMap, LineAddr, MemoryHierarchy, ServedBy};
+use memsim::{LineAddr, MemoryHierarchy, ServedBy};
 use speedup_stacks::{AccountingConfig, SpeedupStack, StackError, ThreadCounters};
 
 use crate::config::MachineConfig;
@@ -56,8 +55,6 @@ const BARRIER_REGION: LineAddr = (1 << 33) + (1 << 20);
 /// for a gigantic allocation, and its lock line would alias a barrier
 /// line).
 const MAX_SYNC_IDS: u64 = 1 << 20;
-/// Cycles to commit a transaction (write-set publication).
-const TX_COMMIT_COST: u64 = 30;
 
 type ThreadId = usize;
 
@@ -149,10 +146,6 @@ pub struct ThreadTruth {
     pub invalidations_sent: u64,
     /// Number of completed wait episodes (lock + barrier).
     pub wait_episodes: u64,
-    /// Committed transactions.
-    pub tx_commits: u64,
-    /// Aborted (rolled back and replayed) transactions.
-    pub tx_aborts: u64,
 }
 
 /// Cumulative per-thread accounting state captured at one barrier
@@ -248,14 +241,6 @@ impl TState {
     }
 }
 
-#[derive(Debug, Default)]
-struct TxState {
-    start: u64,
-    attempts: u32,
-    ops: Vec<Op>,
-    doomed: bool,
-}
-
 struct Thread {
     stream: Box<dyn OpStream>,
     state: TState,
@@ -274,11 +259,6 @@ struct Thread {
     barrier_yield: f64,
     /// The current scheduled-out episode started at a barrier.
     yield_from_barrier: bool,
-    /// Active transaction, if any (§4.3).
-    tx: Option<TxState>,
-    /// Ops to replay after a transaction rollback, before reading the
-    /// stream again.
-    replay: VecDeque<Op>,
     /// An op fetched ahead by the compute-fusion fast path that turned
     /// out not to be fusible; consumed before reading the stream again.
     carried: Option<Op>,
@@ -339,11 +319,6 @@ pub struct Simulation {
     events: u64,
     finished: usize,
     regions: Vec<RegionSnapshot>,
-    /// Lines read inside active transactions -> reading threads. Sparse
-    /// over the line space, hence a (Fx-keyed) map rather than a table.
-    tx_readers: FxHashMap<LineAddr, Vec<ThreadId>>,
-    /// Lines written inside active transactions -> writing threads.
-    tx_writers: FxHashMap<LineAddr, Vec<ThreadId>>,
     /// The last cycle the run may reach: `min(max_cycles, deadline)`
     /// (see [`Simulation::with_deadline`]), compared once per event.
     limit: u64,
@@ -386,8 +361,6 @@ impl Simulation {
                 barrier_spin: 0.0,
                 barrier_yield: 0.0,
                 yield_from_barrier: false,
-                tx: None,
-                replay: VecDeque::new(),
                 carried: None,
                 c: ThreadCounters::default(),
                 truth: ThreadTruth::default(),
@@ -406,8 +379,6 @@ impl Simulation {
             events: 0,
             finished: 0,
             regions: Vec::new(),
-            tx_readers: FxHashMap::default(),
-            tx_writers: FxHashMap::default(),
             limit: cfg.max_cycles,
         }
     }
@@ -581,7 +552,7 @@ impl Simulation {
     /// event and immediately popping it: with `t <` every queued time it
     /// would be the queue minimum regardless of its sequence number, and
     /// no other handler can run in between to change the shared state the
-    /// checks below observe (`ready`, doomed flags, lock holders). On a
+    /// checks below observe (`ready`, lock holders). On a
     /// tie the event is queued so the lower-seq queued event keeps its
     /// turn. This removes the queue round-trip from the common case — a
     /// single-threaded run needs almost no queue traffic at all.
@@ -613,34 +584,9 @@ impl Simulation {
             // consuming further ops.
             let next: Option<u64> = if let Some(id) = self.threads[thread].pending_acquire {
                 self.acquire_or_wait(thread, core, id, now)?
-            } else if self.threads[thread].tx.as_ref().is_some_and(|t| t.doomed) {
-                // A doomed transaction rolls back at the next instruction
-                // boundary (lazy conflict resolution): the elapsed
-                // transaction time is a synchronization penalty (§4.3)
-                // and the transaction body replays after a bounded
-                // exponential backoff.
-                self.rollback(thread, now);
-                let backoff = {
-                    let tx = self.threads[thread].tx.as_ref().expect("tx restarted");
-                    100 * u64::from(1u32 << tx.attempts.min(6))
-                };
-                Some(now + backoff)
             } else {
                 let th = &mut self.threads[thread];
-                let from_stream = match th.carried.take() {
-                    Some(op) => Some(op),
-                    None => match th.replay.pop_front() {
-                        Some(op) => Some(op),
-                        None => th.stream.next_op(),
-                    },
-                };
-                let Some(op) = from_stream else {
-                    if self.threads[thread].tx.is_some() {
-                        return Err(SimError::ProtocolViolation {
-                            thread,
-                            what: "thread ended inside a transaction",
-                        });
-                    }
+                let Some(op) = th.carried.take().or_else(|| th.stream.next_op()) else {
                     self.threads[thread].c.active_end_cycle = now;
                     self.threads[thread].state = TState::Finished;
                     self.finished += 1;
@@ -662,30 +608,23 @@ impl Simulation {
             // global event order is irrelevant to it. As long as the
             // thread stays strictly inside its quantum (the preemption
             // check at each skipped boundary is then false regardless of
-            // the ready queue), is outside any transaction (no doom flag
-            // to observe) and under the cycle valve (checked by whoever
-            // handles the boundary), consecutive compute work is absorbed
-            // into the current event. Workload items interleave compute
-            // with memory accesses, so this removes roughly the compute
-            // half of all queue round-trips.
-            if self.threads[thread].tx.is_none() {
-                while t < self.threads[thread].quantum_end && t <= self.cfg.max_cycles {
-                    let th = &mut self.threads[thread];
-                    debug_assert!(
-                        th.replay.is_empty(),
-                        "replay is only non-empty inside a transaction"
-                    );
-                    match th.carried.take().or_else(|| th.stream.next_op()) {
-                        Some(Op::Compute(n)) => {
-                            th.c.instructions += u64::from(n);
-                            t += u64::from(n);
-                            self.events += 1;
-                        }
-                        // Not fusible: hold it for the next boundary.
-                        other => {
-                            self.threads[thread].carried = other;
-                            break;
-                        }
+            // the ready queue) and under the cycle valve (checked by
+            // whoever handles the boundary), consecutive compute work is
+            // absorbed into the current event. Workload items interleave
+            // compute with memory accesses, so this removes roughly the
+            // compute half of all queue round-trips.
+            while t < self.threads[thread].quantum_end && t <= self.cfg.max_cycles {
+                let th = &mut self.threads[thread];
+                match th.carried.take().or_else(|| th.stream.next_op()) {
+                    Some(Op::Compute(n)) => {
+                        th.c.instructions += u64::from(n);
+                        t += u64::from(n);
+                        self.events += 1;
+                    }
+                    // Not fusible: hold it for the next boundary.
+                    other => {
+                        th.carried = other;
+                        break;
                     }
                 }
             }
@@ -725,33 +664,18 @@ impl Simulation {
         match op {
             Op::Compute(n) => {
                 self.threads[thread].c.instructions += u64::from(n);
-                if let Some(tx) = self.threads[thread].tx.as_mut() {
-                    tx.ops.push(op);
-                }
                 Ok(Some(now + u64::from(n)))
             }
             Op::Load(line) => {
                 let stall = self.mem_access(core, thread, line, false, now, true);
-                if self.threads[thread].tx.is_some() {
-                    self.tx_track(thread, op, line, false);
-                }
                 Ok(Some(now + 1 + stall))
             }
             Op::Store(line) => {
                 self.mem_access(core, thread, line, true, now, false);
-                if self.threads[thread].tx.is_some() {
-                    self.tx_track(thread, op, line, true);
-                }
                 Ok(Some(now + 1))
             }
             Op::LockAcquire(id) => {
                 Self::check_sync_id(id, thread)?;
-                if self.threads[thread].tx.is_some() {
-                    return Err(SimError::ProtocolViolation {
-                        thread,
-                        what: "lock acquire inside a transaction",
-                    });
-                }
                 // The atomic RMW on the lock word stalls like a load.
                 let stall =
                     self.mem_access(core, thread, LOCK_REGION + u64::from(id), true, now, true);
@@ -774,12 +698,6 @@ impl Simulation {
             }
             Op::Barrier(id) => {
                 Self::check_sync_id(id, thread)?;
-                if self.threads[thread].tx.is_some() {
-                    return Err(SimError::ProtocolViolation {
-                        thread,
-                        what: "barrier inside a transaction",
-                    });
-                }
                 self.mem_access(
                     core,
                     thread,
@@ -828,109 +746,7 @@ impl Simulation {
                     Ok(None)
                 }
             }
-            Op::TxBegin => {
-                let th = &mut self.threads[thread];
-                if th.tx.is_some() {
-                    return Err(SimError::ProtocolViolation {
-                        thread,
-                        what: "nested transaction",
-                    });
-                }
-                th.c.instructions += 1;
-                th.tx = Some(TxState {
-                    start: now,
-                    attempts: 0,
-                    ops: Vec::new(),
-                    doomed: false,
-                });
-                Ok(Some(now + 1))
-            }
-            Op::TxEnd => {
-                let th = &mut self.threads[thread];
-                if th.tx.is_none() {
-                    return Err(SimError::ProtocolViolation {
-                        thread,
-                        what: "commit without a transaction",
-                    });
-                }
-                th.c.instructions += 1;
-                th.truth.tx_commits += 1;
-                th.tx = None;
-                self.tx_release_lines(thread);
-                // Commit publishes the write set (coherence-visible).
-                Ok(Some(now + TX_COMMIT_COST))
-            }
         }
-    }
-
-    /// Records a transactional access and dooms conflicting transactions
-    /// (requester wins: writer aborts concurrent readers and writers;
-    /// reader aborts concurrent writers).
-    fn tx_track(&mut self, thread: ThreadId, op: Op, line: LineAddr, write: bool) {
-        let mut doom: Vec<ThreadId> = Vec::new();
-        if write {
-            for &t in self.tx_readers.get(&line).into_iter().flatten() {
-                if t != thread {
-                    doom.push(t);
-                }
-            }
-        }
-        for &t in self.tx_writers.get(&line).into_iter().flatten() {
-            if t != thread {
-                doom.push(t);
-            }
-        }
-        for t in doom {
-            if let Some(tx) = self.threads[t].tx.as_mut() {
-                tx.doomed = true;
-            }
-        }
-        let map = if write {
-            &mut self.tx_writers
-        } else {
-            &mut self.tx_readers
-        };
-        let entry = map.entry(line).or_default();
-        if !entry.contains(&thread) {
-            entry.push(thread);
-        }
-        let tx = self.threads[thread].tx.as_mut().expect("in transaction");
-        tx.ops.push(op);
-    }
-
-    /// Removes `thread` from all transactional conflict tracking.
-    fn tx_release_lines(&mut self, thread: ThreadId) {
-        self.tx_readers.retain(|_, v| {
-            v.retain(|&t| t != thread);
-            !v.is_empty()
-        });
-        self.tx_writers.retain(|_, v| {
-            v.retain(|&t| t != thread);
-            !v.is_empty()
-        });
-    }
-
-    /// Rolls back `thread`'s doomed transaction at cycle `now`: the time
-    /// since the (re)start is charged as a synchronization penalty
-    /// (§4.3), tracked lines are released, and the recorded body is
-    /// queued for replay.
-    fn rollback(&mut self, thread: ThreadId, now: u64) {
-        self.tx_release_lines(thread);
-        let th = &mut self.threads[thread];
-        let tx = th.tx.as_mut().expect("doomed transaction exists");
-        let wasted = (now - tx.start) as f64;
-        th.c.spin_cycles += wasted;
-        th.truth.true_spin_cycles += wasted as u64;
-        th.truth.tx_aborts += 1;
-        let ops = std::mem::take(&mut tx.ops);
-        let attempts = tx.attempts + 1;
-        th.replay = ops.into();
-        th.tx = Some(TxState {
-            start: now,
-            attempts,
-            ops: Vec::new(),
-            doomed: false,
-        });
     }
 
     /// Attempts to take `id` for `thread` (running on `core`) at `t_op`;

@@ -27,12 +27,6 @@ pub enum Op {
     LockRelease(LockId),
     /// Wait on a barrier shared by all threads of the workload.
     Barrier(BarrierId),
-    /// Begin a transaction (§4.3 alternative to lock-based critical
-    /// sections). Conflicting transactions are rolled back and replayed;
-    /// the wasted time is charged as a synchronization (spin) penalty.
-    TxBegin,
-    /// Commit the current transaction.
-    TxEnd,
 }
 
 /// A deterministic generator of a thread's operation stream.

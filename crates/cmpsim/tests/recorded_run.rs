@@ -1,10 +1,8 @@
 //! One oversubscribed run — 5 threads on 3 cores with contended locks,
-//! transactions and barrier rounds — pinned against the numbers the
-//! engine produced before the event queue became a single heap with a
-//! fused `push_pop` (recorded from commit a9b03ff, timing wheel and
-//! binary heap alike). Any change to the `(time, seq)` event order, to
-//! the inline-continuation rule or to the memory hierarchy's outcomes
-//! moves at least one of them.
+//! hot shared lines and barrier rounds — pinned against the numbers the
+//! engine produced at commit 513bf3a. Any change to the `(time, seq)`
+//! event order, to the inline-continuation rule, to compute fusion or to
+//! the memory hierarchy's outcomes moves at least one of them.
 
 use cmpsim::{simulate, MachineConfig, Op, OpStream, ThreadTruth, VecStream};
 
@@ -26,8 +24,8 @@ impl Rng {
 }
 
 /// One thread's ops for one barrier round: a random mix of compute,
-/// shared and private memory traffic, a contended critical section and a
-/// transaction, closed by the shared barrier. Identical barrier counts
+/// shared and private memory traffic, a contended critical section and
+/// updates of two hot lines, closed by the shared barrier. Identical barrier counts
 /// across threads keep the workload deadlock-free by construction.
 fn round_ops(rng: &mut Rng, thread: usize, ops: &mut Vec<Op>) {
     let blocks = 1 + rng.below(6);
@@ -50,13 +48,11 @@ fn round_ops(rng: &mut Rng, thread: usize, ops: &mut Vec<Op>) {
             }
             _ => {
                 // A few back-to-back updates of two hot lines, so that
-                // concurrent transactions conflict and roll back.
+                // concurrent writers invalidate each other's copies.
                 for _ in 0..1 + rng.below(3) {
-                    ops.push(Op::TxBegin);
                     ops.push(Op::Load(7_000 + rng.below(2)));
                     ops.push(Op::Compute(1 + rng.below(400) as u32));
                     ops.push(Op::Store(7_000 + rng.below(2)));
-                    ops.push(Op::TxEnd);
                 }
             }
         }
@@ -98,8 +94,8 @@ fn oversubscribed_run_matches_the_recorded_result() {
     cfg.record_regions = true;
     let r = simulate(cfg, streams(0x51AB, 5, 60)).unwrap();
 
-    assert_eq!(r.tp_cycles, 1_236_130, "tp_cycles");
-    assert_eq!(r.events, 3_466, "events");
+    assert_eq!(r.tp_cycles, 1_218_030, "tp_cycles");
+    assert_eq!(r.events, 2_994, "events");
 
     // (active_end_cycle, instructions, spin_cycles, yield_cycles,
     //  llc_accesses) per thread.
@@ -119,32 +115,31 @@ fn oversubscribed_run_matches_the_recorded_result() {
     assert_eq!(
         counters,
         [
-            (1_231_180, 242_123, 82_638.0, 940_454.0, 196),
-            (1_236_130, 416_275, 66_720.0, 779_474.0, 218),
-            (1_231_131, 233_691, 75_520.0, 952_226.0, 195),
-            (1_236_130, 215_149, 75_090.0, 974_719.0, 201),
-            (1_236_130, 335_758, 70_670.0, 857_004.0, 208),
+            (1_213_080, 240_062, 79_192.0, 927_518.0, 200),
+            (1_218_030, 416_573, 67_492.0, 761_942.0, 220),
+            (1_213_031, 231_883, 72_505.0, 938_582.0, 193),
+            (1_218_030, 215_153, 75_943.0, 957_667.0, 198),
+            (1_218_030, 334_645, 69_424.0, 842_345.0, 216),
         ],
         "counters"
     );
     assert_eq!(
         digest(&r.counters),
-        0x626f_287a_8f5a_1666,
+        0x270b_faec_3743_cb04,
         "digest of every counter field"
     );
 
     // (true_spin_cycles, interthread_hits_truth, llc_accesses, llc_misses,
-    //  coherency_misses, invalidations_sent, wait_episodes, tx_commits,
-    //  tx_aborts) per thread.
+    //  coherency_misses, invalidations_sent, wait_episodes) per thread.
     let truth = [
-        (82_638, 92, 196, 75, 110, 118, 57, 46, 2),
-        (66_720, 87, 218, 83, 119, 132, 49, 45, 0),
-        (75_520, 67, 195, 82, 103, 107, 53, 27, 3),
-        (75_167, 74, 201, 88, 101, 110, 53, 42, 4),
-        (70_670, 95, 208, 84, 108, 118, 49, 55, 3),
+        (79_192, 78, 200, 75, 114, 118, 56),
+        (67_492, 112, 220, 83, 125, 135, 50),
+        (72_505, 60, 193, 82, 103, 107, 52),
+        (76_051, 77, 198, 88, 97, 111, 54),
+        (69_424, 98, 216, 84, 115, 124, 49),
     ]
     .map(
-        |(spin, hits, accesses, misses, coh, inv, waits, commits, aborts)| ThreadTruth {
+        |(spin, hits, accesses, misses, coh, inv, waits)| ThreadTruth {
             true_spin_cycles: spin,
             interthread_hits_truth: hits,
             llc_accesses: accesses,
@@ -152,8 +147,6 @@ fn oversubscribed_run_matches_the_recorded_result() {
             coherency_misses: coh,
             invalidations_sent: inv,
             wait_episodes: waits,
-            tx_commits: commits,
-            tx_aborts: aborts,
         },
     );
     assert_eq!(r.truth, truth, "truth");
@@ -162,12 +155,12 @@ fn oversubscribed_run_matches_the_recorded_result() {
     let releases: Vec<u64> = r.regions.iter().map(|s| s.release_cycle).collect();
     assert_eq!(
         digest(&releases),
-        0x2998_6617_52f6_59d0,
+        0x98d8_3c6e_0e73_6184,
         "barrier release cycles"
     );
     assert_eq!(
         digest(&r.regions.last().unwrap().counters),
-        0xc996_f02b_1e20_66d9,
+        0xb507_913d_e217_c166,
         "cumulative counters at the last barrier"
     );
 }

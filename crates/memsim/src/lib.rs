@@ -33,9 +33,8 @@
 //! byte-ranked up to 64 ways, selected per config ([`cache`]); the
 //! sharers of a line are `ceil(n_cores / 64)` mask words stored with its
 //! LLC slot and addressed by `(set, way)`, so coherence needs no lookup
-//! structure ([`hierarchy`]); the maps that must stay sparse hash with
-//! the multiply-rotate [`fx`] hasher instead of SipHash. An access
-//! allocates nothing at any core count.
+//! structure ([`hierarchy`]). An access allocates nothing at any core
+//! count.
 //!
 //! ## Example
 //!
@@ -58,14 +57,12 @@
 pub mod atd;
 pub mod cache;
 pub mod dram;
-pub mod fx;
 pub mod hierarchy;
 pub mod llc;
 
 pub use atd::Atd;
 pub use cache::{Cache, CacheConfig, CacheOutcome};
 pub use dram::{Dram, DramAccess, DramConfig};
-pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hierarchy::{AccessEvent, MemConfig, MemoryHierarchy, ServedBy};
 pub use llc::{LlcOutcome, SharedLlc};
 

@@ -5,7 +5,7 @@
 //! ```text
 //! studyd [--addr HOST:PORT] [--workers N] [--cache-mib N]
 //!        [--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH]
-//!        [--compact-spill] [--backend-id NAME]
+//!        [--backend-id NAME]
 //!        [--backend HOST:PORT ...] [--hedge-after-ms N] [--no-hedge]
 //!        [--heartbeat-ms N] [--dead-after N]
 //! ```
@@ -23,10 +23,10 @@
 //! unbounded); `--idle-timeout-ms` reaps connections idle past the
 //! deadline; `--cache-spill` persists the result cache to an
 //! append-only CRC-framed file, recovered (with corrupt-record
-//! quarantine) on restart — even after a `kill -9`; `--compact-spill`
-//! rewrites that file from the live cache at startup (drain always
-//! compacts); `--backend-id` names this daemon in `hello`/`status`
-//! frames.
+//! quarantine) on restart — even after a `kill -9` — and rewritten
+//! from the live cache at startup whenever the reload read a dead
+//! (superseded, evicted or quarantined) record, and at every drain;
+//! `--backend-id` names this daemon in `hello`/`status` frames.
 //!
 //! With one or more `--backend HOST:PORT` flags the daemon runs as a
 //! **federation coordinator** instead: it serves the same wire protocol
@@ -56,9 +56,8 @@ use service::federation::FleetConfig;
 use service::server::{serve, ServeConfig, ShutdownMode};
 
 const USAGE: &str = "usage: studyd [--addr HOST:PORT] [--workers N] [--cache-mib N] \
-[--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH] [--compact-spill] \
-[--backend-id NAME] [--backend HOST:PORT ...] [--hedge-after-ms N] [--no-hedge] \
-[--heartbeat-ms N] [--dead-after N]";
+[--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH] [--backend-id NAME] \
+[--backend HOST:PORT ...] [--hedge-after-ms N] [--no-hedge] [--heartbeat-ms N] [--dead-after N]";
 
 /// The conventional loopback port `repro submit` defaults to.
 const DEFAULT_ADDR: &str = "127.0.0.1:7821";
@@ -98,7 +97,6 @@ fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
                 Some(path) if !path.starts_with("--") => cfg.cache_spill = Some(path.into()),
                 _ => return Err("--cache-spill requires a file path".to_string()),
             },
-            "--compact-spill" => cfg.compact_spill = true,
             "--backend-id" => match it.next() {
                 Some(id) if !id.starts_with("--") => cfg.backend_id = Some(id.clone()),
                 _ => return Err("--backend-id requires a name".to_string()),

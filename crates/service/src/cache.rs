@@ -313,7 +313,7 @@ impl Cache {
     ///
     /// [`JournalError::Io`] when the rewrite fails; the original spill
     /// file is left untouched and appends continue against it.
-    pub fn compact_spill(&self) -> Result<bool, JournalError> {
+    pub fn compact(&self) -> Result<bool, JournalError> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let inner = &mut *inner;
         let Some(spill) = inner.spill.as_mut() else {
@@ -641,7 +641,7 @@ mod tests {
         assert_eq!(live.len(), 3);
         assert_eq!(live.last().unwrap().0, "key-1", "most recent last");
 
-        assert!(c.compact_spill().unwrap(), "spill attached");
+        assert!(c.compact().unwrap(), "spill attached");
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             content.lines().count(),
@@ -662,7 +662,7 @@ mod tests {
         assert_eq!(warm.get("key-0").as_deref(), Some("replaced"));
 
         let bare = Cache::new(64);
-        assert!(!bare.compact_spill().unwrap(), "no spill → Ok(false)");
+        assert!(!bare.compact().unwrap(), "no spill → Ok(false)");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -52,8 +52,9 @@
 //! reload reconstructs the same recency ranking), synced, then
 //! atomically renamed over the original. A crash at any point leaves
 //! either the old file or the complete new one — never a torn mix.
-//! `studyd` compacts on drain shutdown and, with `--compact-spill`, at
-//! startup right after reload.
+//! `studyd` compacts on drain shutdown, and at startup right after a
+//! reload that read a record the cache does not hold live (superseded,
+//! evicted or quarantined).
 
 use std::path::{Path, PathBuf};
 

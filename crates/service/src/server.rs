@@ -54,9 +54,6 @@ pub struct ServeConfig {
     pub idle_timeout_ms: Option<u64>,
     /// Path of the persistent cache spill; `None` = in-memory only.
     pub cache_spill: Option<PathBuf>,
-    /// Rewrite the spill from the live cache right after startup
-    /// recovery, dropping dead (superseded/quarantined) records.
-    pub compact_spill: bool,
     /// This daemon's fleet identity, echoed in hello and status frames.
     pub backend_id: Option<String>,
     /// Deterministic fault injection for the chaos suite.
@@ -79,7 +76,6 @@ impl Default for ServeConfig {
             max_queued_units: 0,
             idle_timeout_ms: None,
             cache_spill: None,
-            compact_spill: false,
             backend_id: None,
             chaos: ChaosPolicy::default(),
             fleet: None,
@@ -106,7 +102,8 @@ pub struct ServerHandle {
 /// configured spill path the cache is recovered from disk first —
 /// complete, CRC-valid records warm the cache, corrupt records are
 /// quarantined (counted, recomputed, never served), and a torn final
-/// line from a `kill -9` is dropped silently.
+/// line from a `kill -9` is dropped silently. A reload that read a dead
+/// record compacts the file to the live set.
 ///
 /// # Errors
 ///
@@ -120,10 +117,11 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
         let opened = persist::open(path)?;
         cache.preload(opened.entries, opened.quarantined);
         cache.set_spill(opened.writer);
-        if cfg.compact_spill {
-            // Startup compaction: the freshly recovered live set is
-            // exactly what the rewritten spill should hold.
-            if let Err(e) = cache.compact_spill() {
+        // A record read but not held live was superseded, evicted or
+        // quarantined: the recovered live set is what the spill should hold.
+        let stats = cache.stats();
+        if stats.loaded + stats.quarantined > stats.entries as u64 {
+            if let Err(e) = cache.compact() {
                 eprintln!("studyd: startup spill compaction failed: {e}");
             }
         }
@@ -254,7 +252,7 @@ impl ServerHandle {
         }
         self.scheduler.begin_drain();
         self.scheduler.wait_idle();
-        if let Err(e) = self.cache.compact_spill() {
+        if let Err(e) = self.cache.compact() {
             eprintln!("studyd: spill compaction failed during drain ({e}); syncing as-is");
             if let Err(e) = self.cache.sync() {
                 eprintln!("studyd: cache spill sync failed during drain: {e}");

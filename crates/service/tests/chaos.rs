@@ -11,6 +11,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::os::unix::fs::MetadataExt;
 use std::path::PathBuf;
 
 use experiments::study::{find_study, StudyParams};
@@ -210,24 +211,24 @@ fn spill_entries_under_an_older_builds_keys_are_inert() {
     std::fs::remove_file(&spill).ok();
 }
 
-/// `--compact-spill`: a start on a spill holding a superseded key and a
+/// Startup compaction: a start on a spill holding a superseded key and a
 /// corrupt record rewrites it to the header plus the live set, least
 /// recently used first, with the corrupt record quarantined; the next
-/// start reloads that same state, and a warm submit computes nothing.
+/// start reloads that same state without rewriting the file (nothing is
+/// dead), and a warm submit computes nothing.
 #[test]
 fn startup_compaction_rewrites_the_spill_to_the_live_set() {
     let spill = temp_spill("compact-start");
     let params = fig1_params();
-    let start = |compact_spill| {
+    let start = || {
         serve(&ServeConfig {
             workers: 1,
             cache_spill: Some(spill.clone()),
-            compact_spill,
             ..ServeConfig::default()
         })
         .expect("bind")
     };
-    let server = start(false);
+    let server = start();
     let mut client = Client::connect(&server.local_addr().to_string()).expect("connect");
     client.submit("fig1", &params).expect("cold submit");
     server.stop();
@@ -241,7 +242,7 @@ fn startup_compaction_rewrites_the_spill_to_the_live_set() {
     assert_ne!(corrupt, first);
     std::fs::write(&spill, format!("{written}{first}\n{corrupt}\n")).expect("extend spill");
 
-    let server = start(true);
+    let server = start();
     let status = Client::connect(&server.local_addr().to_string())
         .and_then(|mut c| c.status())
         .expect("status");
@@ -258,8 +259,15 @@ fn startup_compaction_rewrites_the_spill_to_the_live_set() {
     );
     server.stop();
 
-    // Reloaded, the state compacts to the same bytes and serves warm.
-    let server = start(true);
+    // Reloaded, the state holds no dead record: the file is left alone
+    // (same inode, same bytes) and serves warm.
+    let inode = std::fs::metadata(&spill).unwrap().ino();
+    let server = start();
+    assert_eq!(
+        std::fs::metadata(&spill).unwrap().ino(),
+        inode,
+        "no rewrite"
+    );
     assert_eq!(std::fs::read_to_string(&spill).unwrap(), compacted);
     let reloaded = server.scheduler().status();
     assert_eq!(

@@ -55,13 +55,15 @@ impl Raw {
         self.writer.flush().expect("flush");
     }
 
-    fn hello(&mut self) {
+    /// Sends the handshake and returns the server's hello reply.
+    fn hello(&mut self) -> String {
         self.send(&format!(
             "{{\"op\": \"hello\", \"proto\": {}}}",
             service::proto::PROTO_VERSION
         ));
         let reply = self.recv().expect("hello reply");
         assert!(reply.contains("\"kind\": \"hello\""), "{reply}");
+        reply
     }
 
     /// Reads one line; `None` when the server closed the connection.
@@ -321,6 +323,46 @@ fn mid_stream_disconnect_leaves_the_server_serving() {
     let local = find_study("fig1").unwrap().run(&params).unwrap();
     assert_eq!(outcome.report.to_text(), local.to_text());
     assert!(client.cancel(9999, None).is_ok_and(|found| !found));
+    server.stop();
+}
+
+/// A daemon named `b7` with a 200 ms idle reaper echoes its name in the
+/// hello and `status` frames, reaps a peer that goes silent after those
+/// with exactly one typed `idle-timeout` frame and then EOF, and keeps
+/// serving fresh clients byte-identically to a local run.
+#[test]
+fn idle_peer_is_reaped_and_backend_id_is_echoed() {
+    let server = serve(&ServeConfig {
+        workers: 1,
+        idle_timeout_ms: Some(200),
+        backend_id: Some("b7".to_string()),
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let backend = |frame: &str| {
+        let v = json::parse(frame).expect("reply is valid JSON");
+        v.get("backend")
+            .and_then(json::JsonValue::as_str)
+            .map(str::to_owned)
+    };
+
+    let mut raw = Raw::connect(&addr);
+    let hello = raw.hello();
+    assert_eq!(backend(&hello).as_deref(), Some("b7"), "{hello}");
+    raw.send("{\"op\": \"status\"}");
+    let status = raw.recv().expect("status reply");
+    assert!(status.contains("\"kind\": \"status\""), "{status}");
+    assert_eq!(backend(&status).as_deref(), Some("b7"), "{status}");
+    // Silence: the reaper sends one typed frame, then closes.
+    raw.expect_error("idle-timeout");
+    assert!(raw.recv().is_none(), "EOF after the idle-timeout frame");
+
+    let params = StudyParams::with_scale(0.01);
+    let mut client = Client::connect(&addr).expect("connect after the reap");
+    let served = client.submit("fig1", &params).expect("submit");
+    let local = find_study("fig1").unwrap().run(&params).unwrap();
+    assert_eq!(served.report.to_json(), local.to_json(), "bit-identical");
     server.stop();
 }
 

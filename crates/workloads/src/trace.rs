@@ -47,8 +47,6 @@
 //! | `0x03` | `LockAcquire` | uvarint lock id |
 //! | `0x04` | `LockRelease` | uvarint lock id |
 //! | `0x05` | `Barrier` | uvarint barrier id |
-//! | `0x06` | `TxBegin` | — |
-//! | `0x07` | `TxEnd` | — |
 //!
 //! # Replay guarantees and corruption semantics
 //!
@@ -247,8 +245,6 @@ fn encode_op(op: Op, state: &mut LineState, out: &mut Vec<u8>) {
             out.push(0x05);
             encode_uvarint(u64::from(id), out);
         }
-        Op::TxBegin => out.push(0x06),
-        Op::TxEnd => out.push(0x07),
     }
 }
 
@@ -281,8 +277,6 @@ fn decode_op(buf: &[u8], pos: &mut usize, state: &mut LineState) -> Result<Op, T
         0x03 => Op::LockAcquire(decode_u32_operand(buf, pos, "lock")?),
         0x04 => Op::LockRelease(decode_u32_operand(buf, pos, "lock")?),
         0x05 => Op::Barrier(decode_u32_operand(buf, pos, "barrier")?),
-        0x06 => Op::TxBegin,
-        0x07 => Op::TxEnd,
         other => return Err(corrupt(format!("unknown op tag 0x{other:02x}"))),
     })
 }
@@ -1045,8 +1039,8 @@ mod tests {
             Op::LockAcquire(3),
             Op::Store(7),
             Op::LockRelease(3),
-            Op::TxBegin,
-            Op::TxEnd,
+            Op::Compute(5),
+            Op::Load(9),
             Op::Barrier(0),
         ];
         let mut w = TraceWriter::create(&path, "demo", "cafebabe").unwrap();
@@ -1077,7 +1071,7 @@ mod tests {
     fn missing_run_is_typed() {
         let path = temp_path("missing");
         let mut w = TraceWriter::create(&path, "demo", "x").unwrap();
-        w.add_run("toy", vec![Box::new(VecStream::new(vec![Op::TxBegin]))])
+        w.add_run("toy", vec![Box::new(VecStream::new(vec![Op::Compute(1)]))])
             .unwrap();
         w.finish().unwrap();
         let r = TraceReader::open(&path, None).unwrap();
@@ -1206,13 +1200,16 @@ mod tests {
             (delivered, what)
         };
         // A bad tag mid-chunk: the ops before it are delivered, then the
-        // stream ends at the damage.
-        let mut bad_tag = encode(&ops[..20]);
-        bad_tag.push(0x7f);
-        bad_tag.extend(encode(&ops[20..]));
-        let (delivered, what) = replay(&bad_tag, 50);
-        assert_eq!(delivered, &ops[..20]);
-        assert_eq!(what, "unknown op tag 0x7f");
+        // stream ends at the damage. `0x06`/`0x07` were never written by
+        // any generator and are not op tags.
+        for tag in [0x06u8, 0x07, 0x7f] {
+            let mut bad_tag = encode(&ops[..20]);
+            bad_tag.push(tag);
+            bad_tag.extend(encode(&ops[20..]));
+            let (delivered, what) = replay(&bad_tag, 50);
+            assert_eq!(delivered, &ops[..20]);
+            assert_eq!(what, format!("unknown op tag 0x{tag:02x}"));
+        }
         // Run-info declaring one op fewer than encoded: raised at the
         // first op past the declared count …
         let (delivered, what) = replay(&encode(&ops), 49);
@@ -1234,7 +1231,10 @@ mod tests {
         let mut w = TraceWriter::create(&path, "demo", "feedc0de").unwrap();
         w.add_run(
             "a",
-            vec![Box::new(VecStream::new(vec![Op::Compute(1), Op::TxEnd]))],
+            vec![Box::new(VecStream::new(vec![
+                Op::Compute(1),
+                Op::Barrier(0),
+            ]))],
         )
         .unwrap();
         w.add_run("b", vec![Box::new(VecStream::new(vec![Op::Store(9)]))])

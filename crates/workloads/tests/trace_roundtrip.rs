@@ -28,7 +28,7 @@ fn drain(stream: &mut dyn OpStream) -> Vec<Op> {
 /// including boundary addresses (0, max) and backwards jumps, which
 /// stress the wrapping delta encoder.
 fn random_op(rng: &mut SmallRng) -> Op {
-    match rng.gen_range(0u32..10) {
+    match rng.gen_range(0u32..8) {
         0 => Op::Compute(rng.gen_range(1u32..10_000)),
         1 => Op::Load(rng.next_u64()),
         2 => Op::Store(rng.next_u64()),
@@ -40,9 +40,7 @@ fn random_op(rng: &mut SmallRng) -> Op {
         4 => Op::Store(rng.gen_range(0u64..64)),
         5 => Op::LockAcquire(rng.gen_range(0u32..8)),
         6 => Op::LockRelease(rng.gen_range(0u32..8)),
-        7 => Op::Barrier(rng.gen_range(0u32..4)),
-        8 => Op::TxBegin,
-        _ => Op::TxEnd,
+        _ => Op::Barrier(rng.gen_range(0u32..4)),
     }
 }
 
