@@ -815,19 +815,16 @@ impl GridStudy {
         degraded.total_points = self.n_points();
         degraded.completed = points.iter().flatten().count();
         let rows = self.rows(points);
-        let report =
-            match self.study {
-                "fig1" => crate::fig1::fold(params, &self.profiles, rows).to_report(),
-                "fig2" => crate::fig23::fold_fig2(rows)
-                    .map_or_else(|| self.unfinished(), |f| f.to_report()),
-                "fig3" => crate::fig23::fold_fig3(rows)
-                    .map_or_else(|| self.unfinished(), |f| f.to_report()),
-                "fig4" => crate::fig45::fold_fig4(params, rows).to_report(),
-                "fig5" => crate::fig45::fold_fig5(rows).to_report(),
-                "fig6" => crate::fig6::fold(params, rows).to_report(),
-                "fig8" => crate::fig89::fold_fig8(params, rows).to_report(),
-                _ => unreachable!("decompose() only builds grid studies"),
-            };
+        let report = match self.study {
+            "fig1" => crate::fig1::report(params, &self.profiles, rows),
+            "fig2" => crate::fig23::fig2_report(rows).unwrap_or_else(|| self.unfinished()),
+            "fig3" => crate::fig23::fig3_report(rows).unwrap_or_else(|| self.unfinished()),
+            "fig4" => crate::fig45::fig4_report(params, rows),
+            "fig5" => crate::fig45::fig5_report(rows),
+            "fig6" => crate::fig6::report(params, rows),
+            "fig8" => crate::fig89::fig8_report(params, rows),
+            _ => unreachable!("decompose() only builds grid studies"),
+        };
         finish(report, degraded, provenance, params)
     }
 

@@ -6,6 +6,9 @@
 //! saturates once the core count exceeds it — and oversubscribing
 //! (16 threads on fewer cores) performs at least as well as
 //! threads = cores.
+//!
+//! `report` runs the sweep and builds the figure straight from its
+//! outcomes.
 
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 use speedup_stacks::SimError;
@@ -21,70 +24,14 @@ const CORE_COUNTS: [usize; 4] = [2, 4, 8, 16];
 /// The oversubscribed thread count of the second series.
 const FIXED_THREADS: usize = 16;
 
-/// Figure 7 data.
-#[derive(Debug, Clone)]
-struct Fig7 {
-    /// `(cores, speedup)` with `threads == cores`.
-    threads_eq_cores: Vec<(usize, f64)>,
-    /// `(cores, speedup)` with [`FIXED_THREADS`] threads regardless of
-    /// cores.
-    sixteen_threads: Vec<(usize, f64)>,
-}
-
-impl Fig7 {
-    /// Speedup with 16 threads on `cores` cores.
-    fn sixteen_at(&self, cores: usize) -> Option<f64> {
-        self.sixteen_threads
-            .iter()
-            .find(|(c, _)| *c == cores)
-            .map(|(_, s)| *s)
-    }
-
-    /// Converts the figure into its structured [`Report`].
-    fn to_report(&self) -> Report {
-        let title = "Figure 7: ferret speedup vs number of cores";
-        let mut report = Report::new("fig7", title);
-        report.push(Block::line(title));
-        let mut table = Table::new(
-            "speedups",
-            vec![
-                Column::new("cores")
-                    .text_header("{:<10}")
-                    .left(10)
-                    .unit(Unit::Count),
-                Column::new("threads_eq_cores")
-                    .header(format!(" {:>16}", "#threads=#cores"))
-                    .prefix(" ")
-                    .width(16)
-                    .precision(2)
-                    .unit(Unit::Speedup),
-                Column::new("sixteen_threads")
-                    .header(format!(" {:>14}", "16 threads"))
-                    .prefix(" ")
-                    .width(14)
-                    .precision(2)
-                    .unit(Unit::Speedup),
-            ],
-        );
-        for &(c, eq) in &self.threads_eq_cores {
-            table.row(vec![
-                c.into(),
-                eq.into(),
-                self.sixteen_at(c).map_or(Value::Missing, Value::F64),
-            ]);
-        }
-        report.push(Block::Table(table));
-        report
-    }
-}
-
 /// Figure 7 as the registry runs it, for the paper's ferret (simsmall):
 /// one single-thread reference gating both series' points (threads =
-/// cores, then [`FIXED_THREADS`] threads, per core count), folded into
-/// the report. `threads` overrides the swept core counts (the
-/// oversubscribed series keeps [`FIXED_THREADS`] software threads);
-/// failed points are left out of their series and named in the report's
-/// `Degraded` block.
+/// cores, then [`FIXED_THREADS`] threads, per core count), one table row
+/// per completed threads = cores point. `threads` overrides the swept
+/// core counts (the oversubscribed series keeps [`FIXED_THREADS`]
+/// software threads); a failed point is left out of its series (its
+/// 16-thread cell reads `Missing`) and named in the report's `Degraded`
+/// block.
 pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
     let core_counts = params.counts_or(&CORE_COUNTS);
     let p = workloads::find("ferret", Suite::ParsecSmall).expect("catalog entry");
@@ -107,14 +54,44 @@ pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
         format!("{} on {cores} cores", point_label(&name, threads))
     };
     let (outs, degraded) = run_machines(params, &p, &[machine(1, 1)], &points, label)?;
-    let series = |i: std::ops::Range<usize>| -> Vec<(usize, f64)> {
-        i.filter_map(|i| Some((points[i].1.cores, outs[i].as_ref()?.actual)))
-            .collect()
-    };
-    let k = core_counts.len();
-    let fig = Fig7 {
-        threads_eq_cores: series(0..k),
-        sixteen_threads: series(k..2 * k),
-    };
-    Ok(finish(fig.to_report(), degraded, None, params))
+    let (eq_cores, sixteen) = outs.split_at(core_counts.len());
+    let title = "Figure 7: ferret speedup vs number of cores";
+    let mut report = Report::new("fig7", title);
+    report.push(Block::line(title));
+    let mut table = Table::new(
+        "speedups",
+        vec![
+            Column::new("cores")
+                .text_header("{:<10}")
+                .left(10)
+                .unit(Unit::Count),
+            Column::new("threads_eq_cores")
+                .header(format!(" {:>16}", "#threads=#cores"))
+                .prefix(" ")
+                .width(16)
+                .precision(2)
+                .unit(Unit::Speedup),
+            Column::new("sixteen_threads")
+                .header(format!(" {:>14}", "16 threads"))
+                .prefix(" ")
+                .width(14)
+                .precision(2)
+                .unit(Unit::Speedup),
+        ],
+    );
+    for (&cores, eq) in core_counts.iter().zip(eq_cores) {
+        let Some(eq) = eq else { continue };
+        // The first completed 16-thread point on as many cores.
+        let sixteen = core_counts
+            .iter()
+            .zip(sixteen)
+            .find_map(|(&c, out)| out.as_ref().filter(|_| c == cores));
+        table.row(vec![
+            cores.into(),
+            eq.actual.into(),
+            sixteen.map_or(Value::Missing, |o| Value::F64(o.actual)),
+        ]);
+    }
+    report.push(Block::Table(table));
+    Ok(finish(report, degraded, None, params))
 }

@@ -7,6 +7,9 @@
 //!   2 MB to 16 MB — negative interference shrinks (fewer capacity
 //!   misses) while positive interference stays roughly constant, so the
 //!   net effect of sharing eventually becomes a win.
+//!
+//! `fig8_report` builds Figure 8 straight from the grid's rows;
+//! `fig9_report` runs the LLC sweep and builds Figure 9 from its outcomes.
 
 use memsim::MemConfig;
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
@@ -17,41 +20,14 @@ use crate::decompose::{finish, run_machines};
 use crate::runner::{point_label, scaled_profile, PointSummary, RunOptions};
 use crate::study::StudyParams;
 
-/// One benchmark's LLC interference decomposition (a bar triple in
-/// Figures 8/9).
-#[derive(Debug, Clone)]
-struct InterferenceBar {
-    /// Row label (benchmark or LLC size).
-    label: String,
-    /// Negative LLC interference, in speedup units.
-    negative: f64,
-    /// Positive LLC interference, in speedup units.
-    positive: f64,
-}
-
-impl InterferenceBar {
-    /// The bar of one run's stack.
-    fn of(label: String, stack: &SpeedupStack) -> InterferenceBar {
-        InterferenceBar {
-            label,
-            negative: stack.component(Component::NegativeLlc),
-            positive: stack.positive_interference(),
-        }
-    }
-
-    /// Net interference (negative − positive); positive values hurt.
-    fn net(&self) -> f64 {
-        self.negative - self.positive
-    }
-}
-
 /// Builds the shared negative/positive/net interference table of
-/// Figures 8 and 9.
+/// Figures 8 and 9: one bar triple per `(label, stack)`, net =
+/// negative − positive (positive values hurt).
 fn interference_table(
     name: &str,
     label: &str,
     label_width: usize,
-    bars: &[InterferenceBar],
+    bars: impl IntoIterator<Item = (String, SpeedupStack)>,
 ) -> Table {
     let mut table = Table::new(
         name,
@@ -79,26 +55,17 @@ fn interference_table(
                 .unit(Unit::Speedup),
         ],
     );
-    for b in bars {
+    for (label, stack) in bars {
+        let negative = stack.component(Component::NegativeLlc);
+        let positive = stack.positive_interference();
         table.row(vec![
-            Value::str(&b.label),
-            b.negative.into(),
-            b.positive.into(),
-            b.net().into(),
+            Value::str(label),
+            negative.into(),
+            positive.into(),
+            (negative - positive).into(),
         ]);
     }
     table
-}
-
-/// Figure 8 data.
-#[derive(Debug, Clone)]
-pub(crate) struct Fig8 {
-    /// One bar triple per benchmark.
-    bars: Vec<InterferenceBar>,
-    /// Core/thread count of the runs (16 in the paper).
-    cores: usize,
-    /// Shared LLC capacity of the runs, in MiB (2 in the paper).
-    llc_mib: usize,
 }
 
 /// The paper's Figure 8 benchmark set (those with non-negligible positive
@@ -114,48 +81,26 @@ pub(crate) const FIG8_BENCHMARKS: [(&str, Suite); 7] = [
     ("needle", Suite::Rodinia),
 ];
 
-/// Folds the grid's rows into Figure 8 (the fig8 arm of
+/// Figure 8's report from the grid's rows (the fig8 arm of
 /// [`crate::decompose::GridStudy::assemble`]): one bar per completed
 /// benchmark.
-pub(crate) fn fold_fig8(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Fig8 {
-    Fig8 {
-        bars: rows
-            .into_iter()
-            .flatten()
-            .flatten()
-            .map(|out| InterferenceBar::of(out.name, &out.stack))
-            .collect(),
-        cores: params.single_count(16),
-        llc_mib: params.llc_mib.unwrap_or(2),
-    }
-}
-
-impl Fig8 {
-    /// Converts the figure into its structured [`Report`].
-    pub(crate) fn to_report(&self) -> Report {
-        let title = format!(
-            "Figure 8: negative, positive and net LLC interference ({} cores, {} MB LLC)",
-            self.cores, self.llc_mib
-        );
-        let mut report = Report::new("fig8", &title);
-        report.push(Block::line(&title));
-        report.push(Block::Table(interference_table(
-            "interference",
-            "benchmark",
-            18,
-            &self.bars,
-        )));
-        report
-    }
-}
-
-/// Figure 9 data: cholesky across LLC sizes.
-#[derive(Debug, Clone)]
-struct Fig9 {
-    /// One bar triple per LLC size.
-    bars: Vec<InterferenceBar>,
-    /// Core/thread count of the runs (16 in the paper).
-    cores: usize,
+pub(crate) fn fig8_report(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Report {
+    let title = format!(
+        "Figure 8: negative, positive and net LLC interference ({} cores, {} MB LLC)",
+        params.single_count(16),
+        params.llc_mib.unwrap_or(2)
+    );
+    let mut report = Report::new("fig8", &title);
+    report.push(Block::line(&title));
+    let bars = rows.into_iter().flatten().flatten();
+    let bars = bars.map(|out| (out.name, out.stack));
+    report.push(Block::Table(interference_table(
+        "interference",
+        "benchmark",
+        18,
+        bars,
+    )));
+    report
 }
 
 /// The LLC sizes of the sweep, in MiB.
@@ -163,7 +108,7 @@ const LLC_SIZES_MIB: [usize; 4] = [2, 4, 8, 16];
 
 /// Figure 9 as the registry runs it: one cholesky reference and one
 /// point per LLC size (each size is its own machine, single-threaded run
-/// included), folded into the report. The thread-count override is
+/// included), one bar per completed size. The thread-count override is
 /// honored; the LLC sizes are the figure's swept variable, so `llc_mib`
 /// is ignored. Failed points are left out of the bars and named in the
 /// report's `Degraded` block.
@@ -185,38 +130,17 @@ pub(crate) fn fig9_report(params: &StudyParams) -> Result<Report, SimError> {
     let label = |i: usize| format!("{name} {}MB", LLC_SIZES_MIB[i]);
     let (outs, degraded) = run_machines(params, &p, &refs, &points, label)?;
     let bars = outs
-        .iter()
+        .into_iter()
         .zip(LLC_SIZES_MIB)
-        .filter_map(|(out, mib)| {
-            Some(InterferenceBar::of(
-                format!("{mib}MB"),
-                &out.as_ref()?.stack,
-            ))
-        })
-        .collect();
-    Ok(finish(
-        Fig9 { bars, cores }.to_report(),
-        degraded,
-        None,
-        params,
-    ))
-}
-
-impl Fig9 {
-    /// Converts the figure into its structured [`Report`].
-    fn to_report(&self) -> Report {
-        let title = format!(
-            "Figure 9: cholesky LLC interference vs LLC size ({} cores)",
-            self.cores
-        );
-        let mut report = Report::new("fig9", &title);
-        report.push(Block::line(&title));
-        report.push(Block::Table(interference_table(
-            "interference_vs_llc",
-            "LLC",
-            8,
-            &self.bars,
-        )));
-        report
-    }
+        .filter_map(|(out, mib)| Some((format!("{mib}MB"), out?.stack)));
+    let title = format!("Figure 9: cholesky LLC interference vs LLC size ({cores} cores)");
+    let mut report = Report::new("fig9", &title);
+    report.push(Block::line(&title));
+    report.push(Block::Table(interference_table(
+        "interference_vs_llc",
+        "LLC",
+        8,
+        bars,
+    )));
+    Ok(finish(report, degraded, None, params))
 }

@@ -10,9 +10,9 @@
 //! `find_study(name).run(params)` is the one way to run a study. The
 //! `repro` binary drives them uniformly: `repro --list`,
 //! `cargo run -p service --bin repro -- fig4 --format json`, or
-//! `repro scaling` for the many-core study. Inside each module, a
-//! crate-private figure data struct is what the study's units fold
-//! into, and its `to_report()` builds the report the study emits.
+//! `repro scaling` for the many-core study. Inside each module, one
+//! crate-private function builds the study's report straight from its
+//! unit outcomes.
 //!
 //! Every experiment reduces to the [`runner`] recipe: run a workload
 //! multi-threaded (that run drives the accounting and yields the

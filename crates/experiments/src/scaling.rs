@@ -20,6 +20,9 @@
 //! run does `n` times the ST reference work); the rate mix reports the
 //! rate speedup `Σᵢ Ts(i) / Tp`. Each point also carries the full
 //! speedup stack rendered by [`speedup_stacks::render::render_sweep`].
+//!
+//! `report` runs the sweep and builds the study straight from its
+//! outcomes.
 
 use memsim::{CacheConfig, MemConfig};
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
@@ -50,101 +53,20 @@ pub fn manycore_mem() -> MemConfig {
     }
 }
 
-/// One swept point of one workload.
+/// One swept point of one workload: `run_graph`'s per-unit outcome.
 #[derive(Debug)]
 struct ScalingPoint {
     /// Hardware cores (== software threads at this point).
     cores: usize,
     /// The speedup stack of the multi-threaded run, with the scaled
-    /// speedup attached as the actual.
+    /// speedup attached as the actual: `n · Ts / Tp` for weak-scaling
+    /// workloads (the MT run does `n×` the reference work), `Σᵢ Ts(i) /
+    /// Tp` for the rate mix.
     stack: SpeedupStack,
-    /// Estimated speedup `Ŝ` from the stack (Eq. 4).
-    estimated: f64,
-    /// Scaled speedup: `n · Ts / Tp` for weak-scaling workloads (the MT
-    /// run does `n×` the reference work), `Σᵢ Ts(i) / Tp` for the rate
-    /// mix.
-    scaled_speedup: f64,
     /// Multi-threaded run duration in cycles.
     mt_cycles: u64,
     /// Engine events of the multi-threaded run.
     events: u64,
-}
-
-/// One workload's 1→128-core series.
-#[derive(Debug)]
-struct ScalingSeries {
-    /// Workload display name (`*_weak` variants and `rate_mix`).
-    name: String,
-    /// One point per swept core count, in [`CORE_COUNTS`] order.
-    points: Vec<ScalingPoint>,
-}
-
-/// The whole study.
-#[derive(Debug)]
-struct ScalingStudy {
-    /// One series per workload.
-    series: Vec<ScalingSeries>,
-    /// Swept core counts.
-    counts: Vec<usize>,
-    /// The memory hierarchy the sweep ran on (reported in the figure
-    /// header).
-    mem: MemConfig,
-}
-
-impl ScalingStudy {
-    /// Converts the study into its structured [`Report`]: one sweep
-    /// block per workload plus a machine-readable point table.
-    fn to_report(&self) -> Report {
-        let title = format!(
-            "Many-core scaling study: speedup stacks at {:?} cores",
-            self.counts
-        );
-        let mut report = Report::new("scaling", &title);
-        report.push(Block::line(&title));
-        report.push(Block::line(format!(
-            "({} MiB {}-way LLC; weak-scaling workloads report scaled speedup n*Ts/Tp,\n\
-             the rate mix reports sum(Ts_i)/Tp)",
-            self.mem.llc.lines() * 64 / (1024 * 1024),
-            self.mem.llc.ways(),
-        )));
-        let mut table = Table::new(
-            "points",
-            vec![
-                Column::new("series"),
-                Column::new("cores").unit(Unit::Count),
-                Column::new("scaled_speedup").unit(Unit::Speedup),
-                Column::new("estimated_speedup").unit(Unit::Speedup),
-                Column::new("mt_cycles").unit(Unit::Cycles),
-                Column::new("events").unit(Unit::Count),
-            ],
-        );
-        for series in &self.series {
-            for p in &series.points {
-                table.row(vec![
-                    Value::str(&series.name),
-                    p.cores.into(),
-                    p.scaled_speedup.into(),
-                    p.estimated.into(),
-                    p.mt_cycles.into(),
-                    p.events.into(),
-                ]);
-            }
-        }
-        report.push(Block::hidden(Block::Table(table)));
-        for series in &self.series {
-            let bars: Vec<(String, SpeedupStack)> = series
-                .points
-                .iter()
-                .map(|p| (format!("N={:>3}", p.cores), p.stack.clone()))
-                .collect();
-            report.push(Block::Blank);
-            report.push(Block::Sweep {
-                title: series.name.clone(),
-                series: bars,
-            });
-        }
-        report
-    }
 }
 
 /// The study's weak-scaling workloads: one good scaler (blackscholes),
@@ -232,18 +154,15 @@ pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
             };
             let opts = opts(n);
             let mt = simulate(opts.machine(n), streams, deadline)?;
-            let speedup = ts / mt.tp_cycles as f64;
             let stack = mt
                 .stack(&opts.accounting)
                 .expect("engine produces valid counters")
-                .with_actual_speedup(speedup);
+                .with_actual_speedup(ts / mt.tp_cycles as f64);
             Ok(ScalingPoint {
                 cores: n,
-                estimated: stack.estimated_speedup(),
-                scaled_speedup: speedup,
+                stack,
                 mt_cycles: mt.tp_cycles,
                 events: mt.events,
-                stack,
             })
         },
         |i| {
@@ -251,20 +170,54 @@ pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
             point_label(&names[s], n)
         },
     );
-    let mut slots = slots.into_iter();
-    let series = names
-        .into_iter()
-        .map(|name| ScalingSeries {
-            name,
-            points: slots.by_ref().take(counts.len()).flatten().collect(),
-        })
-        .collect();
-    let study = ScalingStudy {
-        series,
-        counts,
-        mem,
-    };
-    Ok(finish(study.to_report(), degraded, None, params))
+    // One series per workload, its points in `counts` order.
+    let series = || names.iter().zip(slots.chunks(counts.len()));
+    let title = format!("Many-core scaling study: speedup stacks at {counts:?} cores");
+    let mut report = Report::new("scaling", &title);
+    report.push(Block::line(&title));
+    report.push(Block::line(format!(
+        "({} MiB {}-way LLC; weak-scaling workloads report scaled speedup n*Ts/Tp,\n\
+         the rate mix reports sum(Ts_i)/Tp)",
+        mem.llc.lines() * 64 / (1024 * 1024),
+        mem.llc.ways(),
+    )));
+    let mut table = Table::new(
+        "points",
+        vec![
+            Column::new("series"),
+            Column::new("cores").unit(Unit::Count),
+            Column::new("scaled_speedup").unit(Unit::Speedup),
+            Column::new("estimated_speedup").unit(Unit::Speedup),
+            Column::new("mt_cycles").unit(Unit::Cycles),
+            Column::new("events").unit(Unit::Count),
+        ],
+    );
+    for (name, points) in series() {
+        for p in points.iter().flatten() {
+            table.row(vec![
+                Value::str(name),
+                p.cores.into(),
+                p.stack.actual_speedup().map_or(Value::Missing, Value::F64),
+                p.stack.estimated_speedup().into(),
+                p.mt_cycles.into(),
+                p.events.into(),
+            ]);
+        }
+    }
+    report.push(Block::hidden(Block::Table(table)));
+    for (name, points) in series() {
+        let bars: Vec<(String, SpeedupStack)> = points
+            .iter()
+            .flatten()
+            .map(|p| (format!("N={:>3}", p.cores), p.stack.clone()))
+            .collect();
+        report.push(Block::Blank);
+        report.push(Block::Sweep {
+            title: name.clone(),
+            series: bars,
+        });
+    }
+    Ok(finish(report, degraded, None, params))
 }
 
 #[cfg(test)]
