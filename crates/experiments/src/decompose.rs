@@ -66,7 +66,7 @@ use crate::graph::{RefValue, Unit, UnitGraph};
 use crate::journal::{self, JournalWriter};
 use crate::par::run_units;
 use crate::runner::{
-    point_label, record_kind, ref_from_record, ref_record, run_profile_streams, scaled_profile,
+    point_label, ref_from_value, ref_to_value, run_profile_streams, scaled_profile,
     single_thread_reference_streams, PointSummary, RunOptions,
 };
 use crate::study::StudyParams;
@@ -650,36 +650,22 @@ impl GridStudy {
             None => None,
         };
 
-        // Replay the journal (resume) or start a fresh one.
-        let mut done_refs: HashMap<String, (u64, u64)> = HashMap::new();
-        let mut done_points: HashMap<(String, usize), PointSummary> = HashMap::new();
+        // Replay the journal (resume) or start a fresh one. Its entries
+        // are keyed by what each unit computes, as the service's cache
+        // is.
+        let keys = self.unit_keys(params);
+        let mut done: HashMap<String, String> = HashMap::new();
         let mut quarantined = 0usize;
         let writer: Option<Mutex<JournalWriter>> = match &params.journal {
             Some(spec) if spec.resume => {
                 let scan =
                     journal::scan(&spec.path, study, &fingerprint).map_err(SimError::Journal)?;
                 quarantined = scan.quarantined;
-                for rec in &scan.records {
-                    match record_kind(rec).as_deref() {
-                        Some("ref") => match ref_from_record(rec) {
-                            Some((name, st)) => {
-                                done_refs.insert(name, st);
-                            }
-                            None => quarantined += 1,
-                        },
-                        Some("point") => match PointSummary::from_record(rec) {
-                            Some(p) => {
-                                done_points.insert((p.name.clone(), p.threads), p);
-                            }
-                            None => quarantined += 1,
-                        },
-                        _ => quarantined += 1,
-                    }
-                }
+                done.extend(scan.entries);
                 Some(Mutex::new(scan.writer))
             }
             Some(spec) => Some(Mutex::new(
-                JournalWriter::create(&spec.path, study, &fingerprint)
+                JournalWriter::create(&spec.path, &journal::header(study, &fingerprint))
                     .map_err(SimError::Journal)?,
             )),
             None => None,
@@ -689,27 +675,42 @@ impl GridStudy {
         // swallowed: park the first one and fail the sweep once the
         // units have run.
         let journal_fault = Mutex::new(None);
-        let record = |data: &str| {
-            if let Some(Err(e)) = writer.as_ref().map(|w| lock(w).append(data)) {
+        let record = |unit: Unit, value: &str| {
+            if let Some(Err(e)) = writer
+                .as_ref()
+                .map(|w| lock(w).append(keys.get(unit), value))
+            {
                 lock(&journal_fault).get_or_insert(e);
             }
         };
         // Journaled units are known up front and everything else is the
         // graph's to hand out: references in profile order, then points
-        // in index order.
+        // in index order. An entry whose value does not decode is
+        // quarantined once and its units recomputed.
         let mut fold = GridFold::new(self.n_points());
         let mut graph = self.graph();
-        for (pi, name) in names.iter().enumerate() {
-            if let Some(&st) = done_refs.get(name) {
-                graph.ref_known(pi, st);
+        for pi in 0..self.profiles.len() {
+            let key = keys.get(Unit::Ref(pi));
+            match done.get(key).map(|v| ref_from_value(v)) {
+                Some(Some(st)) => graph.ref_known(pi, st),
+                Some(None) => {
+                    done.remove(key);
+                    quarantined += 1;
+                }
+                None => {}
             }
         }
-        // A record is read, not taken: a `threads` list that repeats a
-        // count has several points with one identity, all served by it.
+        // An entry is read, not taken: a `threads` list that repeats a
+        // count has several points with one key, all served by it.
         for i in 0..self.n_points() {
-            let (pi, n) = self.point(i);
-            match done_points.get(&(names[pi].clone(), n)) {
-                Some(summary) => fold.point(i, summary.clone(), 1),
+            let key = keys.get(Unit::Point(i));
+            match done.get(key).map(|v| PointSummary::from_record(v)) {
+                Some(Some(summary)) => fold.point(i, summary, 1),
+                Some(None) => {
+                    done.remove(key);
+                    quarantined += 1;
+                    graph.add_point(i);
+                }
                 None => graph.add_point(i),
             }
         }
@@ -723,12 +724,12 @@ impl GridStudy {
             params.faults.retries,
             |pi| {
                 let st = self.run_reference(params, pi, replay.as_ref())?;
-                record(&ref_record(&names[pi], st));
+                record(Unit::Ref(pi), &ref_to_value(st));
                 Ok(st)
             },
             |i, st| {
                 let summary = self.run_point(params, i, st[0], replay.as_ref())?;
-                record(&summary.to_record());
+                record(Unit::Point(i), &summary.to_record());
                 Ok(summary)
             },
             |i, outcome, attempts| match outcome {

@@ -1,6 +1,7 @@
-//! Crash-safe sweep journaling: line-delimited, checksummed JSON records
-//! with a format-version header, written as grid points complete and
-//! replayed on `repro --resume`.
+//! Crash-safe record logs: line-delimited, checksummed JSON records
+//! behind a header, each record one computed unit. The sweep journal
+//! (`repro --journal/--resume`) and the study service's cache spill are
+//! the two such logs.
 //!
 //! # Format
 //!
@@ -11,54 +12,59 @@
 //! ```
 //!
 //! where `xxxxxxxx` is the lowercase-hex CRC-32 (IEEE polynomial,
-//! reflected) of the exact `<record>` byte string and `<record>` is one
-//! JSON object (emitted by [`speedup_stacks::report::json`] — the
-//! journal introduces no new serialization machinery). The first line's
-//! record is the **header**:
+//! reflected) of the exact `<record>` byte string. The first line's
+//! record is the log's **header**; a sweep journal's is
 //!
 //! ```text
-//! {"journal":"repro-sweep","version":1,"study":"fig6","fingerprint":"xxxxxxxx"}
+//! {"journal": "repro-sweep", "version": 2, "study": "fig6", "fingerprint": "xxxxxxxx"}
 //! ```
 //!
 //! `fingerprint` hashes the result-affecting study parameters
 //! ([`fingerprint`]), so a journal can never silently replay points from
-//! a different parameterization. Subsequent records are sweep-defined
-//! (the fault-tolerant runner writes `ref` and `point` records).
+//! a different parameterization. Every following record is one computed
+//! unit, the **entry**
+//!
+//! ```text
+//! {"key": "<unit identity>", "value": "<result text, escaped>"}
+//! ```
+//!
+//! keyed by [`crate::decompose::GridStudy::unit_keys`] and valued by
+//! [`crate::runner::ref_to_value`] (a reference) or
+//! [`crate::runner::PointSummary::to_record`] (a point): a journal entry
+//! and a spill entry for the same unit are the same bytes. A resume
+//! looks each unit up by its key, exactly as a served cache hit does.
+//! Version 1 journals (name-keyed `ref`/`point` records) are refused
+//! with [`JournalError::VersionMismatch`], never silently recomputed.
 //!
 //! # Crash and corruption semantics
 //!
 //! - A final line **without a trailing newline** is the expected artifact
-//!   of a killed writer: it is dropped silently and its point recomputed.
-//! - A **complete** line that is not UTF-8 or fails the layout, checksum
-//!   or its record's decode is *quarantined*: counted, reported in the
-//!   report's `Degraded` block, and its point recomputed.
-//!   [`open_append`] checks the framing and hands back the verified
-//!   record text; the sweep decodes it straight from that text
-//!   ([`crate::runner::PointSummary::from_record`]), no JSON tree built.
-//! - A journal whose **header** is missing, corrupt, from another format
-//!   version or another study/parameterization is rejected with a typed
-//!   [`JournalError`] — identity failures are never papered over.
+//!   of a killed writer: it is dropped silently and its unit recomputed.
+//! - A **complete** line that is not UTF-8, fails the layout or the
+//!   checksum, or is not an entry is *quarantined*: counted (the sweep
+//!   reports it in the report's `Degraded` block) and its unit
+//!   recomputed. So is an entry whose value does not decode.
+//! - A log whose **header** is missing, corrupt, from another format
+//!   version or (a journal) another study/parameterization is rejected
+//!   with a typed [`JournalError`] — identity failures are never papered
+//!   over.
 //!
-//! # One record log
-//!
-//! The framing, the recovery rules above and the append handle are not
-//! specific to sweeps: [`open_append`] opens any such file given a
-//! caller-supplied header check, and [`JournalWriter`] appends to it. The
-//! sweep journal ([`scan`]) and the study service's cache spill are its
-//! two users.
+//! A key appearing twice is resolved by file order: the later entry
+//! wins. [`JournalWriter::compact`] rewrites a log to exactly a given
+//! entry list, atomically.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use speedup_stacks::error::JournalError;
-use speedup_stacks::report::json::{self, JsonValue};
+use speedup_stacks::report::json::{self, JsonValue, Reader};
 
 use crate::study::StudyParams;
 
 /// The journal format version this build reads and writes.
-pub const FORMAT_VERSION: u64 = 1;
+pub const FORMAT_VERSION: u64 = 2;
 /// The format magic recorded in every header.
 pub const MAGIC: &str = "repro-sweep";
 
@@ -160,13 +166,53 @@ pub struct JournalSpec {
     pub resume: bool,
 }
 
-/// The append handle of a record log. Each record is flushed as soon as
+/// The header record of a sweep journal for `study` under the parameter
+/// `fingerprint`.
+#[must_use]
+pub(crate) fn header(study: &str, fingerprint: &str) -> String {
+    format!(
+        "{{\"journal\": \"{MAGIC}\", \"version\": {FORMAT_VERSION}, \"study\": \"{}\", \
+         \"fingerprint\": \"{fingerprint}\"}}",
+        json::escape(study)
+    )
+}
+
+/// Encodes one computed unit as an entry record.
+fn entry_record(key: &str, value: &str) -> String {
+    format!(
+        "{{\"key\": \"{}\", \"value\": \"{}\"}}",
+        json::escape(key),
+        json::escape(value)
+    )
+}
+
+/// Decodes an entry record back into `(key, value)`: both strings, any
+/// other field skipped, the first of a repeated field wins. `None` on
+/// any syntax or shape mismatch (the caller quarantines the record).
+fn entry_from_record(record: &str) -> Option<(String, String)> {
+    let (mut key, mut value) = (None, None);
+    let mut r = Reader::new(record);
+    r.begin_object().ok()?;
+    while let Some(field) = r.next_key().ok()? {
+        match &*field {
+            "key" if key.is_none() => key = Some(r.string().ok()?.into_owned()),
+            "value" if value.is_none() => value = Some(r.string().ok()?.into_owned()),
+            _ => drop(r.value().ok()?),
+        }
+    }
+    r.finish().ok()?;
+    key.zip(value)
+}
+
+/// The append handle of a record log. Each entry is flushed as soon as
 /// it is written, so a killed process loses at most the line it was in
 /// the middle of (which [`open_append`] then drops as a truncation
 /// artifact).
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
+    path: PathBuf,
+    header: String,
 }
 
 fn io_err(op: &'static str, e: &std::io::Error) -> JournalError {
@@ -177,50 +223,39 @@ fn io_err(op: &'static str, e: &std::io::Error) -> JournalError {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) a sweep journal and writes its header line.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] on create/write failure.
-    pub fn create(
-        path: impl AsRef<Path>,
-        study: &str,
-        fingerprint: &str,
-    ) -> Result<Self, JournalError> {
-        Self::create_with_header(
-            path,
-            &format!(
-                "{{\"journal\": \"{MAGIC}\", \"version\": {FORMAT_VERSION}, \"study\": \"{}\", \
-                 \"fingerprint\": \"{fingerprint}\"}}",
-                json::escape(study)
-            ),
-        )
-    }
-
     /// Creates (truncating) a record log whose first line is `header`
     /// (one JSON object, later handed to [`open_append`]'s header check).
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on create/write failure.
-    pub fn create_with_header(path: impl AsRef<Path>, header: &str) -> Result<Self, JournalError> {
+    pub fn create(path: impl AsRef<Path>, header: &str) -> Result<Self, JournalError> {
+        let path = path.as_ref();
         let file = File::create(path).map_err(|e| io_err("create", &e))?;
-        let mut w = JournalWriter { file };
-        w.append(header)?;
+        let mut w = JournalWriter {
+            file,
+            path: path.to_path_buf(),
+            header: header.to_string(),
+        };
+        w.write_line(header)?;
         Ok(w)
     }
 
-    /// Appends one record (a JSON object string) as a checksummed line
-    /// and flushes it.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] on write/flush failure.
-    pub fn append(&mut self, data: &str) -> Result<(), JournalError> {
+    fn write_line(&mut self, data: &str) -> Result<(), JournalError> {
         self.file
             .write_all(wrap_line(data).as_bytes())
             .map_err(|e| io_err("append", &e))?;
         self.file.flush().map_err(|e| io_err("flush", &e))
+    }
+
+    /// Appends one computed unit as a checksummed entry line and flushes
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on write/flush failure.
+    pub fn append(&mut self, key: &str, value: &str) -> Result<(), JournalError> {
+        self.write_line(&entry_record(key, value))
     }
 
     /// Forces everything appended so far to durable storage.
@@ -232,28 +267,63 @@ impl JournalWriter {
         self.file.flush().map_err(|e| io_err("flush", &e))?;
         self.file.sync_all().map_err(|e| io_err("sync", &e))
     }
+
+    /// Rewrites the log to its header plus exactly `entries`, in the
+    /// given order, replacing the file atomically: the survivors are
+    /// written to a `.compact-tmp` sibling, synced, then renamed over the
+    /// original, so a crash at any point leaves either the old file or
+    /// the complete new one. Appends then continue at the new file's end.
+    /// On any error the original file — and this writer — are left
+    /// untouched and still usable.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on write, sync, or rename failure.
+    pub fn compact(&mut self, entries: &[(String, String)]) -> Result<(), JournalError> {
+        let mut tmp_name = self.path.clone().into_os_string();
+        tmp_name.push(".compact-tmp");
+        let tmp = PathBuf::from(tmp_name);
+        let result = (|| {
+            let mut log = JournalWriter::create(&tmp, &self.header)?;
+            for (key, value) in entries {
+                log.append(key, value)?;
+            }
+            log.sync()?;
+            std::fs::rename(&tmp, &self.path).map_err(|e| io_err("compact-rename", &e))?;
+            Ok(log.file)
+        })();
+        match result {
+            Ok(file) => {
+                self.file = file;
+                Ok(())
+            }
+            Err(e) => {
+                std::fs::remove_file(&tmp).ok();
+                Err(e)
+            }
+        }
+    }
 }
 
-/// An existing record log opened for appending: its append handle, the
-/// text of its intact records (header excluded, in file order) and the
-/// count of quarantined lines.
+/// An existing record log opened for appending: its append handle, its
+/// intact entries (header excluded, in file order) and the count of
+/// quarantined lines.
 #[derive(Debug)]
 pub struct JournalScan {
     /// The append handle, positioned after the last complete line.
     pub writer: JournalWriter,
-    /// Checksum-verified record text after the header, each decoded by
-    /// its user (a record that then fails to decode is the user's to
-    /// quarantine).
-    pub records: Vec<String>,
-    /// Complete lines that were not UTF-8 or failed the layout or
-    /// checksum, skipped (their points must be recomputed).
+    /// Checksum-verified `(key, value)` entries after the header, in file
+    /// order (a key appearing twice: the later entry wins).
+    pub entries: Vec<(String, String)>,
+    /// Complete lines that were not UTF-8, failed the layout or checksum,
+    /// or were not an entry, skipped (their units must be recomputed).
     pub quarantined: usize,
 }
 
 /// Opens an existing record log for appending: verifies the header
-/// line's framing and hands its parsed record to `check_header`, collects
-/// the text of every intact record, counts complete lines that are not
-/// UTF-8 or fail the layout or checksum as quarantined, and
+/// line's framing and hands its parsed record to `check_header`, decodes
+/// every intact entry, counts complete lines that are not UTF-8, fail
+/// the layout or checksum, or are not an entry as quarantined, and
 /// truncates an unterminated final line — the expected artifact of a
 /// killed writer — so the next append starts a fresh line instead of
 /// completing garbage.
@@ -288,12 +358,12 @@ pub fn open_append(
         json::parse(&header_data).map_err(|e| JournalError::BadHeader { why: e.to_string() })?;
     check_header(&header)?;
 
-    let mut records = Vec::new();
+    let mut entries = Vec::new();
     let mut quarantined = 0usize;
     while let Some(line) = framed() {
-        match unwrap(line) {
-            Ok(record) => records.push(record),
-            Err(_) => quarantined += 1,
+        match unwrap(line).ok().and_then(|r| entry_from_record(&r)) {
+            Some(entry) => entries.push(entry),
+            None => quarantined += 1,
         }
     }
     let file = OpenOptions::new()
@@ -307,19 +377,45 @@ pub fn open_append(
             .map_err(|e| io_err("truncate", &e))?;
     }
     Ok(JournalScan {
-        writer: JournalWriter { file },
-        records,
+        writer: JournalWriter {
+            file,
+            path: path.to_path_buf(),
+            header: header_data,
+        },
+        entries,
         quarantined,
     })
 }
 
-/// The `version` field of a record-log header (0 when absent).
-#[must_use]
-pub fn header_version(header: &JsonValue) -> u64 {
-    header
+/// The identity check every record log's header starts with: its
+/// `field` names `magic`, and its `version` is `version`.
+///
+/// # Errors
+///
+/// [`JournalError::BadHeader`] for another magic,
+/// [`JournalError::VersionMismatch`] for another version.
+pub fn check_magic(
+    header: &JsonValue,
+    field: &str,
+    magic: &str,
+    version: u64,
+) -> Result<(), JournalError> {
+    if header.get(field).and_then(JsonValue::as_str) != Some(magic) {
+        return Err(JournalError::BadHeader {
+            why: format!("not a {magic} {field}"),
+        });
+    }
+    let found = header
         .get("version")
         .and_then(JsonValue::as_f64)
-        .map_or(0, |v| v as u64)
+        .map_or(0, |v| v as u64);
+    if found != version {
+        return Err(JournalError::VersionMismatch {
+            found,
+            supported: version,
+        });
+    }
+    Ok(())
 }
 
 /// Opens a sweep journal for resuming: [`open_append`] with the header
@@ -337,18 +433,7 @@ pub fn scan(
     expected_fingerprint: &str,
 ) -> Result<JournalScan, JournalError> {
     open_append(path, |header| {
-        if header.get("journal").and_then(JsonValue::as_str) != Some(MAGIC) {
-            return Err(JournalError::BadHeader {
-                why: format!("not a {MAGIC} journal"),
-            });
-        }
-        let version = header_version(header);
-        if version != FORMAT_VERSION {
-            return Err(JournalError::VersionMismatch {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
+        check_magic(header, "journal", MAGIC, FORMAT_VERSION)?;
         let field = |k: &str| header.get(k).and_then(JsonValue::as_str).unwrap_or("");
         if field("study") != study {
             return Err(JournalError::StudyMismatch {
@@ -369,7 +454,6 @@ pub fn scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -379,6 +463,15 @@ mod tests {
             std::process::id(),
             N.fetch_add(1, Ordering::Relaxed)
         ))
+    }
+
+    fn entry(key: &str, value: &str) -> (String, String) {
+        (key.to_string(), value.to_string())
+    }
+
+    /// A log under a header no identity check looks at.
+    fn open(path: &Path) -> JournalScan {
+        open_append(path, |_| Ok(())).unwrap()
     }
 
     #[test]
@@ -410,18 +503,19 @@ mod tests {
     #[test]
     fn write_scan_round_trip() {
         let path = temp_path("roundtrip");
-        let mut w = JournalWriter::create(&path, "fig6", "deadbeef").unwrap();
-        w.append("{\"kind\": \"ref\", \"profile\": \"x\", \"st_cycles\": 100}")
-            .unwrap();
-        w.append("{\"kind\": \"point\", \"profile\": \"x\", \"threads\": 4}")
+        let mut w = JournalWriter::create(&path, &header("fig6", "deadbeef")).unwrap();
+        w.append("unit-r", "100 200").unwrap();
+        w.append("unit-p", "{\"kind\": \"point\", \"q\": \"a\\\"b\"}")
             .unwrap();
         drop(w);
         let scan = scan(&path, "fig6", "deadbeef").unwrap();
-        assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.quarantined, 0);
         assert_eq!(
-            scan.records[1],
-            "{\"kind\": \"point\", \"profile\": \"x\", \"threads\": 4}"
+            scan.entries,
+            [
+                entry("unit-r", "100 200"),
+                entry("unit-p", "{\"kind\": \"point\", \"q\": \"a\\\"b\"}")
+            ]
         );
         std::fs::remove_file(&path).ok();
     }
@@ -429,50 +523,47 @@ mod tests {
     #[test]
     fn truncated_tail_dropped_silently() {
         let path = temp_path("trunc");
-        let mut w = JournalWriter::create(&path, "fig6", "deadbeef").unwrap();
-        w.append("{\"kind\": \"ref\", \"profile\": \"x\"}").unwrap();
+        let mut w = JournalWriter::create(&path, &header("fig6", "deadbeef")).unwrap();
+        w.append("unit-r", "1 2").unwrap();
         drop(w);
         // Simulate a kill mid-write: append half a line, no newline.
         let mut content = std::fs::read_to_string(&path).unwrap();
-        content.push_str("{\"crc\":\"00000000\",\"data\":{\"kind\": \"poi");
+        content.push_str("{\"crc\":\"00000000\",\"data\":{\"key\": \"poi");
         std::fs::write(&path, &content).unwrap();
         let mut resumed = scan(&path, "fig6", "deadbeef").unwrap();
-        assert_eq!(resumed.records.len(), 1, "intact record kept");
+        assert_eq!(resumed.entries.len(), 1, "intact entry kept");
         assert_eq!(resumed.quarantined, 0, "a killed tail is not corruption");
         // The tail was chopped on open, so the next append starts a fresh
         // line instead of completing the garbage into a corrupt record.
-        resumed
-            .writer
-            .append("{\"kind\": \"ref\", \"profile\": \"y\"}")
-            .unwrap();
+        resumed.writer.append("unit-y", "3 4").unwrap();
         drop(resumed);
         let again = scan(&path, "fig6", "deadbeef").unwrap();
-        assert_eq!(again.records.len(), 2);
+        assert_eq!(again.entries.len(), 2);
         assert_eq!(again.quarantined, 0, "a resumed journal stays clean");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn bit_flipped_record_quarantined() {
+    fn damaged_and_foreign_records_quarantined() {
         let path = temp_path("flip");
-        let mut w = JournalWriter::create(&path, "fig6", "deadbeef").unwrap();
-        w.append("{\"kind\": \"ref\", \"profile\": \"aaa\"}")
-            .unwrap();
-        w.append("{\"kind\": \"ref\", \"profile\": \"bbb\"}")
+        let mut w = JournalWriter::create(&path, &header("fig6", "deadbeef")).unwrap();
+        w.append("unit-aaa", "1 2").unwrap();
+        w.append("unit-bbb", "3 4").unwrap();
+        w.write_line("{\"kind\": \"ref\", \"profile\": \"ccc\"}")
             .unwrap();
         drop(w);
         let content = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, content.replace("bbb", "bxb")).unwrap();
         let scan = scan(&path, "fig6", "deadbeef").unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.quarantined, 1);
+        assert_eq!(scan.entries, [entry("unit-aaa", "1 2")]);
+        assert_eq!(scan.quarantined, 2, "a checksum failure and a non-entry");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn identity_mismatches_are_fatal() {
         let path = temp_path("identity");
-        drop(JournalWriter::create(&path, "fig6", "deadbeef").unwrap());
+        drop(JournalWriter::create(&path, &header("fig6", "deadbeef")).unwrap());
         assert!(matches!(
             scan(&path, "fig1", "deadbeef"),
             Err(JournalError::StudyMismatch { .. })
@@ -503,18 +594,50 @@ mod tests {
     #[test]
     fn version_mismatch_detected() {
         let path = temp_path("version");
-        let header = format!(
-            "{{\"journal\": \"{MAGIC}\", \"version\": 99, \"study\": \"fig6\", \
-             \"fingerprint\": \"deadbeef\"}}"
+        // Version 1 (name-keyed records) and a future version alike.
+        for found in [1, 99] {
+            let header = format!(
+                "{{\"journal\": \"{MAGIC}\", \"version\": {found}, \"study\": \"fig6\", \
+                 \"fingerprint\": \"deadbeef\"}}"
+            );
+            std::fs::write(&path, wrap_line(&header)).unwrap();
+            let err = scan(&path, "fig6", "deadbeef").unwrap_err();
+            assert_eq!(
+                err,
+                JournalError::VersionMismatch {
+                    found,
+                    supported: FORMAT_VERSION
+                }
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn compaction_rewrites_to_the_given_entries_and_keeps_appending() {
+        let path = temp_path("compact");
+        let mut w = JournalWriter::create(&path, "{\"log\": \"test\"}").unwrap();
+        for value in ["old", "mid", "new"] {
+            w.append("k", value).unwrap();
+        }
+        w.append("gone", "x").unwrap();
+        w.compact(&[entry("k", "new")]).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(content.lines().count(), 2, "header + 1 live entry");
+        assert!(content.starts_with(&wrap_line("{\"log\": \"test\"}")));
+        w.append("k2", "v2").unwrap();
+        drop(w);
+        let reopened = open(&path);
+        assert_eq!(reopened.quarantined, 0);
+        assert_eq!(reopened.entries, [entry("k", "new"), entry("k2", "v2")]);
+        // A reopened writer compacts under the header it read.
+        let mut w = reopened.writer;
+        w.compact(&[]).unwrap();
+        drop(w);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            wrap_line("{\"log\": \"test\"}")
         );
-        std::fs::write(&path, wrap_line(&header)).unwrap();
-        assert!(matches!(
-            scan(&path, "fig6", "deadbeef"),
-            Err(JournalError::VersionMismatch {
-                found: 99,
-                supported: FORMAT_VERSION
-            })
-        ));
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,11 +11,9 @@
 //! simulated cycles; they are what a sweep unit runs —
 //! [`crate::decompose::GridStudy`]'s two unit bodies, fig7's and fig9's,
 //! and the many-core [`crate::scaling`] study's. [`PointSummary`] is a
-//! point's journaled and streamed essence, with the journal record codec
-//! beside it, and [`FaultPolicy`] is the per-unit deadline and retry
-//! budget.
-
-use std::borrow::Cow;
+//! point's journaled, cached and streamed essence, with its record codec
+//! beside it; [`ref_to_value`]/[`ref_from_value`] are a reference's, and
+//! [`FaultPolicy`] is the per-unit deadline and retry budget.
 
 use cmpsim::{MachineConfig, SimError, SimResult, Simulation};
 use memsim::MemConfig;
@@ -255,7 +253,8 @@ impl PointSummary {
         speedup_stacks::estimate::speedup_error(self.estimated, self.actual, self.threads)
     }
 
-    /// Serializes as a journal `point` record (one JSON object).
+    /// Serializes as a `point` record (one JSON object): the value of
+    /// the point's journal and spill entries, and a streamed frame's `data`.
     #[must_use]
     pub fn to_record(&self) -> String {
         use std::fmt::Write as _;
@@ -301,7 +300,7 @@ impl PointSummary {
         out
     }
 
-    /// Decodes a journal `point` record ([`PointSummary::to_record`]'s
+    /// Decodes a `point` record ([`PointSummary::to_record`]'s
     /// text) without building a JSON tree. `None` on any syntax or shape
     /// mismatch (the caller quarantines the record).
     #[must_use]
@@ -432,46 +431,21 @@ fn read_overheads(r: &mut Reader<'_>) -> Option<Breakdown> {
     (n == Component::ALL.len()).then_some(overheads)
 }
 
-/// Serializes a single-thread reference as a journal `ref` record.
-pub(crate) fn ref_record(name: &str, (cycles, instructions): (u64, u64)) -> String {
-    format!(
-        "{{\"kind\": \"ref\", \"profile\": \"{}\", \"st_cycles\": {cycles}, \
-         \"st_instructions\": {instructions}}}",
-        json::escape(name)
-    )
+/// A single-thread reference `(Ts, instructions)` as the value text a
+/// journal or spill entry stores for it: the two counts, one space
+/// apart. The one reference codec, beside [`PointSummary`]'s record
+/// codec.
+#[must_use]
+pub fn ref_to_value((cycles, instructions): (u64, u64)) -> String {
+    format!("{cycles} {instructions}")
 }
 
-/// Decodes a journal `ref` record back into `(name, (Ts, instructions))`.
-pub(crate) fn ref_from_record(record: &str) -> Option<(String, (u64, u64))> {
-    let (mut profile, mut cycles, mut instructions) = (None, None, None);
-    let mut r = Reader::new(record);
-    r.begin_object().ok()?;
-    while let Some(key) = r.next_key().ok()? {
-        match &*key {
-            "profile" if profile.is_none() => profile = Some(r.string().ok()?.into_owned()),
-            "st_cycles" if cycles.is_none() => cycles = Some(read_u64(&mut r)?),
-            "st_instructions" if instructions.is_none() => {
-                instructions = Some(read_u64(&mut r)?);
-            }
-            _ => skip(&mut r)?,
-        }
-    }
-    r.finish().ok()?;
-    Some((profile?, (cycles?, instructions?)))
-}
-
-/// A journal record's `kind`, read without decoding the rest (the
-/// writers put it first).
-pub(crate) fn record_kind(record: &str) -> Option<Cow<'_, str>> {
-    let mut r = Reader::new(record);
-    r.begin_object().ok()?;
-    while let Some(key) = r.next_key().ok()? {
-        if key == "kind" {
-            return r.string().ok();
-        }
-        skip(&mut r)?;
-    }
-    None
+/// Decodes [`ref_to_value`]'s text. `None` unless it is exactly two
+/// counts (the caller recomputes the reference).
+#[must_use]
+pub fn ref_from_value(value: &str) -> Option<(u64, u64)> {
+    let (cycles, instructions) = value.split_once(' ')?;
+    Some((cycles.parse().ok()?, instructions.parse().ok()?))
 }
 
 /// Fault-handling policy for a fault-tolerant sweep.

@@ -345,7 +345,7 @@ fn run_case(seed: u64) {
     }
 
     // A budgeted run and its continuation: what landed is known up
-    // front (the journal's `ref` and `point` records), the rest re-runs.
+    // front (a journal's entries), the rest re-runs.
     let units = model.refs.iter().filter(|&&s| s != R::Idle).count() + plan.deps.len();
     let (mut graph, mut model) = plan.graph(&none, &none);
     let budget = rng.gen_range(0..units + 1);

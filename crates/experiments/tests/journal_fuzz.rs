@@ -3,19 +3,20 @@
 //! cache spill (in-repo deterministic-RNG style, like
 //! `experiments/tests/json_fuzz.rs`).
 //!
-//! Each case writes a random log — a header and records whose strings
-//! carry escapes and multi-byte characters — then damages it: bit
-//! flips, byte overwrites (newlines included), a truncation anywhere,
-//! a torn tail. Opening it must match a naive oracle that splits the
-//! damaged bytes on `\n` and calls `unwrap_line` on every complete line:
+//! Each case writes a random log — a header and entries whose keys and
+//! values carry quotes, backslashes, newlines and multi-byte characters
+//! — then damages it: bit flips, byte overwrites (newlines included), a
+//! truncation anywhere, a torn tail. Opening it must match a naive
+//! oracle that splits the damaged bytes on `\n`, calls `unwrap_line` on
+//! every complete line and reads the entry out of a parsed JSON tree:
 //!
 //! - a typed error exactly when the header line is incomplete
 //!   (`MissingHeader`) or corrupt (`BadHeader`);
-//! - otherwise exactly the intact records, in order, and a quarantine
+//! - otherwise exactly the intact entries, in order, and a quarantine
 //!   count equal to the number of complete lines that fail;
 //! - the file cut back to its last `\n`;
-//! - one record appended after the open reads back on the next open,
-//!   after the same records and quarantine count.
+//! - one entry appended after the open reads back on the next open,
+//!   after the same entries and quarantine count.
 //!
 //! A failing case prints its seed; replay it with `run_case(seed)`.
 
@@ -29,9 +30,11 @@ use workloads::rng::SmallRng;
 /// Cases per run of the loop.
 const CASES: u64 = 2_000;
 
-/// What a correct open of `bytes` yields: the intact records and the
+type Entry = (String, String);
+
+/// What a correct open of `bytes` yields: the intact entries and the
 /// quarantine count, or the header's typed error.
-fn oracle(bytes: &[u8]) -> Result<(Vec<String>, usize), JournalError> {
+fn oracle(bytes: &[u8]) -> Result<(Vec<Entry>, usize), JournalError> {
     let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
     lines.pop(); // the bytes after the last newline: a torn tail, or nothing
     let Some((header, records)) = lines.split_first() else {
@@ -43,35 +46,37 @@ fn oracle(bytes: &[u8]) -> Result<(Vec<String>, usize), JournalError> {
     if !header_ok {
         return Err(JournalError::BadHeader { why: String::new() });
     }
+    let entry = |record: String| {
+        let tree = json::parse(&record).ok()?;
+        let field = |k: &str| Some(tree.get(k)?.as_str()?.to_string());
+        Some((field("key")?, field("value")?))
+    };
     let mut out = Vec::new();
     let mut quarantined = 0;
     for line in records {
-        match intact(line) {
-            Some(record) => out.push(record),
+        match intact(line).and_then(entry) {
+            Some(e) => out.push(e),
             None => quarantined += 1,
         }
     }
     Ok((out, quarantined))
 }
 
-/// String pieces records are built from: plain text, JSON escapes, and
-/// multi-byte characters (so a cut or a flip can land inside one).
-const PIECES: [&str; 9] = ["a", "x1", "\\\"", "\\\\", "\\n", "\\u00e9", "é", "→", "😀"];
+/// String pieces keys and values are built from: plain text, characters
+/// the entry codec escapes, and multi-byte characters (so a cut or a
+/// flip can land inside one).
+const PIECES: [&str; 10] = ["a", "x1", "\"", "\\", "\n", "\t", "{\"", "é", "→", "😀"];
 
-fn random_record(rng: &mut SmallRng) -> String {
-    let mut record = String::from("{\"kind\": \"point\"");
-    for k in 0..rng.gen_range(0..4u32) {
-        let mut s = String::new();
-        for _ in 0..rng.gen_range(0..12u32) {
-            s.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
-        }
-        record.push_str(&format!(
-            ", \"f{k}\": \"{s}\", \"n{k}\": {}",
-            rng.next_u64() % 1000
-        ));
+fn random_text(rng: &mut SmallRng) -> String {
+    let mut s = String::new();
+    for _ in 0..rng.gen_range(0..12u32) {
+        s.push_str(PIECES[rng.gen_range(0..PIECES.len())]);
     }
-    record.push('}');
-    record
+    s
+}
+
+fn random_entry(rng: &mut SmallRng) -> Entry {
+    (random_text(rng), random_text(rng))
 }
 
 /// Damages the log in place: a few flips and overwrites anywhere, then
@@ -96,15 +101,20 @@ fn damage(rng: &mut SmallRng, bytes: &mut Vec<u8>) {
         bytes.truncate(cut);
     }
     if rng.gen_bool(0.3) {
-        let line = wrap_line(&random_record(rng));
+        let (key, value) = random_entry(rng);
+        let line = wrap_line(&format!(
+            "{{\"key\": \"{}\", \"value\": \"{}\"}}",
+            json::escape(&key),
+            json::escape(&value)
+        ));
         let torn = rng.gen_range(0..line.len() - 1);
         bytes.extend_from_slice(&line.as_bytes()[..torn]);
     }
 }
 
-fn open(path: &Path) -> Result<(Vec<String>, usize, JournalWriter), JournalError> {
+fn open(path: &Path) -> Result<(Vec<Entry>, usize, JournalWriter), JournalError> {
     let scan = open_append(path, |_| Ok(()))?;
-    Ok((scan.records, scan.quarantined, scan.writer))
+    Ok((scan.entries, scan.quarantined, scan.writer))
 }
 
 /// Prints the case on the way out of a panic (an assertion here, or a
@@ -124,10 +134,11 @@ impl Drop for CaseOnPanic {
 fn run_case(seed: u64, path: &Path) -> &'static str {
     let _guard = CaseOnPanic(seed);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut writer = JournalWriter::create_with_header(path, "{\"log\": \"fuzz\", \"version\": 1}")
-        .expect("create log");
+    let mut writer =
+        JournalWriter::create(path, "{\"log\": \"fuzz\", \"version\": 1}").expect("create log");
     for _ in 0..rng.gen_range(0..10u32) {
-        writer.append(&random_record(&mut rng)).expect("append");
+        let (key, value) = random_entry(&mut rng);
+        writer.append(&key, &value).expect("append");
     }
     drop(writer);
     let mut bytes = std::fs::read(path).expect("read log");
@@ -154,8 +165,10 @@ fn run_case(seed: u64, path: &Path) -> &'static str {
     let on_disk = std::fs::read(path).expect("read opened log");
     assert_eq!(on_disk, &bytes[..kept], "cut back to the last newline");
 
-    let appended = random_record(&mut rng);
-    writer.append(&appended).expect("append after open");
+    let appended = random_entry(&mut rng);
+    writer
+        .append(&appended.0, &appended.1)
+        .expect("append after open");
     drop(writer);
     let (again, requarantined, _) = open(path).expect("reopen");
     assert_eq!(requarantined, quarantined, "the append adds no damage");

@@ -8,9 +8,10 @@
 //! `fig6`, `fig5` and `fig1` are served from `fig4`'s entries. A hash of
 //! those parameters is deliberately **not** the key: a collision would
 //! silently serve another unit's result, and a cache must never
-//! fabricate data. Values are the exact journal-record strings the sweep
-//! would write ([`experiments::PointSummary::to_record`]), so a cache
-//! hit reproduces a computed point bit for bit.
+//! fabricate data. Values are the exact text a sweep journal entry holds
+//! for the unit ([`experiments::PointSummary::to_record`] for a point,
+//! [`experiments::runner::ref_to_value`] for a reference), so a cache
+//! hit reproduces a computed unit bit for bit.
 //!
 //! Eviction is least-recently-used. The entries sit in a slab, doubly
 //! linked from least to most recently used, beside a key → slot map: a
@@ -24,20 +25,51 @@
 //! evicts nothing else and is not spilled. All counters (hits, misses,
 //! insertions, evictions) are reported through the `status` request.
 //!
-//! With a [`crate::persist::SpillWriter`] attached, every insertion is
-//! also appended write-through to the spill file, and entries recovered
-//! on startup are fed back in through [`Cache::preload`] — so a
-//! `kill -9` + restart serves warm resubmits without recompute. A
-//! spill write failure disables persistence for the rest of the
-//! process (reported once on stderr) rather than failing the job: the
-//! cache's correctness never depends on the disk.
+//! # The spill
+//!
+//! [`Cache::load_spill`] makes the cache persistent. The spill file is a
+//! record log of [`experiments::journal`] — the sweep journal's framing,
+//! entries, recovery rules and append handle — under its own header,
+//! `{"spill": "studyd-cache", "version": 1}`. Each entry is one
+//! completed unit, `{"key": <unit key>, "value": <value text>}`, the
+//! very bytes a sweep journal writes for that unit. The header carries
+//! no study or fingerprint: the keys spell out in full what their unit
+//! computes, so one spill serves every study and parameterization, and
+//! the version stays 1 when the key text changes — an entry under an
+//! older build's keys is inert, never looked up, and aged out like any
+//! cold entry.
+//!
+//! Loading recovers every intact entry through the normal LRU insertion
+//! (an over-budget spill is clamped on the way in), quarantines corrupt
+//! records (counted in [`CacheStats::quarantined`], recomputed, never
+//! served), drops a `kill -9`'s torn final line, and silently recreates
+//! a file whose header line never completed (a kill during creation).
+//! A complete but wrong header is a typed fatal error. After that,
+//! every insertion is appended write-through, so a `kill -9` + restart
+//! serves warm resubmits without recompute. A spill write failure
+//! disables persistence for the rest of the process (reported once on
+//! stderr) rather than failing the job: the cache's correctness never
+//! depends on the disk.
+//!
+//! The file is append-only between compactions: a replaced key simply
+//! appears twice and the later entry wins on reload. [`Cache::compact`]
+//! rewrites it atomically to the live entries, least recently used
+//! first, so a reload reconstructs the same recency ranking. `studyd`
+//! compacts on drain shutdown, and on load exactly when the reload read
+//! a record the cache does not hold live (superseded, evicted or
+//! quarantined).
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use experiments::journal::{check_magic, open_append, JournalScan, JournalWriter};
 use speedup_stacks::error::JournalError;
 
-use crate::persist::SpillWriter;
+/// The spill format magic recorded in every spill header.
+const SPILL_MAGIC: &str = "studyd-cache";
+/// The spill format version this build reads and writes.
+const SPILL_VERSION: u64 = 1;
 
 /// A point-in-time snapshot of the cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,7 +213,7 @@ struct Inner {
     misses: u64,
     insertions: u64,
     evictions: u64,
-    spill: Option<SpillWriter>,
+    spill: Option<JournalWriter>,
     loaded: u64,
     quarantined: u64,
     spilled: u64,
@@ -223,19 +255,58 @@ impl Cache {
         }
     }
 
-    /// Attaches the persistent spill: every subsequent [`Cache::put`]
-    /// is appended write-through.
-    pub fn set_spill(&self, writer: SpillWriter) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.spill = Some(writer);
+    /// Makes the cache persistent: opens the spill file at `path`
+    /// (creating it, or recreating one whose header line never
+    /// completed), loads every intact entry through the normal LRU
+    /// insertion — without re-appending it and without counting it as a
+    /// fresh insertion — and appends every later [`Cache::put`]
+    /// write-through. A load that read a record the cache does not hold
+    /// live (superseded, evicted or quarantined) compacts the file.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on filesystem failure;
+    /// [`JournalError::BadHeader`] / [`JournalError::VersionMismatch`]
+    /// when an existing file's header is complete but wrong.
+    pub fn load_spill(&self, path: &Path) -> Result<(), JournalError> {
+        let opened = path.exists().then(|| {
+            open_append(path, |header| {
+                check_magic(header, "spill", SPILL_MAGIC, SPILL_VERSION)
+            })
+        });
+        let scan = match opened {
+            // No file, or killed inside the very first write: no identity
+            // was ever durable, so there is nothing to protect.
+            None | Some(Err(JournalError::MissingHeader)) => JournalScan {
+                writer: JournalWriter::create(
+                    path,
+                    &format!("{{\"spill\": \"{SPILL_MAGIC}\", \"version\": {SPILL_VERSION}}}"),
+                )?,
+                entries: Vec::new(),
+                quarantined: 0,
+            },
+            Some(scan) => scan?,
+        };
+        let read = (scan.entries.len() + scan.quarantined) as u64;
+        self.preload(scan.entries, scan.quarantined);
+        let dead = {
+            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            inner.spill = Some(scan.writer);
+            read > inner.lru.slots.len() as u64
+        };
+        if dead {
+            if let Err(e) = self.compact() {
+                eprintln!("studyd: startup spill compaction failed: {e}");
+            }
+        }
+        Ok(())
     }
 
-    /// Feeds entries recovered from the spill back into the cache —
-    /// through the normal LRU insertion (so an over-budget spill is
-    /// clamped), but without re-appending them to the file and without
-    /// counting them as fresh insertions. `quarantined` records the
-    /// reload's corrupt-line count for the stats.
-    pub fn preload(&self, entries: Vec<(String, String)>, quarantined: usize) {
+    /// Feeds recovered entries into the cache through the normal LRU
+    /// insertion, without appending them to the spill and without
+    /// counting them as fresh insertions; `quarantined` is the reload's
+    /// corrupt-record count.
+    fn preload(&self, entries: Vec<(String, String)>, quarantined: usize) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.quarantined += quarantined as u64;
         for (key, value) in entries {
@@ -294,10 +365,10 @@ impl Cache {
         }
     }
 
-    /// Snapshot of the live entries, least recently used first. Feeding
-    /// this snapshot back through [`Cache::preload`] reconstructs the
-    /// same entries *and* the same recency order, which is what makes a
-    /// compacted spill reload to the identical cache state.
+    /// Snapshot of the live entries, least recently used first. Loading
+    /// this snapshot back reconstructs the same entries *and* the same
+    /// recency order, which is what makes a compacted spill reload to
+    /// the identical cache state.
     #[must_use]
     pub fn live_entries(&self) -> Vec<(String, String)> {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -305,7 +376,7 @@ impl Cache {
     }
 
     /// Rewrites the attached spill file from the live LRU state (see
-    /// [`SpillWriter::compact`]), dropping replaced and evicted records
+    /// [`JournalWriter::compact`]), dropping replaced and evicted records
     /// so the append-only file stops growing without bound. Returns
     /// `Ok(false)` when no spill is attached.
     ///
@@ -342,8 +413,8 @@ impl Cache {
     }
 }
 
-/// The LRU insertion shared by fresh [`Cache::put`]s and spill
-/// [`Cache::preload`]s: drops any value already under `key`, then stores
+/// The LRU insertion shared by fresh [`Cache::put`]s and
+/// [`Cache::load_spill`]: drops any value already under `key`, then stores
 /// the new one as the most recently used, evicting from the least-recent
 /// end until it fits. Returns `false`, storing nothing, for a value
 /// larger than the whole budget (counted as evicted).
@@ -402,16 +473,24 @@ mod tests {
         assert_eq!(c.stats().evictions, 1);
     }
 
-    #[test]
-    fn oversized_value_does_not_wedge_the_cache() {
+    fn temp_spill(tag: &str) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(format!(
-            "studyd-cache-spill-{}-oversized.ndjson",
+            "studyd-cache-spill-{}-{tag}.ndjson",
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
-        let opened = crate::persist::open(&path).unwrap();
+        path
+    }
+
+    fn keys(c: &Cache) -> Vec<String> {
+        c.live_entries().into_iter().map(|(k, _)| k).collect()
+    }
+
+    #[test]
+    fn oversized_value_does_not_wedge_the_cache() {
+        let path = temp_spill("oversized");
         let c = Cache::new(10);
-        c.set_spill(opened.writer);
+        c.load_spill(&path).unwrap();
         for key in ["a", "b", "c"] {
             c.put(key, "1");
         }
@@ -429,9 +508,14 @@ mod tests {
         c.put("d", "1");
         assert!(c.get("d").is_some(), "cache still works");
         c.sync().unwrap();
-        let reopened = crate::persist::open(&path).unwrap();
-        let keys: Vec<&str> = reopened.entries.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["a", "b", "c", "d"], "a reload repeats no flush");
+        let reloaded = Cache::new(10);
+        reloaded.load_spill(&path).unwrap();
+        assert_eq!(
+            keys(&reloaded),
+            ["a", "b", "c", "d"],
+            "a reload repeats no flush"
+        );
+        assert_eq!(reloaded.stats().loaded, 4);
         std::fs::remove_file(&path).ok();
     }
 
@@ -596,24 +680,18 @@ mod tests {
     }
 
     #[test]
-    fn spill_write_through_and_preload_round_trip() {
-        let path = std::env::temp_dir().join(format!(
-            "studyd-cache-spill-{}-roundtrip.ndjson",
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
-        let opened = crate::persist::open(&path).unwrap();
+    fn spill_write_through_and_reload_round_trip() {
+        let path = temp_spill("roundtrip");
         let c = Cache::new(1024);
-        c.set_spill(opened.writer);
+        c.load_spill(&path).unwrap();
         c.put("key-0", "{\"a\": 1}");
         c.put("key-r", "10 20");
         c.sync().unwrap();
         assert_eq!(c.stats().spilled, 2);
 
         // A fresh cache (a restarted daemon) recovers both entries.
-        let reopened = crate::persist::open(&path).unwrap();
         let warm = Cache::new(1024);
-        warm.preload(reopened.entries, reopened.quarantined);
+        warm.load_spill(&path).unwrap();
         let s = warm.stats();
         assert_eq!((s.loaded, s.quarantined, s.insertions), (2, 0, 0));
         assert_eq!(warm.get("key-0").as_deref(), Some("{\"a\": 1}"));
@@ -622,15 +700,76 @@ mod tests {
     }
 
     #[test]
-    fn compacted_spill_reloads_to_identical_cache_state() {
-        let path = std::env::temp_dir().join(format!(
-            "studyd-cache-spill-{}-compact.ndjson",
-            std::process::id()
-        ));
-        std::fs::remove_file(&path).ok();
-        let opened = crate::persist::open(&path).unwrap();
+    fn a_load_that_read_a_dead_record_compacts_the_spill() {
+        let path = temp_spill("dead");
         let c = Cache::new(1024);
-        c.set_spill(opened.writer);
+        c.load_spill(&path).unwrap();
+        c.put("k", "old");
+        c.put("j", "1");
+        c.put("k", "new");
+        drop(c);
+        let lines = || std::fs::read_to_string(&path).unwrap().lines().count();
+        assert_eq!(lines(), 4, "header + 3 appended entries");
+        let warm = Cache::new(1024);
+        warm.load_spill(&path).unwrap();
+        assert_eq!(
+            warm.get("k").as_deref(),
+            Some("new"),
+            "the later entry wins"
+        );
+        assert_eq!(lines(), 3, "the superseded entry is compacted away");
+        drop(warm);
+        // Nothing is dead now: the next load leaves the file alone.
+        let len = std::fs::metadata(&path).unwrap().len();
+        Cache::new(1024).load_spill(&path).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn kill_during_creation_recreates_silently() {
+        let path = temp_spill("header-kill");
+        for torn in ["", "{\"crc\":\"0000"] {
+            std::fs::write(&path, torn).unwrap();
+            let c = Cache::new(1024);
+            c.load_spill(&path).unwrap();
+            assert_eq!(c.stats().entries, 0);
+            c.put("k", "v");
+            drop(c);
+            let warm = Cache::new(1024);
+            warm.load_spill(&path).unwrap();
+            assert_eq!(warm.get("k").as_deref(), Some("v"), "a fresh spill");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn wrong_header_is_fatal() {
+        use experiments::journal::wrap_line;
+        let path = temp_spill("header-bad");
+        let load = |header: &str| {
+            std::fs::write(&path, wrap_line(header)).unwrap();
+            Cache::new(1024).load_spill(&path)
+        };
+        assert!(matches!(
+            load("{\"spill\": \"other\", \"version\": 1}"),
+            Err(JournalError::BadHeader { .. })
+        ));
+        assert_eq!(
+            load("{\"spill\": \"studyd-cache\", \"version\": 99}"),
+            Err(JournalError::VersionMismatch {
+                found: 99,
+                supported: SPILL_VERSION
+            })
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn compacted_spill_reloads_to_identical_cache_state() {
+        let path = temp_spill("compact");
+        let c = Cache::new(1024);
+        c.load_spill(&path).unwrap();
         c.put("key-0", "first");
         c.put("key-1", "b");
         c.put("key-0", "replaced");
@@ -653,9 +792,8 @@ mod tests {
 
         // A restarted daemon reloads the identical live state, in the
         // identical recency order.
-        let reopened = crate::persist::open(&path).unwrap();
         let warm = Cache::new(1024);
-        warm.preload(reopened.entries, reopened.quarantined);
+        warm.load_spill(&path).unwrap();
         let mut expect = live;
         expect.push(("key-9".to_string(), "late".to_string()));
         assert_eq!(warm.live_entries(), expect);

@@ -8,10 +8,10 @@
 //! - [`proto`] — the line-delimited JSON wire protocol (versioned
 //!   handshake, typed error frames, bounded line lengths);
 //! - [`cache`] — the content-addressed result cache (LRU byte budget;
-//!   a key names what a unit computes, so studies share entries);
-//! - [`persist`] — the cache's append-only, CRC32-framed spill file,
-//!   reloaded with quarantine on restart so `kill -9` loses nothing
-//!   but the line being written;
+//!   a key names what a unit computes, so studies share entries) and
+//!   its spill file, a record log of [`experiments::journal`] holding
+//!   the sweep journal's keyed entries, reloaded with quarantine on
+//!   restart so `kill -9` loses nothing but the line being written;
 //! - [`scheduler`] — the shared worker pool with fair round-robin
 //!   sharding across jobs, per-unit fault domains, in-flight request
 //!   coalescing (by the same unit identity, across studies), admission
@@ -68,7 +68,6 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod federation;
-pub mod persist;
 pub mod proto;
 pub mod scheduler;
 pub mod server;

@@ -58,12 +58,15 @@
 //! until they have).
 //!
 //! Results land in the content-addressed [`crate::cache`] as they are
-//! computed, and cache hits at submit time are streamed back instantly
-//! without touching the pool. Each unit runs in the sweep's own fault
-//! domain ([`experiments::par::fault_domain`] with the parameters' retry
-//! budget) — a panicking point degrades its job, never the server. The
-//! [`crate::chaos`] policy can force that panic at a chosen unit to
-//! prove it.
+//! computed, under their unit key and as the value text a sweep journal
+//! entry holds for the same unit ([`PointSummary::to_record`] for a
+//! point, [`ref_to_value`] for a reference; a cached reference reads
+//! back through [`ref_from_value`]), and cache hits at submit time are
+//! streamed back instantly without touching the pool. Each unit runs in
+//! the sweep's own fault domain ([`experiments::par::fault_domain`] with
+//! the parameters' retry budget) — a panicking point degrades its job,
+//! never the server. The [`crate::chaos`] policy can force that panic at
+//! a chosen unit to prove it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +77,7 @@ use std::thread::JoinHandle;
 use experiments::decompose::{GridStudy, UnitKeys};
 use experiments::graph::{RefValue, Unit, UnitGraph};
 use experiments::par::fault_domain;
-use experiments::runner::PointSummary;
+use experiments::runner::{ref_from_value, ref_to_value, PointSummary};
 use experiments::study::StudyParams;
 
 use crate::cache::Cache;
@@ -523,7 +526,7 @@ impl Scheduler {
             }
             let rkey = keys.get(Unit::Ref(pi));
             let cached = self.shared.cache.get(rkey);
-            if let Some(stv) = cached.and_then(|v| parse_ref_value(&v)) {
+            if let Some(stv) = cached.and_then(|v| ref_from_value(&v)) {
                 known_refs.push((pi, stv));
             } else if st.inflight.contains_key(rkey) {
                 subscribed_refs.push(pi);
@@ -743,20 +746,6 @@ impl Scheduler {
     }
 }
 
-fn parse_ref_value(v: &str) -> Option<RefValue> {
-    let mut it = v.split(' ');
-    let cycles = it.next()?.parse().ok()?;
-    let instructions = it.next()?.parse().ok()?;
-    if it.next().is_some() {
-        return None;
-    }
-    Some((cycles, instructions))
-}
-
-fn format_ref_value(st: RefValue) -> String {
-    format!("{} {}", st.0, st.1)
-}
-
 /// What a worker needs to execute one unit outside the lock.
 struct Claim {
     id: u64,
@@ -805,7 +794,7 @@ fn worker_loop(shared: &Shared) {
                     grid.compute_reference(params, pi)
                 });
                 if let Ok(st) = outcome {
-                    shared.cache.put(key, &format_ref_value(st));
+                    shared.cache.put(key, &ref_to_value(st));
                 }
                 apply_ref(&mut lock(shared), id, key, pi, outcome, attempts);
             }

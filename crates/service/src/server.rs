@@ -3,8 +3,8 @@
 //! cache.
 //!
 //! Production hardening lives here: the cache's persistent spill is
-//! opened (and recovered, with corrupt-record quarantine) before the
-//! listener binds, admission control and chaos policy are threaded into
+//! opened (and recovered, with corrupt-record quarantine, through
+//! [`Cache::load_spill`]) before the listener binds, admission control and chaos policy are threaded into
 //! the scheduler, and the `shutdown` op carries a [`ShutdownMode`] so a
 //! drain — stop admitting, finish in-flight work, flush the spill —
 //! can be distinguished from an immediate stop. A coordinator
@@ -24,7 +24,6 @@ use speedup_stacks::SimError;
 use crate::cache::Cache;
 use crate::chaos::ChaosPolicy;
 use crate::federation::{Federation, FleetConfig};
-use crate::persist;
 use crate::proto::io_err;
 use crate::scheduler::{SchedOptions, Scheduler};
 use crate::session::{self, Dispatch, SessionCtx};
@@ -103,7 +102,7 @@ pub struct ServerHandle {
 /// complete, CRC-valid records warm the cache, corrupt records are
 /// quarantined (counted, recomputed, never served), and a torn final
 /// line from a `kill -9` is dropped silently. A reload that read a dead
-/// record compacts the file to the live set.
+/// record compacts the file to the live set ([`Cache::load_spill`]).
 ///
 /// # Errors
 ///
@@ -114,17 +113,7 @@ pub struct ServerHandle {
 pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
     let cache = Arc::new(Cache::new(cfg.cache_bytes));
     if let Some(path) = &cfg.cache_spill {
-        let opened = persist::open(path)?;
-        cache.preload(opened.entries, opened.quarantined);
-        cache.set_spill(opened.writer);
-        // A record read but not held live was superseded, evicted or
-        // quarantined: the recovered live set is what the spill should hold.
-        let stats = cache.stats();
-        if stats.loaded + stats.quarantined > stats.entries as u64 {
-            if let Err(e) = cache.compact() {
-                eprintln!("studyd: startup spill compaction failed: {e}");
-            }
-        }
+        cache.load_spill(path)?;
     }
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| io_err("bind", &e))?;
     let local_addr = listener.local_addr().map_err(|e| io_err("bind", &e))?;

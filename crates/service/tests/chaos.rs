@@ -187,11 +187,12 @@ fn spill_entries_under_an_older_builds_keys_are_inert() {
     let local = find_study("fig1").unwrap().run(&params).unwrap();
     let canonical = experiments::journal::canonical("fig1", &params);
     {
-        let mut old = service::persist::open(&spill).expect("create").writer;
+        let old = service::cache::Cache::new(1 << 20);
+        old.load_spill(&spill).expect("create");
         for i in 0..3 {
             // Poison: a served one would break the report or its parse.
-            old.append(&format!("ref:{canonical}:{i}"), "1 1").unwrap();
-            old.append(&format!("point:{canonical}:{i}"), "{}").unwrap();
+            old.put(&format!("ref:{canonical}:{i}"), "1 1");
+            old.put(&format!("point:{canonical}:{i}"), "{}");
         }
         old.sync().unwrap();
     }

@@ -137,6 +137,51 @@ fn journal_flags_are_validated_before_any_simulation() {
     );
 }
 
+/// A journal in the name-keyed format of version 1 is refused with the
+/// journal exit code, never resumed by silently recomputing it, and is
+/// left as it was.
+#[test]
+fn resuming_a_version_1_journal_is_a_typed_journal_error() {
+    use experiments::journal::{fingerprint, wrap_line};
+    use experiments::study::StudyParams;
+    let params = StudyParams {
+        threads: Some(vec![2]),
+        ..StudyParams::with_scale(0.02)
+    };
+    let header = format!(
+        "{{\"journal\": \"repro-sweep\", \"version\": 1, \"study\": \"fig1\", \
+         \"fingerprint\": \"{}\"}}",
+        fingerprint("fig1", &params)
+    );
+    let record = "{\"kind\": \"ref\", \"profile\": \"cholesky\", \"st_cycles\": 1, \
+                  \"st_instructions\": 1}";
+    let bytes = wrap_line(&header) + &wrap_line(record);
+    let path = std::env::temp_dir().join(format!("repro-cli-{}-v1.ndjson", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let out = repro(&[
+        "fig1",
+        "--scale",
+        "0.02",
+        "--threads",
+        "2",
+        "--resume",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(5), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("journal format version 1 unsupported (this build reads version 2)"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "a report was printed");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        bytes.as_bytes(),
+        "journal touched"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn max_points_is_validated_before_any_simulation() {
     // A unit budget checkpoints the grid sweep; nothing else has one.
