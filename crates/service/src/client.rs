@@ -13,6 +13,7 @@
 //! [`Client::submit_with_retry`] backs off with capped exponential
 //! delays, never shorter than the server's `retry_after_ms` hint.
 
+use std::borrow::Cow;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -27,8 +28,8 @@ use speedup_stacks::SimError;
 
 pub use crate::proto::ServiceStatus;
 use crate::proto::{
-    check_reply, io_err, params_to_wire, read_line_bounded, u64_field, write_line, PROTO_VERSION,
-    REPLY_LINE_CAP,
+    check_reply, io_err, params_to_wire, read_line_with, u64_field, write_line, PROTO_VERSION,
+    REPLY_LINE_CAP, STREAM_BUFFER_BYTES,
 };
 use crate::server::ShutdownMode;
 
@@ -166,7 +167,7 @@ impl Client {
         writer.set_nodelay(true).ok();
         let read_half = writer.try_clone().map_err(|e| io_err("connect", &e))?;
         let mut client = Client {
-            reader: BufReader::new(read_half),
+            reader: BufReader::with_capacity(STREAM_BUFFER_BYTES, read_half),
             writer,
             data_timeout: None,
             read_timeout: None,
@@ -199,34 +200,36 @@ impl Client {
     /// Reads one reply frame under the control-plane deadline,
     /// unwrapping `ok:false` into its typed error.
     fn recv_control(&mut self, during: &str) -> Result<JsonValue, ProtocolError> {
-        let line = self.recv_deadline(during, Some(DEFAULT_CONTROL_TIMEOUT))?;
-        check_reply(parse_reply(&line)?)
+        check_reply(self.recv_with(during, Some(DEFAULT_CONTROL_TIMEOUT), parse_reply)??)
     }
 
     /// [`Client::recv_control`] under the data-plane deadline.
     fn recv_data(&mut self, during: &str) -> Result<JsonValue, ProtocolError> {
-        let line = self.recv_deadline(during, self.data_timeout)?;
-        check_reply(parse_reply(&line)?)
+        check_reply(self.recv_with(during, self.data_timeout, parse_reply)??)
     }
 
-    /// Reads one reply line under `timeout`. The socket's read deadline
-    /// is re-armed only when it changes — a submit stream reads every
-    /// frame under one deadline, so that is a syscall per switch between
-    /// control and data plane, not one per frame. `during` names the
-    /// phase for close diagnostics.
-    fn recv_deadline(
+    /// Reads one reply line under `timeout` and hands it to `read` where
+    /// it lies in the reader's buffer ([`read_line_with`]). The socket's
+    /// read deadline is re-armed only when it changes — a submit stream
+    /// reads every frame under one deadline, so that is a syscall per
+    /// switch between control and data plane, not one per frame.
+    /// `during` names the phase for close diagnostics.
+    fn recv_with<T>(
         &mut self,
         during: &str,
         timeout: Option<Duration>,
-    ) -> Result<String, ProtocolError> {
+        read: impl FnOnce(&str) -> T,
+    ) -> Result<T, ProtocolError> {
         if timeout != self.read_timeout {
             self.writer
                 .set_read_timeout(timeout)
                 .map_err(|e| io_err("set-read-timeout", &e))?;
             self.read_timeout = timeout;
         }
-        read_line_bounded(&mut self.reader, REPLY_LINE_CAP)?.ok_or_else(|| ProtocolError::Closed {
-            during: during.to_string(),
+        read_line_with(&mut self.reader, REPLY_LINE_CAP, read)?.ok_or_else(|| {
+            ProtocolError::Closed {
+                during: during.to_string(),
+            }
         })
     }
 
@@ -425,8 +428,9 @@ impl Client {
     /// [`SimError::Protocol`] on wire failures, a timed-out read, or a
     /// malformed frame.
     pub fn next_event(&mut self, n: usize) -> Result<StreamEvent, SimError> {
-        let line = self.recv_deadline("result stream", self.data_timeout)?;
-        Ok(stream_event(&line, n)?)
+        Ok(self.recv_with("result stream", self.data_timeout, |line| {
+            stream_event(line, n)
+        })??)
     }
 
     fn reassemble(
@@ -509,10 +513,7 @@ fn stream_event(line: &str, n: usize) -> Result<StreamEvent, ProtocolError> {
         }
     };
     let count = |field: &Option<JsonValue>| json::exact_u64(field.as_ref()?.as_f64()?);
-    let text = |field: Option<JsonValue>| match field {
-        Some(JsonValue::String(s)) => Some(s),
-        _ => None,
-    };
+    let text = |field: Text| field.flatten().map(Cow::into_owned);
     let index = || {
         count(&frame.index)
             .and_then(|i| usize::try_from(i).ok())
@@ -521,7 +522,7 @@ fn stream_event(line: &str, n: usize) -> Result<StreamEvent, ProtocolError> {
                 why: "frame carries an out-of-range point index".to_string(),
             })
     };
-    match frame.kind.as_ref().and_then(JsonValue::as_str) {
+    match frame.kind.as_ref().and_then(Option::as_deref) {
         Some("point") => {
             let index = index()?;
             let summary = frame
@@ -560,19 +561,24 @@ fn unexpected_frame() -> ProtocolError {
     }
 }
 
+/// A string field of a result-stream frame, borrowed from the line:
+/// `Some(None)` when its first occurrence is not a string.
+type Text<'a> = Option<Option<Cow<'a, str>>>;
+
 /// The fields a result-stream frame of any kind (`point`, `failed`,
 /// `done`) is read by: each the first occurrence of its key, as it
-/// stands (a field of another type reads as absent when used), and the
-/// `data` point record, decoded straight from the text. Every other key
-/// is skipped, not built.
+/// stands (a field of another type reads as absent when used), the
+/// string fields borrowed from the line, and the `data` point record,
+/// decoded straight from the text. Every other key is skipped, not
+/// built.
 #[derive(Default)]
-struct Frame {
+struct Frame<'a> {
     ok: Option<JsonValue>,
-    kind: Option<JsonValue>,
+    kind: Text<'a>,
     index: Option<JsonValue>,
-    source: Option<JsonValue>,
-    label: Option<JsonValue>,
-    reason: Option<JsonValue>,
+    source: Text<'a>,
+    label: Text<'a>,
+    reason: Text<'a>,
     attempts: Option<JsonValue>,
     computed: Option<JsonValue>,
     cached: Option<JsonValue>,
@@ -583,51 +589,70 @@ struct Frame {
     data: Option<Option<PointSummary>>,
 }
 
-impl Frame {
+impl<'a> Frame<'a> {
     /// Walks `line` once; `None` when it is not a JSON object.
-    fn read(line: &str) -> Option<Frame> {
+    fn read(line: &'a str) -> Option<Frame<'a>> {
+        let value = |r: &mut Reader<'a>| r.value().ok();
         let mut r = Reader::new(line);
         let mut f = Frame::default();
         r.begin_object().ok()?;
         while let Some(key) = r.next_key().ok()? {
-            let field = match &*key {
-                "ok" => &mut f.ok,
-                "kind" => &mut f.kind,
-                "index" => &mut f.index,
-                "source" => &mut f.source,
-                "label" => &mut f.label,
-                "reason" => &mut f.reason,
-                "attempts" => &mut f.attempts,
-                "computed" => &mut f.computed,
-                "cached" => &mut f.cached,
-                "coalesced" => &mut f.coalesced,
-                "failed" => &mut f.failed,
-                "cancelled" => &mut f.cancelled,
-                "data" if f.data.is_none() => {
+            let r = &mut r;
+            match &*key {
+                "ok" => first(r, &mut f.ok, value),
+                "kind" => first(r, &mut f.kind, text),
+                "index" => first(r, &mut f.index, value),
+                "source" => first(r, &mut f.source, text),
+                "label" => first(r, &mut f.label, text),
+                "reason" => first(r, &mut f.reason, text),
+                "attempts" => first(r, &mut f.attempts, value),
+                "computed" => first(r, &mut f.computed, value),
+                "cached" => first(r, &mut f.cached, value),
+                "coalesced" => first(r, &mut f.coalesced, value),
+                "failed" => first(r, &mut f.failed, value),
+                "cancelled" => first(r, &mut f.cancelled, value),
+                "data" => first(r, &mut f.data, |r| {
                     let start = r.clone();
-                    let record = PointSummary::read_record(&mut r);
+                    let record = PointSummary::read_record(r);
                     if record.is_none() {
                         // Not a record: step over it as the JSON it is.
-                        r = start;
+                        *r = start;
                         r.skip().ok()?;
                     }
-                    f.data = Some(record);
-                    continue;
-                }
-                _ => {
-                    r.skip().ok()?;
-                    continue;
-                }
-            };
-            if field.is_none() {
-                *field = Some(r.value().ok()?);
-            } else {
-                r.skip().ok()?;
-            }
+                    Some(record)
+                }),
+                _ => r.skip().ok(),
+            }?;
         }
         r.finish().ok()?;
         Some(f)
     }
+}
+
+/// Reads a key's value into `slot` on its first occurrence and steps
+/// over every later one; `None` when the JSON is malformed.
+fn first<'a, T>(
+    r: &mut Reader<'a>,
+    slot: &mut Option<T>,
+    read: impl FnOnce(&mut Reader<'a>) -> Option<T>,
+) -> Option<()> {
+    if slot.is_some() {
+        return r.skip().ok();
+    }
+    *slot = Some(read(r)?);
+    Some(())
+}
+
+/// Reads a string value, borrowed from the line: `Some(None)` for a
+/// value of another type (stepped over), `None` for malformed JSON.
+fn text<'a>(r: &mut Reader<'a>) -> Text<'a> {
+    let start = r.clone();
+    if let Ok(s) = r.string() {
+        return Some(Some(s));
+    }
+    *r = start;
+    r.skip().ok()?;
+    Some(None)
 }
 
 fn field_str(v: &JsonValue, key: &str) -> Result<String, ProtocolError> {
@@ -644,7 +669,14 @@ mod tests {
     use super::*;
     use std::io::{BufRead, Write};
     use std::net::TcpListener;
+    use std::sync::Arc;
     use std::time::Instant;
+
+    use experiments::study::find_study;
+
+    use crate::cache::Cache;
+    use crate::scheduler::{drain_events, SchedOptions, Scheduler};
+    use crate::session::event_frame;
 
     /// A result-stream frame of any kind is read in one walk: the first
     /// of a repeated key wins, a field of another type reads as absent,
@@ -745,6 +777,75 @@ mod tests {
             matches!(busy, Err(ProtocolError::Busy { retry_after_ms: 40 })),
             "{busy:?}"
         );
+    }
+
+    /// A warm fig4 stream from an in-process scheduler, framed as a
+    /// session frames it, is longer than the client's read buffer. A fake
+    /// server replays it in writes of 1 B, 7 B, 4 KiB and 70 KiB in turn,
+    /// so frames arrive torn at every size and straddle the buffer's
+    /// edge. The client reassembles exactly the bytes of a local run.
+    #[test]
+    fn a_warm_stream_reassembles_across_buffer_edges() {
+        let params = StudyParams::with_scale(0.01);
+        let grid = || decompose("fig4", &params).expect("fig4 is a grid");
+        let n = grid().n_points();
+        let sched = Scheduler::start(
+            2,
+            Arc::new(Cache::new(64 * 1024 * 1024)),
+            SchedOptions::default(),
+        );
+        let (_, cold) = sched.submit(grid(), params.clone()).expect("admitted");
+        drain_events(&cold).expect("cold job ends");
+        // The warm job's events, framed one by one as the session frames
+        // them, `done` included.
+        let (job, warm) = sched.submit(grid(), params.clone()).expect("admitted");
+        let mut stream = format!(
+            "{{\"ok\": true, \"kind\": \"accepted\", \"job\": {job}, \"study\": \"fig4\", \
+             \"points\": {n}, \"fingerprint\": \"\"}}\n"
+        );
+        for event in warm.iter() {
+            let (frame, done) = event_frame(job, &event);
+            stream.push_str(&frame);
+            stream.push('\n');
+            if done {
+                break;
+            }
+        }
+        sched.stop();
+        assert!(stream.len() > STREAM_BUFFER_BYTES, "{} bytes", stream.len());
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream_out, _) = listener.accept().unwrap();
+            stream_out.set_nodelay(true).unwrap();
+            let mut reader = BufReader::new(stream_out.try_clone().unwrap());
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap(); // hello
+            let mut w = &stream_out;
+            w.write_all(b"{\"ok\": true, \"kind\": \"hello\", \"proto\": 2}\n")
+                .unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap(); // submit
+            let mut rest = stream.as_bytes();
+            for size in [1, 7, 4096, 70 * 1024].into_iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, tail) = rest.split_at(size.min(rest.len()));
+                w.write_all(piece).unwrap();
+                rest = tail;
+            }
+            line.clear();
+            reader.read_line(&mut line).unwrap_or(0) // EOF once the client drops
+        });
+        let mut client = Client::connect(&addr).unwrap();
+        let outcome = client.submit("fig4", &params).unwrap();
+        drop(client);
+        assert_eq!(server.join().unwrap(), 0);
+        assert_eq!((outcome.computed, outcome.cached), (0, n), "served warm");
+        let local = find_study("fig4").unwrap().run(&params).unwrap();
+        assert_eq!(outcome.report.to_json(), local.to_json());
     }
 
     /// Retry `k` waits 25 ms · 2^(k−1), capped at 2 s, never below the

@@ -48,8 +48,13 @@
 //!
 //! Result frames are batched into as few writes as the job's queue
 //! allows — the session flushes only when no next event is ready (see
-//! [`crate::session`]) — and the client decodes a point frame's `data`
-//! straight from the text; the wire format is unchanged, byte for byte.
+//! [`crate::session`]) — through a 64 KiB writer, and the client reads
+//! them through a reader of the same size (`STREAM_BUFFER_BYTES`). Every
+//! line passes through [`read_line_with`], which finds its newline a
+//! word at a time and hands a line that sits whole in the reader's
+//! buffer to its caller where it lies: the client decodes a point
+//! frame's `data` straight from the socket buffer, with no copy of the
+//! line. The wire format is unchanged, byte for byte.
 //!
 //! Line lengths are capped — [`REQUEST_LINE_CAP`] for client→server
 //! frames, [`REPLY_LINE_CAP`] for server→client frames (point frames
@@ -57,7 +62,7 @@
 //! [`ProtocolError::Oversized`] rejection, a defense against accidental
 //! binary input and memory exhaustion.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 use experiments::study::StudyParams;
 use experiments::{MachineConfig, MemConfig};
@@ -74,6 +79,12 @@ pub const REQUEST_LINE_CAP: usize = 64 * 1024;
 /// per-thread breakdown, so this is generous).
 pub const REPLY_LINE_CAP: usize = 4 * 1024 * 1024;
 
+/// The bytes both stream ends buffer per connection: the client's reader
+/// and the session's writer. A warm fig4 stream (~105 KB) then moves in
+/// about two reads and two writes, and a ~1 KB frame rarely straddles
+/// the reader's buffer edge, so it is decoded where it lies.
+pub(crate) const STREAM_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Wraps an I/O failure into the protocol error taxonomy. Timeouts
 /// (a socket read/write deadline expiring — the idle-connection
 /// reaper's signal) get their own typed variant.
@@ -88,10 +99,46 @@ pub fn io_err(op: &'static str, e: &std::io::Error) -> ProtocolError {
     }
 }
 
+/// The offset of the first `\n` in `bytes`, found a word at a time, two
+/// words per step: a byte of `w ^ NEWLINES` is zero exactly where `w`
+/// holds a newline, and the zero-byte test flags the lowest such byte
+/// exactly (its borrow can only mark bytes above a true zero).
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const LOW: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let newlines = |word: &[u8]| {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte word")) ^ NEWLINES;
+        w.wrapping_sub(LOW) & !w & HIGH
+    };
+    let mut pairs = bytes.chunks_exact(16);
+    let mut at = 0;
+    for pair in &mut pairs {
+        let (low, high) = (newlines(&pair[..8]), newlines(&pair[8..]));
+        if low | high != 0 {
+            let bit = if low != 0 {
+                low.trailing_zeros()
+            } else {
+                64 + high.trailing_zeros()
+            };
+            return Some(at + bit as usize / 8);
+        }
+        at += 16;
+    }
+    let tail = pairs.remainder();
+    (0..tail.len()).find(|&i| tail[i] == b'\n').map(|i| at + i)
+}
+
 /// Reads one `\n`-terminated line, enforcing the byte cap *while
-/// reading* (an oversized frame never accumulates past the cap).
-/// `Ok(None)` is clean end-of-stream at a line boundary; a final
-/// unterminated line is returned as a line.
+/// reading* (an oversized frame never accumulates past the cap), and
+/// hands it to `read` as a `&str`. A line that already sits whole in the
+/// reader's buffer — almost every frame, behind the client's 64 KiB
+/// reader — is passed where it lies and then consumed; only a line that
+/// straddles the buffer's edge is copied together first. `Ok(None)` is
+/// clean end-of-stream at a line boundary; a final unterminated line is
+/// returned as a line. A read interrupted by a signal
+/// (`ErrorKind::Interrupted`) is retried, as [`BufRead::read_until`]
+/// does.
 ///
 /// On an oversized line, up to two caps' worth of the offending line,
 /// counted from its start, is consumed (discarded, never stored) before
@@ -99,46 +146,74 @@ pub fn io_err(op: &'static str, e: &std::io::Error) -> ProtocolError {
 /// two caps, whatever the reader's buffer size: a server that then
 /// replies and closes does so without unread bytes in its receive
 /// buffer, so the typed rejection reaches the peer instead of being
-/// clobbered by a TCP reset.
+/// clobbered by a TCP reset. A line that is not UTF-8 is consumed whole
+/// before its error returns.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::Io`] on read failure, [`ProtocolError::Oversized`]
 /// past the cap, [`ProtocolError::Malformed`] for non-UTF-8 bytes.
-pub fn read_line_bounded<R: BufRead>(
+pub fn read_line_with<R: BufRead, T>(
     reader: &mut R,
     cap: usize,
-) -> Result<Option<String>, ProtocolError> {
+    read: impl FnOnce(&str) -> T,
+) -> Result<Option<T>, ProtocolError> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        let chunk = reader.fill_buf().map_err(|e| io_err("read", &e))?;
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(io_err("read", &e)),
+        };
         if chunk.is_empty() {
             if buf.is_empty() {
                 return Ok(None);
             }
             break;
         }
-        let pos = chunk.iter().position(|&b| b == b'\n');
+        let pos = find_newline(chunk);
         let take = pos.unwrap_or(chunk.len());
         if buf.len() + take > cap {
             discard_rest_of_line(reader, 2 * cap - buf.len());
             return Err(ProtocolError::Oversized { limit: cap });
         }
-        buf.extend_from_slice(&chunk[..take]);
         match pos {
+            Some(p) if buf.is_empty() => {
+                let line = utf8(&chunk[..p]).map(read);
+                reader.consume(p + 1);
+                return line.map(Some);
+            }
             Some(p) => {
+                buf.extend_from_slice(&chunk[..p]);
                 reader.consume(p + 1);
                 break;
             }
-            None => reader.consume(take),
+            None => {
+                buf.extend_from_slice(chunk);
+                reader.consume(take);
+            }
         }
     }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(Some(s)),
-        Err(_) => Err(ProtocolError::Malformed {
-            why: "frame is not UTF-8".to_string(),
-        }),
-    }
+    utf8(&buf).map(read).map(Some)
+}
+
+/// [`read_line_with`] into an owned `String`: one allocation, of the
+/// line's exact length.
+///
+/// # Errors
+///
+/// As [`read_line_with`].
+pub fn read_line_bounded<R: BufRead>(
+    reader: &mut R,
+    cap: usize,
+) -> Result<Option<String>, ProtocolError> {
+    read_line_with(reader, cap, str::to_owned)
+}
+
+fn utf8(line: &[u8]) -> Result<&str, ProtocolError> {
+    std::str::from_utf8(line).map_err(|_| ProtocolError::Malformed {
+        why: "frame is not UTF-8".to_string(),
+    })
 }
 
 /// Consumes (without storing) the remainder of an oversized line: up to
@@ -147,12 +222,16 @@ pub fn read_line_bounded<R: BufRead>(
 /// pinning the reader; past it, the line is simply abandoned unconsumed.
 fn discard_rest_of_line<R: BufRead>(reader: &mut R, mut budget: usize) {
     while budget > 0 {
-        let Ok(chunk) = reader.fill_buf() else { return };
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
         let window = &chunk[..chunk.len().min(budget)];
         if window.is_empty() {
             return;
         }
-        match window.iter().position(|&b| b == b'\n') {
+        match find_newline(window) {
             Some(p) => return reader.consume(p + 1),
             None => {
                 let n = window.len();
@@ -495,6 +574,110 @@ mod tests {
             read_line_bounded(&mut r, 100),
             Err(ProtocolError::Oversized { limit: 100 })
         ));
+    }
+
+    /// A `BufRead` over `data`, `chunk` bytes per fill, whose fills
+    /// numbered in `interrupted` (0-based) fail with `Interrupted` — what
+    /// a socket read under `SO_RCVTIMEO` returns when its process is
+    /// stopped and continued.
+    struct Interrupting<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        fills: usize,
+        interrupted: &'a [usize],
+    }
+
+    impl std::io::Read for Interrupting<'_> {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            unreachable!("read through BufRead only")
+        }
+    }
+
+    impl BufRead for Interrupting<'_> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.fills += 1;
+            if self.interrupted.contains(&(self.fills - 1)) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            Ok(&self.data[..self.data.len().min(self.chunk)])
+        }
+
+        fn consume(&mut self, n: usize) {
+            self.data = &self.data[n..];
+        }
+    }
+
+    #[test]
+    fn bounded_read_retries_interrupted_fills() {
+        let mut r = Interrupting {
+            data: b"{\"ok\": true}\nnext\n",
+            chunk: 4,
+            fills: 0,
+            interrupted: &[0, 2, 3],
+        };
+        assert_eq!(
+            read_line_bounded(&mut r, 64).unwrap().as_deref(),
+            Some("{\"ok\": true}")
+        );
+        assert_eq!(
+            read_line_with(&mut r, 64, str::len).unwrap(),
+            Some("next".len())
+        );
+        assert_eq!(read_line_bounded(&mut r, 64).unwrap(), None);
+        // An oversized line is still discarded through its newline when
+        // the discard's own fills are interrupted.
+        let mut r = Interrupting {
+            data: b"0123456789abc\nrest\n",
+            chunk: 3,
+            fills: 0,
+            interrupted: &[4, 5, 7],
+        };
+        assert!(matches!(
+            read_line_bounded(&mut r, 8),
+            Err(ProtocolError::Oversized { limit: 8 })
+        ));
+        assert_eq!(
+            read_line_bounded(&mut r, 8).unwrap().as_deref(),
+            Some("rest")
+        );
+    }
+
+    /// The word-at-a-time search equals a byte-at-a-time scan for every
+    /// length up to five words and every placement of zero, one and two
+    /// newlines, among neighbour bytes chosen to trip a zero-byte test:
+    /// 0x00 and 0xFF (borrow into and out of a byte), 0x09 and 0x0B
+    /// (`\n` ± 1) and 0x8A (`\n` with the high bit set).
+    #[test]
+    fn newline_search_matches_a_byte_scan() {
+        const NEIGHBOURS: [u8; 5] = [0x00, 0x09, 0x0B, 0x8A, 0xFF];
+        let naive = |b: &[u8]| b.iter().position(|&c| c == b'\n');
+        for len in 0..=40usize {
+            for fill in 0..=NEIGHBOURS.len() {
+                let base: Vec<u8> = (0..len)
+                    .map(|i| {
+                        NEIGHBOURS[if fill == NEIGHBOURS.len() {
+                            i % fill
+                        } else {
+                            fill
+                        }]
+                    })
+                    .collect();
+                assert_eq!(find_newline(&base), None, "len {len}, fill {fill}");
+                for first in 0..len {
+                    for second in first..len {
+                        let mut bytes = base.clone();
+                        bytes[first] = b'\n';
+                        bytes[second] = b'\n';
+                        assert_eq!(
+                            find_newline(&bytes),
+                            naive(&bytes),
+                            "len {len}, fill {fill}, newlines at {first} and {second}"
+                        );
+                        assert_eq!(find_newline(&bytes), Some(first));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
