@@ -3,14 +3,16 @@
 //! The build is fully self-contained (no `serde` offline), so this
 //! module hand-writes the JSON and ships the one parser the workspace
 //! reads JSON with: a pull [`Reader`] (begin/next over objects and
-//! arrays, number-or-null, string, a [`Reader::value`] subtree,
-//! [`Reader::finish`]). [`parse`] is the reader's `value()` plus
-//! `finish()` — the tree the tests, the `jsoncheck` smoke binary and the
-//! service's request and control frames use — while the data plane's
-//! point records (journal resume, cache spill reload, streamed `point`
-//! frames) are decoded field by field straight from the text, without
-//! building a tree (`experiments::runner::PointSummary::from_record`).
-//! Nesting is bounded by [`MAX_DEPTH`]: a document nested deeper is a
+//! arrays, number-or-null read or stepped over, string, a
+//! [`Reader::value`] subtree, [`Reader::finish`]). [`parse`] is the
+//! reader's `value()` plus `finish()` — the tree the tests, the
+//! `jsoncheck` smoke binary and the service's request and control
+//! frames use — while the data plane's point records (journal resume,
+//! cache spill reload, streamed `point` frames) are decoded field by
+//! field straight from the text, without building a tree
+//! (`experiments::runner::PointSummary::from_record`), or read into
+//! their scalars alone, their stacks stepped over number by number
+//! ([`Reader::skip_number_or_null`]). Nesting is bounded by [`MAX_DEPTH`]: a document nested deeper is a
 //! typed [`JsonError`], so hostile input cannot overflow the stack of
 //! the thread parsing it.
 //!
@@ -564,6 +566,23 @@ impl<'a> Reader<'a> {
             return Ok(None);
         }
         self.number().map(Some)
+    }
+
+    /// Steps over a number, held to the grammar [`Reader::number_or_null`]
+    /// reads but not converted, or `null`: `true` for a number, `false`
+    /// for `null`. Accepts and rejects exactly what
+    /// [`Reader::number_or_null`] does, with the same errors.
+    ///
+    /// # Errors
+    ///
+    /// The next value is neither.
+    #[inline(always)]
+    pub fn skip_number_or_null(&mut self) -> Result<bool, JsonError> {
+        if self.peek_ws() == Some(b'n') {
+            self.literal("null")?;
+            return Ok(false);
+        }
+        self.number_token().map(|_| true)
     }
 
     /// Reads a string, borrowed from the input unless it holds escapes.

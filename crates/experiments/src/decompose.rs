@@ -67,7 +67,7 @@ use crate::journal::{self, JournalWriter};
 use crate::par::run_units;
 use crate::runner::{
     point_label, ref_from_value, ref_to_value, run_profile_streams, scaled_profile,
-    single_thread_reference_streams, PointSummary, RunOptions,
+    single_thread_reference_streams, PointScalars, PointSummary, RunOptions,
 };
 use crate::study::StudyParams;
 
@@ -206,6 +206,21 @@ impl GridFold {
     }
 }
 
+impl GridFold<PointScalars> {
+    /// [`GridFold::finish`] for a study whose report reads no stack
+    /// ([`GridStudy::reads_no_stack`]): the bytes `GridFold::finish`
+    /// gives for the same outcomes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `grid`'s report reads stacks.
+    #[must_use]
+    pub fn finish(self, grid: &GridStudy, params: &StudyParams) -> Report {
+        let (points, degraded) = self.into_parts(0);
+        grid.assemble_scalars(params, points, degraded, None)
+    }
+}
+
 /// Runs every point of a graph of `n_refs` references and `n_points`
 /// points (point `i` gated by the references `deps(i)`) through
 /// [`run_units`] under the parameters' parallelism and fault policy,
@@ -313,6 +328,10 @@ impl UnitKeys {
         }
     }
 }
+
+/// A report builder over one row of point scalars per profile (see
+/// [`GridStudy::reads_no_stack`]).
+type ScalarReport = fn(&GridStudy, &StudyParams, Vec<Vec<Option<PointScalars>>>) -> Report;
 
 /// A grid study decomposed into its independent per-point work units.
 #[derive(Debug, Clone)]
@@ -783,7 +802,7 @@ impl GridStudy {
     }
 
     /// Splits per-index slots into one row per profile.
-    fn rows(&self, points: Vec<Option<PointSummary>>) -> Vec<Vec<Option<PointSummary>>> {
+    fn rows<P>(&self, points: Vec<Option<P>>) -> Vec<Vec<Option<P>>> {
         assert_eq!(points.len(), self.n_points(), "one slot per grid point");
         let mut it = points.into_iter();
         self.profiles
@@ -810,22 +829,83 @@ impl GridStudy {
         &self,
         params: &StudyParams,
         points: Vec<Option<PointSummary>>,
+        degraded: Degraded,
+        provenance: Option<Provenance>,
+    ) -> Report {
+        if self.reads_no_stack() {
+            let scalars = points.into_iter().map(|p| p.map(PointScalars::from));
+            return self.assemble_scalars(params, scalars.collect(), degraded, provenance);
+        }
+        self.assemble_rows(points, degraded, provenance, params, |rows| {
+            match self.study {
+                "fig2" => crate::fig23::fig2_report(rows).unwrap_or_else(|| self.unfinished()),
+                "fig3" => crate::fig23::fig3_report(rows).unwrap_or_else(|| self.unfinished()),
+                "fig5" => crate::fig45::fig5_report(rows),
+                "fig6" => crate::fig6::report(params, rows),
+                "fig8" => crate::fig89::fig8_report(params, rows),
+                _ => unreachable!("decompose() only builds grid studies"),
+            }
+        })
+    }
+
+    /// The report builder of each study whose report reads only its
+    /// points' scalars, never a stack; `None` for the studies whose
+    /// reports read stacks. The one place that property is spelled:
+    /// [`GridStudy::assemble`] and a served submit's decoding follow it.
+    fn scalar_report(&self) -> Option<ScalarReport> {
+        match self.study {
+            "fig1" => Some(|grid, params, rows| crate::fig1::report(params, &grid.profiles, rows)),
+            "fig4" => Some(|_, params, rows| crate::fig45::fig4_report(params, rows)),
+            _ => None,
+        }
+    }
+
+    /// Whether this study's report reads only its points' scalars
+    /// (today fig1's speedup curves and fig4's validation points): its
+    /// points can be folded as [`PointScalars`] and finished by
+    /// `GridFold<PointScalars>::finish`, so a served submit need not
+    /// convert the per-thread numbers of their records.
+    #[must_use]
+    pub fn reads_no_stack(&self) -> bool {
+        self.scalar_report().is_some()
+    }
+
+    /// [`GridStudy::assemble`] from the points' scalars, for a study
+    /// whose report reads no stack ([`GridStudy::reads_no_stack`]): the
+    /// same bytes as `assemble` over the same points.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the study's report reads stacks, or when
+    /// `points.len() != n_points()`.
+    fn assemble_scalars(
+        &self,
+        params: &StudyParams,
+        points: Vec<Option<PointScalars>>,
+        degraded: Degraded,
+        provenance: Option<Provenance>,
+    ) -> Report {
+        let build = self
+            .scalar_report()
+            .unwrap_or_else(|| panic!("{}'s report reads stacks", self.study));
+        self.assemble_rows(points, degraded, provenance, params, |rows| {
+            build(self, params, rows)
+        })
+    }
+
+    /// Fills in the grid totals, builds the report from the rows and
+    /// ends it through [`finish`].
+    fn assemble_rows<P>(
+        &self,
+        points: Vec<Option<P>>,
         mut degraded: Degraded,
         provenance: Option<Provenance>,
+        params: &StudyParams,
+        build: impl FnOnce(Vec<Vec<Option<P>>>) -> Report,
     ) -> Report {
         degraded.total_points = self.n_points();
         degraded.completed = points.iter().flatten().count();
-        let rows = self.rows(points);
-        let report = match self.study {
-            "fig1" => crate::fig1::report(params, &self.profiles, rows),
-            "fig2" => crate::fig23::fig2_report(rows).unwrap_or_else(|| self.unfinished()),
-            "fig3" => crate::fig23::fig3_report(rows).unwrap_or_else(|| self.unfinished()),
-            "fig4" => crate::fig45::fig4_report(params, rows),
-            "fig5" => crate::fig45::fig5_report(rows),
-            "fig6" => crate::fig6::report(params, rows),
-            "fig8" => crate::fig89::fig8_report(params, rows),
-            _ => unreachable!("decompose() only builds grid studies"),
-        };
+        let report = build(self.rows(points));
         finish(report, degraded, provenance, params)
     }
 

@@ -5,7 +5,7 @@
 
 use speedup_stacks::report::{Block, Column, Report, Table, Unit, Value};
 
-use crate::runner::PointSummary;
+use crate::runner::PointScalars;
 use crate::study::StudyParams;
 
 /// The thread counts of the paper's sweep.
@@ -19,7 +19,7 @@ pub(crate) const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 pub(crate) fn report(
     params: &StudyParams,
     profiles: &[workloads::WorkloadProfile],
-    rows: Vec<Vec<Option<PointSummary>>>,
+    rows: Vec<Vec<Option<PointScalars>>>,
 ) -> Report {
     let mut counts: Vec<usize> = rows.iter().flatten().flatten().map(|o| o.threads).collect();
     if params.counts_or(&THREAD_COUNTS).contains(&1) {

@@ -13,7 +13,7 @@ use speedup_stacks::estimate::{average_absolute_error, ValidationPoint};
 use speedup_stacks::report::{Block, Column, Report, Scalar, Table, Unit, Value};
 use speedup_stacks::SpeedupStack;
 
-use crate::runner::PointSummary;
+use crate::runner::{PointScalars, PointSummary};
 use crate::study::StudyParams;
 
 /// The multi-threaded counts validated in the paper.
@@ -24,7 +24,7 @@ pub const THREAD_COUNTS: [usize; 4] = [2, 4, 8, 16];
 /// count, the average absolute error of each count present, and the
 /// per-benchmark instruction overhead (the §6 parallelization-overhead
 /// measure) at the largest swept count.
-pub(crate) fn fig4_report(params: &StudyParams, rows: Vec<Vec<Option<PointSummary>>>) -> Report {
+pub(crate) fn fig4_report(params: &StudyParams, rows: Vec<Vec<Option<PointScalars>>>) -> Report {
     let overhead_threads = params
         .counts_or(&THREAD_COUNTS)
         .iter()

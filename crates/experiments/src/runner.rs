@@ -12,8 +12,10 @@
 //! [`crate::decompose::GridStudy`]'s two unit bodies, fig7's and fig9's,
 //! and the many-core [`crate::scaling`] study's. [`PointSummary`] is a
 //! point's journaled, cached and streamed essence, with its record codec
-//! beside it; [`ref_to_value`]/[`ref_from_value`] are a reference's, and
-//! [`FaultPolicy`] is the per-unit deadline and retry budget.
+//! beside it, and [`PointScalars`] the same without its stack, read from
+//! the same records; [`ref_to_value`]/[`ref_from_value`] are a
+//! reference's, and [`FaultPolicy`] is the per-unit deadline and retry
+//! budget.
 
 use cmpsim::{MachineConfig, SimError, SimResult, Simulation};
 use memsim::MemConfig;
@@ -312,43 +314,78 @@ impl PointSummary {
     }
 
     /// Reads one `point` record value at the reader's position (a
-    /// streamed frame's `data`). The one record decoder: fields in any
-    /// order, unknown keys skipped, the first of a repeated key wins,
-    /// `null` reads back as the `NaN` it was emitted from — except inside
-    /// `o`, whose six overheads must be numbers.
+    /// streamed frame's `data`). The one record walk, shared with
+    /// [`PointScalars::read_record`]: fields in any order, unknown keys
+    /// skipped, the first of a repeated key wins, `null` reads back as
+    /// the `NaN` it was emitted from — except inside `o`, whose
+    /// [`Component::ALL`]`.len()` overheads must be numbers — and the
+    /// `per_thread` list must be non-empty.
     #[must_use]
     pub fn read_record(r: &mut Reader<'_>) -> Option<PointSummary> {
-        let (mut name, mut suite, mut threads) = (None, None, None);
-        let (mut actual, mut estimated, mut overhead) = (None, None, None);
-        let (mut st_cycles, mut mt_cycles, mut stack) = (None, None, None);
-        r.begin_object().ok()?;
-        while let Some(key) = r.next_key().ok()? {
-            match &*key {
-                "name" if name.is_none() => name = Some(r.string().ok()?.into_owned()),
-                "suite" if suite.is_none() => suite = Some(r.string().ok()?.into_owned()),
-                "threads" if threads.is_none() => threads = Some(read_u64(r)?),
-                "actual" if actual.is_none() => actual = Some(read_f64(r)?),
-                "estimated" if estimated.is_none() => estimated = Some(read_f64(r)?),
-                "st_cycles" if st_cycles.is_none() => st_cycles = Some(read_u64(r)?),
-                "mt_cycles" if mt_cycles.is_none() => mt_cycles = Some(read_u64(r)?),
-                "instruction_overhead" if overhead.is_none() => overhead = Some(read_f64(r)?),
-                "stack" if stack.is_none() => stack = Some(read_stack(r, threads)?),
-                _ => skip(r)?,
-            }
-        }
-        let (tp, per_thread) = stack?;
-        let actual = actual?;
+        let (s, tp, per_thread) = read_point::<true>(r)?;
         Some(PointSummary {
-            name: name?,
-            suite: suite?,
-            threads: threads? as usize,
-            actual,
-            estimated: estimated?,
-            st_cycles: st_cycles?,
-            mt_cycles: mt_cycles?,
-            instruction_overhead: overhead?,
-            stack: SpeedupStack::from_breakdowns(per_thread, tp).with_actual_speedup(actual),
+            stack: SpeedupStack::from_breakdowns(per_thread, tp).with_actual_speedup(s.actual),
+            name: s.name,
+            suite: s.suite,
+            threads: s.threads,
+            actual: s.actual,
+            estimated: s.estimated,
+            st_cycles: s.st_cycles,
+            mt_cycles: s.mt_cycles,
+            instruction_overhead: s.instruction_overhead,
         })
+    }
+}
+
+/// A point's scalars: a [`PointSummary`] without its stack. The reports
+/// of the studies that read no stack are built from these (see
+/// [`crate::decompose::GridStudy::reads_no_stack`]), and a served submit
+/// of one of them decodes its streamed records straight into them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PointScalars {
+    /// Display name (with input-size suffix).
+    pub name: String,
+    /// Suite label.
+    pub suite: String,
+    /// Software thread count of the multi-threaded run.
+    pub threads: usize,
+    /// Actual speedup `S = Ts / Tp` (Eq. 1).
+    pub actual: f64,
+    /// Estimated speedup `Ŝ` (Eq. 4).
+    pub estimated: f64,
+    /// Single-threaded execution cycles `Ts`.
+    pub st_cycles: u64,
+    /// Multi-threaded execution cycles `Tp`.
+    pub mt_cycles: u64,
+    /// The paper's §6 software overhead measure.
+    pub instruction_overhead: f64,
+}
+
+impl From<PointSummary> for PointScalars {
+    fn from(p: PointSummary) -> Self {
+        PointScalars {
+            name: p.name,
+            suite: p.suite,
+            threads: p.threads,
+            actual: p.actual,
+            estimated: p.estimated,
+            st_cycles: p.st_cycles,
+            mt_cycles: p.mt_cycles,
+            instruction_overhead: p.instruction_overhead,
+        }
+    }
+}
+
+impl PointScalars {
+    /// Reads one `point` record value at the reader's position into its
+    /// scalars: [`PointSummary::read_record`]'s walk, which accepts
+    /// exactly the same texts and reads the same scalars bit for bit,
+    /// but steps over the numbers of `stack` (each held to the number
+    /// grammar) instead of converting them, and keeps no per-thread
+    /// entry.
+    #[must_use]
+    pub fn read_record(r: &mut Reader<'_>) -> Option<PointScalars> {
+        read_point::<false>(r).map(|(scalars, ..)| scalars)
     }
 }
 
@@ -356,6 +393,45 @@ impl PointSummary {
 /// record's `threads` count, a number read off the wire; a longer list
 /// grows as it is read.
 const RESERVED_THREADS: u64 = 1024;
+
+/// The one `point` record walk: the scalars, `tp_cycles` and the
+/// `per_thread` entries. With `BUILD` false it holds `stack` to the same
+/// grammar and shape but converts none of its numbers and returns the
+/// list empty (see [`stack_number`]).
+fn read_point<const BUILD: bool>(
+    r: &mut Reader<'_>,
+) -> Option<(PointScalars, u64, Vec<ThreadBreakdown>)> {
+    let (mut name, mut suite, mut threads) = (None, None, None);
+    let (mut actual, mut estimated, mut overhead) = (None, None, None);
+    let (mut st_cycles, mut mt_cycles, mut stack) = (None, None, None);
+    r.begin_object().ok()?;
+    while let Some(key) = r.next_key().ok()? {
+        match &*key {
+            "name" if name.is_none() => name = Some(r.string().ok()?.into_owned()),
+            "suite" if suite.is_none() => suite = Some(r.string().ok()?.into_owned()),
+            "threads" if threads.is_none() => threads = Some(read_u64(r)?),
+            "actual" if actual.is_none() => actual = Some(read_f64(r)?),
+            "estimated" if estimated.is_none() => estimated = Some(read_f64(r)?),
+            "st_cycles" if st_cycles.is_none() => st_cycles = Some(read_u64(r)?),
+            "mt_cycles" if mt_cycles.is_none() => mt_cycles = Some(read_u64(r)?),
+            "instruction_overhead" if overhead.is_none() => overhead = Some(read_f64(r)?),
+            "stack" if stack.is_none() => stack = Some(read_stack::<BUILD>(r, threads)?),
+            _ => skip(r)?,
+        }
+    }
+    let (tp, per_thread) = stack?;
+    let scalars = PointScalars {
+        name: name?,
+        suite: suite?,
+        threads: threads? as usize,
+        actual: actual?,
+        estimated: estimated?,
+        st_cycles: st_cycles?,
+        mt_cycles: mt_cycles?,
+        instruction_overhead: overhead?,
+    };
+    Some((scalars, tp, per_thread))
+}
 
 /// Skips one value the record decoder does not read.
 fn skip(r: &mut Reader<'_>) -> Option<()> {
@@ -375,39 +451,62 @@ fn read_u64(r: &mut Reader<'_>) -> Option<u64> {
     json::exact_u64(r.number_or_null().ok()??)
 }
 
+/// A number inside `stack` (`Some(None)` for `null`): converted when the
+/// walk builds the stack, else stepped over, grammar-checked, and read
+/// as 0 — a value nothing reads, as the entry holding it is not kept.
+#[inline(always)]
+fn stack_number<const BUILD: bool>(r: &mut Reader<'_>) -> Option<Option<f64>> {
+    if BUILD {
+        r.number_or_null().ok()
+    } else {
+        Some(r.skip_number_or_null().ok()?.then_some(0.0))
+    }
+}
+
 /// A record's `stack`: `tp_cycles` and the non-empty `per_thread` list,
-/// reserved once for the `threads` count read before it (if any).
-fn read_stack(r: &mut Reader<'_>, threads: Option<u64>) -> Option<(u64, Vec<ThreadBreakdown>)> {
+/// reserved once for the `threads` count read before it (if any). With
+/// `BUILD` false the entries are counted, not kept.
+fn read_stack<const BUILD: bool>(
+    r: &mut Reader<'_>,
+    threads: Option<u64>,
+) -> Option<(u64, Vec<ThreadBreakdown>)> {
     let (mut tp, mut per_thread) = (None, None);
     r.begin_object().ok()?;
     while let Some(key) = r.next_key().ok()? {
         match &*key {
             "tp_cycles" if tp.is_none() => tp = Some(read_u64(r)?),
             "per_thread" if per_thread.is_none() => {
-                let reserve = threads.map_or(0, |n| n.min(RESERVED_THREADS) as usize);
-                let mut list = Vec::with_capacity(reserve);
+                let reserve = match threads {
+                    Some(n) if BUILD => n.min(RESERVED_THREADS) as usize,
+                    _ => 0,
+                };
+                let (mut list, mut entries) = (Vec::with_capacity(reserve), 0usize);
                 r.begin_array().ok()?;
                 while r.next_item().ok()? {
-                    list.push(read_thread(r)?);
+                    let thread = read_thread::<BUILD>(r)?;
+                    if BUILD {
+                        list.push(thread);
+                    }
+                    entries += 1;
                 }
-                per_thread = Some(list);
+                per_thread = Some((entries, list));
             }
             _ => skip(r)?,
         }
     }
-    let per_thread = per_thread.filter(|t| !t.is_empty())?;
-    Some((tp?, per_thread))
+    let (_, list) = per_thread.filter(|&(entries, _)| entries > 0)?;
+    Some((tp?, list))
 }
 
-/// One `per_thread` entry: `{"o": [six overheads], "p": .., "e": ..}`.
-fn read_thread(r: &mut Reader<'_>) -> Option<ThreadBreakdown> {
+/// One `per_thread` entry: `{"o": [overheads], "p": .., "e": ..}`.
+fn read_thread<const BUILD: bool>(r: &mut Reader<'_>) -> Option<ThreadBreakdown> {
     let (mut o, mut p, mut e) = (None, None, None);
     r.begin_object().ok()?;
     while let Some(key) = r.next_key().ok()? {
         match &*key {
-            "o" if o.is_none() => o = Some(read_overheads(r)?),
-            "p" if p.is_none() => p = Some(read_f64(r)?),
-            "e" if e.is_none() => e = Some(read_f64(r)?),
+            "o" if o.is_none() => o = Some(read_overheads::<BUILD>(r)?),
+            "p" if p.is_none() => p = Some(stack_number::<BUILD>(r)?.unwrap_or(f64::NAN)),
+            "e" if e.is_none() => e = Some(stack_number::<BUILD>(r)?.unwrap_or(f64::NAN)),
             _ => skip(r)?,
         }
     }
@@ -418,14 +517,15 @@ fn read_thread(r: &mut Reader<'_>) -> Option<ThreadBreakdown> {
     })
 }
 
-/// The six overheads of `o`, in [`Component::ALL`] order.
-fn read_overheads(r: &mut Reader<'_>) -> Option<Breakdown> {
+/// The overheads of `o`: exactly one number per component, in
+/// [`Component::ALL`] order.
+fn read_overheads<const BUILD: bool>(r: &mut Reader<'_>) -> Option<Breakdown> {
     let mut overheads = Breakdown::zero();
     let mut n = 0;
     r.begin_array().ok()?;
     while r.next_item().ok()? {
         let c = Component::ALL.get(n)?;
-        overheads.set(*c, r.number_or_null().ok()??);
+        overheads.set(*c, stack_number::<BUILD>(r)??);
         n += 1;
     }
     (n == Component::ALL.len()).then_some(overheads)

@@ -14,21 +14,25 @@
 //!   error or a success, never a panic;
 //! - **reshaped records** — every point record of fig1/4/5/6 at scale
 //!   0.01, with NaN fields (emitted as `null`), keys reordered, unknown
-//!   and repeated keys spliced in;
+//!   and repeated keys spliced in, and an `o` one overhead short or long;
 //! - **truncated records**;
 //! - **number tokens**: random `f64` bit patterns (subnormals, ±0,
 //!   extremes, 17-digit shortest forms) through `json::number`, read
 //!   back bit-exact by `Reader::number_or_null`; random and mutated
 //!   tokens over `0-9 . e E + -` as `[<token>]`, accepted with the value
 //!   or rejected at the offset the byte-by-byte grammar below gives (the
-//!   scanner the one-pass reader replaced); and records whose count
-//!   fields carry magnitudes no encoder writes.
+//!   scanner the one-pass reader replaced), and stepped over by
+//!   `Reader::skip_number_or_null` exactly as they are read; and records
+//!   whose count fields carry magnitudes no encoder writes.
 //!
 //! In every case, whatever the text, the reader-based
 //! [`PointSummary::from_record`] must agree bit for bit with the
 //! tree-walking decoder it replaced (kept below as the oracle) applied
-//! to [`json::parse`]'s tree, and [`Reader::skip`] must accept and
-//! reject exactly what `parse` does, with the same error.
+//! to [`json::parse`]'s tree; the stack-free walk,
+//! [`PointScalars::read_record`], must accept exactly the texts the full
+//! decode accepts, with the same scalars bit for bit; and
+//! [`Reader::skip`] must accept and reject exactly what `parse` does,
+//! with the same error.
 //!
 //! A failing case prints its seed; replay it with `run_case(seed)`.
 
@@ -37,7 +41,7 @@ use std::fmt::Write as _;
 
 use experiments::decompose::decompose;
 use experiments::graph::Unit;
-use experiments::runner::PointSummary;
+use experiments::runner::{PointScalars, PointSummary};
 use experiments::study::StudyParams;
 use speedup_stacks::report::json::{self, JsonValue, Reader};
 use speedup_stacks::{Breakdown, Component, SpeedupStack, ThreadBreakdown};
@@ -132,14 +136,37 @@ fn bits(p: &PointSummary) -> Bits {
     )
 }
 
+/// A point's scalars, floats by bit pattern.
+type ScalarBits = (String, String, usize, u64, u64, [u64; 3]);
+
+fn scalar_bits(p: &PointScalars) -> ScalarBits {
+    (
+        p.name.clone(),
+        p.suite.clone(),
+        p.threads,
+        p.st_cycles,
+        p.mt_cycles,
+        [p.actual, p.estimated, p.instruction_overhead].map(f64::to_bits),
+    )
+}
+
 /// The property every case ends in: the reader decoder ≡ the oracle on
-/// `parse`'s tree, and `skip` ≡ `parse` on acceptance and on the error,
-/// for any text. Returns the decoded bits.
+/// `parse`'s tree, the stack-free walk ≡ the reader decoder's scalars,
+/// and `skip` ≡ `parse` on acceptance and on the error, for any text.
+/// Returns the decoded bits.
 fn decoders_agree(text: &str) -> Option<Bits> {
-    let decoded = PointSummary::from_record(text).as_ref().map(bits);
+    let full = PointSummary::from_record(text);
+    let decoded = full.as_ref().map(bits);
     let tree = json::parse(text);
     let expected = tree.as_ref().ok().and_then(oracle).as_ref().map(bits);
     assert_eq!(decoded, expected, "reader decoder vs oracle on {text:?}");
+    let mut r = Reader::new(text);
+    let scalars = PointScalars::read_record(&mut r).filter(|_| r.finish().is_ok());
+    assert_eq!(
+        scalars.as_ref().map(scalar_bits),
+        full.map(PointScalars::from).as_ref().map(scalar_bits),
+        "stack-free walk vs full decode on {text:?}"
+    );
     let mut r = Reader::new(text);
     let skipped = r.skip().and_then(|()| r.finish());
     assert_eq!(skipped.err(), tree.err(), "skip vs parse on {text:?}");
@@ -496,6 +523,24 @@ fn reshaped_record(rng: &mut SmallRng, p: &PointSummary) {
         // Order and unknown keys change nothing.
         assert_eq!(again, decoded, "{reshaped}");
     }
+    misshapen_overheads(rng, &record);
+}
+
+/// The record with one `o` one overhead short or one long: no decoder
+/// may take it.
+fn misshapen_overheads(rng: &mut SmallRng, record: &str) {
+    let starts: Vec<usize> = record
+        .match_indices("\"o\": [")
+        .map(|(i, _)| i + 6)
+        .collect();
+    let at = starts[rng.gen_range(0..starts.len())];
+    let text = if rng.gen_bool(0.5) {
+        let end = at + record[at..].find(", ").expect("seven overheads") + 2;
+        format!("{}{}", &record[..at], &record[end..])
+    } else {
+        format!("{}0, {}", &record[..at], &record[at..])
+    };
+    assert!(decoders_agree(&text).is_none(), "{text}");
 }
 
 fn truncated_record(rng: &mut SmallRng, record: &str) {
@@ -674,6 +719,22 @@ fn number_tokens(rng: &mut SmallRng, record: &str) {
         );
         assert_eq!(parsed_token(&doc), token_oracle(&doc), "{doc:?}");
         decoders_agree(&doc);
+        // Stepped over, the token is taken or refused as it is read, and
+        // the walk stops where the read does.
+        let token = match rng.gen_range(0..8u32) {
+            0 => ["null", "nul", "nulls", " null"][rng.gen_range(0..4usize)],
+            _ => &doc[1..],
+        };
+        let ends = |step: bool| {
+            let mut r = Reader::new(token);
+            let read = if step {
+                r.skip_number_or_null()
+            } else {
+                r.number_or_null().map(|x| x.is_some())
+            };
+            (read, r.finish())
+        };
+        assert_eq!(ends(true), ends(false), "{token:?}");
     }
     out_of_range_count(rng, record);
 }

@@ -19,7 +19,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use experiments::decompose::{decompose, GridFold, GridStudy};
-use experiments::runner::PointSummary;
+use experiments::runner::{PointScalars, PointSummary};
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue, Reader};
@@ -83,9 +83,11 @@ pub struct RemoteStudy {
 /// One frame from an in-flight submit stream (the
 /// [`Client::start_submit`] / [`Client::next_event`] low-level pair the
 /// federation coordinator drives; [`Client::submit`] folds the same
-/// stream into an assembled report).
+/// stream into an assembled report). `P` is what a point's record is
+/// decoded into: the full [`PointSummary`] everywhere but inside
+/// [`Client::submit`] for a study whose report reads no stack.
 #[derive(Debug)]
-pub enum StreamEvent {
+pub enum StreamEvent<P = PointSummary> {
     /// A resolved point.
     Point {
         /// Grid point index (global — subset submits keep grid indices).
@@ -97,7 +99,7 @@ pub enum StreamEvent {
         attempts: u64,
         /// The parsed point record; [`PointSummary::to_record`]
         /// round-trips it byte-identically for forwarding.
-        summary: PointSummary,
+        summary: P,
     },
     /// A point that exhausted its retry budget.
     Failed {
@@ -339,7 +341,12 @@ impl Client {
     }
 
     /// Submits a study and reassembles the streamed points into the
-    /// final [`Report`].
+    /// final [`Report`]. For a study whose report reads no stack
+    /// ([`GridStudy::reads_no_stack`]: fig1, fig4) each record is decoded
+    /// into its [`PointScalars`] — its stack held to the record grammar
+    /// and shape as strictly as a full decode, but not converted — so a
+    /// record either way is accepted or refused alike, and the report's
+    /// bytes are the same.
     ///
     /// # Errors
     ///
@@ -428,8 +435,17 @@ impl Client {
     /// [`SimError::Protocol`] on wire failures, a timed-out read, or a
     /// malformed frame.
     pub fn next_event(&mut self, n: usize) -> Result<StreamEvent, SimError> {
+        self.next_event_as(n, PointSummary::read_record)
+    }
+
+    /// [`Client::next_event`] with each point record read by `read_point`.
+    fn next_event_as<P>(
+        &mut self,
+        n: usize,
+        read_point: ReadPoint<P>,
+    ) -> Result<StreamEvent<P>, SimError> {
         Ok(self.recv_with("result stream", self.data_timeout, |line| {
-            stream_event(line, n)
+            stream_event(line, n, read_point)
         })??)
     }
 
@@ -439,12 +455,32 @@ impl Client {
         grid: &GridStudy,
         params: &StudyParams,
     ) -> Result<SubmitOutcome, SimError> {
+        if grid.reads_no_stack() {
+            self.fold_stream(job, grid, PointScalars::read_record, |fold| {
+                fold.finish(grid, params)
+            })
+        } else {
+            self.fold_stream(job, grid, PointSummary::read_record, |fold| {
+                fold.finish(grid, params)
+            })
+        }
+    }
+
+    /// Folds a job's stream, each point record read by `read_point`, and
+    /// ends the fold with `finish` once the job is `done`.
+    fn fold_stream<P>(
+        &mut self,
+        job: u64,
+        grid: &GridStudy,
+        read_point: ReadPoint<P>,
+        finish: impl FnOnce(GridFold<P>) -> Report,
+    ) -> Result<SubmitOutcome, SimError> {
         let n = grid.n_points();
         // Attempt counts arrive off the wire: saturate, never truncate.
         let attempts32 = |attempts: u64| u32::try_from(attempts).unwrap_or(u32::MAX);
         let mut fold = GridFold::new(n);
         loop {
-            match self.next_event(n)? {
+            match self.next_event_as(n, read_point)? {
                 StreamEvent::Point {
                     index,
                     attempts,
@@ -480,7 +516,7 @@ impl Client {
                     }
                     return Ok(SubmitOutcome {
                         job,
-                        report: fold.finish(grid, params),
+                        report: finish(fold),
                         computed: computed as usize,
                         cached: cached as usize,
                         coalesced: coalesced as usize,
@@ -498,13 +534,21 @@ fn parse_reply(line: &str) -> Result<JsonValue, ProtocolError> {
     })
 }
 
-/// Reads one result-stream frame. A frame of `"ok": true` is read in
-/// the one walk of [`Frame::read`]; any other line — an error reply, or
-/// one that is not a JSON object — is read as a tree, and
-/// [`check_reply`] types its error.
-fn stream_event(line: &str, n: usize) -> Result<StreamEvent, ProtocolError> {
-    let frame = match Frame::read(line) {
-        Some(frame) if frame.ok == Some(JsonValue::Bool(true)) => frame,
+/// How a point frame's `data` record is read: [`PointSummary::read_record`]
+/// or [`PointScalars::read_record`].
+type ReadPoint<P> = fn(&mut Reader<'_>) -> Option<P>;
+
+/// Reads one result-stream frame, its point record by `read_point`. A
+/// frame of `"ok": true` is read in the one walk of [`Frame::read`]; any
+/// other line — an error reply, or one that is not a JSON object — is
+/// read as a tree, and [`check_reply`] types its error.
+fn stream_event<P>(
+    line: &str,
+    n: usize,
+    read_point: ReadPoint<P>,
+) -> Result<StreamEvent<P>, ProtocolError> {
+    let (frame, data) = match Frame::read(line, read_point) {
+        Some((frame, data)) if frame.ok == Some(JsonValue::Bool(true)) => (frame, data),
         // `check_reply` rejects every such line; the tree gives it the
         // fields its typed error is built from.
         _ => {
@@ -525,12 +569,9 @@ fn stream_event(line: &str, n: usize) -> Result<StreamEvent, ProtocolError> {
     match frame.kind.as_ref().and_then(Option::as_deref) {
         Some("point") => {
             let index = index()?;
-            let summary = frame
-                .data
-                .flatten()
-                .ok_or_else(|| ProtocolError::Malformed {
-                    why: format!("point {index} carries an unparsable record"),
-                })?;
+            let summary = data.flatten().ok_or_else(|| ProtocolError::Malformed {
+                why: format!("point {index} carries an unparsable record"),
+            })?;
             Ok(StreamEvent::Point {
                 index,
                 source: text(frame.source).unwrap_or_default(),
@@ -568,9 +609,9 @@ type Text<'a> = Option<Option<Cow<'a, str>>>;
 /// The fields a result-stream frame of any kind (`point`, `failed`,
 /// `done`) is read by: each the first occurrence of its key, as it
 /// stands (a field of another type reads as absent when used), the
-/// string fields borrowed from the line, and the `data` point record,
-/// decoded straight from the text. Every other key is skipped, not
-/// built.
+/// string fields borrowed from the line. Every other key is skipped, not
+/// built, but the `data` point record, which [`Frame::read`] decodes
+/// straight from the text beside the frame.
 #[derive(Default)]
 struct Frame<'a> {
     ok: Option<JsonValue>,
@@ -585,16 +626,17 @@ struct Frame<'a> {
     coalesced: Option<JsonValue>,
     failed: Option<JsonValue>,
     cancelled: Option<JsonValue>,
-    /// `Some(None)`: the first `data` is valid JSON but no point record.
-    data: Option<Option<PointSummary>>,
 }
 
 impl<'a> Frame<'a> {
-    /// Walks `line` once; `None` when it is not a JSON object.
-    fn read(line: &'a str) -> Option<Frame<'a>> {
+    /// Walks `line` once, reading the first `data` by `read_point`
+    /// (`Some(None)`: valid JSON but no point record); `None` when the
+    /// line is not a JSON object.
+    fn read<P>(line: &'a str, read_point: ReadPoint<P>) -> Option<(Frame<'a>, Option<Option<P>>)> {
         let value = |r: &mut Reader<'a>| r.value().ok();
         let mut r = Reader::new(line);
         let mut f = Frame::default();
+        let mut data = None;
         r.begin_object().ok()?;
         while let Some(key) = r.next_key().ok()? {
             let r = &mut r;
@@ -611,9 +653,9 @@ impl<'a> Frame<'a> {
                 "coalesced" => first(r, &mut f.coalesced, value),
                 "failed" => first(r, &mut f.failed, value),
                 "cancelled" => first(r, &mut f.cancelled, value),
-                "data" => first(r, &mut f.data, |r| {
+                "data" => first(r, &mut data, |r| {
                     let start = r.clone();
-                    let record = PointSummary::read_record(r);
+                    let record = read_point(r);
                     if record.is_none() {
                         // Not a record: step over it as the JSON it is.
                         *r = start;
@@ -625,7 +667,7 @@ impl<'a> Frame<'a> {
             }?;
         }
         r.finish().ok()?;
-        Some(f)
+        Some((f, data))
     }
 }
 
@@ -691,8 +733,10 @@ mod tests {
             .compute_point(&params, 0, st)
             .expect("point")
             .to_record();
-        let read =
-            |fields: &str| stream_event(&format!("{{{}}}", fields.replace("REC", &record)), 4);
+        let read = |fields: &str| {
+            let line = format!("{{{}}}", fields.replace("REC", &record));
+            stream_event(&line, 4, PointSummary::read_record)
+        };
         match read(
             "\"ok\": true, \"kind\": \"point\", \"job\": 3, \"x\": [1, {\"y\": null}], \
              \"index\": 2, \"index\": 9, \"source\": \"cached\", \"attempts\": 2, \"data\": REC",
@@ -779,41 +823,51 @@ mod tests {
         );
     }
 
-    /// A warm fig4 stream from an in-process scheduler, framed as a
-    /// session frames it, is longer than the client's read buffer. A fake
-    /// server replays it in writes of 1 B, 7 B, 4 KiB and 70 KiB in turn,
-    /// so frames arrive torn at every size and straddle the buffer's
-    /// edge. The client reassembles exactly the bytes of a local run.
-    #[test]
-    fn a_warm_stream_reassembles_across_buffer_edges() {
-        let params = StudyParams::with_scale(0.01);
-        let grid = || decompose("fig4", &params).expect("fig4 is a grid");
-        let n = grid().n_points();
+    /// Warm streams of `studies` from one in-process scheduler whose
+    /// cache a cold fig4 filled (every fig1 and fig5 unit is one of
+    /// fig4's), each framed as a session frames it: `accepted` first,
+    /// `done` last.
+    fn warm_streams(params: &StudyParams, studies: &[&str]) -> Vec<String> {
+        let grid = |study| decompose(study, params).expect("a grid study");
         let sched = Scheduler::start(
             2,
             Arc::new(Cache::new(64 * 1024 * 1024)),
             SchedOptions::default(),
         );
-        let (_, cold) = sched.submit(grid(), params.clone()).expect("admitted");
+        let (_, cold) = sched
+            .submit(grid("fig4"), params.clone())
+            .expect("admitted");
         drain_events(&cold).expect("cold job ends");
-        // The warm job's events, framed one by one as the session frames
-        // them, `done` included.
-        let (job, warm) = sched.submit(grid(), params.clone()).expect("admitted");
-        let mut stream = format!(
-            "{{\"ok\": true, \"kind\": \"accepted\", \"job\": {job}, \"study\": \"fig4\", \
-             \"points\": {n}, \"fingerprint\": \"\"}}\n"
-        );
-        for event in warm.iter() {
-            let (frame, done) = event_frame(job, &event);
-            stream.push_str(&frame);
-            stream.push('\n');
-            if done {
-                break;
-            }
-        }
+        let streams = studies
+            .iter()
+            .map(|&study| {
+                let n = grid(study).n_points();
+                let (job, warm) = sched.submit(grid(study), params.clone()).expect("admitted");
+                let mut stream = format!(
+                    "{{\"ok\": true, \"kind\": \"accepted\", \"job\": {job}, \"study\": \"{study}\", \
+                     \"points\": {n}, \"fingerprint\": \"\"}}\n"
+                );
+                for event in warm.iter() {
+                    let (frame, done) = event_frame(job, &event);
+                    stream.push_str(&frame);
+                    stream.push('\n');
+                    if done {
+                        break;
+                    }
+                }
+                stream
+            })
+            .collect();
         sched.stop();
-        assert!(stream.len() > STREAM_BUFFER_BYTES, "{} bytes", stream.len());
+        streams
+    }
 
+    /// A fake server on loopback: it answers the handshake, reads one
+    /// submit and replays `stream` in writes of 1 B, 7 B, 4 KiB and
+    /// 70 KiB in turn, so frames arrive torn at every size and straddle
+    /// the client's buffer edge. Its thread returns what it reads after
+    /// the stream: 0 once the client hangs up.
+    fn fake_server(stream: String) -> (String, std::thread::JoinHandle<usize>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
@@ -833,12 +887,30 @@ mod tests {
                     break;
                 }
                 let (piece, tail) = rest.split_at(size.min(rest.len()));
-                w.write_all(piece).unwrap();
+                // A client that refused a frame may hang up mid-stream.
+                if w.write_all(piece).is_err() {
+                    break;
+                }
                 rest = tail;
             }
             line.clear();
             reader.read_line(&mut line).unwrap_or(0) // EOF once the client drops
         });
+        (addr, server)
+    }
+
+    /// A warm fig4 stream is longer than the client's read buffer.
+    /// Replayed by the fake server, torn at every size, the client
+    /// reassembles exactly the bytes of a local run.
+    #[test]
+    fn a_warm_stream_reassembles_across_buffer_edges() {
+        let params = StudyParams::with_scale(0.01);
+        let n = decompose("fig4", &params)
+            .expect("fig4 is a grid")
+            .n_points();
+        let stream = warm_streams(&params, &["fig4"]).remove(0);
+        assert!(stream.len() > STREAM_BUFFER_BYTES, "{} bytes", stream.len());
+        let (addr, server) = fake_server(stream);
         let mut client = Client::connect(&addr).unwrap();
         let outcome = client.submit("fig4", &params).unwrap();
         drop(client);
@@ -846,6 +918,54 @@ mod tests {
         assert_eq!((outcome.computed, outcome.cached), (0, n), "served warm");
         let local = find_study("fig4").unwrap().run(&params).unwrap();
         assert_eq!(outcome.report.to_json(), local.to_json());
+    }
+
+    /// A submit of fig4, whose report reads no stack, reads its records
+    /// without converting their stacks; one of fig5, whose report reads
+    /// stacks, converts them. Point 1's record damaged inside `o` — one
+    /// overhead short, or a `null` among them — fails both submits with
+    /// the same error.
+    #[test]
+    fn a_damaged_stack_fails_a_stack_free_submit_as_it_fails_a_full_one() {
+        let params = StudyParams::with_scale(0.01);
+        let grid = |study| decompose(study, &params).expect("a grid study");
+        assert!(grid("fig4").reads_no_stack() && !grid("fig5").reads_no_stack());
+        let studies = ["fig4", "fig5"];
+        let streams = warm_streams(&params, &studies);
+        // The first overhead of point 1's first `o`: dropped, or `null`.
+        let damages: [fn(&mut String, usize, usize); 2] = [
+            |line, at, end| line.replace_range(at..end + 2, ""),
+            |line, at, end| line.replace_range(at..end, "null"),
+        ];
+        for damage in damages {
+            for (study, stream) in studies.iter().zip(&streams) {
+                let damaged: Vec<String> = stream
+                    .lines()
+                    .map(|line| {
+                        let mut line = line.to_string();
+                        if line.contains("\"index\": 1, ") {
+                            let at = line.find("\"o\": [").expect("a point record") + 6;
+                            let end = at + line[at..].find(", ").expect("seven overheads");
+                            damage(&mut line, at, end);
+                        }
+                        line + "\n"
+                    })
+                    .collect();
+                let (addr, server) = fake_server(damaged.concat());
+                let mut client = Client::connect(&addr).unwrap();
+                let err = client.submit(study, &params).unwrap_err();
+                drop(client);
+                assert_eq!(server.join().unwrap(), 0);
+                assert!(
+                    matches!(
+                        &err,
+                        SimError::Protocol(ProtocolError::Malformed { why })
+                            if why == "point 1 carries an unparsable record"
+                    ),
+                    "{study}: {err}"
+                );
+            }
+        }
     }
 
     /// Retry `k` waits 25 ms · 2^(k−1), capped at 2 s, never below the

@@ -17,9 +17,11 @@
 //! the job has no next event ready (or the frame is `done`). A point
 //! that lands alone leaves the moment it lands; points already queued
 //! behind it — a warm job's cached points all are — share its write.
-//! The writer holds 64 KiB, so a 112-point warm fig4 stream (~105 KB)
-//! leaves in two writes instead of 114 flushes. The bytes on the wire
-//! are the same either way.
+//! The job's first frame is the exception: it is flushed at once, so
+//! the first point reaches the client without waiting for a buffer to
+//! fill. The writer holds 64 KiB, so a 112-point warm fig4 stream
+//! (~105 KB) leaves in three writes instead of 114 flushes. The bytes on
+//! the wire are the same either way.
 
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
@@ -432,9 +434,13 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
     // goes into the buffer, which is flushed only when no next event is
     // ready yet (or the frame is `done`) — a point that lands alone
     // leaves at once, a run of cached points leaves in a few full
-    // buffers. A write failure means the peer is gone: cancel the job so
-    // queued points stop consuming the pool.
+    // buffers. The job's first frame leaves at once whatever follows it,
+    // so a consumer acting on it (a coordinator relaying a backend's
+    // stream) does not wait for a buffer to fill. A write failure means
+    // the peer is gone: cancel the job so queued points stop consuming
+    // the pool.
     let mut ahead: Option<JobEvent> = None;
+    let mut first = true;
     loop {
         let event = match ahead.take() {
             Some(e) => e,
@@ -447,11 +453,12 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
         if !done {
             ahead = rx.try_recv().ok();
         }
-        let written = if ahead.is_some() {
+        let written = if ahead.is_some() && !first {
             buffer_line(writer, &line)
         } else {
             write_line(writer, &line)
         };
+        first = false;
         if written.is_err() {
             ctx.engine.cancel_job(job, false);
             // The look-ahead may already hold `done`: never wait for a
