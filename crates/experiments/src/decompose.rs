@@ -307,10 +307,15 @@ pub(crate) fn finish(
 /// strings: two units with equal keys compute byte-equal results, in
 /// whichever study, at whichever grid index and under whichever
 /// `threads` list they appear. See [`GridStudy::unit_keys`].
+///
+/// Every key of the grid lies in one `String`, one after another, and
+/// each unit holds its key's byte range in it: a table of 140 fig4 keys
+/// is one buffer and two offset lists, built with `push_str` alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitKeys {
-    refs: Vec<String>,
-    points: Vec<String>,
+    text: String,
+    refs: Vec<(usize, usize)>,
+    points: Vec<(usize, usize)>,
 }
 
 impl UnitKeys {
@@ -322,10 +327,21 @@ impl UnitKeys {
     /// Panics when the index is outside the grid.
     #[must_use]
     pub fn get(&self, unit: Unit) -> &str {
-        match unit {
-            Unit::Ref(pi) => &self.refs[pi],
-            Unit::Point(index) => &self.points[index],
+        let (start, end) = match unit {
+            Unit::Ref(pi) => self.refs[pi],
+            Unit::Point(index) => self.points[index],
+        };
+        &self.text[start..end]
+    }
+
+    /// Appends one key, spelled as the concatenation of `parts`, and
+    /// returns its byte range.
+    fn push(&mut self, parts: &[&str]) -> (usize, usize) {
+        let start = self.text.len();
+        for part in parts {
+            self.text.push_str(part);
         }
+        (start, self.text.len())
     }
 }
 
@@ -533,21 +549,30 @@ impl GridStudy {
     /// a result into a failure, never into a different result, and
     /// failures are nobody's to reuse.
     ///
-    /// One table per parameter set (a shared stem per profile, a suffix
-    /// per unit), so a consumer looking every unit up pays the
-    /// `display_name` formatting once per profile.
+    /// One table per parameter set. The parts every key shares (the
+    /// scale and LLC tail) and each point's thread-count suffix are
+    /// rendered once per grid, and each profile's display name once, so
+    /// a key costs a few `push_str`s into the table's one buffer.
     #[must_use]
     pub fn unit_keys(&self, params: &StudyParams) -> UnitKeys {
         let llc = params.llc_mib.map_or("-".to_string(), |m| m.to_string());
         let tail = format!(";scale={:016x};llc={llc}", params.scale.to_bits());
-        let mut refs = Vec::with_capacity(self.profiles.len());
-        let mut points = Vec::with_capacity(self.n_points());
+        let suffixes: Vec<String> = self.counts.iter().map(|n| format!(";x{n}")).collect();
+        let mut keys = UnitKeys {
+            text: String::with_capacity(80 * (self.profiles.len() + self.n_points())),
+            refs: Vec::with_capacity(self.profiles.len()),
+            points: Vec::with_capacity(self.n_points()),
+        };
         for p in &self.profiles {
-            let stem = [p.suite.label(), "/", &display_name(p), &tail].concat();
-            points.extend(self.counts.iter().map(|n| format!("point:{stem};x{n}")));
-            refs.push(["ref:", &stem].concat());
+            let (suite, name) = (p.suite.label(), display_name(p));
+            let range = keys.push(&["ref:", suite, "/", &name, &tail]);
+            keys.refs.push(range);
+            for suffix in &suffixes {
+                let range = keys.push(&["point:", suite, "/", &name, &tail, suffix]);
+                keys.points.push(range);
+            }
         }
-        UnitKeys { refs, points }
+        keys
     }
 
     /// Computes one profile's single-thread reference `(Ts, instructions)`
@@ -938,6 +963,56 @@ mod tests {
             grid.label(5),
             format!("{} x4", display_name(&grid.profiles()[2]))
         );
+    }
+
+    /// The one-buffer table spells every key exactly as one `format!`
+    /// per key did: across the LLC override, a scale whose bits are not
+    /// round, and thread lists reaching 1 and 128.
+    #[test]
+    fn unit_keys_match_their_format_spelling() {
+        let spelled = |grid: &GridStudy, params: &StudyParams| {
+            let llc = params.llc_mib.map_or("-".to_string(), |m| m.to_string());
+            let mut refs = Vec::new();
+            let mut points = Vec::new();
+            for p in grid.profiles() {
+                let stem = format!(
+                    "{}/{};scale={:016x};llc={llc}",
+                    p.suite.label(),
+                    display_name(p),
+                    params.scale.to_bits()
+                );
+                refs.push(format!("ref:{stem}"));
+                for n in grid.counts() {
+                    points.push(format!("point:{stem};x{n}"));
+                }
+            }
+            (refs, points)
+        };
+        for study in ["fig4", "fig1"] {
+            for llc_mib in [None, Some(8)] {
+                for scale in [0.05, 0.0517] {
+                    for threads in [None, Some(vec![1, 2, 128]), Some(vec![128, 1])] {
+                        let params = StudyParams {
+                            scale,
+                            llc_mib,
+                            threads: threads.clone(),
+                            ..StudyParams::default()
+                        };
+                        let grid = decompose(study, &params).unwrap();
+                        let keys = grid.unit_keys(&params);
+                        let (refs, points) = spelled(&grid, &params);
+                        let case = format!("{study} {llc_mib:?} {scale} {threads:?}");
+                        assert_eq!(points.len(), grid.n_points(), "{case}");
+                        for (pi, key) in refs.iter().enumerate() {
+                            assert_eq!(keys.get(Unit::Ref(pi)), key, "{case}");
+                        }
+                        for (index, key) in points.iter().enumerate() {
+                            assert_eq!(keys.get(Unit::Point(index)), key, "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,15 +15,22 @@
 //!
 //! Eviction is least-recently-used. The entries sit in a slab, doubly
 //! linked from least to most recently used, beside a key → slot map: a
-//! hit relinks one slot to the most-recent end and allocates nothing but
-//! the value it returns; an insertion evicts from the least-recent end
-//! while the budget is exceeded. The bookkeeping is exactly the live
-//! entries, so memory is their keys and values plus a constant per
-//! entry, however many hits a long-lived server answers. The byte budget
-//! counts key + value bytes. A value larger than the whole budget is
-//! refused up front — counted as one insertion and one eviction, it
-//! evicts nothing else and is not spilled. All counters (hits, misses,
-//! insertions, evictions) are reported through the `status` request.
+//! hit relinks one slot to the most-recent end and allocates nothing;
+//! an insertion evicts from the least-recent end while the budget is
+//! exceeded. The bookkeeping is exactly the live entries, so memory is
+//! their keys and values plus a constant per entry, however many hits a
+//! long-lived server answers. The byte budget counts key + value bytes.
+//! A value larger than the whole budget is refused up front — counted
+//! as one insertion and one eviction, it evicts nothing else and is not
+//! spilled. All counters (hits, misses, insertions, evictions) are
+//! reported through the `status` request.
+//!
+//! Values are shared, never copied out: each is stored as an `Arc<str>`,
+//! and a hit ([`Cache::get`]) hands out that allocation with a reference
+//! count bump under the lock, so a warm job streams the cached record
+//! itself. The budget counts a live value once, however many holders
+//! share it. A value evicted while a job still streams it lives on,
+//! outside the budget, until that job's frame carrying it is written.
 //!
 //! # The spill
 //!
@@ -103,7 +110,7 @@ const NIL: usize = usize::MAX;
 #[derive(Debug)]
 struct Slot {
     key: Arc<str>,
-    value: String,
+    value: Arc<str>,
     /// The next less recently used slot, or [`NIL`].
     older: usize,
     /// The next more recently used slot, or [`NIL`].
@@ -147,21 +154,21 @@ impl Lru {
     }
 
     /// The value under `key`, made the most recently used.
-    fn get(&mut self, key: &str) -> Option<&str> {
+    fn get(&mut self, key: &str) -> Option<&Arc<str>> {
         let i = *self.index.get(key)?;
         self.unlink(i);
         self.link_newest(i);
         Some(&self.slots[i].value)
     }
 
-    fn push_newest(&mut self, key: &str, value: &str) {
+    fn push_newest(&mut self, key: &str, value: Arc<str>) {
         let i = self.slots.len();
         let key: Arc<str> = Arc::from(key);
-        self.bytes += entry_bytes(&key, value);
+        self.bytes += entry_bytes(&key, &value);
         self.index.insert(Arc::clone(&key), i);
         self.slots.push(Slot {
             key,
-            value: value.to_string(),
+            value,
             older: NIL,
             newer: NIL,
         });
@@ -198,7 +205,7 @@ impl Lru {
         let mut i = self.oldest;
         while i != NIL {
             let slot = &self.slots[i];
-            out.push((slot.key.to_string(), slot.value.clone()));
+            out.push((slot.key.to_string(), slot.value.to_string()));
             i = slot.newer;
         }
         out
@@ -310,7 +317,7 @@ impl Cache {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.quarantined += quarantined as u64;
         for (key, value) in entries {
-            insert_locked(&mut inner, &key, &value);
+            insert_locked(&mut inner, &key, value.into());
             inner.loaded += 1;
         }
     }
@@ -330,10 +337,11 @@ impl Cache {
     }
 
     /// Looks a value up, refreshing its recency. Counts a hit or miss.
+    /// A hit shares the stored value: nothing is copied.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<String> {
+    pub fn get(&self, key: &str) -> Option<Arc<str>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let value = inner.lru.get(key).map(str::to_owned);
+        let value = inner.lru.get(key).map(Arc::clone);
         match value {
             Some(_) => inner.hits += 1,
             None => inner.misses += 1,
@@ -345,15 +353,24 @@ impl Cache {
     /// evicts least-recently-used entries until the budget holds. A
     /// value larger than the whole budget is refused: the key is left
     /// uncached, nothing else is evicted, and nothing is spilled. With a
-    /// spill attached, a stored entry is appended write-through.
+    /// spill attached, a stored entry is appended write-through. The
+    /// value is copied into a shared allocation; a caller that streams
+    /// the value too stores it with [`Cache::put_shared`] instead.
     pub fn put(&self, key: &str, value: &str) {
+        self.put_shared(key, Arc::from(value));
+    }
+
+    /// [`Cache::put`] of a value the caller keeps a handle on: the cache
+    /// stores this very allocation, so a record a worker caches and
+    /// streams exists once.
+    pub fn put_shared(&self, key: &str, value: Arc<str>) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.insertions += 1;
-        if !insert_locked(&mut inner, key, value) {
+        if !insert_locked(&mut inner, key, Arc::clone(&value)) {
             return;
         }
         if let Some(spill) = inner.spill.as_mut() {
-            match spill.append(key, value) {
+            match spill.append(key, &value) {
                 Ok(()) => inner.spilled += 1,
                 Err(e) => {
                     eprintln!(
@@ -418,12 +435,12 @@ impl Cache {
 /// the new one as the most recently used, evicting from the least-recent
 /// end until it fits. Returns `false`, storing nothing, for a value
 /// larger than the whole budget (counted as evicted).
-fn insert_locked(inner: &mut Inner, key: &str, value: &str) -> bool {
+fn insert_locked(inner: &mut Inner, key: &str, value: Arc<str>) -> bool {
     let lru = &mut inner.lru;
     if let Some(&i) = lru.index.get(key) {
         lru.remove(i);
     }
-    let bytes = entry_bytes(key, value);
+    let bytes = entry_bytes(key, &value);
     if bytes > inner.budget {
         inner.evictions += 1;
         return false;
@@ -634,7 +651,8 @@ mod tests {
             match rng.gen_range(0..20u32) {
                 0..=6 => {
                     let k = key(&mut rng);
-                    assert_eq!(c.get(&k), model.get(&k), "get {k}, step {step}");
+                    let (got, want) = (c.get(&k), model.get(&k));
+                    assert_eq!(got.as_deref(), want.as_deref(), "get {k}, step {step}");
                 }
                 7..=11 => {
                     let (k, v) = (key(&mut rng), value(&mut rng));

@@ -14,7 +14,7 @@
 //! delays, never shorter than the server's `retry_after_ms` hint.
 
 use std::borrow::Cow;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -28,8 +28,8 @@ use speedup_stacks::SimError;
 
 pub use crate::proto::ServiceStatus;
 use crate::proto::{
-    check_reply, io_err, params_to_wire, read_line_with, u64_field, write_line, PROTO_VERSION,
-    REPLY_LINE_CAP, STREAM_BUFFER_BYTES,
+    check_reply, io_err, params_to_wire, read_line_with, u64_field, PROTO_VERSION, REPLY_LINE_CAP,
+    STREAM_BUFFER_BYTES,
 };
 use crate::server::ShutdownMode;
 
@@ -195,8 +195,16 @@ impl Client {
         self.data_timeout = timeout;
     }
 
+    /// Sends one request frame as one write. The writer is the bare
+    /// socket (`TCP_NODELAY`), where a frame and its newline written
+    /// apart would leave as two segments and wake the session twice.
     fn send(&mut self, frame: &str) -> Result<(), ProtocolError> {
-        write_line(&mut self.writer, frame)
+        let mut line = String::with_capacity(frame.len() + 1);
+        line.push_str(frame);
+        line.push('\n');
+        self.writer
+            .write_all(line.as_bytes())
+            .map_err(|e| io_err("write", &e))
     }
 
     /// Reads one reply frame under the control-plane deadline,
@@ -717,8 +725,9 @@ mod tests {
     use experiments::study::find_study;
 
     use crate::cache::Cache;
+    use crate::scheduler::JobEvent;
     use crate::scheduler::{drain_events, SchedOptions, Scheduler};
-    use crate::session::event_frame;
+    use crate::session::write_event;
 
     /// A result-stream frame of any kind is read in one walk: the first
     /// of a repeated key wins, a field of another type reads as absent,
@@ -846,16 +855,15 @@ mod tests {
                 let mut stream = format!(
                     "{{\"ok\": true, \"kind\": \"accepted\", \"job\": {job}, \"study\": \"{study}\", \
                      \"points\": {n}, \"fingerprint\": \"\"}}\n"
-                );
+                )
+                .into_bytes();
                 for event in warm.iter() {
-                    let (frame, done) = event_frame(job, &event);
-                    stream.push_str(&frame);
-                    stream.push('\n');
-                    if done {
+                    write_event(&mut stream, job, &event).expect("a Vec takes every byte");
+                    if matches!(event, JobEvent::Done { .. }) {
                         break;
                     }
                 }
-                stream
+                String::from_utf8(stream).expect("frames are UTF-8")
             })
             .collect();
         sched.stop();

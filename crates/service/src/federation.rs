@@ -337,7 +337,7 @@ impl Shard {
                 index,
                 source: PointSource::from_wire(&source).unwrap_or(PointSource::Computed),
                 attempts: attempts(a),
-                record: summary.to_record(),
+                record: summary.to_record().into(),
             },
             StreamEvent::Failed {
                 index,

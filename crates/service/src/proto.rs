@@ -253,9 +253,9 @@ pub fn write_line<W: Write>(writer: &mut W, frame: &str) -> Result<(), ProtocolE
     writer.flush().map_err(|e| io_err("write", &e))
 }
 
-/// Writes one frame as a line *without* flushing: the session queues a
-/// burst of result frames this way and flushes once, when no further
-/// event is ready (see [`crate::session`]).
+/// Writes one frame as a line *without* flushing: the session holds a
+/// warm job's `accepted` back this way, so it leaves in the same write
+/// as the job's first result frame (see [`crate::session`]).
 ///
 /// # Errors
 ///

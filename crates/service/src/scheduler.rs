@@ -62,11 +62,14 @@
 //! entry holds for the same unit ([`PointSummary::to_record`] for a
 //! point, [`ref_to_value`] for a reference; a cached reference reads
 //! back through [`ref_from_value`]), and cache hits at submit time are
-//! streamed back instantly without touching the pool. Each unit runs in
-//! the sweep's own fault domain ([`experiments::par::fault_domain`] with
-//! the parameters' retry budget) — a panicking point degrades its job,
-//! never the server. The [`crate::chaos`] policy can force that panic at
-//! a chosen unit to prove it.
+//! streamed back instantly without touching the pool: a hit's event
+//! carries the cache's own `Arc<str>` record, and a computed record is
+//! one allocation shared by the cache and every stream it fans out to.
+//! Each unit runs in the sweep's own fault domain
+//! ([`experiments::par::fault_domain`] with the parameters' retry
+//! budget) — a panicking point degrades its job, never the server. The
+//! [`crate::chaos`] policy can force that panic at a chosen unit to
+//! prove it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,7 +127,7 @@ impl PointSource {
 #[derive(Debug)]
 pub enum JobEvent {
     /// A grid point completed; `record` is the exact journal-record
-    /// JSON of its [`PointSummary`].
+    /// JSON of its [`PointSummary`], shared with the result cache.
     Point {
         /// Row-major grid index.
         index: usize,
@@ -132,8 +135,10 @@ pub enum JobEvent {
         source: PointSource,
         /// Fault-domain attempts spent (1 = first try).
         attempts: u32,
-        /// The point's `PointSummary::to_record()` JSON.
-        record: String,
+        /// The point's `PointSummary::to_record()` JSON: the cache's own
+        /// allocation for a cached or freshly computed point, so streaming
+        /// it copies nothing until the session writes the frame.
+        record: Arc<str>,
     },
     /// A grid point failed after exhausting its retry budget.
     Failed {
@@ -205,7 +210,7 @@ impl JobStream {
         index: usize,
         source: PointSource,
         attempts: u32,
-        record: impl Into<String>,
+        record: Arc<str>,
     ) -> bool {
         if self.cancelled {
             return false;
@@ -219,7 +224,7 @@ impl JobStream {
             index,
             source,
             attempts,
-            record: record.into(),
+            record,
         };
         self.tx.send(event).ok();
         true
@@ -497,7 +502,7 @@ impl Scheduler {
         if st.draining {
             return Err(SubmitError::Draining);
         }
-        let mut hits: Vec<(usize, String)> = Vec::new();
+        let mut hits: Vec<(usize, Arc<str>)> = Vec::new();
         let mut coalesce: Vec<usize> = Vec::new();
         let mut owned: Vec<usize> = Vec::new();
         let mut owned_keys: HashSet<&str> = HashSet::new();
@@ -803,10 +808,10 @@ fn worker_loop(shared: &Shared) {
                     chaos();
                     let st = claim.inputs[0];
                     let point = grid.compute_point(params, index, st);
-                    point.map(|s| s.to_record())
+                    point.map(|s| Arc::<str>::from(s.to_record()))
                 });
                 if let Ok(record) = &outcome {
-                    shared.cache.put(key, record);
+                    shared.cache.put_shared(key, Arc::clone(record));
                 }
                 apply_point(&mut lock(shared), id, key, index, outcome, attempts);
             }
@@ -866,7 +871,7 @@ fn apply_point(
     id: u64,
     key: &str,
     index: usize,
-    outcome: Result<String, String>,
+    outcome: Result<Arc<str>, String>,
     attempts: u32,
 ) {
     if let Some(job) = st.jobs.get_mut(&id) {
@@ -902,12 +907,13 @@ fn deliver_point(
     index: usize,
     source: PointSource,
     attempts: u32,
-    record: &str,
+    record: &Arc<str>,
 ) {
     let Some(job) = st.jobs.get_mut(&id) else {
         return;
     };
     job.outstanding -= 1;
+    let record = Arc::clone(record);
     if job.stream.point(index, source, attempts, record) && source == PointSource::Coalesced {
         st.points_coalesced += 1;
     }
@@ -954,7 +960,7 @@ pub fn record_to_summary(record: &str) -> Option<PointSummary> {
 #[derive(Debug, Default)]
 pub struct DrainedJob {
     /// `(index, source, record)` for each streamed point.
-    pub points: Vec<(usize, PointSource, String)>,
+    pub points: Vec<(usize, PointSource, Arc<str>)>,
     /// `(index, reason)` for each failed point.
     pub failures: Vec<(usize, String)>,
     /// Points computed by the job's own units (from `Done`).
@@ -1018,7 +1024,7 @@ mod tests {
         }
     }
 
-    fn sorted_records(d: &DrainedJob) -> Vec<(usize, String)> {
+    fn sorted_records(d: &DrainedJob) -> Vec<(usize, Arc<str>)> {
         let mut v: Vec<_> = d.points.iter().map(|(i, _, r)| (*i, r.clone())).collect();
         v.sort();
         v

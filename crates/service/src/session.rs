@@ -19,11 +19,18 @@
 //! behind it — a warm job's cached points all are — share its write.
 //! The job's first frame is the exception: it is flushed at once, so
 //! the first point reaches the client without waiting for a buffer to
-//! fill. The writer holds 64 KiB, so a 112-point warm fig4 stream
-//! (~105 KB) leaves in three writes instead of 114 flushes. The bytes on
-//! the wire are the same either way.
+//! fill. A job whose first event is already queued when it is admitted
+//! (a warm one) sends `accepted` in that same write; a job with nothing
+//! ready flushes `accepted` before it waits. The writer holds 64 KiB, so
+//! a 112-point warm fig4 stream (~105 KB) leaves in three writes instead
+//! of 114 flushes. The bytes on the wire are the same either way.
+//!
+//! A frame is written straight into that writer (`write_event`): a
+//! point frame is its envelope, then the record the job event shares
+//! with the result cache, then `}\n`, so a warm point costs one copy,
+//! into the socket buffer.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -424,7 +431,16 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
         json::escape(study),
         json::escape(&fingerprint)
     );
-    if write_line(writer, &accepted).is_err() {
+    // A warm job's first event is queued before `submit_units` returns:
+    // `accepted` then waits in the buffer and leaves with that event's
+    // frame. A job with nothing queued yet sends it at once.
+    let mut ahead: Option<JobEvent> = rx.try_recv().ok();
+    let sent = if ahead.is_some() {
+        buffer_line(writer, &accepted)
+    } else {
+        write_line(writer, &accepted)
+    };
+    if sent.is_err() {
         ctx.engine.cancel_job(job, false);
         let _ = drain_events(&rx);
         return Flow::Close;
@@ -439,7 +455,6 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
     // stream) does not wait for a buffer to fill. A write failure means
     // the peer is gone: cancel the job so queued points stop consuming
     // the pool.
-    let mut ahead: Option<JobEvent> = None;
     let mut first = true;
     loop {
         let event = match ahead.take() {
@@ -449,15 +464,14 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
                 Err(_) => return Flow::Close, // scheduler shut down mid-job
             },
         };
-        let (line, done) = event_frame(job, &event);
+        let done = matches!(event, JobEvent::Done { .. });
         if !done {
             ahead = rx.try_recv().ok();
         }
-        let written = if ahead.is_some() && !first {
-            buffer_line(writer, &line)
-        } else {
-            write_line(writer, &line)
-        };
+        let mut written = write_event(writer, job, &event);
+        if written.is_ok() && (ahead.is_none() || first) {
+            written = writer.flush();
+        }
         first = false;
         if written.is_err() {
             ctx.engine.cancel_job(job, false);
@@ -474,36 +488,42 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
     }
 }
 
-/// Renders one job event as its wire frame; `true` marks the terminal
-/// `done` frame.
-pub(crate) fn event_frame(job: u64, event: &JobEvent) -> (String, bool) {
+/// Writes one job event's wire frame, newline included, into `out` —
+/// the session's buffered writer. A point frame is its envelope, the
+/// shared record itself and `}\n`, with its numbers written digit by
+/// digit: no frame is first built as a `String`. Failed and done frames
+/// (one per failure, one per job) go through `write!`.
+pub(crate) fn write_event<W: Write>(out: &mut W, job: u64, event: &JobEvent) -> io::Result<()> {
     match event {
         JobEvent::Point {
             index,
             source,
             attempts,
             record,
-        } => (
-            format!(
-                "{{\"ok\": true, \"kind\": \"point\", \"job\": {job}, \"index\": {index}, \
-                 \"source\": \"{}\", \"attempts\": {attempts}, \"data\": {record}}}",
-                source.wire_name()
-            ),
-            false,
-        ),
+        } => {
+            out.write_all(b"{\"ok\": true, \"kind\": \"point\", \"job\": ")?;
+            write_u64(out, job)?;
+            out.write_all(b", \"index\": ")?;
+            write_u64(out, *index as u64)?;
+            out.write_all(b", \"source\": \"")?;
+            out.write_all(source.wire_name().as_bytes())?;
+            out.write_all(b"\", \"attempts\": ")?;
+            write_u64(out, u64::from(*attempts))?;
+            out.write_all(b", \"data\": ")?;
+            out.write_all(record.as_bytes())?;
+            out.write_all(b"}\n")
+        }
         JobEvent::Failed {
             index,
             label,
             reason,
             attempts,
-        } => (
-            format!(
-                "{{\"ok\": true, \"kind\": \"failed\", \"job\": {job}, \"index\": {index}, \
-                 \"label\": \"{}\", \"reason\": \"{}\", \"attempts\": {attempts}}}",
-                json::escape(label),
-                json::escape(reason)
-            ),
-            false,
+        } => writeln!(
+            out,
+            "{{\"ok\": true, \"kind\": \"failed\", \"job\": {job}, \"index\": {index}, \
+             \"label\": \"{}\", \"reason\": \"{}\", \"attempts\": {attempts}}}",
+            json::escape(label),
+            json::escape(reason)
         ),
         JobEvent::Done {
             computed,
@@ -511,15 +531,28 @@ pub(crate) fn event_frame(job: u64, event: &JobEvent) -> (String, bool) {
             coalesced,
             failed,
             cancelled,
-        } => (
-            format!(
-                "{{\"ok\": true, \"kind\": \"done\", \"job\": {job}, \"computed\": {computed}, \
-                 \"cached\": {cached}, \"coalesced\": {coalesced}, \"failed\": {failed}, \
-                 \"cancelled\": {cancelled}}}"
-            ),
-            true,
+        } => writeln!(
+            out,
+            "{{\"ok\": true, \"kind\": \"done\", \"job\": {job}, \"computed\": {computed}, \
+             \"cached\": {cached}, \"coalesced\": {coalesced}, \"failed\": {failed}, \
+             \"cancelled\": {cancelled}}}"
         ),
     }
+}
+
+/// Writes `n` in decimal.
+fn write_u64<W: Write>(out: &mut W, mut n: u64) -> io::Result<()> {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_all(&digits[at..])
 }
 
 fn list_frame() -> String {
@@ -557,7 +590,7 @@ mod tests {
     /// An engine whose job streams `record` as every point but the last
     /// and then holds its stream open, like a last unit that never ends.
     struct Stalled {
-        record: String,
+        record: Arc<str>,
         held: Mutex<Vec<Sender<JobEvent>>>,
     }
 
@@ -570,7 +603,7 @@ mod tests {
         ) -> Result<(u64, Receiver<JobEvent>), SubmitError> {
             let (sender, rx) = channel();
             for index in 0..grid.n_points() - 1 {
-                let record = self.record.clone();
+                let record = Arc::clone(&self.record);
                 let source = PointSource::Computed;
                 let point = JobEvent::Point {
                     index,
@@ -595,6 +628,74 @@ mod tests {
         }
     }
 
+    /// Every frame kind's exact bytes, newline included: a point frame
+    /// embeds its record verbatim (numbers at both ends of `u64`), and a
+    /// failed frame escapes its label and reason.
+    #[test]
+    fn frames_are_written_byte_for_byte() {
+        let record: Arc<str> = Arc::from("{\"kind\": \"point\", \"threads\": 16}");
+        let frame = |job: u64, event: JobEvent| {
+            let mut out = Vec::new();
+            write_event(&mut out, job, &event).expect("a Vec takes every byte");
+            String::from_utf8(out).expect("UTF-8")
+        };
+        assert_eq!(
+            frame(
+                7,
+                JobEvent::Point {
+                    index: 12,
+                    source: PointSource::Cached,
+                    attempts: 1,
+                    record: Arc::clone(&record),
+                }
+            ),
+            "{\"ok\": true, \"kind\": \"point\", \"job\": 7, \"index\": 12, \"source\": \
+             \"cached\", \"attempts\": 1, \"data\": {\"kind\": \"point\", \"threads\": 16}}\n"
+        );
+        assert_eq!(
+            frame(
+                u64::MAX,
+                JobEvent::Point {
+                    index: 0,
+                    source: PointSource::Coalesced,
+                    attempts: u32::MAX,
+                    record,
+                }
+            ),
+            "{\"ok\": true, \"kind\": \"point\", \"job\": 18446744073709551615, \"index\": 0, \
+             \"source\": \"coalesced\", \"attempts\": 4294967295, \"data\": {\"kind\": \
+             \"point\", \"threads\": 16}}\n"
+        );
+        assert_eq!(
+            frame(
+                3,
+                JobEvent::Failed {
+                    index: 40,
+                    label: "fer\"ret\\ x4".to_string(),
+                    reason: "deadline\n\texceeded\u{1}".to_string(),
+                    attempts: 2,
+                }
+            ),
+            "{\"ok\": true, \"kind\": \"failed\", \"job\": 3, \"index\": 40, \"label\": \
+             \"fer\\\"ret\\\\ x4\", \"reason\": \"deadline\\n\\texceeded\\u0001\", \
+             \"attempts\": 2}\n"
+        );
+        assert_eq!(
+            frame(
+                3,
+                JobEvent::Done {
+                    computed: 1,
+                    cached: 110,
+                    coalesced: 0,
+                    failed: 1,
+                    cancelled: false,
+                }
+            ),
+            "{\"ok\": true, \"kind\": \"done\", \"job\": 3, \"computed\": 1, \"cached\": 110, \
+             \"coalesced\": 0, \"failed\": 1, \"cancelled\": false}\n"
+        );
+    }
+
     /// Batching never holds a point back: when a job's last unit stalls
     /// forever, the client still reads every other point — the last
     /// frame queued is flushed although no `done` follows it.
@@ -607,7 +708,7 @@ mod tests {
         let reference = grid.compute_reference(&params, pi).expect("reference");
         let record = grid.compute_point(&params, 0, reference).expect("point");
         let engine = Arc::new(Stalled {
-            record: record.to_record(),
+            record: record.to_record().into(),
             held: Mutex::new(Vec::new()),
         });
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
