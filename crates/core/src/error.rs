@@ -24,6 +24,7 @@
 //! so callers can `?` across layers.
 
 use core::fmt;
+use std::borrow::Cow;
 
 /// Error returned when a speedup stack cannot be built from the provided
 /// counters.
@@ -75,12 +76,12 @@ pub enum ConfigError {
         /// Name of the offending parameter.
         what: &'static str,
     },
-    /// A numeric parameter was non-finite or outside its valid range.
+    /// A parameter was non-finite, out of range or not applicable.
     OutOfRange {
         /// Name of the offending parameter.
         what: &'static str,
-        /// The constraint that was violated.
-        why: &'static str,
+        /// The violated constraint, worded to follow the parameter's name.
+        why: Cow<'static, str>,
     },
 }
 
@@ -93,7 +94,8 @@ impl ConfigError {
 
     /// Shorthand for [`ConfigError::OutOfRange`].
     #[must_use]
-    pub const fn range(what: &'static str, why: &'static str) -> Self {
+    pub fn range(what: &'static str, why: impl Into<Cow<'static, str>>) -> Self {
+        let why = why.into();
         ConfigError::OutOfRange { what, why }
     }
 }

@@ -7,7 +7,8 @@
 //! rows; the whole grid is swept either way.
 
 use experiments::decompose::decompose;
-use experiments::StudyParams;
+use experiments::{find_study, StudyParams};
+use speedup_stacks::SimError;
 use workloads::display_name;
 
 fn main() {
@@ -18,7 +19,11 @@ fn main() {
     let only: Option<String> = std::env::args().nth(2);
     let params = StudyParams::with_scale(scale);
     let grid = decompose("fig6", &params).expect("fig6 is a grid study");
-    let (points, degraded, _) = match grid.sweep(&params) {
+    let gate = find_study("fig6").expect("a registry study").check(&params);
+    let swept = gate
+        .map_err(SimError::Config)
+        .and_then(|()| grid.sweep(&params));
+    let (points, degraded, _) = match swept {
         Ok(swept) => swept,
         Err(e) => {
             eprintln!("calibrate: {e}");

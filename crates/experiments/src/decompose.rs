@@ -256,20 +256,15 @@ pub(crate) fn run_graph<P: Send, E: ToString>(
 /// single-threaded on `refs[r]`, point `i` on `points[i].1` behind
 /// reference `points[i].0` — for fig7 (cores ≠ threads) and fig9 (LLC
 /// sizes).
-///
-/// # Errors
-///
-/// [`SimError::Config`] when the profile is invalid.
 pub(crate) fn run_machines(
     params: &StudyParams,
     profile: &WorkloadProfile,
     refs: &[RunOptions],
     points: &[(usize, RunOptions)],
     label: impl Fn(usize) -> String + Sync,
-) -> Result<(Vec<Option<PointSummary>>, Degraded), SimError> {
-    profile.validate().map_err(SimError::Config)?;
+) -> (Vec<Option<PointSummary>>, Degraded) {
     let deadline = params.faults.deadline_cycles;
-    Ok(run_graph(
+    run_graph(
         params,
         (refs.len(), points.len()),
         |i| points[i].0..points[i].0 + 1,
@@ -280,7 +275,7 @@ pub(crate) fn run_machines(
             run_profile_streams(profile, opts, st[0], streams, deadline).map(PointSummary::from)
         },
         label,
-    ))
+    )
 }
 
 /// Ends a study's report: the `Degraded` block when something actually
@@ -499,19 +494,6 @@ impl GridStudy {
         UnitGraph::grid(self.profiles.len(), self.counts.len())
     }
 
-    /// Validates every profile up front, the way the sweep does:
-    /// configuration mistakes are not point faults.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Config`] for the first invalid profile.
-    pub fn validate(&self) -> Result<(), SimError> {
-        for p in &self.profiles {
-            p.validate().map_err(SimError::Config)?;
-        }
-        Ok(())
-    }
-
     /// Validates a point-index subset (a sharded submit's `units`
     /// field) and normalizes it: sorted ascending, duplicates removed.
     /// The subset must be non-empty and every index must be in range.
@@ -650,7 +632,6 @@ impl GridStudy {
     ///
     /// See [`GridStudy::run`].
     pub fn sweep(&self, params: &StudyParams) -> Result<Swept, SimError> {
-        self.validate()?;
         let study = self.study;
         let fingerprint = journal::fingerprint(study, params);
         let names: Vec<String> = self.profiles.iter().map(display_name).collect();
@@ -809,8 +790,6 @@ impl GridStudy {
     ///
     /// # Errors
     ///
-    /// - [`SimError::Config`] when a workload profile is invalid (checked
-    ///   up front — configuration mistakes are not point faults),
     /// - [`SimError::Journal`] when the journal cannot be created, read,
     ///   or fails identity validation on resume,
     /// - [`SimError::Interrupted`] when the [`StudyParams::max_points`]
@@ -1121,7 +1100,6 @@ mod tests {
                 params.clone()
             };
             let grid = decompose(name, &params).unwrap();
-            grid.validate().unwrap();
             let mut refs = Vec::new();
             for pi in 0..grid.profiles().len() {
                 refs.push(grid.compute_reference(&params, pi).unwrap());

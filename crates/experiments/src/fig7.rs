@@ -53,7 +53,7 @@ pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
         let RunOptions { cores, threads, .. } = points[i].1;
         format!("{} on {cores} cores", point_label(&name, threads))
     };
-    let (outs, degraded) = run_machines(params, &p, &[machine(1, 1)], &points, label)?;
+    let (outs, degraded) = run_machines(params, &p, &[machine(1, 1)], &points, label);
     let (eq_cores, sixteen) = outs.split_at(core_counts.len());
     let title = "Figure 7: ferret speedup vs number of cores";
     let mut report = Report::new("fig7", title);

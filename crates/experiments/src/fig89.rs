@@ -128,7 +128,7 @@ pub(crate) fn fig9_report(params: &StudyParams) -> Result<Report, SimError> {
         .collect();
     let name = point_label(&display_name(&p), cores);
     let label = |i: usize| format!("{name} {}MB", LLC_SIZES_MIB[i]);
-    let (outs, degraded) = run_machines(params, &p, &refs, &points, label)?;
+    let (outs, degraded) = run_machines(params, &p, &refs, &points, label);
     let bars = outs
         .into_iter()
         .zip(LLC_SIZES_MIB)

@@ -36,11 +36,8 @@ pub enum Parallelism {
 impl Parallelism {
     /// The effective worker count for a sweep of `items` points.
     ///
-    /// Note the clamp: `Parallelism::Workers(0)` is treated as one worker
-    /// (zero workers could make no progress). Drivers should reject `0`
-    /// at the input boundary instead of relying on the clamp — the
-    /// `repro` CLI turns `--parallelism 0` into a usage error before it
-    /// ever reaches here. The count is also capped at the item count.
+    /// The count is capped at the item count. `Workers(0)`, which the
+    /// study gate refuses before a run starts, counts as one worker.
     #[must_use]
     pub fn workers(self, items: usize) -> usize {
         let n = match self {

@@ -109,9 +109,6 @@ pub(crate) fn report(params: &StudyParams) -> Result<Report, SimError> {
         None => manycore_mem(),
     };
     let profiles = study_profiles(params.scale);
-    for p in &profiles {
-        p.validate().map_err(SimError::Config)?;
-    }
     let mix: Vec<WorkloadProfile> = default_rate_mix()
         .iter()
         .map(|p| scaled_profile(p, params.scale))

@@ -25,13 +25,16 @@
 //! assert!(speedup_stacks::report::json::parse(&report.to_json()).is_ok());
 //! ```
 
+use cmpsim::MachineConfig;
 use memsim::MemConfig;
+use speedup_stacks::error::ConfigError;
 use speedup_stacks::report::{Report, Value};
 use speedup_stacks::SimError;
 
+use workloads::mix::MAX_MEMBERS;
 use workloads::trace::TraceSpec;
 
-use crate::decompose::grid_study;
+use crate::decompose::{decompose, grid_study};
 use crate::journal::JournalSpec;
 use crate::par::Parallelism;
 use crate::runner::FaultPolicy;
@@ -41,32 +44,38 @@ use crate::runner::FaultPolicy;
 /// Studies honor the subset that is meaningful for them (see
 /// [`registry`]); defaults reproduce the paper's configuration
 /// exactly, so default-parameter runs match the golden figure output.
+/// The rule each field states below is [`StudyParams::validate`]'s;
+/// [`Study::check`] adds the study's own.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudyParams {
-    /// Workload size multiplier (1.0 = the catalog sizes).
+    /// Workload size multiplier (1.0 = the catalog sizes); finite, > 0.
     pub scale: f64,
     /// Thread/core-count override: the sweep set for sweep studies, the
     /// last entry for single-count studies. `None` = the paper's counts.
+    /// Non-empty, each count 1 to [`MachineConfig::MAX_CORES`]; for
+    /// `scaling`, at most the rate mix's [`workloads::mix::MAX_MEMBERS`].
     pub threads: Option<Vec<usize>>,
     /// Sweep parallelism for every simulating study (results are
-    /// deterministic and identical across modes).
+    /// deterministic and identical across modes); workers >= 1.
     pub parallelism: Parallelism,
     /// Shared-LLC capacity override in MiB (`None` = each study's
-    /// default machine).
+    /// default machine). A power of two up to [`MemConfig::MAX_LLC_MIB`]:
+    /// the caches' set counts are powers of two, as in the paper (§5).
     pub llc_mib: Option<usize>,
     /// Per-unit fault policy (deadline, retries), honored by every
     /// simulating study: a failed unit degrades its points (`regions`,
-    /// one run, fails with [`speedup_stacks::SimError::Engine`]).
+    /// one run, fails with [`speedup_stacks::SimError::Engine`]); a
+    /// deadline is >= 1 cycle.
     pub faults: FaultPolicy,
     /// Crash-safe journaling / resume for the grid studies (those
-    /// [`crate::decompose::decompose`] knows: `fig1`–`fig6`, `fig8`).
+    /// [`crate::decompose::decompose`] knows: `fig1`–`fig6`, `fig8`) only.
     pub journal: Option<JournalSpec>,
     /// Compute-unit budget per invocation (references + points) of a
-    /// grid study; the sweep checkpoints and reports
-    /// [`speedup_stacks::SimError::Interrupted`] when it runs out.
+    /// grid study only; the sweep checkpoints and reports
+    /// [`speedup_stacks::SimError::Interrupted`] when it runs out; >= 1.
     pub max_points: Option<usize>,
     /// Trace capture / replay for the grid studies (those
-    /// [`crate::decompose::decompose`] knows). Capture records every
+    /// [`crate::decompose::decompose`] knows) only. Capture records every
     /// run's op streams to the file; replay draws them back so the run
     /// reproduces the captured report bit for bit. Deliberately **not**
     /// echoed by [`StudyParams::record`]: a replayed report must stay
@@ -102,10 +111,7 @@ impl StudyParams {
     /// The sweep counts: the `threads` override, or `default`.
     #[must_use]
     pub fn counts_or(&self, default: &[usize]) -> Vec<usize> {
-        match &self.threads {
-            Some(t) if !t.is_empty() => t.clone(),
-            _ => default.to_vec(),
-        }
+        self.threads.clone().unwrap_or_else(|| default.to_vec())
     }
 
     /// The single thread count for non-sweep studies: the last entry of
@@ -126,6 +132,38 @@ impl StudyParams {
             Some(mib) => MemConfig::default().with_llc_mib(mib),
             None => MemConfig::default(),
         }
+    }
+
+    /// The rules a value breaks whatever the study: each field's own,
+    /// but for the grid-only and per-study limits [`Study::check`] adds.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let refuse = |what, why: &'static str| Err(ConfigError::range(what, why));
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return refuse("scale", "requires a positive finite number");
+        }
+        if let Some(counts) = &self.threads {
+            check_counts(counts, MachineConfig::MAX_CORES)?;
+        }
+        let max = MemConfig::MAX_LLC_MIB;
+        if let Some(mib) = self.llc_mib.filter(|&m| !(m.is_power_of_two() && m <= max)) {
+            let why = format!("requires a power of two from 1 to {max} MiB, got {mib}");
+            return Err(ConfigError::range("llc_mib", why));
+        }
+        if self.parallelism == Parallelism::Workers(0) {
+            let why = "requires auto, serial or a worker count >= 1";
+            return refuse("parallelism", why);
+        }
+        if self.faults.deadline_cycles == Some(0) {
+            return refuse("deadline_cycles", "requires a cycle count >= 1");
+        }
+        if self.max_points == Some(0) {
+            return refuse("max_points", "requires a point budget >= 1");
+        }
+        Ok(())
     }
 
     /// Records the parameters into a report's `params` map.
@@ -169,7 +207,19 @@ impl StudyParams {
 pub struct Study {
     name: &'static str,
     description: &'static str,
+    /// The most threads the study runs ([`Study::check`]).
+    max_threads: usize,
     run: fn(&StudyParams) -> Result<Report, SimError>,
+}
+
+/// Refuses an empty list, or its first count outside `1..=max`.
+fn check_counts(counts: &[usize], max: usize) -> Result<(), ConfigError> {
+    let why = match counts.iter().find(|&&n| n == 0 || n > max) {
+        Some(n) => format!("requires counts from 1 to {max}, got {n}"),
+        None if counts.is_empty() => "requires at least one count".into(),
+        None => return Ok(()),
+    };
+    Err(ConfigError::range("threads", why))
 }
 
 impl Study {
@@ -185,6 +235,38 @@ impl Study {
         self.description
     }
 
+    /// The gate: [`StudyParams::validate`], thread counts up to the
+    /// study's own limit, and `journal`, `max_points` and `trace` on grid
+    /// studies only. What it accepts runs without a panic.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] naming the first offending field.
+    pub fn check(&self, params: &StudyParams) -> Result<(), ConfigError> {
+        params.validate()?;
+        if let Some(counts) = &params.threads {
+            check_counts(counts, self.max_threads)?;
+        }
+        let grid_only = [
+            ("journal", params.journal.is_some()),
+            ("max_points", params.max_points.is_some()),
+            ("trace", params.trace.is_some()),
+        ];
+        match grid_only.iter().find(|(_, set)| *set) {
+            Some((what, _)) if decompose(self.name, params).is_none() => {
+                let grids: Vec<&str> = REGISTRY
+                    .iter()
+                    .map(|s| s.name)
+                    .filter(|name| decompose(name, params).is_some())
+                    .collect();
+                let (name, grids) = (self.name, grids.join(", "));
+                let why = format!("is not supported by '{name}' (grid studies only: {grids})");
+                Err(ConfigError::range(what, why))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Runs the study and returns its structured report (with the
     /// parameters echoed into [`Report::params`]).
     ///
@@ -198,9 +280,10 @@ impl Study {
     ///
     /// # Errors
     ///
-    /// See [`speedup_stacks::SimError`]; each variant maps to a distinct
-    /// `repro` exit code.
+    /// [`SimError::Config`] for what [`Study::check`] refuses, else see
+    /// [`speedup_stacks::SimError`]; each variant has its own exit code.
     pub fn run(&self, params: &StudyParams) -> Result<Report, SimError> {
+        self.check(params).map_err(SimError::Config)?;
         (self.run)(params)
     }
 }
@@ -209,62 +292,75 @@ static REGISTRY: [Study; 12] = [
     Study {
         name: "fig1",
         description: "Speedup vs cores for blackscholes, facesim and cholesky (1-16 threads)",
+        max_threads: MachineConfig::MAX_CORES,
         run: |p| grid_study("fig1", p).run(p),
     },
     Study {
         name: "fig2",
         description: "Illustrative annotated speedup stack (facesim, 16 threads)",
+        max_threads: MachineConfig::MAX_CORES,
         run: |p| grid_study("fig2", p).run(p),
     },
     Study {
         name: "fig3",
         description: "Per-thread execution-time breakup underlying a stack (cholesky, 4 threads)",
+        max_threads: MachineConfig::MAX_CORES,
         run: |p| grid_study("fig3", p).run(p),
     },
     Study {
         name: "fig4",
         description: "Actual vs estimated speedup for all 28 benchmarks (validation grid)",
+        max_threads: MachineConfig::MAX_CORES,
         run: |p| grid_study("fig4", p).run(p),
     },
     Study {
         name: "fig5",
         description: "Speedup stacks vs thread count for the three case-study benchmarks",
+        max_threads: MachineConfig::MAX_CORES,
         run: |p| grid_study("fig5", p).run(p),
     },
     Study {
         name: "fig6",
         description: "Benchmark classification tree over the full suite (16 threads)",
+        max_threads: MachineConfig::MAX_CORES,
         run: |p| grid_study("fig6", p).run(p),
     },
     Study {
         name: "fig7",
         description: "Ferret speedup vs cores: threads=cores versus a fixed 16 threads",
+        max_threads: MachineConfig::MAX_CORES,
         run: crate::fig7::report,
     },
     Study {
         name: "fig8",
         description: "Negative/positive/net LLC interference per benchmark (16 cores, 2 MB LLC)",
+        max_threads: MachineConfig::MAX_CORES,
         run: |p| grid_study("fig8", p).run(p),
     },
     Study {
         name: "fig9",
         description: "Cholesky LLC interference vs LLC size, 2-16 MB (16 cores)",
+        max_threads: MachineConfig::MAX_CORES,
         run: crate::fig89::fig9_report,
     },
     Study {
         name: "hwcost",
         description: "Hardware cost of the accounting architecture (no simulation)",
+        max_threads: MachineConfig::MAX_CORES,
         run: crate::hwcost::report,
     },
     Study {
         name: "regions",
         description: "Whole-program vs per-region stacks: barrier waits become imbalance (lud)",
+        max_threads: MachineConfig::MAX_CORES,
         run: crate::regions_demo::report,
     },
     Study {
         name: "scaling",
         description:
             "Beyond the paper: speedup stacks from 1 to 128 cores (weak scaling + rate mix)",
+        // The rate mix runs one program per thread, in a member band each.
+        max_threads: MAX_MEMBERS,
         run: crate::scaling::report,
     },
 ];
@@ -273,9 +369,9 @@ static REGISTRY: [Study; 12] = [
 /// then the beyond-the-paper studies). The grid studies (those
 /// [`crate::decompose::decompose`] knows: fig1–fig6, fig8) run their
 /// grid's local sweep and honor every [`StudyParams`] field; the others
-/// honor what their run reads — fig7, fig9 and scaling all but
-/// `journal`, `max_points` and `trace`; regions those less
-/// `parallelism`; hwcost `threads` only.
+/// refuse `journal`, `max_points` and `trace` ([`Study::check`]) and
+/// honor what their run reads — fig7, fig9 and scaling the rest, regions
+/// the rest less `parallelism`, hwcost `threads` only.
 ///
 /// ```
 /// let names: Vec<&str> = experiments::registry().iter().map(|s| s.name()).collect();

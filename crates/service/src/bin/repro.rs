@@ -56,22 +56,30 @@
 //! `--no-retry` fails fast instead. `repro shutdown --drain` stops
 //! admission, lets in-flight jobs finish, flushes the spill, and exits 0.
 //!
+//! Flags are parsed for their syntax only. The study gate
+//! (`Study::check`) judges the values before anything is simulated or
+//! sent, and a value it refuses is a usage error naming its flag.
+//!
 //! Exit codes: 0 success, 1 usage error, then one per
 //! [`SimError`] variant — 3 config, 4 stack, 5 journal, 7 engine,
-//! 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service (6 is
-//! retired: a failed point degrades the report, exit 0).
+//! 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service,
+//! 11 federation (6 is retired: a failed point degrades the report,
+//! exit 0) — and 141 when stdout cannot take the report (a closed pipe,
+//! as in `repro all | head`, ends quietly).
 
+use std::io::{self, Write};
 use std::process::ExitCode;
+use std::slice::Iter;
+use std::str::FromStr;
 
-use experiments::decompose::decompose;
 use experiments::study::{find_study, registry, Study, StudyParams};
 use experiments::JournalSpec;
-use experiments::MachineConfig;
-use experiments::MemConfig;
 use experiments::Parallelism;
 use experiments::TraceSpec;
 use service::client::{Client, SUBMIT_ATTEMPTS};
 use service::ShutdownMode;
+use speedup_stacks::error::ConfigError;
+use speedup_stacks::report::Report;
 use speedup_stacks::SimError;
 
 const USAGE: &str = "usage: repro <fig1..fig9|hwcost|regions|scaling|all> [--scale F] \
@@ -82,6 +90,10 @@ or: repro --list\n   \
 or: repro submit <study> [--addr HOST:PORT] [--scale F] [--threads N[,N...]] [--llc-mib N]\n   \
         [--format text|json|csv] [--no-retry]\n   \
 or: repro shutdown [--addr HOST:PORT] [--drain]";
+
+/// The exit status when stdout cannot take the report: 128 + SIGPIPE,
+/// what a shell reports for a writer a closed pipe killed.
+const OUTPUT_FAILED: u8 = 141;
 
 /// The conventional loopback port the `studyd` daemon binds.
 const DEFAULT_ADDR: &str = "127.0.0.1:7821";
@@ -96,56 +108,71 @@ enum Format {
 #[derive(Debug)]
 enum Command {
     List,
-    Run { which: String, format: Format },
+    /// A study name (or `all`), its output format and its parameters.
+    Run(String, Format, StudyParams),
 }
 
-struct Cli {
-    command: Command,
-    params: StudyParams,
+/// The gate's refusal in the CLI's spelling: led by the flag that set
+/// the refused field (the field's name with dashes).
+fn flag_error(e: ConfigError) -> String {
+    let ConfigError::OutOfRange { what, why } = &e else {
+        return e.to_string();
+    };
+    let flag = match *what {
+        "journal" => "--journal/--resume".to_string(),
+        "trace" => "--trace-out/--trace-in".to_string(),
+        field => format!("--{}", field.replace('_', "-")),
+    };
+    format!("{flag} {why}")
 }
 
-fn parse_threads(spec: &str) -> Result<Vec<usize>, String> {
-    let counts: Result<Vec<usize>, _> = spec.split(',').map(str::parse::<usize>).collect();
-    let max = MachineConfig::MAX_CORES;
-    match counts {
-        Ok(c) if c.iter().any(|&n| n > max) => {
-            Err(format!("--threads {spec} is above the {max}-thread limit"))
-        }
-        Ok(c) if !c.is_empty() && c.iter().all(|&n| n >= 1) => Ok(c),
-        _ => Err(format!(
-            "--threads requires a comma-separated list of counts >= 1, got '{spec}'"
-        )),
+/// Runs the gate once the flags parsed, for the `studies` the name
+/// `which` resolved to (`None`: no such study). The study-independent
+/// rules come first, so a bad value is named whatever the study.
+fn gate(params: &StudyParams, which: &str, studies: Option<&[Study]>) -> Result<(), String> {
+    params.validate().map_err(flag_error)?;
+    let studies = studies.ok_or_else(|| format!("unknown experiment: {which}"))?;
+    studies
+        .iter()
+        .try_for_each(|s| s.check(params))
+        .map_err(flag_error)
+}
+
+/// The value after `flag`, parsed; `wants` says what it must be.
+fn value_arg<T: FromStr>(it: &mut Iter<'_, String>, flag: &str, wants: &str) -> Result<T, String> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} requires {wants}"))
+}
+
+/// The file path after `flag`.
+fn path_arg(it: &mut Iter<'_, String>, flag: &str) -> Result<String, String> {
+    match it.next() {
+        Some(path) if !path.starts_with("--") => Ok(path.clone()),
+        _ => Err(format!("{flag} requires a file path")),
     }
 }
 
 /// Parses one of the flags a local run and `repro submit` share
 /// (`--scale`, `--threads`, `--llc-mib`, `--format`), taking its value
-/// from `it`. `Ok(false)` when `flag` is none of them.
+/// from `it`. `Ok(false)` when `flag` is none of them. Flags are read
+/// for their syntax only; [`gate`] decides which values can run.
 fn shared_flag(
     flag: &str,
-    it: &mut std::slice::Iter<'_, String>,
+    it: &mut Iter<'_, String>,
     params: &mut StudyParams,
     format: &mut Format,
 ) -> Result<bool, String> {
     match flag {
-        "--scale" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-            Some(v) if v.is_finite() && v > 0.0 => params.scale = v,
-            _ => return Err("--scale requires a positive finite number".to_string()),
-        },
-        "--threads" => match it.next() {
-            Some(spec) => params.threads = Some(parse_threads(spec)?),
-            None => return Err("--threads requires a comma-separated list".to_string()),
-        },
-        "--llc-mib" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-            Some(0) | None => return Err("--llc-mib requires a capacity in MiB >= 1".to_string()),
-            Some(mib) if mib > MemConfig::MAX_LLC_MIB => {
-                return Err(format!(
-                    "--llc-mib {mib} is above the {} MiB limit",
-                    MemConfig::MAX_LLC_MIB
-                ))
-            }
-            Some(mib) => params.llc_mib = Some(mib),
-        },
+        "--scale" => params.scale = value_arg(it, flag, "a positive finite number")?,
+        "--threads" => {
+            let spec = it.next().map_or("", String::as_str);
+            let counts = spec.split(',').map(str::parse).collect::<Result<_, _>>();
+            params.threads = Some(counts.map_err(|_| {
+                format!("--threads requires a comma-separated list of counts, got '{spec}'")
+            })?);
+        }
+        "--llc-mib" => params.llc_mib = Some(value_arg(it, flag, "a capacity in MiB")?),
         "--format" => {
             *format = match it.next().map(String::as_str) {
                 Some("text") => Format::Text,
@@ -159,7 +186,7 @@ fn shared_flag(
     Ok(true)
 }
 
-fn parse_args(args: &[String]) -> Result<Cli, String> {
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut which: Option<String> = None;
     let mut list = false;
     let mut format = Format::Text;
@@ -173,75 +200,35 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
         match a.as_str() {
             "--list" => list = true,
-            "--parallelism" => match it.next().map(String::as_str) {
-                Some("auto") => params.parallelism = Parallelism::Auto,
-                Some("serial") => params.parallelism = Parallelism::Serial,
-                // Zero workers is rejected here, uniformly with every other
-                // bad mode, rather than silently clamped to 1 deep in the
-                // pool (see `Parallelism::workers`).
-                Some(n) => match n.parse::<usize>() {
-                    Ok(w) if w >= 1 => params.parallelism = Parallelism::Workers(w),
-                    _ => {
-                        return Err(format!(
-                            "--parallelism requires auto, serial or a worker count >= 1, \
-                             got '{n}'"
-                        ))
-                    }
-                },
-                None => return Err("--parallelism requires a mode".to_string()),
-            },
-            "--retries" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => params.faults.retries = n,
-                None => return Err("--retries requires a non-negative count".to_string()),
-            },
-            "--deadline-cycles" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => params.faults.deadline_cycles = Some(n),
-                _ => return Err("--deadline-cycles requires a cycle count >= 1".to_string()),
-            },
-            "--max-points" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => params.max_points = Some(n),
-                _ => return Err("--max-points requires a point budget >= 1".to_string()),
-            },
-            "--journal" => match it.next() {
-                Some(path) if !path.starts_with("--") => {
-                    journal_flags += 1;
-                    params.journal = Some(JournalSpec {
-                        path: path.clone(),
-                        resume: false,
-                    });
+            "--parallelism" => {
+                params.parallelism = match it.next().map(String::as_str) {
+                    Some("auto") => Parallelism::Auto,
+                    Some("serial") => Parallelism::Serial,
+                    n => Parallelism::Workers(
+                        n.and_then(|n| n.parse().ok())
+                            .ok_or("--parallelism requires auto, serial or a worker count >= 1")?,
+                    ),
                 }
-                _ => return Err("--journal requires a file path".to_string()),
-            },
-            "--resume" => match it.next() {
-                Some(path) if !path.starts_with("--") => {
-                    journal_flags += 1;
-                    params.journal = Some(JournalSpec {
-                        path: path.clone(),
-                        resume: true,
-                    });
-                }
-                _ => return Err("--resume requires a journal file path".to_string()),
-            },
-            "--trace-out" => match it.next() {
-                Some(path) if !path.starts_with("--") => {
-                    trace_flags += 1;
-                    params.trace = Some(TraceSpec {
-                        path: path.clone(),
-                        replay: false,
-                    });
-                }
-                _ => return Err("--trace-out requires a file path".to_string()),
-            },
-            "--trace-in" => match it.next() {
-                Some(path) if !path.starts_with("--") => {
-                    trace_flags += 1;
-                    params.trace = Some(TraceSpec {
-                        path: path.clone(),
-                        replay: true,
-                    });
-                }
-                _ => return Err("--trace-in requires a trace file path".to_string()),
-            },
+            }
+            "--retries" => params.faults.retries = value_arg(&mut it, a, "a non-negative count")?,
+            "--deadline-cycles" => {
+                params.faults.deadline_cycles = Some(value_arg(&mut it, a, "a cycle count >= 1")?);
+            }
+            "--max-points" => {
+                params.max_points = Some(value_arg(&mut it, a, "a point budget >= 1")?)
+            }
+            "--journal" | "--resume" => {
+                journal_flags += 1;
+                let resume = a == "--resume";
+                let path = path_arg(&mut it, a)?;
+                params.journal = Some(JournalSpec { path, resume });
+            }
+            "--trace-out" | "--trace-in" => {
+                trace_flags += 1;
+                let replay = a == "--trace-in";
+                let path = path_arg(&mut it, a)?;
+                params.trace = Some(TraceSpec { path, replay });
+            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown option: {other}"));
             }
@@ -250,90 +237,99 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         }
     }
     if list {
-        return Ok(Cli {
-            command: Command::List,
-            params,
-        });
+        return Ok(Command::List);
     }
     let Some(which) = which else {
         return Err("missing experiment name".to_string());
     };
-    if which != "all" && find_study(&which).is_none() {
-        return Err(format!("unknown experiment: {which}"));
-    }
     if journal_flags > 1 {
         return Err("--journal and --resume are mutually exclusive (one journal per run)".into());
     }
     if trace_flags > 1 {
         return Err("--trace-out and --trace-in are mutually exclusive (one trace per run)".into());
     }
-    // Journaling, budgets and traces belong to the grid sweep.
-    if decompose(&which, &params).is_none() {
-        let grid_only = [
-            ("--journal/--resume", params.journal.is_some()),
-            ("--max-points", params.max_points.is_some()),
-            ("--trace-out/--trace-in", params.trace.is_some()),
-        ];
-        if let Some((flag, _)) = grid_only.iter().find(|(_, set)| *set) {
-            let grids: Vec<&str> = registry()
-                .iter()
-                .map(|s| s.name())
-                .filter(|name| decompose(name, &params).is_some())
-                .collect();
-            return Err(format!(
-                "{flag} is not supported by '{which}' (grid studies only: {})",
-                grids.join(", ")
-            ));
+    let studies = match find_study(&which) {
+        Some(study) => Some(std::slice::from_ref(study)),
+        None => (which == "all").then(registry),
+    };
+    gate(&params, &which, studies)?;
+    Ok(Command::Run(which, format, params))
+}
+
+/// A usage error: the message, then the usage text, and exit 1.
+fn usage(message: &str) -> ExitCode {
+    eprintln!("repro: {message}");
+    eprintln!("{USAGE}");
+    ExitCode::FAILURE
+}
+
+/// Why a run ended without its whole output: the study failed, or
+/// stdout could not take the report.
+enum Failure {
+    Sim(SimError),
+    Output(io::Error),
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
+
+/// The exit status for a failure: the [`SimError`] variant's code, or
+/// [`OUTPUT_FAILED`]. A reader that went away (`repro … | head`) ends
+/// the run quietly; any other write error is reported.
+fn exit_with(failure: Failure) -> ExitCode {
+    match failure {
+        Failure::Sim(e) => {
+            eprintln!("repro: {e}");
+            ExitCode::from(e.exit_code())
+        }
+        Failure::Output(e) => {
+            if e.kind() != io::ErrorKind::BrokenPipe {
+                eprintln!("repro: writing the report: {e}");
+            }
+            ExitCode::from(OUTPUT_FAILED)
         }
     }
-    Ok(Cli {
-        command: Command::Run { which, format },
-        params,
-    })
 }
 
-fn print_report(report: &speedup_stacks::report::Report, format: Format) {
+fn print_report(out: &mut impl Write, report: &Report, format: Format) -> io::Result<()> {
     match format {
-        Format::Text => println!("{}", report.to_text()),
-        Format::Json => print!("{}", report.to_json()),
-        Format::Csv => print!("{}", report.to_csv()),
+        Format::Text => writeln!(out, "{}", report.to_text()),
+        Format::Json => out.write_all(report.to_json().as_bytes()),
+        Format::Csv => out.write_all(report.to_csv().as_bytes()),
     }
 }
 
-fn emit(study: &Study, params: &StudyParams, format: Format) -> Result<(), SimError> {
-    let report = study.run(params)?;
-    print_report(&report, format);
+fn emit(
+    out: &mut impl Write,
+    study: &Study,
+    params: &StudyParams,
+    format: Format,
+) -> Result<(), Failure> {
+    let report = study.run(params).map_err(Failure::Sim)?;
+    print_report(out, &report, format)?;
     Ok(())
 }
 
-fn run_all(params: &StudyParams, format: Format) -> Result<(), SimError> {
-    match format {
-        Format::Text => {
-            for study in registry() {
-                println!("================================================================");
-                emit(study, params, format)?;
-                println!();
-            }
+/// Every study in registry order: text reports under a rule line each,
+/// JSON ones as one array, CSV ones a blank line apart.
+fn run_all(out: &mut impl Write, params: &StudyParams, format: Format) -> Result<(), Failure> {
+    const RULE: &str = "================================================================\n";
+    let (open, between, close) = match format {
+        Format::Text => (RULE, &format!("\n{RULE}")[..], "\n"),
+        Format::Json => ("[", ",", "]\n"),
+        Format::Csv => ("", "\n", ""),
+    };
+    write!(out, "{open}")?;
+    for (i, study) in registry().iter().enumerate() {
+        if i > 0 {
+            write!(out, "{between}")?;
         }
-        Format::Json => {
-            print!("[");
-            for (i, study) in registry().iter().enumerate() {
-                if i > 0 {
-                    print!(",");
-                }
-                emit(study, params, format)?;
-            }
-            println!("]");
-        }
-        Format::Csv => {
-            for (i, study) in registry().iter().enumerate() {
-                if i > 0 {
-                    println!();
-                }
-                emit(study, params, format)?;
-            }
-        }
+        emit(out, study, params, format)?;
     }
+    write!(out, "{close}")?;
     Ok(())
 }
 
@@ -346,11 +342,7 @@ fn submit_main(args: &[String]) -> ExitCode {
     let mut retry = true;
     let mut params = StudyParams::default();
     let mut it = args.iter();
-    let usage_err = |message: String| {
-        eprintln!("repro: submit: {message}");
-        eprintln!("{USAGE}");
-        ExitCode::FAILURE
-    };
+    let usage_err = |message: String| usage(&format!("submit: {message}"));
     while let Some(a) = it.next() {
         match shared_flag(a, &mut it, &mut params, &mut format) {
             Ok(true) => continue,
@@ -373,26 +365,22 @@ fn submit_main(args: &[String]) -> ExitCode {
     let Some(study) = study else {
         return usage_err("missing study name".to_string());
     };
-    if find_study(&study).is_none() {
-        return usage_err(format!("unknown experiment: {study}"));
+    let studies = find_study(&study).map(std::slice::from_ref);
+    if let Err(e) = gate(&params, &study, studies) {
+        return usage_err(e);
     }
     let attempts = if retry { SUBMIT_ATTEMPTS } else { 1 };
     let outcome =
         Client::connect(&addr).and_then(|mut c| c.submit_with_retry(&study, &params, attempts));
-    match outcome {
-        Ok(outcome) => {
-            eprintln!(
-                "repro: job {}: {} computed, {} cached, {} coalesced, {} failed",
-                outcome.job, outcome.computed, outcome.cached, outcome.coalesced, outcome.failed
-            );
-            print_report(&outcome.report, format);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("repro: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    let printed = outcome.map_err(Failure::Sim).and_then(|outcome| {
+        eprintln!(
+            "repro: job {}: {} computed, {} cached, {} coalesced, {} failed",
+            outcome.job, outcome.computed, outcome.cached, outcome.coalesced, outcome.failed
+        );
+        let mut out = io::stdout().lock();
+        Ok(print_report(&mut out, &outcome.report, format)?)
+    });
+    printed.map_or_else(exit_with, |()| ExitCode::SUCCESS)
 }
 
 /// `repro shutdown`: ask a running server to exit through the protocol
@@ -405,34 +393,21 @@ fn shutdown_main(args: &[String]) -> ExitCode {
         match a.as_str() {
             "--addr" => match it.next() {
                 Some(v) if !v.starts_with("--") => addr = v.clone(),
-                _ => {
-                    eprintln!("repro: shutdown: --addr requires HOST:PORT");
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
+                _ => return usage("shutdown: --addr requires HOST:PORT"),
             },
             "--drain" => mode = ShutdownMode::Drain,
-            other => {
-                eprintln!("repro: shutdown: unexpected argument: {other}");
-                eprintln!("{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            other => return usage(&format!("shutdown: unexpected argument: {other}")),
         }
     }
-    match Client::connect(&addr).and_then(|mut c| c.shutdown(mode)) {
-        Ok(()) => {
-            let how = match mode {
-                ShutdownMode::Immediate => "shutting down",
-                ShutdownMode::Drain => "draining",
-            };
-            eprintln!("repro: server at {addr} {how}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("repro: {e}");
-            ExitCode::from(e.exit_code())
-        }
+    if let Err(e) = Client::connect(&addr).and_then(|mut c| c.shutdown(mode)) {
+        return exit_with(Failure::Sim(e));
     }
+    let how = match mode {
+        ShutdownMode::Immediate => "shutting down",
+        ShutdownMode::Drain => "draining",
+    };
+    eprintln!("repro: server at {addr} {how}");
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -442,38 +417,23 @@ fn main() -> ExitCode {
         Some("shutdown") => return shutdown_main(&args[1..]),
         _ => {}
     }
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(message) => {
-            eprintln!("repro: {message}");
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let command = match parse_args(&args) {
+        Ok(command) => command,
+        Err(message) => return usage(&message),
     };
-    let run = match cli.command {
-        Command::List => {
-            for study in registry() {
-                println!("{:<8} {}", study.name(), study.description());
-            }
-            Ok(())
-        }
-        Command::Run { which, format } => {
-            if which == "all" {
-                run_all(&cli.params, format)
-            } else {
-                let study = find_study(&which).expect("validated in parse_args");
-                emit(study, &cli.params, format)
-            }
-        }
+    let mut out = io::stdout().lock();
+    let run = match command {
+        Command::List => registry().iter().try_for_each(|study| {
+            writeln!(out, "{:<8} {}", study.name(), study.description()).map_err(Failure::from)
+        }),
+        Command::Run(which, format, params) => match find_study(&which) {
+            Some(study) => emit(&mut out, study, &params, format),
+            None => run_all(&mut out, &params, format),
+        },
     };
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        // Each SimError variant exits with its own code (3..=10) so
-        // scripts — and the CI resume smoke test, which expects 8 for
-        // interrupted-at-checkpoint — can branch on the failure class.
-        Err(e) => {
-            eprintln!("repro: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    // Each SimError variant exits with its own code (3..=11) so scripts
+    // — and the CI resume smoke test, which expects 8 for
+    // interrupted-at-checkpoint — can branch on the failure class.
+    run.and_then(|()| Ok(out.flush()?))
+        .map_or_else(exit_with, |()| ExitCode::SUCCESS)
 }

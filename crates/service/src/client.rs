@@ -76,7 +76,7 @@ pub struct RemoteStudy {
     pub name: String,
     /// One-line description.
     pub description: String,
-    /// Whether the server can shard it (grid studies only).
+    /// Whether the server can shard it (a grid study).
     pub grid: bool,
 }
 

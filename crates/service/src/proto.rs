@@ -65,7 +65,6 @@
 use std::io::{BufRead, ErrorKind, Write};
 
 use experiments::study::StudyParams;
-use experiments::{MachineConfig, MemConfig};
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue};
 
@@ -480,8 +479,16 @@ pub fn params_to_wire(params: &StudyParams) -> String {
     out
 }
 
+/// A wire count or index: a [`json::exact_u64`] that fits a `usize`.
+#[must_use]
+pub fn count(v: &JsonValue) -> Option<usize> {
+    usize::try_from(json::exact_u64(v.as_f64()?)?).ok()
+}
+
 /// Decodes a submit request's `params` object back into [`StudyParams`]
 /// (missing fields keep their defaults; `None` means no object at all).
+/// Only shapes are checked: the values are the study gate's to judge
+/// ([`experiments::study::Study::check`], which the session calls next).
 ///
 /// # Errors
 ///
@@ -495,43 +502,14 @@ pub fn params_from_wire(v: Option<&JsonValue>) -> Result<StudyParams, String> {
         return Err("params must be an object".to_string());
     }
     if let Some(s) = v.get("scale") {
-        match s.as_f64() {
-            Some(x) if x.is_finite() && x > 0.0 => params.scale = x,
-            _ => return Err("scale must be a positive finite number".to_string()),
-        }
+        params.scale = s.as_f64().ok_or("scale must be a number")?;
     }
     if let Some(t) = v.get("threads") {
-        let max = MachineConfig::MAX_CORES;
-        let bad = || format!("threads must be an array of counts, 1 to {max}");
-        let Some(arr) = t.as_array() else {
-            return Err(bad());
-        };
-        let mut counts = Vec::with_capacity(arr.len());
-        for x in arr {
-            match x.as_f64() {
-                Some(n) if n.fract() == 0.0 && (1.0..=max as f64).contains(&n) => {
-                    counts.push(n as usize);
-                }
-                _ => return Err(bad()),
-            }
-        }
-        if counts.is_empty() {
-            return Err("threads must not be empty".to_string());
-        }
-        params.threads = Some(counts);
+        let counts: Option<Vec<usize>> = t.as_array().and_then(|a| a.iter().map(count).collect());
+        params.threads = Some(counts.ok_or("threads must be an array of integer counts")?);
     }
     if let Some(m) = v.get("llc_mib") {
-        let max = MemConfig::MAX_LLC_MIB;
-        match m.as_f64() {
-            Some(x) if x.fract() == 0.0 && (1.0..=max as f64).contains(&x) => {
-                params.llc_mib = Some(x as usize);
-            }
-            _ => {
-                return Err(format!(
-                    "llc_mib must be an integer capacity in MiB, 1 to {max}"
-                ))
-            }
-        }
+        params.llc_mib = Some(count(m).ok_or("llc_mib must be an integer capacity in MiB")?);
     }
     Ok(params)
 }
@@ -713,38 +691,34 @@ mod tests {
         }
     }
 
+    /// The codec refuses a bad shape; a bad value passes it and the gate
+    /// refuses it, so a submit of either is `bad-params`. The gate's
+    /// bounds at the wire are pinned by `tests/wire_parity.rs`.
     #[test]
     fn params_from_wire_rejects_bad_shapes() {
+        let decode = |text: &str| params_from_wire(Some(&json::parse(text).unwrap()));
         for bad in [
-            "{\"scale\": 0}",
             "{\"scale\": \"x\"}",
-            "{\"threads\": []}",
-            "{\"threads\": [0]}",
+            "{\"scale\": null}",
             "{\"threads\": [1.5]}",
+            "{\"threads\": [-1]}",
             "{\"threads\": 4}",
-            "{\"llc_mib\": 0}",
+            "{\"llc_mib\": 2.5}",
             "[1]",
         ] {
-            let v = json::parse(bad).unwrap();
-            assert!(params_from_wire(Some(&v)).is_err(), "{bad} accepted");
+            assert!(decode(bad).is_err(), "{bad} accepted");
+        }
+        for bad in [
+            "{\"scale\": 0}",
+            "{\"threads\": []}",
+            "{\"threads\": [0]}",
+            "{\"llc_mib\": 0}",
+            "{\"llc_mib\": 3}",
+        ] {
+            let params = decode(bad).unwrap_or_else(|e| panic!("{bad}: {e}"));
+            assert!(params.validate().is_err(), "{bad} passed the gate");
         }
         assert_eq!(params_from_wire(None).unwrap(), StudyParams::default());
-        let llc = |mib: usize| {
-            let v = json::parse(&format!("{{\"llc_mib\": {mib}}}")).unwrap();
-            params_from_wire(Some(&v)).map(|p| p.llc_mib)
-        };
-        assert_eq!(
-            llc(MemConfig::MAX_LLC_MIB),
-            Ok(Some(MemConfig::MAX_LLC_MIB))
-        );
-        assert!(llc(MemConfig::MAX_LLC_MIB + 1).is_err());
-        let threads = |n: usize| {
-            let v = json::parse(&format!("{{\"threads\": [2, {n}]}}")).unwrap();
-            params_from_wire(Some(&v)).map(|p| p.threads)
-        };
-        let max = MachineConfig::MAX_CORES;
-        assert_eq!(threads(max), Ok(Some(vec![2, max])));
-        assert!(threads(max + 1).unwrap_err().contains("threads"));
     }
 
     /// The `status` frame is pinned byte for byte, with a distinct value

@@ -42,7 +42,7 @@ use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json::{self, JsonValue};
 
 use crate::proto::{
-    buffer_line, error_frame, params_from_wire, read_line_bounded, u64_field, write_line,
+    buffer_line, count, error_frame, params_from_wire, read_line_bounded, u64_field, write_line,
     PROTO_VERSION, REQUEST_LINE_CAP, STREAM_BUFFER_BYTES,
 };
 use crate::scheduler::{drain_events, JobEvent, Scheduler, SubmitError};
@@ -333,14 +333,14 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
         send_error(writer, "bad-request", "submit needs a string 'study' field");
         return Flow::Continue;
     };
-    if find_study(study).is_none() {
+    let Some(entry) = find_study(study) else {
         send_error(
             writer,
             "unknown-study",
             &format!("no study named '{study}'"),
         );
         return Flow::Continue;
-    }
+    };
     let params = match params_from_wire(frame.get("params")) {
         Ok(p) => p,
         Err(why) => {
@@ -348,6 +348,10 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
             return Flow::Continue;
         }
     };
+    if let Err(e) = entry.check(&params) {
+        send_error(writer, "bad-params", &e.to_string());
+        return Flow::Continue;
+    }
     let Some(grid) = decompose(study, &params) else {
         send_error(
             writer,
@@ -356,45 +360,24 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
         );
         return Flow::Continue;
     };
-    if let Err(e) = grid.validate() {
-        send_error(writer, "bad-params", &e.to_string());
-        return Flow::Continue;
-    }
 
     // An optional subset of point indices — the federation's shard
     // primitive. Absent = the full grid.
     let units = match frame.get("units") {
         None => None,
-        Some(JsonValue::Array(list)) => {
-            let mut subset = Vec::with_capacity(list.len());
-            for v in list {
-                match v.as_f64() {
-                    Some(x) if x >= 0.0 && x.fract() == 0.0 => subset.push(x as usize),
-                    _ => {
-                        send_error(
-                            writer,
-                            "bad-units",
-                            "units must be an array of non-negative point indices",
-                        );
-                        return Flow::Continue;
-                    }
-                }
-            }
-            match grid.validate_units(&subset) {
+        Some(list) => {
+            let subset: Option<Vec<usize>> =
+                list.as_array().and_then(|a| a.iter().map(count).collect());
+            let checked = subset
+                .ok_or_else(|| "units must be an array of point indices".to_string())
+                .and_then(|subset| grid.validate_units(&subset));
+            match checked {
                 Ok(normalized) => Some(normalized),
                 Err(why) => {
                     send_error(writer, "bad-units", &why);
                     return Flow::Continue;
                 }
             }
-        }
-        Some(_) => {
-            send_error(
-                writer,
-                "bad-units",
-                "units must be an array of point indices",
-            );
-            return Flow::Continue;
         }
     };
 

@@ -358,3 +358,21 @@ fn threads_override_reaches_the_study() {
         Some("8")
     );
 }
+
+/// A reader that went away before the report was written (`repro … |
+/// head`) ends the run quietly with 141, never a panic's 101.
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    for args in [&["hwcost"][..], &["--list"], &["fig2", "--scale", "0.01"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run repro");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+}

@@ -6,7 +6,10 @@
 //! The server is a real `studyd` child under a 4 GB address-space limit:
 //! a machine too large to allocate aborts the child — failing this test —
 //! instead of exhausting the host. `repro` rejects the same sizes as a
-//! usage error before it simulates anything.
+//! usage error before it simulates anything. The two inputs that used
+//! to end in a panic — an LLC capacity that is not a power of two, and
+//! `scaling` wider than its rate mix's 512 members — get the same
+//! treatment on both front doors.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -159,4 +162,67 @@ fn repro_rejects_an_oversized_llc_as_a_usage_error() {
         assert_eq!(out.status.code(), Some(1), "{sub:?}: {err}");
         assert!(err.contains("--llc-mib") && err.contains("usage:"), "{err}");
     }
+}
+
+/// The two inputs that used to end in a panic — a capacity that is not
+/// a power of two, and a rate mix wider than its 512 members — are
+/// usage errors naming the flag, locally and for `submit`, before
+/// anything is simulated or sent.
+#[test]
+fn repro_refuses_the_inputs_that_used_to_panic() {
+    let cases = [
+        (&["fig4", "--llc-mib", "3"][..], "--llc-mib", "power of two"),
+        (&["fig7", "--llc-mib", "3"], "--llc-mib", "power of two"),
+        (&["regions", "--llc-mib", "3"], "--llc-mib", "power of two"),
+        (&["scaling", "--llc-mib", "3"], "--llc-mib", "power of two"),
+        (&["scaling", "--threads", "513"], "--threads", "512"),
+    ];
+    for (args, flag, rule) in cases {
+        for submit in [false, true] {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+            if submit {
+                cmd.args(["submit", "--addr", "127.0.0.1:1", "--no-retry"]);
+            }
+            let out = cmd
+                .args(args)
+                .args(["--scale", "0.01"])
+                .output()
+                .expect("run repro");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{submit} {args:?}: {err}");
+            assert!(
+                err.contains(flag) && err.contains(rule) && err.contains("usage:"),
+                "{submit} {args:?}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{submit} {args:?}: {err}");
+            assert!(out.stdout.is_empty(), "{submit} {args:?} printed a report");
+        }
+    }
+}
+
+/// On the wire the same values are `bad-params`, grid study or not, and
+/// the daemon computes nothing for them.
+#[test]
+fn a_wire_submit_of_the_inputs_that_used_to_panic_is_bad_params() {
+    let server = Serve::spawn(1);
+    let mut client = Client::connect(&server.addr).expect("connect");
+    let llc3 = StudyParams {
+        llc_mib: Some(3),
+        ..StudyParams::with_scale(0.01)
+    };
+    let wide = StudyParams {
+        threads: Some(vec![513]),
+        ..StudyParams::with_scale(0.01)
+    };
+    for (study, params, field) in [("fig4", &llc3, "llc_mib"), ("scaling", &wide, "threads")] {
+        match client.start_submit(study, params, None) {
+            Err(SimError::Protocol(ProtocolError::Rejected { code, message })) => {
+                assert_eq!(code, "bad-params", "{study}: {message}");
+                assert!(message.contains(field), "{study}: {message}");
+            }
+            other => panic!("{study}: expected a bad-params rejection, got {other:?}"),
+        }
+    }
+    let status = client.status().expect("status");
+    assert_eq!((status.jobs_total, status.points_computed), (0, 0));
 }

@@ -253,10 +253,19 @@ fn invalid_requests_keep_the_connection_open() {
     raw.expect_error("not-grid");
     raw.send("{\"op\": \"submit\", \"study\": \"fig6\", \"params\": {\"scale\": -1}}");
     raw.expect_error("bad-params");
+    raw.send("{\"op\": \"submit\", \"study\": \"fig6\", \"params\": {\"llc_mib\": 3}}");
+    raw.expect_error("bad-params");
+    for units in ["[-1]", "[1.5]", "3", "[]", "[28]"] {
+        raw.send(&format!(
+            "{{\"op\": \"submit\", \"study\": \"fig6\", \"params\": {{\"scale\": 0.01}}, \
+             \"units\": {units}}}"
+        ));
+        raw.expect_error("bad-units");
+    }
     raw.send("{\"op\": \"cancel\"}");
     raw.expect_error("bad-request");
 
-    // The same connection still serves real requests after five
+    // The same connection still serves real requests after eleven
     // rejections.
     raw.send("{\"op\": \"list\"}");
     let reply = raw.recv().expect("list reply");
