@@ -13,13 +13,13 @@
 //! | [`SimError::Interrupted`]| sweep checkpointed before completion      | 8         |
 //! | [`SimError::Trace`]      | workload trace unreadable or inconsistent | 9         |
 //! | [`SimError::Protocol`]   | study-service wire protocol / socket I/O  | 10        |
-//! | [`SimError::Federation`] | multi-backend fleet unusable              | 11        |
 //!
 //! Exit code 6 is retired (it belonged to a per-point error no sweep
 //! ever returned: a failed grid point degrades its report — a
 //! `DegradedPoint` with label, reason and attempts — and the run exits
-//! 0). The leaf types ([`ConfigError`], [`StackError`], [`JournalError`],
-//! [`TraceError`], [`ProtocolError`], [`FederationError`]) are owned by
+//! 0). Exit code 11 is retired too (a fleet with no backends, now a
+//! [`ConfigError`]). The leaf types ([`ConfigError`], [`StackError`],
+//! [`JournalError`], [`TraceError`], [`ProtocolError`]) are owned by
 //! the layers that raise them and convert into [`SimError`] via `From`,
 //! so callers can `?` across layers.
 
@@ -376,30 +376,6 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// A multi-backend studyd fleet that cannot serve a federated sweep at
-/// all.
-///
-/// Individual backend deaths are *not* a [`FederationError`]: the
-/// coordinator fails their units over to survivors, or to its own
-/// scheduler once every backend is dead, and the sweep completes. Only
-/// a fleet that cannot be formed at all is fatal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum FederationError {
-    /// A fleet was requested with no backend addresses.
-    NoBackends,
-}
-
-impl fmt::Display for FederationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FederationError::NoBackends => f.write_str("federated fleet has no backend addresses"),
-        }
-    }
-}
-
-impl std::error::Error for FederationError {}
-
 /// The unified error type of the reproduction pipeline.
 ///
 /// # Examples
@@ -439,8 +415,6 @@ pub enum SimError {
     /// oversized frame, handshake mismatch, typed peer rejection, or a
     /// mid-stream disconnect).
     Protocol(ProtocolError),
-    /// A multi-backend studyd fleet cannot be formed (no backends).
-    Federation(FederationError),
 }
 
 impl SimError {
@@ -456,7 +430,6 @@ impl SimError {
             SimError::Interrupted { .. } => 8,
             SimError::Trace(_) => 9,
             SimError::Protocol(_) => 10,
-            SimError::Federation(_) => 11,
         }
     }
 }
@@ -475,7 +448,6 @@ impl fmt::Display for SimError {
             ),
             SimError::Trace(e) => e.fmt(f),
             SimError::Protocol(e) => e.fmt(f),
-            SimError::Federation(e) => e.fmt(f),
         }
     }
 }
@@ -509,12 +481,6 @@ impl From<TraceError> for SimError {
 impl From<ProtocolError> for SimError {
     fn from(e: ProtocolError) -> Self {
         SimError::Protocol(e)
-    }
-}
-
-impl From<FederationError> for SimError {
-    fn from(e: FederationError) -> Self {
-        SimError::Federation(e)
     }
 }
 
@@ -562,7 +528,6 @@ mod tests {
                 during: "submit".to_string(),
             }
             .into(),
-            FederationError::NoBackends.into(),
         ];
         let mut codes: Vec<u8> = errors.iter().map(SimError::exit_code).collect();
         codes.sort_unstable();
@@ -578,7 +543,6 @@ mod tests {
         assert_send_sync::<ConfigError>();
         assert_send_sync::<JournalError>();
         assert_send_sync::<TraceError>();
-        assert_send_sync::<FederationError>();
         assert_send_sync::<SimError>();
     }
 

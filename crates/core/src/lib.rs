@@ -87,7 +87,7 @@ pub use accounting::{AccountingConfig, ThreadBreakdown};
 pub use classify::{ClassificationConfig, ClassificationTree, ClassifiedBenchmark, ScalingClass};
 pub use components::{Breakdown, Component};
 pub use counters::ThreadCounters;
-pub use error::{ConfigError, FederationError, JournalError, SimError, StackError, TraceError};
+pub use error::{ConfigError, JournalError, SimError, StackError, TraceError};
 pub use estimate::{estimated_speedup, speedup_error, ValidationPoint};
 pub use hwcost::HardwareCostModel;
 pub use report::Report;

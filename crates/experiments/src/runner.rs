@@ -568,9 +568,11 @@ pub fn point_label(profile_name: &str, threads: usize) -> String {
     format!("{profile_name} x{threads}")
 }
 
-/// Returns a copy of `profile` with its total work scaled by `factor`
-/// (used by the benches to keep regeneration fast). The result
-/// keeps at least one item per thread and phase.
+/// Returns a copy of `profile` with its total work scaled by `factor`:
+/// how every study applies its `scale` parameter. The result keeps at
+/// least 16 items per phase, whatever the thread count, so a point
+/// with more than 16 threads per phase (a 1,024-thread point, say) can
+/// get less than one item per thread.
 #[must_use]
 pub fn scaled_profile(profile: &WorkloadProfile, factor: f64) -> WorkloadProfile {
     let mut p = profile.clone();

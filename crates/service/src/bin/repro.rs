@@ -62,10 +62,12 @@
 //!
 //! Exit codes: 0 success, 1 usage error, then one per
 //! [`SimError`] variant — 3 config, 4 stack, 5 journal, 7 engine,
-//! 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service,
-//! 11 federation (6 is retired: a failed point degrades the report,
-//! exit 0) — and 141 when stdout cannot take the report (a closed pipe,
-//! as in `repro all | head`, ends quietly).
+//! 8 interrupted-at-checkpoint, 9 trace, 10 protocol/service (6 is
+//! retired: a failed point degrades the report, exit 0; 11 is retired:
+//! it belonged to a fleet with no backends, now a config error) — and
+//! 141 when stdout cannot take the report (a closed pipe, as in
+//! `repro all | head`, ends quietly). A closed stderr loses the
+//! diagnostics and changes no exit code.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -77,7 +79,7 @@ use experiments::JournalSpec;
 use experiments::Parallelism;
 use experiments::TraceSpec;
 use service::client::{Client, SUBMIT_ATTEMPTS};
-use service::ShutdownMode;
+use service::{stderr_line, ShutdownMode};
 use speedup_stacks::error::ConfigError;
 use speedup_stacks::report::Report;
 use speedup_stacks::SimError;
@@ -258,8 +260,8 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
 
 /// A usage error: the message, then the usage text, and exit 1.
 fn usage(message: &str) -> ExitCode {
-    eprintln!("repro: {message}");
-    eprintln!("{USAGE}");
+    stderr_line(format_args!("repro: {message}"));
+    stderr_line(USAGE);
     ExitCode::FAILURE
 }
 
@@ -282,12 +284,12 @@ impl From<io::Error> for Failure {
 fn exit_with(failure: Failure) -> ExitCode {
     match failure {
         Failure::Sim(e) => {
-            eprintln!("repro: {e}");
+            stderr_line(format_args!("repro: {e}"));
             ExitCode::from(e.exit_code())
         }
         Failure::Output(e) => {
             if e.kind() != io::ErrorKind::BrokenPipe {
-                eprintln!("repro: writing the report: {e}");
+                stderr_line(format_args!("repro: writing the report: {e}"));
             }
             ExitCode::from(OUTPUT_FAILED)
         }
@@ -373,10 +375,10 @@ fn submit_main(args: &[String]) -> ExitCode {
     let outcome =
         Client::connect(&addr).and_then(|mut c| c.submit_with_retry(&study, &params, attempts));
     let printed = outcome.map_err(Failure::Sim).and_then(|outcome| {
-        eprintln!(
+        stderr_line(format_args!(
             "repro: job {}: {} computed, {} cached, {} coalesced, {} failed",
             outcome.job, outcome.computed, outcome.cached, outcome.coalesced, outcome.failed
-        );
+        ));
         let mut out = io::stdout().lock();
         Ok(print_report(&mut out, &outcome.report, format)?)
     });
@@ -406,7 +408,7 @@ fn shutdown_main(args: &[String]) -> ExitCode {
         ShutdownMode::Immediate => "shutting down",
         ShutdownMode::Drain => "draining",
     };
-    eprintln!("repro: server at {addr} {how}");
+    stderr_line(format_args!("repro: server at {addr} {how}"));
     ExitCode::SUCCESS
 }
 
@@ -431,7 +433,7 @@ fn main() -> ExitCode {
             None => run_all(&mut out, &params, format),
         },
     };
-    // Each SimError variant exits with its own code (3..=11) so scripts
+    // Each SimError variant exits with its own code (3..=10) so scripts
     // — and the CI resume smoke test, which expects 8 for
     // interrupted-at-checkpoint — can branch on the failure class.
     run.and_then(|()| Ok(out.flush()?))

@@ -5,7 +5,6 @@
 //! ```text
 //! studyd [--addr HOST:PORT] [--workers N] [--cache-mib N]
 //!        [--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH]
-//!        [--backend-id NAME]
 //!        [--backend HOST:PORT ...] [--hedge-after-ms N] [--no-hedge]
 //!        [--heartbeat-ms N] [--dead-after N]
 //! ```
@@ -25,8 +24,9 @@
 //! append-only CRC-framed file, recovered (with corrupt-record
 //! quarantine) on restart — even after a `kill -9` — and rewritten
 //! from the live cache at startup whenever the reload read a dead
-//! (superseded, evicted or quarantined) record, and at every drain;
-//! `--backend-id` names this daemon in `hello`/`status` frames.
+//! (superseded, evicted or quarantined) record, and at every drain.
+//! A backend does not know it is in a fleet: it answers a coordinator
+//! as it answers any client.
 //!
 //! With one or more `--backend HOST:PORT` flags the daemon runs as a
 //! **federation coordinator** instead: it serves the same wire protocol
@@ -39,24 +39,27 @@
 //! fallback. `--heartbeat-ms` (default 500) and `--dead-after` (default
 //! 3) tune the health monitor; a dead backend is re-probed after one
 //! heartbeat, then two, then every four. When a coordinator stops it
-//! prints one `fleet:` line per backend to stderr: health, units served,
-//! failovers and hedge wins.
+//! prints one `fleet:` line per backend to stderr, naming it `b0`, `b1`,
+//! … in `--backend` order: health, units served, failovers and hedge
+//! wins.
 //!
 //! A `shutdown` with `"mode": "drain"` stops admission, finishes
 //! in-flight jobs, flushes (and compacts) the spill, and exits 0.
 //!
 //! Exit codes: 0 clean shutdown, 1 usage error, 5 corrupt spill
-//! header, 10 protocol/socket failure, 11 federation failure (the
-//! [`speedup_stacks::SimError`] codes).
+//! header, 10 protocol/socket failure (the
+//! [`speedup_stacks::SimError`] codes). Every stderr line goes through
+//! [`service::stderr_line`], so a closed stderr changes no exit code.
 
 use std::io::Write;
 use std::process::ExitCode;
 
 use service::federation::FleetConfig;
 use service::server::{serve, ServeConfig, ShutdownMode};
+use service::stderr_line;
 
 const USAGE: &str = "usage: studyd [--addr HOST:PORT] [--workers N] [--cache-mib N] \
-[--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH] [--backend-id NAME] \
+[--max-queued-units N] [--idle-timeout-ms N] [--cache-spill PATH] \
 [--backend HOST:PORT ...] [--hedge-after-ms N] [--no-hedge] [--heartbeat-ms N] [--dead-after N]";
 
 /// The conventional loopback port `repro submit` defaults to.
@@ -97,10 +100,6 @@ fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
                 Some(path) if !path.starts_with("--") => cfg.cache_spill = Some(path.into()),
                 _ => return Err("--cache-spill requires a file path".to_string()),
             },
-            "--backend-id" => match it.next() {
-                Some(id) if !id.starts_with("--") => cfg.backend_id = Some(id.clone()),
-                _ => return Err("--backend-id requires a name".to_string()),
-            },
             "--backend" => match it.next() {
                 Some(addr) if !addr.starts_with("--") => fleet.backends.push(addr.clone()),
                 _ => return Err("--backend requires HOST:PORT".to_string()),
@@ -130,8 +129,8 @@ fn main() -> ExitCode {
     let cfg = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(message) => {
-            eprintln!("studyd: {message}");
-            eprintln!("{USAGE}");
+            stderr_line(format_args!("studyd: {message}"));
+            stderr_line(USAGE);
             return ExitCode::FAILURE;
         }
     };
@@ -146,12 +145,12 @@ fn main() -> ExitCode {
             }
             handle.stop();
             if let Some(federation) = handle.federation() {
-                eprint!("{}", federation.status().summary());
+                stderr_line(federation.status().summary().trim_end());
             }
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("studyd: {e}");
+            stderr_line(format_args!("studyd: {e}"));
             ExitCode::from(e.exit_code())
         }
     }

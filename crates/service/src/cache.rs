@@ -303,7 +303,7 @@ impl Cache {
         };
         if dead {
             if let Err(e) = self.compact() {
-                eprintln!("studyd: startup spill compaction failed: {e}");
+                crate::stderr_line(format_args!("studyd: startup spill compaction failed: {e}"));
             }
         }
         Ok(())
@@ -373,9 +373,9 @@ impl Cache {
             match spill.append(key, &value) {
                 Ok(()) => inner.spilled += 1,
                 Err(e) => {
-                    eprintln!(
+                    crate::stderr_line(format_args!(
                         "studyd: cache spill write failed, persistence disabled for this run: {e}"
-                    );
+                    ));
                     inner.spill = None;
                 }
             }

@@ -279,22 +279,12 @@ impl Client {
     }
 
     /// Cancels a job; `Ok(false)` when the server no longer knows it.
-    /// An optional `reason` is accounted apart by the server — the
-    /// federation sends `"hedge"` when the job lost a hedged race, so
-    /// backend operators can tell reclaimed duplicate work from
-    /// user-initiated cancellation.
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] on any wire failure.
-    pub fn cancel(&mut self, job: u64, reason: Option<&str>) -> Result<bool, SimError> {
-        match reason {
-            Some(r) => self.send(&format!(
-                "{{\"op\": \"cancel\", \"job\": {job}, \"reason\": \"{}\"}}",
-                json::escape(r)
-            ))?,
-            None => self.send(&format!("{{\"op\": \"cancel\", \"job\": {job}}}"))?,
-        }
+    pub fn cancel(&mut self, job: u64) -> Result<bool, SimError> {
+        self.send(&format!("{{\"op\": \"cancel\", \"job\": {job}}}"))?;
         let reply = self.recv_control("cancel")?;
         Ok(matches!(reply.get("found"), Some(JsonValue::Bool(true))))
     }

@@ -25,8 +25,9 @@
 //!   failover never recomputes work the fleet already finished.
 //! - **Hedged retries**: a unit in flight longer than the hedge
 //!   deadline is raced on a second backend; the first result wins and
-//!   the loser's now-empty job is cancelled with the `hedge` reason so
-//!   the backend can reclaim the duplicate work.
+//!   the loser's now-empty job is cancelled so the backend reclaims the
+//!   duplicate work. Hedging is the coordinator's alone: a backend sees
+//!   a plain `cancel`, and does not know it is in a fleet.
 //! - **Graceful degradation**: the fallback link claims only while no
 //!   remote backend is live, so a sweep outlives its whole fleet. It is
 //!   a backend like any other — worker pool, result cache, coalescing,
@@ -53,7 +54,7 @@ use experiments::decompose::GridStudy;
 use experiments::study::StudyParams;
 use speedup_stacks::error::ProtocolError;
 use speedup_stacks::report::json;
-use speedup_stacks::{FederationError, SimError};
+use speedup_stacks::{ConfigError, SimError};
 
 use crate::client::{Client, StreamEvent};
 use crate::scheduler::{JobEvent, JobStream, PointSource, Scheduler, SubmitError};
@@ -304,15 +305,15 @@ impl Link {
     /// Best-effort cancel of a job on the link (a remote one over a
     /// fresh control connection: the worker that owns the stream is
     /// blocked reading it).
-    fn cancel(&self, job: u64, hedge: bool) {
+    fn cancel(&self, job: u64) {
         match self {
             Link::Remote(addr) => {
                 if let Ok(mut c) = Client::connect(addr) {
-                    c.cancel(job, hedge.then_some("hedge")).ok();
+                    c.cancel(job).ok();
                 }
             }
             Link::Local(scheduler) => {
-                scheduler.cancel(job, hedge);
+                scheduler.cancel(job);
             }
         }
     }
@@ -544,10 +545,10 @@ impl Federation {
     ///
     /// # Errors
     ///
-    /// [`SimError::Federation`] when `cfg.backends` is empty.
+    /// [`SimError::Config`] when `cfg.backends` is empty.
     pub fn start(cfg: FleetConfig, fallback: Arc<Scheduler>) -> Result<Federation, SimError> {
         if cfg.backends.is_empty() {
-            return Err(FederationError::NoBackends.into());
+            return Err(ConfigError::zero("backends").into());
         }
         let remotes = cfg.backends.iter().map(|addr| Link::Remote(addr.clone()));
         let links = remotes
@@ -657,7 +658,7 @@ impl Federation {
         // Propagate: cancel every started shard so no orphaned unit
         // keeps computing on the fleet.
         for (bi, job) in shards {
-            self.inner.links[bi].link.cancel(job, false);
+            self.inner.links[bi].link.cancel(job);
         }
         finish_job(&self.inner, ctl.id);
     }
@@ -723,7 +724,7 @@ impl Dispatch for Federation {
         Ok((id, rx))
     }
 
-    fn cancel_job(&self, job: u64, _hedge: bool) -> bool {
+    fn cancel_job(&self, job: u64) -> bool {
         let ctl = {
             let st = lock(&self.inner.st);
             st.jobs.get(&job).cloned()
@@ -745,7 +746,7 @@ impl Dispatch for Federation {
     /// The fallback scheduler's own `status` frame, plus a `federation`
     /// block: the fleet's job gauges, the units the fallback resolved and
     /// every backend's health and counters.
-    fn render_status(&self, backend_id: Option<&str>) -> String {
+    fn render_status(&self) -> String {
         let s = self.status();
         let mut fleet = String::new();
         for (i, b) in s.backends.iter().enumerate() {
@@ -770,7 +771,7 @@ impl Dispatch for Federation {
              \"local_units\": {}, \"backends\": [{fleet}]}}",
             s.jobs_active, s.jobs_total, s.draining, s.local_units
         );
-        self.fallback.status().to_frame(backend_id, &federation)
+        self.fallback.status().to_frame(&federation)
     }
 }
 
@@ -957,10 +958,9 @@ fn run_shard(inner: &FedInner, bi: usize, ctl: &JobCtl, units: &[usize]) {
         // and if the job was cancelled meanwhile nobody wants it: either
         // way the link reclaims the work.
         pending.retain(|u| !st.resolved[*u]);
-        let cancelled = st.stream.is_cancelled();
-        if pending.is_empty() || cancelled {
+        if pending.is_empty() || st.stream.is_cancelled() {
             drop(st);
-            backend.link.cancel(shard.job, !cancelled);
+            backend.link.cancel(shard.job);
             return;
         }
         st.shards.insert((bi, shard.job), pending.clone());
@@ -1043,7 +1043,7 @@ fn resolve(inner: &FedInner, bi: usize, ctl: &JobCtl, index: usize, event: JobEv
         losers
     };
     for (loser, job) in losers {
-        inner.links[loser].link.cancel(job, true);
+        inner.links[loser].link.cancel(job);
     }
     let finished = lock(&ctl.st).remaining == 0;
     if finished {
@@ -1125,10 +1125,8 @@ mod tests {
             ..FleetConfig::default()
         };
         let err = Federation::start(config, fallback()).err().unwrap();
-        assert!(matches!(
-            err,
-            SimError::Federation(FederationError::NoBackends)
-        ));
+        assert_eq!(err, SimError::Config(ConfigError::zero("backends")));
+        assert_eq!(err.exit_code(), 3);
     }
 
     #[test]
@@ -1145,8 +1143,8 @@ mod tests {
         let summary = status.summary();
         assert!(summary.contains("b0 127.0.0.1:1"));
         assert!(summary.contains("b1 127.0.0.1:2"));
-        let frame = fed.render_status(Some("coord"));
-        assert!(frame.contains("\"backend\": \"coord\""));
+        let frame = fed.render_status();
+        assert!(!frame.contains("\"backend\": "));
         assert!(frame.contains("\"federation\": "));
         assert!(frame.contains("\"local_units\": 0"));
         fed.stop();

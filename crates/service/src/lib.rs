@@ -23,10 +23,10 @@
 //!   against `busy` replies and split control/data read deadlines so a
 //!   wedged backend is detected in bounded time;
 //! - [`federation`] — the multi-backend coordinator: health-checked
-//!   fan-out of grid units across a fleet, automatic failover and hedged
-//!   straggler retries, still byte-identical; its fallback when the
-//!   whole fleet is dead is the coordinator's own scheduler, driven
-//!   through the same link as every remote backend;
+//!   fan-out of grid units across a fleet, automatic failover and
+//!   straggler retries on a second backend, still byte-identical; its
+//!   fallback when the whole fleet is dead is the coordinator's own
+//!   scheduler, driven through the same link as every remote backend;
 //! - [`chaos`] — the one fault injected from inside: a panic at a chosen
 //!   work unit.
 //!
@@ -76,3 +76,12 @@ pub mod session;
 pub use client::{Client, SubmitOutcome};
 pub use federation::{Federation, FederationStatus, FleetConfig, HealthState};
 pub use server::{serve, ServeConfig, ServerHandle, ShutdownMode};
+
+/// Writes one diagnostic line to stderr — every stderr line `repro` and
+/// `studyd` print goes through here. A stderr that cannot take the line
+/// (closed, or a pipe nobody reads) loses it: a diagnostic never turns
+/// into a panic, as `eprintln!` would.
+pub fn stderr_line(line: impl std::fmt::Display) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stderr().lock(), "{line}");
+}

@@ -37,14 +37,22 @@
 //!   field is optional and ignored by older peers): `submit` accepts a
 //!   `units` array of grid indices to run only that shard (the
 //!   `accepted` frame's `points` then counts the deduplicated subset);
-//!   `cancel` accepts a `reason` string (`"hedge"` marks a lost hedged
-//!   race, counted in the `hedge_cancels` status field); `hello` and
-//!   `status` replies echo a `backend` identity when the server was
-//!   started with one; a coordinator's `status` reply is its fallback
-//!   scheduler's (the `cache` block included) plus a `federation` block
-//!   with the fleet's job gauges, the units the fallback resolved
-//!   (`local_units`) and per-backend health, units served, failovers
-//!   and hedge wins.
+//!   a coordinator's `status` reply is its fallback scheduler's (the
+//!   `cache` block included) plus a `federation` block with the fleet's
+//!   job gauges, the units the fallback resolved (`local_units`) and
+//!   per-backend health and counters ([`crate::federation`]). Older
+//!   builds also sent a `reason` on `cancel`, a count of such cancels
+//!   in `status` and a `backend` name in `hello` and `status`; this
+//!   build accepts and ignores all three, as it ignores any unknown
+//!   field, and sends none of them. A backend does not know it is in a
+//!   fleet.
+//!
+//! A `status` reply carries `proto`, `workers`, `jobs_active`,
+//! `jobs_total`, `queued_units`, `max_queued_units`, `draining`,
+//! `points_computed`, `points_cached`, `points_coalesced`,
+//! `points_failed` and a `cache` block (`hits`, `misses`, `insertions`,
+//! `evictions`, `entries`, `bytes`, `budget`, `loaded`, `quarantined`,
+//! `spilled`): the fields of [`ServiceStatus`].
 //!
 //! Result frames are batched into as few writes as the job's queue
 //! allows — the session flushes only when no next event is ready (see
@@ -354,9 +362,6 @@ pub struct ServiceStatus {
     pub points_coalesced: u64,
     /// Points that failed.
     pub points_failed: u64,
-    /// Jobs cancelled with the federation's `hedge` reason (the server
-    /// lost a hedged race and its duplicate work was reclaimed).
-    pub hedge_cancels: u64,
     /// Cache lookups served.
     pub cache_hits: u64,
     /// Cache lookups missed.
@@ -380,21 +385,16 @@ pub struct ServiceStatus {
 }
 
 impl ServiceStatus {
-    /// Renders the `status` reply frame. `backend_id` is the daemon's
-    /// fleet identity, echoed when set; `extra` (empty, or `, "key":
+    /// Renders the `status` reply frame; `extra` (empty, or `, "key":
     /// value` fields) is appended inside the frame.
     #[must_use]
-    pub fn to_frame(&self, backend_id: Option<&str>, extra: &str) -> String {
-        let backend = match backend_id {
-            Some(id) => format!("\"backend\": \"{}\", ", json::escape(id)),
-            None => String::new(),
-        };
+    pub fn to_frame(&self, extra: &str) -> String {
         format!(
-            "{{\"ok\": true, \"kind\": \"status\", \"proto\": {PROTO_VERSION}, {backend}\
+            "{{\"ok\": true, \"kind\": \"status\", \"proto\": {PROTO_VERSION}, \
              \"workers\": {}, \"jobs_active\": {}, \"jobs_total\": {}, \"queued_units\": {}, \
              \"max_queued_units\": {}, \"draining\": {}, \
              \"points_computed\": {}, \"points_cached\": {}, \"points_coalesced\": {}, \
-             \"points_failed\": {}, \"hedge_cancels\": {}, \
+             \"points_failed\": {}, \
              \"cache\": {{\"hits\": {}, \"misses\": {}, \"insertions\": {}, \"evictions\": {}, \
              \"entries\": {}, \"bytes\": {}, \"budget\": {}, \"loaded\": {}, \"quarantined\": {}, \
              \"spilled\": {}}}{extra}}}",
@@ -408,7 +408,6 @@ impl ServiceStatus {
             self.points_cached,
             self.points_coalesced,
             self.points_failed,
-            self.hedge_cancels,
             self.cache_hits,
             self.cache_misses,
             self.cache_insertions,
@@ -439,7 +438,6 @@ impl ServiceStatus {
             points_cached: f(frame, "points_cached"),
             points_coalesced: f(frame, "points_coalesced"),
             points_failed: f(frame, "points_failed"),
-            hedge_cancels: f(frame, "hedge_cancels"),
             cache_hits: f(cache, "hits"),
             cache_misses: f(cache, "misses"),
             cache_insertions: f(cache, "insertions"),
@@ -723,7 +721,8 @@ mod tests {
 
     /// The `status` frame is pinned byte for byte, with a distinct value
     /// in every field, and reads back whole (`insertions` and `budget`
-    /// included).
+    /// included) — also from an older server's frame (a fixture), whose
+    /// `backend` name and extra cancel count are ignored.
     #[test]
     fn status_record_renders_pinned_bytes_and_reads_back() {
         let status = ServiceStatus {
@@ -737,7 +736,6 @@ mod tests {
             points_cached: 7,
             points_coalesced: 8,
             points_failed: 9,
-            hedge_cancels: 10,
             cache_hits: 11,
             cache_misses: 12,
             cache_insertions: 13,
@@ -749,23 +747,23 @@ mod tests {
             cache_quarantined: 19,
             cache_spilled: 20,
         };
-        let body = "\"workers\": 1, \"jobs_active\": 2, \"jobs_total\": 3, \"queued_units\": 4, \
+        let head = "{\"ok\": true, \"kind\": \"status\", \"proto\": 2, ";
+        let counts = "\"workers\": 1, \"jobs_active\": 2, \"jobs_total\": 3, \"queued_units\": 4, \
              \"max_queued_units\": 5, \"draining\": true, \"points_computed\": 6, \
-             \"points_cached\": 7, \"points_coalesced\": 8, \"points_failed\": 9, \
-             \"hedge_cancels\": 10, \"cache\": {\"hits\": 11, \"misses\": 12, \
+             \"points_cached\": 7, \"points_coalesced\": 8, \"points_failed\": 9, ";
+        let cache = "\"cache\": {\"hits\": 11, \"misses\": 12, \
              \"insertions\": 13, \"evictions\": 14, \"entries\": 15, \"bytes\": 16, \
              \"budget\": 17, \"loaded\": 18, \"quarantined\": 19, \"spilled\": 20}";
-        let head = "{\"ok\": true, \"kind\": \"status\", \"proto\": 2, ";
-        assert_eq!(status.to_frame(None, ""), format!("{head}{body}}}"));
+        assert_eq!(status.to_frame(""), format!("{head}{counts}{cache}}}"));
         let fleet = ", \"federation\": {\"jobs_active\": 0, \"backends\": []}";
-        let frame = status.to_frame(Some("b\"0"), fleet);
-        assert_eq!(
-            frame,
-            format!("{head}\"backend\": \"b\\\"0\", {body}{fleet}}}")
-        );
+        let frame = status.to_frame(fleet);
+        assert_eq!(frame, format!("{head}{counts}{cache}{fleet}}}"));
         let parsed = json::parse(&frame).unwrap();
         assert_eq!(ServiceStatus::from_frame(&parsed), status);
-        let idle = json::parse(&ServiceStatus::default().to_frame(None, "")).unwrap();
+        let older = include_str!("../tests/goldens/older_status.json");
+        let parsed = json::parse(older.trim_end()).unwrap();
+        assert_eq!(ServiceStatus::from_frame(&parsed), status);
+        let idle = json::parse(&ServiceStatus::default().to_frame("")).unwrap();
         assert_eq!(ServiceStatus::from_frame(&idle), ServiceStatus::default());
     }
 

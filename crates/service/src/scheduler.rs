@@ -356,7 +356,6 @@ struct SchedState {
     points_cached: u64,
     points_coalesced: u64,
     points_failed: u64,
-    hedge_cancels: u64,
 }
 
 struct Shared {
@@ -420,7 +419,6 @@ impl Scheduler {
                 points_cached: 0,
                 points_coalesced: 0,
                 points_failed: 0,
-                hedge_cancels: 0,
             }),
             cond: Condvar::new(),
             cache,
@@ -619,11 +617,8 @@ impl Scheduler {
     /// are dropped; units with coalesced subscribers (and units already
     /// executing) still complete — their results land in the cache and
     /// fan out to the waiters, never to the cancelled stream. Returns
-    /// `false` if the job is unknown or already finished. `hedge` marks
-    /// the federation reclaiming a lost hedged race, counted in
-    /// [`ServiceStatus::hedge_cancels`] (only when this call actually
-    /// transitions a live job to cancelled).
-    pub fn cancel(&self, id: u64, hedge: bool) -> bool {
+    /// `false` if the job is unknown or already finished.
+    pub fn cancel(&self, id: u64) -> bool {
         let mut st = lock(&self.shared);
         // The job leaves the table while its units are sorted out, so
         // its graph and the in-flight table can be edited side by side.
@@ -633,9 +628,6 @@ impl Scheduler {
         if !job.stream.cancel() {
             st.jobs.insert(id, job);
             return true; // idempotent: already a zombie
-        }
-        if hedge {
-            st.hedge_cancels += 1;
         }
         // Queued points (ready or parked) nobody else waits on are
         // dropped; the rest keep computing for their waiters. A reference
@@ -713,7 +705,6 @@ impl Scheduler {
             points_cached: st.points_cached,
             points_coalesced: st.points_coalesced,
             points_failed: st.points_failed,
-            hedge_cancels: st.hedge_cancels,
             cache_hits: c.hits,
             cache_misses: c.misses,
             cache_insertions: c.insertions,
@@ -1214,7 +1205,7 @@ mod tests {
         // duplicates waiting on them and its references all go at once.
         let rx_blocker = pin_worker(&sched);
         let (id, rx) = sched.submit(g.clone(), params.clone()).expect("admitted");
-        assert!(sched.cancel(id, false));
+        assert!(sched.cancel(id), "a live job cancels");
         {
             let st = lock(&sched.shared);
             assert!(!st.jobs.contains_key(&id), "nothing left to linger for");
@@ -1224,6 +1215,7 @@ mod tests {
                 assert!(!st.inflight.contains_key(keys.get(unit)), "{unit:?}");
             }
         }
+        assert!(!sched.cancel(id), "a second cancel finds nothing to do");
         let d = drain_events(&rx).expect("done");
         assert!(d.cancelled && d.points.is_empty());
         let _ = drain_events(&rx_blocker);
@@ -1232,7 +1224,7 @@ mod tests {
         // the lone worker was running lands, the rest is dropped.
         let (id, rx) = sched.submit(g, params).expect("admitted");
         assert!(matches!(rx.recv(), Ok(JobEvent::Point { .. })));
-        sched.cancel(id, false);
+        sched.cancel(id);
         drain_events(&rx).expect("done");
         sched.wait_idle();
         assert_eq!(sched.status().queued_units, 0);
@@ -1327,35 +1319,9 @@ mod tests {
     }
 
     #[test]
-    fn hedge_cancel_counts_only_live_transitions() {
-        let cache = Arc::new(Cache::new(64 * 1024 * 1024));
-        let sched = Scheduler::start(1, Arc::clone(&cache), SchedOptions::default());
-        // Pin the lone worker so the hedged job is provably still live.
-        let rx_blocker = pin_worker(&sched);
-        let params = small_params();
-        let (id, rx) = sched
-            .submit(grid("fig1", &params), params)
-            .expect("admitted");
-        assert_eq!(sched.status().hedge_cancels, 0);
-        assert!(sched.cancel(id, true));
-        assert_eq!(sched.status().hedge_cancels, 1);
-        // Re-cancel never double-counts: the job is either a zombie
-        // (returns true) or already finished (returns false), and the
-        // counter moves only on the live transition either way.
-        let _ = sched.cancel(id, true);
-        assert_eq!(sched.status().hedge_cancels, 1);
-        assert!(!sched.cancel(999, true), "unknown job");
-        assert_eq!(sched.status().hedge_cancels, 1);
-        let _ = drain_events(&rx_blocker);
-        let d = drain_events(&rx).expect("done");
-        assert!(d.cancelled);
-        sched.stop();
-    }
-
-    #[test]
     fn cancel_unknown_job_is_false() {
         let sched = Scheduler::start(1, Arc::new(Cache::new(1024)), SchedOptions::default());
-        assert!(!sched.cancel(42, false));
+        assert!(!sched.cancel(42));
         sched.stop();
     }
 
@@ -1416,7 +1382,7 @@ mod tests {
         let n = g.n_points();
         let (id_owner, rx_owner) = sched.submit(g.clone(), params.clone()).expect("admitted");
         let (_, rx_sub) = sched.submit(g, params).expect("admitted");
-        assert!(sched.cancel(id_owner, false), "live job cancels");
+        assert!(sched.cancel(id_owner), "live job cancels");
         let _ = drain_events(&rx_blocker);
         let owner = drain_events(&rx_owner).expect("done");
         assert!(owner.cancelled);
@@ -1430,10 +1396,7 @@ mod tests {
         }
         // By the time the subscriber's Done has been observed, the
         // cancelled zombie has been reaped under the same lock.
-        assert!(
-            !sched.cancel(id_owner, false),
-            "zombie reaped after fan-out"
-        );
+        assert!(!sched.cancel(id_owner), "zombie reaped after fan-out");
         sched.stop();
     }
 
@@ -1458,17 +1421,14 @@ mod tests {
         let (_, rx_sub) = sched
             .submit_units(g, params, Some(vec![1]))
             .expect("admitted");
-        assert!(sched.cancel(id_owner, false), "live job cancels");
+        assert!(sched.cancel(id_owner), "live job cancels");
         let _ = drain_events(&rx_blocker);
         assert!(drain_events(&rx_owner).expect("done").cancelled);
         // The cancelled job has no point left, yet lingers until the
         // reference the subscriber parked on has run.
         let sub = drain_events(&rx_sub).expect("done");
         assert_eq!((sub.computed, sub.failed, sub.cancelled), (1, 0, false));
-        assert!(
-            !sched.cancel(id_owner, false),
-            "zombie reaped after the reference"
-        );
+        assert!(!sched.cancel(id_owner), "zombie reaped after the reference");
         sched.stop();
     }
 

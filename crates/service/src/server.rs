@@ -53,8 +53,6 @@ pub struct ServeConfig {
     pub idle_timeout_ms: Option<u64>,
     /// Path of the persistent cache spill; `None` = in-memory only.
     pub cache_spill: Option<PathBuf>,
-    /// This daemon's fleet identity, echoed in hello and status frames.
-    pub backend_id: Option<String>,
     /// Deterministic fault injection for the chaos suite.
     pub chaos: ChaosPolicy,
     /// Run as a **federation coordinator** over this fleet: the same
@@ -75,7 +73,6 @@ impl Default for ServeConfig {
             max_queued_units: 0,
             idle_timeout_ms: None,
             cache_spill: None,
-            backend_id: None,
             chaos: ChaosPolicy::default(),
             fleet: None,
         }
@@ -108,8 +105,7 @@ pub struct ServerHandle {
 ///
 /// [`SimError::Protocol`] when the bind fails; [`SimError::Journal`]
 /// when the spill file exists but has a wrong or non-matching header;
-/// [`SimError::Federation`] when the fleet configuration is unusable
-/// (e.g. no backends).
+/// [`SimError::Config`] when the fleet lists no backend.
 pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
     let cache = Arc::new(Cache::new(cfg.cache_bytes));
     if let Some(path) = &cfg.cache_spill {
@@ -149,7 +145,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServerHandle, SimError> {
     let (shutdown_tx, shutdown_rx) = channel();
     let ctx = Arc::new(SessionCtx {
         engine,
-        backend_id: cfg.backend_id.clone(),
         shutdown_tx,
         idle_timeout: cfg.idle_timeout_ms.map(Duration::from_millis),
     });
@@ -242,9 +237,13 @@ impl ServerHandle {
         self.scheduler.begin_drain();
         self.scheduler.wait_idle();
         if let Err(e) = self.cache.compact() {
-            eprintln!("studyd: spill compaction failed during drain ({e}); syncing as-is");
+            crate::stderr_line(format_args!(
+                "studyd: spill compaction failed during drain ({e}); syncing as-is"
+            ));
             if let Err(e) = self.cache.sync() {
-                eprintln!("studyd: cache spill sync failed during drain: {e}");
+                crate::stderr_line(format_args!(
+                    "studyd: cache spill sync failed during drain: {e}"
+                ));
             }
         }
     }

@@ -68,17 +68,15 @@ pub trait Dispatch: Send + Sync {
         units: Option<Vec<usize>>,
     ) -> Result<(u64, Receiver<JobEvent>), SubmitError>;
 
-    /// Cancels a job; `hedge` marks a federation hedge-loser reclaim
-    /// (accounted separately from user cancellation). `false` when the
-    /// job is unknown or already finished.
-    fn cancel_job(&self, job: u64, hedge: bool) -> bool;
+    /// Cancels a job. `false` when the job is unknown or already
+    /// finished.
+    fn cancel_job(&self, job: u64) -> bool;
 
     /// Stops admitting new work (the drain-mode shutdown's first step).
     fn begin_drain(&self);
 
-    /// Renders the engine's `status` reply frame; `backend_id` is this
-    /// daemon's fleet identity, echoed when set.
-    fn render_status(&self, backend_id: Option<&str>) -> String;
+    /// Renders the engine's `status` reply frame.
+    fn render_status(&self) -> String;
 }
 
 impl Dispatch for Scheduler {
@@ -91,28 +89,25 @@ impl Dispatch for Scheduler {
         Scheduler::submit_units(self, grid, params, units)
     }
 
-    fn cancel_job(&self, job: u64, hedge: bool) -> bool {
-        self.cancel(job, hedge)
+    fn cancel_job(&self, job: u64) -> bool {
+        self.cancel(job)
     }
 
     fn begin_drain(&self) {
         Scheduler::begin_drain(self);
     }
 
-    fn render_status(&self, backend_id: Option<&str>) -> String {
-        self.status().to_frame(backend_id, "")
+    fn render_status(&self) -> String {
+        self.status().to_frame("")
     }
 }
 
 /// Everything a session needs beyond its socket: the engine it
-/// dispatches into, the daemon's fleet identity, the shutdown channel
-/// and the idle-reaper deadline. One shared instance per server.
+/// dispatches into, the shutdown channel and the idle-reaper deadline.
+/// One shared instance per server.
 pub struct SessionCtx {
     /// The engine requests dispatch into.
     pub engine: Arc<dyn Dispatch>,
-    /// This daemon's `--backend-id`, echoed in hello and status frames
-    /// so fleet operators can tell which backend answered.
-    pub backend_id: Option<String>,
     /// Channel to the main thread's shutdown loop.
     pub shutdown_tx: Sender<ShutdownMode>,
     /// Idle-connection reaper deadline; `None` = never reap.
@@ -122,7 +117,6 @@ pub struct SessionCtx {
 impl std::fmt::Debug for SessionCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionCtx")
-            .field("backend_id", &self.backend_id)
             .field("idle_timeout", &self.idle_timeout)
             .finish_non_exhaustive()
     }
@@ -150,7 +144,7 @@ pub fn run(stream: TcpStream, ctx: &SessionCtx) {
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::with_capacity(STREAM_BUFFER_BYTES, stream);
 
-    if handshake(&mut reader, &mut writer, ctx.backend_id.as_deref()).is_none() {
+    if handshake(&mut reader, &mut writer).is_none() {
         return;
     }
 
@@ -171,11 +165,7 @@ pub fn run(stream: TcpStream, ctx: &SessionCtx) {
 
 /// The handshake: the first frame must be a version-matching `hello`.
 /// `None` ends the session (the error frame, if any, was already sent).
-fn handshake(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    backend_id: Option<&str>,
-) -> Option<()> {
+fn handshake(reader: &mut BufReader<TcpStream>, writer: &mut BufWriter<TcpStream>) -> Option<()> {
     let line = read_request(reader, writer)?;
     let Ok(frame) = json::parse(&line) else {
         send_error(writer, "malformed", "handshake frame is not valid JSON");
@@ -204,15 +194,11 @@ fn handshake(
         write_line(writer, &msg).ok();
         return None;
     }
-    let backend = match backend_id {
-        Some(id) => format!(", \"backend\": \"{}\"", json::escape(id)),
-        None => String::new(),
-    };
     write_line(
         writer,
         &format!(
             "{{\"ok\": true, \"kind\": \"hello\", \"proto\": {PROTO_VERSION}, \
-             \"server\": \"studyd\"{backend}}}"
+             \"server\": \"studyd\"}}"
         ),
     )
     .ok()?;
@@ -261,7 +247,7 @@ fn handle_request(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Se
             Flow::Continue
         }
         "status" => {
-            let frame = ctx.engine.render_status(ctx.backend_id.as_deref());
+            let frame = ctx.engine.render_status();
             if write_line(writer, &frame).is_err() {
                 return Flow::Close;
             }
@@ -272,11 +258,7 @@ fn handle_request(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Se
                 send_error(writer, "bad-request", "cancel needs an integer 'job' field");
                 return Flow::Continue;
             };
-            // An optional reason: the federation sends "hedge" when the
-            // job lost a hedged race, so reclaimed duplicate work is
-            // accounted apart from user cancellation.
-            let hedge = frame.get("reason").and_then(JsonValue::as_str) == Some("hedge");
-            let found = ctx.engine.cancel_job(job, hedge);
+            let found = ctx.engine.cancel_job(job);
             // A cancel racing job completion is answered deterministically:
             // a live (or zombie) job reports `cancelled`, a job whose final
             // point already streamed reports `already-done`.
@@ -424,7 +406,7 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
         write_line(writer, &accepted)
     };
     if sent.is_err() {
-        ctx.engine.cancel_job(job, false);
+        ctx.engine.cancel_job(job);
         let _ = drain_events(&rx);
         return Flow::Close;
     }
@@ -457,7 +439,7 @@ fn handle_submit(frame: &JsonValue, writer: &mut BufWriter<TcpStream>, ctx: &Ses
         }
         first = false;
         if written.is_err() {
-            ctx.engine.cancel_job(job, false);
+            ctx.engine.cancel_job(job);
             // The look-ahead may already hold `done`: never wait for a
             // second one.
             if !done && !matches!(ahead, Some(JobEvent::Done { .. })) {
@@ -600,13 +582,13 @@ mod tests {
             Ok((1, rx))
         }
 
-        fn cancel_job(&self, _job: u64, _hedge: bool) -> bool {
+        fn cancel_job(&self, _job: u64) -> bool {
             false
         }
 
         fn begin_drain(&self) {}
 
-        fn render_status(&self, _backend_id: Option<&str>) -> String {
+        fn render_status(&self) -> String {
             String::new()
         }
     }
@@ -699,7 +681,6 @@ mod tests {
         let (shutdown_tx, _shutdown_rx) = channel();
         let ctx = SessionCtx {
             engine: Arc::clone(&engine) as Arc<dyn Dispatch>,
-            backend_id: None,
             shutdown_tx,
             idle_timeout: None,
         };

@@ -376,3 +376,25 @@ fn a_closed_stdout_ends_quietly() {
         assert!(err.is_empty(), "{args:?}: {err}");
     }
 }
+
+/// A stderr nobody reads loses the diagnostics and changes no exit
+/// code: usage errors still exit 1, never 101 from a panicking print.
+#[test]
+fn a_closed_stderr_changes_no_exit_code() {
+    let run = |bin: &str, args: &[&str]| {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        Command::new(bin)
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("run")
+            .code()
+    };
+    let repro = env!("CARGO_BIN_EXE_repro");
+    for args in [&["fig7", "--llc-mib", "3"][..], &["nosuch"]] {
+        assert_eq!(run(repro, args), Some(1), "repro {args:?}");
+    }
+    assert_eq!(run(env!("CARGO_BIN_EXE_studyd"), &["--bogus"]), Some(1));
+}

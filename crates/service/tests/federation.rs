@@ -146,12 +146,10 @@ enum Fault {
 }
 
 /// A loopback relay in front of a backend, with the `cancel` requests
-/// sent through it counted — all of them, and those with the `hedge`
-/// reason.
+/// sent through it counted.
 struct Relay {
     addr: String,
     cancels: Arc<AtomicUsize>,
-    hedge_cancels: Arc<AtomicUsize>,
 }
 
 /// Relays each connection to `target`, requests line by line and
@@ -160,8 +158,7 @@ fn relay(target: String, fault: Fault) -> Relay {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
     let addr = listener.local_addr().expect("addr").to_string();
     let cancels = Arc::new(AtomicUsize::new(0));
-    let hedge_cancels = Arc::new(AtomicUsize::new(0));
-    let (all, hedge) = (Arc::clone(&cancels), Arc::clone(&hedge_cancels));
+    let all = Arc::clone(&cancels);
     let points = Arc::new(AtomicUsize::new(0));
     let cut = Arc::new(AtomicBool::new(false));
     std::thread::spawn(move || {
@@ -198,15 +195,12 @@ fn relay(target: String, fault: Fault) -> Relay {
                 }
                 down.shutdown(Shutdown::Both).ok();
             });
-            let (all, hedge) = (Arc::clone(&all), Arc::clone(&hedge));
+            let all = Arc::clone(&all);
             std::thread::spawn(move || {
                 for line in BufReader::new(down_read).lines() {
                     let Ok(line) = line else { break };
                     if line.contains("\"op\": \"cancel\"") {
                         all.fetch_add(1, Ordering::SeqCst);
-                        if line.contains("\"reason\": \"hedge\"") {
-                            hedge.fetch_add(1, Ordering::SeqCst);
-                        }
                     }
                     if writeln!(&up, "{line}").is_err() {
                         break;
@@ -216,11 +210,7 @@ fn relay(target: String, fault: Fault) -> Relay {
             });
         }
     });
-    Relay {
-        addr,
-        cancels,
-        hedge_cancels,
-    }
+    Relay { addr, cancels }
 }
 
 /// The raw `status` frame of the server at `addr`.
@@ -399,10 +389,7 @@ fn cancelling_a_fallback_job_drops_its_queued_units() {
         StreamEvent::Point { .. } => {}
         other => panic!("expected a point first, got {other:?}"),
     }
-    assert!(
-        control.cancel(job, None).expect("cancel"),
-        "live job cancelled"
-    );
+    assert!(control.cancel(job).expect("cancel"), "live job cancelled");
     let cancelled = loop {
         if let StreamEvent::Done { cancelled, .. } = client.next_event(n).expect("stream open") {
             break cancelled;
@@ -425,8 +412,8 @@ fn cancelling_a_fallback_job_drops_its_queued_units() {
 
 /// Hedged dispatch races a stalled backend: the healthy backend wins
 /// every hedged unit, the report stays byte-identical, and the loser's
-/// duplicate sub-job is cancelled with the `hedge` reason — hedged work
-/// is reclaimed, never left running.
+/// duplicate sub-job is cancelled — hedged work is reclaimed, never left
+/// running.
 #[test]
 fn hedging_beats_a_stalled_backend_and_cancels_the_loser() {
     let a = backend(2);
@@ -449,10 +436,9 @@ fn hedging_beats_a_stalled_backend_and_cancels_the_loser() {
         status.backends[0].hedge_wins >= 1,
         "the healthy backend rescued the stalled one's units: {status:?}"
     );
-    wait_for(
-        "the stalled backend's sub-job to be hedge-cancelled",
-        || stalled.hedge_cancels.load(Ordering::SeqCst) >= 1,
-    );
+    wait_for("the stalled backend's sub-job to be cancelled", || {
+        stalled.cancels.load(Ordering::SeqCst) >= 1
+    });
     coord.stop();
     a.stop();
     b.stop();
@@ -582,10 +568,7 @@ fn cancel_propagates_to_backend_sub_jobs() {
         StreamEvent::Point { .. } => {}
         other => panic!("expected a point first, got {other:?}"),
     }
-    assert!(
-        control.cancel(job, None).expect("cancel"),
-        "live job cancelled"
-    );
+    assert!(control.cancel(job).expect("cancel"), "live job cancelled");
     let cancelled = loop {
         if let StreamEvent::Done { cancelled, .. } = client.next_event(n).expect("stream open") {
             break cancelled;
@@ -632,8 +615,6 @@ fn a_clean_fleet_run_cancels_nothing() {
         (0, 0),
         "cancel requests sent to the two backends"
     );
-    let hedge_cancels = a.scheduler().status().hedge_cancels + b.scheduler().status().hedge_cancels;
-    assert_eq!(hedge_cancels, 0);
     a.stop();
     b.stop();
 }

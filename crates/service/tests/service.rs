@@ -331,38 +331,34 @@ fn mid_stream_disconnect_leaves_the_server_serving() {
         .expect("post-disconnect submit");
     let local = find_study("fig1").unwrap().run(&params).unwrap();
     assert_eq!(outcome.report.to_text(), local.to_text());
-    assert!(client.cancel(9999, None).is_ok_and(|found| !found));
+    assert!(client.cancel(9999).is_ok_and(|found| !found));
     server.stop();
 }
 
-/// A daemon named `b7` with a 200 ms idle reaper echoes its name in the
-/// hello and `status` frames, reaps a peer that goes silent after those
-/// with exactly one typed `idle-timeout` frame and then EOF, and keeps
-/// serving fresh clients byte-identically to a local run.
+/// A daemon with a 200 ms idle reaper reaps a peer that goes silent
+/// after its hello and `status` frames with exactly one typed
+/// `idle-timeout` frame and then EOF, and keeps serving fresh clients
+/// byte-identically to a local run.
 #[test]
-fn idle_peer_is_reaped_and_backend_id_is_echoed() {
+fn idle_peer_is_reaped() {
     let server = serve(&ServeConfig {
         workers: 1,
         idle_timeout_ms: Some(200),
-        backend_id: Some("b7".to_string()),
         ..ServeConfig::default()
     })
     .expect("bind loopback");
     let addr = server.local_addr().to_string();
-    let backend = |frame: &str| {
-        let v = json::parse(frame).expect("reply is valid JSON");
-        v.get("backend")
-            .and_then(json::JsonValue::as_str)
-            .map(str::to_owned)
-    };
 
     let mut raw = Raw::connect(&addr);
     let hello = raw.hello();
-    assert_eq!(backend(&hello).as_deref(), Some("b7"), "{hello}");
+    assert_eq!(
+        hello,
+        "{\"ok\": true, \"kind\": \"hello\", \"proto\": 2, \"server\": \"studyd\"}"
+    );
     raw.send("{\"op\": \"status\"}");
     let status = raw.recv().expect("status reply");
     assert!(status.contains("\"kind\": \"status\""), "{status}");
-    assert_eq!(backend(&status).as_deref(), Some("b7"), "{status}");
+    assert!(!status.contains("\"backend\""), "{status}");
     // Silence: the reaper sends one typed frame, then closes.
     raw.expect_error("idle-timeout");
     assert!(raw.recv().is_none(), "EOF after the idle-timeout frame");
@@ -372,6 +368,49 @@ fn idle_peer_is_reaped_and_backend_id_is_echoed() {
     let served = client.submit("fig1", &params).expect("submit");
     let local = find_study("fig1").unwrap().run(&params).unwrap();
     assert_eq!(served.report.to_json(), local.to_json(), "bit-identical");
+    server.stop();
+}
+
+/// An older coordinator cancels a lost hedged race with `"reason":
+/// "hedge"`. The reason is ignored like any unknown field: the reply
+/// reads as a plain cancel's, for a live job and for an unknown one.
+#[test]
+fn a_cancel_with_a_reason_is_answered_like_a_plain_cancel() {
+    let server = test_server(1);
+    let addr = server.local_addr().to_string();
+    // Two live jobs: one worker has far more than two frames' time of
+    // work queued for them.
+    let submit = "{\"op\": \"submit\", \"study\": \"fig4\", \"params\": {\"scale\": 0.2}}";
+    let jobs: Vec<(Raw, u64)> = (0..2)
+        .map(|_| {
+            let mut raw = Raw::connect(&addr);
+            raw.hello();
+            raw.send(submit);
+            let accepted = json::parse(&raw.recv().expect("accepted frame")).unwrap();
+            let job = service::proto::u64_field(&accepted, "job").expect("job id");
+            (raw, job)
+        })
+        .collect();
+    let (hedged, plain) = (jobs[0].1, jobs[1].1);
+
+    let mut control = Raw::connect(&addr);
+    control.hello();
+    let mut cancel = |job: u64, reason: &str| {
+        control.send(&format!("{{\"op\": \"cancel\", \"job\": {job}{reason}}}"));
+        control.recv().expect("cancel reply")
+    };
+    let reply = |job: u64, found: bool, state: &str| {
+        format!(
+            "{{\"ok\": true, \"kind\": \"cancelled\", \"job\": {job}, \"found\": {found}, \
+             \"state\": \"{state}\"}}"
+        )
+    };
+    let hedge = ", \"reason\": \"hedge\"";
+    assert_eq!(cancel(hedged, hedge), reply(hedged, true, "cancelled"));
+    assert_eq!(cancel(plain, ""), reply(plain, true, "cancelled"));
+    assert_eq!(cancel(9999, hedge), reply(9999, false, "already-done"));
+    assert_eq!(cancel(9999, ""), reply(9999, false, "already-done"));
+    drop(jobs);
     server.stop();
 }
 
